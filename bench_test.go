@@ -531,7 +531,7 @@ var simFlavours = []struct {
 // measures steady-state routine execution (the content-addressed
 // program cache makes compilation a lookup after the first
 // iteration, mirroring a warmed long-running process).
-func benchmarkSim(b *testing.B, nojit, nochain, routine bool) {
+func benchmarkSim(b *testing.B, engine sim.Engine) {
 	for _, f := range simFlavours {
 		prog := f.prog
 		b.Run(f.name, func(b *testing.B) {
@@ -540,9 +540,8 @@ func benchmarkSim(b *testing.B, nojit, nochain, routine bool) {
 			var k sim.Counters
 			for i := 0; i < b.N; i++ {
 				cpu := sim.LoadFile(prog.File, nil)
-				cpu.NoJIT, cpu.NoChain = nojit, nochain
-				if routine {
-					cpu.EnableRoutines = true
+				cpu.Engine = engine
+				if engine == sim.EngineRoutine {
 					cpu.RoutineSync = true
 					cpu.RoutineHotThreshold = 1
 				}
@@ -556,10 +555,11 @@ func benchmarkSim(b *testing.B, nojit, nochain, routine bool) {
 			if sec > 0 {
 				b.ReportMetric(float64(insts)/sec, "sim-insts/s")
 			}
-			if routine {
+			switch engine {
+			case sim.EngineRoutine:
 				b.ReportMetric(float64(k.RoutinesCompiled), "routines-compiled")
 				b.ReportMetric(float64(k.RoutineDeopts), "routine-deopts")
-			} else if !nojit && !nochain {
+			case sim.EngineChained:
 				b.ReportMetric(hitPct(k.ChainHits, k.ChainMisses), "chain-hit-%")
 				b.ReportMetric(hitPct(k.ICHits, k.ICMisses), "ic-hit-%")
 				b.ReportMetric(float64(k.Traces), "traces")
@@ -577,26 +577,26 @@ func hitPct(hits, misses uint64) float64 {
 }
 
 // BenchmarkSimInterp is the single-step AST-interpreter baseline.
-func BenchmarkSimInterp(b *testing.B) { benchmarkSim(b, true, false, false) }
+func BenchmarkSimInterp(b *testing.B) { benchmarkSim(b, sim.EngineInterp) }
 
 // BenchmarkSimTranslated is the translation-cache (threaded-code)
 // engine with chaining disabled — every superblock exit returns to
 // the dispatcher, as in the original engine; its sim-insts/s over
 // BenchmarkSimInterp's is the translation speedup.
-func BenchmarkSimTranslated(b *testing.B) { benchmarkSim(b, false, true, false) }
+func BenchmarkSimTranslated(b *testing.B) { benchmarkSim(b, sim.EngineTranslated) }
 
 // BenchmarkSimChained is the block engine — translation cache plus
 // block chaining, indirect-jump inline caches, and trace extension.
 // Its sim-insts/s over BenchmarkSimTranslated's isolates the dispatch
 // overhead that chaining removes.
-func BenchmarkSimChained(b *testing.B) { benchmarkSim(b, false, false, false) }
+func BenchmarkSimChained(b *testing.B) { benchmarkSim(b, sim.EngineChained) }
 
 // BenchmarkSimRoutine is the whole-routine tier on top of the chained
 // engine: hot routine entries are compiled against CFG + liveness into
 // flat programs where registers and condition codes stay in locals
 // across block boundaries.  Its sim-insts/s over BenchmarkSimChained's
 // is the residency speedup.
-func BenchmarkSimRoutine(b *testing.B) { benchmarkSim(b, false, false, true) }
+func BenchmarkSimRoutine(b *testing.B) { benchmarkSim(b, sim.EngineRoutine) }
 
 // BenchmarkSimTelemetry is the observability-overhead experiment: the
 // same workload AND the same engine as BenchmarkSimTranslated with
@@ -604,7 +604,7 @@ func BenchmarkSimRoutine(b *testing.B) { benchmarkSim(b, false, false, true) }
 // sim-insts/s against BenchmarkSimTranslated's is the enabled cost; the
 // disabled cost is what BenchmarkSimTranslated itself pays (the
 // nil-sink branches) and is held under 2% by publishing counters per
-// Run, not per step.  The engine flags must match the baseline's —
+// Run, not per step.  The engine must match the baseline's —
 // an earlier version ran the (faster) chained engine here and reported
 // a nonsensical 0.749 "overhead" — so overhead = base/telemetry is
 // >= ~1.0 by construction and benchmerge -check gates its ceiling.
@@ -615,12 +615,12 @@ func BenchmarkSimTelemetry(b *testing.B) {
 		telemetry.SetTracer(nil)
 		telemetry.Disable()
 	}()
-	benchmarkSim(b, false, true, false)
+	benchmarkSim(b, sim.EngineTranslated)
 }
 
 // BenchmarkSimProfiled measures the per-pc profiling hooks eelprof
 // uses: per-instruction hotness recording on top of the translation
-// cache.  The CPU runs with default engine flags — the chained engine,
+// cache.  The CPU runs on the zero-value engine — the chained engine,
 // held on its fully-instrumented path while a profile is attached — so
 // the same-engine baseline is BenchmarkSimChained.  It runs only the
 // medium flavour, as a named sub-benchmark so benchmerge pairs it with

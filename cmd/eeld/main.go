@@ -16,18 +16,21 @@
 // line per request goes to stderr.  /metrics serves the telemetry
 // registry in Prometheus text format, /debug/flight the flight
 // recorder's recent notable events, and SIGQUIT dumps the flight
-// record to stderr without stopping the daemon.
+// record to stderr without stopping the daemon.  -debug-addr adds a
+// separate listener with pprof and expvar; -stats prints the final
+// request and cache counters (as /v1/stats serves them) on exit.
 //
 // Usage:
 //
 //	eeld [-addr HOST:PORT] [-cache-dir DIR] [-cache-entries N]
 //	     [-cache-bytes N] [-mem-entries N] [-workers N] [-queue N]
 //	     [-timeout D] [-drain-timeout D] [-max-binary N] [-j N]
-//	     [-log] [-metrics] [-trace FILE] [-pprof ADDR]
+//	     [-log] [-stats] [-metrics] [-trace FILE] [-debug-addr ADDR]
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -38,7 +41,6 @@ import (
 
 	"eel/internal/eeld"
 	"eel/internal/obs"
-	"eel/internal/telemetry"
 )
 
 func main() {
@@ -54,14 +56,14 @@ func main() {
 	maxBinary := flag.Int64("max-binary", 0, "largest accepted binary in bytes (0 = default)")
 	jobs := flag.Int("j", 0, "per-job analysis worker count (0 = GOMAXPROCS)")
 	logReq := flag.Bool("log", true, "log one structured line per request to stderr")
-	tf := telemetry.AddFlags(flag.CommandLine)
+	of := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	tool, err := tf.Start()
+	stop, err := of.Start(os.Stderr)
 	if err != nil {
 		fatal(err)
 	}
-	defer tool.Close(os.Stderr)
+	defer stop()
 
 	var logger *slog.Logger
 	if *logReq {
@@ -115,6 +117,11 @@ func main() {
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		fatal(fmt.Errorf("drain: %w", err))
+	}
+	if of.Stats {
+		enc := json.NewEncoder(os.Stderr)
+		enc.SetIndent("", "  ")
+		enc.Encode(srv.Stats()) // diagnostics on stderr
 	}
 	fmt.Fprintln(os.Stderr, "eeld: drained, exiting")
 }

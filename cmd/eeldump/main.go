@@ -8,7 +8,7 @@
 // Usage:
 //
 //	eeldump [-routine name] [-dis] [-cfg] [-gen seed] [-j N] [-stats]
-//	        [-metrics] [-trace FILE] [-pprof ADDR] [input]
+//	        [-metrics] [-trace FILE] [-debug-addr ADDR] [input]
 package main
 
 import (

@@ -13,13 +13,15 @@
 //
 // With -server the harness instead targets an external daemon and
 // runs a single phase (no restart, since it can't restart a daemon it
-// doesn't own).
+// doesn't own).  -stats prints the target daemon's final request and
+// cache counters.
 //
 // Usage:
 //
 //	eelload [-clients N] [-requests N] [-corpus N] [-routines N]
 //	        [-cache-dir DIR] [-out FILE] [-min-warm-hit RATE]
 //	        [-seed N] [-workers N] [-server URL]
+//	        [-stats] [-metrics] [-trace FILE] [-debug-addr ADDR]
 package main
 
 import (
@@ -35,6 +37,7 @@ import (
 
 	"eel/internal/binfile"
 	"eel/internal/eeld"
+	"eel/internal/obs"
 	"eel/internal/progen"
 	"eel/internal/telemetry"
 )
@@ -124,14 +127,14 @@ func main() {
 	workers := flag.Int("workers", 0, "daemon job executors (0 = default)")
 	queue := flag.Int("queue", 4096, "daemon admission queue bound")
 	server := flag.String("server", "", "target an external daemon instead of in-process restart mode")
-	tf := telemetry.AddFlags(flag.CommandLine)
+	of := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	tool, err := tf.Start()
+	stop, err := of.Start(os.Stderr)
 	if err != nil {
 		fatal(err)
 	}
-	defer tool.Close(os.Stderr)
+	defer stop()
 
 	bins := make([][]byte, *corpus)
 	for i := range bins {
@@ -156,11 +159,17 @@ func main() {
 	}
 
 	agree := true
+	var st *eeld.StatsResponse
 	if *server != "" {
 		// External daemon: one phase, no restart.
 		warm := drive(*server, bins, *clients, *requests)
 		res.Warm = &warm
 		res.WarmHitRate = warm.HitRate
+		if of.Stats {
+			if st, err = (&eeld.Client{Base: *server, Name: "eelload"}).Stats(context.Background()); err != nil {
+				fatal(err)
+			}
+		}
 	} else {
 		dir := *cacheDir
 		if dir == "" {
@@ -193,7 +202,7 @@ func main() {
 		res.Warm = &warm
 		res.WarmHitRate = warm.HitRate
 
-		st, err := (&eeld.Client{Base: "http://" + srv2.Addr(), Name: "eelload"}).Stats(context.Background())
+		st, err = (&eeld.Client{Base: "http://" + srv2.Addr(), Name: "eelload"}).Stats(context.Background())
 		if err != nil {
 			fatal(err)
 		}
@@ -203,6 +212,10 @@ func main() {
 	}
 
 	report(res)
+	if of.Stats {
+		data, _ := json.MarshalIndent(st, "", "  ") // plain numbers: cannot fail
+		fmt.Fprintf(os.Stderr, "eelload: daemon stats: %s\n", data)
+	}
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		fatal(err)

@@ -10,25 +10,25 @@
 // Usage:
 //
 //	eelprof [-gen seed] [-gen-routines N] [-top N]
-//	        [-engine interp|translated|chained|routine]
-//	        [-jitstats] [-j N] [-metrics] [-trace FILE] [-pprof ADDR] [input]
+//	        [-engine chained|routine|translated|interp] [-j N]
+//	        [-stats] [-metrics] [-trace FILE] [-debug-addr ADDR] [input]
 //
-// Because profiling hooks record per-pc counts that the routine tier's
-// whole-routine programs do not maintain, -engine=routine degrades to
-// the chained engine here; the flag still exists so scripts can pass a
-// uniform engine selection to every tool.
+// -stats adds the analysis pipeline statistics and the emulator engine
+// counters.  Because profiling hooks record per-pc counts that the
+// routine tier's whole-routine programs do not maintain,
+// -engine=routine degrades to the chained engine here; the flag still
+// exists so scripts can pass a uniform engine selection to every tool.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
 
-	"eel/internal/binfile"
 	"eel/internal/cfg"
-	"eel/internal/core"
 	"eel/internal/pipeline"
 	"eel/internal/sim"
 	"eel/internal/telemetry"
@@ -36,59 +36,68 @@ import (
 )
 
 func main() {
-	top := flag.Int("top", 10, "rows per table")
-	maxSteps := flag.Uint64("max-steps", 500_000_000, "emulator step limit")
-	jitstats := flag.Bool("jitstats", false, "print chain/IC hit rates and trace counters")
-	eng := toolmain.AddEngine(flag.CommandLine)
-	com := toolmain.AddCommon(flag.CommandLine)
-	flag.Parse()
-	engine, err := eng.Name()
-	check(err)
-
-	stop, err := com.Start(os.Stderr)
-	check(err)
-
-	f, name, err := com.OpenInput(flag.Arg(0))
-	check(err)
-
-	out, err := profileRun(f, name, engine, *jitstats, com.Jobs, *top, *maxSteps)
-	check(err)
-	fmt.Print(out)
-
-	check(stop())
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "eelprof:", err)
+		os.Exit(1)
+	}
 }
 
-// profileRun executes f under the profiling emulator, analyzes it,
-// and renders the profile report.  It is deterministic for a given
-// input: the same program produces byte-identical output under either
-// execution engine and any worker count.
-func profileRun(f *binfile.File, name, engine string, jitstats bool, jobs, top int, maxSteps uint64) (string, error) {
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("eelprof", flag.ContinueOnError)
+	top := fs.Int("top", 10, "rows per table")
+	maxSteps := fs.Uint64("max-steps", 500_000_000, "emulator step limit")
+	engine := toolmain.AddEngine(fs)
+	com := toolmain.AddCommon(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// The profile is attributed through the SPARC-only analysis
+	// pipeline: refuse other machines before executing anything.
+	if err := com.RequireSPARC(); err != nil {
+		return err
+	}
+
+	stop, err := com.Start(os.Stderr)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
+
+	// Execute under the profiling emulator, analyze, and report.  The
+	// report is deterministic for a given input: the same program
+	// produces byte-identical output under every execution engine and
+	// any worker count, apart from the -stats lines.
+	f, name, err := com.OpenInput(fs.Arg(0))
+	if err != nil {
+		return err
+	}
 	cpu := sim.LoadFile(f, nil)
-	toolmain.ConfigureEngine(cpu, engine)
+	cpu.Engine = *engine
 	cpu.Decoder().AttachTelemetry(telemetry.Default())
 	prof := cpu.EnableProfile()
-	if err := cpu.Run(maxSteps); err != nil {
-		return "", fmt.Errorf("execution: %w", err)
+	if err := cpu.Run(*maxSteps); err != nil {
+		return fmt.Errorf("execution: %w", err)
 	}
 	prof.Publish(telemetry.Default())
 
-	e, err := core.NewExecutable(f)
+	e, err := toolmain.Load(f)
 	if err != nil {
-		return "", err
+		return err
 	}
-	if err := e.ReadContents(); err != nil {
-		return "", err
-	}
-	res, err := pipeline.AnalyzeAll(e, pipeline.Options{
-		Workers:      jobs,
+	res, err := com.Analyze(e, pipeline.Options{
 		NoLiveness:   true,
 		NoDominators: true,
 		NoLoops:      true,
 	})
 	if err != nil {
-		return "", err
+		return err
 	}
-	return report(name, cpu, prof, res, top, jitstats), nil
+	_, err = io.WriteString(stdout, report(name, cpu, prof, res, *top, com.Stats))
+	return err
 }
 
 // row is one attributed profile entry.
@@ -100,7 +109,7 @@ type row struct {
 }
 
 // report renders the hot-routine and hot-block tables.
-func report(name string, cpu *sim.CPU, prof *sim.Profile, res *pipeline.Result, top int, jitstats bool) string {
+func report(name string, cpu *sim.CPU, prof *sim.Profile, res *pipeline.Result, top int, stats bool) string {
 	var b strings.Builder
 	total := cpu.InstCount
 	fmt.Fprintf(&b, "eelprof: %s: exit %d after %d instructions (%d annulled)\n",
@@ -111,16 +120,8 @@ func report(name string, cpu *sim.CPU, prof *sim.Profile, res *pipeline.Result, 
 	}
 	fmt.Fprintf(&b, "branches: %d executed, %d taken (%.1f%%); traps: %d\n",
 		prof.Branches, prof.BranchesTaken, takenPct, prof.Traps)
-	k := cpu.Counters()
-	fmt.Fprintf(&b, "jit: %d superblocks built, %d flushes, %d deopt steps\n",
-		k.Builds, k.Flushes, k.Deopts)
-	if jitstats {
-		// Also prefixed "jit:" so engine-sensitive lines stay strippable
-		// when comparing reports across engines.
-		fmt.Fprintf(&b, "jit: chain-hit %.1f%% (%d/%d), ic-hit %.1f%% (%d/%d), victim-hits %d, traces %d built / %d retired\n",
-			hitPct(k.ChainHits, k.ChainMisses), k.ChainHits, k.ChainHits+k.ChainMisses,
-			hitPct(k.ICHits, k.ICMisses), k.ICHits, k.ICHits+k.ICMisses,
-			k.VictimHits, k.Traces, k.TracesRetired)
+	if stats {
+		toolmain.WriteEngineStats(&b, name, cpu.Counters())
 	}
 
 	var routines []row
@@ -188,18 +189,4 @@ func report(name string, cpu *sim.CPU, prof *sim.Profile, res *pipeline.Result, 
 			100*float64(r.count)/float64(max(total, 1)), r.count, r.name, r.lo, r.hi, r.insts)
 	}
 	return b.String()
-}
-
-func hitPct(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return 100 * float64(hits) / float64(hits+misses)
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "eelprof:", err)
-		os.Exit(1)
-	}
 }

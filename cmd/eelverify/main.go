@@ -8,19 +8,22 @@
 //
 // Usage:
 //
-//	eelverify [-engine interp|translated|chained|routine] [-metrics]
-//	          [-trace FILE] [-pprof ADDR] original edited
+//	eelverify [-engine chained|routine|translated|interp] [-stats]
+//	          [-metrics] [-trace FILE] [-debug-addr ADDR] original edited
 //	eelverify -gen 7 -instrument     (generate, instrument, verify)
 //
 // With -instrument, routine analysis runs on the concurrent
-// internal/pipeline worker pool (-j bounds it; -stats prints its
-// metrics) before the editing pass.
+// internal/pipeline worker pool (-j bounds it) before the editing
+// pass.  -stats prints the pipeline statistics and both runs' engine
+// counters.
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -31,121 +34,118 @@ import (
 	"eel/internal/toolmain"
 )
 
+// errDiverged reports a verification failure; its message has already
+// been printed.
+var errDiverged = errors.New("behaviour diverged")
+
 func main() {
-	instrument := flag.Bool("instrument", false, "with -gen: instrument before verifying")
-	maxSteps := flag.Uint64("max-steps", 500_000_000, "emulator step limit")
-	jitstats := flag.Bool("jitstats", false, "print translation-cache chain/IC hit rates, traces, and routine-tier counters")
-	eng := toolmain.AddEngine(flag.CommandLine)
-	com := toolmain.AddCommon(flag.CommandLine)
-	flag.Parse()
-	engine, err := eng.Name()
-	check(err)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if !errors.Is(err, errDiverged) {
+			fmt.Fprintln(os.Stderr, "eelverify:", err)
+		}
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("eelverify", flag.ContinueOnError)
+	instrument := fs.Bool("instrument", false, "with -gen: instrument before verifying")
+	maxSteps := fs.Uint64("max-steps", 500_000_000, "emulator step limit")
+	engine := toolmain.AddEngine(fs)
+	com := toolmain.AddCommon(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	stop, err := com.Start(os.Stderr)
-	check(err)
-	closeTool := func() { check(stop()) }
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
 
 	var orig, edited *binfile.File
 	switch {
 	case com.Gen >= 0:
-		f, _, err := com.OpenInput("")
-		check(err)
-		orig = f
-		e, err := toolmain.Load(f)
-		check(err)
-		if *instrument {
-			_, err := com.Analyze(e, pipeline.Options{
-				NoDominators: true,
-				NoLoops:      true,
-			})
-			check(err)
-			_, err = qpt.Instrument(e, qpt.Full)
-			check(err)
+		// The -gen path edits, and editing is SPARC-only.
+		if err := com.RequireSPARC(); err != nil {
+			return err
 		}
-		edited, err = e.BuildEdited()
-		check(err)
-	case flag.NArg() == 2:
-		var err error
-		orig, err = binfile.ReadFile(flag.Arg(0))
-		check(err)
-		edited, err = binfile.ReadFile(flag.Arg(1))
-		check(err)
+		if orig, _, err = com.OpenInput(""); err != nil {
+			return err
+		}
+		e, err := toolmain.Load(orig)
+		if err != nil {
+			return err
+		}
+		if *instrument {
+			if _, err := com.Analyze(e, pipeline.Options{NoDominators: true, NoLoops: true}); err != nil {
+				return err
+			}
+			if _, err := qpt.Instrument(e, qpt.Full); err != nil {
+				return err
+			}
+		}
+		if edited, err = e.BuildEdited(); err != nil {
+			return err
+		}
+	case fs.NArg() == 2:
+		if orig, err = binfile.ReadFile(fs.Arg(0)); err != nil {
+			return err
+		}
+		if edited, err = binfile.ReadFile(fs.Arg(1)); err != nil {
+			return err
+		}
 	default:
-		check(fmt.Errorf("need two executables, or -gen"))
+		return fmt.Errorf("need two executables, or -gen")
 	}
 
-	o, oOut, oRate := run(orig, *maxSteps, engine)
-	e, eOut, eRate := run(edited, *maxSteps, engine)
+	o, oOut, oRate, err := execute(orig, *maxSteps, *engine)
+	if err != nil {
+		return fmt.Errorf("original: %w", err)
+	}
+	e, eOut, eRate, err := execute(edited, *maxSteps, *engine)
+	if err != nil {
+		return fmt.Errorf("edited: %w", err)
+	}
 
-	fmt.Printf("original: exit %d, %d instructions, %d bytes output, %.0f insts/sec\n",
+	fmt.Fprintf(stdout, "original: exit %d, %d instructions, %d bytes output, %.0f insts/sec\n",
 		o.ExitCode, o.InstCount, len(oOut), oRate)
-	fmt.Printf("edited:   exit %d, %d instructions, %d bytes output (%.2fx), %.0f insts/sec\n",
+	fmt.Fprintf(stdout, "edited:   exit %d, %d instructions, %d bytes output (%.2fx), %.0f insts/sec\n",
 		e.ExitCode, e.InstCount, len(eOut), float64(e.InstCount)/float64(max(1, o.InstCount)), eRate)
-	if *jitstats {
-		printJITStats("original", o)
-		printJITStats("edited", e)
+	if com.Stats {
+		toolmain.WriteEngineStats(stdout, "original", o.Counters())
+		toolmain.WriteEngineStats(stdout, "edited", e.Counters())
 	}
-
-	closeTool()
 
 	if o.ExitCode != e.ExitCode || !bytes.Equal(oOut, eOut) {
-		fmt.Println("VERIFY FAILED: behaviour diverged")
-		os.Exit(1)
+		fmt.Fprintln(stdout, "VERIFY FAILED: behaviour diverged")
+		return errDiverged
 	}
-	fmt.Println("VERIFY OK: identical behaviour")
+	fmt.Fprintln(stdout, "VERIFY OK: identical behaviour")
+	return nil
 }
 
-func run(f *binfile.File, maxSteps uint64, engine string) (*sim.CPU, []byte, float64) {
+// execute runs f to completion on engine and reports the final CPU,
+// its output, and its emulation rate in instructions per second.
+func execute(f *binfile.File, maxSteps uint64, engine sim.Engine) (*sim.CPU, []byte, float64, error) {
 	var out bytes.Buffer
 	cpu := sim.LoadFile(f, &out)
-	toolmain.ConfigureEngine(cpu, engine)
+	cpu.Engine = engine
 	start := time.Now()
 	if err := cpu.Run(maxSteps); err != nil {
-		check(fmt.Errorf("execution: %w", err))
+		return nil, nil, 0, fmt.Errorf("execution: %w", err)
 	}
 	elapsed := time.Since(start).Seconds()
 	if !cpu.Halted {
-		check(fmt.Errorf("program did not halt"))
+		return nil, nil, 0, fmt.Errorf("program did not halt")
 	}
 	rate := 0.0
 	if elapsed > 0 {
 		rate = float64(cpu.InstCount) / elapsed
 	}
-	return cpu, out.Bytes(), rate
-}
-
-// printJITStats reports the chaining tier's effectiveness for one
-// run.  The counters come from sim.Counters (mirrored to telemetry by
-// Run when a sink is attached; reading them here costs nothing when
-// telemetry is disabled).
-func printJITStats(label string, cpu *sim.CPU) {
-	k := cpu.Counters()
-	fmt.Printf("jit %s: blocks %d, chain-hit %.1f%%, ic-hit %.1f%%, victim-hits %d, traces %d (%d retired), deopts %d\n",
-		label, k.Builds, hitPct(k.ChainHits, k.ChainMisses), hitPct(k.ICHits, k.ICMisses),
-		k.VictimHits, k.Traces, k.TracesRetired, k.Deopts)
-	if cpu.EnableRoutines || k.TierPromotions > 0 {
-		fmt.Printf("jit %s: routines %d compiled (%d promotions), routine-deopts %d\n",
-			label, k.RoutinesCompiled, k.TierPromotions, k.RoutineDeopts)
-	}
-}
-
-func hitPct(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return 100 * float64(hits) / float64(hits+misses)
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "eelverify:", err)
-		os.Exit(1)
-	}
+	return cpu, out.Bytes(), rate, nil
 }

@@ -15,9 +15,9 @@ import (
 
 	"eel"
 	"eel/internal/activemem"
+	"eel/internal/obs"
 	"eel/internal/progen"
 	"eel/internal/sim"
-	"eel/internal/telemetry"
 	"eel/internal/toolmain"
 )
 
@@ -27,12 +27,12 @@ func main() {
 	lineBytes := flag.Int("line", 16, "cache line size")
 	sets := flag.Int("sets", 256, "direct-mapped sets")
 	eng := toolmain.AddEngine(flag.CommandLine)
-	tf := telemetry.AddFlags(flag.CommandLine)
+	of := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	tool, err := tf.Start()
+	stop, err := of.Start(os.Stderr)
 	check(err)
-	defer tool.Close(os.Stderr)
+	defer stop()
 
 	cfg := progen.DefaultConfig(*seed)
 	cfg.Routines = *routines
@@ -40,7 +40,7 @@ func main() {
 	check(err)
 
 	orig := sim.LoadFile(p.File, os.Stdout)
-	check(eng.Configure(orig))
+	orig.Engine = *eng
 	check(orig.Run(500_000_000))
 
 	exec, err := eel.Load(p.File)
@@ -55,13 +55,17 @@ func main() {
 	check(err)
 
 	inst := sim.LoadFile(edited, os.Stdout)
-	check(eng.Configure(inst))
+	inst.Engine = *eng
 	simStart := time.Now()
 	check(inst.Run(2_000_000_000))
 	simRate := float64(inst.InstCount) / time.Since(simStart).Seconds()
 	if inst.ExitCode != orig.ExitCode {
 		fmt.Fprintln(os.Stderr, "cachesim: edited program diverged!")
 		os.Exit(1)
+	}
+	if of.Stats {
+		toolmain.WriteEngineStats(os.Stdout, "original", orig.Counters())
+		toolmain.WriteEngineStats(os.Stdout, "instrumented", inst.Counters())
 	}
 
 	accesses, misses := res.Counts(inst.Mem)

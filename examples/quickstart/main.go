@@ -14,9 +14,9 @@ import (
 
 	"eel"
 	"eel/internal/asm"
+	"eel/internal/obs"
 	"eel/internal/sim"
 	"eel/internal/sparc"
-	"eel/internal/telemetry"
 	"eel/internal/toolmain"
 )
 
@@ -43,12 +43,12 @@ done:	mov 1, %g1
 
 func main() {
 	eng := toolmain.AddEngine(flag.CommandLine)
-	tf := telemetry.AddFlags(flag.CommandLine)
+	of := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	tool, err := tf.Start()
+	stop, err := of.Start(os.Stderr)
 	check(err)
-	defer tool.Close(os.Stderr)
+	defer stop()
 
 	// Assemble the demo program into an executable image.
 	prog, err := asm.Assemble(program, 0x10000)
@@ -104,14 +104,18 @@ func main() {
 	// --- Run both versions ---
 	start := time.Now()
 	orig := sim.LoadFile(img, os.Stdout)
-	check(eng.Configure(orig))
+	orig.Engine = *eng
 	check(orig.Run(1_000_000))
 	inst := sim.LoadFile(edited, os.Stdout)
-	check(eng.Configure(inst))
+	inst.Engine = *eng
 	check(inst.Run(1_000_000))
 	rate := float64(orig.InstCount+inst.InstCount) / time.Since(start).Seconds()
 	fmt.Printf("original: exit %d in %d instructions\n", orig.ExitCode, orig.InstCount)
 	fmt.Printf("edited:   exit %d in %d instructions (%.0f insts/sec)\n", inst.ExitCode, inst.InstCount, rate)
+	if of.Stats {
+		toolmain.WriteEngineStats(os.Stdout, "original", orig.Counters())
+		toolmain.WriteEngineStats(os.Stdout, "edited", inst.Counters())
+	}
 	if orig.ExitCode != inst.ExitCode {
 		fmt.Println("BEHAVIOUR DIVERGED — editing bug!")
 		os.Exit(1)

@@ -17,9 +17,9 @@ import (
 	"eel/internal/asm"
 	"eel/internal/core"
 	"eel/internal/machine"
+	"eel/internal/obs"
 	"eel/internal/sim"
 	"eel/internal/sparc"
-	"eel/internal/telemetry"
 	"eel/internal/toolmain"
 )
 
@@ -45,12 +45,12 @@ main:	set 0x400010, %l0
 
 func main() {
 	eng := toolmain.AddEngine(flag.CommandLine)
-	tf := telemetry.AddFlags(flag.CommandLine)
+	of := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	tool, err := tf.Start()
+	stop, err := of.Start(os.Stderr)
 	check(err)
-	defer tool.Close(os.Stderr)
+	defer stop()
 
 	prog, err := asm.Assemble(program, 0x10000)
 	check(err)
@@ -66,7 +66,7 @@ func main() {
 
 	// Unsandboxed run: the wild store lands at 0x7fe000.
 	orig := sim.LoadFile(img, os.Stdout)
-	check(eng.Configure(orig))
+	orig.Engine = *eng
 	check(orig.Run(10000))
 	fmt.Printf("unsandboxed: [0x7fe000] = %d (corrupted), exit %d\n",
 		orig.Mem.Read32(0x7fe000), orig.ExitCode)
@@ -102,11 +102,15 @@ func main() {
 	check(err)
 
 	boxed := sim.LoadFile(edited, os.Stdout)
-	check(eng.Configure(boxed))
+	boxed.Engine = *eng
 	start := time.Now()
 	check(boxed.Run(10000))
 	rate := float64(boxed.InstCount) / time.Since(start).Seconds()
 	fmt.Printf("sandboxed run: %d instructions at %.0f insts/sec\n", boxed.InstCount, rate)
+	if of.Stats {
+		toolmain.WriteEngineStats(os.Stdout, "unsandboxed", orig.Counters())
+		toolmain.WriteEngineStats(os.Stdout, "sandboxed", boxed.Counters())
+	}
 	confined := segBase + (0x7fe000 & (segSize - 1) &^ 3)
 	fmt.Printf("sandboxed (%d stores rewritten): [0x7fe000] = %d, confined write at %#x = %d, exit %d\n",
 		sites, boxed.Mem.Read32(0x7fe000), confined, boxed.Mem.Read32(uint32(confined)), boxed.ExitCode)

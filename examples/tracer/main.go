@@ -17,10 +17,10 @@ import (
 	"eel/internal/core"
 	"eel/internal/dataflow"
 	"eel/internal/machine"
+	"eel/internal/obs"
 	"eel/internal/progen"
 	"eel/internal/sim"
 	"eel/internal/sparc"
-	"eel/internal/telemetry"
 	"eel/internal/toolmain"
 )
 
@@ -28,12 +28,12 @@ func main() {
 	seed := flag.Int64("seed", 4, "workload seed")
 	show := flag.Int("show", 12, "trace entries to print")
 	eng := toolmain.AddEngine(flag.CommandLine)
-	tf := telemetry.AddFlags(flag.CommandLine)
+	of := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
-	tool, err := tf.Start()
+	stop, err := of.Start(os.Stderr)
 	check(err)
-	defer tool.Close(os.Stderr)
+	defer stop()
 
 	cfg := progen.DefaultConfig(*seed)
 	cfg.Routines = 12
@@ -106,7 +106,7 @@ func main() {
 	}
 
 	cpu := sim.LoadFile(edited, os.Stdout)
-	check(eng.Configure(cpu))
+	cpu.Engine = *eng
 	start := time.Now()
 	check(cpu.Run(500_000_000))
 	rate := float64(cpu.InstCount) / time.Since(start).Seconds()
@@ -115,6 +115,9 @@ func main() {
 	n := (end - buf) / 4
 	fmt.Printf("traced %d memory sites; %d references recorded (%.0f insts/sec)\n", sites, n, rate)
 	fmt.Printf("slice profile over traced sites: %d easy, %d hard, %d impossible\n", easy, hard, impossible)
+	if of.Stats {
+		toolmain.WriteEngineStats(os.Stdout, "traced", cpu.Counters())
+	}
 	fmt.Printf("first %d references:\n", *show)
 	for i := uint32(0); i < uint32(*show) && i < n; i++ {
 		fmt.Printf("  %#x\n", cpu.Mem.Read32(buf+4*i))

@@ -468,7 +468,40 @@ func TestLineCountInventory(t *testing.T) {
 	if toolLines > total/5 {
 		t.Errorf("the qpt tool (%d lines) should be small relative to the library (%d)", toolLines, total)
 	}
+
+	// The whole module, found by walking the tree rather than from the
+	// list above, is held under a ceiling so that code cannot quietly
+	// regrow.  Lower the ceiling when a change shrinks the module.
+	const ceiling = moduleLineCeiling
+	all := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." {
+			name := d.Name()
+			if strings.HasPrefix(name, ".") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module (bench/)
+			}
+		}
+		all += countGoLines(t, path)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%-22s %6d lines (ceiling %d)", "module (non-test)", all, ceiling)
+	if all > ceiling {
+		t.Errorf("non-test Go code grew to %d lines, over the %d-line ceiling", all, ceiling)
+	}
 }
+
+// moduleLineCeiling bounds the module's non-test Go lines (blank and
+// comment-only lines excluded), nested modules excluded.
+const moduleLineCeiling = 20517
 
 // TestTable1 is experiment E1: the paper's Table 1 — the ad-hoc tool
 // (qpt) vs the EEL-based tool (qpt2), with and without optimization.

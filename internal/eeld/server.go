@@ -295,6 +295,12 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.Stats())
+}
+
+// Stats reports the daemon's request and cache counters, as served
+// at /v1/stats.
+func (s *Server) Stats() StatsResponse {
 	hits, misses, evictions := s.cache.Counters()
 	resp := StatsResponse{
 		Requests:       s.requests.Value(),
@@ -320,7 +326,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.DiskEvictions = c.Evictions
 		resp.DiskCorrupt = c.Corrupt
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // runner executes one decoded request and returns its response value.
@@ -697,7 +703,7 @@ func (s *Server) runVerify(ctx context.Context, r *http.Request) (any, error) {
 		// stores invalidate installed programs and reset heat, so any
 		// higher threshold never re-reaches the routine tier between
 		// invalidations and the deopt path goes unexercised.
-		cpu.EnableRoutines = true
+		cpu.Engine = sim.EngineRoutine
 		cpu.RoutineSync = true
 		cpu.RoutineHotThreshold = 1
 		if err := cpu.Run(maxSteps); err != nil {

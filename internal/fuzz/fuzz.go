@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"eel/internal/sim"
 )
 
 // Options configures a fuzzing run.
@@ -134,7 +136,7 @@ func Run(opts Options) *Report {
 		rep.Programs++
 		vs := check(p, opts.MaxSteps)
 		if opts.oracleEnabled("lockstep") {
-			if res := runOnce(p.File, opts.MaxSteps, EngineInterp, p.decoder()); res.cpu != nil {
+			if res := runOnce(p.File, opts.MaxSteps, sim.EngineInterp, p.decoder()); res.cpu != nil {
 				rep.Insts += res.cpu.InstCount
 			}
 		}

@@ -322,34 +322,10 @@ type runResult struct {
 	err error
 }
 
-// Engine selects one of the emulator's four execution engines for a
-// lockstep run.
-type Engine int
-
-const (
-	EngineInterp  Engine = iota // single-step AST interpreter
-	EngineJIT                   // translation cache, no chaining
-	EngineChained               // chaining + inline caches + traces
-	EngineRoutine               // whole-routine tier over chained
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineInterp:
-		return "interpreter"
-	case EngineJIT:
-		return "jit"
-	case EngineChained:
-		return "chained"
-	default:
-		return "routine"
-	}
-}
-
 // runOnce executes f on a fresh emulator with the given engine,
 // converting panics to errors so a harness iteration survives engine
 // bugs.
-func runOnce(f *binfile.File, maxSteps uint64, eng Engine, dec *spawn.TableDecoder) (res runResult) {
+func runOnce(f *binfile.File, maxSteps uint64, eng sim.Engine, dec *spawn.TableDecoder) (res runResult) {
 	var buf bytes.Buffer
 	defer func() {
 		if r := recover(); r != nil {
@@ -358,12 +334,10 @@ func runOnce(f *binfile.File, maxSteps uint64, eng Engine, dec *spawn.TableDecod
 		res.out = buf.Bytes()
 	}()
 	cpu := sim.LoadFileWith(dec, f, &buf)
-	cpu.NoJIT = eng == EngineInterp
-	cpu.NoChain = eng == EngineJIT
-	if eng == EngineRoutine {
+	cpu.Engine = eng
+	if eng == sim.EngineRoutine {
 		// Synchronous promotion at the lowest threshold so every run
 		// actually exercises routine-compiled code, deterministically.
-		cpu.EnableRoutines = true
 		cpu.RoutineSync = true
 		cpu.RoutineHotThreshold = 1
 	}
@@ -381,11 +355,11 @@ func runOnce(f *binfile.File, maxSteps uint64, eng Engine, dec *spawn.TableDecod
 // memory image.
 func CheckLockstep(p *Program, maxSteps uint64) []Violation {
 	d := p.decoder()
-	interp := runOnce(p.File, maxSteps, EngineInterp, d)
+	interp := runOnce(p.File, maxSteps, sim.EngineInterp, d)
 	var vs []Violation
-	engines := []Engine{EngineJIT, EngineChained}
+	engines := []sim.Engine{sim.EngineTranslated, sim.EngineChained}
 	if archFor(p.Cfg.ISA).RoutineTier {
-		engines = append(engines, EngineRoutine)
+		engines = append(engines, sim.EngineRoutine)
 	}
 	for _, eng := range engines {
 		vs = append(vs, lockstepDiff(interp, runOnce(p.File, maxSteps, eng, d), eng)...)
@@ -395,7 +369,7 @@ func CheckLockstep(p *Program, maxSteps uint64) []Violation {
 
 // lockstepDiff compares one engine's run against the interpreter
 // reference.
-func lockstepDiff(interp, run runResult, eng Engine) []Violation {
+func lockstepDiff(interp, run runResult, eng sim.Engine) []Violation {
 	var vs []Violation
 	if (interp.err == nil) != (run.err == nil) ||
 		(interp.err != nil && run.err != nil && interp.err.Error() != run.err.Error()) {
@@ -454,7 +428,7 @@ func CheckEdited(p *Program, maxSteps uint64) []Violation {
 		// SPARC executables only; the oracle does not apply elsewhere.
 		return nil
 	}
-	orig := runOnce(p.File, maxSteps, EngineChained, dec)
+	orig := runOnce(p.File, maxSteps, sim.EngineChained, dec)
 	if orig.err != nil {
 		return []Violation{violate("edited", "original program fails to run: %v", orig.err)}
 	}
@@ -471,7 +445,7 @@ func CheckEdited(p *Program, maxSteps uint64) []Violation {
 			vs = append(vs, violate("edited", "%s edit failed: %v", mode.name, err))
 			continue
 		}
-		res := runOnce(ed, maxSteps*8, EngineChained, dec)
+		res := runOnce(ed, maxSteps*8, sim.EngineChained, dec)
 		if res.err != nil {
 			vs = append(vs, violate("edited", "%s build fails to run: %v", mode.name, res.err))
 			continue

@@ -4,7 +4,9 @@
 // text exposition of the telemetry registry (prom.go), and an
 // always-on flight recorder — a fixed-size lock-sharded ring buffer
 // of recent notable events (flight.go) that can be dumped on SIGQUIT
-// or scraped from /debug/flight when something just went wrong.
+// or scraped from /debug/flight when something just went wrong — and
+// the observability flags every tool shares (flags.go), whose
+// -debug-addr serves all of it on one listener.
 //
 // Like the rest of the telemetry stack, everything here follows the
 // nil-sink discipline: a nil *Flight absorbs Record calls with a

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -116,21 +115,4 @@ func FlightHandler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		f.WriteJSON(w)
 	})
-}
-
-// ServeDebug starts an HTTP server on addr exposing /metrics (for
-// reg) and /debug/flight in the background — the -metrics-addr
-// implementation shared by eelverify, eelprof, and friends.  Returns
-// the listen error synchronously when the address is unusable.
-func ServeDebug(addr string, reg *telemetry.Registry) error {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", MetricsHandler(reg))
-	mux.Handle("/debug/flight", FlightHandler())
-	srv := &http.Server{Addr: addr, Handler: mux}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	go srv.Serve(ln)
-	return nil
 }

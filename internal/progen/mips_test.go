@@ -16,11 +16,11 @@ func mipsConfig(seed int64) progen.Config {
 }
 
 // runMIPS executes the image on one engine.
-func runMIPS(t *testing.T, p *progen.Program, nojit, nochain bool) (*sim.CPU, string) {
+func runMIPS(t *testing.T, p *progen.Program, eng sim.Engine) (*sim.CPU, string) {
 	t.Helper()
 	var out bytes.Buffer
 	cpu := sim.LoadFileWith(mips.NewDecoder(), p.File, &out)
-	cpu.NoJIT, cpu.NoChain = nojit, nochain
+	cpu.Engine = eng
 	if err := cpu.Run(50_000_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -33,7 +33,7 @@ func runMIPS(t *testing.T, p *progen.Program, nojit, nochain bool) (*sim.CPU, st
 func TestMIPSGeneratedProgramRuns(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		p := progen.MustGenerate(mipsConfig(seed))
-		cpu, _ := runMIPS(t, p, true, false)
+		cpu, _ := runMIPS(t, p, sim.EngineInterp)
 		t.Logf("seed %d: %d instructions, exit %d, %d indirect, %d hidden",
 			seed, cpu.InstCount, cpu.ExitCode, p.Switches, p.Hidden)
 		if cpu.InstCount < 100 {
@@ -49,21 +49,18 @@ func TestMIPSGeneratedProgramRuns(t *testing.T) {
 func TestMIPSLockstep(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		p := progen.MustGenerate(mipsConfig(seed))
-		ref, refOut := runMIPS(t, p, true, false)
-		for _, eng := range []struct {
-			name           string
-			nojit, nochain bool
-		}{{"translated", false, true}, {"chained", false, false}} {
-			cpu, out := runMIPS(t, p, eng.nojit, eng.nochain)
+		ref, refOut := runMIPS(t, p, sim.EngineInterp)
+		for _, eng := range []sim.Engine{sim.EngineTranslated, sim.EngineChained} {
+			cpu, out := runMIPS(t, p, eng)
 			if cpu.ExitCode != ref.ExitCode || cpu.InstCount != ref.InstCount {
 				t.Errorf("seed %d %s: exit=%d insts=%d, interp exit=%d insts=%d",
-					seed, eng.name, cpu.ExitCode, cpu.InstCount, ref.ExitCode, ref.InstCount)
+					seed, eng, cpu.ExitCode, cpu.InstCount, ref.ExitCode, ref.InstCount)
 			}
 			if out != refOut {
-				t.Errorf("seed %d %s: output diverges (%d vs %d bytes)", seed, eng.name, len(out), len(refOut))
+				t.Errorf("seed %d %s: output diverges (%d vs %d bytes)", seed, eng, len(out), len(refOut))
 			}
 			if a, b := cpu.ArchState(), ref.ArchState(); a != b {
-				t.Errorf("seed %d %s: architected state diverges", seed, eng.name)
+				t.Errorf("seed %d %s: architected state diverges", seed, eng)
 			}
 		}
 	}

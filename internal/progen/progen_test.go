@@ -273,7 +273,7 @@ func TestSelfModProgram(t *testing.T) {
 	cpu.Stdout = &out
 	text := p.File.Text()
 	cpu.TextStart, cpu.TextEnd = text.Addr, text.End()
-	cpu.EnableRoutines = true
+	cpu.Engine = sim.EngineRoutine
 	cpu.RoutineSync = true
 	cpu.RoutineHotThreshold = 1
 	cpu.Reset(p.File.Entry, 0x7ff000)

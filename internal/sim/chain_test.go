@@ -42,7 +42,7 @@ loop:
 	jmpl %o7+8, %g0
 	add %o0, 2, %o0
 `
-	build := func(nojit, nochain bool) *CPU {
+	build := func(eng Engine) *CPU {
 		cpu, prog := load(t, main, 0x10000)
 		if tcIndex(0x10000) != tcIndex(0x14000) || tcIndex(0x10000) != tcIndex(0x18000) {
 			t.Fatal("test addresses no longer collide in the direct-mapped cache")
@@ -58,17 +58,17 @@ loop:
 			cpu.Mem.LoadSegment(p.Base, p.Bytes)
 		}
 		cpu.TextStart, cpu.TextEnd = prog.Base, 0x18000+0x100
-		cpu.NoJIT, cpu.NoChain = nojit, nochain
+		cpu.Engine = eng
 		return cpu
 	}
 
-	ref := build(true, false)
+	ref := build(EngineInterp)
 	run(t, ref)
 	if ref.ExitCode != 600 {
 		t.Fatalf("interpreter exit = %d, want 600", ref.ExitCode)
 	}
 
-	cpu := build(false, false)
+	cpu := build(EngineChained)
 	run(t, cpu) // run's step budget is the livelock guard
 	if cpu.ExitCode != ref.ExitCode || cpu.InstCount != ref.InstCount {
 		t.Fatalf("chained diverged: exit %d insts %d, want %d/%d",
@@ -117,35 +117,31 @@ slot:
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(nojit, nochain bool) *CPU {
+	build := func(eng Engine) *CPU {
 		cpu, prog := load(t, src, 0x10000)
 		cpu.Mem.Write32(0x20000, patched) // replacement word, outside text
 		cpu.TextStart, cpu.TextEnd = prog.Base, prog.Base+uint32(len(prog.Bytes))
-		cpu.NoJIT, cpu.NoChain = nojit, nochain
+		cpu.Engine = eng
 		return cpu
 	}
 
-	ref := build(true, false)
+	ref := build(EngineInterp)
 	run(t, ref)
 	if ref.ExitCode != 300 { // 100*1 + 100*2
 		t.Fatalf("interpreter exit = %d, want 300", ref.ExitCode)
 	}
-	for _, eng := range []struct {
-		name    string
-		nojit   bool
-		nochain bool
-	}{{"translated", false, true}, {"chained", false, false}} {
-		cpu := build(eng.nojit, eng.nochain)
+	for _, eng := range []Engine{EngineTranslated, EngineChained} {
+		cpu := build(eng)
 		run(t, cpu)
 		if cpu.ExitCode != ref.ExitCode || cpu.InstCount != ref.InstCount {
 			t.Errorf("%s: exit %d insts %d, want %d/%d",
-				eng.name, cpu.ExitCode, cpu.InstCount, ref.ExitCode, ref.InstCount)
+				eng, cpu.ExitCode, cpu.InstCount, ref.ExitCode, ref.InstCount)
 		}
 		if addr, ok := ref.Mem.Diff(cpu.Mem); !ok {
-			t.Errorf("%s: memory diverged at %#x", eng.name, addr)
+			t.Errorf("%s: memory diverged at %#x", eng, addr)
 		}
 		if k := cpu.Counters(); k.Flushes == 0 {
-			t.Errorf("%s: self-modifying store did not flush the cache: %+v", eng.name, k)
+			t.Errorf("%s: self-modifying store did not flush the cache: %+v", eng, k)
 		}
 	}
 }
@@ -161,7 +157,7 @@ func TestTraceExtension(t *testing.T) {
 	p := progen.MustGenerate(cfg)
 
 	ref := LoadFile(p.File, nil)
-	ref.NoJIT = true
+	ref.Engine = EngineInterp
 	if err := ref.Run(500_000_000); err != nil {
 		t.Fatal(err)
 	}
@@ -185,20 +181,20 @@ func TestTraceExtension(t *testing.T) {
 	}
 }
 
-// TestChainCountersByEngine checks the engine plumbing: the NoChain
-// engine must record no chaining activity at all, and the chained
+// TestChainCountersByEngine checks the engine plumbing: the
+// translated engine must record no chaining activity at all, and the chained
 // engine must serve indirect transfers from the inline caches.
 func TestChainCountersByEngine(t *testing.T) {
 	p := progen.MustGenerate(progen.DefaultConfig(5))
 
-	nochain := LoadFile(p.File, nil)
-	nochain.NoChain = true
-	if err := nochain.Run(500_000_000); err != nil {
+	translated := LoadFile(p.File, nil)
+	translated.Engine = EngineTranslated
+	if err := translated.Run(500_000_000); err != nil {
 		t.Fatal(err)
 	}
-	k := nochain.Counters()
+	k := translated.Counters()
 	if k.ChainHits+k.ChainMisses+k.ICHits+k.ICMisses+k.Traces != 0 {
-		t.Errorf("NoChain engine recorded chaining activity: %+v", k)
+		t.Errorf("translated engine recorded chaining activity: %+v", k)
 	}
 
 	chained := LoadFile(p.File, nil)

@@ -33,7 +33,7 @@ func TestFlightEventsFromRoutineTier(t *testing.T) {
 `
 	cpu, prog := load(t, src, 0x10000)
 	cpu.TextStart, cpu.TextEnd = prog.Base, prog.Base+uint32(len(prog.Bytes))
-	cpu.EnableRoutines = true
+	cpu.Engine = EngineRoutine
 	cpu.RoutineSync = true
 	cpu.RoutineHotThreshold = 1
 	run(t, cpu)

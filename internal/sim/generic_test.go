@@ -109,21 +109,14 @@ func TestDCTICoupleLockstep(t *testing.T) {
 		state string
 	}
 	var results []result
-	for _, eng := range []struct {
-		name           string
-		nojit, nochain bool
-	}{
-		{"interp", true, false},
-		{"translated", false, true},
-		{"chained", false, false},
-	} {
+	for _, eng := range []Engine{EngineInterp, EngineTranslated, EngineChained} {
 		cpu := loadWords(t, sparc.NewDecoder(), base, words)
-		cpu.NoJIT, cpu.NoChain = eng.nojit, eng.nochain
+		cpu.Engine = eng
 		if err := cpu.Run(10_000); err != nil {
-			t.Fatalf("%s: %v", eng.name, err)
+			t.Fatalf("%s: %v", eng, err)
 		}
 		if !cpu.Halted {
-			t.Fatalf("%s: did not halt", eng.name)
+			t.Fatalf("%s: did not halt", eng)
 		}
 		results = append(results, result{cpu.ExitCode, cpu.InstCount, cpu.ArchState()})
 	}
@@ -201,25 +194,18 @@ func runAlpha(t *testing.T, words []uint32) *CPU {
 	const base = 0x10000
 	var first *CPU
 	var firstState string
-	for _, eng := range []struct {
-		name           string
-		nojit, nochain bool
-	}{
-		{"interp", true, false},
-		{"translated", false, true},
-		{"chained", false, false},
-	} {
+	for _, eng := range []Engine{EngineInterp, EngineTranslated, EngineChained} {
 		cpu := loadWords(t, alpha.NewDecoder(), base, words)
-		cpu.NoJIT, cpu.NoChain = eng.nojit, eng.nochain
+		cpu.Engine = eng
 		if err := cpu.Run(100_000); err != nil {
-			t.Fatalf("%s: %v", eng.name, err)
+			t.Fatalf("%s: %v", eng, err)
 		}
 		if !cpu.Halted {
-			t.Fatalf("%s: did not halt", eng.name)
+			t.Fatalf("%s: did not halt", eng)
 		}
 		if cpu.AnnulCount != 0 {
 			t.Errorf("%s: AnnulCount=%d on a machine with no delay slots (phantom delay-slot commit)",
-				eng.name, cpu.AnnulCount)
+				eng, cpu.AnnulCount)
 		}
 		if first == nil {
 			first, firstState = cpu, cpu.ArchState()
@@ -227,10 +213,10 @@ func runAlpha(t *testing.T, words []uint32) *CPU {
 		}
 		if cpu.ExitCode != first.ExitCode || cpu.InstCount != first.InstCount {
 			t.Errorf("%s: exit=%d insts=%d, interp got exit=%d insts=%d",
-				eng.name, cpu.ExitCode, cpu.InstCount, first.ExitCode, first.InstCount)
+				eng, cpu.ExitCode, cpu.InstCount, first.ExitCode, first.InstCount)
 		}
 		if s := cpu.ArchState(); s != firstState {
-			t.Errorf("%s final state diverges:\n%s\nvs interp:\n%s", eng.name, s, firstState)
+			t.Errorf("%s final state diverges:\n%s\nvs interp:\n%s", eng, s, firstState)
 		}
 	}
 	return first

@@ -127,21 +127,12 @@ type transCache struct {
 	blocks  []*tblock
 	gen     uint64
 
-	// counters for introspection and tests (see CPU.Counters and
-	// CPU.ResetCounters; a reused CPU carries them across Run calls
-	// until explicitly reset).
-	builds  uint64
-	flushes uint64
-	deopts  uint64
-
-	chainHits   uint64
-	chainMisses uint64
-	icHits      uint64
-	icMisses    uint64
-	victimHits  uint64
-
-	traces        uint64
-	tracesRetired uint64
+	// ctr holds the translation-cache and routine-tier activity
+	// counters, incremented in place by both tiers (the routine tier
+	// runs only with a translation cache).  Its Insts and Annuls stay
+	// zero: InstCount and AnnulCount are the architected copies.  A
+	// reused CPU carries it across Run calls until ResetCounters.
+	ctr Counters
 }
 
 func tcIndex(pc uint32) uint32 { return (pc >> 2) & (tcEntries - 1) }
@@ -166,7 +157,7 @@ func (c *CPU) InvalidateText() {
 		return
 	}
 	c.tc.gen++
-	c.tc.flushes++
+	c.tc.ctr.Flushes++
 	for i := range c.tc.entries {
 		c.tc.entries[i] = nil
 	}
@@ -175,7 +166,7 @@ func (c *CPU) InvalidateText() {
 	}
 	for _, b := range c.tc.blocks {
 		if b.trace {
-			c.tc.tracesRetired++
+			c.tc.ctr.TracesRetired++
 		}
 		for i := range b.exits {
 			b.exits[i].blk = nil
@@ -196,15 +187,6 @@ func (c *CPU) InvalidateText() {
 	obs.Record(obs.EvInvalidate, uint64(c.TextStart), c.tc.gen)
 }
 
-// TranslationStats reports translation-cache activity: superblocks
-// built and whole-cache invalidations.
-func (c *CPU) TranslationStats() (builds, flushes uint64) {
-	if c.tc == nil {
-		return 0, 0
-	}
-	return c.tc.builds, c.tc.flushes
-}
-
 // block returns the translation block anchored at pc, building (and
 // caching) it on a miss.  Conflict-evicted blocks are demoted to the
 // victim table and promoted back — rather than rebuilt — when their
@@ -218,7 +200,7 @@ func (c *CPU) block(pc uint32) *tblock {
 	if vi := vtIndex(pc); c.tc.victims[vi] != nil {
 		if b := c.tc.victims[vi]; b.pc == pc && b.gen == c.tc.gen {
 			c.tc.victims[vi] = nil
-			c.tc.victimHits++
+			c.tc.ctr.VictimHits++
 			c.install(i, b)
 			return b
 		}
@@ -232,7 +214,7 @@ func (c *CPU) block(pc uint32) *tblock {
 	}
 	c.install(i, b)
 	c.tc.blocks = append(c.tc.blocks, b)
-	c.tc.builds++
+	c.tc.ctr.Builds++
 	return b
 }
 
@@ -325,7 +307,7 @@ func (c *CPU) buildBlock(pc uint32) *tblock {
 // windows sharing a step) simply keep the buffered program — the two
 // tiers interleave freely within a block because each instruction's
 // observable behaviour is identical either way.  Only the chained
-// engine promotes, so the NoChain baseline keeps measuring the
+// engine promotes, so the EngineTranslated baseline keeps measuring the
 // dispatcher-era execution path unchanged.
 func (c *CPU) promote(b *tblock) {
 	if b.fast != nil {
@@ -379,8 +361,9 @@ func indirectTransfer(inst *machine.Inst) bool {
 // stays inside b, mirroring Step exactly (minus fetch and decode).
 // It returns with no error whenever the generic loop must take over:
 // pc left the block, the step limit was reached, or a text write
-// invalidated the cache mid-block.  This is the whole NoChain engine;
-// the chained engine drives the same core through runChained.
+// invalidated the cache mid-block.  This is the whole
+// EngineTranslated engine; the chained engine drives the same core
+// through runChained.
 func (c *CPU) runBlock(b *tblock, maxSteps uint64) error {
 	_, _, err := c.execLinear(b, maxSteps, c.tc.gen)
 	return err
@@ -642,6 +625,6 @@ func (c *CPU) buildTrace(head *tblock) *tblock {
 	c.unlink(head)
 	c.install(tcIndex(head.pc), t)
 	c.tc.blocks = append(c.tc.blocks, t)
-	c.tc.traces++
+	c.tc.ctr.Traces++
 	return t
 }

@@ -12,16 +12,16 @@ import (
 
 // runMode executes f to completion in the chosen engine and returns
 // the final CPU and its output.
-func runMode(t *testing.T, f *binfile.File, nojit, nochain bool) (*CPU, []byte) {
+func runMode(t *testing.T, f *binfile.File, eng Engine) (*CPU, []byte) {
 	t.Helper()
 	var out bytes.Buffer
 	cpu := LoadFile(f, &out)
-	cpu.NoJIT, cpu.NoChain = nojit, nochain
+	cpu.Engine = eng
 	if err := cpu.Run(500_000_000); err != nil {
-		t.Fatalf("run (nojit=%v nochain=%v): %v", nojit, nochain, err)
+		t.Fatalf("run (%s): %v", eng, err)
 	}
 	if !cpu.Halted {
-		t.Fatalf("program did not halt (nojit=%v nochain=%v)", nojit, nochain)
+		t.Fatalf("program did not halt (%s)", eng)
 	}
 	return cpu, out.Bytes()
 }
@@ -63,55 +63,48 @@ func TestTranslatedMatchesInterpreter(t *testing.T) {
 			return c
 		}()},
 	}
-	engines := []struct {
-		name    string
-		nojit   bool
-		nochain bool
-	}{
-		{"translated", false, true},
-		{"chained", false, false},
-	}
+	engines := []Engine{EngineTranslated, EngineChained}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := progen.Generate(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			interp, interpOut := runMode(t, p.File, true, false)
+			interp, interpOut := runMode(t, p.File, EngineInterp)
 			for _, eng := range engines {
-				trans, transOut := runMode(t, p.File, eng.nojit, eng.nochain)
+				trans, transOut := runMode(t, p.File, eng)
 
 				if interp.ExitCode != trans.ExitCode {
-					t.Errorf("%s: exit code: interp %d, got %d", eng.name, interp.ExitCode, trans.ExitCode)
+					t.Errorf("%s: exit code: interp %d, got %d", eng, interp.ExitCode, trans.ExitCode)
 				}
 				if !bytes.Equal(interpOut, transOut) {
-					t.Errorf("%s: output diverged: interp %d bytes, got %d bytes", eng.name, len(interpOut), len(transOut))
+					t.Errorf("%s: output diverged: interp %d bytes, got %d bytes", eng, len(interpOut), len(transOut))
 				}
 				if interp.InstCount != trans.InstCount {
-					t.Errorf("%s: InstCount: interp %d, got %d", eng.name, interp.InstCount, trans.InstCount)
+					t.Errorf("%s: InstCount: interp %d, got %d", eng, interp.InstCount, trans.InstCount)
 				}
 				if interp.AnnulCount != trans.AnnulCount {
-					t.Errorf("%s: AnnulCount: interp %d, got %d", eng.name, interp.AnnulCount, trans.AnnulCount)
+					t.Errorf("%s: AnnulCount: interp %d, got %d", eng, interp.AnnulCount, trans.AnnulCount)
 				}
 				if interp.R != trans.R {
-					t.Errorf("%s: integer registers diverged:\ninterp %v\ngot    %v", eng.name, interp.R, trans.R)
+					t.Errorf("%s: integer registers diverged:\ninterp %v\ngot    %v", eng, interp.R, trans.R)
 				}
 				if interp.F != trans.F {
-					t.Errorf("%s: float registers diverged", eng.name)
+					t.Errorf("%s: float registers diverged", eng)
 				}
 				if interp.Y != trans.Y || interp.PSR != trans.PSR || interp.FSR != trans.FSR {
 					t.Errorf("%s: special registers diverged: Y %x/%x PSR %x/%x FSR %x/%x",
-						eng.name, interp.Y, trans.Y, interp.PSR, trans.PSR, interp.FSR, trans.FSR)
+						eng, interp.Y, trans.Y, interp.PSR, trans.PSR, interp.FSR, trans.FSR)
 				}
 				if len(interp.windows) != len(trans.windows) {
-					t.Errorf("%s: window depth: interp %d, got %d", eng.name, len(interp.windows), len(trans.windows))
+					t.Errorf("%s: window depth: interp %d, got %d", eng, len(interp.windows), len(trans.windows))
 				}
 				if addr, ok := interp.Mem.Diff(trans.Mem); !ok {
 					t.Errorf("%s: memory diverged at %#x: interp %#x, got %#x",
-						eng.name, addr, interp.Mem.ByteAt(addr), trans.Mem.ByteAt(addr))
+						eng, addr, interp.Mem.ByteAt(addr), trans.Mem.ByteAt(addr))
 				}
-				if builds, _ := trans.TranslationStats(); builds == 0 {
-					t.Errorf("%s: translation cache built no blocks; jit path not exercised", eng.name)
+				if trans.Counters().Builds == 0 {
+					t.Errorf("%s: translation cache built no blocks; jit path not exercised", eng)
 				}
 			}
 		})
@@ -132,16 +125,16 @@ func TestJITInvalidatesOnTextWrite(t *testing.T) {
 	if cpu.ExitCode != 21 {
 		t.Fatalf("exit = %d, want 21", cpu.ExitCode)
 	}
-	builds, flushesBefore := cpu.TranslationStats()
-	if builds == 0 {
+	k := cpu.Counters()
+	if k.Builds == 0 {
 		t.Fatal("no blocks built; jit not engaged")
 	}
 
 	// Patch the mov's immediate from 21 to 42 (simm13 bits 12:0).
 	word := cpu.Mem.Read32(prog.Base)
 	cpu.Mem.Write32(prog.Base, word&^0x1fff|42)
-	if _, flushes := cpu.TranslationStats(); flushes <= flushesBefore {
-		t.Fatalf("text write did not flush the cache (flushes %d -> %d)", flushesBefore, flushes)
+	if flushes := cpu.Counters().Flushes; flushes <= k.Flushes {
+		t.Fatalf("text write did not flush the cache (flushes %d -> %d)", k.Flushes, flushes)
 	}
 
 	cpu.Reset(prog.Base, 0x7ff000)
@@ -167,7 +160,7 @@ loop:
 `
 	ref, refProg := load(t, src, 0x10000)
 	ref.TextStart, ref.TextEnd = refProg.Base, refProg.Base+uint32(len(refProg.Bytes))
-	ref.NoJIT = true
+	ref.Engine = EngineInterp
 	run(t, ref)
 
 	cpu, prog := load(t, src, 0x10000)
@@ -183,7 +176,7 @@ loop:
 	if count != cpu.InstCount {
 		t.Errorf("OnExec observed %d instructions, InstCount %d", count, cpu.InstCount)
 	}
-	if builds, _ := cpu.TranslationStats(); builds != 0 {
+	if builds := cpu.Counters().Builds; builds != 0 {
 		t.Errorf("jit built %d blocks while OnExec was set; want deopt to single-step", builds)
 	}
 	if cpu.ExitCode != ref.ExitCode || cpu.R != ref.R {
@@ -199,19 +192,19 @@ loop:
 	ba loop
 	nop
 `
-	faultOf := func(nojit bool) (*CPU, *Fault) {
+	faultOf := func(eng Engine) (*CPU, *Fault) {
 		cpu, prog := load(t, src, 0x10000)
 		cpu.TextStart, cpu.TextEnd = prog.Base, prog.Base+uint32(len(prog.Bytes))
-		cpu.NoJIT = nojit
+		cpu.Engine = eng
 		err := cpu.Run(100)
 		var f *Fault
 		if !errors.As(err, &f) || !errors.Is(err, ErrStepLimit) {
-			t.Fatalf("nojit=%v: err = %v, want step-limit fault", nojit, err)
+			t.Fatalf("%s: err = %v, want step-limit fault", eng, err)
 		}
 		return cpu, f
 	}
-	icpu, ifault := faultOf(true)
-	tcpu, tfault := faultOf(false)
+	icpu, ifault := faultOf(EngineInterp)
+	tcpu, tfault := faultOf(EngineChained)
 	if icpu.InstCount != tcpu.InstCount || ifault.PC != tfault.PC {
 		t.Errorf("limit state diverged: interp %d@%#x, translated %d@%#x",
 			icpu.InstCount, ifault.PC, tcpu.InstCount, tfault.PC)

@@ -20,7 +20,7 @@ type Profile struct {
 	pc        []uint64 // executions per word in [TextStart, TextEnd)
 
 	// blockEnters counts entries into each translated superblock (by
-	// anchor pc).  Empty when the CPU ran with NoJIT.
+	// anchor pc).  Empty when the CPU ran on EngineInterp.
 	blockEnters map[uint32]uint64
 
 	// Branches counts executed conditional branches; BranchesTaken

@@ -118,10 +118,6 @@ type routineState struct {
 	// pending marks entries with an in-flight compile request.
 	pending map[uint32]bool
 	mb      *rtMailbox
-
-	compiled   uint64 // routine programs installed
-	promotions uint64 // compile requests issued
-	deopts     uint64 // StopGen exits back to the chained tier
 }
 
 // ensureTC lazily creates the translation cache and its write watch;
@@ -292,7 +288,7 @@ func (c *CPU) rtRequest(entry uint32) {
 	if c.rt.pending[entry] {
 		return
 	}
-	c.rt.promotions++
+	c.tc.ctr.TierPromotions++
 	obs.Record(obs.EvTierPromote, uint64(entry), c.rt.enters[entry])
 	key := rtCacheKey{textStart: c.TextStart, textEnd: c.TextEnd, hash: c.rtTextHash(), entry: entry}
 	if ent, ok := rtProgCache.Load(key); ok {
@@ -364,7 +360,7 @@ func (c *CPU) rtInstall(job *rtJob) {
 	for pc, k := range job.prog.Index {
 		c.rt.heads[pc] = rhead{prog: job.prog, idx: k}
 	}
-	c.rt.compiled++
+	c.tc.ctr.RoutinesCompiled++
 	obs.Record(obs.EvRoutineInstall, uint64(job.entry), uint64(len(job.prog.Index)))
 }
 
@@ -432,7 +428,7 @@ func (c *CPU) runRoutine(rh rhead, maxSteps uint64) (executed bool, err error) {
 				case rtl.StopGen:
 					e.Insts += uint64(i) + 1
 					e.PC, e.NPC = pc+4, pc+8
-					c.rt.deopts++
+					c.tc.ctr.RoutineDeopts++
 					obs.Record(obs.EvRoutineDeopt, uint64(pc), e.Gen)
 					c.rtSpill(e)
 					return true, nil
@@ -464,7 +460,7 @@ func (c *CPU) runRoutine(rh rhead, maxSteps uint64) (executed bool, err error) {
 		}
 		// RTermStop: the terminator finalized everything.
 		if e.StopKind == rtl.StopGen {
-			c.rt.deopts++
+			c.tc.ctr.RoutineDeopts++
 			obs.Record(obs.EvRoutineDeopt, uint64(e.PC), e.Gen)
 		}
 		c.rtSpill(e)

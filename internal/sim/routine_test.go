@@ -16,7 +16,7 @@ func runRoutineMode(t *testing.T, f *binfile.File) (*CPU, []byte) {
 	t.Helper()
 	var out bytes.Buffer
 	cpu := LoadFile(f, &out)
-	cpu.EnableRoutines = true
+	cpu.Engine = EngineRoutine
 	cpu.RoutineSync = true
 	cpu.RoutineHotThreshold = 1
 	if err := cpu.Run(500_000_000); err != nil {
@@ -75,7 +75,7 @@ func TestRoutineMatchesInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			interp, interpOut := runMode(t, p.File, true, false)
+			interp, interpOut := runMode(t, p.File, EngineInterp)
 			rt, rtOut := runRoutineMode(t, p.File)
 
 			if interp.ExitCode != rt.ExitCode {
@@ -135,12 +135,12 @@ func TestRoutineSelfModifyingDeopt(t *testing.T) {
 `
 	ref, refProg := load(t, src, 0x10000)
 	ref.TextStart, ref.TextEnd = refProg.Base, refProg.Base+uint32(len(refProg.Bytes))
-	ref.NoJIT = true
+	ref.Engine = EngineInterp
 	run(t, ref)
 
 	cpu, prog := load(t, src, 0x10000)
 	cpu.TextStart, cpu.TextEnd = prog.Base, prog.Base+uint32(len(prog.Bytes))
-	cpu.EnableRoutines = true
+	cpu.Engine = EngineRoutine
 	cpu.RoutineSync = true
 	cpu.RoutineHotThreshold = 1
 	run(t, cpu)
@@ -183,12 +183,12 @@ loop:	add %o0, %o1, %o0
 	for limit := uint64(1); limit <= 26; limit++ {
 		ref, refProg := load(t, src, 0x10000)
 		ref.TextStart, ref.TextEnd = refProg.Base, refProg.Base+uint32(len(refProg.Bytes))
-		ref.NoJIT = true
+		ref.Engine = EngineInterp
 		refErr := ref.Run(limit)
 
 		cpu, prog := load(t, src, 0x10000)
 		cpu.TextStart, cpu.TextEnd = prog.Base, prog.Base+uint32(len(prog.Bytes))
-		cpu.EnableRoutines = true
+		cpu.Engine = EngineRoutine
 		cpu.RoutineSync = true
 		cpu.RoutineHotThreshold = 1
 		rtErr := cpu.Run(limit)
@@ -235,7 +235,7 @@ loop:	subcc %o1, 1, %o1
 `
 	cpu, prog := load(t, src, 0x10000)
 	cpu.TextStart, cpu.TextEnd = prog.Base, prog.Base+uint32(len(prog.Bytes))
-	cpu.EnableRoutines = true
+	cpu.Engine = EngineRoutine
 	cpu.RoutineHotThreshold = 1
 	if err := cpu.Run(20_000_000); err != nil {
 		t.Fatalf("run: %v", err)

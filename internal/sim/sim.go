@@ -211,23 +211,9 @@ type CPU struct {
 	// interpretation so every instruction is observed.
 	OnExec func(pc uint32, inst *machine.Inst)
 
-	// NoJIT forces Run to use the single-step AST interpreter
-	// instead of the translation-cache engine.
-	NoJIT bool
-
-	// NoChain keeps the translation cache but disables block
-	// chaining, indirect-jump inline caches, and trace extension:
-	// every superblock exit returns to the dispatcher.  Useful for
-	// benchmarking the dispatch overhead and for bisecting engines.
-	NoChain bool
-
-	// EnableRoutines turns on the routine tier on top of the chained
-	// engine: hot routine entries are compiled whole (CFG + liveness
-	// feeding rtl.CompileRoutine) on a background goroutine and run
-	// with registers and flags resident across block boundaries.
-	// Ignored under NoJIT/NoChain, while OnExec observes execution,
-	// or while profiling (those paths need per-step visibility).
-	EnableRoutines bool
+	// Engine is the execution tier Run uses; the zero value is the
+	// chained engine.
+	Engine Engine
 	// RoutineSync compiles routine programs inline on the engine
 	// thread instead of the background worker — deterministic
 	// promotion for tests and fuzzing.
@@ -489,48 +475,56 @@ type Counters struct {
 	RoutineDeopts    uint64 // routine-tier deopts back to chained (self-modifying code)
 }
 
+// counterMetrics is the one table naming each Counters field in the
+// telemetry registry; span marks the fields Run's trace span also
+// carries.
+var counterMetrics = [...]struct {
+	name, span string
+	field      func(*Counters) *uint64
+}{
+	{"sim.insts", "insts", func(k *Counters) *uint64 { return &k.Insts }},
+	{"sim.annuls", "", func(k *Counters) *uint64 { return &k.Annuls }},
+	{"sim.jit.builds", "jit_builds", func(k *Counters) *uint64 { return &k.Builds }},
+	{"sim.jit.flushes", "", func(k *Counters) *uint64 { return &k.Flushes }},
+	{"sim.jit.deopts", "jit_deopts", func(k *Counters) *uint64 { return &k.Deopts }},
+	{"sim.jit.chain_hits", "jit_chain_hits", func(k *Counters) *uint64 { return &k.ChainHits }},
+	{"sim.jit.chain_misses", "", func(k *Counters) *uint64 { return &k.ChainMisses }},
+	{"sim.jit.ic_hits", "", func(k *Counters) *uint64 { return &k.ICHits }},
+	{"sim.jit.ic_misses", "", func(k *Counters) *uint64 { return &k.ICMisses }},
+	{"sim.jit.victim_hits", "", func(k *Counters) *uint64 { return &k.VictimHits }},
+	{"sim.jit.traces", "jit_traces", func(k *Counters) *uint64 { return &k.Traces }},
+	{"sim.jit.traces_retired", "", func(k *Counters) *uint64 { return &k.TracesRetired }},
+	{"sim.jit.routines_compiled", "", func(k *Counters) *uint64 { return &k.RoutinesCompiled }},
+	{"sim.jit.tier_promotions", "", func(k *Counters) *uint64 { return &k.TierPromotions }},
+	{"sim.jit.routine_deopts", "", func(k *Counters) *uint64 { return &k.RoutineDeopts }},
+}
+
 // Counters returns the current counter snapshot.
 func (c *CPU) Counters() Counters {
-	k := Counters{Insts: c.InstCount, Annuls: c.AnnulCount}
+	var k Counters
 	if c.tc != nil {
-		k.Builds, k.Flushes, k.Deopts = c.tc.builds, c.tc.flushes, c.tc.deopts
-		k.ChainHits, k.ChainMisses = c.tc.chainHits, c.tc.chainMisses
-		k.ICHits, k.ICMisses = c.tc.icHits, c.tc.icMisses
-		k.VictimHits = c.tc.victimHits
-		k.Traces, k.TracesRetired = c.tc.traces, c.tc.tracesRetired
+		k = c.tc.ctr
 	}
-	if c.rt != nil {
-		k.RoutinesCompiled = c.rt.compiled
-		k.TierPromotions = c.rt.promotions
-		k.RoutineDeopts = c.rt.deopts
-	}
+	k.Insts, k.Annuls = c.InstCount, c.AnnulCount
 	return k
 }
 
-// ResetCounters zeroes the translation-cache activity counters —
-// builds, flushes, deopts, chaining and trace statistics — without
-// discarding cached translations.  A reused CPU otherwise accumulates
-// them across Run invocations (Reset zeroes only the architected
-// InstCount/AnnulCount state), which made per-run JIT accounting
-// wrong.
+// ResetCounters zeroes the translation-cache and routine-tier activity
+// counters without discarding cached translations.  Reset zeroes only
+// the architected InstCount/AnnulCount, so a reused CPU otherwise
+// accumulates engine activity across Run invocations.
 func (c *CPU) ResetCounters() {
 	if c.tc != nil {
-		c.tc.builds, c.tc.flushes, c.tc.deopts = 0, 0, 0
-		c.tc.chainHits, c.tc.chainMisses = 0, 0
-		c.tc.icHits, c.tc.icMisses = 0, 0
-		c.tc.victimHits = 0
-		c.tc.traces, c.tc.tracesRetired = 0, 0
-	}
-	if c.rt != nil {
-		c.rt.compiled, c.rt.promotions, c.rt.deopts = 0, 0, 0
+		c.tc.ctr = Counters{}
 	}
 }
 
-// Run executes until halt or maxSteps instructions.  Unless NoJIT is
-// set (or OnExec demands single-step observation), execution goes
-// through the translation cache: straight-line runs of text compile
-// once into superblocks that execute without per-step decode or AST
-// dispatch, falling back to Step for anything unusual.
+// Run executes until halt or maxSteps instructions on the selected
+// Engine.  Every tier but EngineInterp (and any run while OnExec
+// demands single-step observation) goes through the translation
+// cache: straight-line runs of text compile once into superblocks
+// that execute without per-step decode or AST dispatch, falling back
+// to Step for anything unusual.
 //
 // When process-wide telemetry is enabled, the run is traced as a
 // "sim.Run" span and its counter deltas are added to the registry
@@ -548,45 +542,16 @@ func (c *CPU) Run(maxSteps uint64) error {
 
 	if tracer != nil || reg != nil {
 		after := c.Counters()
-		d := Counters{
-			Insts:       after.Insts - before.Insts,
-			Annuls:      after.Annuls - before.Annuls,
-			Builds:      after.Builds - before.Builds,
-			Flushes:     after.Flushes - before.Flushes,
-			Deopts:      after.Deopts - before.Deopts,
-			ChainHits:   after.ChainHits - before.ChainHits,
-			ChainMisses: after.ChainMisses - before.ChainMisses,
-			ICHits:      after.ICHits - before.ICHits,
-			ICMisses:    after.ICMisses - before.ICMisses,
-			VictimHits:  after.VictimHits - before.VictimHits,
-			Traces:      after.Traces - before.Traces,
-			TracesRetired: after.TracesRetired -
-				before.TracesRetired,
-			RoutinesCompiled: after.RoutinesCompiled - before.RoutinesCompiled,
-			TierPromotions:   after.TierPromotions - before.TierPromotions,
-			RoutineDeopts:    after.RoutineDeopts - before.RoutineDeopts,
+		for _, m := range counterMetrics {
+			d := *m.field(&after) - *m.field(&before)
+			if m.span != "" {
+				span.Arg(m.span, d)
+			}
+			if reg != nil {
+				reg.Counter(m.name).Add(d)
+			}
 		}
-		span.Arg("insts", d.Insts)
-		span.Arg("jit_builds", d.Builds)
-		span.Arg("jit_deopts", d.Deopts)
-		span.Arg("jit_chain_hits", d.ChainHits)
-		span.Arg("jit_traces", d.Traces)
 		if reg != nil {
-			reg.Counter("sim.insts").Add(d.Insts)
-			reg.Counter("sim.annuls").Add(d.Annuls)
-			reg.Counter("sim.jit.builds").Add(d.Builds)
-			reg.Counter("sim.jit.flushes").Add(d.Flushes)
-			reg.Counter("sim.jit.deopts").Add(d.Deopts)
-			reg.Counter("sim.jit.chain_hits").Add(d.ChainHits)
-			reg.Counter("sim.jit.chain_misses").Add(d.ChainMisses)
-			reg.Counter("sim.jit.ic_hits").Add(d.ICHits)
-			reg.Counter("sim.jit.ic_misses").Add(d.ICMisses)
-			reg.Counter("sim.jit.victim_hits").Add(d.VictimHits)
-			reg.Counter("sim.jit.traces").Add(d.Traces)
-			reg.Counter("sim.jit.traces_retired").Add(d.TracesRetired)
-			reg.Counter("sim.jit.routines_compiled").Add(d.RoutinesCompiled)
-			reg.Counter("sim.jit.tier_promotions").Add(d.TierPromotions)
-			reg.Counter("sim.jit.routine_deopts").Add(d.RoutineDeopts)
 			reg.Gauge("sim.jit.routine_queue").Set(int64(rtQueueDepthNow()))
 		}
 	}
@@ -596,8 +561,8 @@ func (c *CPU) Run(maxSteps uint64) error {
 
 // run is Run's engine loop, free of telemetry bookkeeping.
 func (c *CPU) run(maxSteps uint64) error {
-	useJIT := !c.NoJIT && c.TextEnd > c.TextStart
-	c.rtOn = useJIT && !c.NoChain && c.EnableRoutines && c.prof == nil &&
+	useJIT := c.Engine != EngineInterp && c.TextEnd > c.TextStart
+	c.rtOn = useJIT && c.Engine == EngineRoutine && c.prof == nil &&
 		c.arch.RoutineTier
 	if c.rtOn {
 		c.ensureRT()
@@ -644,7 +609,7 @@ func (c *CPU) run(maxSteps uint64) error {
 			// Unbuildable here (faulting pc, rare op): one interpreted
 			// step surfaces the identical behaviour or fault — a
 			// deoptimization, counted as such.
-			c.tc.deopts++
+			c.tc.ctr.Deopts++
 			if err := c.Step(); err != nil {
 				return err
 			}
@@ -654,7 +619,7 @@ func (c *CPU) run(maxSteps uint64) error {
 			c.prof.blockEnters[b.pc]++
 		}
 		var err error
-		if c.NoChain {
+		if c.Engine == EngineTranslated {
 			err = c.runBlock(b, maxSteps)
 		} else {
 			err = c.runChained(b, maxSteps)
@@ -712,7 +677,7 @@ func (c *CPU) runChained(b *tblock, maxSteps uint64) error {
 		// Mid-run engine changes (an OnExec hook installed by a
 		// syscall callback, say) deopt at block granularity, exactly
 		// as the dispatcher loop would.
-		if c.OnExec != nil || c.NoJIT || c.NoChain {
+		if c.OnExec != nil || !c.Engine.chains() {
 			return nil
 		}
 		s := &b.exits[last]
@@ -721,9 +686,9 @@ func (c *CPU) runChained(b *tblock, maxSteps uint64) error {
 				s.count++
 			}
 			if s.indirect {
-				c.tc.icHits++
+				c.tc.ctr.ICHits++
 			} else {
-				c.tc.chainHits++
+				c.tc.ctr.ChainHits++
 			}
 			b = s.blk
 		} else {
@@ -756,9 +721,9 @@ func (c *CPU) runChained(b *tblock, maxSteps uint64) error {
 // on; otherwise the dispatcher takes over.
 func (c *CPU) chainTarget(s *exitSlot, pc uint32) *tblock {
 	if s.indirect {
-		c.tc.icMisses++
+		c.tc.ctr.ICMisses++
 	} else {
-		c.tc.chainMisses++
+		c.tc.ctr.ChainMisses++
 	}
 	if pc%c.isize != 0 || pc < c.TextStart || pc >= c.TextEnd {
 		return nil

@@ -3,7 +3,6 @@ package toolmain
 import (
 	"flag"
 	"fmt"
-	"io"
 
 	_ "eel/internal/alpha" // register the architectures -isa can name
 	_ "eel/internal/aout"
@@ -17,20 +16,19 @@ import (
 	"eel/internal/pipeline"
 	"eel/internal/progen"
 	"eel/internal/spawn"
-	"eel/internal/telemetry"
 )
 
 // Common bundles the flags and lifecycle every EEL command shares:
-// the telemetry trio (-metrics, -trace, -pprof), the analysis worker
-// count (-j), pipeline statistics (-stats), and synthetic-input
+// the observability flags (obs.Flags: -stats, -metrics, -trace,
+// -debug-addr), the analysis worker count (-j), and synthetic-input
 // generation (-gen, -gen-routines).  Commands register it on their
 // flag set, parse, Start it, and use the accessors instead of
 // re-implementing the wiring.
 type Common struct {
+	*obs.Flags
+
 	// Jobs is the -j analysis worker count (0 = GOMAXPROCS).
 	Jobs int
-	// Stats is -stats: print pipeline statistics after analysis.
-	Stats bool
 	// ISA is -isa: the registered architecture generated inputs and
 	// emulator runs target ("sparc" by default; the editing pipeline
 	// itself is still SPARC-only and tools that edit enforce that).
@@ -43,50 +41,18 @@ type Common struct {
 	// its own text so the routine tier's promote/deopt cycle (and the
 	// flight recorder) gets exercised.
 	GenSelfMod bool
-	// MetricsAddr is -metrics-addr: serve /metrics (Prometheus text)
-	// and /debug/flight on this address for the life of the command.
-	MetricsAddr string
-
-	tf   *telemetry.ToolFlags
-	tool *telemetry.Tool
 }
 
 // AddCommon registers the shared flags on fs and returns the struct
 // their parsed values land in.
 func AddCommon(fs *flag.FlagSet) *Common {
-	c := &Common{}
+	c := &Common{Flags: obs.AddFlags(fs)}
 	fs.IntVar(&c.Jobs, "j", 0, "analysis worker count (0 = GOMAXPROCS)")
-	fs.BoolVar(&c.Stats, "stats", false, "print analysis pipeline statistics")
 	fs.StringVar(&c.ISA, "isa", "sparc", "target machine for -gen and execution (sparc, mips, alpha)")
 	fs.Int64Var(&c.Gen, "gen", -1, "generate a synthetic input program with this seed")
 	fs.IntVar(&c.GenRoutines, "gen-routines", 40, "routines in the generated program")
 	fs.BoolVar(&c.GenSelfMod, "gen-selfmod", false, "make the generated program self-modifying (exercises JIT deopt)")
-	fs.StringVar(&c.MetricsAddr, "metrics-addr", "", "serve Prometheus /metrics and /debug/flight on this address")
-	c.tf = telemetry.AddFlags(fs)
 	return c
-}
-
-// Start brings up whatever telemetry sinks the flags asked for.  Call
-// it after flag parsing; the returned shutdown function flushes
-// metrics to w and must run before the command exits (defer it).
-func (c *Common) Start(w io.Writer) (func() error, error) {
-	tool, err := c.tf.Start()
-	if err != nil {
-		return nil, err
-	}
-	c.tool = tool
-	if c.MetricsAddr != "" {
-		// A scrape endpoint implies the instruments behind it.
-		telemetry.Enable()
-		if obs.ActiveFlight() == nil {
-			obs.EnableFlight(0)
-		}
-		if err := obs.ServeDebug(c.MetricsAddr, nil); err != nil {
-			tool.Close(io.Discard)
-			return nil, err
-		}
-	}
-	return func() error { return tool.Close(w) }, nil
 }
 
 // OpenInput resolves the command's input program: a generated progen

@@ -4,109 +4,60 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
+	"strings"
 
 	"eel/internal/sim"
 )
 
-// Engine is the tools' execution-engine selector: one -engine flag
-// naming an emulator tier, plus the pre-tiering -nojit/-nochain
-// booleans kept as deprecated aliases.  Register it with AddEngine,
-// parse, then Configure each CPU the command runs.
-type Engine struct {
-	fs      *flag.FlagSet
-	name    *string
-	nojit   *bool
-	nochain *bool
-	warned  bool
-
-	// Warn receives the one-line deprecation notice when -nojit or
-	// -nochain selects the engine (nil = os.Stderr; tests inject a
-	// buffer).
-	Warn io.Writer
-}
-
-// Engine names accepted by -engine, slowest tier first.
+// Engine names as plain strings, for callers that carry an engine as
+// text (see ConfigureEngine).
 const (
-	EngineInterp     = "interp"
-	EngineTranslated = "translated"
-	EngineChained    = "chained"
-	EngineRoutine    = "routine"
+	EngineInterp     = sim.InterpName
+	EngineTranslated = sim.TranslatedName
+	EngineChained    = sim.ChainedName
+	EngineRoutine    = sim.RoutineName
 )
 
-// AddEngine registers -engine and the deprecated aliases on fs.  The
-// default is the routine tier: every tier produces bit-identical
-// architected behaviour, so tools default to the fastest one.
-func AddEngine(fs *flag.FlagSet) *Engine {
-	return &Engine{
-		fs: fs,
-		name: fs.String("engine", EngineRoutine,
-			"execution engine: interp, translated, chained, or routine"),
-		nojit:   fs.Bool("nojit", false, "deprecated: alias for -engine=interp"),
-		nochain: fs.Bool("nochain", false, "deprecated: alias for -engine=translated"),
-	}
+// AddEngine registers -engine on fs and returns where its value
+// lands.  An unknown name fails flag parsing.  The default is the
+// routine tier: every tier produces bit-identical architected
+// behaviour, so tools default to the fastest one.
+func AddEngine(fs *flag.FlagSet) *sim.Engine {
+	e := sim.EngineRoutine
+	fs.Var(&e, "engine", "execution `engine`: "+strings.Join(sim.EngineNames(), ", "))
+	return &e
 }
 
-// Name resolves the selected engine after parsing.  An explicit
-// -engine wins; otherwise the deprecated aliases select their old
-// behaviour (-nojit the interpreter, -nochain the unchained
-// translation cache).
-func (e *Engine) Name() (string, error) {
-	explicit := false
-	e.fs.Visit(func(f *flag.Flag) {
-		if f.Name == "engine" {
-			explicit = true
-		}
-	})
-	name := *e.name
-	if !explicit {
-		alias := ""
-		switch {
-		case *e.nojit:
-			name, alias = EngineInterp, "-nojit"
-		case *e.nochain:
-			name, alias = EngineTranslated, "-nochain"
-		}
-		if alias != "" && !e.warned {
-			e.warned = true
-			w := e.Warn
-			if w == nil {
-				w = os.Stderr
-			}
-			fmt.Fprintf(w, "warning: %s is deprecated, use -engine=%s\n", alias, name)
-		}
-	}
-	switch name {
-	case EngineInterp, EngineTranslated, EngineChained, EngineRoutine:
-		return name, nil
-	}
-	return "", fmt.Errorf("unknown engine %q (want interp, translated, chained, or routine)", name)
-}
-
-// Configure applies the selected engine to cpu.  Call it once per CPU
-// before Run.
-func (e *Engine) Configure(cpu *sim.CPU) error {
-	name, err := e.Name()
+// ConfigureEngine sets cpu to execute with the named tier.  An
+// unknown name is an error and leaves cpu unchanged.
+func ConfigureEngine(cpu *sim.CPU, name string) error {
+	e, err := sim.ParseEngine(name)
 	if err != nil {
 		return err
 	}
-	ConfigureEngine(cpu, name)
+	cpu.Engine = e
 	return nil
 }
 
-// ConfigureEngine sets cpu to execute with the named tier.  Unknown
-// names fall through to the chained default; validate with
-// Engine.Name first when the name comes from a flag.  Profiled runs
-// (EnableProfile) execute routine-tier programs as chained: the
-// whole-routine programs don't record per-pc counts, so the emulator
-// keeps them disabled whenever a profile is attached.
-func ConfigureEngine(cpu *sim.CPU, name string) {
-	switch name {
-	case EngineInterp:
-		cpu.NoJIT = true
-	case EngineTranslated:
-		cpu.NoChain = true
-	case EngineRoutine:
-		cpu.EnableRoutines = true
+// WriteEngineStats prints one run's emulator engine counters — the
+// -stats report of the tools that execute.  Every line starts with
+// "jit", so engine-sensitive output stays strippable when comparing
+// reports across engines.
+func WriteEngineStats(w io.Writer, label string, k sim.Counters) {
+	fmt.Fprintf(w, "jit %s: blocks %d, flushes %d, deopts %d, chain-hit %.1f%% (%d/%d), ic-hit %.1f%% (%d/%d), victim-hits %d, traces %d (%d retired)\n",
+		label, k.Builds, k.Flushes, k.Deopts,
+		hitPct(k.ChainHits, k.ChainMisses), k.ChainHits, k.ChainHits+k.ChainMisses,
+		hitPct(k.ICHits, k.ICMisses), k.ICHits, k.ICHits+k.ICMisses,
+		k.VictimHits, k.Traces, k.TracesRetired)
+	if k.TierPromotions > 0 {
+		fmt.Fprintf(w, "jit %s: routines %d compiled (%d promotions), routine-deopts %d\n",
+			label, k.RoutinesCompiled, k.TierPromotions, k.RoutineDeopts)
 	}
+}
+
+func hitPct(hits, misses uint64) float64 {
+	if hits+misses == 0 {
+		return 0
+	}
+	return 100 * float64(hits) / float64(hits+misses)
 }
