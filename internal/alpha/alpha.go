@@ -122,22 +122,14 @@ func NewDecoder() *spawn.TableDecoder {
 // Glue resolves Alpha's conventions: jsr links through ra (usually
 // R26); ret through the same register is a return; br with ra=R31 is
 // a plain branch, with a real ra it is "branch and link" (a call).
-func Glue(d *spawn.Desc, def *spawn.InstDef, spec *machine.InstSpec) {
-	get := func(name string) uint32 {
-		for _, f := range spec.Fields {
-			if f.Name == name {
-				return f.Val
-			}
-		}
-		return 0
-	}
+func Glue(def *spawn.InstDef, fields map[string]uint32, spec *machine.InstSpec) {
 	switch def.Name {
 	case "retj":
 		spec.Cat = machine.CatReturn
 	case "jsr":
 		spec.Cat = machine.CatCallIndirect
 	case "br":
-		if get("ra") != 31 {
+		if fields["ra"] != 31 {
 			spec.Cat = machine.CatCallDirect
 		}
 	}

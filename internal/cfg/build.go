@@ -2,7 +2,6 @@ package cfg
 
 import (
 	"fmt"
-	"sort"
 
 	"eel/internal/machine"
 )
@@ -42,20 +41,21 @@ type TableInfo struct {
 }
 
 // Build constructs the CFG of the routine occupying [start, end)
-// within the text segment (text begins at textAddr), entered at the
-// given entry points.  The text segment may extend beyond the
+// within the text segment, entered at the given entry points.  text is
+// the segment decoded by dec (machine.DecodeText): text[i] is the
+// instruction at textAddr+4i.  The text segment may extend beyond the
 // routine; control transfers leaving [start, end) become OutRefs and
 // exit edges.
-func Build(dec machine.Decoder, text []byte, textAddr uint32, start, end uint32, entries []uint32) (*Graph, error) {
+func Build(dec machine.Decoder, text []*machine.Inst, textAddr uint32, start, end uint32, entries []uint32) (*Graph, error) {
 	return BuildWithOptions(dec, text, textAddr, start, end, entries, Options{})
 }
 
 // BuildWithOptions is Build with indirect-jump resolutions applied.
-func BuildWithOptions(dec machine.Decoder, text []byte, textAddr uint32, start, end uint32, entries []uint32, opts Options) (*Graph, error) {
-	if start < textAddr || end > textAddr+uint32(len(text)) || start > end {
+func BuildWithOptions(dec machine.Decoder, text []*machine.Inst, textAddr uint32, start, end uint32, entries []uint32, opts Options) (*Graph, error) {
+	if start < textAddr || end > textAddr+4*uint32(len(text)) || start > end {
 		return nil, &BuildError{start, "routine bounds outside text segment"}
 	}
-	if start%4 != 0 || end%4 != 0 {
+	if textAddr%4 != 0 || start%4 != 0 || end%4 != 0 {
 		return nil, &BuildError{start, "routine bounds not word aligned"}
 	}
 	b := &builder{
@@ -63,16 +63,12 @@ func BuildWithOptions(dec machine.Decoder, text []byte, textAddr uint32, start, 
 			Start: start, End: end, Entries: append([]uint32(nil), entries...),
 			ByAddr: map[uint32]*Block{}, Complete: true, dec: dec,
 		},
-		dec:     dec,
-		text:    text,
-		base:    textAddr,
-		start:   start,
-		end:     end,
-		reached: map[uint32]bool{},
-		leader:  map[uint32]bool{},
-		dsOf:    map[uint32]bool{},
-		dataAt:  map[uint32]bool{},
-		opts:    opts,
+		text:  text,
+		base:  textAddr,
+		start: start,
+		end:   end,
+		flags: make([]uint8, (end-start)/4),
+		opts:  opts,
 	}
 	b.g.Entry = b.g.NewBlock(KindEntry)
 	b.g.Exit = b.g.NewBlock(KindExit)
@@ -87,62 +83,65 @@ func BuildWithOptions(dec machine.Decoder, text []byte, textAddr uint32, start, 
 
 type builder struct {
 	g     *Graph
-	dec   machine.Decoder
-	text  []byte
+	text  []*machine.Inst
 	base  uint32
 	start uint32
 	end   uint32
-
-	reached map[uint32]bool
-	leader  map[uint32]bool
-	dsOf    map[uint32]bool // addresses consumed as delay slots
-	dataAt  map[uint32]bool // reachable invalid words
-	opts    Options
-
-	// terminator info per block-ending CTI address
-	content []uint32 // sorted content addresses (phase 2)
+	flags []uint8 // per routine word, indexed by (addr-start)/4
+	opts  Options
 }
 
-func (b *builder) inRoutine(a uint32) bool { return a >= b.start && a < b.end }
+// Word flags.
+const (
+	reached   uint8 = 1 << iota
+	leader          // starts a block
+	delaySlot       // consumed as a delay slot
+	dataAt          // reachable invalid word
+)
 
-func (b *builder) instAt(a uint32) *machine.Inst {
-	off := a - b.base
-	word := uint32(b.text[off])<<24 | uint32(b.text[off+1])<<16 |
-		uint32(b.text[off+2])<<8 | uint32(b.text[off+3])
-	return b.dec.Decode(word)
+// inRoutine reports whether a is an instruction address of the
+// routine; a misaligned address names no instruction.
+func (b *builder) inRoutine(a uint32) bool { return a >= b.start && a < b.end && a%4 == 0 }
+
+// is reports whether a is an instruction address of the routine with
+// flag f set.
+func (b *builder) is(a uint32, f uint8) bool {
+	return b.inRoutine(a) && b.flags[(a-b.start)/4]&f != 0
 }
+
+// mark sets f on in-routine address a.
+func (b *builder) mark(a uint32, f uint8) { b.flags[(a-b.start)/4] |= f }
+
+func (b *builder) instAt(a uint32) *machine.Inst { return b.text[(a-b.base)/4] }
 
 // reach walks all paths from the entry points, marking reachable
 // instructions, leaders, delay-slot consumption, and data.
 func (b *builder) reach() error {
 	work := append([]uint32(nil), b.g.Entries...)
 	for _, e := range b.g.Entries {
-		if !b.inRoutine(e) {
-			return &BuildError{e, "entry point outside routine"}
-		}
 		if e%4 != 0 {
 			return &BuildError{e, "misaligned entry point"}
 		}
-		b.leader[e] = true
-	}
-	push := func(a uint32) {
-		if b.inRoutine(a) && !b.reached[a] {
-			work = append(work, a)
+		if !b.inRoutine(e) {
+			return &BuildError{e, "entry point outside routine"}
 		}
+		b.mark(e, leader)
 	}
-	markLeader := func(a uint32) {
+	// enter makes in-routine address a a leader and walks from it.
+	enter := func(a uint32) {
 		if b.inRoutine(a) {
-			b.leader[a] = true
+			b.mark(a, leader)
+			work = append(work, a)
 		}
 	}
 	for len(work) > 0 {
 		a := work[len(work)-1]
 		work = work[:len(work)-1]
-		for b.inRoutine(a) && !b.reached[a] {
-			b.reached[a] = true
+		for b.inRoutine(a) && !b.is(a, reached) {
+			b.mark(a, reached)
 			inst := b.instAt(a)
 			if !inst.Valid() {
-				b.dataAt[a] = true
+				b.mark(a, dataAt)
 				b.g.HasData = true
 				break
 			}
@@ -156,16 +155,15 @@ func (b *builder) reach() error {
 			hasDS := delay == 1 && !inst.IsAnnulledUncond()
 			if delay == 1 {
 				if dsAddr >= b.end {
-					b.dataAt[a] = true
+					b.mark(a, dataAt)
 					b.g.HasData = true
 					break
 				}
 				if hasDS {
-					b.reached[dsAddr] = true
-					b.dsOf[dsAddr] = true
+					b.mark(dsAddr, reached|delaySlot)
 					ds := b.instAt(dsAddr)
 					if !ds.Valid() {
-						b.dataAt[dsAddr] = true
+						b.mark(dsAddr, dataAt)
 						b.g.HasData = true
 					} else if ds.Category().IsControl() {
 						// A control transfer in a delay slot would
@@ -173,8 +171,8 @@ func (b *builder) reach() error {
 						// real compilers do not emit it, so treat
 						// the region as data (it shows up when a
 						// data table carries a routine-like symbol).
-						b.dataAt[a] = true
-						b.dataAt[dsAddr] = true
+						b.mark(a, dataAt)
+						b.mark(dsAddr, dataAt)
 						b.g.HasData = true
 						b.g.Warnings = append(b.g.Warnings,
 							fmt.Sprintf("control transfer in delay slot at %#x treated as data", dsAddr))
@@ -183,46 +181,28 @@ func (b *builder) reach() error {
 				}
 			}
 			fall := a + 4 + 4*uint32(delay)
+			// Returns have no successors inside the routine.
 			switch inst.Category() {
-			case machine.CatBranch:
-				if t, ok := inst.StaticTarget(a); ok {
-					if b.inRoutine(t) {
-						markLeader(t)
-						push(t)
-					} else {
-						b.g.OutRefs = append(b.g.OutRefs, OutRef{From: a, Target: t})
-					}
+			case machine.CatBranch, machine.CatJumpDirect:
+				if t, ok := inst.StaticTarget(a); ok && b.inRoutine(t) {
+					enter(t)
+				} else if ok {
+					b.g.OutRefs = append(b.g.OutRefs, OutRef{From: a, Target: t})
 				}
-				markLeader(fall)
-				push(fall)
-			case machine.CatJumpDirect:
-				if t, ok := inst.StaticTarget(a); ok {
-					if b.inRoutine(t) {
-						markLeader(t)
-						push(t)
-					} else {
-						b.g.OutRefs = append(b.g.OutRefs, OutRef{From: a, Target: t})
-					}
+				if inst.Category() == machine.CatBranch {
+					enter(fall)
 				}
 			case machine.CatCallDirect, machine.CatCallIndirect:
 				if t, ok := inst.StaticTarget(a); ok {
 					b.g.OutRefs = append(b.g.OutRefs, OutRef{From: a, Target: t, IsCall: true})
 				}
-				if fall < b.end {
-					markLeader(fall)
-					push(fall)
-				}
+				enter(fall)
 			case machine.CatJumpIndirect:
 				// Targets from a prior slicing pass become leaders;
 				// otherwise the jump has no known successors yet.
 				for _, t := range b.opts.IndirectTargets[a] {
-					if b.inRoutine(t) {
-						markLeader(t)
-						push(t)
-					}
+					enter(t)
 				}
-			case machine.CatReturn:
-				// No successors inside the routine.
 			}
 			break
 		}
@@ -230,38 +210,28 @@ func (b *builder) reach() error {
 	return nil
 }
 
-// formBlocks groups content addresses into maximal straight-line
-// blocks.  Content excludes addresses consumed as delay slots unless
-// they are also explicit transfer targets.
+// formBlocks groups content addresses, in address order, into maximal
+// straight-line blocks.  Content is the reached, valid words, less
+// those consumed as delay slots unless they are also explicit transfer
+// targets.
 func (b *builder) formBlocks() {
-	for a := range b.reached {
-		if b.dataAt[a] {
-			continue
-		}
-		if b.dsOf[a] && !b.leader[a] {
-			continue
-		}
-		b.content = append(b.content, a)
-	}
-	sort.Slice(b.content, func(i, j int) bool { return b.content[i] < b.content[j] })
-
+	all := make([]Inst, 0, len(b.flags)) // each block's Insts is a window on all
 	var cur *Block
-	var prev uint32
-	for _, a := range b.content {
-		startNew := cur == nil || b.leader[a] || a != prev+4
-		if !startNew {
-			last := cur.Last()
-			if last != nil && last.MI.Category().IsControl() {
-				startNew = true
-			}
+	first := 0
+	for i, f := range b.flags {
+		if f&reached == 0 || f&dataAt != 0 || f&(delaySlot|leader) == delaySlot {
+			cur = nil
+			continue
 		}
-		if startNew {
-			cur = b.g.NewBlock(KindNormal)
+		a := b.start + 4*uint32(i)
+		if cur == nil || f&leader != 0 {
+			cur, first = b.g.NewBlock(KindNormal), len(all)
 			b.g.ByAddr[a] = cur
 		}
-		cur.Insts = append(cur.Insts, Inst{Addr: a, MI: b.instAt(a)})
-		prev = a
-		if b.instAt(a).Category().IsControl() {
+		mi := b.instAt(a)
+		all = append(all, Inst{Addr: a, MI: mi})
+		cur.Insts = all[first:len(all):len(all)]
+		if mi.Category().IsControl() {
 			cur = nil // force a new block after the transfer
 		}
 	}
@@ -305,7 +275,7 @@ func (b *builder) connect() {
 		if !inst.Category().IsControl() {
 			// Fell off the block: leader split, data, or routine end.
 			next := a + 4
-			if b.dataAt[next] {
+			if b.is(next, dataAt) {
 				blk.HasData = true
 				g.NewEdge(blk, g.Exit, EdgeExit, true)
 				continue
@@ -322,7 +292,7 @@ func (b *builder) connect() {
 
 		delay := inst.DelaySlots()
 		dsAddr := a + 4
-		hasDS := delay == 1 && !inst.IsAnnulledUncond() && !b.dataAt[dsAddr]
+		hasDS := delay == 1 && !inst.IsAnnulledUncond() && !b.is(dsAddr, dataAt)
 		fall := a + 4 + 4*uint32(delay)
 		target, hasTarget := inst.StaticTarget(a)
 
@@ -442,17 +412,17 @@ func (b *builder) connect() {
 // instruction handles both shapes; ControlFlowGraph re-runs on the
 // split-off part, peeling one hidden routine per pass.
 func (b *builder) findUnreachableTail() {
-	if len(b.reached) == 0 {
-		return
+	if len(b.g.Entries) == 0 {
+		return // nothing was reached
 	}
 	for a := b.start; a < b.end; a += 4 {
-		if b.reached[a] {
+		if b.is(a, reached) {
 			continue
 		}
 		// The delay slot of a reached annulled unconditional branch
 		// (ba,a) is never executed and never marked reached, but it
 		// is still part of this routine's code, not a hidden routine.
-		if a >= b.start+4 && b.reached[a-4] {
+		if a >= b.start+4 && b.is(a-4, reached) {
 			if prev := b.instAt(a - 4); prev.Valid() &&
 				prev.DelaySlots() == 1 && prev.IsAnnulledUncond() {
 				continue

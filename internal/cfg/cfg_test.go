@@ -18,7 +18,8 @@ func build(t *testing.T, src string) (*cfg.Graph, *asm.Program) {
 		t.Fatalf("assemble: %v", err)
 	}
 	end := prog.Base + uint32(len(prog.Bytes))
-	g, err := cfg.Build(sparc.NewDecoder(), prog.Bytes, prog.Base, prog.Base, end, []uint32{prog.Base})
+	dec := sparc.NewDecoder()
+	g, err := cfg.Build(dec, machine.DecodeText(dec, prog.Bytes), prog.Base, prog.Base, end, []uint32{prog.Base})
 	if err != nil {
 		t.Fatalf("cfg: %v", err)
 	}
@@ -261,7 +262,8 @@ B:	mov 2, %o0
 			0x10000: {Addr: 0x20000, Len: 2},
 		},
 	}
-	g, err := cfg.BuildWithOptions(sparc.NewDecoder(), prog.Bytes, prog.Base, prog.Base, end, []uint32{prog.Base}, opts)
+	dec := sparc.NewDecoder()
+	g, err := cfg.BuildWithOptions(dec, machine.DecodeText(dec, prog.Bytes), prog.Base, prog.Base, end, []uint32{prog.Base}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +296,8 @@ out:	mov 1, %g1
 `
 	prog := asm.MustAssemble(src, 0x10000)
 	end := prog.Base + uint32(len(prog.Bytes))
-	g, err := cfg.Build(sparc.NewDecoder(), prog.Bytes, prog.Base, prog.Base, end,
+	dec := sparc.NewDecoder()
+	g, err := cfg.Build(dec, machine.DecodeText(dec, prog.Bytes), prog.Base, prog.Base, end,
 		[]uint32{prog.Labels["e1"], prog.Labels["e2"]})
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +318,8 @@ target:	mov 1, %g1
 `
 	prog := asm.MustAssemble(src, 0x10000)
 	// Restrict the routine to just the first two instructions.
-	g, err := cfg.Build(sparc.NewDecoder(), prog.Bytes, prog.Base, prog.Base, prog.Base+8, []uint32{prog.Base})
+	dec := sparc.NewDecoder()
+	g, err := cfg.Build(dec, machine.DecodeText(dec, prog.Bytes), prog.Base, prog.Base, prog.Base+8, []uint32{prog.Base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +345,8 @@ hidden:	mov 7, %o0
 	// Entry only covers the first part; 'ta 0' does not end the
 	// block, so execution nominally continues, but build from an
 	// artificial routine that stops before the ret:
-	g, err := cfg.Build(sparc.NewDecoder(), prog.Bytes, prog.Base, prog.Base, end, []uint32{prog.Base})
+	dec := sparc.NewDecoder()
+	g, err := cfg.Build(dec, machine.DecodeText(dec, prog.Bytes), prog.Base, prog.Base, end, []uint32{prog.Base})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +362,8 @@ L2:	nop
 `
 	prog := asm.MustAssemble(src, 0x10000)
 	end := prog.Base + uint32(len(prog.Bytes))
-	g, err := cfg.Build(sparc.NewDecoder(), prog.Bytes, prog.Base, prog.Base, end, []uint32{prog.Base})
+	dec := sparc.NewDecoder()
+	g, err := cfg.Build(dec, machine.DecodeText(dec, prog.Bytes), prog.Base, prog.Base, end, []uint32{prog.Base})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -566,6 +566,34 @@ f:	mov 9, %o0
 	}
 }
 
+// TestPredecodedText checks the text ReadContents decodes once: InstAt
+// serves each text word's instruction and nothing off a word or
+// outside the text, and a text section that is not word aligned is
+// refused rather than decoded across word boundaries.
+func TestPredecodedText(t *testing.T) {
+	e, prog := makeExec(t, "main:\tmov 1, %g1\n\tta 0\n", 0x10000, "main")
+	for i := uint32(0); i < 2; i++ {
+		w, _ := e.ReadWord(0x10000 + 4*i)
+		if mi, ok := e.InstAt(0x10000 + 4*i); !ok || mi.Word() != w {
+			t.Errorf("InstAt(%#x) = %v, %v; want word %#x", 0x10000+4*i, mi, ok, w)
+		}
+	}
+	for _, a := range []uint32{0x10002, 0x10008, 0xfffc, 0} {
+		if _, ok := e.InstAt(a); ok {
+			t.Errorf("InstAt(%#x) found an instruction", a)
+		}
+	}
+	f := &binfile.File{Format: "aout", Entry: 0x10002,
+		Sections: []binfile.Section{{Name: "text", Addr: 0x10002, Data: prog.Bytes}}}
+	e, err := core.NewExecutable(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ReadContents(); err == nil {
+		t.Error("ReadContents accepted a text section at 0x10002")
+	}
+}
+
 func TestUneditableEdgeRejected(t *testing.T) {
 	src := `
 main:	call f

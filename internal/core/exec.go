@@ -23,6 +23,11 @@ type Executable struct {
 	// Dec decodes this executable's machine instructions.
 	Dec *spawn.TableDecoder
 
+	// insts is the text segment decoded once by ReadContents, one
+	// instruction per word.  It is immutable afterwards, so concurrent
+	// routine analyses share it without locking.
+	insts []*machine.Inst
+
 	routines []*Routine // sorted by Start
 	hidden   []*Routine // discovered but not yet claimed by the tool
 
@@ -154,6 +159,16 @@ func (e *Executable) ReadWord(addr uint32) (uint32, bool) {
 	return 0, false
 }
 
+// InstAt returns the instruction at text address addr, from the text
+// ReadContents decoded; ok is false outside the text or off a word.
+func (e *Executable) InstAt(addr uint32) (*machine.Inst, bool) {
+	off := addr - e.File.Text().Addr
+	if off%4 != 0 || int(off/4) >= len(e.insts) {
+		return nil, false
+	}
+	return e.insts[off/4], true
+}
+
 // AllocData reserves size bytes of fresh, zero-initialized data for
 // the tool (profile counters, simulation state) and returns its
 // address.  The region becomes an extra data section of the edited
@@ -170,6 +185,10 @@ func (e *Executable) AllocData(size int) uint32 {
 // built.
 func (e *Executable) ReadContents() error {
 	text := e.File.Text()
+	if text.Addr%4 != 0 {
+		return fmt.Errorf("core: text section at %#x is not word aligned", text.Addr)
+	}
+	e.insts = machine.DecodeText(e.Dec, text.Data)
 	var starts []routineSeed
 	if hasRoutineSymbols(e.File) {
 		starts = e.refineSymbols()
@@ -268,43 +287,42 @@ func (e *Executable) refineSymbols() []routineSeed {
 	return out
 }
 
-// scanBranchTargets linearly decodes the text segment and collects,
-// for each branch/direct-jump target, the addresses that branch to
-// it.  Calls are deliberately excluded (§3.1: "not call!").
-func (e *Executable) scanBranchTargets() map[uint32][]uint32 {
+// directTargets calls f, in address order, for every instruction of
+// the text with a static target that is a text word.
+func (e *Executable) directTargets(f func(from, to uint32, c machine.Category)) {
 	text := e.File.Text()
-	out := map[uint32][]uint32{}
-	for a := text.Addr; a+4 <= text.End(); a += 4 {
-		w, _ := e.ReadWord(a)
-		inst := e.Dec.Decode(w)
-		switch inst.Category() {
-		case machine.CatBranch, machine.CatJumpDirect:
-			if t, ok := inst.StaticTarget(a); ok {
-				out[t] = append(out[t], a)
-			}
+	for i, inst := range e.insts {
+		a := text.Addr + 4*uint32(i)
+		if t, ok := inst.StaticTarget(a); ok && text.Contains(t) && t%4 == 0 {
+			f(a, t, inst.Category())
 		}
 	}
+}
+
+// scanBranchTargets collects, for each branch/direct-jump target, the
+// addresses that branch to it.  Calls are deliberately excluded (§3.1:
+// "not call!").
+func (e *Executable) scanBranchTargets() map[uint32][]uint32 {
+	out := map[uint32][]uint32{}
+	e.directTargets(func(a, t uint32, c machine.Category) {
+		if c == machine.CatBranch || c == machine.CatJumpDirect {
+			out[t] = append(out[t], a)
+		}
+	})
 	return out
 }
 
 // recoverStripped implements stage 2: with no symbols, the entry
 // point and first text address seed the routine set, refined by the
-// targets of direct calls found in an extra pass.
+// targets of direct calls.
 func (e *Executable) recoverStripped() []routineSeed {
 	text := e.File.Text()
-	seeds := map[uint32]bool{
-		e.File.Entry: true,
-		text.Addr:    true,
-	}
-	for a := text.Addr; a+4 <= text.End(); a += 4 {
-		w, _ := e.ReadWord(a)
-		inst := e.Dec.Decode(w)
-		if inst.Category() == machine.CatCallDirect {
-			if t, ok := inst.StaticTarget(a); ok && text.Contains(t) && t%4 == 0 {
-				seeds[t] = true
-			}
+	seeds := map[uint32]bool{e.File.Entry: true, text.Addr: true}
+	e.directTargets(func(_, t uint32, c machine.Category) {
+		if c == machine.CatCallDirect {
+			seeds[t] = true
 		}
-	}
+	})
 	var out []routineSeed
 	for addr := range seeds {
 		if text.Contains(addr) {
@@ -321,26 +339,14 @@ func (e *Executable) recoverStripped() []routineSeed {
 // interpreted as an instruction, but it does not miss entry
 // points").
 func (e *Executable) findInterproceduralEntries() {
-	text := e.File.Text()
-	for a := text.Addr; a+4 <= text.End(); a += 4 {
-		w, _ := e.ReadWord(a)
-		inst := e.Dec.Decode(w)
-		var t uint32
-		var ok bool
-		switch inst.Category() {
-		case machine.CatBranch, machine.CatJumpDirect, machine.CatCallDirect:
-			t, ok = inst.StaticTarget(a)
+	e.directTargets(func(a, t uint32, c machine.Category) {
+		if c != machine.CatBranch && c != machine.CatJumpDirect && c != machine.CatCallDirect {
+			return
 		}
-		if !ok || !text.Contains(t) || t%4 != 0 {
-			continue
+		if src, dst := e.RoutineAt(a), e.RoutineAt(t); src != nil && dst != nil && src != dst {
+			dst.addEntry(t)
 		}
-		src := e.RoutineAt(a)
-		dst := e.RoutineAt(t)
-		if src == nil || dst == nil || src == dst {
-			continue
-		}
-		dst.addEntry(t)
-	}
+	})
 }
 
 // addHiddenTail splits off the unreachable tail of r (stage 4) as a

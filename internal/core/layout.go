@@ -158,22 +158,19 @@ func measure(r *Routine, g *cfg.Graph) (*routinePlan, error) {
 		},
 	}
 	if !r.Exec.LightAnalysis {
-		m.lv = dataflow.ComputeLiveness(g, dataflow.DefaultExitLive())
+		if r.live == nil {
+			r.live = dataflow.ComputeLiveness(g, dataflow.DefaultExitLive())
+		}
+		m.lv = r.live
 	}
 	// Normal blocks in original address order keep fall-throughs
 	// adjacent (the paper's "laying out its blocks and snippets to
-	// minimize unnecessary jumps").
+	// minimize unnecessary jumps"); the builder and the analysis
+	// cache's codec both list them in that order.
 	var order []*cfg.Block
 	for _, b := range g.Blocks {
 		if b.Kind == cfg.KindNormal {
 			order = append(order, b)
-		}
-	}
-	for i := 0; i < len(order); i++ {
-		for j := i + 1; j < len(order); j++ {
-			if order[j].Start() < order[i].Start() {
-				order[i], order[j] = order[j], order[i]
-			}
 		}
 	}
 	for i, b := range order {

@@ -23,6 +23,9 @@ type Routine struct {
 	Hidden bool
 
 	graph *cfg.Graph
+	// live is graph's liveness when the analysis pipeline computed it
+	// (InstallGraph); layout reuses it instead of solving again.
+	live *dataflow.Liveness
 
 	edgeEdits   map[*cfg.Edge][]*Snippet
 	beforeEdits map[instKey][]*Snippet
@@ -49,7 +52,7 @@ func (r *Routine) addEntry(a uint32) {
 		}
 	}
 	r.Entries = append(r.Entries, a)
-	r.graph = nil
+	r.graph, r.live = nil, nil
 }
 
 // ControlFlowGraph builds (and caches) the routine's normalized CFG.
@@ -85,7 +88,7 @@ func (r *Routine) ControlFlowGraph() (*cfg.Graph, error) {
 	var g *cfg.Graph
 	for pass := 0; ; pass++ {
 		var err error
-		g, err = cfg.BuildWithOptions(r.Exec.Dec, text.Data, text.Addr, r.Start, r.End, r.Entries, opts)
+		g, err = cfg.BuildWithOptions(r.Exec.Dec, r.Exec.insts, text.Addr, r.Start, r.End, r.Entries, opts)
 		if err != nil {
 			return nil, fmt.Errorf("core: routine %s: %w", r.Name, err)
 		}
@@ -126,7 +129,7 @@ func (r *Routine) ControlFlowGraph() (*cfg.Graph, error) {
 		r.Exec.addHiddenTail(r, tail)
 		// Rebuild with the shrunken extent so the tail is not part
 		// of this routine.
-		g2, err := cfg.BuildWithOptions(r.Exec.Dec, text.Data, text.Addr, r.Start, r.End, r.Entries, opts)
+		g2, err := cfg.BuildWithOptions(r.Exec.Dec, r.Exec.insts, text.Addr, r.Start, r.End, r.Entries, opts)
 		if err == nil {
 			g = g2
 		}
@@ -137,21 +140,23 @@ func (r *Routine) ControlFlowGraph() (*cfg.Graph, error) {
 		}
 	}
 	sort.Slice(g.ExternalReads, func(i, j int) bool { return g.ExternalReads[i] < g.ExternalReads[j] })
-	r.graph = g
+	r.graph, r.live = g, nil
 	return g, nil
 }
 
-// InstallGraph adopts a previously built CFG as this routine's graph,
-// so ControlFlowGraph and ProduceEditedRoutine reuse it instead of
-// recomputing.  The analysis pipeline calls this on a cache hit; the
-// graph must describe this routine's extent and entry points.
-func (r *Routine) InstallGraph(g *cfg.Graph) { r.graph = g }
+// InstallGraph adopts a CFG and, when non-nil, its liveness
+// (dataflow.ComputeLiveness with DefaultExitLive) as this routine's,
+// so ControlFlowGraph and ProduceEditedRoutine reuse them instead of
+// recomputing.  The analysis pipeline calls this on a cache hit and
+// after solving liveness on a miss; the graph must describe this
+// routine's extent and entry points.
+func (r *Routine) InstallGraph(g *cfg.Graph, lv *dataflow.Liveness) { r.graph, r.live = g, lv }
 
 // DeleteControlFlowGraph drops the cached CFG and any accumulated
 // edits (the paper's delete_control_flow_graph, used to reclaim
 // memory after producing an edited routine).
 func (r *Routine) DeleteControlFlowGraph() {
-	r.graph = nil
+	r.graph, r.live = nil, nil
 	r.edgeEdits = nil
 	r.beforeEdits = nil
 	r.afterEdits = nil

@@ -17,7 +17,8 @@ func build(t *testing.T, src string) (*cfg.Graph, *asm.Program) {
 		t.Fatalf("assemble: %v", err)
 	}
 	end := prog.Base + uint32(len(prog.Bytes))
-	g, err := cfg.Build(sparc.NewDecoder(), prog.Bytes, prog.Base, prog.Base, end, []uint32{prog.Base})
+	dec := sparc.NewDecoder()
+	g, err := cfg.Build(dec, machine.DecodeText(dec, prog.Bytes), prog.Base, prog.Base, end, []uint32{prog.Base})
 	if err != nil {
 		t.Fatalf("cfg: %v", err)
 	}
@@ -267,7 +268,8 @@ func TestDispatchTableResolution(t *testing.T) {
 	}
 	// Rebuild with the resolution: the graph becomes complete.
 	end := prog.Base + uint32(len(prog.Bytes))
-	g2, err := cfg.BuildWithOptions(sparc.NewDecoder(), prog.Bytes, prog.Base, prog.Base, end,
+	dec := sparc.NewDecoder()
+	g2, err := cfg.BuildWithOptions(dec, machine.DecodeText(dec, prog.Bytes), prog.Base, prog.Base, end,
 		[]uint32{prog.Base}, cfg.Options{
 			IndirectTargets: map[uint32][]uint32{jumpAddr: got.Targets},
 			Tables:          map[uint32]cfg.TableInfo{jumpAddr: got.Table},

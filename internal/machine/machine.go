@@ -422,3 +422,14 @@ type Decoder interface {
 	// Name identifies the machine ("sparc", "mips32e", ...).
 	Name() string
 }
+
+// DecodeText decodes a big-endian code image once: element i is the
+// instruction at byte offset 4i.  A trailing partial word is dropped.
+func DecodeText(dec Decoder, text []byte) []*Inst {
+	out := make([]*Inst, len(text)/4)
+	for i := range out {
+		w := text[4*i : 4*i+4]
+		out[i] = dec.Decode(uint32(w[0])<<24 | uint32(w[1])<<16 | uint32(w[2])<<8 | uint32(w[3]))
+	}
+	return out
+}

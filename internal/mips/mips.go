@@ -130,18 +130,10 @@ func NewDecoder() *spawn.TableDecoder {
 
 // Glue resolves the machine's conventions: jr through the
 // return-address register is a return.
-func Glue(d *spawn.Desc, def *spawn.InstDef, spec *machine.InstSpec) {
-	get := func(name string) uint32 {
-		for _, f := range spec.Fields {
-			if f.Name == name {
-				return f.Val
-			}
-		}
-		return 0
-	}
+func Glue(def *spawn.InstDef, fields map[string]uint32, spec *machine.InstSpec) {
 	switch def.Name {
 	case "jr":
-		if get("rs") == 31 {
+		if fields["rs"] == 31 {
 			spec.Cat = machine.CatReturn
 		}
 	case "jalr":

@@ -365,11 +365,11 @@ func decodeBundle(e *core.Executable, data []byte) (*bundle, error) {
 			} else {
 				addr += d.u32()
 			}
-			w, ok := e.ReadWord(addr)
+			mi, ok := e.InstAt(addr)
 			if !ok {
-				return nil, fmt.Errorf("pipeline: instruction address %#x unmapped", addr)
+				return nil, fmt.Errorf("pipeline: instruction address %#x outside the text", addr)
 			}
-			blk.Insts = append(blk.Insts, cfg.Inst{Addr: addr, MI: e.Dec.Decode(w)})
+			blk.Insts = append(blk.Insts, cfg.Inst{Addr: addr, MI: mi})
 		}
 		if d.err != nil {
 			return nil, d.err

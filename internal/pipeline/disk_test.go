@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"eel/internal/cfg"
 	"eel/internal/pipeline"
 	"eel/internal/progen"
 	"eel/internal/telemetry"
@@ -367,6 +368,41 @@ func TestPerRunCacheEvictionAttribution(t *testing.T) {
 		snap := pair.reg.Snapshot()
 		if got := snap.Counters["pipeline.cache.evictions"]; got != pair.want {
 			t.Errorf("run %d registry shows %d evictions, stats say %d", i+1, got, pair.want)
+		}
+	}
+}
+
+// TestNormalBlocksInAddressOrder pins the order layout relies on: a
+// graph lists its normal blocks by ascending address, both as the
+// builder makes it and as the persistent cache's codec decodes it.
+func TestNormalBlocksInAddressOrder(t *testing.T) {
+	p := diskCorpusFile(t, 5, 30)
+	dir := t.TempDir()
+	for _, fromDisk := range []bool{false, true} {
+		store, err := pipeline.OpenDiskStore(dir, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := pipeline.NewCache(0)
+		cache.SetBackend(store)
+		res, err := pipeline.AnalyzeAll(load(t, p.File), pipeline.Options{Workers: 2, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range res.Analyses {
+			if a.FromDisk != fromDisk || a.Graph == nil {
+				t.Fatalf("%s: from disk %v, graph %v; want from disk %v", a.Routine.Name, a.FromDisk, a.Graph != nil, fromDisk)
+			}
+			prev := uint32(0)
+			for _, b := range a.Graph.Blocks {
+				if b.Kind != cfg.KindNormal {
+					continue
+				}
+				if b.Start() <= prev {
+					t.Errorf("%s (from disk %v): normal block at %#x follows %#x", a.Routine.Name, fromDisk, b.Start(), prev)
+				}
+				prev = b.Start()
+			}
 		}
 	}
 }

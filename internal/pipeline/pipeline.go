@@ -321,6 +321,7 @@ func analyzeRoutine(e *core.Executable, r *core.Routine, opts Options, salt uint
 		timed(col.liveNS, func() {
 			a.Liveness = dataflow.ComputeLiveness(g, dataflow.DefaultExitLive())
 		})
+		r.InstallGraph(g, a.Liveness)
 	}
 	if !opts.NoDominators || !opts.NoLoops {
 		var idom map[*cfg.Block]*cfg.Block
@@ -403,7 +404,7 @@ func adoptBundle(e *core.Executable, r *core.Routine, b *bundle, col *collector)
 	if b.tail != 0 && b.tail < r.End {
 		e.RegisterHiddenTail(r, b.tail)
 	}
-	r.InstallGraph(b.graph)
+	r.InstallGraph(b.graph, b.live)
 	col.insts.Add(uint64(b.insts))
 	col.blocks.Add(uint64(b.blocks))
 	col.edges.Add(uint64(b.edges))

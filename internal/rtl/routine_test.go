@@ -8,6 +8,7 @@ import (
 	"eel/internal/asm"
 	"eel/internal/cfg"
 	"eel/internal/dataflow"
+	"eel/internal/machine"
 	"eel/internal/rtl"
 	"eel/internal/sparc"
 )
@@ -19,7 +20,8 @@ func buildRoutine(t *testing.T, src string) (*cfg.Graph, *dataflow.Liveness, *as
 		t.Fatalf("assemble: %v", err)
 	}
 	end := prog.Base + uint32(len(prog.Bytes))
-	g, err := cfg.Build(sparc.NewDecoder(), prog.Bytes, prog.Base, prog.Base, end, []uint32{prog.Base})
+	dec := sparc.NewDecoder()
+	g, err := cfg.Build(dec, machine.DecodeText(dec, prog.Bytes), prog.Base, prog.Base, end, []uint32{prog.Base})
 	if err != nil {
 		t.Fatalf("cfg: %v", err)
 	}

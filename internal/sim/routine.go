@@ -246,7 +246,7 @@ func rtCompileJob(job *rtJob) *rtl.RoutineProg {
 
 func rtCompileText(dec *spawn.TableDecoder, text []byte, textAddr, entry uint32) *rtl.RoutineProg {
 	end := textAddr + uint32(len(text))
-	g, err := cfg.Build(dec, text, textAddr, textAddr, end, []uint32{entry})
+	g, err := cfg.Build(dec, machine.DecodeText(dec, text), textAddr, textAddr, end, []uint32{entry})
 	if err != nil {
 		return nil
 	}

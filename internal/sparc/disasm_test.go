@@ -137,16 +137,21 @@ func TestSubstRegTrapCondUntouched(t *testing.T) {
 	}
 }
 
-// TestSubstRegSemanticsPreserved: substituting a register that the
-// instruction does not mention leaves decode-visible behaviour
-// identical.
+// TestSubstRegSemanticsPreserved: substituting a register keeps the
+// opcode and category, and substituting one the instruction does not
+// mention leaves decode-visible behaviour identical.  jmpl alone may
+// change category: Glue makes it a call, return or jump by its
+// registers.
 func TestSubstRegSemanticsPreserved(t *testing.T) {
 	f := func(w uint32, from8, to8 uint8) bool {
 		from := machine.Reg(from8 % 32)
 		to := machine.Reg(to8 % 32)
 		before := sharedDec.Decode(w)
 		after := sharedDec.Decode(SubstReg(w, from, to))
-		if before.Name() != after.Name() || before.Category() != after.Category() {
+		if before.Name() != after.Name() {
+			return false
+		}
+		if before.Category() != after.Category() && before.Name() != "jmpl" {
 			return false
 		}
 		// If the original didn't touch `from`, nothing changes.

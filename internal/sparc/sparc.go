@@ -209,19 +209,11 @@ func NewDecoder() *spawn.TableDecoder {
 // Glue refines spawn's derived classification with SPARC calling and
 // trap conventions — the hand-written residue the paper's Figure 6
 // shows: jmpl's three overloaded uses and the system-call idiom.
-func Glue(d *spawn.Desc, def *spawn.InstDef, spec *machine.InstSpec) {
-	get := func(name string) uint32 {
-		for _, f := range spec.Fields {
-			if f.Name == name {
-				return f.Val
-			}
-		}
-		return 0
-	}
+func Glue(def *spawn.InstDef, fields map[string]uint32, spec *machine.InstSpec) {
 	switch def.Name {
 	case "jmpl":
-		rd, rs1 := get("rd"), get("rs1")
-		iflag, simm := get("iflag"), get("simm13")
+		rd, rs1 := fields["rd"], fields["rs1"]
+		iflag, simm := fields["iflag"], fields["simm13"]
 		switch {
 		case rd == 15:
 			spec.Cat = machine.CatCallIndirect

@@ -62,6 +62,13 @@ type ClassInfo struct {
 	Cat        machine.Category
 	DelaySlots int
 	Effects    Effects
+	// PCRelative marks a definition whose every pc assignment is
+	// provably pc + K with K free of pc (pcRelative).  K may still
+	// read registers; only for a word whose target the evaluator also
+	// finds statically is K fixed by the word's fields, and only then
+	// does the decoder fold K once per word instead of evaluating the
+	// target at every query.
+	PCRelative bool
 }
 
 // analyze validates and classifies every instruction definition.
@@ -77,9 +84,73 @@ func (d *Desc) analyze() error {
 		}
 		_, direct := d.StaticTarget(def, d.fixedAsFull(def), 0x1000)
 		info.Cat = Categorize(eff, direct)
+		info.PCRelative = d.pcRelative(def.Sem)
 		def.Info = info
 	}
 	return nil
+}
+
+// pcRelative reports whether sem assigns pc and every target walkTarget
+// can find in it is pc + K for a K that does not depend on pc.  It
+// holds when each pc assignment's value has pc exactly once, reached
+// only through + and the left side of -; each temporary is assigned
+// once, with a value of that shape or free of pc; and no guard reads
+// pc.  Then the path walkTarget takes, and whether it finds a target,
+// are the same at every pc, and modular addition makes the 32-bit
+// target pc + K.  The proof is syntactic: no pc is sampled.
+//
+// The proof does not ask K to be fixed by the fields: a pc-free
+// subterm may read a register (t := pc + R[rs1] passes).  That half is
+// StaticTarget's: its evaluator reads fields and the hardwired zero
+// register and nothing else, so where it finds a target at one pc, K
+// is the same at every pc.  Folding needs both.
+func (d *Desc) pcRelative(sem rtl.Node) bool {
+	temps := map[string]int{} // temporary → pcCount of its value
+	ok, assigns := true, 0
+	rtl.Walk(sem, func(n rtl.Node) {
+		switch x := n.(type) {
+		case rtl.Cond:
+			ok = ok && pcCount(x.C, temps) == 0
+		case rtl.Assign:
+			id, _ := rtl.UnwrapSeq(x.LHS).(rtl.Ident)
+			_, again := temps[id.Name]
+			switch c := pcCount(x.RHS, temps); {
+			case id.Name == "pc":
+				assigns++
+				ok = ok && c == 1
+			case id.Name != "" && d.fieldByName[id.Name] == nil && d.aliasByName[id.Name] == nil:
+				ok = ok && !again && c >= 0
+				temps[id.Name] = c
+			}
+		}
+	})
+	return ok && assigns > 0
+}
+
+// pcCount returns how many times pc enters n's value, through
+// temporaries too, when every occurrence is reached through + or the
+// left side of - alone (so the value is count*pc + K); otherwise -1.
+func pcCount(n rtl.Node, temps map[string]int) int {
+	switch x := rtl.UnwrapSeq(n).(type) {
+	case rtl.Ident:
+		if x.Name == "pc" {
+			return 1
+		}
+		return temps[x.Name]
+	case rtl.Bin:
+		l, r := pcCount(x.L, temps), pcCount(x.R, temps)
+		if l >= 0 && r >= 0 && (x.Op == "+" || x.Op == "-" && r == 0 || l+r == 0) {
+			return l + r
+		}
+		return -1
+	}
+	c := 0
+	rtl.Walk(n, func(m rtl.Node) {
+		if id, ok := m.(rtl.Ident); ok && (id.Name == "pc" || temps[id.Name] != 0) {
+			c = -1
+		}
+	})
+	return c
 }
 
 // fixedAsFull pads the fixed fields with zeros for every other field,

@@ -15,8 +15,9 @@ import (
 // coarse category and effects from the description, and the glue
 // resolves convention-level overloads — on SPARC, the three uses of
 // jmpl (indirect call, return, indirect jump) and the system-call
-// idiom.  The glue may rewrite any part of the spec except Word.
-type Glue func(d *Desc, def *InstDef, spec *machine.InstSpec)
+// idiom.  It sees the word's decoded field values and may rewrite any
+// part of the spec except Word.
+type Glue func(def *InstDef, fields map[string]uint32, spec *machine.InstSpec)
 
 // TableDecoder is a machine.Decoder generated from a description.
 // It interns instructions by machine word, reproducing the paper's
@@ -36,6 +37,9 @@ type TableDecoder struct {
 	desc    *Desc
 	glue    Glue
 	regName func(machine.Reg) string
+	// fields is the description's fields in name order, the order
+	// Inst.Fields reports them in.
+	fields []Field
 
 	cache   atomic.Pointer[sync.Map] // uint32 → *machine.Inst
 	decodes atomic.Uint64
@@ -51,7 +55,9 @@ func NewDecoder(desc *Desc, glue Glue, regName func(machine.Reg) string) *TableD
 		desc:    desc,
 		glue:    glue,
 		regName: regName,
+		fields:  append([]Field(nil), desc.Fields...),
 	}
+	sort.Slice(t.fields, func(i, j int) bool { return t.fields[i].Name < t.fields[j].Name })
 	t.cache.Store(&sync.Map{})
 	t.intern.Store(true)
 	return t
@@ -136,7 +142,7 @@ func (t *TableDecoder) specFor(word uint32) machine.InstSpec {
 	fields := t.desc.FieldVals(word)
 	eff := t.desc.EffectsFor(def, fields)
 
-	_, direct := t.desc.StaticTarget(def, fields, 0x1000)
+	tgt, direct := t.desc.StaticTarget(def, fields, 0x1000)
 	spec.Name = def.Name
 	spec.Cat = Categorize(eff, direct)
 	spec.Reads = eff.Reads
@@ -150,14 +156,28 @@ func (t *TableDecoder) specFor(word uint32) machine.InstSpec {
 	}
 	spec.AnnulBit = eff.Annul
 	spec.Conditional = eff.CondPC
-	if direct {
+	// A target spawn proved pc + K is folded to K once per word; any
+	// other static target (MIPS j, a jmpl to a literal) stays on the
+	// evaluator.
+	switch {
+	case direct && def.Info.PCRelative:
+		// Both conditions are needed: PCRelative proves the shape
+		// pc + K, and direct proves this word's K reads only fields
+		// (or the hardwired zero), so the K found at 0x1000 holds at
+		// every pc.
+		k := tgt - 0x1000
+		spec.Target = func(pc uint32) (uint32, bool) { return pc + k, true }
+	case direct:
 		d, f := t.desc, fields
 		spec.Target = func(pc uint32) (uint32, bool) { return d.StaticTarget(def, f, pc) }
 	}
-	spec.Fields = fieldSlice(fields)
+	spec.Fields = make([]machine.Field, len(t.fields))
+	for i, f := range t.fields {
+		spec.Fields[i] = machine.Field{Name: f.Name, Val: fields[f.Name]}
+	}
 	spec.Sem = &InstSem{Def: def, Desc: t.desc, Fields: fields}
 	if t.glue != nil {
-		t.glue(t.desc, def, &spec)
+		t.glue(def, fields, &spec)
 	}
 	return spec
 }
@@ -263,13 +283,4 @@ func (e semCompileEnv) RegAlias(name string) (string, int64, bool) {
 func (e semCompileEnv) IsRegFile(name string) bool {
 	rf, ok := e.s.Desc.File(name)
 	return ok && rf.Count > 0
-}
-
-func fieldSlice(fields map[string]uint32) []machine.Field {
-	out := make([]machine.Field, 0, len(fields))
-	for k, v := range fields {
-		out = append(out, machine.Field{Name: k, Val: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

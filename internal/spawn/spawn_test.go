@@ -299,9 +299,9 @@ func TestDecoderParallelInterning(t *testing.T) {
 func TestGlueHookRuns(t *testing.T) {
 	d := toy(t)
 	called := false
-	glue := func(d *Desc, def *InstDef, spec *machine.InstSpec) {
+	glue := func(def *InstDef, fields map[string]uint32, spec *machine.InstSpec) {
 		called = true
-		if def.Name == "jmp" {
+		if def.Name == "jmp" && fields["rs1"] == 3 {
 			spec.Cat = machine.CatReturn
 		}
 	}
@@ -347,4 +347,35 @@ func mustParse(t *testing.T, src string) rtl.Node {
 		t.Fatal(err)
 	}
 	return n
+}
+
+// TestPCRelativeProof checks which semantic shapes spawn accepts as
+// pc + K: pc once, under + or the left of -, through temporaries
+// assigned once, with no guard reading pc.
+func TestPCRelativeProof(t *testing.T) {
+	for sem, want := range map[string]bool{
+		"t := pc + simm ; pc := t":                 true,
+		"pc := pc - simm + 4":                      true,
+		"t := pc + R[rs1] ; ('ne CC) ? pc := t":    true,
+		"(rd = 1) ? pc := pc + 8 : pc := pc + 4":   true,
+		"pc := simm - pc":                          false,
+		"pc := (pc & 0xf0000000) | imm16":          false,
+		"pc := pc + pc":                            false,
+		"pc := -pc":                                false,
+		"t := pc + 4 ; (t == 8) ? pc := t":         false,
+		"(pc == 0) ? pc := pc + 4":                 false,
+		"t := 0 ; t := pc + simm ; pc := t":        false,
+		"t := R[rs1] ; pc := t":                    false,
+		"R[rd] := pc + 4":                          false,
+		"t := sex(pc + 4, 16) ; pc := t":           false,
+		"t := pc + 4, u := t + simm ; pc := u + 0": true,
+	} {
+		d, err := ParseDesc(toyDesc + "pat x is op=9\nsem x is " + sem + "\n")
+		if err != nil {
+			t.Fatalf("%s: %v", sem, err)
+		}
+		if def, _ := d.Lookup("x"); def.Info.PCRelative != want {
+			t.Errorf("%s: PCRelative %v, want %v", sem, def.Info.PCRelative, want)
+		}
+	}
 }
