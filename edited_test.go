@@ -79,10 +79,14 @@ func TestEditedBytesPinned(t *testing.T) {
 // TestEditAllocs binary: the measured count plus about 1% for the
 // intern table's sync.Map, whose internal allocations vary slightly
 // from run to run.  Lower it when a change saves allocations.
-const editAllocCeiling = 52650
+const editAllocCeiling = 41080
 
 // TestEditAllocs gates the edit path's allocation count, which is
 // deterministic up to that slack, so a regression shows as a number.
+// The decoders of one process share a memo of derived words, so what
+// an edit allocates depends on what the process decoded before; the
+// count is taken from a defined state instead, after AllocsPerRun's
+// warm-up edit of the same input has put its words in the memo.
 func TestEditAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")

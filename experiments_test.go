@@ -217,7 +217,7 @@ func TestInstructionSharingFactor(t *testing.T) {
 			uint32(text.Data[a-text.Addr+2])<<8 | uint32(text.Data[a-text.Addr+3])
 		dec.Decode(w)
 	}
-	decodes, unique := dec.SharingStats()
+	decodes, unique, _ := dec.SharingStats()
 	factor := float64(decodes) / float64(unique)
 	t.Logf("decoded %d words, %d unique instruction objects: sharing factor %.1fx (paper: ~4x)",
 		decodes, unique, factor)
@@ -501,7 +501,7 @@ func TestLineCountInventory(t *testing.T) {
 
 // moduleLineCeiling bounds the module's non-test Go lines (blank and
 // comment-only lines excluded), nested modules excluded.
-const moduleLineCeiling = 20505
+const moduleLineCeiling = 20496
 
 // TestTable1 is experiment E1: the paper's Table 1 — the ad-hoc tool
 // (qpt) vs the EEL-based tool (qpt2), with and without optimization.
@@ -597,6 +597,10 @@ func TestAllocationComparison(t *testing.T) {
 			}
 		})
 	}
+	// The decoders share one process-wide memo of derived specs, so
+	// decode once first: both measurements then start from a memo
+	// holding this text, whatever ran before.
+	decodeAll(true)
 	shared := decodeAll(true)
 	unshared := decodeAll(false)
 	t.Logf("decode allocations: %d interned vs %d uninterned (%.1fx saved — the §3.4 factor)",

@@ -95,6 +95,9 @@ sem bge is (R[ra] >= 0) ? pc := btgt
 
 var desc = spawn.MustParseDesc(DescriptionSource)
 
+// memo derives each word once for every decoder in the process.
+var memo = spawn.NewMemo(desc, Glue)
+
 func init() {
 	machine.RegisterArch(machine.ArchInfo{
 		Name:       "alpha64e",
@@ -116,20 +119,20 @@ func Desc() *spawn.Desc { return desc }
 
 // NewDecoder returns a decoder for the Alpha-like machine.
 func NewDecoder() *spawn.TableDecoder {
-	return spawn.NewDecoder(desc, Glue, RegName)
+	return spawn.NewDecoder(memo, RegName)
 }
 
 // Glue resolves Alpha's conventions: jsr links through ra (usually
 // R26); ret through the same register is a return; br with ra=R31 is
 // a plain branch, with a real ra it is "branch and link" (a call).
-func Glue(def *spawn.InstDef, fields map[string]uint32, spec *machine.InstSpec) {
+func Glue(def *spawn.InstDef, fields machine.FieldVals, spec *machine.InstSpec) {
 	switch def.Name {
 	case "retj":
 		spec.Cat = machine.CatReturn
 	case "jsr":
 		spec.Cat = machine.CatCallIndirect
 	case "br":
-		if fields["ra"] != 31 {
+		if ra, _ := fields.Get("ra"); ra != 31 {
 			spec.Cat = machine.CatCallDirect
 		}
 	}

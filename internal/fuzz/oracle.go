@@ -3,6 +3,7 @@ package fuzz
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"eel/internal/binfile"
@@ -88,19 +89,6 @@ func rebuild(inst *machine.Inst) (uint32, error) {
 	return w, nil
 }
 
-func sameFields(a, b *machine.Inst) bool {
-	fa, fb := a.Fields(), b.Fields()
-	if len(fa) != len(fb) {
-		return false
-	}
-	for i := range fa {
-		if fa[i] != fb[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // CheckRoundTripWords checks the decode→encode direction over every
 // word of the generated text segment:
 //
@@ -140,7 +128,7 @@ func CheckRoundTripWords(p *Program) []Violation {
 				"%s at %#x: normalized word %08x decodes to %q", inst.Name(), addr, w2, inst2.Name()))
 			continue
 		}
-		if !sameFields(inst, inst2) {
+		if !slices.Equal(inst.Fields(), inst2.Fields()) {
 			vs = append(vs, violate("roundtrip",
 				"%s at %#x: operand fields changed across re-encode of %08x", inst.Name(), addr, w))
 			continue

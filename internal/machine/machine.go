@@ -254,38 +254,31 @@ func (c Category) IsMemory() bool {
 // shares one *Inst.  Inst is therefore immutable after decoding and
 // carries no per-address state; position-dependent questions (such
 // as a branch target) take the pc as an argument.
-type Inst struct {
-	word   uint32
-	name   string
-	cat    Category
-	reads  RegSet
-	writes RegSet
-
-	readsMem  bool
-	writesMem bool
-	memWidth  int
-
-	delaySlots  int
-	annulBit    bool
-	conditional bool
-
-	// target computes the instruction's static target given its
-	// address; ok is false for indirect transfers.
-	target func(pc uint32) (uint32, bool)
-
-	// fields holds the decoded instruction-field values (rd, rs1,
-	// simm13, ...) for machine-specific glue and snippet editing.
-	fields []Field
-
-	// sem is an opaque handle on the instruction's register-transfer
-	// semantics, consumed by the emulator.  Analyses never touch it.
-	sem any
-}
+type Inst struct{ spec InstSpec }
 
 // Field is one decoded instruction field.
 type Field struct {
 	Name string
 	Val  uint32
+}
+
+// FieldVals is one instruction word's decoded field values: Vals[i]
+// is the value of the field named Names[i].  A description shares one
+// sorted Names slice among all its words, so a word owns only its
+// Vals.  Both slices are read-only once decoded.
+type FieldVals struct {
+	Names []string
+	Vals  []uint32
+}
+
+// Get returns the value of the named field.
+func (f FieldVals) Get(name string) (uint32, bool) {
+	for i, n := range f.Names {
+		if n == name {
+			return f.Vals[i], true
+		}
+	}
+	return 0, false
 }
 
 // InstSpec carries everything a decoder derived for an instruction
@@ -302,111 +295,99 @@ type InstSpec struct {
 	DelaySlots  int
 	AnnulBit    bool
 	Conditional bool
-	Target      func(pc uint32) (uint32, bool)
-	Fields      []Field
-	Sem         any
+	// Target computes the instruction's static target given its
+	// address; ok is false for indirect transfers.
+	Target func(pc uint32) (uint32, bool)
+	// Fields holds the decoded instruction-field values (rd, rs1,
+	// simm13, ...) for machine-specific glue and snippet editing.
+	Fields FieldVals
+	// Sem is an opaque handle on the instruction's register-transfer
+	// semantics, consumed by the emulator.  Analyses never touch it.
+	Sem any
 }
 
 // NewInst builds an immutable instruction from a decoder's spec.
-func NewInst(spec InstSpec) *Inst {
-	return &Inst{
-		word:        spec.Word,
-		name:        spec.Name,
-		cat:         spec.Cat,
-		reads:       spec.Reads,
-		writes:      spec.Writes,
-		readsMem:    spec.ReadsMem,
-		writesMem:   spec.WritesMem,
-		memWidth:    spec.MemWidth,
-		delaySlots:  spec.DelaySlots,
-		annulBit:    spec.AnnulBit,
-		conditional: spec.Conditional,
-		target:      spec.Target,
-		fields:      spec.Fields,
-		sem:         spec.Sem,
-	}
-}
+func NewInst(spec InstSpec) *Inst { return &Inst{spec} }
 
 // Word returns the raw machine word.
-func (i *Inst) Word() uint32 { return i.word }
+func (i *Inst) Word() uint32 { return i.spec.Word }
 
 // Name returns the mnemonic ("add", "bne", "jmpl", ...), or "" for
 // invalid words.
-func (i *Inst) Name() string { return i.name }
+func (i *Inst) Name() string { return i.spec.Name }
 
 // Category returns the instruction's functional category.
-func (i *Inst) Category() Category { return i.cat }
+func (i *Inst) Category() Category { return i.spec.Cat }
 
 // Reads returns the registers the instruction reads.
-func (i *Inst) Reads() RegSet { return i.reads }
+func (i *Inst) Reads() RegSet { return i.spec.Reads }
 
 // Writes returns the registers the instruction writes.
-func (i *Inst) Writes() RegSet { return i.writes }
+func (i *Inst) Writes() RegSet { return i.spec.Writes }
 
 // ReadsMem reports whether the instruction loads from memory.
-func (i *Inst) ReadsMem() bool { return i.readsMem }
+func (i *Inst) ReadsMem() bool { return i.spec.ReadsMem }
 
 // WritesMem reports whether the instruction stores to memory.
-func (i *Inst) WritesMem() bool { return i.writesMem }
+func (i *Inst) WritesMem() bool { return i.spec.WritesMem }
 
 // MemWidth returns the access width in bytes (paper Fig 6 {{WIDTH}}),
 // or 0 for non-memory instructions.
-func (i *Inst) MemWidth() int { return i.memWidth }
+func (i *Inst) MemWidth() int { return i.spec.MemWidth }
 
 // DelaySlots returns the number of delay slots the instruction
 // executes before transferring control (0 or 1 on SPARC/MIPS).
-func (i *Inst) DelaySlots() int { return i.delaySlots }
+func (i *Inst) DelaySlots() int { return i.spec.DelaySlots }
 
 // AnnulBit reports whether the instruction's annul bit is set: a
 // conditional branch with the bit set executes its delay slot only
 // when taken; an unconditional one never executes it (paper §3.3).
-func (i *Inst) AnnulBit() bool { return i.annulBit }
+func (i *Inst) AnnulBit() bool { return i.spec.AnnulBit }
 
 // Conditional reports whether the control transfer is conditional.
-func (i *Inst) Conditional() bool { return i.conditional }
+func (i *Inst) Conditional() bool { return i.spec.Conditional }
 
 // StaticTarget returns the transfer target for an instruction at pc,
 // when it is statically computable (direct branches, calls, and
 // jumps).  ok is false for indirect transfers and non-transfers.
 func (i *Inst) StaticTarget(pc uint32) (target uint32, ok bool) {
-	if i.target == nil {
+	if i.spec.Target == nil {
 		return 0, false
 	}
-	return i.target(pc)
+	return i.spec.Target(pc)
 }
 
 // Field returns the named decoded instruction field.
-func (i *Inst) Field(name string) (uint32, bool) {
-	for _, f := range i.fields {
-		if f.Name == name {
-			return f.Val, true
-		}
-	}
-	return 0, false
-}
+func (i *Inst) Field(name string) (uint32, bool) { return i.spec.Fields.Get(name) }
 
-// Fields returns all decoded fields.
-func (i *Inst) Fields() []Field { return i.fields }
+// Fields returns all decoded fields, in name order.
+func (i *Inst) Fields() []Field {
+	out := make([]Field, len(i.spec.Fields.Names))
+	for j, n := range i.spec.Fields.Names {
+		out[j] = Field{Name: n, Val: i.spec.Fields.Vals[j]}
+	}
+	return out
+}
 
 // Sem returns the decoder's opaque semantics handle (used by the
 // emulator to execute the instruction).
-func (i *Inst) Sem() any { return i.sem }
+func (i *Inst) Sem() any { return i.spec.Sem }
 
 // Valid reports whether the word decoded to a real instruction.
-func (i *Inst) Valid() bool { return i.cat != CatInvalid }
+func (i *Inst) Valid() bool { return i.spec.Cat != CatInvalid }
 
 // IsAnnulledUncond reports whether this is an unconditional transfer
 // that annuls (never executes) its delay slot, such as SPARC "ba,a".
 func (i *Inst) IsAnnulledUncond() bool {
-	return i.annulBit && !i.conditional && i.cat.IsControl()
+	return i.spec.AnnulBit && !i.spec.Conditional && i.spec.Cat.IsControl()
 }
 
 // String renders a compact description for debugging.
 func (i *Inst) String() string {
 	if !i.Valid() {
-		return fmt.Sprintf("invalid(%#08x)", i.word)
+		return fmt.Sprintf("invalid(%#08x)", i.spec.Word)
 	}
-	return fmt.Sprintf("%s(%#08x)", i.name, i.word)
+	return fmt.Sprintf("%s(%#08x)", i.spec.Name, i.spec.Word)
 }
 
 // Decoder turns machine words into shared Inst values and names the

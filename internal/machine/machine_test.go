@@ -135,7 +135,7 @@ func TestInstAccessors(t *testing.T) {
 		AnnulBit:    true,
 		Conditional: true,
 		Target:      func(pc uint32) (uint32, bool) { return pc + 8, true },
-		Fields:      []Field{{Name: "rd", Val: 3}},
+		Fields:      FieldVals{Names: []string{"rd"}, Vals: []uint32{3}},
 	})
 	if inst.Word() != 0x12345678 || inst.Name() != "frob" {
 		t.Error("basic accessors")

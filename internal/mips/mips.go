@@ -103,6 +103,9 @@ sem sw is M[R[rs] + simm]{4} := R[rt]
 
 var desc = spawn.MustParseDesc(DescriptionSource)
 
+// memo derives each word once for every decoder in the process.
+var memo = spawn.NewMemo(desc, Glue)
+
 func init() {
 	machine.RegisterArch(machine.ArchInfo{
 		Name:       "mips32e",
@@ -125,15 +128,15 @@ func Desc() *spawn.Desc { return desc }
 
 // NewDecoder returns a decoder for the MIPS-like machine.
 func NewDecoder() *spawn.TableDecoder {
-	return spawn.NewDecoder(desc, Glue, RegName)
+	return spawn.NewDecoder(memo, RegName)
 }
 
 // Glue resolves the machine's conventions: jr through the
 // return-address register is a return.
-func Glue(def *spawn.InstDef, fields map[string]uint32, spec *machine.InstSpec) {
+func Glue(def *spawn.InstDef, fields machine.FieldVals, spec *machine.InstSpec) {
 	switch def.Name {
 	case "jr":
-		if fields["rs"] == 31 {
+		if rs, _ := fields.Get("rs"); rs == 31 {
 			spec.Cat = machine.CatReturn
 		}
 	case "jalr":

@@ -18,14 +18,14 @@ import (
 type EventKind uint8
 
 const (
-	EvNone          EventKind = iota
-	EvRoutineDeopt            // routine-tier program hit a stale generation; A=entry PC, B=generation
-	EvInvalidate              // write watch invalidated translated code; A=store addr, B=new generation
-	EvTierPromote             // routine entry crossed the heat threshold; A=entry PC, B=enter count
-	EvRoutineInstall          // compiled routine program installed; A=entry PC, B=program length
-	EvCompileStall            // routine compile queue full, promotion dropped; A=entry PC, B=queue cap
-	EvAdmissionReject         // eeld admission rejected a request; A=HTTP status, B=queue depth
-	EvCacheCorrupt            // DiskStore dropped a corrupt entry; A=routine start PC, B=content hash
+	EvNone            EventKind = iota
+	EvRoutineDeopt              // routine-tier program hit a stale generation; A=entry PC, B=generation
+	EvInvalidate                // write watch invalidated translated code; A=store addr, B=new generation
+	EvTierPromote               // routine entry crossed the heat threshold; A=entry PC, B=enter count
+	EvRoutineInstall            // compiled routine program installed; A=entry PC, B=program length
+	EvCompileStall              // routine compile queue full, promotion dropped; A=entry PC, B=queue cap
+	EvAdmissionReject           // eeld admission rejected a request; A=HTTP status, B=queue depth
+	EvCacheCorrupt              // DiskStore dropped a corrupt entry; A=routine start PC, B=content hash
 )
 
 var kindNames = [...]string{

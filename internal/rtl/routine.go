@@ -246,14 +246,14 @@ type instAt struct {
 type termKind int
 
 const (
-	tkFall      termKind = iota // fall through to target
-	tkFallExit                  // fall off the analyzed region
-	tkUncond                    // ba/fba, slot executes
-	tkAnnulTaken                // ba,a / fba,a: slot annulled, to target
-	tkAnnulSkip                 // bn,a / fbn,a: slot annulled, to pc+8
-	tkCond                      // conditional branch
-	tkCall                      // call (static target)
-	tkJmpl                      // jmpl (indirect)
+	tkFall       termKind = iota // fall through to target
+	tkFallExit                   // fall off the analyzed region
+	tkUncond                     // ba/fba, slot executes
+	tkAnnulTaken                 // ba,a / fba,a: slot annulled, to target
+	tkAnnulSkip                  // bn,a / fbn,a: slot annulled, to pc+8
+	tkCond                       // conditional branch
+	tkCall                       // call (static target)
+	tkJmpl                       // jmpl (indirect)
 )
 
 type termDesc struct {

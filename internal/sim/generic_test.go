@@ -147,7 +147,7 @@ sem nop16 is R[1] := R[1]
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	dec := spawn.NewDecoder(desc, nil, nil)
+	dec := spawn.NewDecoder(spawn.NewMemo(desc, nil), nil)
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("New accepted a 2-byte instruction stride without panicking")
@@ -170,7 +170,7 @@ sem nop32 is R[1] := R[1]
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	dec := spawn.NewDecoder(desc, nil, nil)
+	dec := spawn.NewDecoder(spawn.NewMemo(desc, nil), nil)
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("New accepted an unregistered architecture without panicking")

@@ -1,15 +1,21 @@
 package sparc
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"eel/internal/machine"
+	"eel/internal/spawn"
 )
+
+// memoInst builds w's instruction from the package memo without
+// interning it.
+func memoInst(w uint32) *machine.Inst { return machine.NewInst(memo.Spec(w)) }
 
 func dis(t *testing.T, w uint32, pc uint32) string {
 	t.Helper()
-	return Disasm(sharedDec.Decode(w), pc)
+	return Disasm(memoInst(w), pc)
 }
 
 func TestDisasmForms(t *testing.T) {
@@ -50,7 +56,7 @@ func TestDisasmForms(t *testing.T) {
 
 func TestDisasmNeverPanicsAndNeverEmpty(t *testing.T) {
 	f := func(w uint32, pc uint32) bool {
-		s := Disasm(sharedDec.Decode(w), pc&^3)
+		s := Disasm(memoInst(w), pc&^3)
 		return s != ""
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -79,14 +85,14 @@ func TestSubstRegIdentityAndTargets(t *testing.T) {
 func TestSubstRegRewritesOperands(t *testing.T) {
 	w, _ := EncodeOp3("add", 3, 1, 2)
 	got := SubstReg(w, 1, 20)
-	inst := sharedDec.Decode(got)
+	inst := memoInst(got)
 	if !inst.Reads().Has(20) || inst.Reads().Has(1) {
 		t.Errorf("reads = %s", inst.Reads())
 	}
 	// Immediate form: rs2 bits hold the immediate, not a register.
 	wi, _ := EncodeOp3Imm("add", 3, 1, 2) // simm13 = 2
 	gi := SubstReg(wi, 2, 20)
-	simm, _ := sharedDec.Decode(gi).Field("simm13")
+	simm, _ := memoInst(gi).Field("simm13")
 	if simm != 2 {
 		t.Errorf("immediate rewritten: %d", simm)
 	}
@@ -100,7 +106,7 @@ func TestSubstRegFloatUntouched(t *testing.T) {
 	ldf, _ := EncodeOp3Imm("ldf", machine.FloatBase+3, 3, 0)
 	got := SubstReg(ldf, 3, 9)
 	// rs1 (integer base) rewritten, rd (fp) kept.
-	inst := sharedDec.Decode(got)
+	inst := memoInst(got)
 	if !inst.Reads().Has(9) {
 		t.Errorf("base not rewritten: %s", inst.Reads())
 	}
@@ -114,7 +120,7 @@ func TestSubstRegsSimultaneous(t *testing.T) {
 	// cascade.
 	w, _ := EncodeOp3("add", 16, 16, 17) // add %l0, %l1, %l0
 	got := SubstRegs(w, map[machine.Reg]machine.Reg{16: 17, 17: 16})
-	inst := sharedDec.Decode(got)
+	inst := memoInst(got)
 	if !inst.Reads().Equal(machine.NewRegSet(16, 17)) {
 		t.Errorf("reads = %s", inst.Reads())
 	}
@@ -146,8 +152,8 @@ func TestSubstRegSemanticsPreserved(t *testing.T) {
 	f := func(w uint32, from8, to8 uint8) bool {
 		from := machine.Reg(from8 % 32)
 		to := machine.Reg(to8 % 32)
-		before := sharedDec.Decode(w)
-		after := sharedDec.Decode(SubstReg(w, from, to))
+		before := memoInst(w)
+		after := memoInst(SubstReg(w, from, to))
 		if before.Name() != after.Name() {
 			return false
 		}
@@ -162,6 +168,37 @@ func TestSubstRegSemanticsPreserved(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPackageHelpersRetainNothing feeds SubstRegs and WritesPSR twice
+// as many distinct words as the memo has slots, then as many more: a
+// long-running tool asks them about every snippet word it ever places,
+// so the second batch must not grow the heap.  Only the bounded memo
+// may hold what they derive.
+func TestPackageHelpersRetainNothing(t *testing.T) {
+	const batch = 2 * spawn.MemoSlots
+	feed := func(first int) {
+		for i := first; i < first+batch; i++ {
+			w, err := EncodeSethi(1, uint32(i)<<10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			SubstRegs(w, map[machine.Reg]machine.Reg{1: 20})
+			WritesPSR(w)
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	feed(0)
+	before := heap()
+	feed(batch)
+	if grew := int64(heap()) - int64(before); grew > 1<<20 {
+		t.Errorf("%d more distinct words grew the heap by %d bytes", batch, grew)
 	}
 }
 

@@ -180,6 +180,9 @@ const (
 
 var desc = spawn.MustParseDesc(DescriptionSource)
 
+// memo derives each word once for every decoder in the process.
+var memo = spawn.NewMemo(desc, Glue)
+
 func init() {
 	machine.RegisterArch(machine.ArchInfo{
 		Name:       "sparc",
@@ -201,19 +204,21 @@ func init() {
 func Desc() *spawn.Desc { return desc }
 
 // NewDecoder returns a fresh SPARC decoder (with its own intern
-// cache and sharing statistics).
+// cache and sharing statistics) over the package's shared memo.
 func NewDecoder() *spawn.TableDecoder {
-	return spawn.NewDecoder(desc, Glue, RegName)
+	return spawn.NewDecoder(memo, RegName)
 }
 
 // Glue refines spawn's derived classification with SPARC calling and
 // trap conventions — the hand-written residue the paper's Figure 6
 // shows: jmpl's three overloaded uses and the system-call idiom.
-func Glue(def *spawn.InstDef, fields map[string]uint32, spec *machine.InstSpec) {
+func Glue(def *spawn.InstDef, fields machine.FieldVals, spec *machine.InstSpec) {
 	switch def.Name {
 	case "jmpl":
-		rd, rs1 := fields["rd"], fields["rs1"]
-		iflag, simm := fields["iflag"], fields["simm13"]
+		rd, _ := fields.Get("rd")
+		rs1, _ := fields.Get("rs1")
+		iflag, _ := fields.Get("iflag")
+		simm, _ := fields.Get("simm13")
 		switch {
 		case rd == 15:
 			spec.Cat = machine.CatCallIndirect

@@ -326,7 +326,7 @@ func TestInterning(t *testing.T) {
 	if a != b {
 		t.Error("same word should return the same *Inst")
 	}
-	decodes, unique := dec.SharingStats()
+	decodes, unique, _ := dec.SharingStats()
 	if decodes != 2 || unique != 1 {
 		t.Errorf("stats = %d/%d, want 2/1", decodes, unique)
 	}

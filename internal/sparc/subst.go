@@ -16,14 +16,6 @@ func SubstReg(word uint32, from, to machine.Reg) uint32 {
 	return SubstRegs(word, map[machine.Reg]machine.Reg{from: to})
 }
 
-// substUsed reports whether the decoded instruction actually reads
-// or writes r: fields some instructions ignore (rdy's rs1, for
-// example) are never rewritten.
-func substUsed(word uint32, r machine.Reg) bool {
-	inst := sharedDec.Decode(word)
-	return inst.Reads().Has(r) || inst.Writes().Has(r)
-}
-
 // SubstRegs rewrites every integer-register operand field of word in
 // one simultaneous pass: each field is looked up once in assign, so
 // an assignment may map one placeholder onto another placeholder's
@@ -37,6 +29,7 @@ func SubstRegs(word uint32, assign map[machine.Reg]machine.Reg) uint32 {
 	op := def.Fixed["op"]
 	op3, hasOp3 := def.Fixed["op3"]
 	op2 := def.Fixed["op2"]
+	spec := memo.Spec(word)
 	sub := func(w uint32, name string) uint32 {
 		f, ok := desc.Field(name)
 		if !ok {
@@ -46,8 +39,10 @@ func SubstRegs(word uint32, assign map[machine.Reg]machine.Reg) uint32 {
 		if cur == 0 {
 			return w // %g0 means constant zero, never a placeholder
 		}
-		if !substUsed(word, cur) {
-			return w // the instruction ignores this field
+		if !spec.Reads.Has(cur) && !spec.Writes.Has(cur) {
+			// The instruction ignores this field (rdy's rs1, for
+			// example).
+			return w
 		}
 		if to, ok := assign[cur]; ok && to.IsInt() {
 			return f.Insert(w, uint32(to))
@@ -72,7 +67,7 @@ func SubstRegs(word uint32, assign map[machine.Reg]machine.Reg) uint32 {
 			w = sub(w, "rd")
 		}
 		w = sub(w, "rs1")
-		if iflagField(w) == 0 {
+		if iflag, _ := spec.Fields.Get("iflag"); iflag == 0 {
 			w = sub(w, "rs2")
 		}
 		return w
@@ -80,22 +75,10 @@ func SubstRegs(word uint32, assign map[machine.Reg]machine.Reg) uint32 {
 	return word
 }
 
-func iflagField(word uint32) uint32 {
-	f, ok := desc.Field("iflag")
-	if !ok {
-		return 0
-	}
-	return f.Extract(word)
-}
-
-// sharedDec serves package-level inquiries; it is safe for
-// concurrent use.
-var sharedDec = NewDecoder()
-
 // WritesPSR reports whether the instruction word clobbers the integer
 // condition codes — tools use it to decide between a snippet's fast
 // (cc-clobbering) and slow (cc-preserving) bodies, the Blizzard
 // optimization of §5.
 func WritesPSR(word uint32) bool {
-	return sharedDec.Decode(word).Writes().Has(machine.RegPSR)
+	return memo.Spec(word).Writes.Has(machine.RegPSR)
 }

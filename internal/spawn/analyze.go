@@ -77,12 +77,12 @@ func (d *Desc) analyze() error {
 		if def.Sem == nil {
 			return fmt.Errorf("spawn: instruction %s has no semantics", def.Name)
 		}
-		eff := d.EffectsFor(def, def.Fixed)
+		eff := d.EffectsFor(def, d.fixedVals(def, false))
 		info := ClassInfo{Effects: eff}
 		if eff.WritesPC && eff.LatePC {
 			info.DelaySlots = 1
 		}
-		_, direct := d.StaticTarget(def, d.fixedAsFull(def), 0x1000)
+		_, direct := d.StaticTarget(def, d.fixedVals(def, true), 0x1000)
 		info.Cat = Categorize(eff, direct)
 		info.PCRelative = d.pcRelative(def.Sem)
 		def.Info = info
@@ -153,16 +153,18 @@ func pcCount(n rtl.Node, temps map[string]int) int {
 	return c
 }
 
-// fixedAsFull pads the fixed fields with zeros for every other field,
-// giving a representative word's field values for definition-level
-// classification.
-func (d *Desc) fixedAsFull(def *InstDef) map[string]uint32 {
-	out := make(map[string]uint32, len(d.Fields))
-	for _, f := range d.Fields {
-		out[f.Name] = 0
-	}
-	for k, v := range def.Fixed {
-		out[k] = v
+// fixedVals returns the field values def's encoding pins down.  With
+// full set it pads every other field with zero, giving a
+// representative word's field values for definition-level
+// classification; otherwise the other fields are left unknown.
+func (d *Desc) fixedVals(def *InstDef, full bool) machine.FieldVals {
+	var out machine.FieldVals
+	for _, f := range d.byName {
+		v, fixed := def.Fixed[f.Name]
+		if fixed || full {
+			out.Names = append(out.Names, f.Name)
+			out.Vals = append(out.Vals, v)
+		}
 	}
 	return out
 }
@@ -250,15 +252,14 @@ func (d *Desc) allIntRegs() machine.RegSet {
 // machine state return rtl.ErrDynamic.  It is how spawn asks "is
 // this value computable without running the program?".
 type fieldMachine struct {
-	d       *Desc
-	fields  map[string]uint32
-	pc      uint64
-	pcKnown bool
-	zeroOK  bool
+	d      *Desc
+	fields machine.FieldVals
+	pc     uint64
+	zeroOK bool
 }
 
 func (m *fieldMachine) Field(name string) (int64, bool) {
-	v, ok := m.fields[name]
+	v, ok := m.fields.Get(name)
 	return int64(v), ok
 }
 
@@ -309,8 +310,8 @@ func (m *fieldMachine) Trap(uint64) error  { return nil }
 // computable (direct branches/calls/jumps, and jumps through the
 // hardwired zero register to a literal address).  ok is false when
 // the target depends on run-time register contents.
-func (d *Desc) StaticTarget(def *InstDef, fields map[string]uint32, pc uint32) (uint32, bool) {
-	fm := &fieldMachine{d: d, fields: fields, pc: uint64(pc), pcKnown: true, zeroOK: true}
+func (d *Desc) StaticTarget(def *InstDef, fields machine.FieldVals, pc uint32) (uint32, bool) {
+	fm := &fieldMachine{d: d, fields: fields, pc: uint64(pc), zeroOK: true}
 	ev := rtl.NewExprEvaluator(fm)
 	target, found := d.walkTarget(def.Sem, ev)
 	if !found {
@@ -386,7 +387,7 @@ type effWalker struct {
 
 // EffectsFor derives the exact effects of definition def specialized
 // by the given field values.
-func (d *Desc) EffectsFor(def *InstDef, fields map[string]uint32) Effects {
+func (d *Desc) EffectsFor(def *InstDef, fields machine.FieldVals) Effects {
 	fm := &fieldMachine{d: d, fields: fields, zeroOK: false}
 	w := &effWalker{
 		d:     d,
@@ -484,7 +485,7 @@ func (w *effWalker) assign(x rtl.Assign) {
 			w.writeReg(a.File, a.Index, x.RHS)
 			return
 		}
-		if _, isField := w.fm.fields[lhs.Name]; isField {
+		if _, isField := w.fm.fields.Get(lhs.Name); isField {
 			return // malformed; field writes are rejected at execution
 		}
 		// Temporary: evaluate for later guard resolution.
@@ -563,7 +564,7 @@ func (w *effWalker) exprReads(n rtl.Node) {
 		if x.Name == "pc" || w.temps[x.Name] {
 			return
 		}
-		if _, isField := w.fm.fields[x.Name]; isField {
+		if _, isField := w.fm.fields.Get(x.Name); isField {
 			return
 		}
 		if a, ok := w.d.aliasByName[x.Name]; ok {

@@ -20,8 +20,10 @@ package spawn
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
+	"eel/internal/machine"
 	"eel/internal/rtl"
 )
 
@@ -100,6 +102,10 @@ type Desc struct {
 	HasZero   bool
 
 	fieldByName map[string]*Field
+	// byName is Fields in name order, the order of every word's
+	// field values; names is their names, shared by all words.
+	byName      []Field
+	names       []string
 	fileByName  map[string]*RegFile
 	aliasByName map[string]*Alias
 	instByName  map[string]*InstDef
@@ -181,6 +187,11 @@ func ParseDesc(src string) (*Desc, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	d.byName = append([]Field(nil), d.Fields...)
+	sort.Slice(d.byName, func(i, j int) bool { return d.byName[i].Name < d.byName[j].Name })
+	for _, f := range d.byName {
+		d.names = append(d.names, f.Name)
 	}
 	if err := d.analyze(); err != nil {
 		return nil, err
@@ -635,11 +646,12 @@ func (d *Desc) DecodeRaw(word uint32) *InstDef {
 	return nil
 }
 
-// FieldVals extracts every declared field's value from word.
-func (d *Desc) FieldVals(word uint32) map[string]uint32 {
-	out := make(map[string]uint32, len(d.Fields))
-	for _, f := range d.Fields {
-		out[f.Name] = f.Extract(word)
+// FieldVals extracts every declared field's value from word, in
+// field-name order.
+func (d *Desc) FieldVals(word uint32) machine.FieldVals {
+	vals := make([]uint32, len(d.byName))
+	for i, f := range d.byName {
+		vals[i] = f.Extract(word)
 	}
-	return out
+	return machine.FieldVals{Names: d.names, Vals: vals}
 }

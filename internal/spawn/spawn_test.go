@@ -1,6 +1,7 @@
 package spawn
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -117,7 +118,7 @@ func TestClassification(t *testing.T) {
 	// indirect; through the zero register it is a (direct) literal
 	// jump.  (Definition-level info uses zeroed fields, so it reads
 	// as direct there.)
-	dec := NewDecoder(d, nil, nil)
+	dec := NewDecoder(NewMemo(d, nil), nil)
 	if c := dec.Decode(word(d, map[string]uint32{"op": 5, "rs1": 2})).Category(); c != machine.CatJumpIndirect {
 		t.Errorf("jmp r2: %s", c)
 	}
@@ -190,7 +191,7 @@ func TestStaticTargetPCRelative(t *testing.T) {
 func TestLinkDetection(t *testing.T) {
 	d := toy(t)
 	def, _ := d.Lookup("call")
-	eff := d.EffectsFor(def, d.fixedAsFull(def))
+	eff := d.EffectsFor(def, d.fixedVals(def, true))
 	if !eff.HasLink || eff.Link != 15 {
 		t.Errorf("link = %v/%d", eff.HasLink, eff.Link)
 	}
@@ -199,12 +200,12 @@ func TestLinkDetection(t *testing.T) {
 func TestMemWidth(t *testing.T) {
 	d := toy(t)
 	def, _ := d.Lookup("ld")
-	eff := d.EffectsFor(def, d.fixedAsFull(def))
+	eff := d.EffectsFor(def, d.fixedVals(def, true))
 	if !eff.ReadsMem || eff.MemWidth() != 4 {
 		t.Errorf("ld: readsMem=%v width=%d", eff.ReadsMem, eff.MemWidth())
 	}
 	sdef, _ := d.Lookup("st")
-	seff := d.EffectsFor(sdef, d.fixedAsFull(sdef))
+	seff := d.EffectsFor(sdef, d.fixedVals(sdef, true))
 	if !seff.WritesMem || seff.ReadsMem {
 		t.Errorf("st: %+v", seff)
 	}
@@ -232,7 +233,7 @@ func TestDescErrors(t *testing.T) {
 
 func TestDecoderInterning(t *testing.T) {
 	d := toy(t)
-	dec := NewDecoder(d, nil, nil)
+	dec := NewDecoder(NewMemo(d, nil), nil)
 	w := word(d, map[string]uint32{"op": 0, "rd": 1})
 	a := dec.Decode(w)
 	if a != dec.Decode(w) {
@@ -249,7 +250,7 @@ func TestDecoderInterning(t *testing.T) {
 // the same canonical *Inst per word and the sharing counters add up.
 func TestDecoderParallelInterning(t *testing.T) {
 	d := toy(t)
-	dec := NewDecoder(d, nil, nil)
+	dec := NewDecoder(NewMemo(d, nil), nil)
 	words := []uint32{
 		word(d, map[string]uint32{"op": 0, "rd": 1, "rs1": 2, "rs2": 3}),
 		word(d, map[string]uint32{"op": 1, "rd": 4, "rs1": 5}),
@@ -287,7 +288,7 @@ func TestDecoderParallelInterning(t *testing.T) {
 			}
 		}
 	}
-	decodes, unique := dec.SharingStats()
+	decodes, unique, _ := dec.SharingStats()
 	if want := uint64(goroutines * rounds * len(words)); decodes != want {
 		t.Errorf("decodes = %d, want %d", decodes, want)
 	}
@@ -296,22 +297,126 @@ func TestDecoderParallelInterning(t *testing.T) {
 	}
 }
 
+// TestGlueHookRuns checks each glue runs and that two memos over one
+// description with different glue share nothing: each decoder sees
+// its own glue's answer for the same word.
 func TestGlueHookRuns(t *testing.T) {
 	d := toy(t)
-	called := false
-	glue := func(def *InstDef, fields map[string]uint32, spec *machine.InstSpec) {
-		called = true
-		if def.Name == "jmp" && fields["rs1"] == 3 {
-			spec.Cat = machine.CatReturn
+	calls := map[machine.Category]int{}
+	glueFor := func(cat machine.Category) Glue {
+		return func(def *InstDef, fields machine.FieldVals, spec *machine.InstSpec) {
+			calls[cat]++
+			if rs1, _ := fields.Get("rs1"); def.Name == "jmp" && rs1 == 3 {
+				spec.Cat = cat
+			}
 		}
 	}
-	dec := NewDecoder(d, glue, nil)
-	inst := dec.Decode(word(d, map[string]uint32{"op": 5, "rs1": 3}))
-	if !called {
-		t.Fatal("glue not invoked")
+	ret := NewDecoder(NewMemo(d, glueFor(machine.CatReturn)), nil)
+	icall := NewDecoder(NewMemo(d, glueFor(machine.CatCallIndirect)), nil)
+	w := word(d, map[string]uint32{"op": 5, "rs1": 3})
+	for i := 0; i < 2; i++ {
+		if c := ret.Decode(w).Category(); c != machine.CatReturn {
+			t.Errorf("return glue's decoder: %s", c)
+		}
+		if c := icall.Decode(w).Category(); c != machine.CatCallIndirect {
+			t.Errorf("indirect-call glue's decoder: %s", c)
+		}
 	}
-	if inst.Category() != machine.CatReturn {
-		t.Errorf("glue category override lost: %s", inst.Category())
+	if calls[machine.CatReturn] != 1 || calls[machine.CatCallIndirect] != 1 {
+		t.Errorf("glue calls = %v, want one per memo", calls)
+	}
+	if c := NewDecoder(NewMemo(d, nil), nil).Decode(w).Category(); c != machine.CatJumpIndirect {
+		t.Errorf("glueless decoder: %s", c)
+	}
+}
+
+// TestMemoSlotCollision alternates two words that share a slot: each
+// lookup must return its own word's spec, re-deriving it.
+func TestMemoSlotCollision(t *testing.T) {
+	d := toy(t)
+	a := word(d, map[string]uint32{"op": 0, "rd": 1, "rs1": 2, "rs2": 3})
+	var b uint32
+	for imm := uint32(1); ; imm++ {
+		b = word(d, map[string]uint32{"op": 3, "rd": 4, "rs1": 5, "imm16": imm})
+		if memoSlot(b) == memoSlot(a) {
+			break
+		}
+	}
+	m := NewMemo(d, nil)
+	for i := 0; i < 6; i++ {
+		w, name := a, "add"
+		if i%2 == 1 {
+			w, name = b, "ld"
+		}
+		spec := m.Spec(w)
+		if spec.Word != w || spec.Name != name || !reflect.DeepEqual(spec.Fields, d.FieldVals(w)) {
+			t.Fatalf("lookup %d of %#x: got %s %#x %v", i, w, spec.Name, spec.Word, spec.Fields)
+		}
+		if got := m.derived.Load(); got != uint64(i+1) {
+			t.Errorf("lookup %d: %d derivations, want %d", i, got, i+1)
+		}
+	}
+	if m.Spec(b); m.derived.Load() != 6 {
+		t.Errorf("a repeated lookup re-derived: %d derivations", m.derived.Load())
+	}
+}
+
+// TestMemoSharedByDecoders runs many decoders, each on its own
+// goroutines, over one memo (run under -race): every decoder must
+// intern its own instruction per word, and all of them must agree
+// with a fresh derivation.
+func TestMemoSharedByDecoders(t *testing.T) {
+	d := toy(t)
+	var words []uint32
+	for op := uint32(0); op <= 8; op++ {
+		for r := uint32(0); r < 4; r++ {
+			words = append(words, word(d, map[string]uint32{"op": op, "rd": r, "rs1": r + 1, "rs2": r + 2, "imm16": r * 8}))
+		}
+	}
+	memo := NewMemo(d, nil)
+	const decoders, goroutines = 8, 4
+	decs := make([]*TableDecoder, decoders)
+	got := make([][][]*machine.Inst, decoders)
+	var wg sync.WaitGroup
+	for di := range decs {
+		decs[di] = NewDecoder(memo, nil)
+		got[di] = make([][]*machine.Inst, goroutines)
+		for gi := 0; gi < goroutines; gi++ {
+			wg.Add(1)
+			go func(di, gi int) {
+				defer wg.Done()
+				for r := 0; r < 50; r++ {
+					for _, w := range words {
+						decs[di].Decode(w)
+					}
+				}
+				for _, w := range words {
+					got[di][gi] = append(got[di][gi], decs[di].Decode(w))
+				}
+			}(di, gi)
+		}
+	}
+	wg.Wait()
+	fresh := NewDecoder(NewMemo(d, nil), nil)
+	for di := range decs {
+		for wi, w := range words {
+			in := got[di][0][wi]
+			for gi := 1; gi < goroutines; gi++ {
+				if got[di][gi][wi] != in {
+					t.Errorf("decoder %d: word %#x interned twice", di, w)
+				}
+			}
+			if di > 0 && in == got[0][0][wi] {
+				t.Errorf("decoders 0 and %d share the instruction for %#x", di, w)
+			}
+			if want := fresh.Decode(w); in.String() != want.String() || in.Category() != want.Category() ||
+				in.Reads() != want.Reads() || in.Writes() != want.Writes() {
+				t.Errorf("decoder %d: %#x decoded as %s, fresh %s", di, w, in, want)
+			}
+		}
+	}
+	if n := memo.derived.Load(); n < uint64(len(words)) || n > uint64(decoders*goroutines*len(words)) {
+		t.Errorf("%d derivations of %d words", n, len(words))
 	}
 }
 

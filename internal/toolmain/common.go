@@ -145,6 +145,8 @@ func (c *Common) Analyze(e *core.Executable, opts pipeline.Options) (*pipeline.R
 	}
 	if c.Stats {
 		fmt.Println(res.Stats)
+		decodes, interned, derived := e.Dec.SharingStats()
+		fmt.Printf("  decoder: %d decodes, %d words interned, %d derived by the shared memo\n", decodes, interned, derived)
 	}
 	return res, nil
 }
