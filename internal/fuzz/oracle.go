@@ -53,18 +53,6 @@ func decoderFor(isa string) *spawn.TableDecoder {
 	return d
 }
 
-// archFor returns the registered architecture record for an ISA name.
-func archFor(isa string) *machine.ArchInfo {
-	if isSPARC(isa) {
-		isa = "sparc"
-	}
-	info, ok := machine.ArchByName(isa)
-	if !ok {
-		panic(fmt.Sprintf("fuzz: no architecture registered for %q", isa))
-	}
-	return info
-}
-
 // decoder returns the decoder matching the program's ISA.
 func (p *Program) decoder() *spawn.TableDecoder { return decoderFor(p.Cfg.ISA) }
 
@@ -336,8 +324,8 @@ func runOnce(f *binfile.File, maxSteps uint64, eng sim.Engine, dec *spawn.TableD
 
 // CheckLockstep runs the program to completion on every execution
 // engine the target machine supports — the single-step interpreter,
-// the translation-cache engine, the chained/trace engine, and (where
-// the architecture registration enables it) the whole-routine tier —
+// the translation-cache engine, the chained/trace engine, and the
+// whole-routine tier —
 // and requires bit-identical outcomes against the interpreter: same
 // error (if any), same output bytes, same architected state, same
 // memory image.
@@ -345,11 +333,7 @@ func CheckLockstep(p *Program, maxSteps uint64) []Violation {
 	d := p.decoder()
 	interp := runOnce(p.File, maxSteps, sim.EngineInterp, d)
 	var vs []Violation
-	engines := []sim.Engine{sim.EngineTranslated, sim.EngineChained}
-	if archFor(p.Cfg.ISA).RoutineTier {
-		engines = append(engines, sim.EngineRoutine)
-	}
-	for _, eng := range engines {
+	for _, eng := range []sim.Engine{sim.EngineTranslated, sim.EngineChained, sim.EngineRoutine} {
 		vs = append(vs, lockstepDiff(interp, runOnce(p.File, maxSteps, eng, d), eng)...)
 	}
 	return vs

@@ -30,7 +30,7 @@ type TrapModel struct {
 
 // ArchInfo is the per-architecture configuration the machine-
 // independent layers consume: how to build a decoder, the trap ABI,
-// and which optional substrate tiers the architecture supports.
+// and whether the differential lockstep oracles run for it.
 // Architecture packages register themselves from init(), so importing
 // an architecture is all it takes to make it available by name.
 type ArchInfo struct {
@@ -44,11 +44,6 @@ type ArchInfo struct {
 	NewDecoder func() Decoder
 	// Trap is the system-call ABI.
 	Trap TrapModel
-	// RoutineTier reports whether the whole-routine compilation tier
-	// understands this architecture's control idioms.  The tier's
-	// terminator lowering dispatches on machine branch semantics, so
-	// it is enabled per-architecture rather than assumed.
-	RoutineTier bool
 	// Lockstep reports whether the differential interp-vs-JIT
 	// oracles run for this architecture.
 	Lockstep bool

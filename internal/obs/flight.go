@@ -26,6 +26,7 @@ const (
 	EvCompileStall              // routine compile queue full, promotion dropped; A=entry PC, B=queue cap
 	EvAdmissionReject           // eeld admission rejected a request; A=HTTP status, B=queue depth
 	EvCacheCorrupt              // DiskStore dropped a corrupt entry; A=routine start PC, B=content hash
+	EvRoutineRefuse             // a routine did not reach the routine tier; A=entry PC, B=PC of the first instruction that did not lower (0: no routine extent)
 )
 
 var kindNames = [...]string{
@@ -37,6 +38,7 @@ var kindNames = [...]string{
 	EvCompileStall:    "compile-stall",
 	EvAdmissionReject: "admission-reject",
 	EvCacheCorrupt:    "cache-corrupt",
+	EvRoutineRefuse:   "routine-refuse",
 }
 
 func (k EventKind) String() string {

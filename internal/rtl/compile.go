@@ -2,7 +2,6 @@ package rtl
 
 import (
 	"fmt"
-	"math"
 )
 
 // This file implements the compile pass behind the emulator's
@@ -129,14 +128,7 @@ type Prog struct {
 // assignments in steps after the first are delayed transfers.
 func (p *Prog) Run(m Machine, ctx *Ctx) error {
 	ctx.m = m
-	if cap(ctx.temps) < p.nTemps {
-		ctx.temps = make([]uint64, p.nTemps)
-	} else {
-		ctx.temps = ctx.temps[:p.nTemps]
-		for i := range ctx.temps {
-			ctx.temps[i] = 0
-		}
-	}
+	ctx.reset(p.nTemps)
 	for i, step := range p.steps {
 		ctx.pend = ctx.pend[:0]
 		for _, op := range step {
@@ -164,6 +156,16 @@ func (p *Prog) Run(m Machine, ctx *Ctx) error {
 	return nil
 }
 
+// reset zeroes n temporaries for a program run.
+func (ctx *Ctx) reset(n int) {
+	if cap(ctx.temps) < n {
+		ctx.temps = make([]uint64, n)
+		return
+	}
+	ctx.temps = ctx.temps[:n]
+	clear(ctx.temps)
+}
+
 type compiler struct {
 	env   CompileEnv
 	slots map[string]int
@@ -173,19 +175,24 @@ type compiler struct {
 	direct  bool
 	stepIdx int
 	an      *directAnalysis
+	// Residency lowering (resident.go) compiles one instruction at a
+	// known address: pc folds to a constant, and pcRead notes it did.
+	pcKnown, pcRead bool
+	pcVal           uint64
 }
 
 // Compile lowers a ground semantic statement list to a Prog
 // specialized on env's field values.
 func Compile(n Node, env CompileEnv) (*Prog, error) {
-	return compileWith(n, env, false)
+	return (&compiler{env: env, slots: map[string]int{}}).program(n, false)
 }
 
-func compileWith(n Node, env CompileEnv, direct bool) (*Prog, error) {
+// program lowers n with c's environment and residency settings.
+func (c *compiler) program(n Node, direct bool) (*Prog, error) {
 	if n == nil {
 		return nil, &CompileError{nil, "no semantics"}
 	}
-	c := &compiler{env: env, slots: map[string]int{}, direct: direct}
+	c.direct = direct
 	if direct {
 		c.an = &directAnalysis{}
 	}
@@ -621,13 +628,8 @@ func (c *compiler) expr(n Node) (cexpr, error) {
 		if err != nil {
 			return cexpr{}, err
 		}
-		switch x.Op {
-		case "-":
-			return pure1(v, func(a uint64) uint64 { return -a }), nil
-		case "~":
-			return pure1(v, func(a uint64) uint64 { return ^a }), nil
-		case "!":
-			return pure1(v, func(a uint64) uint64 { return b2u(a == 0) }), nil
+		if f, ok := unOps[x.Op]; ok {
+			return pure1(v, f), nil
 		}
 		return cexpr{}, &CompileError{n, "unknown unary op " + x.Op}
 	case Cond:
@@ -693,6 +695,10 @@ func (c *compiler) ident(x Ident) (cexpr, error) {
 	}
 	if v, ok := c.env.Field(x.Name); ok {
 		return constExpr(uint64(v)), nil
+	}
+	if x.Name == "pc" && c.pcKnown {
+		c.pcRead = true
+		return constExpr(c.pcVal), nil
 	}
 	if x.Name == "pc" {
 		if c.an != nil {
@@ -811,13 +817,10 @@ func (c *compiler) bin(x Bin) (cexpr, error) {
 	if err != nil {
 		return cexpr{}, err
 	}
+	if f, ok := binOps[x.Op]; ok {
+		return pure2(l, r, f), nil
+	}
 	switch x.Op {
-	case "+":
-		return pure2(l, r, func(a, b uint64) uint64 { return a + b }), nil
-	case "-":
-		return pure2(l, r, func(a, b uint64) uint64 { return a - b }), nil
-	case "*":
-		return pure2(l, r, func(a, b uint64) uint64 { return a * b }), nil
 	case "/", "%":
 		mod := x.Op == "%"
 		if c.an != nil {
@@ -849,28 +852,6 @@ func (c *compiler) bin(x Bin) (cexpr, error) {
 			}
 			return div(a, b)
 		}), nil
-	case "&":
-		return pure2(l, r, func(a, b uint64) uint64 { return a & b }), nil
-	case "|":
-		return pure2(l, r, func(a, b uint64) uint64 { return a | b }), nil
-	case "^":
-		return pure2(l, r, func(a, b uint64) uint64 { return a ^ b }), nil
-	case "<<":
-		return pure2(l, r, func(a, b uint64) uint64 { return a << (b & 63) }), nil
-	case ">>":
-		return pure2(l, r, func(a, b uint64) uint64 { return a >> (b & 63) }), nil
-	case "==":
-		return pure2(l, r, func(a, b uint64) uint64 { return b2u(a == b) }), nil
-	case "!=":
-		return pure2(l, r, func(a, b uint64) uint64 { return b2u(a != b) }), nil
-	case "<":
-		return pure2(l, r, func(a, b uint64) uint64 { return b2u(int64(a) < int64(b)) }), nil
-	case "<=":
-		return pure2(l, r, func(a, b uint64) uint64 { return b2u(int64(a) <= int64(b)) }), nil
-	case ">":
-		return pure2(l, r, func(a, b uint64) uint64 { return b2u(int64(a) > int64(b)) }), nil
-	case ">=":
-		return pure2(l, r, func(a, b uint64) uint64 { return b2u(int64(a) >= int64(b)) }), nil
 	}
 	return cexpr{}, &CompileError{x, "unknown operator " + x.Op}
 }
@@ -886,7 +867,7 @@ func (c *compiler) applyExpr(x Apply) (cexpr, error) {
 		// calling condTest from the closure would box the AST context
 		// argument into an interface on every executed branch, one
 		// heap allocation per dynamic condition evaluation.
-		test, ok := condTestFn(f.Name)
+		test, ok := condTests[f.Name]
 		if !ok {
 			return cexpr{}, &CompileError{x, "unknown condition test '" + f.Name}
 		}
@@ -917,6 +898,18 @@ func (c *compiler) builtinExpr(name string, args []Node, at Node) (cexpr, error)
 		}
 		return nil
 	}
+	if f, ok := builtins1[name]; ok {
+		if err := argc(1); err != nil {
+			return cexpr{}, err
+		}
+		return pure1(vals[0], f), nil
+	}
+	if f, ok := builtins2[name]; ok {
+		if err := argc(2); err != nil {
+			return cexpr{}, err
+		}
+		return pure2(vals[0], vals[1], f), nil
+	}
 	switch name {
 	case "sex":
 		switch len(args) {
@@ -934,60 +927,6 @@ func (c *compiler) builtinExpr(name string, args []Node, at Node) (cexpr, error)
 			return pure2(vals[0], vals[1], func(v, w uint64) uint64 { return signExtend(v, int(w)) }), nil
 		}
 		return cexpr{}, &CompileError{at, "sex wants 1 or 2 arguments"}
-	case "sexb":
-		if err := argc(1); err != nil {
-			return cexpr{}, err
-		}
-		return pure1(vals[0], func(v uint64) uint64 { return signExtend(v, 8) }), nil
-	case "sexh":
-		if err := argc(1); err != nil {
-			return cexpr{}, err
-		}
-		return pure1(vals[0], func(v uint64) uint64 { return signExtend(v, 16) }), nil
-	case "shl":
-		if err := argc(2); err != nil {
-			return cexpr{}, err
-		}
-		return pure2(vals[0], vals[1], func(a, b uint64) uint64 { return u32(uint32(a) << (b & 31)) }), nil
-	case "shr":
-		if err := argc(2); err != nil {
-			return cexpr{}, err
-		}
-		return pure2(vals[0], vals[1], func(a, b uint64) uint64 { return u32(uint32(a) >> (b & 31)) }), nil
-	case "sar":
-		if err := argc(2); err != nil {
-			return cexpr{}, err
-		}
-		return pure2(vals[0], vals[1], func(a, b uint64) uint64 {
-			return uint64(int64(int32(uint32(a)) >> (b & 31)))
-		}), nil
-	case "cc_add":
-		if err := argc(2); err != nil {
-			return cexpr{}, err
-		}
-		return pure2(vals[0], vals[1], func(a, b uint64) uint64 { return ccAdd(uint32(a), uint32(b)) }), nil
-	case "cc_sub":
-		if err := argc(2); err != nil {
-			return cexpr{}, err
-		}
-		return pure2(vals[0], vals[1], func(a, b uint64) uint64 { return ccSub(uint32(a), uint32(b)) }), nil
-	case "cc_logic":
-		if err := argc(1); err != nil {
-			return cexpr{}, err
-		}
-		return pure1(vals[0], func(v uint64) uint64 { return ccLogic(uint32(v)) }), nil
-	case "umul":
-		if err := argc(2); err != nil {
-			return cexpr{}, err
-		}
-		return pure2(vals[0], vals[1], func(a, b uint64) uint64 { return u32(uint32(a * b)) }), nil
-	case "smul":
-		if err := argc(2); err != nil {
-			return cexpr{}, err
-		}
-		return pure2(vals[0], vals[1], func(a, b uint64) uint64 {
-			return u32(uint32(int32(uint32(a)) * int32(uint32(b))))
-		}), nil
 	case "udiv", "sdiv", "urem", "srem":
 		if err := argc(2); err != nil {
 			return cexpr{}, err
@@ -1005,76 +944,11 @@ func (c *compiler) builtinExpr(name string, args []Node, at Node) (cexpr, error)
 			if err != nil {
 				return 0, err
 			}
-			a, b := uint32(av), uint32(bv)
-			if b == 0 {
+			v, ok := divide(op, uint32(av), uint32(bv))
+			if !ok {
 				return 0, &EvalError{at, "division by zero"}
 			}
-			switch op {
-			case "udiv":
-				return u32(a / b), nil
-			case "urem":
-				return u32(a % b), nil
-			case "sdiv":
-				return u32(uint32(int32(a) / int32(b))), nil
-			default:
-				return u32(uint32(int32(a) % int32(b))), nil
-			}
-		}), nil
-	case "fadd":
-		return c.fbin(vals, at, func(a, b float32) float32 { return a + b })
-	case "fsub":
-		return c.fbin(vals, at, func(a, b float32) float32 { return a - b })
-	case "fmul":
-		return c.fbin(vals, at, func(a, b float32) float32 { return a * b })
-	case "fdiv":
-		return c.fbin(vals, at, func(a, b float32) float32 { return a / b })
-	case "fneg":
-		if err := argc(1); err != nil {
-			return cexpr{}, err
-		}
-		return pure1(vals[0], func(v uint64) uint64 {
-			return u32(math.Float32bits(-math.Float32frombits(uint32(v))))
-		}), nil
-	case "fabs":
-		if err := argc(1); err != nil {
-			return cexpr{}, err
-		}
-		return pure1(vals[0], func(v uint64) uint64 {
-			return u32(math.Float32bits(float32(math.Abs(float64(math.Float32frombits(uint32(v)))))))
-		}), nil
-	case "fcmp":
-		if err := argc(2); err != nil {
-			return cexpr{}, err
-		}
-		return pure2(vals[0], vals[1], func(av, bv uint64) uint64 {
-			a := math.Float32frombits(uint32(av))
-			b := math.Float32frombits(uint32(bv))
-			var fcc uint64
-			switch {
-			case a != a || b != b: // NaN
-				fcc = 3 // unordered
-			case a < b:
-				fcc = 1
-			case a > b:
-				fcc = 2
-			default:
-				fcc = 0
-			}
-			return fcc << 10
-		}), nil
-	case "fitos":
-		if err := argc(1); err != nil {
-			return cexpr{}, err
-		}
-		return pure1(vals[0], func(v uint64) uint64 {
-			return u32(math.Float32bits(float32(int32(uint32(v)))))
-		}), nil
-	case "fstoi":
-		if err := argc(1); err != nil {
-			return cexpr{}, err
-		}
-		return pure1(vals[0], func(v uint64) uint64 {
-			return u32(uint32(int32(math.Float32frombits(uint32(v)))))
+			return v, nil
 		}), nil
 	case "winsave", "winrestore":
 		if err := argc(2); err != nil {
@@ -1105,15 +979,6 @@ func (c *compiler) builtinExpr(name string, args []Node, at Node) (cexpr, error)
 		}), nil
 	}
 	return cexpr{}, &CompileError{at, "unknown builtin " + name}
-}
-
-func (c *compiler) fbin(vals []cexpr, at Node, f func(a, b float32) float32) (cexpr, error) {
-	if len(vals) != 2 {
-		return cexpr{}, &CompileError{at, "float builtin wants 2 arguments"}
-	}
-	return pure2(vals[0], vals[1], func(a, b uint64) uint64 {
-		return u32(math.Float32bits(f(math.Float32frombits(uint32(a)), math.Float32frombits(uint32(b)))))
-	}), nil
 }
 
 // pure1 builds a one-argument pure operation, folding constants and

@@ -49,10 +49,6 @@ const (
 // Flags reports the program's effect summary.
 func (p *Prog) Flags() uint8 { return p.flags }
 
-// Direct reports whether the program commits writes immediately
-// (compiled by CompileDirect) rather than buffering them per step.
-func (p *Prog) Direct() bool { return p.direct }
-
 // CompileDirect lowers n like Compile but with immediate write
 // commits.  It fails — with a CompileError, like any other
 // uncompilable construct — when the commit reorder cannot be proven
@@ -60,7 +56,7 @@ func (p *Prog) Direct() bool { return p.direct }
 // The result must be executed with RunDirect (Run also works: the
 // buffered commit loop simply finds nothing pending).
 func CompileDirect(n Node, env CompileEnv) (*Prog, error) {
-	return compileWith(n, env, true)
+	return (&compiler{env: env, slots: map[string]int{}}).program(n, true)
 }
 
 // RunDirect executes a direct-mode program: Run minus the
@@ -70,14 +66,7 @@ func CompileDirect(n Node, env CompileEnv) (*Prog, error) {
 func (p *Prog) RunDirect(m Machine, ctx *Ctx) error {
 	ctx.m = m
 	if p.nTemps > 0 {
-		if cap(ctx.temps) < p.nTemps {
-			ctx.temps = make([]uint64, p.nTemps)
-		} else {
-			ctx.temps = ctx.temps[:p.nTemps]
-			for i := range ctx.temps {
-				ctx.temps[i] = 0
-			}
-		}
+		ctx.reset(p.nTemps)
 	}
 	for _, op := range p.flat {
 		if err := op(ctx); err != nil {

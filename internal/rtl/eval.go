@@ -3,7 +3,6 @@ package rtl
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Machine is the environment an RTL semantic expression executes
@@ -266,13 +265,8 @@ func (ev *evaluator) expr(n Node) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch x.Op {
-		case "-":
-			return -v, nil
-		case "~":
-			return ^v, nil
-		case "!":
-			return b2u(v == 0), nil
+		if f, ok := unOps[x.Op]; ok {
+			return f(v), nil
 		}
 		return 0, &EvalError{n, "unknown unary op " + x.Op}
 	case Cond:
@@ -368,13 +362,10 @@ func (ev *evaluator) bin(x Bin) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
+	if f, ok := binOps[x.Op]; ok {
+		return f(l, r), nil
+	}
 	switch x.Op {
-	case "+":
-		return l + r, nil
-	case "-":
-		return l - r, nil
-	case "*":
-		return l * r, nil
 	case "/":
 		if r == 0 {
 			return 0, &EvalError{x, "division by zero"}
@@ -385,28 +376,6 @@ func (ev *evaluator) bin(x Bin) (uint64, error) {
 			return 0, &EvalError{x, "division by zero"}
 		}
 		return uint64(int64(l) % int64(r)), nil
-	case "&":
-		return l & r, nil
-	case "|":
-		return l | r, nil
-	case "^":
-		return l ^ r, nil
-	case "<<":
-		return l << (r & 63), nil
-	case ">>":
-		return l >> (r & 63), nil
-	case "==":
-		return b2u(l == r), nil
-	case "!=":
-		return b2u(l != r), nil
-	case "<":
-		return b2u(int64(l) < int64(r)), nil
-	case "<=":
-		return b2u(int64(l) <= int64(r)), nil
-	case ">":
-		return b2u(int64(l) > int64(r)), nil
-	case ">=":
-		return b2u(int64(l) >= int64(r)), nil
 	}
 	return 0, &EvalError{x, "unknown operator " + x.Op}
 }
@@ -454,6 +423,12 @@ func (ev *evaluator) builtin(name string, args []Node, at Node) (uint64, error) 
 		}
 		vals[i] = v
 	}
+	if f, ok := builtins1[name]; ok {
+		return need(1, vals, at, func() uint64 { return f(vals[0]) })
+	}
+	if f, ok := builtins2[name]; ok {
+		return need(2, vals, at, func() uint64 { return f(vals[0], vals[1]) })
+	}
 	switch name {
 	case "sex":
 		// Sign-extend: sex(field) uses the field's declared width,
@@ -473,85 +448,17 @@ func (ev *evaluator) builtin(name string, args []Node, at Node) (uint64, error) 
 			return signExtend(vals[0], int(vals[1])), nil
 		}
 		return 0, &EvalError{at, "sex wants 1 or 2 arguments"}
-	case "sexb":
-		return need(1, vals, at, func() uint64 { return signExtend(vals[0], 8) })
-	case "sexh":
-		return need(1, vals, at, func() uint64 { return signExtend(vals[0], 16) })
-	case "shl":
-		return need(2, vals, at, func() uint64 { return u32(uint32(vals[0]) << (vals[1] & 31)) })
-	case "shr":
-		return need(2, vals, at, func() uint64 { return u32(uint32(vals[0]) >> (vals[1] & 31)) })
-	case "sar":
-		return need(2, vals, at, func() uint64 { return uint64(int64(int32(uint32(vals[0])) >> (vals[1] & 31))) })
-	case "cc_add":
-		return need(2, vals, at, func() uint64 { return ccAdd(uint32(vals[0]), uint32(vals[1])) })
-	case "cc_sub":
-		return need(2, vals, at, func() uint64 { return ccSub(uint32(vals[0]), uint32(vals[1])) })
-	case "cc_logic":
-		return need(1, vals, at, func() uint64 { return ccLogic(uint32(vals[0])) })
-	case "umul":
-		return need(2, vals, at, func() uint64 { return u32(uint32(vals[0] * vals[1])) })
-	case "smul":
-		return need(2, vals, at, func() uint64 {
-			return u32(uint32(int32(uint32(vals[0])) * int32(uint32(vals[1]))))
-		})
 	case "udiv", "sdiv", "urem", "srem":
 		if len(vals) != 2 {
 			return 0, &EvalError{at, name + " wants 2 arguments"}
 		}
-		if uint32(vals[1]) == 0 {
+		v, ok := divide(name, uint32(vals[0]), uint32(vals[1]))
+		if !ok {
 			return 0, &EvalError{at, "division by zero"}
 		}
-		a, b := uint32(vals[0]), uint32(vals[1])
-		switch name {
-		case "udiv":
-			return u32(a / b), nil
-		case "urem":
-			return u32(a % b), nil
-		case "sdiv":
-			return u32(uint32(int32(a) / int32(b))), nil
-		default:
-			return u32(uint32(int32(a) % int32(b))), nil
-		}
-	case "fadd":
-		return fbin(vals, at, func(a, b float32) float32 { return a + b })
-	case "fsub":
-		return fbin(vals, at, func(a, b float32) float32 { return a - b })
-	case "fmul":
-		return fbin(vals, at, func(a, b float32) float32 { return a * b })
-	case "fdiv":
-		return fbin(vals, at, func(a, b float32) float32 { return a / b })
-	case "fneg":
-		return need(1, vals, at, func() uint64 { return u32(math.Float32bits(-math.Float32frombits(uint32(vals[0])))) })
-	case "fabs":
-		return need(1, vals, at, func() uint64 {
-			return u32(math.Float32bits(float32(math.Abs(float64(math.Float32frombits(uint32(vals[0])))))))
-		})
-	case "fcmp":
-		return need(2, vals, at, func() uint64 {
-			a := math.Float32frombits(uint32(vals[0]))
-			b := math.Float32frombits(uint32(vals[1]))
-			var fcc uint64
-			switch {
-			case a != a || b != b: // NaN
-				fcc = 3 // unordered
-			case a < b:
-				fcc = 1
-			case a > b:
-				fcc = 2
-			default:
-				fcc = 0
-			}
-			return fcc << 10
-		})
-	case "fitos":
-		return need(1, vals, at, func() uint64 { return u32(math.Float32bits(float32(int32(uint32(vals[0]))))) })
-	case "fstoi":
-		return need(1, vals, at, func() uint64 { return u32(uint32(int32(math.Float32frombits(uint32(vals[0]))))) })
-	case "winsave":
-		return 0, ev.special("winsave", vals)
-	case "winrestore":
-		return 0, ev.special("winrestore", vals)
+		return v, nil
+	case "winsave", "winrestore":
+		return 0, ev.special(name, vals)
 	}
 	return 0, &EvalError{at, "unknown builtin " + name}
 }
@@ -577,12 +484,6 @@ func need(n int, vals []uint64, at Node, f func() uint64) (uint64, error) {
 		return 0, &EvalError{at, fmt.Sprintf("builtin wants %d arguments, got %d", n, len(vals))}
 	}
 	return f(), nil
-}
-
-func fbin(vals []uint64, at Node, f func(a, b float32) float32) (uint64, error) {
-	return need(2, vals, at, func() uint64 {
-		return u32(math.Float32bits(f(math.Float32frombits(uint32(vals[0])), math.Float32frombits(uint32(vals[1])))))
-	})
 }
 
 func b2u(b bool) uint64 {
@@ -659,20 +560,10 @@ func ccLogic(r uint32) uint64 {
 // register value.  Integer tests read NZVC from PSR bits 23:20;
 // floating tests (f-prefixed) read fcc from FSR bits 11:10.
 func condTest(name string, regVal uint64, at Node) (uint64, error) {
-	if fn, ok := condTestFn(name); ok {
+	if fn, ok := condTests[name]; ok {
 		return fn(regVal), nil
 	}
 	return 0, &EvalError{at, "unknown condition test '" + name}
-}
-
-// condTestFn resolves a condition symbol to a pure test function.
-// The compiler binds the function once per instruction, so executed
-// branches neither construct errors nor box AST context into an
-// interface — condTest's signature did both, one heap allocation per
-// dynamic condition evaluation in translated code.
-func condTestFn(name string) (func(uint64) uint64, bool) {
-	fn, ok := condTests[name]
-	return fn, ok
 }
 
 // nzvc unpacks the integer condition codes from a PSR value.

@@ -18,12 +18,12 @@ const (
 	// indirect-jump inline caches, and hot-trace extension.
 	EngineChained Engine = iota
 	// EngineRoutine adds the routine tier on top of the chained
-	// engine: hot routine entries are compiled whole (CFG + liveness
-	// feeding rtl.CompileRoutine) on a background goroutine and run
-	// with registers and flags resident across block boundaries.  It
-	// runs as chained while OnExec observes execution, while a profile
-	// is attached (both need per-step visibility), and on machines
-	// registered without the tier.
+	// engine: hot routine entries are compiled whole (CFG + liveness,
+	// each instruction lowered from its semantics by rtl) on a
+	// background goroutine and run with registers and flags resident
+	// across block boundaries.  It runs as chained while OnExec
+	// observes execution and while a profile is attached (both need
+	// per-step visibility).
 	EngineRoutine
 	// EngineTranslated keeps the translation cache but returns to the
 	// dispatcher at every superblock exit: the baseline for measuring

@@ -188,15 +188,18 @@ func alphaExit() []uint32 {
 }
 
 // runAlpha runs the words in every engine and checks the architected
-// results agree, returning the interpreter's CPU.
+// results agree, returning the interpreter's CPU.  The routine tier
+// promotes at the first block.
 func runAlpha(t *testing.T, words []uint32) *CPU {
 	t.Helper()
 	const base = 0x10000
 	var first *CPU
 	var firstState string
-	for _, eng := range []Engine{EngineInterp, EngineTranslated, EngineChained} {
+	for _, eng := range []Engine{EngineInterp, EngineTranslated, EngineChained, EngineRoutine} {
 		cpu := loadWords(t, alpha.NewDecoder(), base, words)
 		cpu.Engine = eng
+		cpu.RoutineSync = true
+		cpu.RoutineHotThreshold = 1
 		if err := cpu.Run(100_000); err != nil {
 			t.Fatalf("%s: %v", eng, err)
 		}
@@ -206,6 +209,9 @@ func runAlpha(t *testing.T, words []uint32) *CPU {
 		if cpu.AnnulCount != 0 {
 			t.Errorf("%s: AnnulCount=%d on a machine with no delay slots (phantom delay-slot commit)",
 				eng, cpu.AnnulCount)
+		}
+		if eng == EngineRoutine && cpu.Counters().RoutinesCompiled == 0 {
+			t.Error("routine tier compiled no routine")
 		}
 		if first == nil {
 			first, firstState = cpu, cpu.ArchState()
@@ -316,11 +322,5 @@ func TestMachineArchRegistry(t *testing.T) {
 		if a.NewDecoder == nil {
 			t.Errorf("%s: no decoder constructor", name)
 		}
-	}
-	if a, _ := machine.ArchByName("sparc"); a == nil || !a.RoutineTier {
-		t.Error("sparc must support the routine tier")
-	}
-	if a, _ := machine.ArchByName("mips"); a == nil || a.RoutineTier {
-		t.Error("mips routine tier is not implemented; must be gated off")
 	}
 }

@@ -177,10 +177,7 @@ func (c *CPU) InvalidateText() {
 		// Stale routine programs must not be re-entered; in-flight
 		// jobs are discarded at install by the generation check, and
 		// content-keyed cache entries stay valid for unchanged text.
-		c.rt.heads = make(map[uint32]rhead)
-		c.rt.candidates = make(map[uint32]bool)
-		c.rt.enters = make(map[uint32]uint64)
-		c.rt.pending = make(map[uint32]bool)
+		c.rt.reset()
 	}
 	c.textHashOK = false // text content changed; re-hash on demand
 	telemetry.ActiveTracer().Instant("sim.jit.invalidate", "sim")
@@ -448,7 +445,6 @@ func (c *CPU) execLinear(b *tblock, maxSteps uint64, gen uint64) (last int, stop
 			continue
 		}
 		ci := &insts[i]
-		c.curInst = ci.inst
 		c.hasDelayed, c.hasImmediate = false, false
 		annulBefore := c.annulNext
 		if err := ci.prog.Run(&c.env, &c.rtlCtx); err != nil {
@@ -525,7 +521,6 @@ func (c *CPU) execTrace(b *tblock, maxSteps uint64, gen uint64) (last int, stop 
 			}
 		} else {
 			ci := &insts[i]
-			c.curInst = ci.inst
 			c.hasDelayed, c.hasImmediate = false, false
 			annulBefore := c.annulNext
 			if err := ci.prog.Run(&c.env, &c.rtlCtx); err != nil {

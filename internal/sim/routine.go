@@ -1,12 +1,13 @@
 // The routine tier: the emulator's third execution engine.  When a
 // chained block stays hot and its anchor is a known routine entry
 // (a static call target, the initial pc, or a pc the tier itself
-// exited to), the routine's whole extent is compiled by
-// rtl.CompileRoutine — CFG and liveness from the paper's analyses
-// feeding code generation — into a flat block program in which the
-// register file and condition codes live in an rtl.REnv across block
-// boundaries, spilled back to the CPU only at routine exits, faults,
-// traps, and deopt points.
+// exited to), the routine's whole extent is compiled into a flat block
+// program in which the register file and condition codes live in an
+// rtl.REnv across block boundaries, spilled back to the CPU only at
+// routine exits, faults, traps, and deopt points.  Each instruction is
+// lowered from its spawn semantics by rtl.LowerBody/LowerXfer; this
+// file composes them: extent, CFG and liveness from the paper's
+// analyses, block formation, liveness-gated cc elision, and linking.
 //
 // Compilation runs on a background goroutine so the running engine
 // never stalls: the chained tier keeps executing, finished programs
@@ -16,13 +17,14 @@
 // routine deopts back to the chained tier with exact architected
 // state (the store retires, nothing after it runs).
 //
-// Programs are content-addressed — keyed by (entry, length,
-// fnv64a(text)) in a process-wide cache — so every CPU executing the
-// same routine shares one compilation, and a Reset onto the same
-// image re-installs instead of re-compiling.
+// Programs are content-addressed — keyed by (description, text range,
+// FNV-1a of the text, entry) in a process-wide cache — so every CPU
+// executing the same routine shares one compilation, and a Reset onto
+// the same image re-installs instead of re-compiling.
 package sim
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -50,8 +52,31 @@ const (
 
 // rhead is one enterable pc of an installed routine program.
 type rhead struct {
-	prog *rtl.RoutineProg
+	prog *routineProg
 	idx  int32
+}
+
+// rblock is one compiled basic block of a routine program.
+type rblock struct {
+	base uint32
+	ops  []rtl.ROp
+	term rtl.RTerm
+	// cost bounds how many instructions the block can retire (body +
+	// terminator + delay slot); the runner refuses entry when the
+	// step budget cannot cover it.
+	cost uint64
+}
+
+// routineProg is a whole compiled routine: a flat block list plus an
+// index from block base pc to block number.  It is immutable after
+// compilation and safe to share across CPUs.
+type routineProg struct {
+	blocks []rblock
+	// index maps every compiled block base to its index; these are
+	// the pcs at which the routine tier may enter.  Blocks whose
+	// instructions did not lower are left out: control into them
+	// exits to the lower tiers.
+	index map[uint32]int32
 }
 
 // rtMailbox receives finished compilations from the background
@@ -74,29 +99,39 @@ func (mb *rtMailbox) deliver(job *rtJob) {
 // (the worker must not race engine-side memory writes) plus the
 // generation it was snapshotted under.
 type rtJob struct {
-	dec      *spawn.TableDecoder
-	text     []byte
-	textAddr uint32
-	entry    uint32
-	gen      uint64
-	key      rtCacheKey
-	mb       *rtMailbox
-	prog     *rtl.RoutineProg // result; nil = not compilable
+	dec    *spawn.TableDecoder
+	layout *rtl.RegLayout
+	text   []byte
+	entry  uint32
+	gen    uint64
+	key    rtCacheKey
+	mb     *rtMailbox
+	res    *rtCacheEnt // result
 }
 
-// rtCacheKey content-addresses a routine compilation by the image's
-// whole-text hash plus the entry pc.  Keying on the whole text (hashed
+// rtCacheKey content-addresses a routine compilation by the machine
+// description, the image's whole-text hash and the entry pc: the same
+// bytes mean different programs on different machines.  Keying on the whole text (hashed
 // once per image, see rtTextHash) instead of the routine's own bytes
 // lets a repeat run of the same image skip the extent scan entirely —
 // the scan decodes up to rtMaxExtent instructions and dominated
 // promotion cost before results were reusable.
 type rtCacheKey struct {
+	desc               *spawn.Desc
 	textStart, textEnd uint32
 	hash               uint64
 	entry              uint32
 }
 
-type rtCacheEnt struct{ prog *rtl.RoutineProg }
+// rtCacheEnt is a compilation result.  A negative one (prog nil) keeps
+// why: err, and the pc of the first instruction whose semantics did
+// not lower (0 when no instruction is to blame: no routine extent, or
+// no CFG from the entry).
+type rtCacheEnt struct {
+	prog *routineProg
+	err  error
+	pc   uint32
+}
 
 // rtProgCache shares compiled routine programs (including negative
 // results) process-wide; programs are immutable after compilation.
@@ -134,14 +169,17 @@ func (c *CPU) ensureTC() {
 func (c *CPU) ensureRT() {
 	c.ensureTC()
 	if c.rt == nil {
-		c.rt = &routineState{
-			heads:      make(map[uint32]rhead),
-			candidates: make(map[uint32]bool),
-			enters:     make(map[uint32]uint64),
-			pending:    make(map[uint32]bool),
-			mb:         &rtMailbox{},
-		}
+		c.rt = &routineState{mb: &rtMailbox{}}
+		c.rt.reset()
 	}
+}
+
+// reset forgets every installed program and candidate.
+func (rt *routineState) reset() {
+	rt.heads = make(map[uint32]rhead)
+	rt.candidates = make(map[uint32]bool)
+	rt.enters = make(map[uint32]uint64)
+	rt.pending = make(map[uint32]bool)
 }
 
 func (c *CPU) rtThreshold() uint64 {
@@ -160,9 +198,6 @@ func (c *CPU) rtNoteCandidate(pc uint32) {
 		c.rt.candidates[pc] = true
 	}
 }
-
-// fnv64a is the FNV-1a content hash used by the routine cache key.
-func fnv64a(p []byte) uint64 { return fnvAdd(0xcbf29ce484222325, p) }
 
 func fnvAdd(h uint64, p []byte) uint64 {
 	for _, b := range p {
@@ -203,10 +238,12 @@ func (c *CPU) rtTextHash() uint64 {
 // rtExtent scans forward from entry for the routine's textual extent:
 // the smallest contiguous range that contains every forward branch
 // target and ends just past an unconditional transfer (and its delay
-// slot).  Calls do not end the extent — control returns after them.
+// slot), or at the end of text.  Calls do not end the extent — control
+// returns after them.
 func (c *CPU) rtExtent(entry uint32) (end uint32, ok bool) {
 	maxTarget := entry
-	for pc := entry; pc < c.TextEnd && (pc-entry)>>2 < rtMaxExtent; pc += 4 {
+	pc := entry
+	for ; pc < c.TextEnd && (pc-entry)>>2 < rtMaxExtent; pc += 4 {
 		inst := c.dec.Decode(c.Mem.Read32(pc))
 		if !inst.Valid() {
 			if pc > maxTarget {
@@ -230,32 +267,40 @@ func (c *CPU) rtExtent(entry uint32) (end uint32, ok bool) {
 			return end, true
 		}
 	}
+	if pc >= c.TextEnd && pc > maxTarget {
+		return c.TextEnd, true
+	}
 	return 0, false
 }
 
 // rtCompileJob resolves a job through the shared program cache,
 // compiling on a miss.  Negative results are cached too.
-func rtCompileJob(job *rtJob) *rtl.RoutineProg {
+func rtCompileJob(job *rtJob) *rtCacheEnt {
 	if ent, ok := rtProgCache.Load(job.key); ok {
-		return ent.(*rtCacheEnt).prog
+		return ent.(*rtCacheEnt)
 	}
-	prog := rtCompileText(job.dec, job.text, job.textAddr, job.entry)
-	rtProgCache.Store(job.key, &rtCacheEnt{prog})
-	return prog
+	ent := rtCompileText(job.dec, job.layout, job.text, job.entry)
+	rtProgCache.Store(job.key, ent)
+	return ent
 }
 
-func rtCompileText(dec *spawn.TableDecoder, text []byte, textAddr, entry uint32) *rtl.RoutineProg {
-	end := textAddr + uint32(len(text))
-	g, err := cfg.Build(dec, machine.DecodeText(dec, text), textAddr, textAddr, end, []uint32{entry})
+// rtCompileText compiles the routine whose text starts at its entry.
+func rtCompileText(dec *spawn.TableDecoder, layout *rtl.RegLayout, text []byte, entry uint32) *rtCacheEnt {
+	end := entry + uint32(len(text))
+	g, err := cfg.Build(dec, machine.DecodeText(dec, text), entry, entry, end, []uint32{entry})
 	if err != nil {
-		return nil
+		return &rtCacheEnt{err: err}
 	}
 	lv := dataflow.ComputeLiveness(g, dataflow.DefaultExitLive())
-	rp, err := rtl.CompileRoutine(g, lv, entry)
-	if err != nil {
-		return nil
+	rc := &routineCompiler{inv: make(map[uint32]*machine.Inst), pl: lv.Points(), layout: layout, desc: dec.Desc()}
+	for _, b := range g.Blocks {
+		for _, ci := range b.Insts {
+			if ci.MI != nil && ci.MI.Valid() {
+				rc.inv[ci.Addr] = ci.MI
+			}
+		}
 	}
-	return rp
+	return rc.compile(entry)
 }
 
 // The background compiler: one process-wide worker goroutine and a
@@ -270,7 +315,7 @@ func rtWorkerStart() {
 	rtWorkQueue = make(chan *rtJob, rtQueueDepth)
 	go func() {
 		for job := range rtWorkQueue {
-			job.prog = rtCompileJob(job)
+			job.res = rtCompileJob(job)
 			job.mb.deliver(job)
 		}
 	}()
@@ -290,17 +335,18 @@ func (c *CPU) rtRequest(entry uint32) {
 	}
 	c.tc.ctr.TierPromotions++
 	obs.Record(obs.EvTierPromote, uint64(entry), c.rt.enters[entry])
-	key := rtCacheKey{textStart: c.TextStart, textEnd: c.TextEnd, hash: c.rtTextHash(), entry: entry}
+	key := rtCacheKey{desc: c.dec.Desc(), textStart: c.TextStart, textEnd: c.TextEnd, hash: c.rtTextHash(), entry: entry}
 	if ent, ok := rtProgCache.Load(key); ok {
 		// Same image, same entry: install the shared program (or the
 		// cached negative result) without scanning or compiling.
-		c.rtInstall(&rtJob{entry: entry, gen: c.tc.gen, prog: ent.(*rtCacheEnt).prog})
+		c.rtInstall(&rtJob{entry: entry, gen: c.tc.gen, res: ent.(*rtCacheEnt)})
 		return
 	}
 	end, ok := c.rtExtent(entry)
 	if !ok || end <= entry {
-		rtProgCache.Store(key, &rtCacheEnt{}) // negative: no routine extent here
-		delete(c.rt.candidates, entry)
+		ent := &rtCacheEnt{err: fmt.Errorf("no routine extent at %#x", entry)}
+		rtProgCache.Store(key, ent)
+		c.rtInstall(&rtJob{entry: entry, gen: c.tc.gen, res: ent})
 		return
 	}
 	text := make([]byte, end-entry)
@@ -308,17 +354,17 @@ func (c *CPU) rtRequest(entry uint32) {
 		text[i] = c.Mem.ByteAt(entry + uint32(i))
 	}
 	job := &rtJob{
-		dec:      c.dec,
-		text:     text,
-		textAddr: entry,
-		entry:    entry,
-		gen:      c.tc.gen,
-		key:      key,
-		mb:       c.rt.mb,
+		dec:    c.dec,
+		layout: &c.layout,
+		text:   text,
+		entry:  entry,
+		gen:    c.tc.gen,
+		key:    key,
+		mb:     c.rt.mb,
 	}
 	c.rt.pending[entry] = true
 	if c.RoutineSync {
-		job.prog = rtCompileJob(job)
+		job.res = rtCompileJob(job)
 		c.rtInstall(job)
 		return
 	}
@@ -350,25 +396,27 @@ func (c *CPU) rtDrain() {
 
 func (c *CPU) rtInstall(job *rtJob) {
 	delete(c.rt.pending, job.entry)
-	if job.prog == nil {
+	prog := job.res.prog
+	if prog == nil {
 		delete(c.rt.candidates, job.entry) // not compilable; stop asking
+		obs.Record(obs.EvRoutineRefuse, uint64(job.entry), uint64(job.res.pc))
 		return
 	}
 	if job.gen != c.tc.gen {
 		return // text changed since the snapshot; a rebuilt hot block re-requests
 	}
-	for pc, k := range job.prog.Index {
-		c.rt.heads[pc] = rhead{prog: job.prog, idx: k}
+	for pc, k := range prog.index {
+		c.rt.heads[pc] = rhead{prog: prog, idx: k}
 	}
 	c.tc.ctr.RoutinesCompiled++
-	obs.Record(obs.EvRoutineInstall, uint64(job.entry), uint64(len(job.prog.Index)))
+	obs.Record(obs.EvRoutineInstall, uint64(job.entry), uint64(len(prog.index)))
 }
 
 // rtFill loads the routine environment from architected state.
 func (c *CPU) rtFill(e *rtl.REnv) {
-	e.R = c.R
-	e.Y, e.PSR, e.FSR = c.Y, c.PSR, c.FSR
-	e.F = c.F
+	copy(e.V[:32], c.R[:])
+	e.V[32], e.V[33], e.V[34] = c.Y, c.PSR, c.FSR
+	copy(e.V[rtl.FloatSlot:], c.F[:])
 	e.PC, e.NPC = c.PC, c.NPC
 	e.Insts, e.Annuls = c.InstCount, c.AnnulCount
 	e.Windows = c.windows
@@ -376,6 +424,7 @@ func (c *CPU) rtFill(e *rtl.REnv) {
 	e.ResetCC()
 	e.StopKind, e.StopErr, e.StopPC = rtl.StopNone, nil, 0
 	e.Bridge = &c.env
+	e.Layout = &c.layout
 	e.Gen = c.tc.gen
 	e.GenP = &c.tc.gen
 }
@@ -385,9 +434,9 @@ func (c *CPU) rtFill(e *rtl.REnv) {
 // architected PSR.
 func (c *CPU) rtSpill(e *rtl.REnv) {
 	e.FlushCC()
-	c.R = e.R
-	c.Y, c.PSR, c.FSR = e.Y, e.PSR, e.FSR
-	c.F = e.F
+	copy(c.R[:], e.V[:32])
+	c.Y, c.PSR, c.FSR = e.V[32], e.V[33], e.V[34]
+	copy(c.F[:], e.V[rtl.FloatSlot:])
 	c.PC, c.NPC = e.PC, e.NPC
 	c.InstCount, c.AnnulCount = e.Insts, e.Annuls
 	c.windows = e.Windows
@@ -405,20 +454,20 @@ func (c *CPU) runRoutine(rh rhead, maxSteps uint64) (executed bool, err error) {
 	c.rtFill(e)
 	p, k := rh.prog, rh.idx
 	for {
-		blk := &p.Blocks[k]
-		if e.Insts+blk.Cost > maxSteps {
+		blk := &p.blocks[k]
+		if e.Insts+blk.cost > maxSteps {
 			// At a block head the pipeline is sequential, so the
 			// architected pc is exactly the head address.  In-program
 			// terminators return a block index without touching e.PC,
 			// so it must be refreshed before spilling.
-			e.PC, e.NPC = blk.Base, blk.Base+4
+			e.PC, e.NPC = blk.base, blk.base+4
 			c.rtSpill(e)
 			return executed, nil
 		}
 		executed = true
-		for i := range blk.Ops {
-			if blk.Ops[i](e) {
-				pc := blk.Base + uint32(4*i)
+		for i := range blk.ops {
+			if blk.ops[i](e) {
+				pc := blk.base + uint32(4*i)
 				switch e.StopKind {
 				case rtl.StopHalt:
 					e.Insts += uint64(i) + 1
@@ -440,8 +489,8 @@ func (c *CPU) runRoutine(rh rhead, maxSteps uint64) (executed bool, err error) {
 				}
 			}
 		}
-		e.Insts += uint64(len(blk.Ops))
-		next := blk.Term(e)
+		e.Insts += uint64(len(blk.ops))
+		next := blk.term(e)
 		if next >= 0 {
 			k = next
 			continue

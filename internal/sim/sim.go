@@ -174,7 +174,7 @@ func (m *Memory) LoadSegment(addr uint32, data []byte) {
 // between engines as a slice header, never element-copied.
 type window = rtl.RWindow
 
-// CPU is one SPARC V8 processor.
+// CPU is one processor of a described machine.
 type CPU struct {
 	// R holds the current window's view: 0-7 globals, 8-15 outs,
 	// 16-23 locals, 24-31 ins.
@@ -225,17 +225,13 @@ type CPU struct {
 	dec *spawn.TableDecoder
 
 	// Description-derived machine shape, bound once at New: the
-	// instruction stride, the integer/float register file names, the
-	// hardwired-zero index, and the architecture's trap model and
-	// tier capabilities.  Everything below is data read from the
-	// spawn description or the arch registry — the substrate has no
-	// per-machine code paths.
-	isize    uint32
-	arch     *machine.ArchInfo
-	intFile  string
-	intCount int
-	zeroIdx  int64 // -1 when the machine has no hardwired zero
-	fltFile  string
+	// instruction stride, the register layout (file names, sizes, the
+	// hardwired zero), and the architecture's trap model.  Everything
+	// below is data read from the spawn description or the arch
+	// registry — the substrate has no per-machine code paths.
+	isize  uint32
+	arch   *machine.ArchInfo
+	layout rtl.RegLayout
 
 	windows   []window
 	annulNext bool
@@ -245,7 +241,6 @@ type CPU struct {
 	hasDelayed      bool
 	immediateTarget uint32
 	hasImmediate    bool
-	curInst         *machine.Inst
 
 	// env is the reusable rtl.Machine view of this CPU; rtlCtx the
 	// reusable scratch state for compiled semantics.
@@ -307,7 +302,7 @@ func (c *CPU) bindDesc() {
 		panic(fmt.Sprintf("sim: %s has %d-byte instruction words; the execution substrate supports only fixed 4-byte instructions", c.dec.Name(), ws))
 	}
 	c.isize = uint32(ws)
-	c.zeroIdx = -1
+	c.layout.Zero = -1
 	for i := range d.Files {
 		f := &d.Files[i]
 		if f.Count <= 0 {
@@ -315,28 +310,28 @@ func (c *CPU) bindDesc() {
 		}
 		switch f.Typ {
 		case "integer":
-			if c.intFile != "" {
-				panic(fmt.Sprintf("sim: %s declares two integer register files (%s, %s)", c.dec.Name(), c.intFile, f.Name))
+			if c.layout.Int != "" {
+				panic(fmt.Sprintf("sim: %s declares two integer register files (%s, %s)", c.dec.Name(), c.layout.Int, f.Name))
 			}
 			if f.Count > 32+numExtendedSlots {
 				panic(fmt.Sprintf("sim: %s integer file %s has %d registers; the substrate holds at most %d", c.dec.Name(), f.Name, f.Count, 32+numExtendedSlots))
 			}
-			c.intFile, c.intCount = f.Name, f.Count
+			c.layout.Int, c.layout.IntCount = f.Name, f.Count
 		case "float":
 			if f.Count > 32 {
 				panic(fmt.Sprintf("sim: %s float file %s has %d registers; the substrate holds at most 32", c.dec.Name(), f.Name, f.Count))
 			}
-			c.fltFile = f.Name
+			c.layout.Float = f.Name
 		}
 	}
-	if c.intFile == "" {
+	if c.layout.Int == "" {
 		panic(fmt.Sprintf("sim: %s declares no integer register file", c.dec.Name()))
 	}
 	if d.HasZero {
-		if d.ZeroFile != c.intFile {
+		if d.ZeroFile != c.layout.Int {
 			panic(fmt.Sprintf("sim: %s hardwires zero in non-integer file %s", c.dec.Name(), d.ZeroFile))
 		}
-		c.zeroIdx = d.ZeroIndex
+		c.layout.Zero = d.ZeroIndex
 	}
 	arch, ok := machine.ArchByName(c.dec.Name())
 	if !ok {
@@ -406,7 +401,7 @@ func (c *CPU) Step() error {
 	if !ok {
 		return &Fault{c.PC, fmt.Errorf("instruction %s lacks semantics", inst.Name())}
 	}
-	c.curInst = inst
+	c.env.CompileEnv = sem.CompileEnv()
 	c.hasDelayed, c.hasImmediate = false, false
 	annulBefore := c.annulNext
 
@@ -562,8 +557,7 @@ func (c *CPU) Run(maxSteps uint64) error {
 // run is Run's engine loop, free of telemetry bookkeeping.
 func (c *CPU) run(maxSteps uint64) error {
 	useJIT := c.Engine != EngineInterp && c.TextEnd > c.TextStart
-	c.rtOn = useJIT && c.Engine == EngineRoutine && c.prof == nil &&
-		c.arch.RoutineTier
+	c.rtOn = useJIT && c.Engine == EngineRoutine && c.prof == nil
 	if c.rtOn {
 		c.ensureRT()
 		c.rtNoteCandidate(c.PC) // the run's entry is a routine entry
@@ -737,91 +731,69 @@ func (c *CPU) chainTarget(s *exitSlot, pc uint32) *tblock {
 }
 
 // cpuEnv adapts CPU to rtl.Machine.  It is a type alias-style view so
-// the evaluator can call back without allocation.
-type cpuEnv struct{ c *CPU }
-
-func (e *cpuEnv) Field(name string) (int64, bool) {
-	v, ok := e.c.curInst.Field(name)
-	return int64(v), ok
-}
-
-func (e *cpuEnv) FieldWidth(name string) (int, bool) {
-	f, ok := e.c.dec.Desc().Field(name)
-	if !ok {
-		return 0, false
-	}
-	return f.Width(), true
-}
-
-func (e *cpuEnv) RegAlias(name string) (string, int64, bool) {
-	a, ok := e.c.dec.Desc().AliasFor(name)
-	if !ok {
-		return "", 0, false
-	}
-	return a.File, a.Index, true
-}
-
-func (e *cpuEnv) IsRegFile(name string) bool {
-	rf, ok := e.c.dec.Desc().File(name)
-	return ok && rf.Count > 0
+// the evaluator can call back without allocation.  Field and
+// register-model queries go to the executing instruction's CompileEnv,
+// which Step binds; compiled programs have folded them away.
+type cpuEnv struct {
+	c *CPU
+	rtl.CompileEnv
 }
 
 // ReadReg and WriteReg map description register references onto the
-// CPU's architected state.  The file names, the hardwired-zero index,
-// and the file sizes come from the spawn description at New; integer
+// CPU's architected state through the layout bound at New: integer
 // indices at and above 32 occupy the extended slots (Y, PSR, FSR in
 // order), which is where SPARC's aliases and MIPS's HI/LO live.
 func (e *cpuEnv) ReadReg(file string, idx int64) (uint64, error) {
-	c := e.c
+	c, l := e.c, &e.c.layout
 	switch file {
-	case c.intFile:
+	case l.Int:
 		switch {
-		case idx == c.zeroIdx:
+		case idx == l.Zero:
 			return 0, nil
-		case idx >= 0 && idx < 32 && idx < int64(c.intCount):
+		case idx >= 0 && idx < 32 && idx < int64(l.IntCount):
 			return uint64(c.R[idx]), nil
-		case idx == 32 && c.intCount > 32:
+		case idx == 32 && l.IntCount > 32:
 			return uint64(c.Y), nil
-		case idx == 33 && c.intCount > 33:
+		case idx == 33 && l.IntCount > 33:
 			return uint64(c.PSR), nil
-		case idx == 34 && c.intCount > 34:
+		case idx == 34 && l.IntCount > 34:
 			return uint64(c.FSR), nil
 		}
-	case c.fltFile:
+	case l.Float:
 		if idx >= 0 && idx < 32 {
 			return uint64(c.F[idx]), nil
 		}
 	}
-	return 0, fmt.Errorf("sim: read of unknown register %s[%d]", file, idx)
+	return 0, rtl.UnknownReg("read", file, idx)
 }
 
 func (e *cpuEnv) WriteReg(file string, idx int64, v uint64) error {
-	c := e.c
+	c, l := e.c, &e.c.layout
 	switch file {
-	case c.intFile:
+	case l.Int:
 		switch {
-		case idx == c.zeroIdx:
+		case idx == l.Zero:
 			return nil // hardwired zero
-		case idx >= 0 && idx < 32 && idx < int64(c.intCount):
+		case idx >= 0 && idx < 32 && idx < int64(l.IntCount):
 			c.R[idx] = uint32(v)
 			return nil
-		case idx == 32 && c.intCount > 32:
+		case idx == 32 && l.IntCount > 32:
 			c.Y = uint32(v)
 			return nil
-		case idx == 33 && c.intCount > 33:
+		case idx == 33 && l.IntCount > 33:
 			c.PSR = uint32(v)
 			return nil
-		case idx == 34 && c.intCount > 34:
+		case idx == 34 && l.IntCount > 34:
 			c.FSR = uint32(v)
 			return nil
 		}
-	case c.fltFile:
+	case l.Float:
 		if idx >= 0 && idx < 32 {
 			c.F[idx] = uint32(v)
 			return nil
 		}
 	}
-	return fmt.Errorf("sim: write of unknown register %s[%d]", file, idx)
+	return rtl.UnknownReg("write", file, idx)
 }
 
 func (e *cpuEnv) ReadMem(addr uint64, width int) (uint64, error) {
@@ -867,51 +839,27 @@ func (e *cpuEnv) Annul() { e.c.annulNext = true }
 // %o0..%o2; MIPS: "syscall" with $v0/$a0..; Alpha: "call_pal callsys"
 // with $v0/$a0..).
 func (e *cpuEnv) Trap(code uint64) error {
-	t := &e.c.arch.Trap
-	if code != t.Code {
-		return fmt.Errorf("sim: unhandled trap %d", code)
-	}
-	switch e.c.R[t.NumReg] {
-	case t.SysExit:
-		e.c.Halted = true
-		e.c.ExitCode = e.c.R[t.Args[0]]
-		return nil
-	case t.SysWrite:
-		buf := e.c.R[t.Args[1]]
-		n := e.c.R[t.Args[2]]
-		if e.c.Stdout != nil {
-			data := make([]byte, n)
-			for i := uint32(0); i < n; i++ {
-				data[i] = e.c.Mem.ByteAt(buf + i)
-			}
-			if _, err := e.c.Stdout.Write(data); err != nil {
-				return fmt.Errorf("sim: write syscall: %w", err)
-			}
-		}
-		e.c.R[t.Ret] = n
-		return nil
-	default:
-		return fmt.Errorf("%w: %d", ErrBadSyscall, e.c.R[t.NumReg])
-	}
+	return e.trap(&e.c.R, &e.c.Halted, &e.c.ExitCode, code)
 }
 
-// RTrap is the routine tier's trap bridge: behaviour and error
-// strings identical to Trap, but the syscall registers are read from
-// (and results written to) the routine environment, where the
-// register file lives while a routine program runs.
+// RTrap is the routine tier's trap bridge: Trap against the routine
+// environment, where the register file lives while a routine program
+// runs.
 func (e *cpuEnv) RTrap(re *rtl.REnv, code uint64) error {
+	return e.trap(re.Ints(), &re.Halted, &re.ExitCode, code)
+}
+
+func (e *cpuEnv) trap(r *[32]uint32, halted *bool, exit *uint32, code uint64) error {
 	t := &e.c.arch.Trap
 	if code != t.Code {
 		return fmt.Errorf("sim: unhandled trap %d", code)
 	}
-	switch re.R[t.NumReg] {
+	switch r[t.NumReg] {
 	case t.SysExit:
-		re.Halted = true
-		re.ExitCode = re.R[t.Args[0]]
+		*halted, *exit = true, r[t.Args[0]]
 		return nil
 	case t.SysWrite:
-		buf := re.R[t.Args[1]]
-		n := re.R[t.Args[2]]
+		buf, n := r[t.Args[1]], r[t.Args[2]]
 		if e.c.Stdout != nil {
 			data := make([]byte, n)
 			for i := uint32(0); i < n; i++ {
@@ -921,50 +869,14 @@ func (e *cpuEnv) RTrap(re *rtl.REnv, code uint64) error {
 				return fmt.Errorf("sim: write syscall: %w", err)
 			}
 		}
-		re.R[t.Ret] = n
+		r[t.Ret] = n
 		return nil
 	default:
-		return fmt.Errorf("%w: %d", ErrBadSyscall, re.R[t.NumReg])
+		return fmt.Errorf("%w: %d", ErrBadSyscall, r[t.NumReg])
 	}
 }
 
-// Special implements SPARC register windows.  winsave computes the
-// new stack pointer in the old window, shifts the window (callee's
-// ins are the caller's outs), and writes rd in the new window;
-// winrestore reverses it.
+// Special implements the register-window builtins.
 func (e *cpuEnv) Special(name string, args []uint64) error {
-	if len(args) != 2 {
-		return fmt.Errorf("sim: %s wants 2 arguments", name)
-	}
-	v := uint32(args[0])
-	rd := int(args[1])
-	switch name {
-	case "winsave":
-		var w window
-		copy(w.Locals[:], e.c.R[16:24])
-		copy(w.Ins[:], e.c.R[24:32])
-		e.c.windows = append(e.c.windows, w)
-		copy(e.c.R[24:32], e.c.R[8:16]) // new ins = old outs
-		for i := 8; i < 24; i++ {
-			e.c.R[i] = 0 // fresh outs and locals
-		}
-	case "winrestore":
-		copy(e.c.R[8:16], e.c.R[24:32]) // new outs = old ins
-		if n := len(e.c.windows); n > 0 {
-			w := e.c.windows[n-1]
-			e.c.windows = e.c.windows[:n-1]
-			copy(e.c.R[16:24], w.Locals[:])
-			copy(e.c.R[24:32], w.Ins[:])
-		} else {
-			for i := 16; i < 32; i++ {
-				e.c.R[i] = 0
-			}
-		}
-	default:
-		return fmt.Errorf("sim: unknown special %q", name)
-	}
-	if rd != 0 && rd < 32 {
-		e.c.R[rd] = v
-	}
-	return nil
+	return rtl.WindowSpecial(&e.c.R, &e.c.windows, name, args)
 }

@@ -195,8 +195,7 @@ func init() {
 			SysExit:  1,
 			SysWrite: 4,
 		},
-		RoutineTier: true,
-		Lockstep:    true,
+		Lockstep: true,
 	})
 }
 

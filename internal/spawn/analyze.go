@@ -45,6 +45,10 @@ type Effects struct {
 	Trap    bool
 	Annul   bool
 	Barrier bool
+
+	// Faults marks an instruction whose execution can fail: a memory
+	// access, a trap, or a division.
+	Faults bool
 }
 
 // MemWidth returns the instruction's access width in bytes (paper
@@ -456,7 +460,7 @@ func (w *effWalker) stmt(n rtl.Node) {
 		if id, ok := fn.(rtl.Ident); ok {
 			switch id.Name {
 			case "trap":
-				w.eff.Trap = true
+				w.eff.Trap, w.eff.Faults = true, true
 			case "winsave", "winrestore":
 				w.eff.Barrier = true
 			}
@@ -499,7 +503,7 @@ func (w *effWalker) assign(x rtl.Assign) {
 			return
 		}
 		if base.Name == "M" {
-			w.eff.WritesMem = true
+			w.eff.WritesMem, w.eff.Faults = true, true
 			w.eff.WriteBytes += w.widthOf(lhs)
 			w.exprReads(lhs.Elem)
 			return
@@ -576,7 +580,7 @@ func (w *effWalker) exprReads(n rtl.Node) {
 			return
 		}
 		if base.Name == "M" {
-			w.eff.ReadsMem = true
+			w.eff.ReadsMem, w.eff.Faults = true, true
 			w.eff.ReadBytes += w.widthOf(x)
 			w.exprReads(x.Elem)
 			return
@@ -587,6 +591,9 @@ func (w *effWalker) exprReads(n rtl.Node) {
 			w.eff.Barrier = true
 		}
 	case rtl.Bin:
+		if x.Op == "/" || x.Op == "%" {
+			w.eff.Faults = true
+		}
 		w.exprReads(x.L)
 		w.exprReads(x.R)
 	case rtl.Un:
@@ -607,8 +614,13 @@ func (w *effWalker) exprReads(n rtl.Node) {
 		}
 	case rtl.Apply:
 		fn, args := applySpine(x)
-		if id, ok := fn.(rtl.Ident); ok && (id.Name == "winsave" || id.Name == "winrestore") {
-			w.eff.Barrier = true
+		if id, ok := fn.(rtl.Ident); ok {
+			switch id.Name {
+			case "winsave", "winrestore":
+				w.eff.Barrier = true
+			case "udiv", "sdiv", "urem", "srem":
+				w.eff.Faults = true
+			}
 		}
 		for _, a := range args {
 			w.exprReads(a)

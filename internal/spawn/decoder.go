@@ -255,8 +255,22 @@ type InstSem struct {
 	// specialized on.
 	Fields machine.FieldVals
 
-	compiled atomic.Pointer[compiledSem]
-	direct   atomic.Pointer[directSem]
+	compiled derived[compiledSem]
+	direct   derived[*rtl.Prog]
+	body     derived[loweredBody]
+}
+
+// derived caches one derivation on an interned word.  Concurrent
+// callers may race to derive but always observe equivalent results.
+type derived[T any] struct{ p atomic.Pointer[T] }
+
+func (d *derived[T]) get(derive func() T) T {
+	if v := d.p.Load(); v != nil {
+		return *v
+	}
+	v := derive()
+	d.p.Store(&v)
+	return v
 }
 
 type compiledSem struct {
@@ -264,11 +278,9 @@ type compiledSem struct {
 	err  error
 }
 
-// directSem caches the direct-commit lowering; prog is nil when the
-// semantics are not direct-commitable (the cached negative keeps hot
-// re-translation from re-proving that every time).
-type directSem struct {
-	prog *rtl.Prog
+type loweredBody struct {
+	body rtl.Body
+	err  error
 }
 
 // Compiled returns the instruction's semantics lowered once to an
@@ -276,45 +288,52 @@ type directSem struct {
 // decoder interns instructions by word, each distinct machine word is
 // compiled at most once per decoder; the result is cached on the
 // shared instruction object, so the emulator's translation cache gets
-// compiled semantics for free on re-decode.  Concurrent callers may
-// race to compile but always observe an equivalent program.
+// compiled semantics for free on re-decode.
 func (s *InstSem) Compiled() (*rtl.Prog, error) {
-	if cs := s.compiled.Load(); cs != nil {
-		return cs.prog, cs.err
-	}
-	// Slow path, taken once per distinct word: worth a trace span and
-	// a registry tick so JIT warm-up is visible in -trace output.
-	sp := telemetry.ActiveTracer().Begin("rtl.compile "+s.Def.Name, "rtl")
-	cs := &compiledSem{}
-	cs.prog, cs.err = rtl.Compile(s.Def.Sem, semCompileEnv{s})
-	sp.End()
-	telemetry.Default().Counter("rtl.compiles").Add(1)
-	s.compiled.Store(cs)
+	cs := s.compiled.get(func() compiledSem {
+		// Taken once per distinct word: worth a trace span and a
+		// registry tick so JIT warm-up is visible in -trace output.
+		sp := telemetry.ActiveTracer().Begin("rtl.compile "+s.Def.Name, "rtl")
+		defer sp.End()
+		telemetry.Default().Counter("rtl.compiles").Add(1)
+		p, err := rtl.Compile(s.Def.Sem, semCompileEnv{s})
+		return compiledSem{p, err}
+	})
 	return cs.prog, cs.err
 }
 
-// SemNode exposes the instruction's raw semantic AST.  The routine-
-// tier compiler walks it to recover the exact node a faulting builtin
-// would report, so routine-compiled faults render the same error
-// strings as the interpreter.
-func (s *InstSem) SemNode() rtl.Node { return s.Def.Sem }
+// LowerBody returns the instruction's routine-tier lowering at pc
+// (rtl.LowerBody) under l, which must be the description's register
+// layout.  A word whose semantics do not read pc is lowered once and
+// shared by every routine that contains it.
+func (s *InstSem) LowerBody(l *rtl.RegLayout, pc uint32) (rtl.Body, error) {
+	lb := s.body.get(func() loweredBody {
+		b, err := rtl.LowerBody(s.Def.Sem, semCompileEnv{s}, l, pc)
+		return loweredBody{b, err}
+	})
+	if lb.body.AtPC {
+		return rtl.LowerBody(s.Def.Sem, semCompileEnv{s}, l, pc)
+	}
+	return lb.body, lb.err
+}
+
+// CompileEnv returns the rtl.CompileEnv the instruction's semantics
+// lower against: this word's field values and the description's
+// register model.
+func (s *InstSem) CompileEnv() rtl.CompileEnv { return semCompileEnv{s} }
 
 // CompiledDirect returns the instruction's semantics lowered in
 // direct-commit mode (rtl.CompileDirect), or nil when the commit
 // reorder cannot be proven unobservable for this word.  The emulator's
 // hot tier asks for it only when a block turns hot, and the result —
-// including the negative — is cached per interned word like Compiled.
+// including the negative, so hot re-translation does not re-prove it —
+// is cached per interned word like Compiled.
 func (s *InstSem) CompiledDirect() *rtl.Prog {
-	if ds := s.direct.Load(); ds != nil {
-		return ds.prog
-	}
-	ds := &directSem{}
-	if p, err := rtl.CompileDirect(s.Def.Sem, semCompileEnv{s}); err == nil {
-		ds.prog = p
-	}
-	telemetry.Default().Counter("rtl.compiles_direct").Add(1)
-	s.direct.Store(ds)
-	return ds.prog
+	return s.direct.get(func() *rtl.Prog {
+		telemetry.Default().Counter("rtl.compiles_direct").Add(1)
+		p, _ := rtl.CompileDirect(s.Def.Sem, semCompileEnv{s})
+		return p
+	})
 }
 
 // semCompileEnv adapts an InstSem to rtl.CompileEnv: field values
