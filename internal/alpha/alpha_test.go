@@ -118,112 +118,3 @@ func TestCallPal(t *testing.T) {
 		t.Errorf("call_pal = %s", c)
 	}
 }
-
-// signExt sign-extends a raw field value from the given bit width.
-func signExt(v uint32, bits uint) int32 {
-	shift := 32 - bits
-	return int32(v<<shift) >> shift
-}
-
-func fieldOf(t *testing.T, w uint32, name string) uint32 {
-	t.Helper()
-	inst := NewDecoder().Decode(w)
-	if !inst.Valid() {
-		t.Fatalf("word %08x does not decode", w)
-	}
-	v, ok := inst.Field(name)
-	if !ok {
-		t.Fatalf("decoded %s has no %s field", inst.Name(), name)
-	}
-	return v
-}
-
-// TestEncodeDecodeBoundarySweep is the per-ISA port of the SPARC fuzz
-// oracle's deterministic boundary sweep (see the MIPS twin): signed
-// field extremes must round-trip exactly and out-of-range operands
-// must be rejected by the encoder, never silently truncated.
-func TestEncodeDecodeBoundarySweep(t *testing.T) {
-	// mdisp16: memory-format displacements (lda shares the format).
-	for _, name := range []string{"lda", "ldah", "ldl", "ldq", "stl", "stq"} {
-		for _, d := range []int32{-32768, -32767, -1, 0, 1, 32766, 32767} {
-			w, err := EncodeMem(name, 1, 2, d)
-			if err != nil {
-				t.Errorf("%s mdisp %d: encode failed: %v", name, d, err)
-				continue
-			}
-			if got := signExt(fieldOf(t, w, "mdisp"), 16); got != d {
-				t.Errorf("%s: mdisp %d encoded to %08x, decoded back as %d", name, d, w, got)
-			}
-		}
-		for _, d := range []int32{-32769, 32768, 1 << 20} {
-			if w, err := EncodeMem(name, 1, 2, d); err == nil {
-				t.Errorf("%s: out-of-range mdisp %d encoded silently to %08x", name, d, w)
-			}
-		}
-	}
-
-	// bdisp21: branch displacements, through the derived static target.
-	const pc = 0x40000000
-	for _, name := range []string{"br", "bsr", "beq", "bne", "blt", "ble", "bgt", "bge"} {
-		for _, d := range []int32{-(1 << 20), -1024, -1, 0, 1, 1024, 1<<20 - 1} {
-			w, err := EncodeBranch(name, 3, d)
-			if err != nil {
-				t.Errorf("%s bdisp %d: encode failed: %v", name, d, err)
-				continue
-			}
-			inst := NewDecoder().Decode(w)
-			if !inst.Valid() || inst.Name() != name {
-				t.Errorf("%s bdisp %d: decoded as %s (word %08x)", name, d, inst, w)
-				continue
-			}
-			tgt, ok := inst.StaticTarget(pc)
-			want := uint32(int64(pc) + 4 + 4*int64(d))
-			if !ok || tgt != want {
-				t.Errorf("%s: bdisp %d target %#x, want %#x (word %08x)", name, d, tgt, want, w)
-			}
-		}
-		for _, d := range []int32{1 << 20, -(1 << 20) - 1, 1 << 24} {
-			if w, err := EncodeBranch(name, 3, d); err == nil {
-				t.Errorf("%s: out-of-range bdisp %d encoded silently to %08x", name, d, w)
-			}
-		}
-	}
-
-	// 8-bit operate literals.
-	for _, lit := range []uint32{0, 1, 254, 255} {
-		w, err := EncodeOpLit("addl", 1, lit, 3)
-		if err != nil {
-			t.Errorf("addl lit %d: encode failed: %v", lit, err)
-			continue
-		}
-		if got := fieldOf(t, w, "lit"); got != lit {
-			t.Errorf("addl: lit %d encoded to %08x, decoded back as %d", lit, w, got)
-		}
-		if got := fieldOf(t, w, "litflag"); got != 1 {
-			t.Errorf("addl: lit form lost litflag (word %08x)", w)
-		}
-	}
-	if w, err := EncodeOpLit("addl", 1, 256, 3); err == nil {
-		t.Errorf("addl: out-of-range literal encoded silently to %08x", w)
-	}
-
-	// PAL codes.
-	for _, code := range []uint32{0, 0x83, 0xffff} {
-		w, err := EncodeCallPal(code)
-		if err != nil {
-			t.Errorf("call_pal %#x: encode failed: %v", code, err)
-			continue
-		}
-		if got := fieldOf(t, w, "mdisp"); got != code {
-			t.Errorf("call_pal: code %#x decoded back as %#x", code, got)
-		}
-	}
-	if w, err := EncodeCallPal(1 << 16); err == nil {
-		t.Errorf("call_pal: out-of-range code encoded silently to %08x", w)
-	}
-
-	// Register field extents.
-	if w, err := EncodeOp("addl", 32, 1, 2); err == nil {
-		t.Errorf("addl: register 32 encoded silently to %08x", w)
-	}
-}

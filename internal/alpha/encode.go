@@ -1,142 +1,43 @@
 package alpha
 
-import "fmt"
+import "eel/internal/spawn"
 
-// Encoding helpers build Alpha instruction words from the compiled
-// description's field layout — the same single-source-of-truth idiom
-// as the SPARC and MIPS encoders.
-
-func mustField(name string) func(word, v uint32) uint32 {
-	f, ok := desc.Field(name)
-	if !ok {
-		panic("alpha: missing field " + name)
-	}
-	return f.Insert
-}
-
-var (
-	insRA      = mustField("ra")
-	insRB      = mustField("rb")
-	insRC      = mustField("rc")
-	insLitflag = mustField("litflag")
-	insLit     = mustField("lit")
-	insBdisp   = mustField("bdisp")
-	insMdisp   = mustField("mdisp")
-)
-
-// matchWord returns the fixed encoding bits of a named instruction.
-func matchWord(name string) (uint32, error) {
-	def, ok := desc.Lookup(name)
-	if !ok {
-		return 0, fmt.Errorf("alpha: unknown instruction %q", name)
-	}
-	return def.Match, nil
-}
-
-func regField(r uint32) (uint32, error) {
-	if r >= 32 {
-		return 0, fmt.Errorf("alpha: $%d is not a general register", r)
-	}
-	return r, nil
-}
+// Encoding helpers name the fields of the description's instruction
+// formats; spawn's Encode derives every operand's class and range from
+// the description and rejects what the instruction cannot hold.
 
 // EncodeOp encodes the register form of an operate instruction:
 // name ra, rb, rc.
 func EncodeOp(name string, ra, rb, rc uint32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range []uint32{ra, rb, rc} {
-		if _, err := regField(r); err != nil {
-			return 0, err
-		}
-	}
-	return insRC(insRB(insRA(w, ra), rb), rc), nil
+	return desc.Encode(name, spawn.Set("ra", ra), spawn.Set("rb", rb), spawn.Set("rc", rc))
 }
 
 // EncodeOpLit encodes the literal form of an operate instruction:
 // name ra, lit, rc with lit in [0, 255].
 func EncodeOpLit(name string, ra uint32, lit uint32, rc uint32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	if lit > 255 {
-		return 0, fmt.Errorf("alpha: literal %d out of 8-bit range", lit)
-	}
-	for _, r := range []uint32{ra, rc} {
-		if _, err := regField(r); err != nil {
-			return 0, err
-		}
-	}
-	return insRC(insLit(insLitflag(insRA(w, ra), 1), lit), rc), nil
+	return desc.Encode(name, spawn.Set("ra", ra), spawn.Set("litflag", 1), spawn.Set("lit", lit), spawn.Set("rc", rc))
 }
 
 // EncodeMem encodes a memory-format instruction (lda, ldah, ldl, ldq,
 // stl, stq): name ra, disp(rb) with disp the sign-extended mdisp16.
 func EncodeMem(name string, ra, rb uint32, disp int32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	if disp < -(1<<15) || disp >= 1<<15 {
-		return 0, fmt.Errorf("alpha: displacement %d out of mdisp16 range", disp)
-	}
-	for _, r := range []uint32{ra, rb} {
-		if _, err := regField(r); err != nil {
-			return 0, err
-		}
-	}
-	return insMdisp(insRB(insRA(w, ra), rb), uint32(disp)&0xffff), nil
+	return desc.Encode(name, spawn.Set("ra", ra), spawn.Set("rb", rb), spawn.Set("mdisp", disp))
 }
 
 // EncodeBranch encodes a branch-format instruction (br, bsr, beq,
 // bne, blt, ble, bgt, bge): name ra, disp with disp in instruction
 // words from the next pc (target = pc + 4 + 4*disp), signed 21 bits.
 func EncodeBranch(name string, ra uint32, dispWords int32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	if dispWords < -(1<<20) || dispWords >= 1<<20 {
-		return 0, fmt.Errorf("alpha: branch displacement %d words exceeds bdisp21", dispWords)
-	}
-	if _, err := regField(ra); err != nil {
-		return 0, err
-	}
-	return insBdisp(insRA(w, ra), uint32(dispWords)&0x1fffff), nil
+	return desc.Encode(name, spawn.Set("ra", ra), spawn.Set("bdisp", dispWords))
 }
 
 // EncodeJump encodes a jump-format instruction (jmpj, jsr, retj):
 // name ra, (rb).
 func EncodeJump(name string, ra, rb uint32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range []uint32{ra, rb} {
-		if _, err := regField(r); err != nil {
-			return 0, err
-		}
-	}
-	return insRB(insRA(w, ra), rb), nil
+	return desc.Encode(name, spawn.Set("ra", ra), spawn.Set("rb", rb))
 }
 
 // EncodeCallPal encodes call_pal with the given function code.
 func EncodeCallPal(code uint32) (uint32, error) {
-	w, err := matchWord("call_pal")
-	if err != nil {
-		return 0, err
-	}
-	if code >= 1<<16 {
-		return 0, fmt.Errorf("alpha: PAL code %#x out of mdisp range", code)
-	}
-	return insMdisp(w, code), nil
-}
-
-// Nop returns a canonical no-op (bis $31, $31, $31).
-func Nop() uint32 {
-	w, _ := EncodeOp("bis", 31, 31, 31)
-	return w
+	return desc.Encode("call_pal", spawn.Set("mdisp", code))
 }

@@ -13,6 +13,7 @@ import (
 
 	"eel/internal/machine"
 	"eel/internal/sparc"
+	"eel/internal/spawn"
 )
 
 // Program is an assembled byte image with its label table.
@@ -334,34 +335,6 @@ func splitArgs(s string) []string {
 	return out
 }
 
-// branchNames is the set of branch mnemonics accepted with an
-// optional ",a" annul suffix.
-var branchNames = map[string]bool{
-	"ba": true, "bn": true, "bne": true, "be": true, "bg": true, "ble": true,
-	"bge": true, "bl": true, "bgu": true, "bleu": true, "bcc": true, "bcs": true,
-	"bpos": true, "bneg": true, "bvc": true, "bvs": true,
-	"fba": true, "fbn": true, "fbu": true, "fbg": true, "fbug": true, "fbl": true,
-	"fbul": true, "fblg": true, "fbne": true, "fbe": true, "fbue": true,
-	"fbge": true, "fbuge": true, "fble": true, "fbule": true, "fbo": true,
-}
-
-var aluOps = map[string]bool{
-	"add": true, "sub": true, "and": true, "or": true, "xor": true,
-	"andn": true, "orn": true, "xnor": true, "addx": true, "subx": true,
-	"umul": true, "smul": true, "udiv": true, "sdiv": true,
-	"addcc": true, "subcc": true, "andcc": true, "orcc": true, "xorcc": true,
-	"andncc": true, "orncc": true, "xnorcc": true,
-	"sll": true, "srl": true, "sra": true, "save": true, "restore": true,
-	"fadds": true, "fsubs": true, "fmuls": true, "fdivs": true,
-}
-
-var loadOps = map[string]bool{
-	"ld": true, "ldub": true, "lduh": true, "ldsb": true, "ldsh": true,
-	"ldd": true, "ldstub": true, "swap": true, "ldf": true,
-}
-
-var storeOps = map[string]bool{"st": true, "stb": true, "sth": true, "std": true, "stf": true}
-
 // inst assembles one instruction (possibly a pseudo expanding to two
 // words).
 func (a *assembler) inst(s *stmt) ([]uint32, error) {
@@ -382,13 +355,36 @@ func (a *assembler) inst(s *stmt) ([]uint32, error) {
 		return []uint32{w}, nil
 	}
 
-	switch {
-	case op == "nop":
-		return []uint32{sparc.Nop()}, nil
+	// Pseudo-instructions that name another instruction's operands.
+	switch n := len(args); {
 	case op == "b":
 		op = "ba"
-		fallthrough
-	case branchNames[op]:
+	case op == "rd" && n == 2 && args[0] == "%y":
+		op, args = "rdy", args[1:]
+	case op == "wr" && n == 2 && args[1] == "%y":
+		op, args = "wry", []string{args[0], "%g0"}
+	case op == "mov" && n == 2:
+		op, args = "or", []string{"%g0", args[0], args[1]}
+	case op == "clr" && n == 1:
+		op, args = "or", []string{"%g0", "%g0", args[0]}
+	case op == "cmp" && n == 2:
+		op, args = "subcc", []string{args[0], args[1], "%g0"}
+	case op == "tst" && n == 1:
+		op, args = "orcc", []string{args[0], "%g0", "%g0"}
+	case op == "restore" && n == 0:
+		args = []string{"%g0", "%g0", "%g0"}
+	}
+	// Mnemonics are classified from the description: branches read
+	// the annul bit, loads and stores by category.
+	def, ok := sparc.Desc().Lookup(op)
+	if !ok {
+		def = &spawn.InstDef{}
+	}
+
+	switch cat := def.Info.Cat; {
+	case op == "nop":
+		return []uint32{sparc.Nop()}, nil
+	case def.Reads("aflag"):
 		if len(args) != 1 {
 			return fail("%s wants one target", op)
 		}
@@ -404,11 +400,7 @@ func (a *assembler) inst(s *stmt) ([]uint32, error) {
 		}
 		if strings.HasPrefix(args[0], "%") {
 			// call through a register: jmpl reg, %o7
-			r, err := sparc.ParseReg(args[0])
-			if err != nil {
-				return nil, &Error{s.line, err.Error()}
-			}
-			return one(sparc.EncodeOp3Imm("jmpl", sparc.RegO7, r, 0))
+			return a.memInst("jmpl", sparc.RegO7, "["+args[0]+"]", s)
 		}
 		tgt, err := a.value(args[0], s)
 		if err != nil {
@@ -419,14 +411,7 @@ func (a *assembler) inst(s *stmt) ([]uint32, error) {
 		if len(args) != 1 {
 			return fail("jmp wants one target")
 		}
-		r, off, ri, useRI, err := a.memOperand(strings.Trim(args[0], "[]"), s)
-		if err != nil {
-			return nil, err
-		}
-		if useRI {
-			return one(sparc.EncodeOp3("jmpl", sparc.RegG0, r, ri))
-		}
-		return one(sparc.EncodeOp3Imm("jmpl", sparc.RegG0, r, off))
+		return a.memInst("jmpl", sparc.RegG0, "["+strings.Trim(args[0], "[]")+"]", s)
 	case op == "jmpl":
 		if len(args) != 2 {
 			return fail("jmpl wants address, rd")
@@ -435,14 +420,7 @@ func (a *assembler) inst(s *stmt) ([]uint32, error) {
 		if err != nil {
 			return nil, &Error{s.line, err.Error()}
 		}
-		r, off, ri, useRI, err := a.memOperand(strings.Trim(args[0], "[]"), s)
-		if err != nil {
-			return nil, err
-		}
-		if useRI {
-			return one(sparc.EncodeOp3("jmpl", rd, r, ri))
-		}
-		return one(sparc.EncodeOp3Imm("jmpl", rd, r, off))
+		return a.memInst("jmpl", rd, "["+strings.Trim(args[0], "[]")+"]", s)
 	case op == "ret":
 		return one(sparc.EncodeOp3Imm("jmpl", sparc.RegG0, sparc.RegI7, 8))
 	case op == "retl":
@@ -468,11 +446,8 @@ func (a *assembler) inst(s *stmt) ([]uint32, error) {
 		if err != nil {
 			return nil, err
 		}
-		// The operand of sethi is the %hi value itself when written
-		// with %hi(); otherwise the raw 22-bit field.
-		if strings.HasPrefix(strings.TrimSpace(args[0]), "%hi(") {
-			return one(sparc.EncodeSethi(rd, uint32(v)<<10))
-		}
+		// The operand of sethi is the 22-bit field: %hi(x) evaluates
+		// to x's upper bits, a bare value is taken as the field.
 		return one(sparc.EncodeSethi(rd, uint32(v)<<10))
 	case op == "set":
 		if len(args) != 2 {
@@ -492,69 +467,7 @@ func (a *assembler) inst(s *stmt) ([]uint32, error) {
 			return fail("set: %v %v", err1, err2)
 		}
 		return []uint32{hi, lo}, nil
-	case op == "mov":
-		if len(args) != 2 {
-			return fail("mov wants src, rd")
-		}
-		rd, err := sparc.ParseReg(args[1])
-		if err != nil {
-			return nil, &Error{s.line, err.Error()}
-		}
-		if strings.HasPrefix(args[0], "%") {
-			rs, err := sparc.ParseReg(args[0])
-			if err != nil {
-				return nil, &Error{s.line, err.Error()}
-			}
-			return one(sparc.EncodeOp3("or", rd, sparc.RegG0, rs))
-		}
-		v, err := a.value(args[0], s)
-		if err != nil {
-			return nil, err
-		}
-		return one(sparc.EncodeOp3Imm("or", rd, sparc.RegG0, int32(v)))
-	case op == "clr":
-		if len(args) != 1 {
-			return fail("clr wants rd")
-		}
-		rd, err := sparc.ParseReg(args[0])
-		if err != nil {
-			return nil, &Error{s.line, err.Error()}
-		}
-		return one(sparc.EncodeOp3("or", rd, sparc.RegG0, sparc.RegG0))
-	case op == "cmp":
-		if len(args) != 2 {
-			return fail("cmp wants two operands")
-		}
-		rs1, err := sparc.ParseReg(args[0])
-		if err != nil {
-			return nil, &Error{s.line, err.Error()}
-		}
-		if strings.HasPrefix(args[1], "%") {
-			rs2, err := sparc.ParseReg(args[1])
-			if err != nil {
-				return nil, &Error{s.line, err.Error()}
-			}
-			return one(sparc.EncodeOp3("subcc", sparc.RegG0, rs1, rs2))
-		}
-		v, err := a.value(args[1], s)
-		if err != nil {
-			return nil, err
-		}
-		return one(sparc.EncodeOp3Imm("subcc", sparc.RegG0, rs1, int32(v)))
-	case op == "tst":
-		if len(args) != 1 {
-			return fail("tst wants one register")
-		}
-		rs1, err := sparc.ParseReg(args[0])
-		if err != nil {
-			return nil, &Error{s.line, err.Error()}
-		}
-		return one(sparc.EncodeOp3("orcc", sparc.RegG0, rs1, sparc.RegG0))
-	case op == "restore" && len(args) == 0:
-		return one(sparc.EncodeOp3("restore", sparc.RegG0, sparc.RegG0, sparc.RegG0))
-	case aluOps[op]:
-		return a.alu(op, args, s)
-	case loadOps[op]:
+	case cat == machine.CatLoad || cat == machine.CatLoadStore:
 		if len(args) != 2 {
 			return fail("%s wants [address], rd", op)
 		}
@@ -563,7 +476,7 @@ func (a *assembler) inst(s *stmt) ([]uint32, error) {
 			return nil, &Error{s.line, err.Error()}
 		}
 		return a.memInst(op, rd, args[0], s)
-	case storeOps[op]:
+	case cat == machine.CatStore:
 		if len(args) != 2 {
 			return fail("%s wants rd, [address]", op)
 		}
@@ -572,60 +485,45 @@ func (a *assembler) inst(s *stmt) ([]uint32, error) {
 			return nil, &Error{s.line, err.Error()}
 		}
 		return a.memInst(op, rd, args[1], s)
-	case op == "rd":
-		if len(args) != 2 || args[0] != "%y" {
-			return fail("rd wants %%y, rd")
-		}
-		rd, err := sparc.ParseReg(args[1])
-		if err != nil {
-			return nil, &Error{s.line, err.Error()}
-		}
-		return one(sparc.EncodeOp3("rdy", rd, sparc.RegG0, sparc.RegG0))
-	case op == "wr":
-		if len(args) != 2 || args[1] != "%y" {
-			return fail("wr wants rs, %%y")
-		}
-		rs, err := sparc.ParseReg(args[0])
-		if err != nil {
-			return nil, &Error{s.line, err.Error()}
-		}
-		return one(sparc.EncodeOp3("wry", sparc.RegG0, rs, sparc.RegG0))
-	case op == "fcmps" || op == "fmovs" || op == "fnegs" || op == "fabss" ||
-		op == "fitos" || op == "fstoi":
-		return a.fpUnary(op, args, s)
 	}
-	return fail("unknown instruction %q", s.op)
+	return a.operate(def, op, args, s)
 }
 
-// alu assembles "op rs1, rs2-or-imm, rd".
-func (a *assembler) alu(op string, args []string, s *stmt) ([]uint32, error) {
-	if len(args) != 3 {
-		return nil, &Error{s.line, op + " wants rs1, operand, rd"}
+// operate assembles an instruction from the register and immediate
+// operands its definition reads, in assembly order: rs1, then rs2 or
+// an immediate, then rd ("add %g1, 5, %g3", "fmovs %f1, %f2",
+// "fcmps %f0, %f1").
+func (a *assembler) operate(def *spawn.InstDef, op string, args []string, s *stmt) ([]uint32, error) {
+	var fieldBuf [3]string
+	var opBuf [4]spawn.Arg
+	fields, ops := fieldBuf[:0], opBuf[:0]
+	for _, f := range [...]string{"rs1", "rs2", "rd"} {
+		if def.Reads(f) {
+			fields = append(fields, f)
+		}
 	}
-	rs1, err := sparc.ParseReg(args[0])
-	if err != nil {
-		return nil, &Error{s.line, err.Error()}
+	switch {
+	case def.Name == "":
+		return nil, &Error{s.line, fmt.Sprintf("unknown instruction %q, or bad operands", s.op)}
+	case len(args) != len(fields):
+		return nil, &Error{s.line, fmt.Sprintf("%s wants operands %s", s.op, strings.Join(fields, ", "))}
 	}
-	rd, err := sparc.ParseReg(args[2])
-	if err != nil {
-		return nil, &Error{s.line, err.Error()}
-	}
-	if strings.HasPrefix(args[1], "%") && !strings.HasPrefix(args[1], "%lo(") {
-		rs2, err := sparc.ParseReg(args[1])
+	for i, f := range fields {
+		if f == "rs2" && (!strings.HasPrefix(args[i], "%") || strings.HasPrefix(args[i], "%lo(")) {
+			v, err := a.value(args[i], s)
+			if err != nil {
+				return nil, err
+			}
+			ops = append(ops, spawn.Set("iflag", 1), spawn.Set("simm13", int32(v)))
+			continue
+		}
+		r, err := sparc.ParseReg(args[i])
 		if err != nil {
 			return nil, &Error{s.line, err.Error()}
 		}
-		w, err := sparc.EncodeOp3(op, rd, rs1, rs2)
-		if err != nil {
-			return nil, &Error{s.line, err.Error()}
-		}
-		return []uint32{w}, nil
+		ops = append(ops, spawn.Set(f, r))
 	}
-	v, err := a.value(args[1], s)
-	if err != nil {
-		return nil, err
-	}
-	w, err := sparc.EncodeOp3Imm(op, rd, rs1, int32(v))
+	w, err := sparc.Desc().Encode(op, ops...)
 	if err != nil {
 		return nil, &Error{s.line, err.Error()}
 	}
@@ -698,29 +596,4 @@ func (a *assembler) memOperand(text string, s *stmt) (base machine.Reg, off int3
 		v = -v
 	}
 	return r, int32(v), 0, false, nil
-}
-
-// fpUnary assembles two-operand FP forms.
-func (a *assembler) fpUnary(op string, args []string, s *stmt) ([]uint32, error) {
-	if len(args) != 2 {
-		return nil, &Error{s.line, op + " wants two registers"}
-	}
-	r1, err := sparc.ParseReg(args[0])
-	if err != nil {
-		return nil, &Error{s.line, err.Error()}
-	}
-	r2, err := sparc.ParseReg(args[1])
-	if err != nil {
-		return nil, &Error{s.line, err.Error()}
-	}
-	var w uint32
-	if op == "fcmps" {
-		w, err = sparc.EncodeOp3("fcmps", sparc.RegG0, r1, r2)
-	} else {
-		w, err = sparc.EncodeOp3(op, r2, sparc.RegG0, r1)
-	}
-	if err != nil {
-		return nil, &Error{s.line, err.Error()}
-	}
-	return []uint32{w}, nil
 }

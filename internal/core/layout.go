@@ -221,7 +221,7 @@ func (m *measurer) origWord(in cfg.Inst, primary bool) {
 // the given live set.
 func (m *measurer) snippets(list []*Snippet, live machine.RegSet) error {
 	for _, s := range list {
-		p, err := instantiate(s, live, m.r.Exec.Scavenge, &m.r.Exec.Stats)
+		p, err := instantiate(m.r.Exec.Dec, s, live, m.r.Exec.Scavenge, &m.r.Exec.Stats)
 		if err != nil {
 			return err
 		}
@@ -233,12 +233,12 @@ func (m *measurer) snippets(list []*Snippet, live machine.RegSet) error {
 	return nil
 }
 
-// branchTo emits a control-transfer word retargeted to t.  The word
-// must be a disp22 branch or a call.  In routines that contain data
-// (garbage decoded under a misleading symbol), unresolvable targets
-// emit a trapping word instead of failing the whole layout: such
-// paths are never executed, and if they ever are, the fault is loud.
-func (m *measurer) branchTo(word uint32, isCall bool, t target) {
+// branchTo emits a pc-relative control-transfer word retargeted to t.
+// In routines that contain data (garbage decoded under a misleading
+// symbol), unresolvable targets emit a trapping word instead of
+// failing the whole layout: such paths are never executed, and if
+// they ever are, the fault is loud.
+func (m *measurer) branchTo(word uint32, t target) {
 	tolerant := m.g.HasData
 	m.add(emitItem{sizeWords: 1, emit: func(ctx *emitCtx, at uint32) ([]uint32, error) {
 		dest, err := ctx.resolve(t)
@@ -251,11 +251,7 @@ func (m *measurer) branchTo(word uint32, isCall bool, t target) {
 			}
 			return nil, err
 		}
-		disp := (int32(dest) - int32(at)) / 4
-		if isCall {
-			return []uint32{sparc.WithCallDisp(word, disp)}, nil
-		}
-		w, err := sparc.WithBranchDisp(word, disp)
+		w, err := ctx.exec.Dec.Desc().Retarget(word, at, dest)
 		if err != nil {
 			return nil, fmt.Errorf("core: branch span overflow: %w", err)
 		}
@@ -270,7 +266,7 @@ func (m *measurer) jumpTo(t target) error {
 	if err != nil {
 		return err
 	}
-	m.branchTo(w, false, t)
+	m.branchTo(w, t)
 	return nil
 }
 
@@ -291,8 +287,7 @@ func (m *measurer) jumpToOrigOrTrap(orig uint32) error {
 		if !ok {
 			return []uint32{0}, nil // UNIMP: faults if ever reached
 		}
-		disp := (int32(dest) - int32(at)) / 4
-		out, err := sparc.WithBranchDisp(w, disp)
+		out, err := ctx.exec.Dec.Desc().Retarget(w, at, dest)
 		if err != nil {
 			return nil, err
 		}
@@ -493,7 +488,7 @@ func (m *measurer) terminator(b *cfg.Block, last int, next *cfg.Block) error {
 		clean := m.r.Exec.FoldDelaySlots && !m.edited(taken) && inst.Name() != "jmpl"
 		if clean && taken.ds != nil {
 			m.record(a, true)
-			m.branchTo(word, false, m.pathTarget(taken))
+			m.branchTo(word, m.pathTarget(taken))
 			m.origWord(taken.ds.Insts[0], false)
 			return nil
 		}
@@ -539,7 +534,7 @@ func (m *measurer) lowerBranch(b *cfg.Block, in cfg.Inst, taken, fall path, hasT
 	clean := m.r.Exec.FoldDelaySlots && !m.edited(taken) && !m.edited(fall)
 	if clean {
 		m.record(in.Addr, true)
-		m.branchTo(in.MI.Word(), false, m.pathTarget(taken))
+		m.branchTo(in.MI.Word(), m.pathTarget(taken))
 		// Original slot word follows (it exists in the original
 		// encoding whether or not the annul bit is set).
 		var ds *cfg.Block
@@ -577,7 +572,7 @@ func (m *measurer) lowerBranch(b *cfg.Block, in cfg.Inst, taken, fall path, hasT
 	if err != nil {
 		return err
 	}
-	m.branchTo(wA, false, target{kind: tStub, stub: takenStub})
+	m.branchTo(wA, target{kind: tStub, stub: takenStub})
 	m.add(verbatim(sparc.Nop()))
 	// Fall path inline.
 	if err := m.emitPathBody(fall); err != nil {
@@ -619,7 +614,7 @@ func (m *measurer) lowerCall(b *cfg.Block, in cfg.Inst, next *cfg.Block) error {
 	retEdge := surr.Succ[0]
 
 	if inst.Category() == machine.CatCallDirect {
-		m.branchTo(inst.Word(), true, target{kind: tOrig, orig: surr.CallTarget})
+		m.branchTo(inst.Word(), target{kind: tOrig, orig: surr.CallTarget})
 	} else {
 		// Indirect call: translate the target through the run-time
 		// table using the reserved scratch pair %g6/%g7.

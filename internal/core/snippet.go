@@ -16,6 +16,7 @@ import (
 
 	"eel/internal/machine"
 	"eel/internal/sparc"
+	"eel/internal/spawn"
 )
 
 // Snippet encapsulates foreign code added to an executable (paper
@@ -55,9 +56,9 @@ func NewSnippet(body []uint32, alloc []machine.Reg) *Snippet {
 }
 
 // bodyClobbersCC reports whether any word writes the condition codes.
-func bodyClobbersCC(words []uint32) bool {
+func bodyClobbersCC(dec *spawn.TableDecoder, words []uint32) bool {
 	for _, w := range words {
-		if sparc.WritesPSR(w) {
+		if dec.WritesPSR(w) {
 			return true
 		}
 	}
@@ -132,18 +133,18 @@ func PickPlaceholders(inst *machine.Inst, n int) ([]machine.Reg, error) {
 // instantiate allocates registers for s at a point where live is the
 // live-register set.  When scavenge is false (ablation), every
 // placeholder is spilled.
-func instantiate(s *Snippet, live machine.RegSet, scavenge bool, stats *ScavengeStats) (*placed, error) {
+func instantiate(dec *spawn.TableDecoder, s *Snippet, live machine.RegSet, scavenge bool, stats *ScavengeStats) (*placed, error) {
 	stats.Sites++
 	body := s.Body
 	usedAlt := false
-	if (s.ClobbersCC || bodyClobbersCC(s.Body)) && live.Has(machine.RegPSR) {
+	if (s.ClobbersCC || bodyClobbersCC(dec, s.Body)) && live.Has(machine.RegPSR) {
 		if s.CCAlt == nil {
 			return nil, fmt.Errorf("core: snippet clobbers live condition codes and has no cc-preserving body")
 		}
 		body = s.CCAlt
 		usedAlt = true
 		stats.CCLive++
-		if bodyClobbersCC(body) {
+		if bodyClobbersCC(dec, body) {
 			return nil, fmt.Errorf("core: cc-preserving snippet body still clobbers the condition codes")
 		}
 	}
@@ -186,7 +187,7 @@ func instantiate(s *Snippet, live machine.RegSet, scavenge bool, stats *Scavenge
 	// register that is itself another placeholder's name.
 	words := make([]uint32, len(body))
 	for i, w := range body {
-		words[i] = sparc.SubstRegs(w, assign)
+		words[i] = dec.SubstRegs(w, assign)
 	}
 
 	if len(spillRegs) > 0 {

@@ -110,8 +110,8 @@ func Run(opts Options) *Report {
 	rep := &Report{Iterations: opts.N}
 	check := opts.check()
 
-	if opts.oracleEnabled("roundtrip") && isSPARC(opts.ISA) {
-		if vs := CheckRoundTripSweep(); len(vs) > 0 {
+	if opts.oracleEnabled("roundtrip") {
+		if vs := CheckRoundTripSweep(decoderFor(opts.ISA)); len(vs) > 0 {
 			rep.Failures = append(rep.Failures, Failure{
 				Iteration:      -1,
 				Violations:     vs,

@@ -28,8 +28,8 @@ func violate(oracle, format string, args ...any) Violation {
 	return Violation{Oracle: oracle, Detail: fmt.Sprintf(format, args...)}
 }
 
-// dec is the shared SPARC decoder the deterministic sweep uses
-// (interning makes it cheap and safe to share).
+// dec is the shared SPARC decoder (interning makes it cheap and safe
+// to share).
 var dec = sparc.NewDecoder()
 
 // decoders caches one shared decoder per ISA for the per-program
@@ -138,155 +138,15 @@ func CheckRoundTripWords(p *Program) []Violation {
 	return vs
 }
 
-func signExt(v uint32, bits uint) int32 {
-	shift := 32 - bits
-	return int32(v<<shift) >> shift
-}
-
-func fieldOf(inst *machine.Inst, name string) (uint32, bool) {
-	return inst.Field(name)
-}
-
-// CheckRoundTripSweep checks the encode→decode direction at the
-// encoding boundaries: simm13 at ±4096, branch disp22 and call disp30
-// at their signed extremes, sethi's imm22 high bits.  In-range
-// operands must be recovered exactly (including sign); out-of-range
-// operands must be rejected, never silently truncated.  The sweep is
-// deterministic, so it runs once per fuzzing session.
-func CheckRoundTripSweep() []Violation {
+// CheckRoundTripSweep checks the encode→decode direction at every
+// readable field's boundaries on dec's machine (spawn.CheckEncoding):
+// in-range operands must be recovered exactly, sign included, and
+// out-of-range operands rejected, never silently truncated.  The sweep
+// is deterministic, so it runs once per fuzzing session.
+func CheckRoundTripSweep(dec *spawn.TableDecoder) []Violation {
 	var vs []Violation
-
-	// simm13: immediate-form ALU ops and memory ops.
-	for _, name := range []string{"add", "sub", "xor", "and", "ld", "st", "jmpl"} {
-		for _, imm := range []int32{-4096, -4095, -1024, -1, 0, 1, 1023, 4094, 4095} {
-			w, err := sparc.EncodeOp3Imm(name, sparc.RegO0, sparc.RegO1, imm)
-			if err != nil {
-				vs = append(vs, violate("sweep", "%s simm13 %d: encode failed: %v", name, imm, err))
-				continue
-			}
-			inst := dec.Decode(w)
-			if !inst.Valid() {
-				vs = append(vs, violate("sweep", "%s simm13 %d: word %08x does not decode", name, imm, w))
-				continue
-			}
-			raw, ok := fieldOf(inst, "simm13")
-			if !ok {
-				vs = append(vs, violate("sweep", "%s simm13 %d: decoded %s has no simm13 field", name, imm, inst.Name()))
-				continue
-			}
-			if got := signExt(raw, 13); got != imm {
-				vs = append(vs, violate("sweep",
-					"%s: simm13 %d encoded to %08x, decoded back as %d", name, imm, w, got))
-			}
-		}
-		for _, imm := range []int32{-4097, 4096, 8192, -1 << 13, 1 << 13} {
-			if w, err := sparc.EncodeOp3Imm(name, sparc.RegO0, sparc.RegO1, imm); err == nil {
-				vs = append(vs, violate("sweep",
-					"%s: out-of-range simm13 %d encoded silently to %08x", name, imm, w))
-			}
-		}
-	}
-
-	// Branch disp22, including the annul bit.
-	const pc = 0x40000000
-	for _, name := range []string{"ba", "bn", "bne", "be", "bgu", "bcs", "bvs"} {
-		for _, d := range []int32{-(1 << 21), -1024, -1, 0, 1, 1024, 1<<21 - 1} {
-			for _, annul := range []bool{false, true} {
-				w, err := sparc.EncodeBranch(name, annul, d)
-				if err != nil {
-					vs = append(vs, violate("sweep", "%s disp22 %d: encode failed: %v", name, d, err))
-					continue
-				}
-				inst := dec.Decode(w)
-				if !inst.Valid() || inst.AnnulBit() != annul {
-					vs = append(vs, violate("sweep",
-						"%s disp22 %d annul=%v: decode mismatch (word %08x)", name, d, annul, w))
-					continue
-				}
-				if name == "bn" {
-					// "branch never" is decoded as a non-transfer, so
-					// it has no static target; check the raw field.
-					raw, ok := fieldOf(inst, "disp22")
-					if !ok || signExt(raw, 22) != d {
-						vs = append(vs, violate("sweep",
-							"bn: disp22 %d decoded back as %d (word %08x)", d, signExt(raw, 22), w))
-					}
-					continue
-				}
-				tgt, ok := inst.StaticTarget(pc)
-				want := uint32(int64(pc) + 4*int64(d))
-				if !ok || tgt != want {
-					vs = append(vs, violate("sweep",
-						"%s: disp22 %d target %#x, want %#x (word %08x)", name, d, tgt, want, w))
-				}
-			}
-		}
-		for _, d := range []int32{1 << 21, -(1 << 21) - 1, 1 << 24} {
-			if w, err := sparc.EncodeBranch(name, false, d); err == nil {
-				vs = append(vs, violate("sweep",
-					"%s: out-of-range disp22 %d encoded silently to %08x", name, d, w))
-			}
-		}
-	}
-
-	// Call disp30.
-	for _, d := range []int32{-(1 << 29), -1, 0, 1, 1<<29 - 1} {
-		w, err := sparc.EncodeCall(d)
-		if err != nil {
-			vs = append(vs, violate("sweep", "call disp30 %d: encode failed: %v", d, err))
-			continue
-		}
-		inst := dec.Decode(w)
-		tgt, ok := inst.StaticTarget(pc)
-		want := uint32(int64(pc) + 4*int64(d))
-		if !inst.Valid() || !ok || tgt != want {
-			vs = append(vs, violate("sweep",
-				"call: disp30 %d target %#x, want %#x (word %08x)", d, tgt, want, w))
-		}
-	}
-	for _, d := range []int32{1 << 29, -(1 << 29) - 1} {
-		if w, err := sparc.EncodeCall(d); err == nil {
-			vs = append(vs, violate("sweep",
-				"call: out-of-range disp30 %d encoded silently to %08x", d, w))
-		}
-	}
-
-	// sethi imm22: the upper 22 bits survive, including the sign bit
-	// and the %hi/%lo reconstruction identity.
-	for _, v := range []uint32{0, 1 << 10, 0x3ff << 10, 0x7fffffff, 0x80000000, 0xfffffc00, 0xffffffff, 0xdeadbeef} {
-		w, err := sparc.EncodeSethi(sparc.RegO0, v)
-		if err != nil {
-			vs = append(vs, violate("sweep", "sethi %#x: encode failed: %v", v, err))
-			continue
-		}
-		inst := dec.Decode(w)
-		raw, ok := fieldOf(inst, "imm22")
-		if !inst.Valid() || !ok || raw != v>>10 {
-			vs = append(vs, violate("sweep",
-				"sethi %#x: imm22 decoded as %#x, want %#x (word %08x)", v, raw, v>>10, w))
-		}
-		if got := sparc.Hi(v)<<10 | sparc.Lo(v); got != v {
-			vs = append(vs, violate("sweep", "Hi/Lo of %#x reassemble to %#x", v, got))
-		}
-	}
-
-	// Trap numbers.
-	for _, imm := range []int32{-4096, 0, 127, 4095} {
-		w, err := sparc.EncodeTa(imm)
-		if err != nil {
-			vs = append(vs, violate("sweep", "ta %d: encode failed: %v", imm, err))
-			continue
-		}
-		inst := dec.Decode(w)
-		raw, ok := fieldOf(inst, "simm13")
-		if !inst.Valid() || !ok || signExt(raw, 13) != imm {
-			vs = append(vs, violate("sweep", "ta %d: decoded back as %d", imm, signExt(raw, 13)))
-		}
-	}
-	for _, imm := range []int32{-4097, 4096} {
-		if w, err := sparc.EncodeTa(imm); err == nil {
-			vs = append(vs, violate("sweep", "ta: out-of-range %d encoded silently to %08x", imm, w))
-		}
+	for _, err := range spawn.CheckEncoding(dec) {
+		vs = append(vs, violate("sweep", "%v", err))
 	}
 	return vs
 }

@@ -1,162 +1,64 @@
 package mips
 
-import "fmt"
+import (
+	"fmt"
 
-// Encoding helpers build MIPS instruction words from the compiled
-// description's field layout, so the program generator, fuzz
-// round-trip oracles, and tests share one source of encoding truth.
-
-func mustField(name string) func(word, v uint32) uint32 {
-	f, ok := desc.Field(name)
-	if !ok {
-		panic("mips: missing field " + name)
-	}
-	return f.Insert
-}
-
-var (
-	insRS       = mustField("rs")
-	insRT       = mustField("rt")
-	insRDF      = mustField("rdf")
-	insShamt    = mustField("shamt")
-	insImm16    = mustField("imm16")
-	insTarget26 = mustField("target26")
+	"eel/internal/spawn"
 )
 
-// matchWord returns the fixed encoding bits of a named instruction.
-func matchWord(name string) (uint32, error) {
-	def, ok := desc.Lookup(name)
-	if !ok {
-		return 0, fmt.Errorf("mips: unknown instruction %q", name)
-	}
-	return def.Match, nil
-}
-
-func regField(r uint32) (uint32, error) {
-	if r >= 32 {
-		return 0, fmt.Errorf("mips: $%d is not a general register", r)
-	}
-	return r, nil
-}
+// Encoding helpers name the fields of the description's instruction
+// formats; spawn's Encode derives every operand's class and range from
+// the description (imm16 is signed where the semantics sign-extend it
+// and unsigned where they do not) and rejects what the instruction
+// cannot hold.
 
 // EncodeR encodes an op=0 R-type instruction: name rd, rs, rt (shift
 // instructions read rt and shamt; jr/jalr read rs).
 func EncodeR(name string, rd, rs, rt uint32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range []uint32{rd, rs, rt} {
-		if _, err := regField(r); err != nil {
-			return 0, err
-		}
-	}
-	return insRDF(insRT(insRS(w, rs), rt), rd), nil
+	return desc.Encode(name, spawn.Set("rdf", rd), spawn.Set("rs", rs), spawn.Set("rt", rt))
 }
 
 // EncodeShift encodes a constant shift: name rd, rt, shamt.
 func EncodeShift(name string, rd, rt, shamt uint32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	if shamt >= 32 {
-		return 0, fmt.Errorf("mips: shift amount %d exceeds shamt", shamt)
-	}
-	for _, r := range []uint32{rd, rt} {
-		if _, err := regField(r); err != nil {
-			return 0, err
-		}
-	}
-	return insShamt(insRDF(insRT(w, rt), rd), shamt), nil
+	return desc.Encode(name, spawn.Set("rdf", rd), spawn.Set("rt", rt), spawn.Set("shamt", shamt))
 }
 
-// EncodeI encodes a signed-immediate I-type instruction (addiu, slti,
-// sltiu, loads, stores): name rt, rs, imm.  The immediate is the
-// sign-extended simm16 the semantics consume, so its range is
-// [-32768, 32767]; anything outside is rejected, never silently
-// truncated.
+// EncodeI encodes an I-type instruction (addiu, slti, sltiu, loads,
+// stores): name rt, rs, imm, with imm the value the semantics read.
 func EncodeI(name string, rt, rs uint32, imm int32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	if imm < -(1<<15) || imm >= 1<<15 {
-		return 0, fmt.Errorf("mips: immediate %d out of simm16 range", imm)
-	}
-	for _, r := range []uint32{rt, rs} {
-		if _, err := regField(r); err != nil {
-			return 0, err
-		}
-	}
-	return insImm16(insRT(insRS(w, rs), rt), uint32(imm)&0xffff), nil
+	return desc.Encode(name, spawn.Set("rt", rt), spawn.Set("rs", rs), spawn.Set("imm16", imm))
 }
 
-// EncodeIU encodes a zero-extended-immediate I-type instruction
-// (andi, ori, xori, lui): name rt, rs, imm with imm in [0, 0xffff].
+// EncodeIU is EncodeI for the zero-extended immediates (andi, ori,
+// xori, lui).
 func EncodeIU(name string, rt, rs uint32, imm uint32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	if imm > 0xffff {
-		return 0, fmt.Errorf("mips: immediate %#x out of uimm16 range", imm)
-	}
-	for _, r := range []uint32{rt, rs} {
-		if _, err := regField(r); err != nil {
-			return 0, err
-		}
-	}
-	return insImm16(insRT(insRS(w, rs), rt), imm), nil
+	return desc.Encode(name, spawn.Set("rt", rt), spawn.Set("rs", rs), spawn.Set("imm16", imm))
 }
 
-// EncodeBranch encodes a PC-relative branch with a displacement in
-// instruction words from the delay slot (target = pc + 4 + 4*disp):
-// name rs, rt, disp.  blez/bgtz/bltz/bgez ignore rt (bltz/bgez own
-// the rt field as their opcode extension, so rt must be 0 for them).
+// EncodeBranch encodes a PC-relative branch comparing two registers
+// with a displacement in instruction words from the delay slot
+// (target = pc + 4 + 4*disp): name rs, rt, disp.  blez and bgtz also
+// take it: the description leaves their rt free.
 func EncodeBranch(name string, rs, rt uint32, dispWords int32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	if dispWords < -(1<<15) || dispWords >= 1<<15 {
-		return 0, fmt.Errorf("mips: branch displacement %d words exceeds simm16", dispWords)
-	}
-	if _, err := regField(rs); err != nil {
-		return 0, err
-	}
-	switch name {
-	case "bltz", "bgez":
-		// rt is the REGIMM opcode extension, already in the match word.
-		if rt != 0 {
-			return 0, fmt.Errorf("mips: %s takes no rt register", name)
-		}
-	default:
-		if _, err := regField(rt); err != nil {
-			return 0, err
-		}
-		w = insRT(w, rt)
-	}
-	return insImm16(insRS(w, rs), uint32(dispWords)&0xffff), nil
+	return desc.Encode(name, spawn.Set("rs", rs), spawn.Set("rt", rt), spawn.Set("imm16", dispWords))
+}
+
+// EncodeBranchZ encodes a branch comparing one register with zero
+// (blez, bgtz, bltz, bgez): name rs, disp.
+func EncodeBranchZ(name string, rs uint32, dispWords int32) (uint32, error) {
+	return desc.Encode(name, spawn.Set("rs", rs), spawn.Set("imm16", dispWords))
 }
 
 // EncodeJ encodes j/jal: the target26 field holds the word address
 // within the current 256 MiB region (target = pc&0xf0000000 |
 // target26<<2).
 func EncodeJ(name string, targetWords uint32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	if targetWords >= 1<<26 {
-		return 0, fmt.Errorf("mips: jump target %#x exceeds target26", targetWords)
-	}
-	return insTarget26(w, targetWords), nil
+	return desc.Encode(name, spawn.Set("target26", targetWords))
 }
 
 // EncodeSyscall returns the syscall word.
 func EncodeSyscall() (uint32, error) {
-	return matchWord("syscall")
+	return desc.Encode("syscall")
 }
 
 // Nop returns the canonical MIPS nop (sll $0, $0, 0).

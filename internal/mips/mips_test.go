@@ -135,142 +135,3 @@ func TestConcision(t *testing.T) {
 	}
 	t.Logf("mips description: %d non-comment non-blank lines", lines)
 }
-
-// signExt sign-extends a raw field value from the given bit width.
-func signExt(v uint32, bits uint) int32 {
-	shift := 32 - bits
-	return int32(v<<shift) >> shift
-}
-
-func fieldOf(t *testing.T, w uint32, name string) uint32 {
-	t.Helper()
-	inst := NewDecoder().Decode(w)
-	if !inst.Valid() {
-		t.Fatalf("word %08x does not decode", w)
-	}
-	v, ok := inst.Field(name)
-	if !ok {
-		t.Fatalf("decoded %s has no %s field", inst.Name(), name)
-	}
-	return v
-}
-
-// TestEncodeDecodeBoundarySweep is the per-ISA port of the SPARC fuzz
-// oracle's deterministic boundary sweep: every field is driven to its
-// signed extremes, in-range values must round-trip exactly (including
-// sign), and out-of-range values must be rejected by the encoder,
-// never silently truncated.  Field-extent off-by-ones in the
-// description show up here without a fuzzing session.
-func TestEncodeDecodeBoundarySweep(t *testing.T) {
-	// simm16: signed-immediate ALU ops and memory ops.
-	for _, name := range []string{"addiu", "slti", "sltiu", "lw", "sw", "lb", "sh"} {
-		for _, imm := range []int32{-32768, -32767, -1024, -1, 0, 1, 1023, 32766, 32767} {
-			w, err := EncodeI(name, 2, 3, imm)
-			if err != nil {
-				t.Errorf("%s simm16 %d: encode failed: %v", name, imm, err)
-				continue
-			}
-			if got := signExt(fieldOf(t, w, "imm16"), 16); got != imm {
-				t.Errorf("%s: simm16 %d encoded to %08x, decoded back as %d", name, imm, w, got)
-			}
-		}
-		for _, imm := range []int32{-32769, 32768, 1 << 20, -(1 << 20)} {
-			if w, err := EncodeI(name, 2, 3, imm); err == nil {
-				t.Errorf("%s: out-of-range simm16 %d encoded silently to %08x", name, imm, w)
-			}
-		}
-	}
-
-	// uimm16: zero-extended logical immediates and lui.
-	for _, name := range []string{"andi", "ori", "xori", "lui"} {
-		for _, imm := range []uint32{0, 1, 0x7fff, 0x8000, 0xfffe, 0xffff} {
-			w, err := EncodeIU(name, 2, 3, imm)
-			if err != nil {
-				t.Errorf("%s uimm16 %#x: encode failed: %v", name, imm, err)
-				continue
-			}
-			if got := fieldOf(t, w, "imm16"); got != imm {
-				t.Errorf("%s: uimm16 %#x encoded to %08x, decoded back as %#x", name, imm, w, got)
-			}
-		}
-		if w, err := EncodeIU(name, 2, 3, 0x10000); err == nil {
-			t.Errorf("%s: out-of-range uimm16 encoded silently to %08x", name, err)
-			_ = w
-		}
-	}
-
-	// Branch displacements, through the derived static target.
-	const pc = 0x40000000
-	for _, tc := range []struct {
-		name string
-		rt   uint32
-	}{
-		{"beq", 5}, {"bne", 5}, {"blez", 0}, {"bgtz", 0}, {"bltz", 0}, {"bgez", 0},
-	} {
-		for _, d := range []int32{-32768, -1024, -1, 0, 1, 1024, 32767} {
-			w, err := EncodeBranch(tc.name, 4, tc.rt, d)
-			if err != nil {
-				t.Errorf("%s disp %d: encode failed: %v", tc.name, d, err)
-				continue
-			}
-			inst := NewDecoder().Decode(w)
-			if !inst.Valid() || inst.Name() != tc.name {
-				t.Errorf("%s disp %d: decoded as %s (word %08x)", tc.name, d, inst, w)
-				continue
-			}
-			tgt, ok := inst.StaticTarget(pc)
-			want := uint32(int64(pc) + 4 + 4*int64(d))
-			if !ok || tgt != want {
-				t.Errorf("%s: disp %d target %#x, want %#x (word %08x)", tc.name, d, tgt, want, w)
-			}
-		}
-		for _, d := range []int32{32768, -32769, 1 << 20} {
-			if w, err := EncodeBranch(tc.name, 4, tc.rt, d); err == nil {
-				t.Errorf("%s: out-of-range disp %d encoded silently to %08x", tc.name, d, w)
-			}
-		}
-	}
-
-	// Jump target26.
-	for _, tw := range []uint32{0, 1, 1<<26 - 1} {
-		for _, name := range []string{"j", "jal"} {
-			w, err := EncodeJ(name, tw)
-			if err != nil {
-				t.Errorf("%s target26 %#x: encode failed: %v", name, tw, err)
-				continue
-			}
-			if got := fieldOf(t, w, "target26"); got != tw {
-				t.Errorf("%s: target26 %#x encoded to %08x, decoded back as %#x", name, tw, w, got)
-			}
-			inst := NewDecoder().Decode(w)
-			tgt, ok := inst.StaticTarget(pc)
-			want := pc&0xf0000000 | tw<<2
-			if !ok || tgt != want {
-				t.Errorf("%s: target26 %#x target %#x, want %#x", name, tw, tgt, want)
-			}
-		}
-	}
-	if w, err := EncodeJ("j", 1<<26); err == nil {
-		t.Errorf("j: out-of-range target26 encoded silently to %08x", w)
-	}
-
-	// Shift amounts.
-	for _, s := range []uint32{0, 1, 31} {
-		w, err := EncodeShift("sll", 2, 3, s)
-		if err != nil {
-			t.Errorf("sll shamt %d: encode failed: %v", s, err)
-			continue
-		}
-		if got := fieldOf(t, w, "shamt"); got != s {
-			t.Errorf("sll: shamt %d decoded back as %d", s, got)
-		}
-	}
-	if w, err := EncodeShift("sll", 2, 3, 32); err == nil {
-		t.Errorf("sll: out-of-range shamt encoded silently to %08x", w)
-	}
-
-	// Register field extents.
-	if w, err := EncodeR("addu", 32, 1, 2); err == nil {
-		t.Errorf("addu: register 32 encoded silently to %08x", w)
-	}
-}

@@ -168,10 +168,14 @@ func (g *mipsGen) fresh(prefix string) string {
 	return fmt.Sprintf(".X%s%d", prefix, g.label)
 }
 
-// branch emits a placeholder branch to label, patched in resolve.
+// branch emits a placeholder branch to label, retargeted in resolve;
+// rt is dropped for the forms that compare rs with zero.
 func (g *mipsGen) branch(name string, rs, rt uint32, label string) {
-	w, err := mips.EncodeBranch(name, rs, rt, 0)
-	g.fix = append(g.fix, mipsFix{idx: len(g.words), label: label, kind: 'b', name: name, rs: rs, rt: rt})
+	w, err := mips.EncodeBranchZ(name, rs, 0)
+	if def, _ := mips.Desc().Lookup(name); def.Reads("rt") {
+		w, err = mips.EncodeBranch(name, rs, rt, 0)
+	}
+	g.fix = append(g.fix, mipsFix{idx: len(g.words), label: label, kind: 'b'})
 	g.w(w, err)("%s $%d, $%d, %s", name, rs, rt, label)
 }
 
@@ -204,8 +208,7 @@ func (g *mipsGen) resolve() error {
 		var err error
 		switch f.kind {
 		case 'b':
-			disp := (int32(target) - int32(pc+4)) / 4
-			w, err = mips.EncodeBranch(f.name, f.rs, f.rt, disp)
+			w, err = mips.Desc().Retarget(g.words[f.idx], pc, target)
 		case 'j':
 			var tw uint32
 			tw, err = mips.JTargetFor(pc, target)
@@ -392,11 +395,9 @@ func (g *mipsGen) ifThen() {
 		g.w(mips.EncodeR("subu", 9, 16, 8))("subu $9, $16, $8")
 		g.branch([]string{"beq", "bne"}[g.rng.Intn(2)], 9, 8, skip)
 	case 2:
-		name := []string{"blez", "bgtz"}[g.rng.Intn(2)]
-		g.branch(name, 16, 0, skip)
+		g.branch([]string{"blez", "bgtz"}[g.rng.Intn(2)], 16, 0, skip)
 	default:
-		name := []string{"bltz", "bgez"}[g.rng.Intn(2)]
-		g.branch(name, 16, 0, skip)
+		g.branch([]string{"bltz", "bgez"}[g.rng.Intn(2)], 16, 0, skip)
 	}
 	g.slot()
 	g.arith()

@@ -2,8 +2,10 @@ package sparc
 
 import (
 	"fmt"
+	"strings"
 
 	"eel/internal/machine"
+	"eel/internal/spawn"
 )
 
 // Disasm renders the instruction at pc in SPARC assembly syntax.
@@ -12,26 +14,31 @@ func Disasm(inst *machine.Inst, pc uint32) string {
 	if !inst.Valid() {
 		return fmt.Sprintf(".word %#08x", inst.Word())
 	}
-	f := func(name string) uint32 { v, _ := inst.Field(name); return v }
-	rd := machine.Reg(f("rd"))
-	rs1 := machine.Reg(f("rs1"))
-	rs2 := machine.Reg(f("rs2"))
-	simm := int32(f("simm13")<<19) >> 19
-
-	op2str := func() string {
-		if f("iflag") == 1 {
-			return fmt.Sprintf("%d", simm)
+	w := inst.Word()
+	def := desc.DecodeRaw(w)
+	// operand renders a field this word reads: a register by its file,
+	// an immediate by its class.
+	operand := func(field string) string {
+		switch o := def.Operand(field); {
+		case o == nil || !o.Read || !o.Guard.Holds(w):
+			return ""
+		case o.Class == spawn.Register:
+			return RegName(machine.Reg(o.Value(w)))
+		default:
+			return fmt.Sprint(o.Value(w))
 		}
-		return RegName(rs2)
 	}
 	addr := func() string {
-		if f("iflag") == 1 {
-			if simm == 0 {
-				return fmt.Sprintf("[%s]", RegName(rs1))
-			}
-			return fmt.Sprintf("[%s%+d]", RegName(rs1), simm)
+		switch off := operand("simm13"); {
+		case off == "":
+			return "[" + operand("rs1") + "+" + operand("rs2") + "]"
+		case off == "0":
+			return "[" + operand("rs1") + "]"
+		case off[0] == '-':
+			return "[" + operand("rs1") + off + "]"
+		default:
+			return "[" + operand("rs1") + "+" + off + "]"
 		}
-		return fmt.Sprintf("[%s+%s]", RegName(rs1), RegName(rs2))
 	}
 	annul := ""
 	if inst.AnnulBit() {
@@ -54,43 +61,39 @@ func Disasm(inst *machine.Inst, pc uint32) string {
 	case machine.CatCallIndirect:
 		return fmt.Sprintf("call %s", addr())
 	case machine.CatReturn:
-		if rs1 == RegO7 {
+		if operand("rs1") == RegName(RegO7) {
 			return "retl"
 		}
 		return "ret"
 	case machine.CatJumpIndirect:
 		return fmt.Sprintf("jmp %s", addr())
 	case machine.CatLoad, machine.CatStore, machine.CatLoadStore:
-		dataReg := RegName(rd)
-		if name == "ldf" || name == "stf" {
-			dataReg = fmt.Sprintf("%%f%d", rd)
-		}
+		dataReg := operand("rd")
 		if inst.Category() == machine.CatStore {
 			return fmt.Sprintf("%s %s, %s", name, dataReg, addr())
 		}
 		return fmt.Sprintf("%s %s, %s", name, addr(), dataReg)
 	case machine.CatSystem:
-		return fmt.Sprintf("ta %d", simm)
+		return "ta " + operand("rs2") + operand("simm13")
 	}
 
 	switch name {
 	case "sethi":
-		if inst.Word() == Nop() {
+		if w == Nop() {
 			return "nop"
 		}
-		return fmt.Sprintf("sethi %%hi(%#x), %s", f("imm22")<<10, RegName(rd))
+		imm, _ := inst.Field("imm22")
+		return fmt.Sprintf("sethi %%hi(%#x), %s", imm<<10, operand("rd"))
 	case "rdy":
-		return fmt.Sprintf("rd %%y, %s", RegName(rd))
+		return "rd %y, " + operand("rd")
 	case "wry":
-		return fmt.Sprintf("wr %s, %%y", RegName(rs1))
-	case "save", "restore":
-		return fmt.Sprintf("%s %s, %s, %s", name, RegName(rs1), op2str(), RegName(rd))
-	case "fmovs", "fnegs", "fabss", "fitos", "fstoi":
-		return fmt.Sprintf("%s %%f%d, %%f%d", name, rs2, rd)
-	case "fcmps":
-		return fmt.Sprintf("fcmps %%f%d, %%f%d", rs1, rs2)
-	case "fadds", "fsubs", "fmuls", "fdivs":
-		return fmt.Sprintf("%s %%f%d, %%f%d, %%f%d", name, rs1, rs2, rd)
+		return "wr " + operand("rs1") + ", %y"
 	}
-	return fmt.Sprintf("%s %s, %s, %s", name, RegName(rs1), op2str(), RegName(rd))
+	var ops []string
+	for _, field := range []string{"rs1", "rs2", "simm13", "rd"} {
+		if s := operand(field); s != "" {
+			ops = append(ops, s)
+		}
+	}
+	return strings.TrimSpace(name + annul + " " + strings.Join(ops, ", ")) // bn,a reads no operand
 }

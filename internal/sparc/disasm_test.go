@@ -67,31 +67,31 @@ func TestDisasmNeverPanicsAndNeverEmpty(t *testing.T) {
 func TestSubstRegIdentityAndTargets(t *testing.T) {
 	// from == to is the identity.
 	w, _ := EncodeOp3("add", 3, 1, 2)
-	if SubstReg(w, 1, 1) != w {
+	if memo.SubstRegs(w, map[machine.Reg]machine.Reg{1: 1}) != w {
 		t.Error("self-substitution changed the word")
 	}
 	// Branch displacement bits must never be touched even when they
 	// numerically contain the register value.
 	b, _ := EncodeBranch("bne", false, int32(5)) // disp22=5 ≈ rs2=5 bits
-	if SubstReg(b, 5, 9) != b {
+	if memo.SubstRegs(b, map[machine.Reg]machine.Reg{5: 9}) != b {
 		t.Error("branch word rewritten")
 	}
 	c, _ := EncodeCall(12345)
-	if SubstReg(c, 3, 4) != c {
+	if memo.SubstRegs(c, map[machine.Reg]machine.Reg{3: 4}) != c {
 		t.Error("call word rewritten")
 	}
 }
 
 func TestSubstRegRewritesOperands(t *testing.T) {
 	w, _ := EncodeOp3("add", 3, 1, 2)
-	got := SubstReg(w, 1, 20)
+	got := memo.SubstRegs(w, map[machine.Reg]machine.Reg{1: 20})
 	inst := memoInst(got)
 	if !inst.Reads().Has(20) || inst.Reads().Has(1) {
 		t.Errorf("reads = %s", inst.Reads())
 	}
 	// Immediate form: rs2 bits hold the immediate, not a register.
 	wi, _ := EncodeOp3Imm("add", 3, 1, 2) // simm13 = 2
-	gi := SubstReg(wi, 2, 20)
+	gi := memo.SubstRegs(wi, map[machine.Reg]machine.Reg{2: 20})
 	simm, _ := memoInst(gi).Field("simm13")
 	if simm != 2 {
 		t.Errorf("immediate rewritten: %d", simm)
@@ -100,11 +100,11 @@ func TestSubstRegRewritesOperands(t *testing.T) {
 
 func TestSubstRegFloatUntouched(t *testing.T) {
 	w, _ := EncodeOp3("fadds", machine.FloatBase+1, machine.FloatBase+1, machine.FloatBase+1)
-	if SubstReg(w, 1, 9) != w {
+	if memo.SubstRegs(w, map[machine.Reg]machine.Reg{1: 9}) != w {
 		t.Error("fp word rewritten")
 	}
 	ldf, _ := EncodeOp3Imm("ldf", machine.FloatBase+3, 3, 0)
-	got := SubstReg(ldf, 3, 9)
+	got := memo.SubstRegs(ldf, map[machine.Reg]machine.Reg{3: 9})
 	// rs1 (integer base) rewritten, rd (fp) kept.
 	inst := memoInst(got)
 	if !inst.Reads().Has(9) {
@@ -119,7 +119,7 @@ func TestSubstRegsSimultaneous(t *testing.T) {
 	// Swapping two registers through a cyclic assignment must not
 	// cascade.
 	w, _ := EncodeOp3("add", 16, 16, 17) // add %l0, %l1, %l0
-	got := SubstRegs(w, map[machine.Reg]machine.Reg{16: 17, 17: 16})
+	got := memo.SubstRegs(w, map[machine.Reg]machine.Reg{16: 17, 17: 16})
 	inst := memoInst(got)
 	if !inst.Reads().Equal(machine.NewRegSet(16, 17)) {
 		t.Errorf("reads = %s", inst.Reads())
@@ -137,8 +137,8 @@ func TestSubstRegTrapCondUntouched(t *testing.T) {
 	// undecodable word.)
 	const ta = uint32(0x91d025c1)
 	for _, r := range []machine.Reg{1, 8} {
-		if got := SubstReg(ta, r, 20); got != ta {
-			t.Errorf("SubstReg(ta, %d, 20) = %#x, want unchanged %#x", r, got, ta)
+		if got := memo.SubstRegs(ta, map[machine.Reg]machine.Reg{r: 20}); got != ta {
+			t.Errorf("SubstRegs(ta, {%d: 20}) = %#x, want unchanged %#x", r, got, ta)
 		}
 	}
 }
@@ -153,7 +153,7 @@ func TestSubstRegSemanticsPreserved(t *testing.T) {
 		from := machine.Reg(from8 % 32)
 		to := machine.Reg(to8 % 32)
 		before := memoInst(w)
-		after := memoInst(SubstReg(w, from, to))
+		after := memoInst(memo.SubstRegs(w, map[machine.Reg]machine.Reg{from: to}))
 		if before.Name() != after.Name() {
 			return false
 		}
@@ -171,9 +171,10 @@ func TestSubstRegSemanticsPreserved(t *testing.T) {
 	}
 }
 
-// TestPackageHelpersRetainNothing feeds SubstRegs and WritesPSR twice
-// as many distinct words as the memo has slots, then as many more: a
-// long-running tool asks them about every snippet word it ever places,
+// TestPackageHelpersRetainNothing feeds the memo's SubstRegs and
+// WritesPSR twice as many distinct words as the memo has slots, then
+// as many more: a long-running tool asks them about every snippet word
+// it ever places,
 // so the second batch must not grow the heap.  Only the bounded memo
 // may hold what they derive.
 func TestPackageHelpersRetainNothing(t *testing.T) {
@@ -184,8 +185,8 @@ func TestPackageHelpersRetainNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			SubstRegs(w, map[machine.Reg]machine.Reg{1: 20})
-			WritesPSR(w)
+			memo.SubstRegs(w, map[machine.Reg]machine.Reg{1: 20})
+			memo.WritesPSR(w)
 		}
 	}
 	heap := func() uint64 {
@@ -205,7 +206,7 @@ func TestPackageHelpersRetainNothing(t *testing.T) {
 func TestWritesPSR(t *testing.T) {
 	cc, _ := EncodeOp3("subcc", 0, 1, 2)
 	plain, _ := EncodeOp3("sub", 3, 1, 2)
-	if !WritesPSR(cc) || WritesPSR(plain) {
+	if !memo.WritesPSR(cc) || memo.WritesPSR(plain) {
 		t.Error("WritesPSR misclassifies")
 	}
 }

@@ -1,142 +1,32 @@
 package sparc
 
 import (
-	"fmt"
-
 	"eel/internal/machine"
+	"eel/internal/spawn"
 )
 
-// Encoding helpers build SPARC instruction words from the compiled
-// description's field layout, so the assembler, snippets, and
-// program generator share one source of encoding truth.
-
-func mustField(name string) func(word, v uint32) uint32 {
-	f, ok := desc.Field(name)
-	if !ok {
-		panic("sparc: missing field " + name)
-	}
-	return f.Insert
-}
-
-var (
-	insRD     = mustField("rd")
-	insRS1    = mustField("rs1")
-	insRS2    = mustField("rs2")
-	insIflag  = mustField("iflag")
-	insSimm13 = mustField("simm13")
-	insImm22  = mustField("imm22")
-	insDisp22 = mustField("disp22")
-	insDisp30 = mustField("disp30")
-	insAflag  = mustField("aflag")
-)
-
-// matchWord returns the fixed encoding bits of a named instruction.
-func matchWord(name string) (uint32, error) {
-	def, ok := desc.Lookup(name)
-	if !ok {
-		return 0, fmt.Errorf("sparc: unknown instruction %q", name)
-	}
-	return def.Match, nil
-}
-
-// regField converts a machine register to its 5-bit field value; it
-// rejects non-integer registers unless the instruction is a
-// floating-point one (fp=true maps %fN).
-func regField(r machine.Reg, fp bool) (uint32, error) {
-	if fp {
-		if !r.IsFloat() {
-			return 0, fmt.Errorf("sparc: %s is not a float register", RegName(r))
-		}
-		return uint32(r - machine.FloatBase), nil
-	}
-	if !r.IsInt() {
-		return 0, fmt.Errorf("sparc: %s is not an integer register", RegName(r))
-	}
-	return uint32(r), nil
-}
-
-// fpOperand reports which operands of a named instruction live in
-// the floating-point file.
-func fpOperand(name string) (rdFP, rsFP bool) {
-	switch name {
-	case "ldf":
-		return true, false
-	case "stf":
-		return true, false
-	case "fmovs", "fnegs", "fabss", "fadds", "fsubs", "fmuls", "fdivs", "fitos", "fstoi":
-		return true, true
-	case "fcmps":
-		return false, true
-	}
-	return false, false
-}
+// Encoding helpers name the fields of the description's common
+// instruction forms; spawn's Encode derives every operand's class,
+// range and register file from the description and rejects what the
+// instruction cannot hold.
 
 // EncodeOp3 encodes a three-operand (register form) instruction:
 // name rs1, rs2, rd.  It covers arithmetic, jmpl, and memory
 // instructions (for memory, rd is the data register and rs1+rs2 the
 // address).
 func EncodeOp3(name string, rd, rs1, rs2 machine.Reg) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	rdFP, rsFP := fpOperand(name)
-	rdv, err := regField(rd, rdFP && name != "fcmps")
-	if err != nil {
-		return 0, err
-	}
-	rs1v, err := regField(rs1, rsFP && isFPArith(name))
-	if err != nil {
-		return 0, err
-	}
-	rs2v, err := regField(rs2, rsFP)
-	if err != nil {
-		return 0, err
-	}
-	return insRS2(insRS1(insRD(w, rdv), rs1v), rs2v), nil
-}
-
-func isFPArith(name string) bool {
-	switch name {
-	case "fadds", "fsubs", "fmuls", "fdivs", "fcmps":
-		return true
-	}
-	return false
+	return desc.Encode(name, spawn.Set("rd", rd), spawn.Set("rs1", rs1), spawn.Set("rs2", rs2))
 }
 
 // EncodeOp3Imm encodes the immediate form: name rs1, simm13, rd.
 func EncodeOp3Imm(name string, rd, rs1 machine.Reg, imm int32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	if imm < -4096 || imm > 4095 {
-		return 0, fmt.Errorf("sparc: immediate %d out of simm13 range", imm)
-	}
-	rdFP, _ := fpOperand(name)
-	rdv, err := regField(rd, rdFP)
-	if err != nil {
-		return 0, err
-	}
-	rs1v, err := regField(rs1, false)
-	if err != nil {
-		return 0, err
-	}
-	return insSimm13(insIflag(insRS1(insRD(w, rdv), rs1v), 1), uint32(imm)&0x1fff), nil
+	return desc.Encode(name, spawn.Set("rd", rd), spawn.Set("rs1", rs1), spawn.Set("iflag", 1), spawn.Set("simm13", imm))
 }
 
 // EncodeSethi encodes "sethi %hi(value), rd": the imm22 field holds
 // value's upper 22 bits.
 func EncodeSethi(rd machine.Reg, value uint32) (uint32, error) {
-	w, err := matchWord("sethi")
-	if err != nil {
-		return 0, err
-	}
-	rdv, err := regField(rd, false)
-	if err != nil {
-		return 0, err
-	}
-	return insImm22(insRD(w, rdv), value>>10), nil
+	return desc.Encode("sethi", spawn.Set("rd", rd), spawn.Set("imm22", Hi(value)))
 }
 
 // Nop returns the canonical SPARC nop (sethi 0, %g0).
@@ -148,75 +38,21 @@ func Nop() uint32 {
 // EncodeBranch encodes a conditional branch with a displacement in
 // instruction words (target = pc + 4*dispWords).
 func EncodeBranch(name string, annul bool, dispWords int32) (uint32, error) {
-	w, err := matchWord(name)
-	if err != nil {
-		return 0, err
-	}
-	w, err = patchDisp22(w, dispWords)
-	if err != nil {
-		return 0, err
-	}
+	a := 0
 	if annul {
-		w = insAflag(w, 1)
+		a = 1
 	}
-	return w, nil
-}
-
-func patchDisp22(w uint32, dispWords int32) (uint32, error) {
-	if dispWords < -(1<<21) || dispWords >= 1<<21 {
-		return 0, fmt.Errorf("sparc: branch displacement %d words exceeds disp22", dispWords)
-	}
-	return insDisp22(w, uint32(dispWords)&0x3fffff), nil
-}
-
-// WithBranchDisp re-targets an existing branch word.
-func WithBranchDisp(word uint32, dispWords int32) (uint32, error) {
-	return patchDisp22(word, dispWords)
+	return desc.Encode(name, spawn.Set("aflag", a), spawn.Set("disp22", dispWords))
 }
 
 // EncodeCall encodes "call" with a word displacement.
 func EncodeCall(dispWords int32) (uint32, error) {
-	w, err := matchWord("call")
-	if err != nil {
-		return 0, err
-	}
-	// disp30 is signed; out-of-range displacements previously
-	// truncated silently and decoded back to a different target
-	// (found by the fuzz round-trip oracle).
-	if dispWords < -(1<<29) || dispWords >= 1<<29 {
-		return 0, fmt.Errorf("sparc: call displacement %d words exceeds disp30", dispWords)
-	}
-	return insDisp30(w, uint32(dispWords)&0x3fffffff), nil
-}
-
-// WithCallDisp re-targets an existing call word.
-func WithCallDisp(word uint32, dispWords int32) uint32 {
-	return insDisp30(word, uint32(dispWords)&0x3fffffff)
+	return desc.Encode("call", spawn.Set("disp30", dispWords))
 }
 
 // EncodeTa encodes "ta imm" (trap always).
 func EncodeTa(imm int32) (uint32, error) {
-	w, err := matchWord("ta")
-	if err != nil {
-		return 0, err
-	}
-	if imm < -4096 || imm > 4095 {
-		return 0, fmt.Errorf("sparc: trap number %d out of range", imm)
-	}
-	return insSimm13(insIflag(w, 1), uint32(imm)&0x1fff), nil
-}
-
-// SetSethiHi patches a sethi word to load the upper bits of addr
-// (the paper's SET_SETHI_HI, Fig 2/5).
-func SetSethiHi(word uint32, addr uint32) uint32 {
-	return insImm22(word, addr>>10)
-}
-
-// SetSimm13Lo patches an immediate-form word's simm13 to the low 10
-// bits of addr (the paper's SET_SETHI_LOW: the %lo complement of a
-// sethi %hi pair).
-func SetSimm13Lo(word uint32, addr uint32) uint32 {
-	return insSimm13(word, addr&0x3ff)
+	return desc.Encode("ta", spawn.Set("iflag", 1), spawn.Set("simm13", imm))
 }
 
 // Hi returns the sethi %hi part of v; Lo the %lo part.  hi<<10|lo

@@ -288,7 +288,9 @@ func ParseReg(s string) (machine.Reg, error) {
 		return machine.RegY, nil
 	}
 	var n int
-	if _, err := fmt.Sscanf(s[2:], "%d", &n); err != nil || n < 0 {
+	if len(s) == 3 && s[2] >= '0' && s[2] <= '9' {
+		n = int(s[2] - '0') // the one-digit form, without Sscanf's allocations
+	} else if _, err := fmt.Sscanf(s[2:], "%d", &n); err != nil || n < 0 {
 		return 0, fmt.Errorf("sparc: bad register %q", s)
 	}
 	var base machine.Reg

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"eel/internal/machine"
+	"eel/internal/spawn"
 )
 
 func decode(t *testing.T, word uint32) *machine.Inst {
@@ -348,22 +349,20 @@ func TestRegNameRoundTrip(t *testing.T) {
 }
 
 func TestSethiPatching(t *testing.T) {
-	w, err := EncodeSethi(RegG1, 0)
+	addr := uint32(0x12345678)
+	w, err := EncodeSethi(RegG1, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := uint32(0x12345678)
-	w = SetSethiHi(w, addr)
 	inst := decode(t, w)
 	imm, _ := inst.Field("imm22")
 	if imm != addr>>10 {
 		t.Errorf("imm22 = %#x, want %#x", imm, addr>>10)
 	}
-	or, err := EncodeOp3Imm("or", RegG1, RegG1, 0)
+	or, err := EncodeOp3Imm("or", RegG1, RegG1, int32(Lo(addr)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	or = SetSimm13Lo(or, addr)
 	io := decode(t, or)
 	lo, _ := io.Field("simm13")
 	if lo != addr&0x3ff {
@@ -371,6 +370,32 @@ func TestSethiPatching(t *testing.T) {
 	}
 	if Hi(addr)<<10|Lo(addr) != addr {
 		t.Error("Hi/Lo do not reconstruct the address")
+	}
+}
+
+// TestEncodeDecodeBoundarySweep runs spawn's derived sweep over the
+// description: every readable field at its extremes, out-of-range
+// values and register 32 rejected, and every branch and call
+// displacement checked against its static target.
+func TestEncodeDecodeBoundarySweep(t *testing.T) {
+	for _, err := range spawn.CheckEncoding(NewDecoder()) {
+		t.Error(err)
+	}
+}
+
+// TestMisencodingsRejected pins operands the hand-written encoders
+// once wrote over bits the instruction fixes or reads: ta's rd over
+// its trap condition (an undecodable word), ba's rd over its condition
+// (a bne), and call's rd and simm13 over its displacement.
+func TestMisencodingsRejected(t *testing.T) {
+	if w, err := EncodeOp3Imm("ta", RegO1, RegG0, 0); err == nil {
+		t.Errorf("ta with rd %%o1 encoded to %08x", w)
+	}
+	if w, err := EncodeOp3("ba", RegO1, RegG0, RegG0); err == nil {
+		t.Errorf("ba with rd %%o1 encoded to %08x", w)
+	}
+	if w, err := EncodeOp3Imm("call", RegO1, RegG0, 4); err == nil {
+		t.Errorf("call with rd %%o1 and simm13 4 encoded to %08x", w)
 	}
 }
 

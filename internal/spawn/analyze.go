@@ -73,6 +73,11 @@ type ClassInfo struct {
 	// does the decoder fold K once per word instead of evaluating the
 	// target at every query.
 	PCRelative bool
+	// Operands lists, in field-name order, every field the definition
+	// can carry; Disp locates a pc-relative target's displacement
+	// among them (nil when the definition has none).
+	Operands []Operand
+	Disp     *Displacement
 }
 
 // analyze validates and classifies every instruction definition.
@@ -91,7 +96,7 @@ func (d *Desc) analyze() error {
 		info.PCRelative = d.pcRelative(def.Sem)
 		def.Info = info
 	}
-	return nil
+	return d.deriveOperands()
 }
 
 // pcRelative reports whether sem assigns pc and every target walkTarget
@@ -458,10 +463,10 @@ func (w *effWalker) stmt(n rtl.Node) {
 	case rtl.Apply:
 		fn, args := applySpine(x)
 		if id, ok := fn.(rtl.Ident); ok {
-			switch id.Name {
-			case "trap":
+			switch {
+			case id.Name == "trap":
 				w.eff.Trap, w.eff.Faults = true, true
-			case "winsave", "winrestore":
+			case isWindowOp(id.Name):
 				w.eff.Barrier = true
 			}
 		}
@@ -615,10 +620,10 @@ func (w *effWalker) exprReads(n rtl.Node) {
 	case rtl.Apply:
 		fn, args := applySpine(x)
 		if id, ok := fn.(rtl.Ident); ok {
-			switch id.Name {
-			case "winsave", "winrestore":
+			switch {
+			case isWindowOp(id.Name):
 				w.eff.Barrier = true
-			case "udiv", "sdiv", "urem", "srem":
+			case id.Name == "udiv" || id.Name == "sdiv" || id.Name == "urem" || id.Name == "srem":
 				w.eff.Faults = true
 			}
 		}
@@ -642,6 +647,11 @@ func (w *effWalker) readReg(file string, idx int64) {
 		w.eff.Reads = w.eff.Reads.Add(r)
 	}
 }
+
+// isWindowOp names the register-window operations.  Their effects are
+// a barrier over the integer file, and a field passed to one bare
+// (save's rd) is an index into that file (fieldUses).
+func isWindowOp(name string) bool { return name == "winsave" || name == "winrestore" }
 
 // applySpine flattens nested applications into head + arguments.
 func applySpine(n rtl.Node) (rtl.Node, []rtl.Node) {

@@ -64,6 +64,41 @@ func NewMemo(desc *Desc, glue Glue) *Memo { return &Memo{desc: desc, glue: glue}
 // shared: callers must not modify them.
 func (m *Memo) Spec(word uint32) machine.InstSpec { return m.lookup(word).spec }
 
+// SubstRegs rewrites each register operand of word that names a
+// register in assign to the register it maps to, in one simultaneous
+// pass: every field is looked up once, so an assignment may map one
+// placeholder onto another's name (paper §3.5: snippet bodies name
+// placeholders that EEL replaces with scavenged dead registers).  Only
+// operands the word's semantics read are touched, never the hardwired
+// zero, and a field is rewritten only to a register of its own file.
+func (m *Memo) SubstRegs(word uint32, assign map[machine.Reg]machine.Reg) uint32 {
+	def := m.lookup(word).def
+	if def == nil {
+		return word
+	}
+	out := word
+	for i := range def.Info.Operands {
+		o := &def.Info.Operands[i]
+		if o.Class != Register || !o.Read || !o.Guard.Holds(word) {
+			continue
+		}
+		idx := o.Field.Extract(word)
+		if to, ok := assign[o.base+machine.Reg(idx)]; ok && !m.desc.isZeroReg(o.File, int64(idx)) {
+			if v, ok := o.fit(int64(to)); ok {
+				out = o.Field.Insert(out, v)
+			}
+		}
+	}
+	return out
+}
+
+// WritesPSR reports whether word clobbers the integer condition codes,
+// which decides between a snippet's fast (cc-clobbering) and slow
+// (cc-preserving) bodies: the Blizzard optimization of §5.
+func (m *Memo) WritesPSR(word uint32) bool {
+	return m.lookup(word).spec.Writes.Has(machine.RegPSR)
+}
+
 // memoSlot maps a word to its slot by Fibonacci hashing.  Words that
 // differ in their low (immediate) bits land further apart than a
 // random hash would put them, which lifts the hit share on real text:
@@ -192,6 +227,14 @@ func (t *TableDecoder) RegName(r machine.Reg) string {
 	}
 	return machine.RegSet{}.Add(r).String()
 }
+
+// SubstRegs is Memo.SubstRegs on the decoder's memo.
+func (t *TableDecoder) SubstRegs(word uint32, assign map[machine.Reg]machine.Reg) uint32 {
+	return t.memo.SubstRegs(word, assign)
+}
+
+// WritesPSR is Memo.WritesPSR on the decoder's memo.
+func (t *TableDecoder) WritesPSR(word uint32) bool { return t.memo.WritesPSR(word) }
 
 // Decode returns the (shared) instruction for word.
 func (t *TableDecoder) Decode(word uint32) *machine.Inst {

@@ -51,11 +51,10 @@ func transferSweeps(t *testing.T) []transferSweep {
 		sp[name] = ws
 	}
 	mipsBranch := func(name string, d int32) (uint32, error) {
-		rt := uint32(2)
 		if name == "bltz" || name == "bgez" {
-			rt = 0
+			return mips.EncodeBranchZ(name, 1, d)
 		}
-		return mips.EncodeBranch(name, 1, rt, d)
+		return mips.EncodeBranch(name, 1, 2, d)
 	}
 	alphaBranch := func(name string, d int32) (uint32, error) { return alpha.EncodeBranch(name, 26, d) }
 	return []transferSweep{
