@@ -2,8 +2,9 @@
 // long-running HTTP service answering analyze, instrument, and verify
 // jobs over the wire protocol in internal/eeld, backed by the shared
 // in-memory analysis cache and — when -cache-dir is given — a
-// persistent content-addressed per-routine disk store that survives
-// restarts and is shared by every client.
+// persistent log-structured disk store (one segment file per analysis
+// run, records keyed by routine content) that survives restarts and
+// is shared by every client.
 //
 // Admission is bounded: at most -queue requests wait, dispatched to
 // -workers executors by a weighted round robin keyed on the

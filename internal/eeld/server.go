@@ -229,7 +229,7 @@ func (s *Server) ServeErr() <-chan error { return s.serveErr }
 // Drain performs the graceful shutdown a SIGTERM asks for: stop
 // admitting jobs (new submissions get 503), let queued and in-flight
 // jobs finish, stop the workers, then close the HTTP server.  The
-// disk store needs no close — every entry write is atomic.
+// disk store needs no close — every segment write is atomic.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true

@@ -25,7 +25,7 @@ const (
 	EvRoutineInstall            // compiled routine program installed; A=entry PC, B=program length
 	EvCompileStall              // routine compile queue full, promotion dropped; A=entry PC, B=queue cap
 	EvAdmissionReject           // eeld admission rejected a request; A=HTTP status, B=queue depth
-	EvCacheCorrupt              // DiskStore dropped a corrupt entry; A=routine start PC, B=content hash
+	EvCacheCorrupt              // DiskStore found a corrupt record; A=routine start PC, B=content hash
 	EvRoutineRefuse             // a routine did not reach the routine tier; A=entry PC, B=PC of the first instruction that did not lower (0: no routine extent)
 )
 

@@ -84,14 +84,15 @@ func (b *bundle) depsValid(e *core.Executable) bool {
 }
 
 // Backend is a second-level cache consulted when the in-memory tier
-// misses: Load returns the serialized bundle stored under k, Store
-// persists one.  Implementations must be safe for concurrent use;
-// DiskStore is the production implementation (content-addressed
-// files, LRU-bounded, survives restarts).  A Backend sees only
-// opaque bytes — the pipeline owns the bundle codec (codec.go).
+// misses: Load returns the serialized bundle stored under k, Persist
+// writes one run's records — its fresh analyses and the disk hits it
+// used — as one batch.  Implementations must be safe for concurrent
+// use; DiskStore is the production implementation (one segment file
+// per batch, bounded, survives restarts).  A Backend sees only opaque
+// bytes — the pipeline owns the bundle codec (codec.go).
 type Backend interface {
 	Load(k Key) ([]byte, bool)
-	Store(k Key, data []byte)
+	Persist(recs []Record) (PersistInfo, error)
 }
 
 // Cache is a bounded, content-addressed memoization of routine
@@ -136,9 +137,6 @@ func NewCache(capacity int) *Cache {
 // misses and populated on computes.  Call it before sharing the
 // cache; the backend itself must be concurrency-safe.
 func (c *Cache) SetBackend(b Backend) { c.backend = b }
-
-// Backend returns the attached second-level store, or nil.
-func (c *Cache) Backend() Backend { return c.backend }
 
 // lookup returns the cached bundle for k without touching hit/miss
 // accounting (the caller counts after validating the bundle against
@@ -206,18 +204,6 @@ func (c *Cache) Len() int {
 // Counters returns lifetime hit/miss/eviction counts.
 func (c *Cache) Counters() (hits, misses, evictions uint64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
-}
-
-// Reset empties the in-memory tier and zeroes its counters (an
-// attached backend is untouched: its contents are still valid).
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[Key]*list.Element)
-	c.order = list.New()
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
 }
 
 // imageSalt digests the image properties outside a routine's own

@@ -1,62 +1,94 @@
 package pipeline
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"eel/internal/obs"
+	"eel/internal/telemetry"
 )
 
 // DiskStore is the persistent second level of the analysis cache: a
-// directory of content-addressed entry files, one per Key, that
+// log-structured directory of append-only segment files that
 // survives process restarts and is shared by every client of a
 // long-running server (cmd/eeld).  It implements Backend.
 //
+// Each Persist call writes one segment, named by a rising sequence
+// number, holding one record per key.  An in-memory index maps each
+// key to the segment, offset and length of its newest record, so a
+// Load is one open and one read.  Segment order is recency order:
+// the pipeline re-appends every disk hit to its run's batch, so a
+// record that is still being used moves forward, and eviction drops
+// whole oldest segments.
+//
 // Properties the service depends on:
 //
-//   - Crash safety: entries are written to a temp file and renamed
+//   - Crash safety: a segment is written to a temp file and renamed
 //     into place, so a crash mid-write leaves at most a stray temp
-//     file, never a half-written entry under a valid name.
-//   - Corruption safety: every entry carries a magic, a version, a
-//     length, and an FNV-64a checksum; a truncated or bit-flipped
-//     entry is silently discarded (and deleted) on load, never fatal.
-//   - Bounded: both entry count and total byte size are capped; the
-//     least-recently-used entries are evicted (their files deleted)
-//     when a store pushes past either bound.
-//   - Concurrent: loads, stores, and evictions may interleave freely.
+//     file, never a half-written segment under a valid name.
+//   - Corruption safety: every record carries a magic, a version, a
+//     key echo, a length, and an FNV-64a checksum; a damaged record
+//     is counted and treated as a miss, never fatal.
+//   - Bounded: both the indexed entry count and the total size of the
+//     segment files are capped; after every write and after recovery
+//     the oldest segments are deleted until both bounds hold, and a
+//     segment no indexed record points into is deleted at once.
+//   - Concurrent: loads, writes, and evictions may interleave freely.
 //     A reader that loses the race with an eviction sees a miss.
 //
-// Restart recovery scans the directory once: undamaged entries are
-// indexed (oldest access first, using file mtimes as the cross-
-// process LRU approximation), temp files are swept, and anything
-// unreadable is removed.
+// Restart recovery sweeps temp files and scans the segments in
+// sequence order, validating every record; a later record for a key
+// supersedes an earlier one.  A bad record is skipped, and a torn
+// tail loses only the records from the tear on.
 type DiskStore struct {
 	dir string
 
 	mu         sync.Mutex
-	entries    map[Key]*list.Element
-	order      *list.List // front = most recently used
-	totalBytes int64
+	index      map[Key]recordLoc
+	segs       []*segment // oldest first; each holds an indexed record
+	totalBytes int64      // size of the segment files in segs
+	next       uint64     // sequence number of the next segment
 	maxEntries int
 	maxBytes   int64
 
 	loads, loadHits, stores, evictions, corrupt atomic.Uint64
-	evictedBytes                                atomic.Uint64
 }
 
-// diskEntry is what order elements carry.
-type diskEntry struct {
-	key  Key
+// segment is one segment file.  seq and size never change; keys and
+// live are guarded by the store's lock.
+type segment struct {
+	seq  uint64
 	size int64
+	keys []Key // the keys of its valid records, in file order
+	live int   // index entries pointing into it
+}
+
+// recordLoc locates one framed record.
+type recordLoc struct {
+	seg *segment
+	off int64
+	n   int64
+}
+
+// Record is one persisted analysis: a key and its encoded bundle.
+type Record struct {
+	Key  Key
+	Data []byte
+}
+
+// PersistInfo describes one Persist call's write.
+type PersistInfo struct {
+	Bytes   int64  // size of the segment written
+	Segment uint64 // its sequence number
+	Dropped int    // segments deleted, by eviction or because no indexed record remained in them
 }
 
 // Default DiskStore bounds.
@@ -69,12 +101,14 @@ const (
 	diskMagic  = 0x45454c42 // "EELB"
 	diskSuffix = ".eelb"
 	tmpPrefix  = "tmp-"
+	headerSize = 44
 )
 
 // OpenDiskStore opens (creating if needed) a persistent store rooted
-// at dir, holding at most maxEntries entries and maxBytes total bytes
-// (<= 0 selects the defaults).  Existing entries are re-indexed so a
-// restarted server starts warm.
+// at dir, holding at most maxEntries entries and maxBytes of segment
+// files (<= 0 selects the defaults).  Recovery sweeps temp files,
+// indexes every valid record of every segment in sequence order (so
+// a restarted server starts warm), and trims the store to its bounds.
 func OpenDiskStore(dir string, maxEntries int, maxBytes int64) (*DiskStore, error) {
 	if maxEntries <= 0 {
 		maxEntries = DefaultDiskEntries
@@ -87,244 +121,227 @@ func OpenDiskStore(dir string, maxEntries int, maxBytes int64) (*DiskStore, erro
 	}
 	s := &DiskStore{
 		dir:        dir,
-		entries:    map[Key]*list.Element{},
-		order:      list.New(),
+		index:      map[Key]recordLoc{},
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 	}
-	if err := s.recover(); err != nil {
-		return nil, err
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: disk store: %w", err)
 	}
+	sp := telemetry.ActiveTracer().Begin("disk.recover", "disk")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// ReadDir sorts by name, so segments come in sequence order.
+	for _, de := range des {
+		name := filepath.Join(s.dir, de.Name())
+		if strings.HasPrefix(de.Name(), tmpPrefix) {
+			os.Remove(name) // crash leftovers
+			continue
+		}
+		seq, err := strconv.ParseUint(strings.TrimSuffix(de.Name(), diskSuffix), 16, 64)
+		if err != nil || s.segPath(seq) != name {
+			continue // not a segment
+		}
+		data, err := os.ReadFile(name)
+		if err != nil {
+			continue // unindexed; a later write may replace it
+		}
+		seg := s.appendLocked(seq, int64(len(data)))
+		for off := 0; off < len(data); {
+			rest := data[off:]
+			if len(rest) < headerSize || binary.BigEndian.Uint32(rest) != diskMagic ||
+				binary.BigEndian.Uint64(rest[24:]) > uint64(len(rest)-headerSize) {
+				s.corrupt.Add(1) // a torn or garbage tail: no record boundary is left
+				break
+			}
+			n := headerSize + int(binary.BigEndian.Uint64(rest[24:]))
+			if k := keyEcho(rest); unframe(k, rest[:n]) != nil {
+				s.indexLocked(k, recordLoc{seg, int64(off), int64(n)})
+			} else {
+				s.corrupt.Add(1)
+				obs.Record(obs.EvCacheCorrupt, uint64(k.Start), k.Hash)
+			}
+			off += n
+		}
+		if seg.live == 0 {
+			s.dropLocked(seg)
+		}
+	}
+	s.evictLocked()
+	sp.Arg("segments", len(s.segs))
+	sp.Arg("records", len(s.index))
+	sp.Arg("corrupt", s.corrupt.Load())
+	sp.End()
 	return s, nil
 }
 
-// recover scans dir, sweeping temp files and indexing entries oldest
-// first so the in-memory LRU order approximates cross-restart use.
-func (s *DiskStore) recover() error {
-	des, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("pipeline: disk store: %w", err)
-	}
-	type found struct {
-		key   Key
-		size  int64
-		mtime time.Time
-	}
-	var all []found
-	for _, de := range des {
-		name := de.Name()
-		if de.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(name, tmpPrefix) {
-			os.Remove(filepath.Join(s.dir, name)) // crash leftovers
-			continue
-		}
-		key, ok := parseEntryName(name)
-		if !ok {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		all = append(all, found{key: key, size: info.Size(), mtime: info.ModTime()})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].mtime.Before(all[j].mtime) })
-	for _, f := range all {
-		// PushFront in oldest→newest order leaves the newest at the
-		// front, i.e. most recently used.
-		s.entries[f.key] = s.order.PushFront(&diskEntry{key: f.key, size: f.size})
-		s.totalBytes += f.size
-	}
-	s.mu.Lock()
-	s.evictLocked(nil)
-	s.mu.Unlock()
-	return nil
+// segPath names segment seq.  The fixed-width hex name makes
+// directory order sequence order.
+func (s *DiskStore) segPath(seq uint64) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%016x%s", seq, diskSuffix))
 }
 
-// entryName renders k as a filename; parseEntryName inverts it.
-func entryName(k Key) string {
-	return fmt.Sprintf("%016x-%08x-%06x%s", k.Hash, k.Start, k.Words, diskSuffix)
-}
-
-func parseEntryName(name string) (Key, bool) {
-	if !strings.HasSuffix(name, diskSuffix) {
-		return Key{}, false
-	}
-	var k Key
-	_, err := fmt.Sscanf(strings.TrimSuffix(name, diskSuffix), "%16x-%8x-%6x", &k.Hash, &k.Start, &k.Words)
-	if err != nil {
-		return Key{}, false
-	}
-	return k, true
-}
-
-// frame wraps payload in the on-disk envelope: magic, version, key
-// echo, length, checksum, payload.  The key echo guards against a
-// renamed or hash-colliding file serving the wrong entry.
-func frame(k Key, payload []byte) []byte {
-	buf := make([]byte, 0, 44+len(payload))
-	var hdr [44]byte
-	binary.BigEndian.PutUint32(hdr[0:], diskMagic)
-	binary.BigEndian.PutUint32(hdr[4:], codecVersion)
-	binary.BigEndian.PutUint64(hdr[8:], k.Hash)
-	binary.BigEndian.PutUint32(hdr[16:], k.Start)
-	binary.BigEndian.PutUint32(hdr[20:], k.Words)
-	binary.BigEndian.PutUint64(hdr[24:], uint64(len(payload)))
+// appendRecord appends payload framed in the on-disk envelope: magic,
+// version, key echo, length, checksum, reserved word, payload.  The
+// key echo guards against a misplaced or hash-colliding record
+// serving the wrong entry.
+func appendRecord(buf []byte, k Key, payload []byte) []byte {
 	h := fnv.New64a()
 	h.Write(payload)
-	binary.BigEndian.PutUint64(hdr[32:], h.Sum64())
-	binary.BigEndian.PutUint32(hdr[40:], 0) // reserved
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, payload...)
-	return buf
+	buf = binary.BigEndian.AppendUint32(buf, diskMagic)
+	buf = binary.BigEndian.AppendUint32(buf, codecVersion)
+	buf = binary.BigEndian.AppendUint64(buf, k.Hash)
+	buf = binary.BigEndian.AppendUint32(buf, k.Start)
+	buf = binary.BigEndian.AppendUint32(buf, k.Words)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
+	buf = binary.BigEndian.AppendUint64(buf, h.Sum64())
+	buf = binary.BigEndian.AppendUint32(buf, 0)
+	return append(buf, payload...)
 }
 
-// unframe validates the envelope and returns the payload.
-func unframe(k Key, data []byte) ([]byte, error) {
-	if len(data) < 44 {
-		return nil, fmt.Errorf("truncated header (%d bytes)", len(data))
-	}
-	if binary.BigEndian.Uint32(data[0:]) != diskMagic {
-		return nil, fmt.Errorf("bad magic")
-	}
-	if v := binary.BigEndian.Uint32(data[4:]); v != codecVersion {
-		return nil, fmt.Errorf("codec version %d (want %d)", v, codecVersion)
-	}
-	ek := Key{
+// keyEcho reads the key a framed record was stored under.
+func keyEcho(data []byte) Key {
+	return Key{
 		Hash:  binary.BigEndian.Uint64(data[8:]),
 		Start: binary.BigEndian.Uint32(data[16:]),
 		Words: binary.BigEndian.Uint32(data[20:]),
 	}
-	if ek != k {
-		return nil, fmt.Errorf("key mismatch")
+}
+
+// unframe validates one framed record and returns its payload, or nil
+// when any envelope check fails.
+func unframe(k Key, data []byte) []byte {
+	if len(data) < headerSize || binary.BigEndian.Uint32(data) != diskMagic ||
+		binary.BigEndian.Uint32(data[4:]) != codecVersion || keyEcho(data) != k ||
+		binary.BigEndian.Uint64(data[24:]) != uint64(len(data)-headerSize) {
+		return nil
 	}
-	n := binary.BigEndian.Uint64(data[24:])
-	if n != uint64(len(data)-44) {
-		return nil, fmt.Errorf("length %d does not match %d payload bytes", n, len(data)-44)
-	}
-	payload := data[44:]
 	h := fnv.New64a()
-	h.Write(payload)
+	h.Write(data[headerSize:])
 	if h.Sum64() != binary.BigEndian.Uint64(data[32:]) {
-		return nil, fmt.Errorf("checksum mismatch")
+		return nil
 	}
-	return payload, nil
+	return data[headerSize:]
 }
 
 // Load implements Backend: it returns the payload stored under k, or
-// ok=false.  Damaged entries are deleted and reported as misses.
+// ok=false.  A damaged record is counted and reported as a miss; the
+// caller's recompute supersedes it.
 func (s *DiskStore) Load(k Key) ([]byte, bool) {
 	s.loads.Add(1)
-	path := filepath.Join(s.dir, entryName(k))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		// Lost a race with an eviction, or never stored: a miss.
-		s.dropIndex(k)
+	s.mu.Lock()
+	loc, ok := s.index[k]
+	s.mu.Unlock()
+	if !ok {
 		return nil, false
 	}
-	payload, err := unframe(k, data)
+	f, err := os.Open(s.segPath(loc.seg.seq))
 	if err != nil {
+		return nil, false // lost a race with an eviction
+	}
+	defer f.Close()
+	data := make([]byte, loc.n)
+	n, _ := f.ReadAt(data, loc.off) // a short read fails unframe
+	payload := unframe(k, data[:n])
+	if payload == nil {
 		s.corrupt.Add(1)
 		obs.Record(obs.EvCacheCorrupt, uint64(k.Start), k.Hash)
-		os.Remove(path)
-		s.dropIndex(k)
 		return nil, false
 	}
-	s.touch(k, int64(len(data)))
-	// Refresh mtime so a future restart's LRU recovery sees the use;
-	// best-effort (failure only skews cross-restart eviction order).
-	now := time.Now()
-	_ = os.Chtimes(path, now, now)
 	s.loadHits.Add(1)
 	return payload, true
 }
 
-// Store implements Backend: it persists payload under k, evicting
-// least-recently-used entries beyond the store's bounds.
+// Store persists one record: Persist with a batch of one.  A failed
+// write is dropped, as it only costs a later miss.
 func (s *DiskStore) Store(k Key, payload []byte) {
-	data := frame(k, payload)
+	s.Persist([]Record{{Key: k, Data: payload}})
+}
+
+// Persist implements Backend: it writes recs as one new segment,
+// indexes them (a later record for a key supersedes an earlier one),
+// and deletes the oldest segments until the store's bounds hold.
+func (s *DiskStore) Persist(recs []Record) (PersistInfo, error) {
+	if len(recs) == 0 {
+		return PersistInfo{}, nil
+	}
+	var buf []byte
+	for _, r := range recs {
+		buf = appendRecord(buf, r.Key, r.Data)
+	}
 	tmp, err := os.CreateTemp(s.dir, tmpPrefix+"*")
 	if err != nil {
-		return
+		return PersistInfo{}, fmt.Errorf("pipeline: disk store: %w", err)
 	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmpName)
-		return
+	_, err = tmp.Write(buf)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, entryName(k))); err != nil {
-		os.Remove(tmpName)
-		return
-	}
-	s.stores.Add(1)
-
-	s.mu.Lock()
-	if el, ok := s.entries[k]; ok {
-		de := el.Value.(*diskEntry)
-		s.totalBytes += int64(len(data)) - de.size
-		de.size = int64(len(data))
-		s.order.MoveToFront(el)
-	} else {
-		s.entries[k] = s.order.PushFront(&diskEntry{key: k, size: int64(len(data))})
-		s.totalBytes += int64(len(data))
-	}
-	var victims []Key
-	s.evictLocked(&victims)
-	s.mu.Unlock()
-	for _, v := range victims {
-		os.Remove(filepath.Join(s.dir, entryName(v)))
-	}
-}
-
-// evictLocked trims the index to the store's bounds, recording the
-// evicted keys in victims (nil to skip); the caller deletes the files
-// outside the lock.  recover passes nil and deletes nothing — bounds
-// shrank between runs only if the caller reconfigured them, and the
-// next Store pass cleans up.
-func (s *DiskStore) evictLocked(victims *[]Key) {
-	for len(s.entries) > s.maxEntries || s.totalBytes > s.maxBytes {
-		last := s.order.Back()
-		if last == nil {
-			break
-		}
-		de := last.Value.(*diskEntry)
-		s.order.Remove(last)
-		delete(s.entries, de.key)
-		s.totalBytes -= de.size
-		s.evictions.Add(1)
-		s.evictedBytes.Add(uint64(de.size))
-		if victims != nil {
-			*victims = append(*victims, de.key)
-		}
-	}
-}
-
-// touch refreshes k's LRU position (re-inserting it if an eviction
-// removed the index entry while the file still existed).
-func (s *DiskStore) touch(k Key, size int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[k]; ok {
-		s.order.MoveToFront(el)
-		return
+	// Renaming under the lock keeps sequence order and index order
+	// the same, so recovery rebuilds the index this process had.
+	if err == nil {
+		err = os.Rename(tmp.Name(), s.segPath(s.next))
 	}
-	s.entries[k] = s.order.PushFront(&diskEntry{key: k, size: size})
+	if err != nil {
+		os.Remove(tmp.Name())
+		return PersistInfo{}, fmt.Errorf("pipeline: disk store: %w", err)
+	}
+	before := len(s.segs)
+	seg := s.appendLocked(s.next, int64(len(buf)))
+	off := int64(0)
+	for _, r := range recs {
+		n := int64(headerSize + len(r.Data))
+		s.indexLocked(r.Key, recordLoc{seg, off, n})
+		off += n
+	}
+	s.stores.Add(uint64(len(recs)))
+	s.evictLocked()
+	return PersistInfo{Bytes: seg.size, Segment: seg.seq, Dropped: before + 1 - len(s.segs)}, nil
+}
+
+// appendLocked lists a new segment as the newest.
+func (s *DiskStore) appendLocked(seq uint64, size int64) *segment {
+	seg := &segment{seq: seq, size: size}
+	s.segs = append(s.segs, seg)
 	s.totalBytes += size
+	s.next = seq + 1
+	return seg
 }
 
-// dropIndex forgets k without touching the filesystem.
-func (s *DiskStore) dropIndex(k Key) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[k]; ok {
-		de := el.Value.(*diskEntry)
-		s.order.Remove(el)
-		delete(s.entries, k)
-		s.totalBytes -= de.size
+// indexLocked points k at loc, releasing the record it supersedes.
+func (s *DiskStore) indexLocked(k Key, loc recordLoc) {
+	loc.seg.keys = append(loc.seg.keys, k)
+	loc.seg.live++
+	if old, ok := s.index[k]; ok {
+		if old.seg.live--; old.seg.live == 0 {
+			s.dropLocked(old.seg)
+		}
+	}
+	s.index[k] = loc
+}
+
+// dropLocked unindexes seg's records, unlists it and deletes its
+// file.  A reader that looked the segment up before the delete
+// either still reads it or fails to open it: a clean miss either way.
+func (s *DiskStore) dropLocked(seg *segment) {
+	for _, k := range seg.keys {
+		if loc, ok := s.index[k]; ok && loc.seg == seg {
+			delete(s.index, k)
+			s.evictions.Add(1)
+		}
+	}
+	s.segs = slices.DeleteFunc(s.segs, func(g *segment) bool { return g == seg })
+	s.totalBytes -= seg.size
+	os.Remove(s.segPath(seg.seq))
+}
+
+// evictLocked deletes the oldest segments until both bounds hold.
+func (s *DiskStore) evictLocked() {
+	for len(s.segs) > 0 && (len(s.index) > s.maxEntries || s.totalBytes > s.maxBytes) {
+		s.dropLocked(s.segs[0])
 	}
 }
 
@@ -332,10 +349,10 @@ func (s *DiskStore) dropIndex(k Key) {
 func (s *DiskStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.entries)
+	return len(s.index)
 }
 
-// Bytes returns the indexed entries' total on-disk size.
+// Bytes returns the total size of the store's segment files.
 func (s *DiskStore) Bytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -345,20 +362,20 @@ func (s *DiskStore) Bytes() int64 {
 // Dir returns the store's root directory.
 func (s *DiskStore) Dir() string { return s.dir }
 
-// DiskCounters reports a store's lifetime activity.
+// DiskCounters reports a store's lifetime activity.  Stores counts
+// records written, Evictions indexed records dropped with their
+// segment, and Corrupt damaged records found by recovery or Load.
 type DiskCounters struct {
 	Loads, LoadHits, Stores, Evictions, Corrupt uint64
-	EvictedBytes                                uint64
 }
 
 // Counters returns lifetime load/store/eviction/corruption counts.
 func (s *DiskStore) Counters() DiskCounters {
 	return DiskCounters{
-		Loads:        s.loads.Load(),
-		LoadHits:     s.loadHits.Load(),
-		Stores:       s.stores.Load(),
-		Evictions:    s.evictions.Load(),
-		Corrupt:      s.corrupt.Load(),
-		EvictedBytes: s.evictedBytes.Load(),
+		Loads:     s.loads.Load(),
+		LoadHits:  s.loadHits.Load(),
+		Stores:    s.stores.Load(),
+		Evictions: s.evictions.Load(),
+		Corrupt:   s.corrupt.Load(),
 	}
 }

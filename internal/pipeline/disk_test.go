@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -75,10 +76,87 @@ func TestDiskStoreWarmRestart(t *testing.T) {
 	diffFingerprints(t, "warm restart", cold, warm)
 }
 
+// segRecord is one framed record inside a segment file.
+type segRecord struct{ off, n int }
+
+// segmentRecords walks a segment's envelopes — magic, version, key
+// echo, length, FNV-64a checksum, then the payload — and returns each
+// record it can frame, stopping where no record boundary is left.
+func segmentRecords(data []byte) []segRecord {
+	var recs []segRecord
+	for off := 0; len(data)-off >= 44 && binary.BigEndian.Uint32(data[off:]) == 0x45454c42; {
+		size := binary.BigEndian.Uint64(data[off+24:])
+		if size > uint64(len(data)-off-44) {
+			break
+		}
+		n := 44 + int(size)
+		recs = append(recs, segRecord{off, n})
+		off += n
+	}
+	return recs
+}
+
+// recordKey reads a framed record's key echo.
+func recordKey(rec []byte) pipeline.Key {
+	return pipeline.Key{
+		Hash:  binary.BigEndian.Uint64(rec[8:]),
+		Start: binary.BigEndian.Uint32(rec[16:]),
+		Words: binary.BigEndian.Uint32(rec[20:]),
+	}
+}
+
+// wholeRoutineRecords keeps the records of routines that analysis
+// did not split.  A split routine has a second record under its
+// shrunken extent, which only a re-run on the same, already split
+// executable looks up, so damaging either of its records would not
+// show as exactly one miss on a fresh load.
+func wholeRoutineRecords(data []byte, recs []segRecord) []segRecord {
+	starts := map[uint32]int{}
+	for _, r := range recs {
+		starts[recordKey(data[r.off:]).Start]++
+	}
+	var out []segRecord
+	for _, r := range recs {
+		if starts[recordKey(data[r.off:]).Start] == 1 {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// segmentFiles lists a store directory's segment files, oldest first.
+func segmentFiles(t testing.TB, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.eelb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// onlySegment returns the contents of the store's one segment file.
+func onlySegment(t testing.TB, dir string) (string, []byte, []segRecord) {
+	t.Helper()
+	names := segmentFiles(t, dir)
+	if len(names) != 1 {
+		t.Fatalf("want 1 segment, got %d", len(names))
+	}
+	data, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := segmentRecords(data)
+	if len(recs) < 2 {
+		t.Fatalf("want >= 2 records, got %d", len(recs))
+	}
+	return names[0], data, recs
+}
+
 // TestDiskStoreCrashRecovery damages a populated store the ways a
-// crash can — a leftover temp file, a truncated entry, an entry full
-// of garbage — and asserts recovery and subsequent runs shrug: the
-// damaged entries become recomputes, never errors.
+// crash or a bad disk can — a leftover temp file, a record full of
+// garbage, a flipped bit — and asserts recovery and subsequent runs
+// shrug: the damaged records become recomputes, never errors.
 func TestDiskStoreCrashRecovery(t *testing.T) {
 	p := diskCorpusFile(t, 11, 20)
 	dir := t.TempDir()
@@ -91,16 +169,17 @@ func TestDiskStoreCrashRecovery(t *testing.T) {
 	cache.SetBackend(store)
 	cold, _ := analyzeParallel(t, p.File, pipeline.Options{Workers: 4, Cache: cache})
 
-	names, err := filepath.Glob(filepath.Join(dir, "*.eelb"))
-	if err != nil || len(names) < 2 {
-		t.Fatalf("want >= 2 entries, got %d (err %v)", len(names), err)
+	seg, data, recs := onlySegment(t, dir)
+	damaged := wholeRoutineRecords(data, recs)[:2]
+	// Fill one record's payload with garbage, flip one payload bit of
+	// another, and drop a stray temp file and an unrelated file in the
+	// directory.  Both headers still frame their records, so recovery
+	// can step over them.
+	for i := damaged[0].off + 44; i < damaged[0].off+damaged[0].n; i++ {
+		data[i] = "junk"[i%4]
 	}
-	// Truncate one entry mid-payload, fill another with garbage, and
-	// drop a stray temp file and an unrelated file in the directory.
-	if err := os.Truncate(names[0], 20); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(names[1], []byte(strings.Repeat("junk", 64)), 0o644); err != nil {
+	data[damaged[1].off+44+(damaged[1].n-44)/2] ^= 0x10
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	tmpStray := filepath.Join(dir, "tmp-crashed123")
@@ -124,25 +203,73 @@ func TestDiskStoreCrashRecovery(t *testing.T) {
 	warm, res := analyzeParallel(t, p.File, pipeline.Options{Workers: 4, Cache: cache2})
 	diffFingerprints(t, "post-crash", cold, warm)
 	if res.Stats.CacheMisses != 2 {
-		t.Errorf("post-crash run had %d misses, want 2 (the damaged entries)", res.Stats.CacheMisses)
+		t.Errorf("post-crash run had %d misses, want 2 (the damaged records)", res.Stats.CacheMisses)
 	}
 	c := store2.Counters()
 	if c.Corrupt != 2 {
-		t.Errorf("store counted %d corrupt entries, want 2", c.Corrupt)
+		t.Errorf("store counted %d corrupt records, want 2", c.Corrupt)
 	}
-	// The damaged files must be gone (recomputes re-stored fresh ones).
-	for _, n := range names[:2] {
-		data, err := os.ReadFile(n)
-		if err == nil && (len(data) == 20 || strings.HasPrefix(string(data), "junk")) {
-			t.Errorf("damaged entry %s still on disk", filepath.Base(n))
+	// The damaged records must be replaced: the recomputes re-stored
+	// fresh ones under the same keys.
+	for _, r := range damaged {
+		got, ok := store2.Load(recordKey(data[r.off:]))
+		if served := string(got) == string(data[r.off+44:r.off+r.n]); !ok || served {
+			t.Errorf("damaged record at %d: re-stored %v, damaged bytes served %v", r.off, ok, served)
 		}
+	}
+}
+
+// TestDiskStoreTornTail truncates a segment mid-way through its last
+// record, as a crash can leave it when the rename reached the disk
+// before all of the data did (writes are not fsynced): only that
+// record is lost, every earlier one still loads.
+func TestDiskStoreTornTail(t *testing.T) {
+	dir := t.TempDir()
+	store, err := pipeline.OpenDiskStore(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch []pipeline.Record
+	for i := 0; i < 5; i++ {
+		k := pipeline.Key{Hash: uint64(i+1) * 0x9e3779b97f4a7c15, Start: uint32(i) * 64, Words: 16}
+		batch = append(batch, pipeline.Record{Key: k, Data: []byte(strings.Repeat(fmt.Sprint(i), 50+i))})
+	}
+	if _, err := store.Persist(batch); err != nil {
+		t.Fatal(err)
+	}
+	seg, _, recs := onlySegment(t, dir)
+	last := recs[len(recs)-1]
+	if err := os.Truncate(seg, int64(last.off+44+(last.n-44)/2)); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, err := pipeline.OpenDiskStore(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := 0
+	for _, r := range batch {
+		data, ok := store2.Load(r.Key)
+		if !ok {
+			misses++
+			continue
+		}
+		if string(data) != string(r.Data) {
+			t.Errorf("key %+v: loaded %q, want %q", r.Key, data, r.Data)
+		}
+	}
+	if misses != 1 {
+		t.Errorf("torn tail cost %d records, want 1", misses)
+	}
+	if _, ok := store2.Load(batch[len(batch)-1].Key); ok {
+		t.Error("the torn record was served")
 	}
 }
 
 // TestDiskStoreVersionBumpInvalidation asserts both version fences: a
 // future on-disk envelope version is rejected at the frame layer, and
 // a payload whose analysis version differs is rejected at the codec
-// layer.  Either way the entry is a miss, never a wrong answer.
+// layer.  Either way the record is a miss, never a wrong answer.
 func TestDiskStoreVersionBumpInvalidation(t *testing.T) {
 	p := diskCorpusFile(t, 13, 12)
 	dir := t.TempDir()
@@ -155,32 +282,18 @@ func TestDiskStoreVersionBumpInvalidation(t *testing.T) {
 	cache.SetBackend(store)
 	analyzeParallel(t, p.File, pipeline.Options{Workers: 4, Cache: cache})
 
-	names, err := filepath.Glob(filepath.Join(dir, "*.eelb"))
-	if err != nil || len(names) < 2 {
-		t.Fatalf("want >= 2 entries, got %d (err %v)", len(names), err)
-	}
+	seg, data, recs := onlySegment(t, dir)
+	recs = wholeRoutineRecords(data, recs)
+	// Bump the envelope version of one record (header bytes 4:8).
+	data[recs[0].off+7]++ // big-endian low byte of the version field
 
-	// Bump the envelope version of one entry (header bytes 4:8).
-	data, err := os.ReadFile(names[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[7]++ // big-endian low byte of the version field
-	if err := os.WriteFile(names[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Bump the analysis version inside another entry's payload (the
+	// Bump the analysis version inside another record's payload (the
 	// payload's second uvarint; both versions are single-byte today)
 	// and re-checksum so only the codec-layer fence can catch it.
-	data2, err := os.ReadFile(names[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := data2[44:]
-	payload[1]++ // analysisVersion uvarint
-	refreshChecksum(data2)
-	if err := os.WriteFile(names[1], data2, 0o644); err != nil {
+	rec := data[recs[1].off : recs[1].off+recs[1].n]
+	rec[44+1]++ // analysisVersion uvarint
+	refreshChecksum(rec)
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,20 +305,346 @@ func TestDiskStoreVersionBumpInvalidation(t *testing.T) {
 	cache2.SetBackend(store2)
 	_, res := analyzeParallel(t, p.File, pipeline.Options{Workers: 4, Cache: cache2})
 	if res.Stats.CacheMisses != 2 {
-		t.Errorf("versioned-out entries produced %d misses, want 2", res.Stats.CacheMisses)
+		t.Errorf("versioned-out records produced %d misses, want 2", res.Stats.CacheMisses)
 	}
 	if res.Stats.CacheDiskHits == 0 {
-		t.Errorf("undamaged entries should still hit from disk (disk hits %d)", res.Stats.CacheDiskHits)
+		t.Errorf("undamaged records should still hit from disk (disk hits %d)", res.Stats.CacheDiskHits)
 	}
 }
 
-// refreshChecksum recomputes a framed entry's payload checksum
+// refreshChecksum recomputes a framed record's payload checksum
 // (header bytes 32:40, FNV-64a over the payload) after a test mutates
 // the payload, so only deeper validation layers can reject it.
 func refreshChecksum(data []byte) {
 	h := fnv.New64a()
 	h.Write(data[44:])
 	binary.BigEndian.PutUint64(data[32:], h.Sum64())
+}
+
+// TestDiskStoreOneSegmentPerRun: a run's misses reach the disk tier
+// as one batch, written as exactly one new segment file holding one
+// record per miss, plus one per split routine under its shrunken
+// extent.
+func TestDiskStoreOneSegmentPerRun(t *testing.T) {
+	dir := t.TempDir()
+	store, err := pipeline.OpenDiskStore(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := pipeline.NewCache(0)
+	cache.SetBackend(store)
+	var stored uint64
+	for i, seed := range []int64{3, 5} {
+		_, res := analyzeParallel(t, diskCorpusFile(t, seed, 25).File, pipeline.Options{Workers: 4, Cache: cache})
+		segs := segmentFiles(t, dir)
+		if len(segs) != i+1 {
+			t.Fatalf("after run %d: %d segment files, want %d", i+1, len(segs), i+1)
+		}
+		if res.Stats.CacheMisses == 0 || res.Stats.CacheHits != 0 {
+			t.Fatalf("run %d: %d misses, %d hits; want a cold run", i+1, res.Stats.CacheMisses, res.Stats.CacheHits)
+		}
+		stores := store.Counters().Stores - stored
+		stored += stores
+		if want := res.Stats.CacheMisses + uint64(res.Stats.Hidden); stores != want {
+			t.Errorf("run %d: %d stores for %d misses and %d splits", i+1, stores, res.Stats.CacheMisses, res.Stats.Hidden)
+		}
+		data, err := os.ReadFile(segs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(segmentRecords(data)); uint64(n) != stores {
+			t.Errorf("run %d: new segment holds %d records, want %d", i+1, n, stores)
+		}
+	}
+}
+
+// TestDiskStoreRecoveryHonoursBounds reopens a store under smaller
+// bounds than it was filled with: recovery must bring the files on
+// disk, not just the index, within the new bounds, and later stores
+// must keep them there.
+func TestDiskStoreRecoveryHonoursBounds(t *testing.T) {
+	dir := t.TempDir()
+	key := func(i int) pipeline.Key {
+		return pipeline.Key{Hash: uint64(i+1) * 0x9e3779b97f4a7c15, Start: uint32(i) * 64, Words: 16}
+	}
+	payload := []byte(strings.Repeat("p", 100)) // 144 bytes framed
+	onDisk := func() (files int, size int64) {
+		for _, name := range segmentFiles(t, dir) {
+			info, err := os.Stat(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files++
+			size += info.Size()
+		}
+		return files, size
+	}
+	check := func(label string, s *pipeline.DiskStore, maxEntries int, maxBytes int64) {
+		t.Helper()
+		files, size := onDisk()
+		if files > maxEntries || s.Len() > maxEntries {
+			t.Errorf("%s: %d files, %d entries; bound is %d", label, files, s.Len(), maxEntries)
+		}
+		if size > maxBytes || s.Bytes() != size {
+			t.Errorf("%s: %d bytes on disk, store counts %d; bound is %d", label, size, s.Bytes(), maxBytes)
+		}
+	}
+
+	store, err := pipeline.OpenDiskStore(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		store.Store(key(i), payload)
+	}
+	store, err = pipeline.OpenDiskStore(dir, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened with 5 entries", store, 5, pipeline.DefaultDiskBytes)
+	for i := 20; i < 25; i++ {
+		store.Store(key(i), payload)
+	}
+	check("5 more stores", store, 5, pipeline.DefaultDiskBytes)
+
+	store, err = pipeline.OpenDiskStore(dir, 0, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reopened with 600 bytes", store, 4, 600)
+	if data, ok := store.Load(key(24)); !ok || string(data) != string(payload) {
+		t.Errorf("newest entry lost to the smaller bounds (ok %v)", ok)
+	}
+}
+
+// TestDiskStoreCopyForward: a run that loads a key from disk writes it
+// again in its own segment, so the key survives the eviction of the
+// segment it was first written in — segment order is recency order.
+func TestDiskStoreCopyForward(t *testing.T) {
+	a, b, c := diskCorpusFile(t, 3, 20), diskCorpusFile(t, 5, 20), diskCorpusFile(t, 9, 20)
+	run := func(p *progen.Program, store *pipeline.DiskStore) pipeline.Stats {
+		t.Helper()
+		cache := pipeline.NewCache(0) // fresh, so every hit comes from disk
+		cache.SetBackend(store)
+		_, res := analyzeParallel(t, p.File, pipeline.Options{Workers: 2, Cache: cache})
+		return res.Stats
+	}
+	records := func(p *progen.Program) int {
+		t.Helper()
+		store, err := pipeline.OpenDiskStore(t.TempDir(), 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(p, store)
+		return store.Len()
+	}
+	na, nb, nc := records(a), records(b), records(c)
+
+	// Room for a and either of b or c, but not all three.
+	store, err := pipeline.OpenDiskStore(t.TempDir(), na+max(nb, nc), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(a, store)
+	run(b, store)
+	if st := run(a, store); st.CacheMisses != 0 {
+		t.Fatalf("a's second run had %d misses, want 0", st.CacheMisses)
+	}
+	run(c, store) // evicts the oldest segments
+	if store.Counters().Evictions == 0 {
+		t.Fatal("c's run evicted nothing")
+	}
+	if st := run(a, store); st.CacheMisses != 0 || st.CacheDiskHits != uint64(st.Routines) {
+		t.Errorf("a after eviction: %d misses, %d disk hits for %d routines; want all from disk",
+			st.CacheMisses, st.CacheDiskHits, st.Routines)
+	}
+}
+
+// TestDiskStoreSpans: a run with a disk tier records one
+// pipeline.persist span, tagged with its trace ID, on its tracer; a
+// run with nothing to write records none; opening a store records
+// disk.recover on the process tracer.
+func TestDiskStoreSpans(t *testing.T) {
+	p := diskCorpusFile(t, 7, 12)
+	dir := t.TempDir()
+	store, err := pipeline.OpenDiskStore(dir, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := pipeline.NewCache(0)
+	cache.SetBackend(store)
+	tr := telemetry.NewTracer()
+	opts := pipeline.Options{Workers: 2, Cache: cache, Tracer: tr, TraceTag: "req-1"}
+	analyzeParallel(t, p.File, opts)
+	analyzeParallel(t, p.File, opts) // all memory hits: nothing to write
+	spans := func(tr *telemetry.Tracer, name string) []telemetry.Event {
+		var out []telemetry.Event
+		for _, ev := range tr.Events() {
+			if ev.Name == name {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+	args := func(ev telemetry.Event) string {
+		keys := make([]string, 0, len(ev.Args))
+		for k := range ev.Args {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		var b strings.Builder
+		for _, k := range keys {
+			fmt.Fprintf(&b, "%s=%v ", k, ev.Args[k])
+		}
+		return b.String()
+	}
+	persist := spans(tr, "pipeline.persist")
+	if len(persist) != 1 {
+		t.Fatalf("%d pipeline.persist spans, want 1", len(persist))
+	}
+	want := fmt.Sprintf("bytes=%d dropped_segments=0 records=%d segment=0 trace=req-1 ", store.Bytes(), store.Counters().Stores)
+	if got := args(persist[0]); got != want {
+		t.Errorf("pipeline.persist args %q, want %q", got, want)
+	}
+
+	tr2 := telemetry.NewTracer()
+	telemetry.SetTracer(tr2)
+	defer telemetry.SetTracer(nil)
+	if _, err := pipeline.OpenDiskStore(dir, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	recovered := spans(tr2, "disk.recover")
+	if len(recovered) != 1 {
+		t.Fatalf("%d disk.recover spans, want 1", len(recovered))
+	}
+	want = fmt.Sprintf("corrupt=0 records=%d segments=1 ", store.Counters().Stores)
+	if got := args(recovered[0]); got != want {
+		t.Errorf("disk.recover args %q, want %q", got, want)
+	}
+}
+
+// TestDiskStoreConcurrentRuns runs analyses of several programs at
+// once over one small store, each with a fresh memory tier, so batch
+// writes, copy-forward, loads and segment evictions interleave: every
+// run still matches its cold result, and the bounds hold afterwards.
+func TestDiskStoreConcurrentRuns(t *testing.T) {
+	var progs []*progen.Program
+	var want [][]string
+	for _, seed := range []int64{3, 5, 9} {
+		p := diskCorpusFile(t, seed, 15)
+		progs = append(progs, p)
+		fp, _ := analyzeParallel(t, p.File, pipeline.Options{Workers: 2})
+		want = append(want, fp)
+	}
+	dir := t.TempDir()
+	store, err := pipeline.OpenDiskStore(dir, 40, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				i := (w + round) % len(progs)
+				cache := pipeline.NewCache(0)
+				cache.SetBackend(store)
+				res, err := pipeline.AnalyzeAll(load(t, progs[i].File), pipeline.Options{Workers: 2, Cache: cache})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j, a := range res.Analyses {
+					if got := fingerprint(a.Routine, a.Graph, a.Liveness, a.IDom, a.Loops, a.Err); got != want[i][j] {
+						t.Errorf("program %d routine %d diverged (from disk %v)", i, j, a.FromDisk)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := store.Len(); n > 40 {
+		t.Errorf("store holds %d entries, bound is 40", n)
+	}
+	if n := len(segmentFiles(t, dir)); n > 40 {
+		t.Errorf("%d segment files, bound is 40 entries", n)
+	}
+	if c := store.Counters(); c.Corrupt != 0 || c.LoadHits == 0 || c.Evictions == 0 {
+		t.Errorf("counters %+v: want disk hits and evictions, no corruption", c)
+	}
+}
+
+// FuzzDiskStoreRecover writes arbitrary bytes as a segment, next to a
+// stray temp file: opening the store must neither panic nor fail,
+// must sweep the temp file, and must serve exactly the records whose
+// envelopes validate — the last such record per key — and nothing
+// else.
+func FuzzDiskStoreRecover(f *testing.F) {
+	seedDir := f.TempDir()
+	store, err := pipeline.OpenDiskStore(seedDir, 0, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	k1 := pipeline.Key{Hash: 1, Start: 0x100, Words: 4}
+	k2 := pipeline.Key{Hash: 2, Start: 0x200, Words: 8}
+	if _, err := store.Persist([]pipeline.Record{
+		{Key: k1, Data: []byte("first")}, {Key: k2, Data: []byte("second")}, {Key: k1, Data: []byte("first again")},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(segmentFiles(f, seedDir)[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	version := binary.BigEndian.Uint32(seed[4:])
+	f.Add(seed)
+	f.Add(seed[:len(seed)-3])
+	flipped := append([]byte(nil), seed...)
+	flipped[44+2] ^= 1
+	f.Add(flipped)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "0000000000000001.eelb"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stray := filepath.Join(dir, "tmp-stray")
+		if err := os.WriteFile(stray, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := pipeline.OpenDiskStore(dir, 0, 0)
+		if err != nil {
+			t.Fatalf("recovery failed: %v", err)
+		}
+		if _, err := os.Stat(stray); !os.IsNotExist(err) {
+			t.Errorf("temp file not swept (err %v)", err)
+		}
+		valid := map[pipeline.Key][]byte{}
+		var keys []pipeline.Key
+		for _, r := range segmentRecords(data) {
+			rec := data[r.off : r.off+r.n]
+			k := recordKey(rec)
+			keys = append(keys, k)
+			h := fnv.New64a()
+			h.Write(rec[44:])
+			if binary.BigEndian.Uint32(rec[4:]) == version && h.Sum64() == binary.BigEndian.Uint64(rec[32:]) {
+				valid[k] = rec[44:]
+			}
+		}
+		if s.Len() != len(valid) {
+			t.Errorf("indexed %d keys, %d have a valid record", s.Len(), len(valid))
+		}
+		for _, k := range keys {
+			got, ok := s.Load(k)
+			want, isValid := valid[k]
+			if ok != isValid || string(got) != string(want) {
+				t.Errorf("key %+v: loaded %q (ok %v), want %q (valid %v)", k, got, ok, want, isValid)
+			}
+		}
+	})
 }
 
 // TestDiskStoreConcurrentReadersDuringEviction hammers a tiny store

@@ -85,6 +85,11 @@ type RoutineAnalysis struct {
 	// not the in-memory one.
 	FromCache bool
 	FromDisk  bool
+
+	// recs are what this analysis adds to the run's disk write: the
+	// bundle it computed, or the disk hit it used, which the write
+	// copies forward to the newest segment.
+	recs []Record
 }
 
 // IndirectJumps is a convenience accessor (nil-safe on Err bundles).
@@ -106,9 +111,6 @@ type Result struct {
 
 	byRoutine map[*core.Routine]*RoutineAnalysis
 }
-
-// Of returns r's bundle, or nil.
-func (res *Result) Of(r *core.Routine) *RoutineAnalysis { return res.byRoutine[r] }
 
 // ByName returns the bundle for the named routine, or nil.
 func (res *Result) ByName(name string) *RoutineAnalysis {
@@ -146,10 +148,15 @@ func AnalyzeAll(e *core.Executable, opts Options) (*Result, error) {
 	if tracer == nil {
 		tracer = telemetry.ActiveTracer()
 	}
-	runSpan := tracer.Begin("pipeline.AnalyzeAll", "pipeline")
-	if opts.TraceTag != "" {
-		runSpan.Arg("trace", opts.TraceTag)
+	// begin opens a span tagged with the run's trace ID.
+	begin := func(name, cat string, tid int) telemetry.Span {
+		sp := tracer.BeginTID(name, cat, tid)
+		if opts.TraceTag != "" {
+			sp.Arg("trace", opts.TraceTag)
+		}
+		return sp
 	}
+	runSpan := begin("pipeline.AnalyzeAll", "pipeline", 0)
 	start := time.Now()
 
 	var salt uint64
@@ -178,11 +185,8 @@ func AnalyzeAll(e *core.Executable, opts Options) (*Result, error) {
 		if waves > 1 {
 			discovered += len(pending)
 		}
-		waveSpan := tracer.Begin(fmt.Sprintf("wave %d", waves), "pipeline")
+		waveSpan := begin(fmt.Sprintf("wave %d", waves), "pipeline", 0)
 		waveSpan.Arg("routines", len(pending))
-		if opts.TraceTag != "" {
-			waveSpan.Arg("trace", opts.TraceTag)
-		}
 
 		out := make([]*RoutineAnalysis, len(pending))
 		jobs := make(chan int)
@@ -197,10 +201,7 @@ func AnalyzeAll(e *core.Executable, opts Options) (*Result, error) {
 				defer wg.Done()
 				for idx := range jobs {
 					r := pending[idx]
-					sp := tracer.BeginTID("analyze "+r.Name, "routine", worker+1)
-					if opts.TraceTag != "" {
-						sp.Arg("trace", opts.TraceTag)
-					}
+					sp := begin("analyze "+r.Name, "routine", worker+1)
 					out[idx] = analyzeRoutine(e, r, opts, salt, col)
 					if out[idx].FromCache {
 						sp.Arg("cache", "hit")
@@ -225,10 +226,29 @@ func AnalyzeAll(e *core.Executable, opts Options) (*Result, error) {
 	}
 
 	// Collect in the executable's (address-sorted) routine order.
+	var recs []Record
 	for _, r := range e.Routines() {
 		if a := res.byRoutine[r]; a != nil {
 			res.Analyses = append(res.Analyses, a)
+			recs = append(recs, a.recs...)
 		}
+	}
+
+	// One disk write per run, as one segment.  A failed write only
+	// costs future misses, so its error goes on the span.
+	if len(recs) > 0 {
+		sp := begin("pipeline.persist", "disk", 0)
+		info, err := opts.Cache.backend.Persist(recs)
+		if tracer != nil {
+			sp.Arg("records", len(recs))
+			sp.Arg("bytes", info.Bytes)
+			sp.Arg("segment", info.Segment)
+			sp.Arg("dropped_segments", info.Dropped)
+			if err != nil {
+				sp.Arg("error", err.Error())
+			}
+		}
+		sp.End()
 	}
 
 	res.Stats.Routines = len(res.Analyses)
@@ -280,8 +300,9 @@ func analyzeRoutine(e *core.Executable, r *core.Routine, opts Options, salt uint
 			// Second level: persisted bundle.  Decode re-derives the
 			// instructions from this executable's image words, so a
 			// decoded bundle is native to e; promote it to the
-			// in-memory tier for the rest of the run.
-			if be := opts.Cache.Backend(); be != nil {
+			// in-memory tier for the rest of the run, and copy it
+			// forward on disk.
+			if be := opts.Cache.backend; be != nil {
 				if data, ok := be.Load(key); ok {
 					if b, err := decodeBundle(e, data); err == nil && bundleCovers(b, opts) && b.depsValid(e) {
 						opts.Cache.put(key, b, col)
@@ -289,6 +310,7 @@ func analyzeRoutine(e *core.Executable, r *core.Routine, opts Options, salt uint
 						col.cacheDiskHits.Add(1)
 						a := adoptBundle(e, r, b, col)
 						a.FromDisk = true
+						a.recs = []Record{{Key: key, Data: data}}
 						return a
 					}
 				}
@@ -358,8 +380,9 @@ func analyzeRoutine(e *core.Executable, r *core.Routine, opts Options, salt uint
 			b.tail = r.End
 		}
 		opts.Cache.put(key, b, col)
-		var persist []Key
-		persist = append(persist, key)
+		if opts.Cache.backend != nil {
+			a.recs = []Record{{Key: key, Data: encodeBundle(b)}}
+		}
 		if b.tail != 0 {
 			// Also index by the shrunken extent, so re-analyzing this
 			// same (already split) executable still hits.
@@ -368,13 +391,9 @@ func analyzeRoutine(e *core.Executable, r *core.Routine, opts Options, salt uint
 			timed(col.hashNS, func() { postKey, postOK = routineKey(e, r, salt) })
 			if postOK {
 				opts.Cache.put(postKey, b, col)
-				persist = append(persist, postKey)
-			}
-		}
-		if be := opts.Cache.Backend(); be != nil {
-			data := encodeBundle(b)
-			for _, k := range persist {
-				be.Store(k, data)
+				if a.recs != nil {
+					a.recs = append(a.recs, Record{Key: postKey, Data: a.recs[0].Data})
+				}
 			}
 		}
 	}
