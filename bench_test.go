@@ -512,8 +512,9 @@ var benchCallProgram = func() *progen.Program {
 	return progen.MustGenerate(cfg)
 }()
 
-// simFlavours are the workloads the engine benchmarks run; bench.sh
-// records each flavour separately in BENCH_sim.json.
+// simFlavours are the workloads the engine benchmarks run, each
+// reported as its own sub-benchmark; scripts/benchmerge gates the
+// per-flavour engine ratios.
 var simFlavours = []struct {
 	name string
 	prog *progen.Program

@@ -82,13 +82,6 @@ func main() {
 		accesses, misses, 100*float64(misses)/float64(max(1, accesses)))
 }
 
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cachesim:", err)

@@ -3,6 +3,8 @@ package fuzz
 import (
 	"strings"
 	"testing"
+
+	"eel/internal/progen"
 )
 
 // TestGenerateDeterministic checks that the same config always yields
@@ -49,9 +51,9 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 	}
 	// Every single-toggle-off shrink candidate of a full config must
 	// still assemble: Shrink relies on candidates generating cleanly.
-	for _, tc := range toggleClears {
+	for _, tc := range toggles {
 		cand := DefaultConfig(7)
-		tc.clear(&cand)
+		*tc.flag(&cand) = false
 		if _, err := Generate(cand); err != nil {
 			t.Errorf("config without %s fails to generate: %v", tc.name, err)
 		}
@@ -68,13 +70,13 @@ func TestRandConfigCoverage(t *testing.T) {
 		if cfg.Routines < 1 || cfg.BodyOps < 1 {
 			t.Fatalf("config %d has empty structure: %+v", i, cfg)
 		}
-		for _, tc := range toggleClears {
-			if tc.isSet(cfg) {
+		for _, tc := range toggles {
+			if *tc.flag(&cfg) {
 				on[tc.name]++
 			}
 		}
 	}
-	for _, tc := range toggleClears {
+	for _, tc := range toggles {
 		if on[tc.name] == 0 || on[tc.name] == n {
 			t.Errorf("toggle %s never varies (%d/%d on)", tc.name, on[tc.name], n)
 		}
@@ -99,8 +101,8 @@ func TestShrinkMinimizes(t *testing.T) {
 	if got.Routines != 1 || got.BodyOps != 1 {
 		t.Errorf("structure not minimized: %+v", got)
 	}
-	for _, tc := range toggleClears {
-		if tc.name != "traps" && tc.isSet(got) {
+	for _, tc := range toggles {
+		if tc.name != "traps" && *tc.flag(&got) {
 			t.Errorf("irrelevant toggle %s survived shrinking", tc.name)
 		}
 	}
@@ -120,6 +122,32 @@ func TestDefaultConfigPasses(t *testing.T) {
 		}
 		for _, v := range CheckAll(p, 10_000_000) {
 			t.Errorf("seed %d: %s", seed, v)
+		}
+	}
+}
+
+// TestProgenRoundTrip runs the round-trip oracle over progen's own
+// SPARC corpus.  The shared emitter records every dispatch table and
+// data blob, so the words it marks as data must number exactly the
+// .word directives of the source (table arms plus blob words), and
+// every other text word must come from the encoders.
+func TestProgenRoundTrip(t *testing.T) {
+	for _, pers := range []progen.Personality{progen.GCC, progen.SunPro} {
+		for seed := int64(1); seed <= 6; seed++ {
+			cfg := progen.DefaultConfig(seed)
+			cfg.Personality = pers
+			p := &Program{Program: *progen.MustGenerate(cfg)}
+			for _, v := range CheckRoundTripWords(p) {
+				t.Errorf("%v seed %d: %s", pers, seed, v)
+			}
+			words := 0
+			for _, r := range p.DataRanges {
+				words += int(r[1]-r[0]) / 4
+			}
+			if want := strings.Count(p.Source, "\t.word "); words != want || want == 0 {
+				t.Errorf("%v seed %d: data ranges cover %d words, source has %d .word directives",
+					pers, seed, words, want)
+			}
 		}
 	}
 }

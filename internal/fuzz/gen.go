@@ -1,9 +1,10 @@
-// Package fuzz is EEL's differential-fuzzing subsystem.  It
-// generalizes internal/progen into a randomized, seeded SPARC V8
-// program generator with orthogonal feature toggles (delayed and
-// annulled branches, register windows, traps, indirect jumps,
-// edge-valued immediates, ...) and checks three differential oracles
-// over every generated program:
+// Package fuzz is EEL's differential-fuzzing subsystem: a second
+// program policy over internal/progen's emitter, three differential
+// oracles, and a shrinker.  The policy draws randomized, seeded SPARC
+// V8 programs with orthogonal feature toggles (delayed and annulled
+// branches, register windows, traps, indirect jumps, edge-valued
+// immediates, ...) and, for other machines, delegates to progen's
+// personalities.  The oracles check every generated program:
 //
 //   - round-trip: decoding any text word and re-encoding it through
 //     the canonical encoders reproduces the same operands
@@ -26,8 +27,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"eel/internal/asm"
-	"eel/internal/binfile"
 	"eel/internal/progen"
 )
 
@@ -40,9 +39,9 @@ type Config struct {
 	Routines int
 	BodyOps  int
 
-	// ISA selects the target machine: "" or "sparc" runs the native
-	// SPARC generator below; "mips" delegates to internal/progen's
-	// MIPS personality.  SPARC-only toggles (Annulled, Windows,
+	// ISA selects the target machine: "" or "sparc" runs this
+	// package's policy over progen's SPARC emitter; "mips" delegates
+	// to internal/progen's MIPS personality.  SPARC-only toggles (Annulled, Windows,
 	// Continuations, Indirect, FP, MulDiv, MultiEntry, EdgeImms) are
 	// ignored for other machines.
 	ISA string
@@ -137,21 +136,34 @@ func RandConfig(master int64, i int) Config {
 	return c
 }
 
+// toggles lists the feature toggles in the order String prints them;
+// Shrink and Generalize clear them one at a time.
+var toggles = []struct {
+	name string
+	flag func(c *Config) *bool
+}{
+	{"annulled", func(c *Config) *bool { return &c.Annulled }},
+	{"windows", func(c *Config) *bool { return &c.Windows }},
+	{"calls", func(c *Config) *bool { return &c.Calls }},
+	{"traps", func(c *Config) *bool { return &c.Traps }},
+	{"indirect", func(c *Config) *bool { return &c.Indirect }},
+	{"cont", func(c *Config) *bool { return &c.Continuations }},
+	{"edgeimms", func(c *Config) *bool { return &c.EdgeImms }},
+	{"fp", func(c *Config) *bool { return &c.FP }},
+	{"mem", func(c *Config) *bool { return &c.Mem }},
+	{"muldiv", func(c *Config) *bool { return &c.MulDiv }},
+	{"multientry", func(c *Config) *bool { return &c.MultiEntry }},
+	{"hidden", func(c *Config) *bool { return &c.Hidden }},
+	{"datablobs", func(c *Config) *bool { return &c.DataBlobs }},
+	{"strip", func(c *Config) *bool { return &c.Strip }},
+}
+
 // String renders the config as a reproducible one-liner.
 func (c Config) String() string {
 	var on []string
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"annulled", c.Annulled}, {"windows", c.Windows}, {"calls", c.Calls},
-		{"traps", c.Traps}, {"indirect", c.Indirect}, {"cont", c.Continuations},
-		{"edgeimms", c.EdgeImms}, {"fp", c.FP}, {"mem", c.Mem},
-		{"muldiv", c.MulDiv}, {"multientry", c.MultiEntry}, {"hidden", c.Hidden},
-		{"datablobs", c.DataBlobs}, {"strip", c.Strip},
-	} {
-		if f.set {
-			on = append(on, f.name)
+	for _, t := range toggles {
+		if *t.flag(&c) {
+			on = append(on, t.name)
 		}
 	}
 	isa := ""
@@ -162,71 +174,23 @@ func (c Config) String() string {
 		isa, c.Seed, c.Routines, c.BodyOps, strings.Join(on, ","))
 }
 
-// Program is one generated program.
+// Program is one generated program and the config that regenerates it.
 type Program struct {
-	Cfg    Config
-	Source string
-	File   *binfile.File
-	// dataRanges lists [start,end) address ranges inside the text
-	// segment that hold data (dispatch tables, blobs), not
-	// instructions.  Words outside these ranges came from the
-	// canonical encoders and must round-trip bit-identically.
-	dataRanges [][2]uint32
-}
-
-// IsData reports whether the text word at addr is embedded data
-// rather than an encoder-produced instruction.
-func (p *Program) IsData(addr uint32) bool {
-	for _, r := range p.dataRanges {
-		if addr >= r[0] && addr < r[1] {
-			return true
-		}
-	}
-	return false
-}
-
-// TextWords returns the text segment as big-endian words.
-func (p *Program) TextWords() []uint32 {
-	text := p.File.Text()
-	out := make([]uint32, len(text.Data)/4)
-	for i := range out {
-		d := text.Data[i*4:]
-		out[i] = uint32(d[0])<<24 | uint32(d[1])<<16 | uint32(d[2])<<8 | uint32(d[3])
-	}
-	return out
+	progen.Program
+	Cfg Config
 }
 
 const (
 	textBase = 0x10000
-	dataBase = 0x400000
-	// fpSlotBase holds continuation function-pointer slots (one word
-	// per routine), matching progen's layout.
-	fpSlotBase = 0x400800
 	// trapBufBase holds per-routine spill+write buffers (8 bytes
 	// each, 8-aligned).
-	trapBufBase = 0x400a00
+	trapBufBase = progen.DataBase + 0xa00
 )
 
-func fpSlot(i int) uint32 { return fpSlotBase + uint32(i)*4 }
-
-// routine traits, decided up front from per-routine rngs so that
-// main's slot initialization and the DAG are consistent.
-type traits struct {
-	win        bool
-	mayCall    bool
-	tailTarget int // >= 0: continuation jump to that routine
-	entry2     bool
-	hidden     bool
-}
-
+// gen is the fuzz policy driving progen's SPARC emitter.
 type gen struct {
-	cfg    Config
-	b      strings.Builder
-	label  int
-	traits []traits
-	// dataWords maps a label to the number of data words emitted at
-	// it, so Program.IsData can be computed after assembly.
-	dataWords map[string]int
+	*progen.Emitter
+	cfg Config
 }
 
 // routineRNG returns the dedicated random stream for routine idx.
@@ -239,6 +203,32 @@ func (g *gen) routineRNG(idx int) *rand.Rand {
 // isSPARC reports whether isa names the default SPARC machine.
 func isSPARC(isa string) bool { return isa == "" || isa == "sparc" }
 
+// edgeImms are the immediate values at simm13 and %lo boundaries.
+var edgeImms = []int{-4096, -4095, -1024, -1, 0, 1, 7, 1023, 1024, 4095}
+
+// menu returns the policy's operand menus: the full arithmetic and
+// condition sets, with immediates biased toward encoding boundaries
+// under EdgeImms.
+func (c Config) menu() progen.Menu {
+	imm := func(r *rand.Rand) int {
+		if c.EdgeImms && r.Intn(2) == 0 {
+			return edgeImms[r.Intn(len(edgeImms))]
+		}
+		return r.Intn(31) + 1
+	}
+	return progen.Menu{
+		Ops: []string{"add", "sub", "xor", "and", "or", "andn", "orn", "xnor",
+			"addx", "subx", "sll", "srl", "sra"},
+		Conds: []string{"be", "bne", "bg", "ble", "bl", "bge", "bgu", "bleu",
+			"bcc", "bcs", "bpos", "bneg", "bvc", "bvs"},
+		Imm: imm,
+		// Shift semantics mask the count; edge values 31/32 are
+		// interesting, huge ones are legal simm13 too.
+		ShiftImm: func(r *rand.Rand) int { return []int{0, 1, 5, 31, 32, 63}[r.Intn(6)] },
+		CmpImm:   imm,
+	}
+}
+
 // Generate builds the program for cfg, dispatching on cfg.ISA.
 func Generate(cfg Config) (*Program, error) {
 	if cfg.Routines < 1 {
@@ -250,63 +240,53 @@ func Generate(cfg Config) (*Program, error) {
 	if !isSPARC(cfg.ISA) {
 		return generateOther(cfg)
 	}
-	g := &gen{cfg: cfg, traits: make([]traits, cfg.Routines), dataWords: map[string]int{}}
-	for i := range g.traits {
+	g := &gen{Emitter: progen.NewEmitter(".F", cfg.menu(), cfg.Routines), cfg: cfg}
+	for i := range g.Routines {
 		rng := g.routineRNG(i)
-		t := &g.traits[i]
-		t.tailTarget = -1
+		r := &g.Routines[i]
 		// Draw every trait unconditionally so disabling a feature
 		// toggle perturbs the rest of the routine as little as
 		// possible (better shrinking).
 		dTail, dCall, dWin, dEntry2, dHidden :=
 			rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()
 		if cfg.Continuations && i+1 < cfg.Routines && dTail < 0.2 {
-			t.tailTarget = i + 1 + rng.Intn(cfg.Routines-i-1)
+			r.TailTarget = i + 1 + rng.Intn(cfg.Routines-i-1)
 		}
-		isTail := t.tailTarget >= 0
+		isTail := r.TailTarget != 0
 		// Non-leaf routines must keep a frame: a flat routine that
 		// calls would clobber its own return address in %o7.
 		if cfg.Calls && cfg.Windows && i+1 < cfg.Routines && !isTail && dCall < 0.5 {
-			t.mayCall = true
-			t.win = true
+			r.MayCall = true
+			r.Win = true
 		} else if cfg.Windows && !isTail && dWin < 0.3 {
-			t.win = true
+			r.Win = true
 		}
-		if cfg.MultiEntry && !t.win && !isTail && dEntry2 < 0.2 {
-			t.entry2 = true
-		}
-		if cfg.Hidden && dHidden < 0.15 {
-			t.hidden = true
-		}
+		r.Entry2 = cfg.MultiEntry && !r.Win && !isTail && dEntry2 < 0.2
+		r.Hidden = cfg.Hidden && dHidden < 0.15
 	}
-	g.emitMain()
+	g.Rng = rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))
+	g.Main(3, 8)
+	g.Exit()
 	for i := 0; i < cfg.Routines; i++ {
-		g.emitRoutine(i)
-	}
-	src := g.b.String()
-	prog, err := asm.Assemble(src, textBase)
-	if err != nil {
-		return nil, fmt.Errorf("fuzz: assembling generated program (%s): %w", cfg, err)
-	}
-	f := &binfile.File{
-		Format: "aout",
-		Entry:  textBase,
-		Sections: []binfile.Section{
-			{Name: "text", Addr: textBase, Data: prog.Bytes},
-			{Name: "data", Addr: dataBase, Data: make([]byte, 8192)},
-		},
-	}
-	g.addSymbols(f, prog)
-	if cfg.Strip {
-		f.Strip()
-	}
-	p := &Program{Cfg: cfg, Source: src, File: f}
-	for name, words := range g.dataWords {
-		if addr, ok := prog.Labels[name]; ok {
-			p.dataRanges = append(p.dataRanges, [2]uint32{addr, addr + uint32(words)*4})
+		g.Rng = g.routineRNG(i)
+		g.Enter(i)
+		// Bound the call DAG's dynamic fan-out: routines near the end
+		// may call twice (their subtrees are shallow); earlier ones
+		// once.
+		callsLeft := 1
+		if cfg.Routines-i <= 4 {
+			callsLeft = 2
+		}
+		g.Body(i, cfg.BodyOps, func() { g.op(i, &callsLeft) })
+		if cfg.DataBlobs && g.Rng.Intn(4) == 0 {
+			g.DataBlob(2 + g.Rng.Intn(5))
 		}
 	}
-	return p, nil
+	p, err := g.Finish(textBase, cfg.Strip)
+	if err != nil {
+		return nil, fmt.Errorf("fuzz: %s: %w", cfg, err)
+	}
+	return &Program{Program: *p, Cfg: cfg}, nil
 }
 
 // generateOther delegates non-SPARC generation to internal/progen's
@@ -331,7 +311,7 @@ func generateOther(cfg Config) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: %s generator (%s): %w", cfg.ISA, cfg, err)
 	}
-	return &Program{Cfg: cfg, Source: p.Source, File: p.File, dataRanges: p.DataRanges}, nil
+	return &Program{Program: *p, Cfg: cfg}, nil
 }
 
 // MustGenerate panics on error (tests).
@@ -343,424 +323,145 @@ func MustGenerate(cfg Config) *Program {
 	return p
 }
 
-func (g *gen) l(format string, args ...any) {
-	fmt.Fprintf(&g.b, format+"\n", args...)
-}
-
-func (g *gen) fresh(prefix string) string {
-	g.label++
-	return fmt.Sprintf(".F%s%d", prefix, g.label)
-}
-
-// emitMain seeds the accumulator, initializes continuation slots, and
-// calls the root routines several unrolled rounds.
-func (g *gen) emitMain() {
-	rng := rand.New(rand.NewSource(g.cfg.Seed ^ 0x5DEECE66D))
-	g.l("main:")
-	for i := range g.traits {
-		if g.traits[i].tailTarget < 0 {
-			continue
+// op emits one body operation of routine idx, drawn from the enabled
+// features' menu: a draw of a disabled feature is redrawn.
+func (g *gen) op(idx int, callsLeft *int) {
+	c := g.cfg
+	for {
+		switch g.Rng.Intn(13) {
+		case 0, 1:
+			g.Arith()
+		case 2:
+			g.Loop()
+		case 3:
+			g.IfThen()
+		case 4:
+			g.setEdge()
+		case 5:
+			if !c.Annulled {
+				continue
+			}
+			g.AnnulledLoop()
+		case 6:
+			if !c.Annulled {
+				continue
+			}
+			g.annulledSkips()
+		case 7:
+			if !c.Indirect {
+				continue
+			}
+			g.Switch()
+		case 8:
+			if !c.Mem {
+				continue
+			}
+			g.MemOp(idx, g.Rng.Intn(6))
+		case 9:
+			if !c.FP {
+				continue
+			}
+			g.FPOp(idx, []string{"fadds", "fsubs", "fmuls"}[g.Rng.Intn(3)])
+		case 10:
+			if !c.MulDiv {
+				continue
+			}
+			g.mulDiv()
+		case 11:
+			if !c.Traps {
+				continue
+			}
+			g.trapWrite(idx)
+		default:
+			if !g.Routines[idx].MayCall || *callsLeft == 0 {
+				continue
+			}
+			if lo := idx + 1; lo < c.Routines {
+				*callsLeft--
+				g.Call(lo + g.Rng.Intn(c.Routines-lo))
+			} else {
+				g.Arith()
+			}
 		}
-		g.l("\tset r%d, %%l0", g.traits[i].tailTarget)
-		g.l("\tset %d, %%l1", fpSlot(i))
-		g.l("\tst %%l0, [%%l1]")
-	}
-	g.l("\tmov %d, %%o0", 1+rng.Intn(64))
-	roots := 1 + rng.Intn(minInt(3, g.cfg.Routines))
-	for rep := 0; rep < 8; rep++ {
-		for i := 0; i < roots; i++ {
-			g.callTo(rng, i*(g.cfg.Routines/roots))
-		}
-		g.l("\txor %%o0, %d, %%o0", rep+1)
-	}
-	g.l("\tmov 1, %%g1")
-	g.l("\tta 0")
-}
-
-// callTo emits a call to routine idx (or its second entry).
-func (g *gen) callTo(rng *rand.Rand, idx int) {
-	if idx >= g.cfg.Routines {
 		return
 	}
-	entry := fmt.Sprintf("r%d", idx)
-	if g.traits[idx].entry2 && rng.Intn(2) == 0 {
-		entry = fmt.Sprintf("r%d_entry2", idx)
-	}
-	g.l("\tcall %s", entry)
-	g.l("\tnop")
-}
-
-// emitRoutine generates routine idx.  Convention: argument and result
-// in %o0; %l0-%l7, %o1-%o5, %g1-%g5 scratch.
-func (g *gen) emitRoutine(idx int) {
-	rng := g.routineRNG(idx)
-	t := g.traits[idx]
-	g.l("r%d:", idx)
-	if t.win {
-		g.l("\tsave %%sp, -96, %%sp")
-		g.l("\tmov %%i0, %%o0")
-	}
-	ops := g.cfg.BodyOps/2 + rng.Intn(g.cfg.BodyOps)
-	if t.entry2 && ops < 3 {
-		ops = 3
-	}
-	var tables []string
-	// Bound the call DAG's dynamic fan-out: routines near the end may
-	// call twice (their subtrees are shallow); earlier ones once.
-	callsLeft := 1
-	if g.cfg.Routines-idx <= 4 {
-		callsLeft = 2
-	}
-	for i := 0; i < ops; i++ {
-		if t.entry2 && i == maxInt(1, ops/3) {
-			g.l("r%d_entry2:", idx)
-		}
-		g.op(rng, idx, t, &tables, &callsLeft)
-	}
-	switch {
-	case t.tailTarget >= 0:
-		// SunPro pop-frame-and-jump: the callee returns directly to
-		// this routine's caller through the untouched %o7.
-		g.l("\tset %d, %%l1", fpSlot(idx))
-		g.l("\tld [%%l1], %%g5")
-		g.l("\tadd %%sp, 0, %%sp")
-		g.l("\tjmp %%g5")
-		g.l("\tnop")
-	case t.win:
-		g.l("\tret")
-		g.l("\trestore %%o0, 0, %%o0")
-	default:
-		g.l("\tretl")
-		g.l("\tnop")
-	}
-	for _, tab := range tables {
-		g.l("\t.align 4")
-		g.l("%s", tab)
-	}
-	if g.cfg.DataBlobs && rng.Intn(4) == 0 {
-		g.emitDataBlob(rng)
-	}
-}
-
-// op emits one body operation chosen from the enabled feature menu.
-func (g *gen) op(rng *rand.Rand, idx int, t traits, tables *[]string, callsLeft *int) {
-	type choice struct {
-		ok bool
-		fn func()
-	}
-	menu := []choice{
-		{true, func() { g.arith(rng) }},
-		{true, func() { g.arith(rng) }},
-		{true, func() { g.loop(rng) }},
-		{true, func() { g.ifThen(rng) }},
-		{true, func() { g.setEdge(rng) }},
-		{g.cfg.Annulled, func() { g.annulledLoop(rng) }},
-		{g.cfg.Annulled, func() { g.annulledSkips(rng) }},
-		{g.cfg.Indirect, func() { *tables = append(*tables, g.dispatchSwitch(rng)) }},
-		{g.cfg.Mem, func() { g.memOp(rng, idx) }},
-		{g.cfg.FP, func() { g.fpOp(rng, idx) }},
-		{g.cfg.MulDiv, func() { g.mulDiv(rng) }},
-		{g.cfg.Traps, func() { g.trapWrite(rng, idx) }},
-		{t.mayCall && *callsLeft > 0, func() {
-			lo := idx + 1
-			if lo < g.cfg.Routines {
-				*callsLeft--
-				g.callTo(rng, lo+rng.Intn(g.cfg.Routines-lo))
-			} else {
-				g.arith(rng)
-			}
-		}},
-	}
-	for {
-		c := menu[rng.Intn(len(menu))]
-		if c.ok {
-			c.fn()
-			return
-		}
-	}
-}
-
-// edgeImms are the immediate values at simm13 and %lo boundaries.
-var edgeImms = []int{-4096, -4095, -1024, -1, 0, 1, 7, 1023, 1024, 4095}
-
-func (g *gen) imm(rng *rand.Rand) int {
-	if g.cfg.EdgeImms && rng.Intn(2) == 0 {
-		return edgeImms[rng.Intn(len(edgeImms))]
-	}
-	return rng.Intn(31) + 1
-}
-
-func (g *gen) arith(rng *rand.Rand) {
-	dst := []string{"%o0", "%l0", "%l1", "%l2", "%o1", "%o2"}[rng.Intn(6)]
-	src := []string{"%o0", "%l0", "%l1", "%o1"}[rng.Intn(4)]
-	op := []string{"add", "sub", "xor", "and", "or", "andn", "orn", "xnor",
-		"addx", "subx", "sll", "srl", "sra"}[rng.Intn(13)]
-	imm := g.imm(rng)
-	if op == "sll" || op == "srl" || op == "sra" {
-		// Shift semantics mask the count; edge values 31/32 are
-		// interesting, huge ones are legal simm13 too.
-		imm = []int{0, 1, 5, 31, 32, 63}[rng.Intn(6)]
-	}
-	g.l("\t%s %s, %d, %s", op, src, imm, dst)
 }
 
 // setEdge materializes a 32-bit boundary constant and mixes it in.
 var edgeConsts = []uint32{0, 1, 0x3ff, 0x400, 0xfff, 0x1000, 0x7fffffff,
 	0x80000000, 0xfffffc00, 0xffffffff, 0xdeadbeef}
 
-func (g *gen) setEdge(rng *rand.Rand) {
-	v := edgeConsts[rng.Intn(len(edgeConsts))]
+func (g *gen) setEdge() {
+	v := edgeConsts[g.Rng.Intn(len(edgeConsts))]
 	if !g.cfg.EdgeImms {
-		v = uint32(rng.Intn(4096))
+		v = uint32(g.Rng.Intn(4096))
 	}
-	g.l("\tset %d, %%l4", v)
-	g.l("\txor %%o0, %%l4, %%o0")
-	g.l("\tsrl %%o0, 1, %%o0")
-}
-
-func (g *gen) loop(rng *rand.Rand) {
-	top := g.fresh("loop")
-	g.l("\tmov %d, %%l6", 2+rng.Intn(6))
-	g.l("%s:", top)
-	g.arith(rng)
-	g.l("\tsubcc %%l6, 1, %%l6")
-	g.l("\tbne %s", top)
-	g.l("\tnop")
-}
-
-// annulledLoop uses bne,a with productive code in the delay slot.
-func (g *gen) annulledLoop(rng *rand.Rand) {
-	top := g.fresh("aloop")
-	g.l("\tmov %d, %%l7", 2+rng.Intn(5))
-	g.l("%s:", top)
-	g.l("\tsubcc %%l7, 1, %%l7")
-	g.l("\tbne,a %s", top)
-	g.l("\tadd %%o0, 3, %%o0")
+	g.L("\tset %d, %%l4", v)
+	g.L("\txor %%o0, %%l4, %%o0")
+	g.L("\tsrl %%o0, 1, %%o0")
 }
 
 // annulledSkips exercises the unconditional annul forms: ba,a (slot
 // never executes), bn (never taken, slot executes), and bn,a (skip
 // the next instruction unconditionally).
-func (g *gen) annulledSkips(rng *rand.Rand) {
-	switch rng.Intn(3) {
+func (g *gen) annulledSkips() {
+	switch g.Rng.Intn(3) {
 	case 0:
-		skip := g.fresh("baa")
-		g.l("\tba,a %s", skip)
-		g.l("\tadd %%o0, %d, %%o0", 1+rng.Intn(63)) // annulled
-		g.l("%s:", skip)
+		skip := g.Fresh("baa")
+		g.L("\tba,a %s", skip)
+		g.L("\tadd %%o0, %d, %%o0", 1+g.Rng.Intn(63)) // annulled
+		g.L("%s:", skip)
 	case 1:
-		tgt := g.fresh("bn")
-		g.l("\tbn %s", tgt)
-		g.l("\tadd %%o0, %d, %%o0", 1+rng.Intn(63)) // executes
-		g.l("%s:", tgt)
+		tgt := g.Fresh("bn")
+		g.L("\tbn %s", tgt)
+		g.L("\tadd %%o0, %d, %%o0", 1+g.Rng.Intn(63)) // executes
+		g.L("%s:", tgt)
 	default:
-		tgt := g.fresh("bna")
-		g.l("\tbn,a %s", tgt)
-		g.l("\txor %%o0, %d, %%o0", 1+rng.Intn(63)) // annulled
-		g.l("%s:", tgt)
+		tgt := g.Fresh("bna")
+		g.L("\tbn,a %s", tgt)
+		g.L("\txor %%o0, %d, %%o0", 1+g.Rng.Intn(63)) // annulled
+		g.L("%s:", tgt)
 	}
-}
-
-func (g *gen) ifThen(rng *rand.Rand) {
-	skip := g.fresh("skip")
-	cond := []string{"be", "bne", "bg", "ble", "bl", "bge", "bgu", "bleu",
-		"bcc", "bcs", "bpos", "bneg", "bvc", "bvs"}[rng.Intn(14)]
-	g.l("\tcmp %%o0, %d", g.imm(rng))
-	g.l("\t%s %s", cond, skip)
-	g.l("\tnop")
-	g.arith(rng)
-	g.l("%s:", skip)
-}
-
-// dispatchSwitch emits a gcc-style table switch and returns the table
-// text (placed after the routine body, in the text segment).
-func (g *gen) dispatchSwitch(rng *rand.Rand) string {
-	n := 3 + rng.Intn(5)
-	tab := g.fresh("tab")
-	def := g.fresh("def")
-	end := g.fresh("end")
-	arms := make([]string, n)
-	for i := range arms {
-		arms[i] = g.fresh("case")
-	}
-	g.l("\tand %%o0, %d, %%l5", n)
-	g.l("\tcmp %%l5, %d", n-1)
-	g.l("\tbgu %s", def)
-	g.l("\tsll %%l5, 2, %%l4")
-	g.l("\tset %s, %%l3", tab)
-	g.l("\tld [%%l3+%%l4], %%l3")
-	g.l("\tjmp %%l3")
-	g.l("\tnop")
-	for i, a := range arms {
-		g.l("%s:", a)
-		g.l("\tadd %%o0, %d, %%o0", i+1)
-		g.l("\tba %s", end)
-		g.l("\tnop")
-	}
-	g.l("%s:", def)
-	g.l("\txor %%o0, 5, %%o0")
-	g.l("%s:", end)
-
-	var t strings.Builder
-	fmt.Fprintf(&t, "%s:", tab)
-	for _, a := range arms {
-		fmt.Fprintf(&t, "\n\t.word %s", a)
-	}
-	g.dataWords[tab] = len(arms)
-	return t.String()
-}
-
-// memOp exercises the load/store menu through aligned data slots.
-func (g *gen) memOp(rng *rand.Rand, idx int) {
-	slot := dataBase + uint32(idx%32)*8
-	g.l("\tset %d, %%l3", slot)
-	switch rng.Intn(6) {
-	case 0: // word store/load
-		g.l("\tst %%o0, [%%l3]")
-		g.l("\tld [%%l3], %%l2")
-	case 1: // byte, unsigned + signed reload
-		g.l("\tstb %%o0, [%%l3]")
-		g.l("\tldub [%%l3], %%l2")
-		g.l("\tldsb [%%l3], %%l1")
-		g.l("\tadd %%l2, %%l1, %%l2")
-	case 2: // half, unsigned + signed reload
-		g.l("\tsth %%o0, [%%l3]")
-		g.l("\tlduh [%%l3], %%l2")
-		g.l("\tldsh [%%l3], %%l1")
-		g.l("\txor %%l2, %%l1, %%l2")
-	case 3: // doubleword pair
-		g.l("\tmov %%o0, %%l0")
-		g.l("\txor %%o0, %d, %%l1", 1+rng.Intn(255))
-		g.l("\tstd %%l0, [%%l3]")
-		g.l("\tldd [%%l3], %%l2")
-	case 4: // atomic swap
-		g.l("\tst %%o0, [%%l3]")
-		g.l("\tmov %d, %%l2", 1+rng.Intn(63))
-		g.l("\tswap [%%l3], %%l2")
-	default: // ldstub
-		g.l("\tst %%o0, [%%l3]")
-		g.l("\tldstub [%%l3], %%l2")
-	}
-	g.l("\tadd %%o0, %%l2, %%o0")
-	g.l("\tsrl %%o0, 1, %%o0")
-}
-
-// fpOp converts the accumulator through the float file and back.
-func (g *gen) fpOp(rng *rand.Rand, idx int) {
-	slot := dataBase + 0x400 + uint32(idx%16)*4
-	g.l("\tset %d, %%l3", slot)
-	g.l("\tand %%o0, 0xff, %%l2")
-	g.l("\tst %%l2, [%%l3]")
-	g.l("\tldf [%%l3], %%f0")
-	g.l("\tfitos %%f0, %%f1")
-	switch rng.Intn(3) {
-	case 0:
-		g.l("\tfadds %%f1, %%f1, %%f2")
-	case 1:
-		g.l("\tfsubs %%f1, %%f1, %%f2")
-	default:
-		g.l("\tfmuls %%f1, %%f1, %%f2")
-	}
-	g.l("\tfstoi %%f2, %%f3")
-	g.l("\tstf %%f3, [%%l3]")
-	g.l("\tld [%%l3], %%l2")
-	g.l("\txor %%o0, %%l2, %%o0")
 }
 
 // mulDiv exercises the multiply/divide builtins and the %y register.
 // Divisors are forced non-zero.
-func (g *gen) mulDiv(rng *rand.Rand) {
-	switch rng.Intn(4) {
+func (g *gen) mulDiv() {
+	switch g.Rng.Intn(4) {
 	case 0:
-		g.l("\tumul %%o0, %d, %%o0", 3+rng.Intn(13))
-		g.l("\tsrl %%o0, %d, %%o0", 1+rng.Intn(4))
+		g.L("\tumul %%o0, %d, %%o0", 3+g.Rng.Intn(13))
+		g.L("\tsrl %%o0, %d, %%o0", 1+g.Rng.Intn(4))
 	case 1:
-		g.l("\tsmul %%o0, %d, %%o0", -8+rng.Intn(17))
-		g.l("\tsra %%o0, %d, %%o0", 1+rng.Intn(4))
+		g.L("\tsmul %%o0, %d, %%o0", -8+g.Rng.Intn(17))
+		g.L("\tsra %%o0, %d, %%o0", 1+g.Rng.Intn(4))
 	case 2:
-		g.l("\tand %%o0, 7, %%l1")
-		g.l("\tor %%l1, 1, %%l1")
-		if rng.Intn(2) == 0 {
-			g.l("\tudiv %%o0, %%l1, %%o0")
+		g.L("\tand %%o0, 7, %%l1")
+		g.L("\tor %%l1, 1, %%l1")
+		if g.Rng.Intn(2) == 0 {
+			g.L("\tudiv %%o0, %%l1, %%o0")
 		} else {
-			g.l("\tsdiv %%o0, %%l1, %%o0")
+			g.L("\tsdiv %%o0, %%l1, %%o0")
 		}
 	default:
-		g.l("\twr %%o0, %%y")
-		g.l("\trd %%y, %%l2")
-		g.l("\tadd %%o0, %%l2, %%o0")
-		g.l("\tsrl %%o0, 1, %%o0")
+		g.L("\twr %%o0, %%y")
+		g.L("\trd %%y, %%l2")
+		g.L("\tadd %%o0, %%l2, %%o0")
+		g.L("\tsrl %%o0, 1, %%o0")
 	}
 }
 
 // trapWrite spills the accumulator, issues a 1-byte write(2) system
 // call whose payload the oracles compare, and mixes the syscall
 // result back in.
-func (g *gen) trapWrite(rng *rand.Rand, idx int) {
-	buf := trapBufBase + uint32(idx%32)*8
-	g.l("\tset %d, %%l1", buf)
-	g.l("\tst %%o0, [%%l1]")
-	g.l("\tstb %%o0, [%%l1+4]")
-	g.l("\tmov 4, %%g1")
-	g.l("\tmov 1, %%o0")
-	g.l("\tadd %%l1, 4, %%o1")
-	g.l("\tmov 1, %%o2")
-	g.l("\tta 0")
-	g.l("\tld [%%l1], %%l2")
-	g.l("\txor %%l2, %%o0, %%o0")
-}
-
-// emitDataBlob embeds a data table with a routine-indistinguishable
-// label.
-func (g *gen) emitDataBlob(rng *rand.Rand) {
-	g.l("\t.align 4")
-	name := fmt.Sprintf("dtab%d", g.label)
-	g.label++
-	g.l("%s:", name)
-	n := 2 + rng.Intn(5)
-	g.dataWords[name] = n
-	for i := 0; i < n; i++ {
-		g.l("\t.word %d", rng.Uint32())
-	}
-}
-
-// addSymbols builds the symbol table: function symbols for visible
-// routines, label symbols for data blobs, and a duplicate for
-// refinement to discard.
-func (g *gen) addSymbols(f *binfile.File, prog *asm.Program) {
-	add := func(name string, kind binfile.SymKind, global bool) {
-		if addr, ok := prog.Labels[name]; ok {
-			f.Symbols = append(f.Symbols, binfile.Symbol{Name: name, Addr: addr, Kind: kind, Global: global})
-		}
-	}
-	add("main", binfile.SymFunc, true)
-	for i := 0; i < g.cfg.Routines; i++ {
-		if g.traits[i].hidden {
-			continue
-		}
-		add(fmt.Sprintf("r%d", i), binfile.SymFunc, true)
-	}
-	for name, addr := range prog.Labels {
-		if strings.HasPrefix(name, "dtab") {
-			f.Symbols = append(f.Symbols, binfile.Symbol{Name: name, Addr: addr, Kind: binfile.SymLabel})
-		}
-	}
-	if addr, ok := prog.Labels["main"]; ok {
-		f.Symbols = append(f.Symbols, binfile.Symbol{Name: "main_dup", Addr: addr, Kind: binfile.SymLabel})
-	}
-	f.SortSymbols()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+func (g *gen) trapWrite(idx int) {
+	g.L("\tset %d, %%l1", trapBufBase+uint32(idx%32)*8)
+	g.L("\tst %%o0, [%%l1]")
+	g.L("\tstb %%o0, [%%l1+4]")
+	g.L("\tmov 4, %%g1")
+	g.L("\tmov 1, %%o0")
+	g.L("\tadd %%l1, 4, %%o1")
+	g.L("\tmov 1, %%o2")
+	g.L("\tta 0")
+	g.L("\tld [%%l1], %%l2")
+	g.L("\txor %%l2, %%o0, %%o0")
 }

@@ -185,10 +185,9 @@ func runOnce(f *binfile.File, maxSteps uint64, eng sim.Engine, dec *spawn.TableD
 // CheckLockstep runs the program to completion on every execution
 // engine the target machine supports — the single-step interpreter,
 // the translation-cache engine, the chained/trace engine, and the
-// whole-routine tier —
-// and requires bit-identical outcomes against the interpreter: same
-// error (if any), same output bytes, same architected state, same
-// memory image.
+// whole-routine tier — and requires bit-identical outcomes against
+// the interpreter: same error (if any), same output bytes, same
+// architected state, same memory image.
 func CheckLockstep(p *Program, maxSteps uint64) []Violation {
 	d := p.decoder()
 	interp := runOnce(p.File, maxSteps, sim.EngineInterp, d)

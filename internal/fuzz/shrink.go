@@ -52,41 +52,18 @@ func Shrink(cfg Config, check CheckFunc, maxSteps uint64) Config {
 				changed = true
 			}
 		}
-		for _, clear := range toggleClears {
+		for _, t := range toggles {
 			cand := cfg
-			if !clear.clear(&cand) {
-				continue // already off
-			}
-			if fails(cand, check, maxSteps) {
-				cfg = cand
-				changed = true
+			if f := t.flag(&cand); *f {
+				*f = false
+				if fails(cand, check, maxSteps) {
+					cfg = cand
+					changed = true
+				}
 			}
 		}
 	}
 	return cfg
-}
-
-// toggleClears enumerates the feature toggles for Shrink and
-// Generalize.
-var toggleClears = []struct {
-	name  string
-	clear func(c *Config) bool
-	isSet func(c Config) bool
-}{
-	{"annulled", func(c *Config) bool { r := c.Annulled; c.Annulled = false; return r }, func(c Config) bool { return c.Annulled }},
-	{"windows", func(c *Config) bool { r := c.Windows; c.Windows = false; return r }, func(c Config) bool { return c.Windows }},
-	{"calls", func(c *Config) bool { r := c.Calls; c.Calls = false; return r }, func(c Config) bool { return c.Calls }},
-	{"traps", func(c *Config) bool { r := c.Traps; c.Traps = false; return r }, func(c Config) bool { return c.Traps }},
-	{"indirect", func(c *Config) bool { r := c.Indirect; c.Indirect = false; return r }, func(c Config) bool { return c.Indirect }},
-	{"cont", func(c *Config) bool { r := c.Continuations; c.Continuations = false; return r }, func(c Config) bool { return c.Continuations }},
-	{"edgeimms", func(c *Config) bool { r := c.EdgeImms; c.EdgeImms = false; return r }, func(c Config) bool { return c.EdgeImms }},
-	{"fp", func(c *Config) bool { r := c.FP; c.FP = false; return r }, func(c Config) bool { return c.FP }},
-	{"mem", func(c *Config) bool { r := c.Mem; c.Mem = false; return r }, func(c Config) bool { return c.Mem }},
-	{"muldiv", func(c *Config) bool { r := c.MulDiv; c.MulDiv = false; return r }, func(c Config) bool { return c.MulDiv }},
-	{"multientry", func(c *Config) bool { r := c.MultiEntry; c.MultiEntry = false; return r }, func(c Config) bool { return c.MultiEntry }},
-	{"hidden", func(c *Config) bool { r := c.Hidden; c.Hidden = false; return r }, func(c Config) bool { return c.Hidden }},
-	{"datablobs", func(c *Config) bool { r := c.DataBlobs; c.DataBlobs = false; return r }, func(c Config) bool { return c.DataBlobs }},
-	{"strip", func(c *Config) bool { r := c.Strip; c.Strip = false; return r }, func(c Config) bool { return c.Strip }},
 }
 
 // Generalize characterizes a shrunk failure: which of the surviving
@@ -95,12 +72,12 @@ var toggleClears = []struct {
 // returns a human-readable summary for the report.
 func Generalize(cfg Config, check CheckFunc, maxSteps uint64) string {
 	var required []string
-	for _, t := range toggleClears {
-		if !t.isSet(cfg) {
+	for _, t := range toggles {
+		if !*t.flag(&cfg) {
 			continue
 		}
 		cand := cfg
-		t.clear(&cand)
+		*t.flag(&cand) = false
 		if !fails(cand, check, maxSteps) {
 			required = append(required, t.name)
 		}

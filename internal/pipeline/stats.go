@@ -12,8 +12,7 @@ import (
 // wall time summed across workers), how much work was done
 // (instructions decoded, blocks and edges built), and how the
 // memoizing cache behaved.  It is the measurement substrate for the
-// repository's performance trajectory; scripts/bench.sh serializes
-// the same quantities as JSON.
+// repository's performance trajectory, which bench/ records.
 type Stats struct {
 	// Routines is the number of routines analyzed (including hidden
 	// routines discovered during the run); Hidden counts just the

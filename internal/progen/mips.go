@@ -20,27 +20,26 @@ package progen
 // twice.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
 
-	"eel/internal/binfile"
 	"eel/internal/mips"
 )
 
 // Data-segment layout for the MIPS generator (all offsets from
-// mipsDataBase, reachable with one lui+imm16):
+// DataBase, reachable with one lui+imm16):
 //
 //	0x000-0x0ff  memOp scratch slots (8 bytes per routine mod 32)
 //	0x800-0x8ff  $ra spill slots (4 bytes per routine, <= 64 routines)
 //	0x980-0x9ff  function-pointer slots for indirect calls
 //	0xa00        write(2) buffer
 const (
-	mipsDataBase = 0x400000
-	mipsDataHi   = mipsDataBase >> 16
-	mipsRAOff    = 0x800
-	mipsFPOff    = 0x980
-	mipsBufOff   = 0xa00
+	mipsDataHi = DataBase >> 16
+	mipsRAOff  = 0x800
+	mipsFPOff  = 0x980
+	mipsBufOff = 0xa00
 )
 
 type mipsFix struct {
@@ -53,59 +52,42 @@ type mipsFix struct {
 }
 
 type mipsGen struct {
-	cfg     Config
-	rng     *rand.Rand
-	words   []uint32
-	list    strings.Builder
-	labels  map[string]uint32
-	fix     []mipsFix
-	label   int
-	program *Program
-
-	mayCall  []bool
-	hidden   []bool
-	indirect []bool // routine makes a jalr call through its fp slot
-	fpTarget []int  // indirect target routine (strictly later)
+	image
+	cfg   Config
+	rng   *rand.Rand
+	words []uint32
+	list  strings.Builder
+	// labels maps each label to its address.
+	labels map[string]uint32
+	fix    []mipsFix
+	// fpTarget, when nonzero, is the strictly later routine a routine
+	// calls indirectly through its function-pointer slot.
+	fpTarget []int
 }
 
 func generateMIPS(cfg Config) (*Program, error) {
 	if cfg.Routines > 64 {
 		return nil, fmt.Errorf("progen: mips personality supports at most 64 routines (got %d)", cfg.Routines)
 	}
-	if cfg.Base == 0 {
-		cfg.Base = 0x10000
-	}
-	if cfg.BodyOps == 0 {
-		cfg.BodyOps = 12
-	}
 	g := &mipsGen{
+		image:    image{Routines: make([]Routine, cfg.Routines), prefix: ".X"},
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		labels:   map[string]uint32{},
-		program:  &Program{},
-		mayCall:  make([]bool, cfg.Routines),
-		hidden:   make([]bool, cfg.Routines),
-		indirect: make([]bool, cfg.Routines),
 		fpTarget: make([]int, cfg.Routines),
 	}
-	for i := range g.mayCall {
-		g.fpTarget[i] = -1
-		if i+1 < cfg.Routines && g.rng.Float64() < 0.5 {
-			g.mayCall[i] = true
-		}
+	for i := range g.Routines {
+		r := &g.Routines[i]
+		r.MayCall = i+1 < cfg.Routines && g.rng.Float64() < 0.5
 		if cfg.CallHeavy && i+1 < cfg.Routines {
-			g.mayCall[i] = true
+			r.MayCall = true
 		}
 		// Indirect calls ride on the call-saving prologue.
-		if g.mayCall[i] && g.rng.Float64() < 0.3 {
-			g.indirect[i] = true
+		if r.MayCall && g.rng.Float64() < 0.3 {
 			g.fpTarget[i] = i + 1 + g.rng.Intn(cfg.Routines-i-1)
-			g.program.Switches++ // counted as the indirect-transfer feature
+			g.switches++ // counted as the indirect-transfer feature
 		}
-		if g.rng.Float64() < cfg.HiddenFrac {
-			g.hidden[i] = true
-			g.program.Hidden++
-		}
+		r.Hidden = g.rng.Float64() < cfg.HiddenFrac
 	}
 	g.emitMain()
 	for i := 0; i < cfg.Routines; i++ {
@@ -117,30 +99,11 @@ func generateMIPS(cfg Config) (*Program, error) {
 	if err := g.resolve(); err != nil {
 		return nil, err
 	}
-
 	text := make([]byte, len(g.words)*4)
 	for i, w := range g.words {
-		text[i*4] = byte(w >> 24)
-		text[i*4+1] = byte(w >> 16)
-		text[i*4+2] = byte(w >> 8)
-		text[i*4+3] = byte(w)
+		binary.BigEndian.PutUint32(text[i*4:], w)
 	}
-	f := &binfile.File{
-		Format: "aout",
-		Entry:  cfg.Base,
-		Sections: []binfile.Section{
-			{Name: "text", Addr: cfg.Base, Data: text},
-			{Name: "data", Addr: mipsDataBase, Data: make([]byte, 8192)},
-		},
-	}
-	g.addSymbols(f)
-	if cfg.Strip {
-		f.Strip()
-	}
-	g.program.Source = g.list.String()
-	g.program.File = f
-	g.program.DataRanges = g.program.DataRanges[:len(g.program.DataRanges):len(g.program.DataRanges)]
-	return g.program, nil
+	return g.build(g.list.String(), cfg.Base, text, g.labels, cfg.Strip), nil
 }
 
 // pc returns the address of the next word to be emitted.
@@ -154,18 +117,15 @@ func (g *mipsGen) w(word uint32, err error) func(format string, args ...any) {
 	}
 	g.words = append(g.words, word)
 	return func(format string, args ...any) {
-		fmt.Fprintf(&g.list, "\t"+format+"\n", args...)
+		g.list.WriteByte('\t')
+		fmt.Fprintf(&g.list, format, args...)
+		g.list.WriteByte('\n')
 	}
 }
 
 func (g *mipsGen) at(name string) {
 	g.labels[name] = g.pc()
 	fmt.Fprintf(&g.list, "%s:\n", name)
-}
-
-func (g *mipsGen) fresh(prefix string) string {
-	g.label++
-	return fmt.Sprintf(".X%s%d", prefix, g.label)
 }
 
 // branch emits a placeholder branch to label, retargeted in resolve;
@@ -228,14 +188,6 @@ func (g *mipsGen) resolve() error {
 	return nil
 }
 
-// must unwraps an encoder result inline.
-func must(w uint32, err error) uint32 {
-	if err != nil {
-		panic(err)
-	}
-	return w
-}
-
 // slot fills a delay slot, occasionally with productive work on the
 // accumulator (never touching branch/loop state).
 func (g *mipsGen) slot() {
@@ -252,14 +204,14 @@ func (g *mipsGen) emitMain() {
 	g.w(mips.EncodeIU("lui", 1, 0, mipsDataHi))("lui $1, %#x", mipsDataHi)
 	// Function-pointer slots for indirect-calling routines.
 	for i, tgt := range g.fpTarget {
-		if tgt < 0 {
+		if tgt == 0 {
 			continue
 		}
 		g.la(8, fmt.Sprintf("r%d", tgt))
 		g.w(mips.EncodeI("sw", 8, 1, int32(mipsFPOff+4*i)))("sw $8, %#x($1)", mipsFPOff+4*i)
 	}
 	g.w(mips.EncodeI("addiu", 16, 0, int32(1+g.rng.Intn(64))))("addiu $16, $0, init")
-	roots := 1 + g.rng.Intn(minInt(4, g.cfg.Routines))
+	roots := 1 + g.rng.Intn(min(4, g.cfg.Routines))
 	for rep := 0; rep < 6; rep++ {
 		for i := 0; i < roots; i++ {
 			g.callRoutine(i * (g.cfg.Routines / roots))
@@ -267,7 +219,7 @@ func (g *mipsGen) emitMain() {
 		g.w(mips.EncodeIU("xori", 16, 16, uint32(rep+1)))("xori $16, $16, %d", rep+1)
 	}
 	if g.cfg.HotLoop > 0 {
-		top := g.fresh("hot")
+		top := g.Fresh("hot")
 		g.w(mips.EncodeI("addiu", 17, 0, int32(g.cfg.HotLoop)))("addiu $17, $0, %d", g.cfg.HotLoop)
 		g.at(top)
 		for i := 0; i < roots; i++ {
@@ -292,7 +244,7 @@ func (g *mipsGen) callRoutine(idx int) {
 
 func (g *mipsGen) emitRoutine(idx int) {
 	g.at(fmt.Sprintf("r%d", idx))
-	saves := g.mayCall[idx]
+	saves := g.Routines[idx].MayCall
 	if saves {
 		g.w(mips.EncodeIU("lui", 1, 0, mipsDataHi))("lui $1, %#x", mipsDataHi)
 		g.w(mips.EncodeI("sw", 31, 1, int32(mipsRAOff+4*idx)))("sw $31, %#x($1)", mipsRAOff+4*idx)
@@ -317,13 +269,13 @@ func (g *mipsGen) emitRoutine(idx int) {
 			g.mulOp()
 		case 7:
 			lo := idx + 1
-			if lo < g.cfg.Routines && g.mayCall[idx] {
+			if lo < g.cfg.Routines && g.Routines[idx].MayCall {
 				g.callRoutine(lo + g.rng.Intn(g.cfg.Routines-lo))
 			} else {
 				g.arith()
 			}
 		case 8:
-			if g.indirect[idx] && !didIndirect {
+			if g.fpTarget[idx] != 0 && !didIndirect {
 				didIndirect = true
 				g.indirectCall(idx)
 			} else {
@@ -334,7 +286,7 @@ func (g *mipsGen) emitRoutine(idx int) {
 			g.memOp(idx)
 		}
 	}
-	if g.indirect[idx] && !didIndirect {
+	if g.fpTarget[idx] != 0 && !didIndirect {
 		g.indirectCall(idx)
 	}
 	// Epilogue: reload the spilled $ra if the routine called out, then
@@ -373,7 +325,7 @@ func (g *mipsGen) arith() {
 // sometimes doing accumulator work.  $11 is the loop counter; the body
 // must not touch it.
 func (g *mipsGen) loop() {
-	top := g.fresh("loop")
+	top := g.Fresh("loop")
 	n := int32(2 + g.rng.Intn(6))
 	g.w(mips.EncodeI("addiu", 11, 0, n))("addiu $11, $0, %d", n)
 	g.at(top)
@@ -386,7 +338,7 @@ func (g *mipsGen) loop() {
 // ifThen emits a forward conditional skip using the full branch menu:
 // the two-register forms and the single-register sign tests.
 func (g *mipsGen) ifThen() {
-	skip := g.fresh("skip")
+	skip := g.Fresh("skip")
 	switch g.rng.Intn(4) {
 	case 0:
 		g.w(mips.EncodeI("slti", 9, 16, int32(g.rng.Intn(64))))("slti $9, $16, k")
@@ -462,45 +414,10 @@ func (g *mipsGen) writeTrap() {
 }
 
 func (g *mipsGen) emitDataBlob() {
-	name := fmt.Sprintf("dtab%d", g.label)
-	g.label++
-	g.at(name)
-	start := g.pc()
 	n := 2 + g.rng.Intn(6)
+	g.at(g.blob(n))
 	for i := 0; i < n; i++ {
 		v := g.rng.Uint32()
 		g.w(v, nil)(".word %#x", v)
 	}
-	g.program.DataRanges = append(g.program.DataRanges, [2]uint32{start, g.pc()})
-}
-
-func (g *mipsGen) addSymbols(f *binfile.File) {
-	add := func(name string, kind binfile.SymKind, global bool) {
-		if addr, ok := g.labels[name]; ok {
-			f.Symbols = append(f.Symbols, binfile.Symbol{Name: name, Addr: addr, Kind: kind, Global: global})
-		}
-	}
-	add("main", binfile.SymFunc, true)
-	for i := 0; i < g.cfg.Routines; i++ {
-		if g.hidden[i] {
-			continue
-		}
-		add(fmt.Sprintf("r%d", i), binfile.SymFunc, true)
-	}
-	for name, addr := range g.labels {
-		if strings.HasPrefix(name, "dtab") {
-			f.Symbols = append(f.Symbols, binfile.Symbol{Name: name, Addr: addr, Kind: binfile.SymLabel})
-		}
-	}
-	if addr, ok := g.labels["main"]; ok {
-		f.Symbols = append(f.Symbols, binfile.Symbol{Name: "main_dup", Addr: addr, Kind: binfile.SymLabel})
-	}
-	f.SortSymbols()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

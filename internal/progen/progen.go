@@ -1,22 +1,27 @@
-// Package progen deterministically generates synthetic SPARC
-// programs that exhibit the code idioms the paper's measurements
-// depend on (§3.1, §3.3): conditional and annulled branches with
-// delay slots, bounded loops, call DAGs, gcc-style switch lowering
-// through dispatch tables embedded in the text segment, SunPro-style
-// pop-frame-and-jump continuation transfers (the paper's only source
-// of unanalyzable indirect jumps), register-window routines,
-// multiple-entry routines, hidden (symbol-less) code, data tables
-// with routine-indistinguishable symbols, and debug/duplicate
-// labels.  Every generated program terminates deterministically, so
-// original and edited executions can be compared exactly.
+// Package progen is the module's program generator.  It
+// deterministically generates synthetic SPARC and MIPS programs that
+// exhibit the code idioms the paper's measurements depend on (§3.1,
+// §3.3): conditional and annulled branches with delay slots, bounded
+// loops, call DAGs, gcc-style switch lowering through dispatch tables
+// embedded in the text segment, SunPro-style pop-frame-and-jump
+// continuation transfers (the paper's only source of unanalyzable
+// indirect jumps), register-window routines, multiple-entry routines,
+// hidden (symbol-less) code, data tables with routine-indistinguishable
+// symbols, and debug/duplicate labels.  Every generated program
+// terminates deterministically, so original and edited executions can
+// be compared exactly, and records where its text holds data.
+//
+// The SPARC idioms live in one Emitter (sparc.go) that progen's
+// personalities and internal/fuzz's feature toggles both drive; the
+// MIPS generator (mips.go) emits words through internal/mips's
+// encoders.  Every generator finishes through one image builder
+// (image.go).
 package progen
 
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
-	"eel/internal/asm"
 	"eel/internal/binfile"
 )
 
@@ -111,65 +116,10 @@ func DefaultConfig(seed int64) Config {
 	}
 }
 
-// Program is a generated program with its source and image.
-type Program struct {
-	Source string
-	File   *binfile.File
-	// Asm is the assembled SPARC program; nil for the MIPS generator,
-	// which emits words directly through the canonical encoders.
-	Asm *asm.Program
-	// DataRanges lists [start,end) address ranges inside the text
-	// segment holding data rather than instructions (filled by the
-	// MIPS generator; the SPARC path records data in Asm).
-	DataRanges [][2]uint32
-	// ExpectedFeatures counts what was generated, for tests.
-	Switches      int
-	Continuations int
-	Hidden        int
-}
-
-// IsData reports whether the text word at addr is embedded data
-// rather than an encoder-produced instruction.
-func (p *Program) IsData(addr uint32) bool {
-	for _, r := range p.DataRanges {
-		if addr >= r[0] && addr < r[1] {
-			return true
-		}
-	}
-	return false
-}
-
-type gen struct {
-	cfg     Config
-	rng     *rand.Rand
-	b       strings.Builder
-	label   int
-	program *Program
-	// tailTarget[i] >= 0 marks routine i as ending in the SunPro
-	// pop-frame-and-tail-call idiom, jumping to that routine through
-	// a function-pointer slot in writable data (unanalyzable).
-	tailTarget []int
-	// hasEntry2 marks multi-entry routines.
-	hasEntry2 []bool
-	usesWin   []bool
-	// mayCall marks non-leaf routines; they always use register
-	// windows, since a flat routine that calls would clobber its
-	// own return address in %o7.
-	mayCall []bool
-	hidden  []bool
-}
-
 // Generate builds a program per cfg, dispatching on cfg.ISA.
 func Generate(cfg Config) (*Program, error) {
 	if cfg.Routines < 1 {
 		return nil, fmt.Errorf("progen: need at least one routine")
-	}
-	switch cfg.ISA {
-	case "", "sparc":
-	case "mips", "mips32e":
-		return generateMIPS(cfg)
-	default:
-		return nil, fmt.Errorf("progen: no generator personality for ISA %q", cfg.ISA)
 	}
 	if cfg.Base == 0 {
 		cfg.Base = 0x10000
@@ -177,81 +127,13 @@ func Generate(cfg Config) (*Program, error) {
 	if cfg.BodyOps == 0 {
 		cfg.BodyOps = 12
 	}
-	g := &gen{
-		cfg:        cfg,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		program:    &Program{},
-		tailTarget: make([]int, cfg.Routines),
-		hasEntry2:  make([]bool, cfg.Routines),
-		usesWin:    make([]bool, cfg.Routines),
-		mayCall:    make([]bool, cfg.Routines),
-		hidden:     make([]bool, cfg.Routines),
+	switch cfg.ISA {
+	case "", "sparc":
+		return generateSPARC(cfg)
+	case "mips", "mips32e":
+		return generateMIPS(cfg)
 	}
-	for i := range g.tailTarget {
-		g.tailTarget[i] = -1
-		if cfg.Personality == SunPro && i+1 < cfg.Routines && g.rng.Float64() < cfg.ContFrac {
-			// Tail-call a later routine through a data-segment
-			// function pointer (the paper's unanalyzable idiom).
-			g.tailTarget[i] = i + 1 + g.rng.Intn(cfg.Routines-i-1)
-			g.program.Continuations++
-		}
-		isTail := g.tailTarget[i] >= 0
-		if i+1 < cfg.Routines && !isTail && g.rng.Float64() < 0.5 {
-			// Non-leaf: must keep a frame, so it uses windows.
-			g.mayCall[i] = true
-			g.usesWin[i] = true
-		} else if g.rng.Float64() < cfg.WindowFrac && !isTail {
-			g.usesWin[i] = true
-		}
-		if cfg.CallHeavy && i+1 < cfg.Routines && !isTail {
-			// Every non-tail routine keeps a frame and may call
-			// deeper.  Applied after the draws above so the
-			// CallHeavy=false draw sequence is unchanged.
-			g.mayCall[i] = true
-			g.usesWin[i] = true
-		}
-		// Second entry points skip prologue code, so they are
-		// incompatible with register windows (save would be
-		// skipped) and tail epilogues.
-		if cfg.MultiEntry && !g.usesWin[i] && !isTail && g.rng.Float64() < 0.15 {
-			g.hasEntry2[i] = true
-		}
-		if g.rng.Float64() < cfg.HiddenFrac {
-			g.hidden[i] = true
-			g.program.Hidden++
-		}
-	}
-	g.emitMain()
-	for i := 0; i < cfg.Routines; i++ {
-		g.emitRoutine(i)
-		if cfg.DataTables && g.rng.Float64() < 0.2 {
-			g.emitDataBlob()
-		}
-	}
-	if cfg.SelfMod {
-		g.emitSelfMod()
-	}
-	src := g.b.String()
-	prog, err := asm.Assemble(src, cfg.Base)
-	if err != nil {
-		return nil, fmt.Errorf("progen: assembling generated program: %w", err)
-	}
-	f := &binfile.File{
-		Format: "aout",
-		Entry:  cfg.Base,
-		Sections: []binfile.Section{
-			{Name: "text", Addr: cfg.Base, Data: prog.Bytes},
-			{Name: "data", Addr: 0x400000, Data: make([]byte, 8192)},
-		},
-	}
-	g.addSymbols(f, prog)
-	if cfg.Strip {
-		f.Strip()
-	}
-	g.program.Source = src
-	g.program.File = f
-	g.program.Asm = prog
-	return g.program, nil
+	return nil, fmt.Errorf("progen: no generator personality for ISA %q", cfg.ISA)
 }
 
 // MustGenerate panics on error (tests and benchmarks).
@@ -263,291 +145,154 @@ func MustGenerate(cfg Config) *Program {
 	return p
 }
 
-func (g *gen) l(format string, args ...any) {
-	fmt.Fprintf(&g.b, format+"\n", args...)
+// sparcMenu is progen's SPARC operand menu.
+var sparcMenu = Menu{
+	Ops:      []string{"add", "sub", "xor", "and", "or", "sll", "srl"},
+	Conds:    []string{"be", "bne", "bg", "ble", "bl", "bge", "bgu", "bleu"},
+	Imm:      func(r *rand.Rand) int { return r.Intn(31) + 1 },
+	ShiftImm: func(r *rand.Rand) int { return r.Intn(5) + 1 },
+	CmpImm:   func(r *rand.Rand) int { return r.Intn(64) },
 }
 
-func (g *gen) fresh(prefix string) string {
-	g.label++
-	return fmt.Sprintf(".X%s%d", prefix, g.label)
-}
+// hotSlot holds the HotLoop trip counter (clear of the memory, FP,
+// and function-pointer slot ranges); smSlot holds the SelfMod loop's.
+const (
+	hotSlot = DataBase + 0x7f0
+	smSlot  = DataBase + 0x7ec
+)
 
-// emitMain generates the entry routine: call every top-level routine
-// in sequence, mixing results, then exit.
-func (g *gen) emitMain() {
-	g.l("main:")
-	// Initialize the function-pointer slots for tail-call routines
-	// (writable data, so the slicer must not constant-fold them).
-	for i, tgt := range g.tailTarget {
-		if tgt < 0 {
-			continue
+// generateSPARC is progen's SPARC policy: one random stream for the
+// whole program, the personality's fractions, and the workload
+// flavours, written through the shared emitter.
+func generateSPARC(cfg Config) (*Program, error) {
+	e := NewEmitter(".X", sparcMenu, cfg.Routines)
+	e.Rng = rand.New(rand.NewSource(cfg.Seed))
+	for i := range e.Routines {
+		r := &e.Routines[i]
+		if cfg.Personality == SunPro && i+1 < cfg.Routines && e.Rng.Float64() < cfg.ContFrac {
+			// Tail-call a later routine through a data-segment
+			// function pointer (the paper's unanalyzable idiom).
+			r.TailTarget = i + 1 + e.Rng.Intn(cfg.Routines-i-1)
 		}
-		g.l("\tset r%d, %%l0", tgt)
-		g.l("\tset %d, %%l1", fpSlot(i))
-		g.l("\tst %%l0, [%%l1]")
-	}
-	g.l("\tmov %d, %%o0", 1+g.rng.Intn(64))
-	// Call a few roots of the DAG, several rounds (unrolled: main's
-	// locals are not preserved across flat callees, so no register
-	// loop counter survives here).
-	roots := 1 + g.rng.Intn(min(4, g.cfg.Routines))
-	for rep := 0; rep < 20; rep++ {
-		for i := 0; i < roots; i++ {
-			g.call(i * (g.cfg.Routines / roots))
+		isTail := r.TailTarget != 0
+		if i+1 < cfg.Routines && !isTail && e.Rng.Float64() < 0.5 {
+			// Non-leaf: a flat routine that calls would clobber its
+			// own return address in %o7, so it uses windows.
+			r.MayCall = true
+			r.Win = true
+		} else if e.Rng.Float64() < cfg.WindowFrac && !isTail {
+			r.Win = true
 		}
-		g.l("\txor %%o0, %d, %%o0", rep+1)
-	}
-	if g.cfg.HotLoop > 0 {
-		top := g.fresh("hot")
-		g.l("\tset %d, %%l1", hotSlot)
-		g.l("\tset %d, %%l0", g.cfg.HotLoop)
-		g.l("\tst %%l0, [%%l1]")
-		g.l("%s:", top)
-		for i := 0; i < roots; i++ {
-			g.call(i * (g.cfg.Routines / roots))
+		if cfg.CallHeavy && i+1 < cfg.Routines && !isTail {
+			// Every non-tail routine keeps a frame and may call
+			// deeper.  Applied after the draws above so the
+			// CallHeavy=false draw sequence is unchanged.
+			r.MayCall = true
+			r.Win = true
 		}
-		g.l("\tset %d, %%l1", hotSlot)
-		g.l("\tld [%%l1], %%l0")
-		g.l("\tsubcc %%l0, 1, %%l0")
-		g.l("\tst %%l0, [%%l1]")
-		g.l("\tbne %s", top)
-		g.l("\tnop")
+		// Second entry points skip prologue code, so they are
+		// incompatible with register windows (save would be skipped)
+		// and tail epilogues.
+		if cfg.MultiEntry && !r.Win && !isTail && e.Rng.Float64() < 0.15 {
+			r.Entry2 = true
+		}
+		r.Hidden = e.Rng.Float64() < cfg.HiddenFrac
 	}
-	if g.cfg.SelfMod {
-		// A counted loop over the self-modifying routine.  Every call
-		// re-heats selfmod from zero (its text write invalidates the
-		// JIT's caches), so a low-threshold routine tier promotes,
-		// installs, and deopts once per few iterations.  The counter
-		// lives in data memory like HotLoop's.
-		top := g.fresh("smloop")
-		g.l("\tset %d, %%l1", smSlot)
-		g.l("\tset 24, %%l0")
-		g.l("\tst %%l0, [%%l1]")
-		g.l("%s:", top)
-		g.l("\tcall selfmod")
-		g.l("\tnop")
-		g.l("\tset %d, %%l1", smSlot)
-		g.l("\tld [%%l1], %%l0")
-		g.l("\tsubcc %%l0, 1, %%l0")
-		g.l("\tst %%l0, [%%l1]")
-		g.l("\tbne %s", top)
-		g.l("\tnop")
-	}
-	g.l("\tmov 1, %%g1")
-	g.l("\tta 0")
-}
 
-// call emits a plain call to routine idx (or its second entry).
-func (g *gen) call(idx int) {
-	if idx >= g.cfg.Routines {
-		return
+	roots := e.Main(4, 20)
+	if cfg.HotLoop > 0 {
+		countedLoop(e, "hot", hotSlot, cfg.HotLoop, func() { e.CallRoots(roots) })
 	}
-	entry := fmt.Sprintf("r%d", idx)
-	if g.hasEntry2[idx] && g.rng.Intn(2) == 0 {
-		entry = fmt.Sprintf("r%d_entry2", idx)
+	if cfg.SelfMod {
+		// Every call re-heats selfmod from zero (its text write
+		// invalidates the JIT's caches), so a low-threshold routine
+		// tier promotes, installs, and deopts once per few iterations.
+		countedLoop(e, "smloop", smSlot, 24, func() {
+			e.L("\tcall selfmod")
+			e.L("\tnop")
+		})
 	}
-	g.l("\tcall %s", entry)
-	g.l("\tnop")
-}
-
-// emitRoutine generates routine idx.  Convention: argument and
-// result in %o0; %l0-%l7 and %o1-%o5 scratch.
-func (g *gen) emitRoutine(idx int) {
-	g.l("r%d:", idx)
-	win := g.usesWin[idx]
-	if win {
-		g.l("\tsave %%sp, -96, %%sp")
-		g.l("\tmov %%i0, %%o0")
-	}
-	if g.cfg.DebugLabels && g.rng.Intn(3) == 0 {
-		g.l("%s:", g.fresh("dbg"))
-	}
-	ops := g.cfg.BodyOps/2 + g.rng.Intn(g.cfg.BodyOps)
-	if g.hasEntry2[idx] && ops < 3 {
-		ops = 3
-	}
-	var switches []string // deferred dispatch tables
-	for i := 0; i < ops; i++ {
-		if g.hasEntry2[idx] && i == max(1, ops/3) {
-			// The second entry point (Fortran ENTRY): callers call
-			// it directly, skipping the code above.
-			g.l("r%d_entry2:", idx)
+	e.Exit()
+	for i := 0; i < cfg.Routines; i++ {
+		e.Enter(i)
+		if cfg.DebugLabels && e.Rng.Intn(3) == 0 {
+			dbg := e.Fresh("dbg")
+			e.L("%s:", dbg)
+			e.symbol(dbg, binfile.SymDebug, false)
 		}
-		kind := g.rng.Intn(9)
-		if g.cfg.CallHeavy && (kind == 0 || kind == 6) {
-			kind = 7 // bias bodies toward calls, same draw count
-		}
-		switch kind {
-		case 0, 1, 2:
-			g.arith()
-		case 3:
-			g.loop()
-		case 4:
-			g.annulledLoop()
-		case 5:
-			g.ifThen()
-		case 6:
-			if g.rng.Float64() < g.cfg.SwitchFrac*2 {
-				switches = append(switches, g.dispatchSwitch())
-			} else {
-				g.arith()
-			}
-		case 7:
-			// Call a later routine (the DAG guarantees
-			// termination).  Continuation routines make no calls:
-			// their return protocol lives in %g1, which any callee
-			// chain might clobber.
-			lo := idx + 1
-			if lo < g.cfg.Routines && g.mayCall[idx] {
-				g.call(lo + g.rng.Intn(g.cfg.Routines-lo))
-			} else {
-				g.arith()
-			}
-		case 8:
-			if g.rng.Intn(4) == 0 {
-				g.fpOp(idx)
-			} else {
-				g.memOp(idx)
-			}
-		}
-		if g.cfg.MemHeavy && g.rng.Intn(2) == 0 {
-			g.memOp(idx)
+		e.Body(i, cfg.BodyOps, func() { sparcOp(e, cfg, i) })
+		if cfg.DataTables && e.Rng.Float64() < 0.2 {
+			e.DataBlob(2 + e.Rng.Intn(6))
 		}
 	}
-	// Epilogue.
-	switch {
-	case g.tailTarget[idx] >= 0:
-		// The SunPro idiom: pop the frame and jump to the callee
-		// through a function pointer loaded from writable data —
-		// the callee returns directly to this routine's caller via
-		// the untouched %o7.
-		g.l("\tset %d, %%l1", fpSlot(idx))
-		g.l("\tld [%%l1], %%g5")
-		g.l("\tadd %%sp, 0, %%sp")
-		g.l("\tjmp %%g5")
-		g.l("\tnop")
-	case win:
-		g.l("\tret")
-		g.l("\trestore %%o0, 0, %%o0")
-	default:
-		g.l("\tretl")
-		g.l("\tnop")
+	if cfg.SelfMod {
+		emitSelfMod(e)
 	}
-	// Dispatch tables: data in the text segment, after the code
-	// (the paper's premise that text contains data).
-	for _, t := range switches {
-		g.l("\t.align 4")
-		g.l("%s", t)
+	p, err := e.Finish(cfg.Base, cfg.Strip)
+	if err != nil {
+		return nil, fmt.Errorf("progen: %w", err)
+	}
+	return p, nil
+}
+
+// sparcOp emits one body operation of routine idx.
+func sparcOp(e *Emitter, cfg Config, idx int) {
+	kind := e.Rng.Intn(9)
+	if cfg.CallHeavy && (kind == 0 || kind == 6) {
+		kind = 7 // bias bodies toward calls, same draw count
+	}
+	switch kind {
+	case 0, 1, 2:
+		e.Arith()
+	case 3:
+		e.Loop()
+	case 4:
+		e.AnnulledLoop()
+	case 5:
+		e.IfThen()
+	case 6:
+		if e.Rng.Float64() < cfg.SwitchFrac*2 {
+			e.Switch()
+		} else {
+			e.Arith()
+		}
+	case 7:
+		// Call a later routine (the DAG guarantees termination).
+		// Continuation routines make no calls: their return protocol
+		// lives in %g1, which any callee chain might clobber.
+		if lo := idx + 1; lo < cfg.Routines && e.Routines[idx].MayCall {
+			e.Call(lo + e.Rng.Intn(cfg.Routines-lo))
+		} else {
+			e.Arith()
+		}
+	case 8:
+		if e.Rng.Intn(4) == 0 {
+			e.FPOp(idx, "fadds")
+		} else {
+			e.MemOp(idx, 0)
+		}
+	}
+	if cfg.MemHeavy && e.Rng.Intn(2) == 0 {
+		e.MemOp(idx, 0)
 	}
 }
 
-func (g *gen) arith() {
-	dst := []string{"%o0", "%l0", "%l1", "%l2", "%o1", "%o2"}[g.rng.Intn(6)]
-	src := []string{"%o0", "%l0", "%l1", "%o1"}[g.rng.Intn(4)]
-	op := []string{"add", "sub", "xor", "and", "or", "sll", "srl"}[g.rng.Intn(7)]
-	imm := g.rng.Intn(31) + 1
-	if op == "sll" || op == "srl" {
-		imm = g.rng.Intn(5) + 1
-	}
-	g.l("\t%s %s, %d, %s", op, src, imm, dst)
-}
-
-func (g *gen) loop() {
-	top := g.fresh("loop")
-	n := 2 + g.rng.Intn(6)
-	g.l("\tmov %d, %%l6", n)
-	g.l("%s:", top)
-	g.arith()
-	g.l("\tsubcc %%l6, 1, %%l6")
-	g.l("\tbne %s", top)
-	g.l("\tnop")
-}
-
-// annulledLoop uses a bne,a with productive code in the slot — the
-// Fig 3 normalization case.
-func (g *gen) annulledLoop() {
-	top := g.fresh("aloop")
-	n := 2 + g.rng.Intn(5)
-	g.l("\tmov %d, %%l7", n)
-	g.l("%s:", top)
-	g.l("\tsubcc %%l7, 1, %%l7")
-	g.l("\tbne,a %s", top)
-	g.l("\tadd %%o0, 3, %%o0")
-}
-
-func (g *gen) ifThen() {
-	skip := g.fresh("skip")
-	cond := []string{"be", "bne", "bg", "ble", "bl", "bge", "bgu", "bleu"}[g.rng.Intn(8)]
-	g.l("\tcmp %%o0, %d", g.rng.Intn(64))
-	g.l("\t%s %s", cond, skip)
-	g.l("\tnop")
-	g.arith()
-	g.l("%s:", skip)
-}
-
-// dispatchSwitch emits a gcc-style switch and returns its table text
-// (placed after the routine body).
-func (g *gen) dispatchSwitch() string {
-	g.program.Switches++
-	n := 3 + g.rng.Intn(5)
-	tab := g.fresh("tab")
-	def := g.fresh("def")
-	end := g.fresh("end")
-	arms := make([]string, n)
-	for i := range arms {
-		arms[i] = g.fresh("case")
-	}
-	g.l("\tand %%o0, %d, %%l5", n) // bounded-ish index
-	g.l("\tcmp %%l5, %d", n-1)
-	g.l("\tbgu %s", def)
-	g.l("\tsll %%l5, 2, %%l4")
-	g.l("\tset %s, %%l3", tab)
-	g.l("\tld [%%l3+%%l4], %%l3")
-	g.l("\tjmp %%l3")
-	g.l("\tnop")
-	for i, a := range arms {
-		g.l("%s:", a)
-		g.l("\tadd %%o0, %d, %%o0", i+1)
-		g.l("\tba %s", end)
-		g.l("\tnop")
-	}
-	g.l("%s:", def)
-	g.l("\txor %%o0, 5, %%o0")
-	g.l("%s:", end)
-
-	var t strings.Builder
-	fmt.Fprintf(&t, "%s:", tab)
-	for _, a := range arms {
-		fmt.Fprintf(&t, "\n\t.word %s", a)
-	}
-	return t.String()
-}
-
-// memOp stores and reloads through the data segment.
-func (g *gen) memOp(idx int) {
-	slot := 0x400000 + uint32(idx%32)*8
-	g.l("\tset %d, %%l3", slot)
-	g.l("\tst %%o0, [%%l3]")
-	g.l("\tld [%%l3], %%l2")
-	g.l("\tadd %%o0, %%l2, %%o0")
-	g.l("\tsrl %%o0, 1, %%o0")
-}
-
-// fpOp exercises the floating-point file: convert the integer
-// accumulator, do arithmetic, convert back (deterministic since the
-// values are small integers).
-func (g *gen) fpOp(idx int) {
-	slot := 0x400400 + uint32(idx%16)*4
-	g.l("\tset %d, %%l3", slot)
-	g.l("\tand %%o0, 0xff, %%l2")
-	g.l("\tst %%l2, [%%l3]")
-	g.l("\tldf [%%l3], %%f0")
-	g.l("\tfitos %%f0, %%f1")
-	g.l("\tfadds %%f1, %%f1, %%f2")
-	g.l("\tfstoi %%f2, %%f3")
-	g.l("\tstf %%f3, [%%l3]")
-	g.l("\tld [%%l3], %%l2")
-	g.l("\txor %%o0, %%l2, %%o0")
+// countedLoop emits a loop in main running body n times.  Its trip
+// counter lives in the data word at slot, because flat callees
+// clobber main's locals.
+func countedLoop(e *Emitter, name string, slot uint32, n int, body func()) {
+	top := e.Fresh(name)
+	e.L("\tset %d, %%l1", slot)
+	e.L("\tset %d, %%l0", n)
+	e.L("\tst %%l0, [%%l1]")
+	e.L("%s:", top)
+	body()
+	e.L("\tset %d, %%l1", slot)
+	e.L("\tld [%%l1], %%l0")
+	e.L("\tsubcc %%l0, 1, %%l0")
+	e.L("\tst %%l0, [%%l1]")
+	e.L("\tbne %s", top)
+	e.L("\tnop")
 }
 
 // emitSelfMod generates the self-modifying routine: it loads the word
@@ -556,78 +301,14 @@ func (g *gen) fpOp(idx int) {
 // under code-moving instrumentation — but the emulator's write watch
 // sees a text write and invalidates translated code, which is exactly
 // the deopt storm the flight recorder exists to capture.
-func (g *gen) emitSelfMod() {
-	g.l("selfmod:")
-	g.l("\tset .Xsmpatch, %%o3")
-	g.l("\tld [%%o3], %%o4")
-	g.l("\tst %%o4, [%%o3]")
-	g.l(".Xsmpatch:")
-	g.l("\tadd %%o0, 1, %%o0")
-	g.l("\tretl")
-	g.l("\tnop")
-}
-
-// emitDataBlob embeds a data table in text with a
-// routine-indistinguishable label (§3.1).
-func (g *gen) emitDataBlob() {
-	g.l("\t.align 4")
-	g.l("dtab%d:", g.label)
-	g.label++
-	n := 2 + g.rng.Intn(6)
-	for i := 0; i < n; i++ {
-		g.l("\t.word %d", g.rng.Uint32())
-	}
-}
-
-// addSymbols builds the (misleading, in the paper's sense) symbol
-// table: function symbols for visible routines, label-kind symbols
-// for data blobs, debug labels, and a duplicate.
-func (g *gen) addSymbols(f *binfile.File, prog *asm.Program) {
-	add := func(name string, kind binfile.SymKind, global bool) {
-		if addr, ok := prog.Labels[name]; ok {
-			f.Symbols = append(f.Symbols, binfile.Symbol{Name: name, Addr: addr, Kind: kind, Global: global})
-		}
-	}
-	add("main", binfile.SymFunc, true)
-	if g.cfg.SelfMod {
-		add("selfmod", binfile.SymFunc, true)
-	}
-	for i := 0; i < g.cfg.Routines; i++ {
-		if g.hidden[i] {
-			continue // hidden routine: no symbol
-		}
-		add(fmt.Sprintf("r%d", i), binfile.SymFunc, true)
-	}
-	for name, addr := range prog.Labels {
-		switch {
-		case strings.HasPrefix(name, "dtab"):
-			// Indistinguishable from a routine label.
-			f.Symbols = append(f.Symbols, binfile.Symbol{Name: name, Addr: addr, Kind: binfile.SymLabel})
-		case g.cfg.DebugLabels && strings.HasPrefix(name, ".Xdbg"):
-			f.Symbols = append(f.Symbols, binfile.Symbol{Name: name, Addr: addr, Kind: binfile.SymDebug})
-		}
-	}
-	// A duplicate label for refinement to discard.
-	if addr, ok := prog.Labels["main"]; ok {
-		f.Symbols = append(f.Symbols, binfile.Symbol{Name: "main_dup", Addr: addr, Kind: binfile.SymLabel})
-	}
-	f.SortSymbols()
-}
-
-// fpSlot returns the data-segment address of routine i's
-// function-pointer slot.
-func fpSlot(i int) uint32 { return 0x400800 + uint32(i)*4 }
-
-// hotSlot holds the HotLoop trip counter (clear of the memOp, fpOp,
-// and function-pointer slot ranges); smSlot holds the SelfMod loop's.
-const (
-	hotSlot = 0x4007f0
-	smSlot  = 0x4007ec
-)
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+func emitSelfMod(e *Emitter) {
+	e.L("selfmod:")
+	e.L("\tset .Xsmpatch, %%o3")
+	e.L("\tld [%%o3], %%o4")
+	e.L("\tst %%o4, [%%o3]")
+	e.L(".Xsmpatch:")
+	e.L("\tadd %%o0, 1, %%o0")
+	e.L("\tretl")
+	e.L("\tnop")
+	e.symbol("selfmod", binfile.SymFunc, true)
 }

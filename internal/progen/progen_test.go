@@ -234,7 +234,7 @@ func TestFloatingPointFeature(t *testing.T) {
 	found := false
 	for seed := int64(1); seed <= 6 && !found; seed++ {
 		p := progen.MustGenerate(progen.DefaultConfig(seed))
-		for _, w := range p.Asm.Words() {
+		for _, w := range p.TextWords() {
 			if n := sparcName(w); n == "fadds" || n == "fitos" {
 				found = true
 				break

@@ -1,31 +1,20 @@
-// Command benchmerge converts `go test -bench` output for the
-// emulator engine benchmarks into BENCH_sim.json, merging rather than
-// overwriting: each invocation records its results under the run date
-// and keeps every earlier dated run, so the file accumulates a
-// history of engine performance on this machine.
+// Command benchmerge gates the emulator engine benchmarks in CI: it
+// reads `go test -bench` output and compares the engine speedup
+// ratios it derives against a checked-in baseline.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'BenchmarkSim...' . | benchmerge -out BENCH_sim.json
 //	go test -run '^$' -bench 'BenchmarkSim...' . | benchmerge -check scripts/bench_baseline.json
 //
-// The merged document looks like
-//
-//	{"current": "2026-08-06",
-//	 "runs": {"2026-08-06": {"flavours": {...}, "speedups": {...}}, ...}}
-//
-// with per-flavour, per-engine ns/op and custom metrics (including
-// the chained engine's chain-hit-%, ic-hit-%, traces and victim-hits
-// counters) plus derived speedup ratios.
-//
-// -check compares the parsed results against a checked-in baseline of
-// engine speedup *ratios* (translated vs interp, chained vs
-// translated, routine vs chained).  Ratios, unlike ns/op, are stable
-// across machines, so
-// the baseline can live in the repository and gate CI: the check
-// fails when a measured ratio falls more than the baseline's
-// tolerance below its recorded value — e.g. SimTranslated regressing
-// >20% relative to the interpreter.
+// The baseline records engine speedup *ratios* per workload flavour
+// (translated vs interp, chained vs translated, routine vs chained)
+// and observability overheads (telemetry and profiling slowdowns).
+// Ratios, unlike ns/op, are stable across machines, so the baseline
+// can live in the repository: the check fails when a measured speedup
+// falls more than the baseline's tolerance below its recorded value —
+// e.g. SimTranslated regressing >20% relative to the interpreter — or
+// an overhead rises more than the tolerance above it.  The committed
+// performance trajectory is bench/results/, written by bench/run.sh.
 package main
 
 import (
@@ -38,28 +27,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"time"
 )
-
-// engineResult is one benchmark line: BenchmarkSim<Engine>/<flavour>.
-type engineResult struct {
-	NsPerOp     float64            `json:"ns_per_op"`
-	InstsPerSec float64            `json:"insts_per_sec,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-// runRecord is one dated benchmark run.
-type runRecord struct {
-	Flavours map[string]map[string]engineResult `json:"flavours"`
-	Speedups map[string]map[string]float64      `json:"speedups,omitempty"`
-}
-
-// document is the merged BENCH_sim.json.  Runs other than today's are
-// kept as raw JSON so old records survive schema drift untouched.
-type document struct {
-	Current string                     `json:"current"`
-	Runs    map[string]json.RawMessage `json:"runs"`
-}
 
 // baseline is the checked-in regression gate (scripts/bench_baseline.json).
 type baseline struct {
@@ -71,47 +39,30 @@ type baseline struct {
 var benchLine = regexp.MustCompile(`^BenchmarkSim([A-Za-z]+)/([A-Za-z0-9_-]+?)(?:-\d+)?\s`)
 
 func main() {
-	out := flag.String("out", "", "merge results into this JSON file (kept runs under dated keys)")
 	check := flag.String("check", "", "compare speedup ratios against this baseline file; exit 1 on regression")
-	date := flag.String("date", time.Now().Format("2006-01-02"), "key for this run in the merged file")
 	flag.Parse()
-
-	rec, err := parse(os.Stdin)
+	if *check == "" {
+		fatal(fmt.Errorf("usage: go test -bench 'BenchmarkSim...' . | benchmerge -check baseline.json"))
+	}
+	rates, err := parse(os.Stdin)
 	if err != nil {
 		fatal(err)
 	}
-	if len(rec.Flavours) == 0 {
+	if len(rates) == 0 {
 		fatal(fmt.Errorf("no BenchmarkSim* lines on stdin"))
 	}
-	rec.Speedups = speedups(rec.Flavours)
-
-	if *out != "" {
-		if err := merge(*out, *date, rec); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchmerge: merged run %q into %s\n", *date, *out)
+	if err := checkBaseline(*check, speedups(rates)); err != nil {
+		fmt.Fprintln(os.Stderr, "benchmerge: REGRESSION:", err)
+		os.Exit(1)
 	}
-	if *check != "" {
-		if err := checkBaseline(*check, rec); err != nil {
-			fmt.Fprintln(os.Stderr, "benchmerge: REGRESSION:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("benchmerge: within baseline %s\n", *check)
-	}
-	if *out == "" && *check == "" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rec); err != nil {
-			fatal(err)
-		}
-	}
+	fmt.Printf("benchmerge: within baseline %s\n", *check)
 }
 
-// parse reads `go test -bench` output and collects the SimInterp /
-// SimTranslated / SimChained / SimRoutine / SimTelemetry engine lines
-// per flavour.
-func parse(r io.Reader) (*runRecord, error) {
-	rec := &runRecord{Flavours: map[string]map[string]engineResult{}}
+// parse reads `go test -bench` output and collects each
+// BenchmarkSim<Engine>/<flavour> line's sim-insts/s, keyed by flavour
+// and lower-case engine name.
+func parse(r io.Reader) (map[string]map[string]float64, error) {
+	rates := map[string]map[string]float64{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -120,103 +71,53 @@ func parse(r io.Reader) (*runRecord, error) {
 			continue
 		}
 		engine, flavour := strings.ToLower(m[1]), m[2]
-		res := engineResult{Metrics: map[string]float64{}}
 		// Fields after the name: iteration count, then value/unit pairs.
 		f := strings.Fields(line)
 		for i := 2; i+1 < len(f); i += 2 {
-			v, err := strconv.ParseFloat(f[i], 64)
-			if err != nil {
+			if f[i+1] != "sim-insts/s" {
 				continue
 			}
-			switch unit := f[i+1]; unit {
-			case "ns/op":
-				res.NsPerOp = v
-			case "sim-insts/s":
-				res.InstsPerSec = v
-			default:
-				res.Metrics[unit] = v
+			if v, err := strconv.ParseFloat(f[i], 64); err == nil {
+				if rates[flavour] == nil {
+					rates[flavour] = map[string]float64{}
+				}
+				rates[flavour][engine] = v
 			}
 		}
-		if len(res.Metrics) == 0 {
-			res.Metrics = nil
-		}
-		if rec.Flavours[flavour] == nil {
-			rec.Flavours[flavour] = map[string]engineResult{}
-		}
-		rec.Flavours[flavour][engine] = res
 	}
-	return rec, sc.Err()
+	return rates, sc.Err()
 }
 
 // speedups derives the engine ratios per flavour: how much the
 // translation cache buys over the interpreter, how much chaining
 // plus traces buy over the unchained translation cache, and how much
-// whole-routine compilation buys over the chained engine.
-func speedups(flavours map[string]map[string]engineResult) map[string]map[string]float64 {
+// whole-routine compilation buys over the chained engine.  Overhead
+// ratios are slowdowns — base over instrumented, same engine both
+// sides — so >= ~1.0 by construction.
+func speedups(rates map[string]map[string]float64) map[string]map[string]float64 {
 	out := map[string]map[string]float64{}
-	for flavour, engines := range flavours {
+	for flavour, e := range rates {
 		s := map[string]float64{}
-		if i, t := engines["interp"], engines["translated"]; i.InstsPerSec > 0 && t.InstsPerSec > 0 {
-			s["translated_vs_interp"] = round2(t.InstsPerSec / i.InstsPerSec)
+		for _, r := range []struct{ name, num, den string }{
+			{"translated_vs_interp", "translated", "interp"},
+			{"chained_vs_translated", "chained", "translated"},
+			{"routine_vs_chained", "routine", "chained"},
+			{"telemetry_overhead", "translated", "telemetry"},
+			{"profiling_overhead", "chained", "profiled"},
+		} {
+			if e[r.num] > 0 && e[r.den] > 0 {
+				s[r.name] = round2(e[r.num] / e[r.den])
+			}
 		}
-		if t, c := engines["translated"], engines["chained"]; t.InstsPerSec > 0 && c.InstsPerSec > 0 {
-			s["chained_vs_translated"] = round2(c.InstsPerSec / t.InstsPerSec)
-		}
-		if c, r := engines["chained"], engines["routine"]; c.InstsPerSec > 0 && r.InstsPerSec > 0 {
-			s["routine_vs_chained"] = round2(r.InstsPerSec / c.InstsPerSec)
-		}
-		// Overhead ratios are slowdowns — base over instrumented, same
-		// engine both sides — so >= ~1.0 by construction; -check gates
-		// them with a ceiling, not a floor.
-		if t, tel := engines["translated"], engines["telemetry"]; t.InstsPerSec > 0 && tel.InstsPerSec > 0 {
-			s["telemetry_overhead"] = round2(t.InstsPerSec / tel.InstsPerSec)
-		}
-		if c, p := engines["chained"], engines["profiled"]; c.InstsPerSec > 0 && p.InstsPerSec > 0 {
-			s["profiling_overhead"] = round2(c.InstsPerSec / p.InstsPerSec)
-		}
-		if len(s) > 0 {
-			out[flavour] = s
-		}
-	}
-	if len(out) == 0 {
-		return nil
+		out[flavour] = s
 	}
 	return out
 }
 
-// merge inserts rec under date in path, preserving all other dated
-// runs already in the file (a re-run on the same date replaces only
-// that date's record).
-func merge(path, date string, rec *runRecord) error {
-	doc := document{Runs: map[string]json.RawMessage{}}
-	if old, err := os.ReadFile(path); err == nil {
-		// Tolerate the pre-merge scalar format (or anything else
-		// unrecognized) by archiving it verbatim under a legacy key.
-		if err := json.Unmarshal(old, &doc); err != nil || doc.Runs == nil {
-			doc = document{Runs: map[string]json.RawMessage{}}
-			if json.Valid(old) {
-				doc.Runs["legacy"] = json.RawMessage(old)
-			}
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	doc.Runs[date] = raw
-	doc.Current = date
-	buf, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
 // checkBaseline fails when any ratio recorded in the baseline file is
-// measured more than tolerance below its baseline value.
-func checkBaseline(path string, rec *runRecord) error {
+// unmeasured, a speedup measured more than tolerance below its
+// baseline value, or an overhead more than tolerance above it.
+func checkBaseline(path string, measured map[string]map[string]float64) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -230,7 +131,7 @@ func checkBaseline(path string, rec *runRecord) error {
 	}
 	for flavour, ratios := range base.Flavours {
 		for name, want := range ratios {
-			got, ok := rec.Speedups[flavour][name]
+			got, ok := measured[flavour][name]
 			if !ok {
 				return fmt.Errorf("%s/%s: baseline ratio not measured (missing engine lines?)", flavour, name)
 			}
