@@ -79,7 +79,7 @@ func TestEditedBytesPinned(t *testing.T) {
 // TestEditAllocs binary: the measured count plus about 1% for the
 // intern table's sync.Map, whose internal allocations vary slightly
 // from run to run.  Lower it when a change saves allocations.
-const editAllocCeiling = 41080
+const editAllocCeiling = 14030
 
 // TestEditAllocs gates the edit path's allocation count, which is
 // deterministic up to that slack, so a regression shows as a number.

@@ -61,7 +61,7 @@ func BuildWithOptions(dec machine.Decoder, text []*machine.Inst, textAddr uint32
 	b := &builder{
 		g: &Graph{
 			Start: start, End: end, Entries: append([]uint32(nil), entries...),
-			ByAddr: map[uint32]*Block{}, Complete: true, dec: dec,
+			Complete: true, dec: dec,
 		},
 		text:  text,
 		base:  textAddr,
@@ -70,13 +70,22 @@ func BuildWithOptions(dec machine.Decoder, text []*machine.Inst, textAddr uint32
 		flags: make([]uint8, (end-start)/4),
 		opts:  opts,
 	}
-	b.g.Entry = b.g.NewBlock(KindEntry)
-	b.g.Exit = b.g.NewBlock(KindExit)
 	if err := b.reach(); err != nil {
 		return nil, err
 	}
+	// Size the graph from reach's counts: a normal block starts at a
+	// leader or after a transfer, and a transfer typically adds one
+	// slot or surrogate block and up to three edges.  A short guess
+	// costs a second slab, never a move.
+	lead := len(entries) + b.leaders
+	b.g.Reserve(2+lead+2*b.transfers, lead+3*b.transfers)
+	b.g.ByAddr = make(map[uint32]*Block, lead+b.transfers)
+	b.insts = make([]Inst, 0, len(b.flags)+b.transfers)
+	b.g.Entry = b.g.NewBlock(KindEntry)
+	b.g.Exit = b.g.NewBlock(KindExit)
 	b.formBlocks()
 	b.connect()
+	b.g.Link()
 	b.findUnreachableTail()
 	return b.g, nil
 }
@@ -89,6 +98,9 @@ type builder struct {
 	end   uint32
 	flags []uint8 // per routine word, indexed by (addr-start)/4
 	opts  Options
+	insts []Inst // backs every block's Insts
+
+	leaders, transfers int // reach's counts, which size the graph
 }
 
 // Word flags.
@@ -130,6 +142,7 @@ func (b *builder) reach() error {
 	// enter makes in-routine address a a leader and walks from it.
 	enter := func(a uint32) {
 		if b.inRoutine(a) {
+			b.leaders++
 			b.mark(a, leader)
 			work = append(work, a)
 		}
@@ -150,6 +163,7 @@ func (b *builder) reach() error {
 				continue
 			}
 			// Control transfer: account for its delay slot.
+			b.transfers++
 			delay := inst.DelaySlots()
 			dsAddr := a + 4
 			hasDS := delay == 1 && !inst.IsAnnulledUncond()
@@ -215,7 +229,6 @@ func (b *builder) reach() error {
 // those consumed as delay slots unless they are also explicit transfer
 // targets.
 func (b *builder) formBlocks() {
-	all := make([]Inst, 0, len(b.flags)) // each block's Insts is a window on all
 	var cur *Block
 	first := 0
 	for i, f := range b.flags {
@@ -225,12 +238,12 @@ func (b *builder) formBlocks() {
 		}
 		a := b.start + 4*uint32(i)
 		if cur == nil || f&leader != 0 {
-			cur, first = b.g.NewBlock(KindNormal), len(all)
+			cur, first = b.g.NewBlock(KindNormal), len(b.insts)
 			b.g.ByAddr[a] = cur
 		}
 		mi := b.instAt(a)
-		all = append(all, Inst{Addr: a, MI: mi})
-		cur.Insts = all[first:len(all):len(all)]
+		b.insts = append(b.insts, Inst{Addr: a, MI: mi})
+		cur.Insts = b.insts[first:len(b.insts):len(b.insts)]
 		if mi.Category().IsControl() {
 			cur = nil // force a new block after the transfer
 		}
@@ -245,7 +258,8 @@ func (b *builder) blockAt(a uint32) *Block { return b.g.ByAddr[a] }
 // dsAddr.
 func (b *builder) dsBlock(dsAddr uint32, uneditable bool) *Block {
 	blk := b.g.NewBlock(KindDelaySlot)
-	blk.Insts = []Inst{{Addr: dsAddr, MI: b.instAt(dsAddr)}}
+	b.insts = append(b.insts, Inst{Addr: dsAddr, MI: b.instAt(dsAddr)})
+	blk.Insts = b.insts[len(b.insts)-1 : len(b.insts) : len(b.insts)]
 	blk.Uneditable = uneditable
 	return blk
 }
@@ -258,14 +272,10 @@ func (b *builder) connect() {
 			g.NewEdge(g.Entry, blk, EdgeEntry, false)
 		}
 	}
-	// Iterate over a snapshot: connecting creates DS/surrogate blocks.
-	normal := make([]*Block, 0, len(g.Blocks))
-	for _, blk := range g.Blocks {
-		if blk.Kind == KindNormal {
-			normal = append(normal, blk)
-		}
-	}
-	for _, blk := range normal {
+	// formBlocks made every block after the entry and exit; ranging
+	// over that prefix skips the slot and surrogate blocks connecting
+	// creates.
+	for _, blk := range g.Blocks[2:] {
 		last := blk.Last()
 		if last == nil {
 			continue

@@ -91,12 +91,14 @@ type Inst struct {
 
 // Block is a single-entry, single-exit instruction sequence.
 type Block struct {
+	// ID is the block's index in its graph's Blocks, so per-block
+	// analysis results can live in slices.
 	ID   int
 	Kind BlockKind
 	// Insts is empty for entry/exit/surrogate blocks and holds
 	// exactly one instruction for delay-slot blocks.
 	Insts []Inst
-	// Succ and Pred are the out- and in-edges.
+	// Succ and Pred are the out- and in-edges, in creation order.
 	Succ []*Edge
 	Pred []*Edge
 	// Uneditable marks blocks a tool may not modify (paper §3.3).
@@ -222,7 +224,9 @@ type Graph struct {
 	// them on every hit.
 	ExternalReads []uint32
 
-	dec machine.Decoder
+	dec       machine.Decoder
+	blockSlab []Block // backs Blocks
+	edgeSlab  []Edge  // backs Edges
 }
 
 // Decoder returns the decoder the graph was built with.
@@ -233,37 +237,63 @@ func (g *Graph) Decoder() machine.Decoder { return g.dec }
 // Build carry their decoder already.
 func (g *Graph) SetDecoder(d machine.Decoder) { g.dec = d }
 
-// NewEdge links from→to and registers the edge.
-func (g *Graph) NewEdge(from, to *Block, kind EdgeKind, uneditable bool) *Edge {
-	e := &Edge{ID: len(g.Edges), From: from, To: to, Kind: kind, Uneditable: uneditable}
-	g.Edges = append(g.Edges, e)
-	from.Succ = append(from.Succ, e)
-	to.Pred = append(to.Pred, e)
-	return e
+// Reserve sizes the graph's block and edge slabs.  Blocks and edges
+// live in per-graph arrays rather than one allocation each; a full
+// slab is replaced by a fresh one, never moved, so the addresses
+// already handed out stay valid and a short reservation only costs a
+// second array.
+func (g *Graph) Reserve(blocks, edges int) {
+	g.blockSlab, g.Blocks = make([]Block, 0, blocks), make([]*Block, 0, blocks)
+	g.edgeSlab, g.Edges = make([]Edge, 0, edges), make([]*Edge, 0, edges)
 }
 
-// NewBlock allocates and registers a block.
+// NewBlock allocates and registers a block; its ID is its index in
+// Blocks.
 func (g *Graph) NewBlock(kind BlockKind) *Block {
-	b := &Block{ID: len(g.Blocks), Kind: kind}
+	if len(g.blockSlab) == cap(g.blockSlab) {
+		g.blockSlab = make([]Block, 0, 2*cap(g.blockSlab)+8)
+	}
+	g.blockSlab = append(g.blockSlab, Block{ID: len(g.Blocks), Kind: kind})
+	b := &g.blockSlab[len(g.blockSlab)-1]
 	g.Blocks = append(g.Blocks, b)
 	return b
 }
 
-// RemoveEdge unlinks e from its endpoints (used when re-resolving
-// indirect jumps).
-func (g *Graph) RemoveEdge(e *Edge) {
-	e.From.Succ = removeEdge(e.From.Succ, e)
-	e.To.Pred = removeEdge(e.To.Pred, e)
+// NewEdge registers an edge from→to.  Blocks' Succ and Pred lists are
+// filled by Link once every edge exists.
+func (g *Graph) NewEdge(from, to *Block, kind EdgeKind, uneditable bool) *Edge {
+	if len(g.edgeSlab) == cap(g.edgeSlab) {
+		g.edgeSlab = make([]Edge, 0, 2*cap(g.edgeSlab)+8)
+	}
+	g.edgeSlab = append(g.edgeSlab, Edge{ID: len(g.Edges), From: from, To: to, Kind: kind, Uneditable: uneditable})
+	e := &g.edgeSlab[len(g.edgeSlab)-1]
+	g.Edges = append(g.Edges, e)
+	return e
 }
 
-func removeEdge(list []*Edge, e *Edge) []*Edge {
-	out := list[:0]
-	for _, x := range list {
-		if x != e {
-			out = append(out, x)
-		}
+// Link fills every block's Succ and Pred with its edges in creation
+// order.  The lists are capacity-capped windows on one per-graph
+// array, so appending to one copies it instead of overwriting a
+// neighbour's.
+func (g *Graph) Link() {
+	n := len(g.Blocks)
+	deg := make([]int, 2*n) // out-degrees, then in-degrees, by block ID
+	for _, e := range g.Edges {
+		deg[e.From.ID]++
+		deg[n+e.To.ID]++
 	}
-	return out
+	adj := make([]*Edge, 2*len(g.Edges))
+	at := 0
+	for i, b := range g.Blocks {
+		b.Succ = adj[at : at : at+deg[i]]
+		at += deg[i]
+		b.Pred = adj[at : at : at+deg[n+i]]
+		at += deg[n+i]
+	}
+	for _, e := range g.Edges {
+		e.From.Succ = append(e.From.Succ, e)
+		e.To.Pred = append(e.To.Pred, e)
+	}
 }
 
 // Stats summarizes block/edge composition (experiments E4, E7).

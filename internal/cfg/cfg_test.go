@@ -1,11 +1,14 @@
 package cfg_test
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"eel/internal/asm"
 	"eel/internal/cfg"
+	"eel/internal/core"
 	"eel/internal/machine"
+	"eel/internal/progen"
 	"eel/internal/sparc"
 )
 
@@ -417,5 +420,48 @@ mid:	mov 3, %o2
 	// Fall edge connects them.
 	if first.Succ[0].To != g.ByAddr[prog.Labels["mid"]] {
 		t.Error("fall edge missing after split")
+	}
+}
+
+// cfgBuildAllocs is the exact heap allocation count of building every
+// routine of TestCFGBuildAllocs's program.  Lower it when a change
+// saves allocations; a rise is a regression.
+const cfgBuildAllocs = 527
+
+// TestCFGBuildAllocs gates graph construction's allocations.  The text
+// is decoded before measuring, so the decoders' shared memo plays no
+// part, and collection is off, so fmt's printer pool (one graph has a
+// warning) never needs a refill: the count is exact.  The race
+// detector drops pooled items at random, so it skips there.
+func TestCFGBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops items at random")
+	}
+	cfg0 := progen.DefaultConfig(7)
+	cfg0.Routines = 30
+	p, err := progen.Generate(cfg0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewExecutable(p.File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ReadContents(); err != nil {
+		t.Fatal(err)
+	}
+	text := p.File.Text()
+	insts := machine.DecodeText(e.Dec, text.Data)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	n := testing.AllocsPerRun(5, func() {
+		for _, r := range e.Routines() {
+			if _, err := cfg.Build(e.Dec, insts, text.Addr, r.Start, r.End, r.Entries); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("%.0f allocations to build %d routines' graphs", n, len(e.Routines()))
+	if n != cfgBuildAllocs {
+		t.Errorf("building the graphs allocates %.0f times, want exactly %d", n, cfgBuildAllocs)
 	}
 }

@@ -62,7 +62,7 @@ type Executable struct {
 
 	// edited output state
 	edited    *binfile.File
-	addrMap   map[uint32]uint32
+	addrMap   []uint32 // edited address by original text word, 0 for none
 	didLayout bool
 }
 
@@ -402,6 +402,9 @@ func (e *Executable) RegisterHiddenTail(r *Routine, tail uint32) *Routine {
 // EditedAddr maps an original address to its location in the edited
 // executable (valid after BuildEdited/WriteEditedExecutable).
 func (e *Executable) EditedAddr(orig uint32) (uint32, bool) {
-	v, ok := e.addrMap[orig]
-	return v, ok
+	i := (orig - e.File.Text().Addr) / 4
+	if orig%4 != 0 || i >= uint32(len(e.addrMap)) {
+		return 0, false
+	}
+	return e.addrMap[i], e.addrMap[i] != 0
 }

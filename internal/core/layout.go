@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"eel/internal/cfg"
@@ -21,82 +22,148 @@ import (
 // describes for jumps the slicer cannot analyze.
 
 // targetKind addresses one of three label spaces during emission.
-type targetKind int
+type targetKind uint8
 
 const (
-	tBlock targetKind = iota // a block of this routine
+	tBlock targetKind = iota // a block of this routine, by ID
 	tOrig                    // an original program address (global map)
-	tStub                    // a stub appended to this routine
+	tStub                    // a stub appended to this routine, by index
 )
 
+// target is a label: v is a block ID, an original address or a stub
+// index, as kind says.
 type target struct {
-	kind  targetKind
-	block *cfg.Block
-	orig  uint32
-	stub  int
+	kind targetKind
+	v    uint32
 }
+
+// itemKind says how BuildEdited turns an item into words.
+type itemKind uint8
+
+const (
+	itemWord       itemKind = iota // word, verbatim
+	itemBranch                     // word, a pc-relative transfer retargeted to t
+	itemOrigOrTrap                 // word (ba,a) retargeted to original address t.v, or UNIMP where it has no edited address
+	itemSnippet                    // the placed snippet plan.snippets[word]
+	itemTT                         // sethi/or loading the translation table's delta into %g6: two words
+)
 
 // emitItem is one fixed-size unit of output code.
 type emitItem struct {
-	sizeWords int
-	emit      func(ctx *emitCtx, at uint32) ([]uint32, error)
+	kind itemKind
+	t    target
+	word uint32
 }
+
+// The synthetic transfer layout emits (ba,a, retargeted per use) and
+// the slot filler.  Encoding a fixed mnemonic with a zero displacement
+// cannot fail, and TestEditedBytesPinned holds both words.
+var (
+	baAnnul, _ = sparc.EncodeBranch("ba", true, 0)
+	nop        = sparc.Nop()
+)
 
 // tableRedirect retargets dispatch-table entries whose edges carry
 // instrumentation: entries holding origTarget are rewritten to the
 // stub instead of the target's edited address.
 type tableRedirect struct {
 	tableAddr  uint32
-	tableLen   int
 	origTarget uint32
 	stub       int
 }
 
-// routinePlan is a measured routine layout.
+// routinePlan is a measured routine layout: the items to emit, in
+// order, and the maps from labels to word offsets.
 type routinePlan struct {
-	r         *Routine
 	items     []emitItem
-	offsets   []int // word offset of each item
+	snippets  []*placed
 	sizeWords int
+	base      uint32 // the routine's new address, set by BuildEdited
+	// hasData marks a routine that contains data: a transfer whose
+	// target has no address becomes a trap instead of an error.
+	hasData bool
 
-	blockOffset map[*cfg.Block]int
+	blockOffset []int32 // word offset by block ID, -1 when not laid out
 	stubOffset  []int
 
-	// localMap: original instruction address → byte offset in the
-	// edited routine.
-	localMap map[uint32]int
+	// localMap holds, for each original word from start on, its byte
+	// offset in the edited routine, -1 for none.
+	start    uint32
+	localMap []int32
 
 	redirects []tableRedirect
 	tables    []*cfg.IndirectJump
 	needTT    bool
 }
 
-// emitCtx carries global layout state into emission.
-type emitCtx struct {
-	exec    *Executable
-	plan    *routinePlan
-	base    uint32 // this routine's new base address
-	addrOf  func(orig uint32) (uint32, bool)
-	ttDelta uint32
-}
-
-func (ctx *emitCtx) resolve(t target) (uint32, error) {
+// resolve returns the edited address of t.
+func (p *routinePlan) resolve(e *Executable, t target) (uint32, error) {
 	switch t.kind {
 	case tBlock:
-		off, ok := ctx.plan.blockOffset[t.block]
-		if !ok {
-			return 0, fmt.Errorf("core: no layout position for block at %#x", t.block.Start())
+		if off := p.blockOffset[t.v]; off >= 0 {
+			return p.base + uint32(off)*4, nil
 		}
-		return ctx.base + uint32(off*4), nil
+		return 0, fmt.Errorf("core: no layout position for block %d", t.v)
 	case tStub:
-		return ctx.base + uint32(ctx.plan.stubOffset[t.stub]*4), nil
-	default:
-		a, ok := ctx.addrOf(t.orig)
-		if !ok {
-			return 0, fmt.Errorf("core: no edited address for %#x", t.orig)
-		}
-		return a, nil
+		return p.base + uint32(p.stubOffset[t.v])*4, nil
 	}
+	a, ok := e.EditedAddr(t.v)
+	if !ok {
+		return 0, fmt.Errorf("core: no edited address for %#x", t.v)
+	}
+	return a, nil
+}
+
+// emit writes the plan's words into out, the routine's stretch of the
+// new text; tt is the translation-table sethi/or pair.
+func (p *routinePlan) emit(e *Executable, out []byte, tt [2]uint32) error {
+	desc := e.Dec.Desc()
+	n := 0 // words written
+	for _, it := range p.items {
+		at := p.base + uint32(4*n)
+		w := it.word
+		var err error
+		switch it.kind {
+		case itemBranch:
+			dest, rerr := p.resolve(e, it.t)
+			switch {
+			case rerr == nil:
+				if w, err = desc.Retarget(w, at, dest); err != nil {
+					return fmt.Errorf("core: branch span overflow: %w", err)
+				}
+			// In routines that contain data (garbage decoded under a
+			// misleading symbol), and for a "branch" whose target lies
+			// outside the text segment (data misread as code, which
+			// stripped executables make routinely), the path never
+			// executed: emit a trapping word instead of failing.
+			case p.hasData || (it.t.kind == tOrig && !e.File.Text().Contains(it.t.v)):
+				w = 0 // UNIMP
+			default:
+				return rerr
+			}
+		case itemOrigOrTrap:
+			if dest, ok := e.EditedAddr(it.t.v); !ok {
+				w = 0 // UNIMP: faults if ever reached
+			} else if w, err = desc.Retarget(w, at, dest); err != nil {
+				return err
+			}
+		case itemSnippet:
+			s := p.snippets[w]
+			s.runCallback(at)
+			for _, sw := range s.words {
+				binary.BigEndian.PutUint32(out[4*n:], sw)
+				n++
+			}
+			continue
+		case itemTT:
+			binary.BigEndian.PutUint32(out[4*n:], tt[0])
+			n++
+			w = tt[1]
+		}
+		binary.BigEndian.PutUint32(out[4*n:], w)
+		n++
+	}
+	return nil
 }
 
 // measurer accumulates the plan.
@@ -105,8 +172,8 @@ type measurer struct {
 	g     *cfg.Graph
 	lv    *dataflow.Liveness
 	plan  *routinePlan
-	stubs []func() error // deferred stub bodies, measured after main code
-	cur   int            // current word offset
+	stubs []path // deferred stub bodies, measured after main code
+	cur   int    // current word offset
 }
 
 // Liveness accessors: under LightAnalysis (the ad-hoc baseline of
@@ -126,13 +193,6 @@ func (m *measurer) liveBefore(b *cfg.Block, idx int) machine.RegSet {
 	return m.lv.LiveBefore(b, idx)
 }
 
-func (m *measurer) liveAfter(b *cfg.Block, idx int) machine.RegSet {
-	if m.lv == nil {
-		return allRegsLive()
-	}
-	return m.lv.LiveAfter(b, idx)
-}
-
 // allRegsLive returns the integer universe minus the condition
 // codes (snippets that avoid cc still work without analysis).
 func allRegsLive() machine.RegSet {
@@ -148,13 +208,16 @@ func allRegsLive() machine.RegSet {
 
 // measure lays out routine r's edited code.
 func measure(r *Routine, g *cfg.Graph) (*routinePlan, error) {
+	words := int(g.End-g.Start) / 4
 	m := &measurer{
 		r: r,
 		g: g,
 		plan: &routinePlan{
-			r:           r,
-			blockOffset: map[*cfg.Block]int{},
-			localMap:    map[uint32]int{},
+			items:       make([]emitItem, 0, words+len(g.Blocks)),
+			hasData:     g.HasData,
+			blockOffset: unset(len(g.Blocks)),
+			start:       g.Start,
+			localMap:    unset(words),
 		},
 	}
 	if !r.Exec.LightAnalysis {
@@ -167,7 +230,7 @@ func measure(r *Routine, g *cfg.Graph) (*routinePlan, error) {
 	// adjacent (the paper's "laying out its blocks and snippets to
 	// minimize unnecessary jumps"); the builder and the analysis
 	// cache's codec both list them in that order.
-	var order []*cfg.Block
+	order := make([]*cfg.Block, 0, len(g.Blocks))
 	for _, b := range g.Blocks {
 		if b.Kind == cfg.KindNormal {
 			order = append(order, b)
@@ -183,38 +246,49 @@ func measure(r *Routine, g *cfg.Graph) (*routinePlan, error) {
 		}
 	}
 	// Now measure the deferred stubs.
-	for _, f := range m.stubs {
-		if err := f(); err != nil {
+	m.plan.stubOffset = make([]int, len(m.stubs))
+	for i, p := range m.stubs {
+		m.plan.stubOffset[i] = m.cur
+		if err := m.emitPathBody(p); err != nil {
 			return nil, err
 		}
+		m.jumpTo(m.pathTarget(p))
 	}
 	m.plan.sizeWords = m.cur
 	return m.plan, nil
 }
 
-// add appends an item at the current offset.
-func (m *measurer) add(it emitItem) {
-	m.plan.items = append(m.plan.items, it)
-	m.plan.offsets = append(m.plan.offsets, m.cur)
-	m.cur += it.sizeWords
+// unset returns n offsets that are all -1, "not laid out".
+func unset(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = -1
+	}
+	return s
 }
+
+// add appends an item size words long at the current offset.
+func (m *measurer) add(it emitItem, size int) {
+	m.plan.items = append(m.plan.items, it)
+	m.cur += size
+}
+
+// word appends a verbatim word.
+func (m *measurer) word(w uint32) { m.add(emitItem{word: w}, 1) }
 
 // record maps an original address to the current offset; normal
 // instruction occurrences overwrite delay-slot copies.
 func (m *measurer) record(addr uint32, primary bool) {
-	if _, ok := m.plan.localMap[addr]; ok && !primary {
-		return
+	off := &m.plan.localMap[(addr-m.plan.start)/4]
+	if *off < 0 || primary {
+		*off = int32(m.cur * 4)
 	}
-	m.plan.localMap[addr] = m.cur * 4
 }
 
 // origWord emits the instruction's original encoding verbatim.
 func (m *measurer) origWord(in cfg.Inst, primary bool) {
 	m.record(in.Addr, primary)
-	w := in.MI.Word()
-	m.add(emitItem{sizeWords: 1, emit: func(*emitCtx, uint32) ([]uint32, error) {
-		return []uint32{w}, nil
-	}})
+	m.word(in.MI.Word())
 }
 
 // snippets instantiates and emits a list of snippets at a point with
@@ -225,50 +299,38 @@ func (m *measurer) snippets(list []*Snippet, live machine.RegSet) error {
 		if err != nil {
 			return err
 		}
-		m.add(emitItem{sizeWords: p.size(), emit: func(ctx *emitCtx, at uint32) ([]uint32, error) {
-			p.runCallback(at)
-			return p.words, nil
-		}})
+		m.add(emitItem{kind: itemSnippet, word: uint32(len(m.plan.snippets))}, p.size())
+		m.plan.snippets = append(m.plan.snippets, p)
 	}
 	return nil
 }
 
+// edgeSnippets emits the snippets along e.
+func (m *measurer) edgeSnippets(e *cfg.Edge) error {
+	if list := m.r.edgeEdits[e]; len(list) > 0 {
+		return m.snippets(list, m.liveAtEdge(e))
+	}
+	return nil
+}
+
+// instSnippets emits list before instruction idx of b (idx ==
+// len(b.Insts) is after the last); liveness is asked only when there
+// is a snippet to place.
+func (m *measurer) instSnippets(list []*Snippet, b *cfg.Block, idx int) error {
+	if len(list) == 0 {
+		return nil
+	}
+	return m.snippets(list, m.liveBefore(b, idx))
+}
+
 // branchTo emits a pc-relative control-transfer word retargeted to t.
-// In routines that contain data (garbage decoded under a misleading
-// symbol), unresolvable targets emit a trapping word instead of
-// failing the whole layout: such paths are never executed, and if
-// they ever are, the fault is loud.
 func (m *measurer) branchTo(word uint32, t target) {
-	tolerant := m.g.HasData
-	m.add(emitItem{sizeWords: 1, emit: func(ctx *emitCtx, at uint32) ([]uint32, error) {
-		dest, err := ctx.resolve(t)
-		if err != nil {
-			// A "branch" whose target lies outside the text segment
-			// is data misread as code (stripped executables make
-			// these routinely); it can never have executed.
-			if tolerant || (t.kind == tOrig && !ctx.exec.File.Text().Contains(t.orig)) {
-				return []uint32{0}, nil // UNIMP
-			}
-			return nil, err
-		}
-		w, err := ctx.exec.Dec.Desc().Retarget(word, at, dest)
-		if err != nil {
-			return nil, fmt.Errorf("core: branch span overflow: %w", err)
-		}
-		return []uint32{w}, nil
-	}})
+	m.add(emitItem{kind: itemBranch, t: t, word: word}, 1)
 }
 
 // jumpTo emits a synthetic unconditional transfer (ba,a — one word,
 // no delay-slot execution) to t.
-func (m *measurer) jumpTo(t target) error {
-	w, err := sparc.EncodeBranch("ba", true, 0)
-	if err != nil {
-		return err
-	}
-	m.branchTo(w, t)
-	return nil
-}
+func (m *measurer) jumpTo(t target) { m.branchTo(baAnnul, t) }
 
 // jumpToOrigOrTrap emits ba,a to an original address when it has an
 // edited location, or an illegal word otherwise.  It is used where a
@@ -277,32 +339,18 @@ func (m *measurer) jumpTo(t target) error {
 // ends, or only data follows — typical after an exit system call),
 // execution must never arrive, and the illegal word turns a
 // mis-analysis into a loud fault instead of silent corruption.
-func (m *measurer) jumpToOrigOrTrap(orig uint32) error {
-	w, err := sparc.EncodeBranch("ba", true, 0)
-	if err != nil {
-		return err
-	}
-	m.add(emitItem{sizeWords: 1, emit: func(ctx *emitCtx, at uint32) ([]uint32, error) {
-		dest, ok := ctx.addrOf(orig)
-		if !ok {
-			return []uint32{0}, nil // UNIMP: faults if ever reached
-		}
-		out, err := ctx.exec.Dec.Desc().Retarget(w, at, dest)
-		if err != nil {
-			return nil, err
-		}
-		return []uint32{out}, nil
-	}})
-	return nil
+func (m *measurer) jumpToOrigOrTrap(orig uint32) {
+	m.add(emitItem{kind: itemOrigOrTrap, t: target{tOrig, orig}, word: baAnnul}, 1)
 }
 
 // jumpToIfNotNext emits ba,a unless dest is the next laid-out block.
-func (m *measurer) jumpToIfNotNext(dest *cfg.Block, next *cfg.Block) error {
-	if dest == next {
-		return nil
+func (m *measurer) jumpToIfNotNext(dest *cfg.Block, next *cfg.Block) {
+	if dest != next {
+		m.jumpTo(blockTarget(dest))
 	}
-	return m.jumpTo(target{kind: tBlock, block: dest})
 }
+
+func blockTarget(b *cfg.Block) target { return target{tBlock, uint32(b.ID)} }
 
 // path is one way out of a control transfer: the edge leaving the
 // block, an optional hoisted delay-slot block, the edge leaving it,
@@ -347,7 +395,7 @@ func (m *measurer) edited(p path) bool {
 // emitPathBody emits a path's instrumentation and delay-slot copy
 // (everything but the final transfer).
 func (m *measurer) emitPathBody(p path) error {
-	if err := m.snippets(m.r.edgeEdits[p.e1], m.liveAtEdge(p.e1)); err != nil {
+	if err := m.edgeSnippets(p.e1); err != nil {
 		return err
 	}
 	if p.ds != nil {
@@ -356,9 +404,7 @@ func (m *measurer) emitPathBody(p path) error {
 		}
 	}
 	if p.e2 != nil {
-		if err := m.snippets(m.r.edgeEdits[p.e2], m.liveAtEdge(p.e2)); err != nil {
-			return err
-		}
+		return m.edgeSnippets(p.e2)
 	}
 	return nil
 }
@@ -366,16 +412,16 @@ func (m *measurer) emitPathBody(p path) error {
 // pathTarget returns where the path transfers to.
 func (m *measurer) pathTarget(p path) target {
 	if p.dest == m.g.Exit {
-		return target{kind: tOrig, orig: p.orig}
+		return target{tOrig, p.orig}
 	}
-	return target{kind: tBlock, block: p.dest}
+	return blockTarget(p.dest)
 }
 
 // instWithEdits emits one instruction with its before/after snippets,
 // honouring deletion.
 func (m *measurer) instWithEdits(b *cfg.Block, idx int, primary bool) error {
 	k := instKey{b, idx}
-	if err := m.snippets(m.r.beforeEdits[k], m.liveBefore(b, idx)); err != nil {
+	if err := m.instSnippets(m.r.beforeEdits[k], b, idx); err != nil {
 		return err
 	}
 	if m.r.deleted[k] {
@@ -383,25 +429,20 @@ func (m *measurer) instWithEdits(b *cfg.Block, idx int, primary bool) error {
 	} else {
 		m.origWord(b.Insts[idx], primary)
 	}
-	return m.snippets(m.r.afterEdits[k], m.liveAfter(b, idx))
+	return m.instSnippets(m.r.afterEdits[k], b, idx+1)
 }
 
-// stub defers a code sequence to the routine's end and returns its
-// label.
-func (m *measurer) stub(body func() error) int {
-	id := len(m.plan.stubOffset)
-	m.plan.stubOffset = append(m.plan.stubOffset, -1)
-	m.stubs = append(m.stubs, func() error {
-		m.plan.stubOffset[id] = m.cur
-		return body()
-	})
-	return id
+// stub defers path p's body and transfer to the routine's end and
+// returns the stub's index.
+func (m *measurer) stub(p path) int {
+	m.stubs = append(m.stubs, p)
+	return len(m.stubs) - 1
 }
 
 // block lays out one normal block; next is the block laid out after
 // it (for fall-through suppression).
 func (m *measurer) block(b *cfg.Block, next *cfg.Block) error {
-	m.plan.blockOffset[b] = m.cur
+	m.plan.blockOffset[b.ID] = int32(m.cur)
 	last := len(b.Insts) - 1
 	isCTI := last >= 0 && b.Insts[last].MI.Category().IsControl()
 
@@ -420,18 +461,18 @@ func (m *measurer) block(b *cfg.Block, next *cfg.Block) error {
 			return nil
 		}
 		e := b.Succ[0]
-		if err := m.snippets(m.r.edgeEdits[e], m.liveAtEdge(e)); err != nil {
+		if err := m.edgeSnippets(e); err != nil {
 			return err
 		}
 		if e.To == m.g.Exit {
 			// Fell off the routine into the next one (or data).
-			if b.HasData {
-				return nil // nothing to transfer to; data follows
+			if !b.HasData { // else nothing to transfer to; data follows
+				m.jumpToOrigOrTrap(b.Insts[last].Addr + 4)
 			}
-			fallAddr := b.Insts[last].Addr + 4
-			return m.jumpToOrigOrTrap(fallAddr)
+			return nil
 		}
-		return m.jumpToIfNotNext(e.To, next)
+		m.jumpToIfNotNext(e.To, next)
+		return nil
 	}
 	return m.terminator(b, last, next)
 }
@@ -445,7 +486,7 @@ func (m *measurer) terminator(b *cfg.Block, last int, next *cfg.Block) error {
 	k := instKey{b, last}
 
 	// Instrumentation before the transfer itself.
-	if err := m.snippets(m.r.beforeEdits[k], m.liveBefore(b, last)); err != nil {
+	if err := m.instSnippets(m.r.beforeEdits[k], b, last); err != nil {
 		return err
 	}
 
@@ -499,12 +540,13 @@ func (m *measurer) terminator(b *cfg.Block, last int, next *cfg.Block) error {
 		// Replace the original transfer (ba or literal jmpl) with a
 		// synthetic ba,a; a literal jmpl's stale address registers
 		// become dead code.
-		return m.jumpTo(m.pathTarget(taken))
+		m.jumpTo(m.pathTarget(taken))
+		return nil
 	case machine.CatCallDirect, machine.CatCallIndirect:
 		return m.lowerCall(b, in, next)
 	case machine.CatReturn:
 		m.record(a, true)
-		m.add(verbatim(word))
+		m.word(word)
 		if len(b.Succ) > 0 {
 			if p := m.pathFor(b.Succ[0], 0); p.ds != nil {
 				m.origWord(p.ds.Insts[0], false)
@@ -515,12 +557,6 @@ func (m *measurer) terminator(b *cfg.Block, last int, next *cfg.Block) error {
 		return m.lowerIndirectJump(b, in)
 	}
 	return fmt.Errorf("core: unexpected terminator %s at %#x", inst, a)
-}
-
-func verbatim(word uint32) emitItem {
-	return emitItem{sizeWords: 1, emit: func(*emitCtx, uint32) ([]uint32, error) {
-		return []uint32{word}, nil
-	}}
 }
 
 // lowerBranch handles conditional branches: the clean case re-emits
@@ -548,40 +584,38 @@ func (m *measurer) lowerBranch(b *cfg.Block, in cfg.Inst, taken, fall path, hasT
 		} else {
 			// ba,a-style: no slot was hoisted; keep original layout
 			// with a nop placeholder for the slot position.
-			m.add(verbatim(sparc.Nop()))
+			m.word(nop)
 		}
-		// Fall path continues.
-		if fall.dest == m.g.Exit {
-			return m.jumpTo(target{kind: tOrig, orig: fall.orig})
-		}
-		return m.jumpToIfNotNext(fall.dest, next)
+		m.fallOn(fall, next)
+		return nil
 	}
 
 	// Edited lowering: bcond,a to a stub carrying the taken path;
 	// the annulled nop in the slot vanishes on the untaken path.
 	m.record(in.Addr, true)
-	takenStub := m.stub(func() error {
-		if err := m.emitPathBody(taken); err != nil {
-			return err
-		}
-		return m.jumpTo(m.pathTarget(taken))
-	})
-	w := in.MI.Word()
 	// Force the annul bit so the nop below only runs when taken.
-	wA, err := forceAnnul(w)
+	wA, err := forceAnnul(in.MI.Word())
 	if err != nil {
 		return err
 	}
-	m.branchTo(wA, target{kind: tStub, stub: takenStub})
-	m.add(verbatim(sparc.Nop()))
+	m.branchTo(wA, target{tStub, uint32(m.stub(taken))})
+	m.word(nop)
 	// Fall path inline.
 	if err := m.emitPathBody(fall); err != nil {
 		return err
 	}
+	m.fallOn(fall, next)
+	return nil
+}
+
+// fallOn continues along a branch's fall path: out of the routine, or
+// to its block unless that is laid out next.
+func (m *measurer) fallOn(fall path, next *cfg.Block) {
 	if fall.dest == m.g.Exit {
-		return m.jumpTo(target{kind: tOrig, orig: fall.orig})
+		m.jumpTo(target{tOrig, fall.orig})
+	} else {
+		m.jumpToIfNotNext(fall.dest, next)
 	}
-	return m.jumpToIfNotNext(fall.dest, next)
 }
 
 // forceAnnul sets a branch word's annul bit.
@@ -614,13 +648,13 @@ func (m *measurer) lowerCall(b *cfg.Block, in cfg.Inst, next *cfg.Block) error {
 	retEdge := surr.Succ[0]
 
 	if inst.Category() == machine.CatCallDirect {
-		m.branchTo(inst.Word(), target{kind: tOrig, orig: surr.CallTarget})
+		m.branchTo(inst.Word(), target{tOrig, surr.CallTarget})
 	} else {
 		// Indirect call: translate the target through the run-time
 		// table using the reserved scratch pair %g6/%g7.
 		if err := m.translateSeq(inst, true); err != nil {
 			if m.g.HasData {
-				m.add(verbatim(0)) // never-executed garbage
+				m.word(0) // never-executed garbage
 				return nil
 			}
 			return err
@@ -629,19 +663,21 @@ func (m *measurer) lowerCall(b *cfg.Block, in cfg.Inst, next *cfg.Block) error {
 	if ds != nil {
 		m.origWord(ds.Insts[0], false)
 	} else {
-		m.add(verbatim(sparc.Nop()))
+		m.word(nop)
 	}
 	// Return point: instrumentation on the surrogate's return edge.
-	if err := m.snippets(m.r.edgeEdits[retEdge], m.liveAtEdge(retEdge)); err != nil {
+	if err := m.edgeSnippets(retEdge); err != nil {
 		return err
 	}
 	if retEdge.To == m.g.Exit {
 		// Call in tail position: if the callee returns, it returns
 		// past the routine's end; transfer to the original
 		// fall-through address.
-		return m.jumpToOrigOrTrap(in.Addr + 8)
+		m.jumpToOrigOrTrap(in.Addr + 8)
+	} else {
+		m.jumpToIfNotNext(retEdge.To, next)
 	}
-	return m.jumpToIfNotNext(retEdge.To, next)
+	return nil
 }
 
 // translateSeq emits the run-time address translation for an
@@ -673,33 +709,23 @@ func (m *measurer) translateSeq(inst *machine.Inst, isCall bool) error {
 	if err != nil {
 		return err
 	}
-	m.add(verbatim(computeTarget))
+	m.word(computeTarget)
 
 	// sethi %hi(delta), %g6 ; or %g6, %lo(delta), %g6 — delta known
 	// only at emission.
-	m.add(emitItem{sizeWords: 2, emit: func(ctx *emitCtx, at uint32) ([]uint32, error) {
-		hi, err := sparc.EncodeSethi(6, ctx.ttDelta)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := sparc.EncodeOp3Imm("or", 6, 6, int32(sparc.Lo(ctx.ttDelta)))
-		if err != nil {
-			return nil, err
-		}
-		return []uint32{hi, lo}, nil
-	}})
+	m.add(emitItem{kind: itemTT}, 2)
 
 	ld, err := sparc.EncodeOp3("ld", 7, 7, 6)
 	if err != nil {
 		return err
 	}
-	m.add(verbatim(ld))
+	m.word(ld)
 
 	jmpl, err := sparc.EncodeOp3Imm("jmpl", machine.Reg(rdF), 7, 0)
 	if err != nil {
 		return err
 	}
-	m.add(verbatim(jmpl))
+	m.word(jmpl)
 	return nil
 }
 
@@ -744,7 +770,7 @@ func (m *measurer) lowerIndirectJump(b *cfg.Block, in cfg.Inst) error {
 				// Garbage decoded under a misleading symbol (e.g. a
 				// jump "through" the reserved scratch registers):
 				// emit a trapping word; the path never executes.
-				m.add(verbatim(0))
+				m.word(0)
 				return nil
 			}
 			return err
@@ -752,7 +778,7 @@ func (m *measurer) lowerIndirectJump(b *cfg.Block, in cfg.Inst) error {
 		if ds != nil {
 			m.origWord(ds.Insts[0], false)
 		} else {
-			m.add(verbatim(sparc.Nop()))
+			m.word(nop)
 		}
 		return nil
 	}
@@ -767,7 +793,7 @@ func (m *measurer) lowerIndirectJump(b *cfg.Block, in cfg.Inst) error {
 		if !ds.Insts[0].MI.Writes().Intersect(inst.Reads()).IsEmpty() {
 			return fmt.Errorf("core: cannot hoist delay slot feeding the jump at %#x", in.Addr)
 		}
-		if err := m.snippets(m.r.edgeEdits[e1], m.liveAtEdge(e1)); err != nil {
+		if err := m.edgeSnippets(e1); err != nil {
 			return err
 		}
 		if err := m.instWithEdits(ds, 0, false); err != nil {
@@ -781,11 +807,12 @@ func (m *measurer) lowerIndirectJump(b *cfg.Block, in cfg.Inst) error {
 				return err
 			}
 		}
-		return m.jumpTo(target{kind: tOrig, orig: ij.LiteralTarget})
+		m.jumpTo(target{tOrig, ij.LiteralTarget})
+		return nil
 	}
-	m.add(verbatim(inst.Word()))
+	m.word(inst.Word())
 	if hoist || ds == nil {
-		m.add(verbatim(sparc.Nop()))
+		m.word(nop)
 	} else {
 		m.origWord(ds.Insts[0], false)
 	}
@@ -797,19 +824,10 @@ func (m *measurer) lowerIndirectJump(b *cfg.Block, in cfg.Inst) error {
 		if e.To == m.g.Exit || len(m.r.edgeEdits[e]) == 0 {
 			continue
 		}
-		e := e
-		destStart := e.To.Start()
-		stub := m.stub(func() error {
-			if err := m.snippets(m.r.edgeEdits[e], m.liveAtEdge(e)); err != nil {
-				return err
-			}
-			return m.jumpTo(target{kind: tBlock, block: e.To})
-		})
 		m.plan.redirects = append(m.plan.redirects, tableRedirect{
 			tableAddr:  ij.TableAddr,
-			tableLen:   ij.TableLen,
-			origTarget: destStart,
-			stub:       stub,
+			origTarget: e.To.Start(),
+			stub:       m.stub(path{e1: e, dest: e.To}),
 		})
 	}
 	return nil

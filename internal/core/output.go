@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"eel/internal/binfile"
+	"eel/internal/sparc"
 )
 
 // BuildEdited assembles the edited executable (§3.1/§3.3.1):
@@ -51,59 +52,45 @@ func (e *Executable) BuildEdited() (*binfile.File, error) {
 	newTextBase := e.newDataBase + uint32(len(e.newData))
 	newTextBase = (newTextBase + 0xFFFF) &^ 0xFFFF
 
-	// Assign routine bases and build the global address map.
-	e.addrMap = map[uint32]uint32{}
-	bases := map[*Routine]uint32{}
+	// Assign routine bases and build the global address map: the
+	// edited address of each text word, 0 for none.
+	e.addrMap = make([]uint32, len(text.Data)/4)
 	cursor := newTextBase
 	needTT := false
 	for _, r := range e.routines {
-		bases[r] = cursor
-		for orig, off := range r.plan.localMap {
-			e.addrMap[orig] = cursor + uint32(off)
+		p := r.plan
+		p.base = cursor
+		first := (p.start - text.Addr) / 4
+		for i, off := range p.localMap {
+			if off >= 0 {
+				e.addrMap[first+uint32(i)] = cursor + uint32(off)
+			}
 		}
-		cursor += uint32(r.plan.sizeWords * 4)
+		cursor += uint32(p.sizeWords * 4)
 		cursor = (cursor + 7) &^ 7
-		if r.plan.needTT {
-			needTT = true
-		}
+		needTT = needTT || p.needTT
 	}
 	newTextEnd := cursor
 
 	ttBase := (newTextEnd + 0xFFF) &^ 0xFFF
-	var ttDelta uint32
+	var tt [2]uint32 // sethi %hi(delta), %g6 ; or %g6, %lo(delta), %g6
 	if needTT {
-		ttDelta = ttBase - text.Addr
-	}
-
-	addrOf := func(orig uint32) (uint32, bool) {
-		v, ok := e.addrMap[orig]
-		return v, ok
+		delta := ttBase - text.Addr
+		var err error
+		if tt[0], err = sparc.EncodeSethi(6, delta); err != nil {
+			return nil, err
+		}
+		if tt[1], err = sparc.EncodeOp3Imm("or", 6, 6, int32(sparc.Lo(delta))); err != nil {
+			return nil, err
+		}
 	}
 
 	// Emit every routine.
 	newText := make([]byte, newTextEnd-newTextBase)
-	stubAddrs := map[*Routine][]uint32{}
 	for _, r := range e.routines {
-		ctx := &emitCtx{exec: e, plan: r.plan, base: bases[r], addrOf: addrOf, ttDelta: ttDelta}
-		for i, item := range r.plan.items {
-			at := bases[r] + uint32(r.plan.offsets[i]*4)
-			words, err := item.emit(ctx, at)
-			if err != nil {
-				return nil, fmt.Errorf("core: emitting %s: %w", r.Name, err)
-			}
-			if len(words) != item.sizeWords {
-				return nil, fmt.Errorf("core: emitting %s: item size drifted (%d != %d)", r.Name, len(words), item.sizeWords)
-			}
-			off := at - newTextBase
-			for j, w := range words {
-				binary.BigEndian.PutUint32(newText[off+uint32(j*4):], w)
-			}
+		if err := r.plan.emit(e, newText[r.plan.base-newTextBase:], tt); err != nil {
+			return nil, fmt.Errorf("core: emitting %s: %w", r.Name, err)
 		}
-		var stubs []uint32
-		for _, so := range r.plan.stubOffset {
-			stubs = append(stubs, bases[r]+uint32(so*4))
-		}
-		stubAddrs[r] = stubs
 	}
 
 	// Copy original sections; rewrite dispatch tables in the copies.
@@ -126,17 +113,6 @@ func (e *Executable) BuildEdited() (*binfile.File, error) {
 		return fmt.Errorf("core: dispatch table at %#x outside known sections", addr)
 	}
 	for _, r := range e.routines {
-		// Per-edge redirects first, so plain rewriting does not
-		// clobber them.
-		redirected := map[uint32]map[uint32]uint32{} // table → origTarget → stubAddr
-		for _, rd := range r.plan.redirects {
-			mm := redirected[rd.tableAddr]
-			if mm == nil {
-				mm = map[uint32]uint32{}
-				redirected[rd.tableAddr] = mm
-			}
-			mm[rd.origTarget] = stubAddrs[r][rd.stub]
-		}
 		for _, ij := range r.plan.tables {
 			if ij.Literal || ij.TableLen == 0 {
 				continue
@@ -147,13 +123,12 @@ func (e *Executable) BuildEdited() (*binfile.File, error) {
 				if !ok {
 					return nil, fmt.Errorf("core: cannot read dispatch table entry at %#x", entryAddr)
 				}
-				var repl uint32
-				if s, ok := redirected[ij.TableAddr][orig]; ok {
-					repl = s
-				} else if v, ok := e.addrMap[orig]; ok {
-					repl = v
-				} else {
-					return nil, fmt.Errorf("core: dispatch entry %#x has no edited address", orig)
+				// An entry whose edge carries edits goes to its stub.
+				repl, ok := r.plan.redirect(ij.TableAddr, orig)
+				if !ok {
+					if repl, ok = e.EditedAddr(orig); !ok {
+						return nil, fmt.Errorf("core: dispatch entry %#x has no edited address", orig)
+					}
 				}
 				if err := writeWord(entryAddr, repl); err != nil {
 					return nil, err
@@ -163,7 +138,7 @@ func (e *Executable) BuildEdited() (*binfile.File, error) {
 	}
 
 	out := &binfile.File{Format: e.File.Format}
-	entry, ok := e.addrMap[e.File.Entry]
+	entry, ok := e.EditedAddr(e.File.Entry)
 	if !ok {
 		return nil, fmt.Errorf("core: entry point %#x has no edited address", e.File.Entry)
 	}
@@ -180,10 +155,8 @@ func (e *Executable) BuildEdited() (*binfile.File, error) {
 	}
 	if needTT {
 		tt := make([]byte, len(text.Data))
-		for a := text.Addr; a+4 <= text.End(); a += 4 {
-			if v, ok := e.addrMap[a]; ok {
-				binary.BigEndian.PutUint32(tt[a-text.Addr:], v)
-			}
+		for i, v := range e.addrMap {
+			binary.BigEndian.PutUint32(tt[4*i:], v)
 		}
 		out.Sections = append(out.Sections, binfile.Section{Name: "ttable", Addr: ttBase, Data: tt})
 	}
@@ -191,7 +164,7 @@ func (e *Executable) BuildEdited() (*binfile.File, error) {
 	// Regenerate the symbol table at edited addresses (§3.1: "EEL
 	// maintains symbol table information for the edited program").
 	for _, r := range e.routines {
-		if addr, ok := e.addrMap[r.Start]; ok {
+		if addr, ok := e.EditedAddr(r.Start); ok {
 			out.Symbols = append(out.Symbols, binfile.Symbol{
 				Name: r.Name, Addr: addr,
 				Size: uint32(r.plan.sizeWords * 4),
@@ -227,4 +200,16 @@ func (e *Executable) EditedSize() int {
 		return 0
 	}
 	return len(e.edited.Text().Data)
+}
+
+// redirect returns the stub address a dispatch-table entry holding
+// orig in the table at tableAddr is rewritten to, when its edge
+// carries edits; the last redirect recorded wins.
+func (p *routinePlan) redirect(tableAddr, orig uint32) (uint32, bool) {
+	for i := len(p.redirects) - 1; i >= 0; i-- {
+		if rd := p.redirects[i]; rd.tableAddr == tableAddr && rd.origTarget == orig {
+			return p.base + uint32(p.stubOffset[rd.stub])*4, true
+		}
+	}
+	return 0, false
 }

@@ -5,7 +5,11 @@
 // dispatch tables.
 package dataflow
 
-import "eel/internal/cfg"
+import (
+	"slices"
+
+	"eel/internal/cfg"
+)
 
 // ReversePostorder returns the graph's blocks in reverse postorder
 // from the entry block (unreachable blocks are appended at the end in
@@ -36,17 +40,13 @@ func ReversePostorder(g *cfg.Graph) []*cfg.Block {
 		post = append(post, f.b)
 		stack = stack[:len(stack)-1]
 	}
-	// Reverse.
-	out := make([]*cfg.Block, 0, len(g.Blocks))
-	for i := len(post) - 1; i >= 0; i-- {
-		out = append(out, post[i])
-	}
+	slices.Reverse(post)
 	for _, b := range g.Blocks {
 		if !seen[b.ID] {
-			out = append(out, b)
+			post = append(post, b)
 		}
 	}
-	return out
+	return post
 }
 
 // Dominators computes each block's immediate dominator using the

@@ -113,7 +113,7 @@ func TestLivenessBasics(t *testing.T) {
 		t.Errorf("live at block start = %s", live0)
 	}
 	// o0 is live at exit (return value).
-	if !lv.Out[b].Has(8) && !lv.In[g.Exit].Has(8) {
+	if !lv.Out[b.ID].Has(8) && !lv.In[g.Exit.ID].Has(8) {
 		// o0 flows through the return path blocks.
 		t.Log("o0 liveness flows through return slot; checking edge")
 	}

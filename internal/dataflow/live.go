@@ -40,12 +40,12 @@ func CallDef() machine.RegSet {
 	return s
 }
 
-// Liveness holds per-block live-register sets.  LiveOut(b) is the
-// set live immediately after b; use LiveBefore for instruction-level
-// queries and LiveAtEdge for edge-level ones — the latter is what
-// snippet register scavenging (paper §3.5) consumes.
+// Liveness holds per-block live-register sets, indexed by block ID:
+// Out[b.ID] is the set live immediately after b.  Use LiveBefore for
+// instruction-level queries and LiveAtEdge for edge-level ones — the
+// latter is what snippet register scavenging (paper §3.5) consumes.
 type Liveness struct {
-	In, Out map[*cfg.Block]machine.RegSet
+	In, Out []machine.RegSet
 	g       *cfg.Graph
 }
 
@@ -75,15 +75,12 @@ func blockUseDef(b *cfg.Block) (use, def machine.RegSet) {
 // the standard convention, or the full register universe to be fully
 // conservative).
 func ComputeLiveness(g *cfg.Graph, exitLive machine.RegSet) *Liveness {
-	lv := &Liveness{
-		In:  make(map[*cfg.Block]machine.RegSet, len(g.Blocks)),
-		Out: make(map[*cfg.Block]machine.RegSet, len(g.Blocks)),
-		g:   g,
-	}
-	use := make(map[*cfg.Block]machine.RegSet, len(g.Blocks))
-	def := make(map[*cfg.Block]machine.RegSet, len(g.Blocks))
+	n := len(g.Blocks)
+	sets, ud := make([]machine.RegSet, 2*n), make([]machine.RegSet, 2*n)
+	lv := &Liveness{In: sets[:n:n], Out: sets[n:], g: g}
+	use, def := ud[:n], ud[n:]
 	for _, b := range g.Blocks {
-		use[b], def[b] = blockUseDef(b)
+		use[b.ID], def[b.ID] = blockUseDef(b)
 	}
 	rpo := ReversePostorder(g)
 	for changed := true; changed; {
@@ -97,12 +94,12 @@ func ComputeLiveness(g *cfg.Graph, exitLive machine.RegSet) *Liveness {
 				out = exitLive
 			}
 			for _, e := range b.Succ {
-				out = out.Union(lv.In[e.To])
+				out = out.Union(lv.In[e.To.ID])
 			}
-			in := out.Minus(def[b]).Union(use[b])
-			if !out.Equal(lv.Out[b]) || !in.Equal(lv.In[b]) {
-				lv.Out[b] = out
-				lv.In[b] = in
+			in := out.Minus(def[b.ID]).Union(use[b.ID])
+			if !out.Equal(lv.Out[b.ID]) || !in.Equal(lv.In[b.ID]) {
+				lv.Out[b.ID] = out
+				lv.In[b.ID] = in
 				changed = true
 			}
 		}
@@ -110,10 +107,11 @@ func ComputeLiveness(g *cfg.Graph, exitLive machine.RegSet) *Liveness {
 	return lv
 }
 
-// RestoreLiveness rebuilds a Liveness over g from per-block sets (the
-// persistent analysis cache deserializes through it); ComputeLiveness
-// remains the way to solve liveness from scratch.
-func RestoreLiveness(g *cfg.Graph, in, out map[*cfg.Block]machine.RegSet) *Liveness {
+// RestoreLiveness rebuilds a Liveness over g from per-block sets
+// indexed by block ID (the persistent analysis cache deserializes
+// through it); ComputeLiveness remains the way to solve liveness from
+// scratch.
+func RestoreLiveness(g *cfg.Graph, in, out []machine.RegSet) *Liveness {
 	return &Liveness{In: in, Out: out, g: g}
 }
 
@@ -121,7 +119,7 @@ func RestoreLiveness(g *cfg.Graph, in, out map[*cfg.Block]machine.RegSet) *Liven
 // instruction index idx of block b (idx == len(b.Insts) queries the
 // block's live-out).
 func (lv *Liveness) LiveBefore(b *cfg.Block, idx int) machine.RegSet {
-	live := lv.Out[b]
+	live := lv.Out[b.ID]
 	for i := len(b.Insts) - 1; i >= idx; i-- {
 		u, d := instUseDef(b.Insts[i])
 		live = live.Minus(d).Union(u)
@@ -138,7 +136,7 @@ func (lv *Liveness) LiveAfter(b *cfg.Block, idx int) machine.RegSet {
 // LiveAtEdge returns the registers live while control flows along e:
 // the destination's live-in (plus exit liveness on exit edges).
 func (lv *Liveness) LiveAtEdge(e *cfg.Edge) machine.RegSet {
-	return lv.In[e.To]
+	return lv.In[e.To.ID]
 }
 
 // DeadAtEdge returns integer registers (excluding %g0, %sp, %fp,

@@ -122,15 +122,6 @@ func (d *dec) str() string {
 	return s
 }
 
-// blockIndex maps graph blocks to their slice positions for encoding.
-func blockIndex(g *cfg.Graph) map[*cfg.Block]int {
-	idx := make(map[*cfg.Block]int, len(g.Blocks))
-	for i, b := range g.Blocks {
-		idx[b] = i
-	}
-	return idx
-}
-
 // encodeBundle serializes b.  Every field round-trips except the
 // instruction objects themselves, which decode re-derives from the
 // image.
@@ -185,8 +176,8 @@ func encodeBundle(b *bundle) []byte {
 	}
 
 	// Blocks: kind, flags, call target, and instruction addresses
-	// (delta-encoded from the block's first address).
-	idx := blockIndex(g)
+	// (delta-encoded from the block's first address).  Blocks and edges
+	// are referred to by ID, which is their index in the graph.
 	e.u(uint64(len(g.Blocks)))
 	for _, blk := range g.Blocks {
 		e.u(uint64(blk.Kind))
@@ -206,10 +197,10 @@ func encodeBundle(b *bundle) []byte {
 	}
 	entryID, exitID := 0, 0
 	if g.Entry != nil {
-		entryID = idx[g.Entry] + 1
+		entryID = g.Entry.ID + 1
 	}
 	if g.Exit != nil {
-		exitID = idx[g.Exit] + 1
+		exitID = g.Exit.ID + 1
 	}
 	e.u(uint64(entryID)) // 0 = nil
 	e.u(uint64(exitID))
@@ -218,8 +209,8 @@ func encodeBundle(b *bundle) []byte {
 	// each block's Succ/Pred ordering exactly).
 	e.u(uint64(len(g.Edges)))
 	for _, ed := range g.Edges {
-		e.u(uint64(idx[ed.From]))
-		e.u(uint64(idx[ed.To]))
+		e.u(uint64(ed.From.ID))
+		e.u(uint64(ed.To.ID))
 		e.u(uint64(ed.Kind))
 		e.b(ed.Uneditable)
 	}
@@ -227,11 +218,11 @@ func encodeBundle(b *bundle) []byte {
 	// Indirect jumps.
 	e.u(uint64(len(g.IndirectJumps)))
 	for _, ij := range g.IndirectJumps {
-		e.u(uint64(idx[ij.Block]))
+		e.u(uint64(ij.Block.ID))
 		e.u32(ij.Addr)
 		slot := 0
 		if ij.Slot != nil {
-			slot = idx[ij.Slot] + 1
+			slot = ij.Slot.ID + 1
 		}
 		e.u(uint64(slot))
 		e.b(ij.Resolved)
@@ -257,10 +248,10 @@ func encodeBundle(b *bundle) []byte {
 	// Liveness: per-block In/Out register sets, in block order.
 	if b.live != nil {
 		for _, blk := range g.Blocks {
-			lo, hi := b.live.In[blk].Words()
+			lo, hi := b.live.In[blk.ID].Words()
 			e.u(lo)
 			e.u(hi)
-			lo, hi = b.live.Out[blk].Words()
+			lo, hi = b.live.Out[blk.ID].Words()
 			e.u(lo)
 			e.u(hi)
 		}
@@ -271,7 +262,7 @@ func encodeBundle(b *bundle) []byte {
 		for _, blk := range g.Blocks {
 			d := 0
 			if id := b.idom[blk]; id != nil {
-				d = idx[id] + 1
+				d = id.ID + 1
 			}
 			e.u(uint64(d))
 		}
@@ -279,22 +270,18 @@ func encodeBundle(b *bundle) []byte {
 
 	// Loops.
 	if b.hasLoops {
-		edgeIdx := make(map[*cfg.Edge]int, len(g.Edges))
-		for i, ed := range g.Edges {
-			edgeIdx[ed] = i
-		}
 		e.u(uint64(len(b.loops)))
 		for _, l := range b.loops {
-			e.u(uint64(idx[l.Head]))
+			e.u(uint64(l.Head.ID))
 			e.u(uint64(len(l.Body)))
 			for _, blk := range g.Blocks { // deterministic body order
 				if l.Body[blk] {
-					e.u(uint64(idx[blk]))
+					e.u(uint64(blk.ID))
 				}
 			}
 			e.u(uint64(len(l.BackEdges)))
 			for _, ed := range l.BackEdges {
-				e.u(uint64(edgeIdx[ed]))
+				e.u(uint64(ed.ID))
 			}
 		}
 	}
@@ -317,9 +304,9 @@ func decodeBundle(e *core.Executable, data []byte) (*bundle, error) {
 
 	b := &bundle{hasLoops: flags&flagLoops != 0}
 	b.tail = d.u32()
-	b.insts = int64(d.u())
-	b.blocks = int64(d.u())
-	b.edges = int64(d.u())
+	b.insts = int64(d.n())
+	b.blocks = int64(d.n())
+	b.edges = int64(d.n())
 
 	nreads := d.n()
 	for i := 0; i < nreads && d.err == nil; i++ {
@@ -331,7 +318,6 @@ func decodeBundle(e *core.Executable, data []byte) (*bundle, error) {
 	}
 
 	g := &cfg.Graph{
-		ByAddr:   map[uint32]*cfg.Block{},
 		Complete: flags&flagGraphComplete != 0,
 		HasData:  flags&flagGraphHasData != 0,
 	}
@@ -352,8 +338,15 @@ func decodeBundle(e *core.Executable, data []byte) (*bundle, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
+	// Each block, edge and instruction takes at least a byte.
+	if rest := int64(len(d.buf)); int64(nblocks) > rest || b.edges > rest || b.insts > rest {
+		return nil, fmt.Errorf("pipeline: %d blocks, %d edges and %d instructions in %d bytes", nblocks, b.edges, b.insts, rest)
+	}
+	g.Reserve(nblocks, int(b.edges))
+	g.ByAddr = make(map[uint32]*cfg.Block, nblocks)
+	insts := make([]cfg.Inst, 0, b.insts) // backs every block's Insts
 	for i := 0; i < nblocks; i++ {
-		blk := &cfg.Block{ID: i, Kind: cfg.BlockKind(d.u())}
+		blk := g.NewBlock(cfg.BlockKind(d.u()))
 		blk.Uneditable = d.b()
 		blk.HasData = d.b()
 		blk.CallTarget = d.u32()
@@ -366,15 +359,17 @@ func decodeBundle(e *core.Executable, data []byte) (*bundle, error) {
 				addr += d.u32()
 			}
 			mi, ok := e.InstAt(addr)
-			if !ok {
-				return nil, fmt.Errorf("pipeline: instruction address %#x outside the text", addr)
+			if !ok || addr < g.Start || addr >= g.End {
+				return nil, fmt.Errorf("pipeline: instruction address %#x outside the routine", addr)
 			}
-			blk.Insts = append(blk.Insts, cfg.Inst{Addr: addr, MI: mi})
+			insts = append(insts, cfg.Inst{Addr: addr, MI: mi})
 		}
 		if d.err != nil {
 			return nil, d.err
 		}
-		g.Blocks = append(g.Blocks, blk)
+		if ninsts > 0 {
+			blk.Insts = insts[len(insts)-ninsts : len(insts) : len(insts)]
+		}
 		if blk.Kind == cfg.KindNormal && len(blk.Insts) > 0 {
 			g.ByAddr[blk.Insts[0].Addr] = blk
 		}
@@ -421,6 +416,7 @@ func decodeBundle(e *core.Executable, data []byte) (*bundle, error) {
 		}
 		g.NewEdge(from, to, kind, uned)
 	}
+	g.Link()
 
 	nij := d.n()
 	for i := 0; i < nij && d.err == nil; i++ {
@@ -461,13 +457,13 @@ func decodeBundle(e *core.Executable, data []byte) (*bundle, error) {
 	}
 
 	if flags&flagLive != 0 {
-		in := make(map[*cfg.Block]machine.RegSet, len(g.Blocks))
-		out := make(map[*cfg.Block]machine.RegSet, len(g.Blocks))
-		for _, blk := range g.Blocks {
-			in[blk] = machine.RegSetFromWords(d.u(), d.u())
-			out[blk] = machine.RegSetFromWords(d.u(), d.u())
+		n := len(g.Blocks)
+		sets := make([]machine.RegSet, 2*n)
+		for i := range n {
+			sets[i] = machine.RegSetFromWords(d.u(), d.u())
+			sets[n+i] = machine.RegSetFromWords(d.u(), d.u())
 		}
-		b.live = dataflow.RestoreLiveness(g, in, out)
+		b.live = dataflow.RestoreLiveness(g, sets[:n:n], sets[n:])
 	}
 
 	if flags&flagIdom != 0 {

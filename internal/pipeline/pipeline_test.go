@@ -72,7 +72,7 @@ func fingerprint(r *core.Routine, g *cfg.Graph, lv *dataflow.Liveness,
 			fmt.Fprintf(&b, "B%d[%s,%v] ", e.To.ID, e.Kind, e.Uneditable)
 		}
 		if lv != nil {
-			fmt.Fprintf(&b, " in=%s out=%s", lv.In[blk], lv.Out[blk])
+			fmt.Fprintf(&b, " in=%s out=%s", lv.In[blk.ID], lv.Out[blk.ID])
 		}
 		if idom != nil {
 			if d := idom[blk]; d != nil {
