@@ -501,7 +501,7 @@ func TestLineCountInventory(t *testing.T) {
 
 // moduleLineCeiling bounds the module's non-test Go lines (blank and
 // comment-only lines excluded), nested modules excluded.
-const moduleLineCeiling = 19499
+const moduleLineCeiling = 19493
 
 // TestTable1 is experiment E1: the paper's Table 1 — the ad-hoc tool
 // (qpt) vs the EEL-based tool (qpt2), with and without optimization.
@@ -577,6 +577,7 @@ func TestAllocationComparison(t *testing.T) {
 			}
 		})
 	}
+	run(qpt.Full) // neither side then pays the process-wide memo's derivations
 	light := run(qpt.Light)
 	full := run(qpt.Full)
 	t.Logf("heap objects allocated: ad-hoc %d, EEL %d (%.1fx; the paper's 3.8x compared two unrelated implementations)",
@@ -586,6 +587,7 @@ func TestAllocationComparison(t *testing.T) {
 	// program representations shows directly in the interning
 	// ablation: decoding the corpus without instruction sharing.
 	text := p.File.Text()
+	var decodes, objects uint64
 	decodeAll := func(intern bool) uint64 {
 		return allocsDuring(t, func() {
 			dec := sparc.NewDecoder()
@@ -595,6 +597,7 @@ func TestAllocationComparison(t *testing.T) {
 					uint32(text.Data[a-text.Addr+2])<<8 | uint32(text.Data[a-text.Addr+3])
 				dec.Decode(w)
 			}
+			decodes, objects, _ = dec.SharingStats()
 		})
 	}
 	// The decoders share one process-wide memo of derived specs, so
@@ -602,9 +605,13 @@ func TestAllocationComparison(t *testing.T) {
 	// holding this text, whatever ran before.
 	decodeAll(true)
 	shared := decodeAll(true)
+	// The §3.4 factor counts instruction objects; an interning decoder
+	// carves its objects from slabs, so its mallocs are fewer still.
+	t.Logf("instruction objects: %d interned for %d decodes (%.1fx fewer — the §3.4 factor)",
+		objects, decodes, float64(decodes)/float64(objects))
 	unshared := decodeAll(false)
-	t.Logf("decode allocations: %d interned vs %d uninterned (%.1fx saved — the §3.4 factor)",
-		shared, unshared, float64(unshared)/float64(shared))
+	t.Logf("decode allocations: %d interned (slab-carved) vs %d uninterned",
+		shared, unshared)
 	if unshared <= shared {
 		t.Error("interning should reduce allocations")
 	}

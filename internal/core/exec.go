@@ -189,11 +189,12 @@ func (e *Executable) ReadContents() error {
 		return fmt.Errorf("core: text section at %#x is not word aligned", text.Addr)
 	}
 	e.insts = machine.DecodeText(e.Dec, text.Data)
+	xfers := e.directTransfers()
 	var starts []routineSeed
 	if hasRoutineSymbols(e.File) {
-		starts = e.refineSymbols()
+		starts = e.refineSymbols(xfers)
 	} else {
-		starts = e.recoverStripped()
+		starts = e.recoverStripped(xfers)
 	}
 	if len(starts) == 0 {
 		starts = []routineSeed{{addr: text.Addr, name: fmt.Sprintf("text_%08x", text.Addr)}}
@@ -215,7 +216,7 @@ func (e *Executable) ReadContents() error {
 			r.End = text.End()
 		}
 	}
-	e.findInterproceduralEntries()
+	e.findInterproceduralEntries(xfers)
 	return nil
 }
 
@@ -237,14 +238,13 @@ func hasRoutineSymbols(f *binfile.File) bool {
 // refineSymbols implements stage 1: drop debugging and temporary
 // labels, misaligned labels, and labels that are branch targets from
 // the preceding routine (probable internal labels).
-func (e *Executable) refineSymbols() []routineSeed {
+func (e *Executable) refineSymbols(xfers []transfer) []routineSeed {
 	text := e.File.Text()
 	type cand struct {
 		sym  binfile.Symbol
 		keep bool
 	}
 	var cands []cand
-	seen := map[uint32]bool{}
 	e.File.SortSymbols()
 	for _, s := range e.File.Symbols {
 		if !text.Contains(s.Addr) || s.Kind == binfile.SymDebug || s.Kind == binfile.SymData {
@@ -253,29 +253,31 @@ func (e *Executable) refineSymbols() []routineSeed {
 		if s.Addr%4 != 0 {
 			continue // not on an instruction boundary
 		}
-		if seen[s.Addr] {
-			continue // duplicate label
+		if len(cands) > 0 && cands[len(cands)-1].sym.Addr == s.Addr {
+			continue // duplicate label (the symbols are sorted by address)
 		}
-		seen[s.Addr] = true
 		cands = append(cands, cand{sym: s, keep: true})
 	}
-	// Discard Label-kind candidates that are branch/jump (not call)
-	// targets from the candidate region that precedes them.
-	branchTargets := e.scanBranchTargets()
-	for i := range cands {
-		c := &cands[i]
-		if c.sym.Kind == binfile.SymFunc {
+	// Discard Label-kind candidates that are branch/jump (not call,
+	// §3.1: "not call!") targets from the candidate region that
+	// precedes them.
+	for _, x := range xfers {
+		if x.cat != machine.CatBranch && x.cat != machine.CatJumpDirect {
+			continue
+		}
+		i := sort.Search(len(cands), func(i int) bool { return cands[i].sym.Addr >= x.to })
+		if i == len(cands) || cands[i].sym.Addr != x.to {
+			continue
+		}
+		if cands[i].sym.Kind == binfile.SymFunc {
 			continue // typed function symbols are trusted
 		}
 		prevStart := text.Addr
 		if i > 0 {
 			prevStart = cands[i-1].sym.Addr
 		}
-		for _, from := range branchTargets[c.sym.Addr] {
-			if from >= prevStart && from < c.sym.Addr {
-				c.keep = false
-				break
-			}
+		if x.from >= prevStart && x.from < x.to {
+			cands[i].keep = false
 		}
 	}
 	var out []routineSeed
@@ -287,42 +289,38 @@ func (e *Executable) refineSymbols() []routineSeed {
 	return out
 }
 
-// directTargets calls f, in address order, for every instruction of
-// the text with a static target that is a text word.
-func (e *Executable) directTargets(f func(from, to uint32, c machine.Category)) {
+// transfer is a direct control transfer to a text word.
+type transfer struct {
+	from, to uint32
+	cat      machine.Category
+}
+
+// directTransfers lists, in address order, every instruction of the
+// text with a static target that is a text word; stages 1-3 all read
+// this one list.
+func (e *Executable) directTransfers() []transfer {
 	text := e.File.Text()
+	var out []transfer
 	for i, inst := range e.insts {
 		a := text.Addr + 4*uint32(i)
 		if t, ok := inst.StaticTarget(a); ok && text.Contains(t) && t%4 == 0 {
-			f(a, t, inst.Category())
+			out = append(out, transfer{a, t, inst.Category()})
 		}
 	}
-}
-
-// scanBranchTargets collects, for each branch/direct-jump target, the
-// addresses that branch to it.  Calls are deliberately excluded (§3.1:
-// "not call!").
-func (e *Executable) scanBranchTargets() map[uint32][]uint32 {
-	out := map[uint32][]uint32{}
-	e.directTargets(func(a, t uint32, c machine.Category) {
-		if c == machine.CatBranch || c == machine.CatJumpDirect {
-			out[t] = append(out[t], a)
-		}
-	})
 	return out
 }
 
 // recoverStripped implements stage 2: with no symbols, the entry
 // point and first text address seed the routine set, refined by the
 // targets of direct calls.
-func (e *Executable) recoverStripped() []routineSeed {
+func (e *Executable) recoverStripped(xfers []transfer) []routineSeed {
 	text := e.File.Text()
 	seeds := map[uint32]bool{e.File.Entry: true, text.Addr: true}
-	e.directTargets(func(_, t uint32, c machine.Category) {
-		if c == machine.CatCallDirect {
-			seeds[t] = true
+	for _, x := range xfers {
+		if x.cat == machine.CatCallDirect {
+			seeds[x.to] = true
 		}
-	})
+	}
 	var out []routineSeed
 	for addr := range seeds {
 		if text.Contains(addr) {
@@ -338,15 +336,15 @@ func (e *Executable) recoverStripped() []routineSeed {
 // "may find invalid entries, as for example, when data is
 // interpreted as an instruction, but it does not miss entry
 // points").
-func (e *Executable) findInterproceduralEntries() {
-	e.directTargets(func(a, t uint32, c machine.Category) {
-		if c != machine.CatBranch && c != machine.CatJumpDirect && c != machine.CatCallDirect {
-			return
+func (e *Executable) findInterproceduralEntries(xfers []transfer) {
+	for _, x := range xfers {
+		if x.cat != machine.CatBranch && x.cat != machine.CatJumpDirect && x.cat != machine.CatCallDirect {
+			continue
 		}
-		if src, dst := e.RoutineAt(a), e.RoutineAt(t); src != nil && dst != nil && src != dst {
-			dst.addEntry(t)
+		if src, dst := e.RoutineAt(x.from), e.RoutineAt(x.to); src != nil && dst != nil && src != dst {
+			dst.addEntry(x.to)
 		}
-	})
+	}
 }
 
 // addHiddenTail splits off the unreachable tail of r (stage 4) as a

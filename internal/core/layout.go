@@ -75,10 +75,11 @@ type tableRedirect struct {
 // routinePlan is a measured routine layout: the items to emit, in
 // order, and the maps from labels to word offsets.
 type routinePlan struct {
-	items     []emitItem
-	snippets  []*placed
-	sizeWords int
-	base      uint32 // the routine's new address, set by BuildEdited
+	items        []emitItem
+	snippets     []placed
+	snippetWords []uint32 // every placed snippet's words, back to back
+	sizeWords    int
+	base         uint32 // the routine's new address, set by BuildEdited
 	// hasData marks a routine that contains data: a transfer whose
 	// target has no address becomes a trap instead of an error.
 	hasData bool
@@ -148,9 +149,12 @@ func (p *routinePlan) emit(e *Executable, out []byte, tt [2]uint32) error {
 				return err
 			}
 		case itemSnippet:
-			s := p.snippets[w]
-			s.runCallback(at)
-			for _, sw := range s.words {
+			s := &p.snippets[w]
+			words := p.snippetWords[s.off : s.off+s.n : s.off+s.n]
+			if s.snip.Callback != nil {
+				s.snip.Callback(words, at, s.assign)
+			}
+			for _, sw := range words {
 				binary.BigEndian.PutUint32(out[4*n:], sw)
 				n++
 			}
@@ -174,6 +178,8 @@ type measurer struct {
 	plan  *routinePlan
 	stubs []path // deferred stub bodies, measured after main code
 	cur   int    // current word offset
+
+	assign map[machine.Reg]machine.Reg // registers of the snippet being placed, reused per site
 }
 
 // Liveness accessors: under LightAnalysis (the ad-hoc baseline of
@@ -210,10 +216,12 @@ func allRegsLive() machine.RegSet {
 func measure(r *Routine, g *cfg.Graph) (*routinePlan, error) {
 	words := int(g.End-g.Start) / 4
 	m := &measurer{
-		r: r,
-		g: g,
+		r:      r,
+		g:      g,
+		assign: map[machine.Reg]machine.Reg{},
 		plan: &routinePlan{
 			items:       make([]emitItem, 0, words+len(g.Blocks)),
+			snippets:    make([]placed, 0, len(r.edgeEdits)+len(r.beforeEdits)+len(r.afterEdits)),
 			hasData:     g.HasData,
 			blockOffset: unset(len(g.Blocks)),
 			start:       g.Start,
@@ -295,11 +303,11 @@ func (m *measurer) origWord(in cfg.Inst, primary bool) {
 // the given live set.
 func (m *measurer) snippets(list []*Snippet, live machine.RegSet) error {
 	for _, s := range list {
-		p, err := instantiate(m.r.Exec.Dec, s, live, m.r.Exec.Scavenge, &m.r.Exec.Stats)
+		p, err := m.instantiate(s, live)
 		if err != nil {
 			return err
 		}
-		m.add(emitItem{kind: itemSnippet, word: uint32(len(m.plan.snippets))}, p.size())
+		m.add(emitItem{kind: itemSnippet, word: uint32(len(m.plan.snippets))}, int(p.n))
 		m.plan.snippets = append(m.plan.snippets, p)
 	}
 	return nil

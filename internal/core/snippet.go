@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"eel/internal/machine"
 	"eel/internal/sparc"
@@ -66,22 +67,12 @@ func bodyClobbersCC(dec *spawn.TableDecoder, words []uint32) bool {
 }
 
 // placed is an instantiated snippet occurrence: registers assigned,
-// spill wrapping applied, ready to emit.
+// spill wrapping applied, its words in its plan's word array.
 type placed struct {
-	words   []uint32
-	assign  map[machine.Reg]machine.Reg
-	snip    *Snippet
-	spilled bool
-	ccAlt   bool
-}
-
-func (p *placed) size() int { return len(p.words) }
-
-// runCallback applies the snippet's callback at the final address.
-func (p *placed) runCallback(addr uint32) {
-	if p.snip != nil && p.snip.Callback != nil {
-		p.snip.Callback(p.words, addr, p.assign)
-	}
+	off, n int32 // the words are routinePlan.snippetWords[off : off+n]
+	snip   *Snippet
+	// assign is the register assignment, kept only for a Callback.
+	assign map[machine.Reg]machine.Reg
 }
 
 // ScavengeStats counts snippet-insertion outcomes (experiments
@@ -117,123 +108,110 @@ func scavengeUniverse() machine.RegSet {
 // placeholder while also reading the program's real %l0 would have
 // the real reference rewritten too.
 func PickPlaceholders(inst *machine.Inst, n int) ([]machine.Reg, error) {
-	avoid := inst.Reads().Union(inst.Writes())
-	var out []machine.Reg
-	scavengeUniverse().Minus(avoid).ForEach(func(r machine.Reg) {
-		if len(out) < n {
-			out = append(out, r)
-		}
-	})
-	if len(out) < n {
+	free := scavengeUniverse().Minus(inst.Reads()).Minus(inst.Writes())
+	if free.Len() < n {
 		return nil, fmt.Errorf("core: cannot find %d placeholder registers", n)
 	}
-	return out, nil
+	return free.Regs()[:n:n], nil
 }
 
 // instantiate allocates registers for s at a point where live is the
-// live-register set.  When scavenge is false (ablation), every
-// placeholder is spilled.
-func instantiate(dec *spawn.TableDecoder, s *Snippet, live machine.RegSet, scavenge bool, stats *ScavengeStats) (*placed, error) {
+// live-register set and appends its words to the plan's word array.
+// Without scavenging (ablation), every placeholder is spilled.
+func (m *measurer) instantiate(s *Snippet, live machine.RegSet) (placed, error) {
+	dec, stats := m.r.Exec.Dec, &m.r.Exec.Stats
 	stats.Sites++
 	body := s.Body
-	usedAlt := false
 	if (s.ClobbersCC || bodyClobbersCC(dec, s.Body)) && live.Has(machine.RegPSR) {
 		if s.CCAlt == nil {
-			return nil, fmt.Errorf("core: snippet clobbers live condition codes and has no cc-preserving body")
+			return placed{}, fmt.Errorf("core: snippet clobbers live condition codes and has no cc-preserving body")
 		}
 		body = s.CCAlt
-		usedAlt = true
 		stats.CCLive++
 		if bodyClobbersCC(dec, body) {
-			return nil, fmt.Errorf("core: cc-preserving snippet body still clobbers the condition codes")
+			return placed{}, fmt.Errorf("core: cc-preserving snippet body still clobbers the condition codes")
 		}
 	}
 
-	assign := map[machine.Reg]machine.Reg{}
-	var chosen machine.RegSet
-	var spillRegs []machine.Reg
-
+	clear(m.assign)
+	var chosen, spills machine.RegSet
 	candidates := scavengeUniverse().Minus(live).Minus(s.Forbid)
+	if !m.r.Exec.Scavenge {
+		candidates = machine.RegSet{}
+	}
 	for _, ph := range s.AllocRegs {
-		var got machine.Reg
-		found := false
-		if scavenge {
-			candidates.Minus(chosen).ForEach(func(r machine.Reg) {
-				if !found {
-					got, found = r, true
-				}
-			})
-		}
+		got, found := candidates.Minus(chosen).First()
 		if !found {
 			// No dead register: pick any allowed register and spill
 			// it around the snippet (paper §3.5: "EEL wraps the
 			// snippet with code to spill registers to the stack").
-			spillPool := scavengeUniverse().Minus(s.Forbid).Minus(chosen)
-			spillPool.ForEach(func(r machine.Reg) {
-				if !found {
-					got, found = r, true
-				}
-			})
-			if !found {
-				return nil, fmt.Errorf("core: no registers available for snippet")
+			if got, found = scavengeUniverse().Minus(s.Forbid).Minus(chosen).First(); !found {
+				return placed{}, fmt.Errorf("core: no registers available for snippet")
 			}
-			spillRegs = append(spillRegs, got)
+			spills = spills.Add(got)
 		}
-		assign[ph] = got
+		m.assign[ph] = got
 		chosen = chosen.Add(got)
 	}
 
+	words, off := m.plan.snippetWords, len(m.plan.snippetWords)
+	var err error
+	if !spills.IsEmpty() {
+		if words, err = spillCode(words, spills, true); err != nil {
+			return placed{}, err
+		}
+	}
 	// Simultaneous substitution: a placeholder may be assigned a
 	// register that is itself another placeholder's name.
-	words := make([]uint32, len(body))
-	for i, w := range body {
-		words[i] = dec.SubstRegs(w, assign)
+	for _, w := range body {
+		words = append(words, dec.SubstRegs(w, m.assign))
 	}
-
-	if len(spillRegs) > 0 {
-		wrapped, err := wrapSpill(words, spillRegs)
-		if err != nil {
-			return nil, err
-		}
-		words = wrapped
-		stats.Spilled++
-	} else {
+	if spills.IsEmpty() {
 		stats.Scavenged++
+	} else {
+		if words, err = spillCode(words, spills, false); err != nil {
+			return placed{}, err
+		}
+		stats.Spilled++
 	}
-	return &placed{words: words, assign: assign, snip: s, spilled: len(spillRegs) > 0, ccAlt: usedAlt}, nil
+	m.plan.snippetWords = words
+	p := placed{off: int32(off), n: int32(len(words) - off), snip: s}
+	if s.Callback != nil {
+		p.assign = maps.Clone(m.assign)
+	}
+	return p, nil
 }
 
-// wrapSpill surrounds body with stack spill/reload of regs.  The
-// frame is popped before the body would need it, so snippet bodies
-// must not address the stack (documented limitation, matching the
-// paper's note that call-backs adjust sp-recording code).
-func wrapSpill(body []uint32, regs []machine.Reg) ([]uint32, error) {
+// spillCode appends the stack spill of regs that goes before a snippet
+// body (enter) or the reload that goes after it.  Spill regs are picked
+// lowest first, so each one's slot is its rank in regs.  The frame is
+// popped before the body would need it, so snippet bodies must not
+// address the stack (documented limitation, matching the paper's note
+// that call-backs adjust sp-recording code).
+func spillCode(out []uint32, regs machine.RegSet, enter bool) ([]uint32, error) {
 	const frame = 96 // standard minimal SPARC frame, keeps %sp aligned
-	out := make([]uint32, 0, len(body)+2*len(regs)+2)
-	push, err := sparc.EncodeOp3Imm("add", sparc.RegSP, sparc.RegSP, -frame)
+	op, adjust := "ld", int32(frame)
+	if enter {
+		op, adjust = "st", -frame
+	}
+	sp, err := sparc.EncodeOp3Imm("add", sparc.RegSP, sparc.RegSP, adjust)
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, push)
-	for i, r := range regs {
-		st, err := sparc.EncodeOp3Imm("st", r, sparc.RegSP, int32(64+4*i))
+	if enter {
+		out = append(out, sp)
+	}
+	for slot := int32(64); !regs.IsEmpty(); slot += 4 {
+		r, _ := regs.First()
+		regs = regs.Remove(r)
+		w, err := sparc.EncodeOp3Imm(op, r, sparc.RegSP, slot)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, st)
+		out = append(out, w)
 	}
-	out = append(out, body...)
-	for i, r := range regs {
-		ld, err := sparc.EncodeOp3Imm("ld", r, sparc.RegSP, int32(64+4*i))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ld)
+	if !enter {
+		out = append(out, sp)
 	}
-	pop, err := sparc.EncodeOp3Imm("add", sparc.RegSP, sparc.RegSP, frame)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, pop)
 	return out, nil
 }

@@ -11,7 +11,10 @@
 // repository).
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Reg names a machine register in a flat, machine-independent space.
 // The integer register file occupies [0, 32); special registers and
@@ -99,21 +102,25 @@ func (s RegSet) IsEmpty() bool { return s.lo == 0 && s.hi == 0 }
 func (s RegSet) Equal(t RegSet) bool { return s == t }
 
 // Len returns the number of registers in the set.
-func (s RegSet) Len() int { return popcount(s.lo) + popcount(s.hi) }
+func (s RegSet) Len() int { return bits.OnesCount64(s.lo) + bits.OnesCount64(s.hi) }
 
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
+// First returns the lowest-numbered register in the set; ok is false
+// when the set is empty.
+func (s RegSet) First() (r Reg, ok bool) {
+	switch {
+	case s.lo != 0:
+		return Reg(bits.TrailingZeros64(s.lo)), true
+	case s.hi != 0:
+		return 64 + Reg(bits.TrailingZeros64(s.hi)), true
 	}
-	return n
+	return 0, false
 }
 
 // ForEach calls f for every register in the set, in increasing order.
 func (s RegSet) ForEach(f func(Reg)) {
 	for w, base := s.lo, Reg(0); ; w, base = s.hi, 64 {
 		for x := w; x != 0; x &= x - 1 {
-			f(base + Reg(trailingZeros(x)))
+			f(base + Reg(bits.TrailingZeros64(x)))
 		}
 		if base == 64 {
 			return
@@ -126,15 +133,6 @@ func (s RegSet) Regs() []Reg {
 	out := make([]Reg, 0, s.Len())
 	s.ForEach(func(r Reg) { out = append(out, r) })
 	return out
-}
-
-func trailingZeros(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 // Words returns the set's raw 128-bit representation (for
@@ -308,6 +306,10 @@ type InstSpec struct {
 
 // NewInst builds an immutable instruction from a decoder's spec.
 func NewInst(spec InstSpec) *Inst { return &Inst{spec} }
+
+// MakeInst is NewInst by value, for a decoder that keeps its
+// instructions in arrays of its own.
+func MakeInst(spec InstSpec) Inst { return Inst{spec} }
 
 // Word returns the raw machine word.
 func (i *Inst) Word() uint32 { return i.spec.Word }

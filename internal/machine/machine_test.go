@@ -87,6 +87,17 @@ func TestRegSetForEachOrdered(t *testing.T) {
 			t.Fatalf("Regs() = %v", regs)
 		}
 	}
+	// First walks the same order, across the 64-bit boundary.
+	for i, rest := 0, s; ; i++ {
+		r, ok := rest.First()
+		if ok != (i < len(want)) || ok && r != want[i] {
+			t.Fatalf("First #%d = %d, %v", i, r, ok)
+		}
+		if !ok {
+			break
+		}
+		rest = rest.Remove(r)
+	}
 }
 
 func TestRegPredicates(t *testing.T) {

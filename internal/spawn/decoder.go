@@ -174,39 +174,58 @@ func (m *Memo) derive(word uint32) *memoEntry {
 // machine; the *machine.Inst and its InstSem, which carries the
 // emulator's per-word compile caches, belong to this decoder alone.
 //
-// Decode is safe for concurrent use: the intern cache is a sync.Map,
-// so parallel analysis workers share one decoder (and one instruction
-// object per distinct word) without serializing on a lock.  Two
-// workers racing on the same uncached word may both build an
-// instruction, but LoadOrStore guarantees a single canonical *Inst
-// survives.  SetIntern reconfigures the decoder and must not run
-// concurrently with Decode.
+// Decode is safe for concurrent use: a mutex guards the intern map and
+// the slabs the instructions are carved from, and every word has one
+// canonical *Inst per decoder.  Only the emulator decodes once an
+// executable's text has been read, so the lock is rarely contended.
+// SetIntern reconfigures the decoder and must not run concurrently
+// with Decode.
 type TableDecoder struct {
 	memo    *Memo
 	regName func(machine.Reg) string
 
-	cache   atomic.Pointer[sync.Map] // uint32 → *machine.Inst
+	mu    sync.Mutex
+	cache map[uint32]*machine.Inst
+	insts slab[machine.Inst]
+	sems  slab[InstSem]
+
 	decodes atomic.Uint64
 	unique  atomic.Uint64
 
-	// interning can be disabled for the E6 ablation.
-	intern atomic.Bool
+	// noIntern disables interning for the E6 ablation.
+	noIntern bool
+}
+
+// slabSize is how many instructions, and as many InstSems, one slab
+// holds: 32 KiB in all.  A 120-routine binary's ≈1,600 distinct words
+// fill thirteen.
+const slabSize = 128
+
+// slab carves values from fixed-size backing arrays.  A full array is
+// replaced by a fresh one, never moved, so pointers already handed out
+// stay valid (the rule cfg.Graph.Reserve follows).
+type slab[T any] []T
+
+func (s *slab[T]) next() *T {
+	if len(*s) == 0 {
+		*s = make([]T, slabSize)
+	}
+	p := &(*s)[0]
+	*s = (*s)[1:]
+	return p
 }
 
 // NewDecoder builds a decoder that derives its words through memo.
 // regName may be nil.
 func NewDecoder(memo *Memo, regName func(machine.Reg) string) *TableDecoder {
-	t := &TableDecoder{memo: memo, regName: regName}
-	t.cache.Store(&sync.Map{})
-	t.intern.Store(true)
-	return t
+	return &TableDecoder{memo: memo, regName: regName, cache: map[uint32]*machine.Inst{}}
 }
 
 // SetIntern toggles instruction-object sharing (ablation E6).
 func (t *TableDecoder) SetIntern(on bool) {
-	t.intern.Store(on)
+	t.noIntern = !on
 	if !on {
-		t.cache.Store(&sync.Map{})
+		t.cache = map[uint32]*machine.Inst{}
 		t.unique.Store(0)
 	}
 }
@@ -239,30 +258,31 @@ func (t *TableDecoder) WritesPSR(word uint32) bool { return t.memo.WritesPSR(wor
 // Decode returns the (shared) instruction for word.
 func (t *TableDecoder) Decode(word uint32) *machine.Inst {
 	t.decodes.Add(1)
-	if !t.intern.Load() {
-		return t.newInst(word)
+	if t.noIntern {
+		return t.newInst(word, new(machine.Inst), new(InstSem))
 	}
-	m := t.cache.Load()
-	if v, ok := m.Load(word); ok {
-		return v.(*machine.Inst)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	inst, ok := t.cache[word]
+	if !ok {
+		inst = t.newInst(word, t.insts.next(), t.sems.next())
+		t.cache[word] = inst
+		t.unique.Add(1)
 	}
-	inst := t.newInst(word)
-	if prev, loaded := m.LoadOrStore(word, inst); loaded {
-		return prev.(*machine.Inst)
-	}
-	t.unique.Add(1)
 	return inst
 }
 
-// newInst builds an instruction for word from its memoized spec and a
-// semantics handle of this decoder's own.
-func (t *TableDecoder) newInst(word uint32) *machine.Inst {
+// newInst fills inst with word's instruction from its memoized spec,
+// with sem as its semantics handle.
+func (t *TableDecoder) newInst(word uint32, inst *machine.Inst, sem *InstSem) *machine.Inst {
 	e := t.memo.lookup(word)
 	spec := e.spec
 	if e.def != nil {
-		spec.Sem = &InstSem{Def: e.def, Desc: t.memo.desc, Fields: spec.Fields}
+		sem.Def, sem.Desc, sem.Fields = e.def, t.memo.desc, spec.Fields
+		spec.Sem = sem
 	}
-	return machine.NewInst(spec)
+	*inst = machine.MakeInst(spec)
+	return inst
 }
 
 // SharingStats returns total decode requests and distinct

@@ -297,6 +297,60 @@ func TestDecoderParallelInterning(t *testing.T) {
 	}
 }
 
+// TestDecoderSlabInterning decodes more distinct words than three
+// slabs hold, from several goroutines in different orders (run under
+// -race): every word must have one canonical object, and an object
+// handed out before later slabs filled must still describe its word.
+func TestDecoderSlabInterning(t *testing.T) {
+	d := toy(t)
+	dec := NewDecoder(NewMemo(d, nil), nil)
+	words := make([]uint32, 3*slabSize+slabSize/2)
+	for i := range words {
+		words[i] = word(d, map[string]uint32{"op": 3, "rd": uint32(i % 16), "imm16": uint32(i)})
+	}
+	early := make([]*machine.Inst, slabSize)
+	for i := range early {
+		early[i] = dec.Decode(words[i])
+	}
+	const goroutines = 8
+	got := make([][]*machine.Inst, goroutines)
+	var wg sync.WaitGroup
+	for gi := range got {
+		wg.Add(1)
+		go func(gi int) {
+			defer wg.Done()
+			mine := make([]*machine.Inst, len(words))
+			for k := range words {
+				i := (k + gi*len(words)/goroutines) % len(words) // a different order each
+				if gi%2 == 1 {
+					i = len(words) - 1 - i
+				}
+				mine[i] = dec.Decode(words[i])
+			}
+			got[gi] = mine
+		}(gi)
+	}
+	wg.Wait()
+	for gi, mine := range got {
+		for i, in := range mine {
+			if in == nil || in != got[0][i] {
+				t.Fatalf("goroutine %d: word %#x has no canonical object", gi, words[i])
+			}
+			if in.Word() != words[i] || in.Name() != "ld" {
+				t.Fatalf("word %#x decoded to %#x %q", words[i], in.Word(), in.Name())
+			}
+		}
+	}
+	for i, in := range early {
+		if in.Word() != words[i] || in.Name() != "ld" || in != dec.Decode(words[i]) || in != got[0][i] {
+			t.Errorf("word %#x: an object from the first slab changed or was replaced", words[i])
+		}
+	}
+	if _, unique, _ := dec.SharingStats(); unique != uint64(len(words)) {
+		t.Errorf("unique = %d, want %d", unique, len(words))
+	}
+}
+
 // TestGlueHookRuns checks each glue runs and that two memos over one
 // description with different glue share nothing: each decoder sees
 // its own glue's answer for the same word.
