@@ -177,7 +177,7 @@ func (c *CPU) InvalidateText() {
 		// Stale routine programs must not be re-entered; in-flight
 		// jobs are discarded at install by the generation check, and
 		// content-keyed cache entries stay valid for unchanged text.
-		c.rt.reset()
+		c.rt.reset(c.TextStart, c.TextEnd)
 	}
 	c.textHashOK = false // text content changed; re-hash on demand
 	telemetry.ActiveTracer().Instant("sim.jit.invalidate", "sim")

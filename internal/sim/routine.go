@@ -42,18 +42,29 @@ const (
 	rtDefaultHotThreshold = 32
 	// rtMaxExtent bounds the forward extent scan, in instructions.
 	rtMaxExtent = 2048
-	// rtMaxCandidates bounds the discovered-entry set.
-	rtMaxCandidates = 1024
 	// rtQueueDepth is the background compile queue capacity; requests
 	// beyond it are dropped (the entry stays a candidate and can be
 	// re-requested after an invalidation).
 	rtQueueDepth = 64
 )
 
-// rhead is one enterable pc of an installed routine program.
-type rhead struct {
+// rtWord is the routine tier's record of one text word.
+type rtWord struct {
+	// prog, when set, is an installed routine program with a block
+	// starting here; idx is that block's index.
 	prog *routineProg
 	idx  int32
+	// enters counts dispatcher arrivals while the word is a candidate,
+	// so a hot candidate promotes straight from the dispatcher without
+	// first paying a superblock translation it would immediately
+	// abandon.
+	enters uint32
+	// cand marks a believed routine entry: a static call target seen
+	// during block translation, the run's initial pc, or a pc the
+	// routine tier exited to.
+	cand bool
+	// pending marks an entry with an in-flight compile request.
+	pending bool
 }
 
 // rblock is one compiled basic block of a routine program.
@@ -139,20 +150,21 @@ var rtProgCache sync.Map // rtCacheKey -> *rtCacheEnt
 
 // routineState is the per-CPU routine-tier state.
 type routineState struct {
-	// heads indexes every enterable block base of every installed
-	// routine program.
-	heads map[uint32]rhead
-	// candidates are pcs believed to be routine entries: static call
-	// targets seen during block translation, the run's initial pc,
-	// and pcs the routine tier exited to.
-	candidates map[uint32]bool
-	// enters counts dispatcher arrivals at candidate entries, so a hot
-	// candidate promotes straight from the dispatcher without first
-	// paying a superblock translation it would immediately abandon.
-	enters map[uint32]uint64
-	// pending marks entries with an in-flight compile request.
-	pending map[uint32]bool
-	mb      *rtMailbox
+	// words holds one record per text word of [base, base+4*len),
+	// the text bounds at the last reset.
+	words []rtWord
+	base  uint32
+	mb    *rtMailbox
+}
+
+// word returns pc's record, or nil when pc is unaligned or outside
+// the text the table was sized for.
+func (rt *routineState) word(pc uint32) *rtWord {
+	i := (pc - rt.base) / 4
+	if (pc-rt.base)%4 != 0 || i >= uint32(len(rt.words)) {
+		return nil
+	}
+	return &rt.words[i]
 }
 
 // ensureTC lazily creates the translation cache and its write watch;
@@ -170,16 +182,16 @@ func (c *CPU) ensureRT() {
 	c.ensureTC()
 	if c.rt == nil {
 		c.rt = &routineState{mb: &rtMailbox{}}
-		c.rt.reset()
+		c.rt.reset(c.TextStart, c.TextEnd)
 	}
 }
 
-// reset forgets every installed program and candidate.
-func (rt *routineState) reset() {
-	rt.heads = make(map[uint32]rhead)
-	rt.candidates = make(map[uint32]bool)
-	rt.enters = make(map[uint32]uint64)
-	rt.pending = make(map[uint32]bool)
+// reset forgets every installed program and candidate.  It sizes the
+// per-word table to the given text bounds, which may have changed
+// since the last reset, reusing (and zeroing) the table's storage.
+func (rt *routineState) reset(start, end uint32) {
+	rt.words = append(rt.words[:0], make([]rtWord, max(int64(end)-int64(start), 0)/4)...)
+	rt.base = start
 }
 
 func (c *CPU) rtThreshold() uint64 {
@@ -191,11 +203,8 @@ func (c *CPU) rtThreshold() uint64 {
 
 // rtNoteCandidate records pc as a believed routine entry.
 func (c *CPU) rtNoteCandidate(pc uint32) {
-	if pc&3 != 0 || pc < c.TextStart || pc >= c.TextEnd {
-		return
-	}
-	if len(c.rt.candidates) < rtMaxCandidates {
-		c.rt.candidates[pc] = true
+	if w := c.rt.word(pc); w != nil {
+		w.cand = true
 	}
 }
 
@@ -217,19 +226,9 @@ func (c *CPU) rtTextHash() uint64 {
 	}
 	h := uint64(0xcbf29ce484222325)
 	for a := c.TextStart; a < c.TextEnd; {
-		base := a &^ (pageSize - 1)
-		end := base + pageSize
-		if end > c.TextEnd || end < base { // clamp; guard address wrap
-			end = c.TextEnd
-		}
-		if p := c.Mem.page(a, false); p != nil {
-			h = fnvAdd(h, p[a-base:end-base])
-		} else {
-			for i := a; i < end; i++ { // unmapped reads as zero
-				h = (h ^ 0) * 0x100000001b3
-			}
-		}
-		a = end
+		n := min(c.TextEnd-a, pageSize-a%pageSize)
+		h = fnvAdd(h, c.Mem.view(a)[a%pageSize:][:n])
+		a += n
 	}
 	c.textHash, c.textHashOK = h, true
 	return h
@@ -330,11 +329,12 @@ func rtQueueDepthNow() int { return len(rtWorkQueue) }
 // inline; otherwise the job goes to the background worker and the
 // engine keeps running chained code until the mailbox delivers.
 func (c *CPU) rtRequest(entry uint32) {
-	if c.rt.pending[entry] {
+	w := c.rt.word(entry)
+	if w == nil || w.pending {
 		return
 	}
 	c.tc.ctr.TierPromotions++
-	obs.Record(obs.EvTierPromote, uint64(entry), c.rt.enters[entry])
+	obs.Record(obs.EvTierPromote, uint64(entry), uint64(w.enters))
 	key := rtCacheKey{desc: c.dec.Desc(), textStart: c.TextStart, textEnd: c.TextEnd, hash: c.rtTextHash(), entry: entry}
 	if ent, ok := rtProgCache.Load(key); ok {
 		// Same image, same entry: install the shared program (or the
@@ -350,9 +350,7 @@ func (c *CPU) rtRequest(entry uint32) {
 		return
 	}
 	text := make([]byte, end-entry)
-	for i := range text {
-		text[i] = c.Mem.ByteAt(entry + uint32(i))
-	}
+	c.Mem.ReadSegment(entry, text)
 	job := &rtJob{
 		dec:    c.dec,
 		layout: &c.layout,
@@ -362,7 +360,7 @@ func (c *CPU) rtRequest(entry uint32) {
 		key:    key,
 		mb:     c.rt.mb,
 	}
-	c.rt.pending[entry] = true
+	w.pending = true
 	if c.RoutineSync {
 		job.res = rtCompileJob(job)
 		c.rtInstall(job)
@@ -372,7 +370,7 @@ func (c *CPU) rtRequest(entry uint32) {
 	select {
 	case rtWorkQueue <- job:
 	default:
-		delete(c.rt.pending, entry) // queue full: drop, keep candidacy
+		w.pending = false // queue full: drop, keep candidacy
 		obs.Record(obs.EvCompileStall, uint64(entry), rtQueueDepth)
 	}
 }
@@ -395,10 +393,15 @@ func (c *CPU) rtDrain() {
 }
 
 func (c *CPU) rtInstall(job *rtJob) {
-	delete(c.rt.pending, job.entry)
+	w := c.rt.word(job.entry)
+	if w != nil {
+		w.pending = false
+	}
 	prog := job.res.prog
 	if prog == nil {
-		delete(c.rt.candidates, job.entry) // not compilable; stop asking
+		if w != nil {
+			w.cand = false // not compilable; stop asking
+		}
 		obs.Record(obs.EvRoutineRefuse, uint64(job.entry), uint64(job.res.pc))
 		return
 	}
@@ -406,7 +409,9 @@ func (c *CPU) rtInstall(job *rtJob) {
 		return // text changed since the snapshot; a rebuilt hot block re-requests
 	}
 	for pc, k := range prog.index {
-		c.rt.heads[pc] = rhead{prog: prog, idx: k}
+		if h := c.rt.word(pc); h != nil {
+			h.prog, h.idx = prog, k
+		}
 	}
 	c.tc.ctr.RoutinesCompiled++
 	obs.Record(obs.EvRoutineInstall, uint64(job.entry), uint64(len(prog.index)))
@@ -443,16 +448,16 @@ func (c *CPU) rtSpill(e *rtl.REnv) {
 	c.Halted, c.ExitCode = e.Halted, e.ExitCode
 }
 
-// runRoutine executes installed routine programs starting at rh until
+// runRoutine executes installed routine programs starting at block k
+// of p until
 // control leaves compiled routines, execution must stop, or the step
 // budget cannot cover the next block.  It reports whether any
 // instruction was executed: a budget refusal before the first block
 // returns (false, nil) so the caller falls back to a per-instruction
 // tier that can hit the limit exactly.
-func (c *CPU) runRoutine(rh rhead, maxSteps uint64) (executed bool, err error) {
+func (c *CPU) runRoutine(p *routineProg, k int32, maxSteps uint64) (executed bool, err error) {
 	e := &c.renv
 	c.rtFill(e)
-	p, k := rh.prog, rh.idx
 	for {
 		blk := &p.blocks[k]
 		if e.Insts+blk.cost > maxSteps {
@@ -499,8 +504,8 @@ func (c *CPU) runRoutine(rh rhead, maxSteps uint64) (executed bool, err error) {
 			// Cross-routine continuation: an exit landing on another
 			// installed head (call, tail call, return) stays in the
 			// tier with zero spill traffic.
-			if nh, ok := c.rt.heads[e.PC]; ok && e.NPC == e.PC+4 {
-				p, k = nh.prog, nh.idx
+			if w := c.rt.word(e.PC); w != nil && w.prog != nil && e.NPC == e.PC+4 {
+				p, k = w.prog, w.idx
 				continue
 			}
 			c.rtNoteCandidate(e.PC)

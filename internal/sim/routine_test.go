@@ -158,8 +158,10 @@ func TestRoutineSelfModifyingDeopt(t *testing.T) {
 	if k.RoutineDeopts == 0 {
 		t.Error("self-modifying store did not count a routine deopt")
 	}
-	if len(cpu.rt.heads) != 0 {
-		t.Error("stale routine heads survived text invalidation")
+	for i, w := range cpu.rt.words {
+		if w.prog != nil {
+			t.Fatalf("stale routine head at %#x survived text invalidation", cpu.rt.base+4*uint32(i))
+		}
 	}
 }
 
@@ -276,5 +278,52 @@ func TestRoutineCountersAndReset(t *testing.T) {
 	k = cpu.Counters()
 	if k.RoutinesCompiled != 0 || k.TierPromotions != 0 || k.RoutineDeopts != 0 {
 		t.Errorf("counters survived reset: %+v", k)
+	}
+}
+
+// TestRoutineResetOntoOtherText: a CPU Reset onto text with other
+// bounds (here larger, and starting below the old text) re-sizes the
+// routine tier's per-word table, still promotes, and matches the
+// interpreter.
+func TestRoutineResetOntoOtherText(t *testing.T) {
+	cpu, a := load(t, "\tmov 5, %o0\n"+exitSeq, 0x20000)
+	cpu.TextStart, cpu.TextEnd = a.Base, a.Base+uint32(len(a.Bytes))
+	cpu.Engine = EngineRoutine
+	cpu.RoutineSync = true
+	cpu.RoutineHotThreshold = 1
+	run(t, cpu)
+
+	src := `
+	mov 0, %o0
+	mov 50, %o1
+loop:	call inc
+	nop
+	subcc %o1, 1, %o1
+	bne loop
+	nop
+	mov 1, %g1
+	ta 0
+inc:	retl
+	add %o0, 3, %o0
+`
+	ref, b := load(t, src, 0x10000)
+	ref.TextStart, ref.TextEnd = b.Base, b.Base+uint32(len(b.Bytes))
+	ref.Engine = EngineInterp
+	run(t, ref)
+
+	cpu.Mem.LoadSegment(b.Base, b.Bytes)
+	cpu.TextStart, cpu.TextEnd = ref.TextStart, ref.TextEnd
+	cpu.Reset(b.Base, 0x7ff000)
+	cpu.ResetCounters()
+	run(t, cpu)
+	if cpu.ExitCode != 150 || cpu.ExitCode != ref.ExitCode || cpu.InstCount != ref.InstCount || cpu.R != ref.R {
+		t.Errorf("exit %d, insts %d (interp: exit %d, insts %d, registers equal %v); want exit 150",
+			cpu.ExitCode, cpu.InstCount, ref.ExitCode, ref.InstCount, cpu.R == ref.R)
+	}
+	if k := cpu.Counters(); k.RoutinesCompiled == 0 {
+		t.Error("no routine compiled after the Reset")
+	}
+	if cpu.rt.base != b.Base || len(cpu.rt.words) != len(b.Bytes)/4 {
+		t.Errorf("per-word table covers %d words at %#x, want %d at %#x", len(cpu.rt.words), cpu.rt.base, len(b.Bytes)/4, b.Base)
 	}
 }

@@ -52,11 +52,19 @@ var (
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
+	// dirShift splits an address into a directory (the top 10 bits),
+	// a page within it (the next 10) and a byte offset (the low 12).
+	dirShift = 22
+	dirPages = 1 << (dirShift - pageShift)
 )
 
-// Memory is a sparse, big-endian, byte-addressed 32-bit memory.
+// Memory is a sparse, big-endian, byte-addressed 32-bit memory held
+// in a two-level page table, so a lookup is two indexed loads and no
+// hashing.  Directories and pages are created on first write and are
+// never freed or moved: a page pointer stays valid for the life of
+// the Memory.  The zero value is an empty memory.
 type Memory struct {
-	pages map[uint32]*[pageSize]byte
+	dirs [1 << (32 - dirShift)]*[dirPages]*[pageSize]byte
 
 	// watches observe writes into address ranges; the translation
 	// cache uses one over the text segment to catch self-modifying
@@ -70,9 +78,7 @@ type memWatch struct {
 }
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory {
-	return &Memory{pages: map[uint32]*[pageSize]byte{}}
-}
+func NewMemory() *Memory { return &Memory{} }
 
 // WatchWrites registers fn to be called before every write that
 // overlaps [lo, hi).
@@ -80,32 +86,50 @@ func (m *Memory) WatchWrites(lo, hi uint32, fn func(addr, n uint32)) {
 	m.watches = append(m.watches, memWatch{lo: lo, hi: hi, fn: fn})
 }
 
+// notifyWrite reports a write of n >= 1 bytes at addr to every watch
+// it overlaps.  It tests the last byte written, not the end, which
+// wraps to zero for a write that reaches the top of memory.
 func (m *Memory) notifyWrite(addr, n uint32) {
 	for _, w := range m.watches {
-		if addr < w.hi && addr+n > w.lo {
+		if addr < w.hi && addr+(n-1) >= w.lo {
 			w.fn(addr, n)
 		}
 	}
 }
 
+// page returns the page holding addr.  Without create an unmapped
+// page is nil; with it, the page (and its directory) is made.
 func (m *Memory) page(addr uint32, create bool) *[pageSize]byte {
-	key := addr >> pageShift
-	p := m.pages[key]
+	d := m.dirs[addr>>dirShift]
+	if d == nil {
+		if !create {
+			return nil
+		}
+		d = new([dirPages]*[pageSize]byte)
+		m.dirs[addr>>dirShift] = d
+	}
+	p := d[addr>>pageShift%dirPages]
 	if p == nil && create {
 		p = new([pageSize]byte)
-		m.pages[key] = p
+		d[addr>>pageShift%dirPages] = p
 	}
 	return p
 }
 
-// ByteAt returns the byte at addr (unmapped memory reads zero).
-func (m *Memory) ByteAt(addr uint32) byte {
-	p := m.page(addr, false)
-	if p == nil {
-		return 0
+// zeroPage is what an unmapped page reads as.
+var zeroPage [pageSize]byte
+
+// view returns the page holding addr for reading: an unmapped page
+// reads as zeroPage, and no page is created.
+func (m *Memory) view(addr uint32) *[pageSize]byte {
+	if p := m.page(addr, false); p != nil {
+		return p
 	}
-	return p[addr%pageSize]
+	return &zeroPage
 }
+
+// ByteAt returns the byte at addr (unmapped memory reads zero).
+func (m *Memory) ByteAt(addr uint32) byte { return m.view(addr)[addr%pageSize] }
 
 // SetByte stores b at addr.
 func (m *Memory) SetByte(addr uint32, b byte) {
@@ -137,11 +161,7 @@ func (m *Memory) Write(addr uint32, width int, v uint64) {
 // through ByteAt.
 func (m *Memory) Read32(addr uint32) uint32 {
 	if addr&3 == 0 {
-		p := m.pages[addr>>pageShift]
-		if p == nil {
-			return 0
-		}
-		o := addr & (pageSize - 1)
+		p, o := m.view(addr), addr%pageSize
 		return uint32(p[o])<<24 | uint32(p[o+1])<<16 | uint32(p[o+2])<<8 | uint32(p[o+3])
 	}
 	return uint32(m.Read(addr, 4))
@@ -155,17 +175,30 @@ func (m *Memory) Write32(addr uint32, v uint32) {
 			m.notifyWrite(addr, 4)
 		}
 		p := m.page(addr, true)
-		o := addr & (pageSize - 1)
+		o := addr % pageSize
 		p[o], p[o+1], p[o+2], p[o+3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
 		return
 	}
 	m.Write(addr, 4, uint64(v))
 }
 
-// LoadSegment copies data into memory at addr.
+// ReadSegment fills dst from memory at addr, a page at a time
+// (unmapped memory reads zero).
+func (m *Memory) ReadSegment(addr uint32, dst []byte) {
+	for len(dst) > 0 {
+		n := copy(dst, m.view(addr)[addr%pageSize:])
+		dst, addr = dst[n:], addr+uint32(n)
+	}
+}
+
+// LoadSegment copies data into memory at addr, a page at a time.
+// Watches see one (addr, n) write per page chunk, before it is stored.
 func (m *Memory) LoadSegment(addr uint32, data []byte) {
-	for i, b := range data {
-		m.SetByte(addr+uint32(i), b)
+	for len(data) > 0 {
+		n := min(uint32(len(data)), pageSize-addr%pageSize)
+		m.notifyWrite(addr, n)
+		copy(m.page(addr, true)[addr%pageSize:], data[:n])
+		data, addr = data[n:], addr+n
 	}
 }
 
@@ -246,13 +279,6 @@ type CPU struct {
 	// reusable scratch state for compiled semantics.
 	env    cpuEnv
 	rtlCtx rtl.Ctx
-
-	// fetchKey/fetchPage cache the last instruction-fetch page:
-	// straight-line fetches hit the same 4 KiB page, so the common
-	// case skips the page-map lookup entirely.  Page pointers are
-	// stable for the life of a Memory, so the cache never goes stale.
-	fetchKey  uint32
-	fetchPage *[pageSize]byte
 
 	// tc is the translation-cache engine state (see jit.go).
 	tc *transCache
@@ -361,23 +387,7 @@ func (c *CPU) Reset(entry, sp uint32) {
 	c.AnnulCount = 0
 	c.windows = c.windows[:0]
 	c.annulNext = false
-	c.fetchPage = nil
 	c.InvalidateText()
-}
-
-// fetch reads the instruction word at pc through the last-page cache.
-func (c *CPU) fetch(pc uint32) uint32 {
-	key := pc >> pageShift
-	p := c.fetchPage
-	if p == nil || key != c.fetchKey {
-		p = c.Mem.page(pc, false)
-		if p == nil {
-			return 0
-		}
-		c.fetchKey, c.fetchPage = key, p
-	}
-	o := pc & (pageSize - 1)
-	return uint32(p[o])<<24 | uint32(p[o+1])<<16 | uint32(p[o+2])<<8 | uint32(p[o+3])
 }
 
 // Step executes one instruction.  It returns nil when the program
@@ -392,7 +402,7 @@ func (c *CPU) Step() error {
 	if c.PC%c.isize != 0 {
 		return &Fault{c.PC, ErrMisaligned}
 	}
-	word := c.fetch(c.PC)
+	word := c.Mem.Read32(c.PC)
 	inst := c.dec.Decode(word)
 	if !inst.Valid() {
 		return &Fault{c.PC, fmt.Errorf("%w: %#08x", ErrIllegalInst, word)}
@@ -574,28 +584,28 @@ func (c *CPU) run(maxSteps uint64) error {
 		}
 		if c.rtOn {
 			c.rtDrain() // install background results between steps
-			if c.NPC == c.PC+c.isize && c.rt.candidates[c.PC] {
-				if _, in := c.rt.heads[c.PC]; !in {
+			if w := c.rt.word(c.PC); w != nil && c.NPC == c.PC+c.isize {
+				if w.cand && w.prog == nil {
 					// A candidate entry arriving at the dispatcher heats
 					// up here, so promotion needs no throwaway
 					// superblock translation first.  (>= because an
 					// async request can be dropped on a full queue.)
-					c.rt.enters[c.PC]++
-					if c.rt.enters[c.PC] >= c.rtThreshold() {
+					w.enters++
+					if uint64(w.enters) >= c.rtThreshold() {
 						c.rtRequest(c.PC)
 					}
 				}
-			}
-			if rh, ok := c.rt.heads[c.PC]; ok && c.NPC == c.PC+c.isize {
-				executed, err := c.runRoutine(rh, maxSteps)
-				if err != nil {
-					return err
+				if w.prog != nil {
+					executed, err := c.runRoutine(w.prog, w.idx, maxSteps)
+					if err != nil {
+						return err
+					}
+					if executed {
+						continue
+					}
+					// Budget refusal before any work: fall through to the
+					// per-instruction tiers, which hit the limit exactly.
 				}
-				if executed {
-					continue
-				}
-				// Budget refusal before any work: fall through to the
-				// per-instruction tiers, which hit the limit exactly.
 			}
 		}
 		b := c.block(c.PC)
@@ -639,10 +649,12 @@ func (c *CPU) runChained(b *tblock, maxSteps uint64) error {
 	gen := c.tc.gen
 	for {
 		b.enters++
-		if c.rtOn && b.enters == c.rtThreshold() && c.rt.candidates[b.pc] {
-			c.rtRequest(b.pc)
-			if _, ok := c.rt.heads[b.pc]; ok {
-				return nil // synchronous install: re-enter via the dispatcher
+		if c.rtOn && b.enters == c.rtThreshold() {
+			if w := c.rt.word(b.pc); w != nil && w.cand {
+				c.rtRequest(b.pc)
+				if w.prog != nil {
+					return nil // synchronous install: re-enter via the dispatcher
+				}
 			}
 		}
 		if !b.trace && b.enters == traceHotThreshold {
@@ -699,7 +711,7 @@ func (c *CPU) runChained(b *tblock, maxSteps uint64) error {
 			if c.rt.mb.has.Load() {
 				return nil
 			}
-			if _, ok := c.rt.heads[c.PC]; ok && c.NPC == c.PC+c.isize {
+			if w := c.rt.word(c.PC); w != nil && w.prog != nil && c.NPC == c.PC+c.isize {
 				return nil
 			}
 		}
@@ -862,9 +874,7 @@ func (e *cpuEnv) trap(r *[32]uint32, halted *bool, exit *uint32, code uint64) er
 		buf, n := r[t.Args[1]], r[t.Args[2]]
 		if e.c.Stdout != nil {
 			data := make([]byte, n)
-			for i := uint32(0); i < n; i++ {
-				data[i] = e.c.Mem.ByteAt(buf + i)
-			}
+			e.c.Mem.ReadSegment(buf, data)
 			if _, err := e.c.Stdout.Write(data); err != nil {
 				return fmt.Errorf("sim: write syscall: %w", err)
 			}

@@ -34,29 +34,22 @@ func (c *CPU) ArchState() string {
 }
 
 // Diff compares two memories byte-for-byte (absent pages read as
-// zero).  It returns the address of the first difference, or ok=true
-// when the memories are identical.
+// zero).  It returns the lowest differing address, or ok=true when
+// the memories are identical.
 func (m *Memory) Diff(o *Memory) (addr uint32, ok bool) {
-	keys := map[uint32]bool{}
-	for k := range m.pages {
-		keys[k] = true
-	}
-	for k := range o.pages {
-		keys[k] = true
-	}
-	var zero [pageSize]byte
-	for k := range keys {
-		pa, pb := m.pages[k], o.pages[k]
-		if pa == nil {
-			pa = &zero
+	for d := range m.dirs {
+		if m.dirs[d] == nil && o.dirs[d] == nil {
+			continue
 		}
-		if pb == nil {
-			pb = &zero
-		}
-		if *pa != *pb {
+		for k := range dirPages {
+			a := uint32(d)<<dirShift | uint32(k)<<pageShift
+			pa, pb := m.view(a), o.view(a)
+			if pa == pb || *pa == *pb {
+				continue
+			}
 			for i := range pa {
 				if pa[i] != pb[i] {
-					return k<<pageShift + uint32(i), false
+					return a + uint32(i), false
 				}
 			}
 		}

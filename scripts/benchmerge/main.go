@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'BenchmarkSim...' . | benchmerge -check scripts/bench_baseline.json
+//	go test -run '^$' -bench 'BenchmarkSim...' -benchtime 3x -count 5 . | benchmerge -check scripts/bench_baseline.json
 //
 // The baseline records engine speedup *ratios* per workload flavour
 // (translated vs interp, chained vs translated, routine vs chained)
@@ -25,6 +25,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -60,9 +61,10 @@ func main() {
 
 // parse reads `go test -bench` output and collects each
 // BenchmarkSim<Engine>/<flavour> line's sim-insts/s, keyed by flavour
-// and lower-case engine name.
+// and lower-case engine name.  Repeated lines (go test -count) are
+// reduced to their median, so one noisy iteration cannot decide a gate.
 func parse(r io.Reader) (map[string]map[string]float64, error) {
-	rates := map[string]map[string]float64{}
+	runs := map[string]map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -78,11 +80,19 @@ func parse(r io.Reader) (map[string]map[string]float64, error) {
 				continue
 			}
 			if v, err := strconv.ParseFloat(f[i], 64); err == nil {
-				if rates[flavour] == nil {
-					rates[flavour] = map[string]float64{}
+				if runs[flavour] == nil {
+					runs[flavour] = map[string][]float64{}
 				}
-				rates[flavour][engine] = v
+				runs[flavour][engine] = append(runs[flavour][engine], v)
 			}
+		}
+	}
+	rates := map[string]map[string]float64{}
+	for flavour, e := range runs {
+		rates[flavour] = map[string]float64{}
+		for engine, vs := range e {
+			slices.Sort(vs)
+			rates[flavour][engine] = (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
 		}
 	}
 	return rates, sc.Err()

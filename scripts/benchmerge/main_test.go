@@ -81,3 +81,24 @@ func TestCheckRatioNotMeasured(t *testing.T) {
 		t.Errorf("want callheavy/routine_vs_chained reported unmeasured, got %v", err)
 	}
 }
+
+// TestParseMedian: repeated lines for one engine and flavour (go test
+// -count) reduce to their median, whatever order they arrive in; an
+// even count takes the mean of the middle two.
+func TestParseMedian(t *testing.T) {
+	out := "BenchmarkSimChained/medium-2 \t 3\t 1 ns/op\t 5e6 sim-insts/s\n" +
+		"BenchmarkSimChained/medium-2 \t 3\t 1 ns/op\t 9e6 sim-insts/s\n" +
+		"BenchmarkSimChained/medium-2 \t 3\t 1 ns/op\t 1e6 sim-insts/s\n" +
+		"BenchmarkSimRoutine/medium-2 \t 3\t 1 ns/op\t 4e6 sim-insts/s\n" +
+		"BenchmarkSimRoutine/medium-2 \t 3\t 1 ns/op\t 2e6 sim-insts/s\n"
+	rates, err := parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rates["medium"]["chained"]; got != 5e6 {
+		t.Errorf("chained median of three = %g, want 5e6", got)
+	}
+	if got := rates["medium"]["routine"]; got != 3e6 {
+		t.Errorf("routine median of two = %g, want 3e6", got)
+	}
+}
