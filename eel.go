@@ -212,7 +212,7 @@ func NewAnalysisCache(capacity int) *AnalysisCache { return pipeline.NewCache(ca
 // ComputeLiveness runs live-register analysis over g with the
 // standard exit convention.
 func ComputeLiveness(g *CFG) *Liveness {
-	return dataflow.ComputeLiveness(g, dataflow.DefaultExitLive())
+	return dataflow.ComputeLiveness(g)
 }
 
 // Dominators computes immediate dominators.

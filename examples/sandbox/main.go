@@ -89,7 +89,7 @@ func main() {
 				if !in.MI.WritesMem() {
 					continue
 				}
-				snip, err := sandboxStore(in.MI)
+				snip, err := sandboxStore(a.Graph.ABI(), in.MI)
 				check(err)
 				check(r.AddCodeBefore(b, i, snip))
 				check(r.DeleteInst(b, i))
@@ -123,8 +123,8 @@ func main() {
 // sandboxStore replaces a store with: compute the effective address,
 // mask it into the segment, and perform the same-width store there.
 // The original store instruction itself is deleted by the caller.
-func sandboxStore(inst *machine.Inst) (*eel.Snippet, error) {
-	phs, err := core.PickPlaceholders(inst, 2)
+func sandboxStore(abi *machine.ABI, inst *machine.Inst) (*eel.Snippet, error) {
+	phs, err := core.PickPlaceholders(abi, inst, 2)
 	if err != nil {
 		return nil, err
 	}

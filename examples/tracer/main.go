@@ -65,7 +65,7 @@ func main() {
 				if !in.MI.Category().IsMemory() {
 					continue
 				}
-				snip, err := traceSnippet(in.MI, bufPtr)
+				snip, err := traceSnippet(g.ABI(), in.MI, bufPtr)
 				check(err)
 				check(r.AddCodeBefore(b, i, snip))
 				sites++
@@ -126,8 +126,8 @@ func main() {
 
 // traceSnippet appends the site's effective address to the trace
 // buffer: *bufPtr++ = EA.
-func traceSnippet(inst *machine.Inst, bufPtr uint32) (*eel.Snippet, error) {
-	phs, err := core.PickPlaceholders(inst, 3)
+func traceSnippet(abi *machine.ABI, inst *machine.Inst, bufPtr uint32) (*eel.Snippet, error) {
+	phs, err := core.PickPlaceholders(abi, inst, 3)
 	if err != nil {
 		return nil, err
 	}

@@ -113,7 +113,7 @@ func instrumentGraph(r *core.Routine, g *cfg.Graph, res *Result, shift uint32) e
 			if !in.MI.Category().IsMemory() {
 				continue
 			}
-			snip, err := testSnippet(in.MI, res, shift)
+			snip, err := testSnippet(g.ABI(), in.MI, res, shift)
 			if err != nil {
 				return err
 			}
@@ -131,8 +131,8 @@ func instrumentGraph(r *core.Routine, g *cfg.Graph, res *Result, shift uint32) e
 // recomputes the access's effective address from the instrumented
 // instruction's own registers (the per-site customization of the
 // paper's Fig 2); the rest is shared.
-func testSnippet(inst *machine.Inst, res *Result, shift uint32) (*core.Snippet, error) {
-	phs, err := core.PickPlaceholders(inst, 4)
+func testSnippet(abi *machine.ABI, inst *machine.Inst, res *Result, shift uint32) (*core.Snippet, error) {
+	phs, err := core.PickPlaceholders(abi, inst, 4)
 	if err != nil {
 		return nil, err
 	}

@@ -111,6 +111,20 @@ func init() {
 			SysExit:  1,
 			SysWrite: 4,
 		},
+		// The Alpha calling standard (Calling Standard for Alpha
+		// Systems, section 2.1: integer registers): $a0..$a5 carry
+		// arguments, $pv the callee's address and $gp its global
+		// pointer, and $v0 returns the result; a call clobbers $v0,
+		// $t0..$t11, $a0..$a5, $ra, $pv and $at; $s0..$s5 and $fp
+		// belong to the caller.  The editor keeps $at and $t11 for
+		// its translation stubs.
+		ABI: machine.ABI{
+			Zero: 31, SP: 30, FP: 15, RA: 26, Reserved: [2]machine.Reg{28, 25},
+			CallUse: machine.NewRegSet(15, 16, 17, 18, 19, 20, 21, 26, 27, 29, 30),
+			CallDef: machine.NewRegSet(0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
+				26, 27, 28),
+			ExitLive: machine.NewRegSet(0, 9, 10, 11, 12, 13, 14, 15, 26, 29, 30),
+		},
 	})
 }
 

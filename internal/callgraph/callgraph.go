@@ -280,10 +280,12 @@ func (g *Graph) BottomUp() []*Node {
 // FreeRegisters returns integer registers that no instruction of any
 // reachable routine reads or writes — registers a tool may claim for
 // the whole program without scavenging or spilling (the §3.5
-// footnote's promised mechanism).  The reserved stack/frame/link
-// registers and the EEL translation scratch pair are never offered.
+// footnote's promised mechanism).  Only the calling convention's
+// Scavengeable set is offered, never its stack/frame/link registers
+// or the editor's reserved pair.
 func (g *Graph) FreeRegisters() machine.RegSet {
 	var used machine.RegSet
+	free := machine.ABIOf(g.Exec.Dec).Scavengeable()
 	for n := range g.Reachable() {
 		graph, err := n.Routine.ControlFlowGraph()
 		if err != nil {
@@ -300,10 +302,5 @@ func (g *Graph) FreeRegisters() machine.RegSet {
 			}
 		}
 	}
-	free := machine.RegSet{}
-	for r := machine.Reg(1); r < 32; r++ {
-		free = free.Add(r)
-	}
-	free = free.Remove(6).Remove(7).Remove(14).Remove(15).Remove(30) // %g6 %g7 %sp %o7 %fp
 	return free.Minus(used)
 }

@@ -1,9 +1,6 @@
 package callgraph
 
-import (
-	"eel/internal/cfg"
-	"eel/internal/machine"
-)
+import "eel/internal/machine"
 
 // Interprocedural register-usage summaries: the analysis behind the
 // paper's remark that EEL "can manipulate an entire program, which
@@ -12,7 +9,7 @@ import (
 // the set of registers it — or anything it can transitively call —
 // may read or write.  Snippet scavenging at a call site can then use
 // the callee's real footprint instead of the worst-case calling
-// convention (dataflow.CallDef), recovering dead registers across
+// convention (machine.ABI.CallDef), recovering dead registers across
 // calls to shallow leaf routines.
 
 // Summary is one routine's transitive register footprint.
@@ -74,25 +71,13 @@ func localSummary(n *Node) Summary {
 		for _, in := range b.Insts {
 			s.Reads = s.Reads.Union(in.MI.Reads())
 			s.Writes = s.Writes.Union(in.MI.Writes())
-			if in.MI.Category() == machine.CatSystem {
-				// System calls may touch anything kernel-visible;
-				// stay conservative about the ABI set only — the
-				// decoder already added it to Reads/Writes.
-				continue
-			}
 		}
-		// Register windows rotate the o/l/i files; the barrier
-		// effects are already in each save/restore's sets.
-		_ = cfg.KindNormal
 	}
 	return s
 }
 
 func conservative() Summary {
-	var all machine.RegSet
-	for r := machine.Reg(0); r < machine.NumRegs; r++ {
-		all = all.Add(r)
-	}
+	all := machine.RegSetFromWords(^uint64(0), ^uint64(0))
 	return Summary{Reads: all, Writes: all, Exact: false}
 }
 
@@ -105,10 +90,5 @@ func (g *Graph) DeadAcrossCall(summaries map[*Node]Summary, callee *Node) machin
 	if !ok || !s.Exact {
 		return machine.RegSet{}
 	}
-	var candidates machine.RegSet
-	for r := machine.Reg(1); r < 32; r++ {
-		candidates = candidates.Add(r)
-	}
-	candidates = candidates.Remove(6).Remove(7).Remove(14).Remove(15).Remove(30)
-	return candidates.Minus(s.Reads).Minus(s.Writes)
+	return machine.ABIOf(g.Exec.Dec).Scavengeable().Minus(s.Reads).Minus(s.Writes)
 }

@@ -61,7 +61,7 @@ func BuildWithOptions(dec machine.Decoder, text []*machine.Inst, textAddr uint32
 	b := &builder{
 		g: &Graph{
 			Start: start, End: end, Entries: append([]uint32(nil), entries...),
-			Complete: true, dec: dec,
+			Complete: true, dec: dec, abi: machine.ABIOf(dec),
 		},
 		text:  text,
 		base:  textAddr,

@@ -225,6 +225,7 @@ type Graph struct {
 	ExternalReads []uint32
 
 	dec       machine.Decoder
+	abi       *machine.ABI
 	blockSlab []Block // backs Blocks
 	edgeSlab  []Edge  // backs Edges
 }
@@ -232,10 +233,15 @@ type Graph struct {
 // Decoder returns the decoder the graph was built with.
 func (g *Graph) Decoder() machine.Decoder { return g.dec }
 
+// ABI returns the calling convention of the decoder's machine,
+// resolved from the machine registry once, when the decoder was
+// installed; it is nil for a machine no package registered.
+func (g *Graph) ABI() *machine.ABI { return g.abi }
+
 // SetDecoder installs the decoder on a graph reconstructed from a
 // serialized form (the persistent analysis cache); graphs built by
 // Build carry their decoder already.
-func (g *Graph) SetDecoder(d machine.Decoder) { g.dec = d }
+func (g *Graph) SetDecoder(d machine.Decoder) { g.dec, g.abi = d, machine.ABIOf(d) }
 
 // Reserve sizes the graph's block and edge slabs.  Blocks and edges
 // live in per-graph arrays rather than one allocation each; a full

@@ -45,7 +45,7 @@ const (
 	itemBranch                     // word, a pc-relative transfer retargeted to t
 	itemOrigOrTrap                 // word (ba,a) retargeted to original address t.v, or UNIMP where it has no edited address
 	itemSnippet                    // the placed snippet plan.snippets[word]
-	itemTT                         // sethi/or loading the translation table's delta into %g6: two words
+	itemTT                         // sethi/or loading the translation table's delta into ABI.Reserved[0]: two words
 )
 
 // emitItem is one fixed-size unit of output code.
@@ -202,14 +202,7 @@ func (m *measurer) liveBefore(b *cfg.Block, idx int) machine.RegSet {
 // allRegsLive returns the integer universe minus the condition
 // codes (snippets that avoid cc still work without analysis).
 func allRegsLive() machine.RegSet {
-	var s machine.RegSet
-	for r := machine.Reg(0); r < 64; r++ {
-		s = s.Add(r)
-	}
-	for r := machine.FloatBase; r < machine.FloatBase+32; r++ {
-		s = s.Add(r)
-	}
-	return s.Remove(machine.RegPSR)
+	return machine.RegSetFromWords(^uint64(0), 0).Union(machine.FloatRegs()).Remove(machine.RegPSR)
 }
 
 // measure lays out routine r's edited code.
@@ -230,7 +223,7 @@ func measure(r *Routine, g *cfg.Graph) (*routinePlan, error) {
 	}
 	if !r.Exec.LightAnalysis {
 		if r.live == nil {
-			r.live = dataflow.ComputeLiveness(g, dataflow.DefaultExitLive())
+			r.live = dataflow.ComputeLiveness(g)
 		}
 		m.lv = r.live
 	}
@@ -659,7 +652,7 @@ func (m *measurer) lowerCall(b *cfg.Block, in cfg.Inst, next *cfg.Block) error {
 		m.branchTo(inst.Word(), target{tOrig, surr.CallTarget})
 	} else {
 		// Indirect call: translate the target through the run-time
-		// table using the reserved scratch pair %g6/%g7.
+		// table using the calling convention's reserved pair.
 		if err := m.translateSeq(inst, true); err != nil {
 			if m.g.HasData {
 				m.word(0) // never-executed garbage
@@ -689,16 +682,18 @@ func (m *measurer) lowerCall(b *cfg.Block, in cfg.Inst, next *cfg.Block) error {
 }
 
 // translateSeq emits the run-time address translation for an
-// indirect transfer: %g7 := original target; %g7 := TT[%g7 + delta];
-// jmpl %g7 (link register preserved from the original instruction).
+// indirect transfer through the reserved pair (delta, tgt):
+// tgt := original target; tgt := TT[tgt + delta]; jmpl tgt (link
+// register preserved from the original instruction).
 func (m *measurer) translateSeq(inst *machine.Inst, isCall bool) error {
 	m.plan.needTT = true
+	delta, tgt := m.g.ABI().Reserved[0], m.g.ABI().Reserved[1]
 	rs1F, _ := inst.Field("rs1")
 	iflag, _ := inst.Field("iflag")
 	rdF, _ := inst.Field("rd")
 	rs1 := machine.Reg(rs1F)
-	if rs1 == 6 || rs1 == 7 {
-		return fmt.Errorf("core: indirect transfer uses reserved scratch register %s", sparc.RegName(rs1))
+	if rs1 == delta || rs1 == tgt {
+		return fmt.Errorf("core: indirect transfer uses reserved scratch register %s", m.g.Decoder().RegName(rs1))
 	}
 
 	var computeTarget uint32
@@ -706,30 +701,30 @@ func (m *measurer) translateSeq(inst *machine.Inst, isCall bool) error {
 	if iflag == 1 {
 		simmF, _ := inst.Field("simm13")
 		simm := int32(signExtend13(simmF))
-		computeTarget, err = sparc.EncodeOp3Imm("add", 7, rs1, simm)
+		computeTarget, err = sparc.EncodeOp3Imm("add", tgt, rs1, simm)
 	} else {
 		rs2F, _ := inst.Field("rs2")
-		if rs2F == 6 || rs2F == 7 {
-			return fmt.Errorf("core: indirect transfer uses reserved scratch register")
+		if rs2 := machine.Reg(rs2F); rs2 == delta || rs2 == tgt {
+			return fmt.Errorf("core: indirect transfer uses reserved scratch register %s", m.g.Decoder().RegName(rs2))
 		}
-		computeTarget, err = sparc.EncodeOp3("add", 7, rs1, machine.Reg(rs2F))
+		computeTarget, err = sparc.EncodeOp3("add", tgt, rs1, machine.Reg(rs2F))
 	}
 	if err != nil {
 		return err
 	}
 	m.word(computeTarget)
 
-	// sethi %hi(delta), %g6 ; or %g6, %lo(delta), %g6 — delta known
-	// only at emission.
+	// sethi %hi(TT delta), delta ; or delta, %lo(TT delta), delta —
+	// the table's delta is known only at emission.
 	m.add(emitItem{kind: itemTT}, 2)
 
-	ld, err := sparc.EncodeOp3("ld", 7, 7, 6)
+	ld, err := sparc.EncodeOp3("ld", tgt, tgt, delta)
 	if err != nil {
 		return err
 	}
 	m.word(ld)
 
-	jmpl, err := sparc.EncodeOp3Imm("jmpl", machine.Reg(rdF), 7, 0)
+	jmpl, err := sparc.EncodeOp3Imm("jmpl", machine.Reg(rdF), tgt, 0)
 	if err != nil {
 		return err
 	}

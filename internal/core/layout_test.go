@@ -275,8 +275,9 @@ func TestProduceEditedRoutineIdempotentAfterDelete(t *testing.T) {
 
 func TestPickPlaceholders(t *testing.T) {
 	w, _ := sparc.EncodeOp3("add", 16, 17, 18) // uses l0,l1,l2
-	inst := sparc.NewDecoder().Decode(w)
-	phs, err := core.PickPlaceholders(inst, 4)
+	dec := sparc.NewDecoder()
+	abi, inst := machine.ABIOf(dec), dec.Decode(w)
+	phs, err := core.PickPlaceholders(abi, inst, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestPickPlaceholders(t *testing.T) {
 		}
 		seen[p] = true
 	}
-	if _, err := core.PickPlaceholders(inst, 30); err == nil {
+	if _, err := core.PickPlaceholders(abi, inst, 30); err == nil {
 		t.Error("impossible request satisfied")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"eel/internal/binfile"
+	"eel/internal/machine"
 	"eel/internal/sparc"
 )
 
@@ -73,14 +74,14 @@ func (e *Executable) BuildEdited() (*binfile.File, error) {
 	newTextEnd := cursor
 
 	ttBase := (newTextEnd + 0xFFF) &^ 0xFFF
-	var tt [2]uint32 // sethi %hi(delta), %g6 ; or %g6, %lo(delta), %g6
+	var tt [2]uint32 // sethi %hi(delta), rd ; or rd, %lo(delta), rd
 	if needTT {
-		delta := ttBase - text.Addr
+		delta, rd := ttBase-text.Addr, machine.ABIOf(e.Dec).Reserved[0]
 		var err error
-		if tt[0], err = sparc.EncodeSethi(6, delta); err != nil {
+		if tt[0], err = sparc.EncodeSethi(rd, delta); err != nil {
 			return nil, err
 		}
-		if tt[1], err = sparc.EncodeOp3Imm("or", 6, 6, int32(sparc.Lo(delta))); err != nil {
+		if tt[1], err = sparc.EncodeOp3Imm("or", rd, rd, int32(sparc.Lo(delta))); err != nil {
 			return nil, err
 		}
 	}

@@ -145,11 +145,11 @@ func (r *Routine) ControlFlowGraph() (*cfg.Graph, error) {
 }
 
 // InstallGraph adopts a CFG and, when non-nil, its liveness
-// (dataflow.ComputeLiveness with DefaultExitLive) as this routine's,
-// so ControlFlowGraph and ProduceEditedRoutine reuse them instead of
-// recomputing.  The analysis pipeline calls this on a cache hit and
-// after solving liveness on a miss; the graph must describe this
-// routine's extent and entry points.
+// (dataflow.ComputeLiveness) as this routine's, so ControlFlowGraph
+// and ProduceEditedRoutine reuse them instead of recomputing.  The
+// analysis pipeline calls this on a cache hit and after solving
+// liveness on a miss; the graph must describe this routine's extent
+// and entry points.
 func (r *Routine) InstallGraph(g *cfg.Graph, lv *dataflow.Liveness) { r.graph, r.live = g, lv }
 
 // DeleteControlFlowGraph drops the cached CFG and any accumulated

@@ -89,26 +89,17 @@ type ScavengeStats struct {
 	CCLive int
 }
 
-// scavengeUniverse is the set snippets may borrow from: the integer
-// file minus %g0, %sp, %fp, %o7, and the EEL-reserved scratch pair
-// %g6/%g7 (used by run-time translation stubs).
-func scavengeUniverse() machine.RegSet {
-	var s machine.RegSet
-	for r := machine.Reg(1); r < 32; r++ {
-		s = s.Add(r)
-	}
-	return s.Remove(6).Remove(7).Remove(14).Remove(15).Remove(30)
-}
-
 // PickPlaceholders returns n distinct integer registers suitable as
 // snippet placeholder names at a site that also references the given
 // instruction's own registers.  Placeholder names must be disjoint
 // from every real register the snippet body mentions: register
 // substitution rewrites *names*, so a template that used %l0 as a
 // placeholder while also reading the program's real %l0 would have
-// the real reference rewritten too.
-func PickPlaceholders(inst *machine.Inst, n int) ([]machine.Reg, error) {
-	free := scavengeUniverse().Minus(inst.Reads()).Minus(inst.Writes())
+// the real reference rewritten too.  Names come from abi's
+// Scavengeable set, which holds no register a body uses for its fixed
+// meaning (zero, stack, frame, link, the editor's reserved pair).
+func PickPlaceholders(abi *machine.ABI, inst *machine.Inst, n int) ([]machine.Reg, error) {
+	free := abi.Scavengeable().Minus(inst.Reads()).Minus(inst.Writes())
 	if free.Len() < n {
 		return nil, fmt.Errorf("core: cannot find %d placeholder registers", n)
 	}
@@ -135,7 +126,9 @@ func (m *measurer) instantiate(s *Snippet, live machine.RegSet) (placed, error) 
 
 	clear(m.assign)
 	var chosen, spills machine.RegSet
-	candidates := scavengeUniverse().Minus(live).Minus(s.Forbid)
+	abi := m.g.ABI()
+	universe := abi.Scavengeable().Minus(s.Forbid)
+	candidates := universe.Minus(live)
 	if !m.r.Exec.Scavenge {
 		candidates = machine.RegSet{}
 	}
@@ -145,7 +138,7 @@ func (m *measurer) instantiate(s *Snippet, live machine.RegSet) (placed, error) 
 			// No dead register: pick any allowed register and spill
 			// it around the snippet (paper §3.5: "EEL wraps the
 			// snippet with code to spill registers to the stack").
-			if got, found = scavengeUniverse().Minus(s.Forbid).Minus(chosen).First(); !found {
+			if got, found = universe.Minus(chosen).First(); !found {
 				return placed{}, fmt.Errorf("core: no registers available for snippet")
 			}
 			spills = spills.Add(got)
@@ -157,7 +150,7 @@ func (m *measurer) instantiate(s *Snippet, live machine.RegSet) (placed, error) 
 	words, off := m.plan.snippetWords, len(m.plan.snippetWords)
 	var err error
 	if !spills.IsEmpty() {
-		if words, err = spillCode(words, spills, true); err != nil {
+		if words, err = spillCode(words, abi.SP, spills, true); err != nil {
 			return placed{}, err
 		}
 	}
@@ -169,7 +162,7 @@ func (m *measurer) instantiate(s *Snippet, live machine.RegSet) (placed, error) 
 	if spills.IsEmpty() {
 		stats.Scavenged++
 	} else {
-		if words, err = spillCode(words, spills, false); err != nil {
+		if words, err = spillCode(words, abi.SP, spills, false); err != nil {
 			return placed{}, err
 		}
 		stats.Spilled++
@@ -182,36 +175,37 @@ func (m *measurer) instantiate(s *Snippet, live machine.RegSet) (placed, error) 
 	return p, nil
 }
 
-// spillCode appends the stack spill of regs that goes before a snippet
-// body (enter) or the reload that goes after it.  Spill regs are picked
+// spillCode appends the stack spill of regs, addressed through the
+// stack pointer sp, that goes before a snippet body (enter) or the
+// reload that goes after it.  Spill regs are picked
 // lowest first, so each one's slot is its rank in regs.  The frame is
 // popped before the body would need it, so snippet bodies must not
 // address the stack (documented limitation, matching the paper's note
 // that call-backs adjust sp-recording code).
-func spillCode(out []uint32, regs machine.RegSet, enter bool) ([]uint32, error) {
+func spillCode(out []uint32, sp machine.Reg, regs machine.RegSet, enter bool) ([]uint32, error) {
 	const frame = 96 // standard minimal SPARC frame, keeps %sp aligned
 	op, adjust := "ld", int32(frame)
 	if enter {
 		op, adjust = "st", -frame
 	}
-	sp, err := sparc.EncodeOp3Imm("add", sparc.RegSP, sparc.RegSP, adjust)
+	bump, err := sparc.EncodeOp3Imm("add", sp, sp, adjust)
 	if err != nil {
 		return nil, err
 	}
 	if enter {
-		out = append(out, sp)
+		out = append(out, bump)
 	}
 	for slot := int32(64); !regs.IsEmpty(); slot += 4 {
 		r, _ := regs.First()
 		regs = regs.Remove(r)
-		w, err := sparc.EncodeOp3Imm(op, r, sparc.RegSP, slot)
+		w, err := sparc.EncodeOp3Imm(op, r, sp, slot)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, w)
 	}
 	if !enter {
-		out = append(out, sp)
+		out = append(out, bump)
 	}
 	return out, nil
 }

@@ -5,41 +5,6 @@ import (
 	"eel/internal/machine"
 )
 
-// DefaultExitLive is the register set assumed live when a routine
-// exits under the SPARC calling convention this repository's programs
-// use: the return value (%o0), the stack and frame pointers, the
-// return address (%o7), and the windowed in registers (they belong to
-// the caller).
-func DefaultExitLive() machine.RegSet {
-	s := machine.NewRegSet(8, 14, 15, 30) // %o0 %sp %o7 %fp
-	for r := machine.Reg(24); r < 32; r++ {
-		s = s.Add(r) // %i0..%i7
-	}
-	return s
-}
-
-// CallUse is the set a call surrogate is assumed to read: outgoing
-// arguments, the stack/frame pointers, and the return address.
-func CallUse() machine.RegSet {
-	return machine.NewRegSet(8, 9, 10, 11, 12, 13, 14, 15, 30)
-}
-
-// CallDef is the set a call surrogate may clobber: the caller-saved
-// globals and out registers plus the condition codes.
-func CallDef() machine.RegSet {
-	s := machine.NewRegSet(machine.RegPSR, machine.RegFSR, machine.RegY)
-	for r := machine.Reg(1); r < 8; r++ {
-		s = s.Add(r) // %g1..%g7
-	}
-	for r := machine.Reg(8); r < 16; r++ {
-		s = s.Add(r) // %o0..%o7
-	}
-	for r := machine.Reg(0); r < 32; r++ {
-		s = s.Add(machine.FloatBase + r)
-	}
-	return s
-}
-
 // Liveness holds per-block live-register sets, indexed by block ID:
 // Out[b.ID] is the set live immediately after b.  Use LiveBefore for
 // instruction-level queries and LiveAtEdge for edge-level ones — the
@@ -57,9 +22,9 @@ func instUseDef(in cfg.Inst) (use, def machine.RegSet) {
 
 // blockUseDef computes a block's aggregate use/def.  Call surrogate
 // blocks use/def the calling convention's sets.
-func blockUseDef(b *cfg.Block) (use, def machine.RegSet) {
+func blockUseDef(b *cfg.Block, abi *machine.ABI) (use, def machine.RegSet) {
 	if b.Kind == cfg.KindCallSurrogate {
-		return CallUse(), CallDef()
+		return abi.CallUse, abi.CallDef
 	}
 	// Backward accumulation: use = reads before any same-block def.
 	for i := len(b.Insts) - 1; i >= 0; i-- {
@@ -70,17 +35,18 @@ func blockUseDef(b *cfg.Block) (use, def machine.RegSet) {
 	return use, def
 }
 
-// ComputeLiveness solves backward liveness over the graph; exitLive
-// is assumed live at the routine's exit (pass DefaultExitLive() for
-// the standard convention, or the full register universe to be fully
-// conservative).
-func ComputeLiveness(g *cfg.Graph, exitLive machine.RegSet) *Liveness {
+// ComputeLiveness solves backward liveness over the graph under its
+// machine's calling convention (cfg.Graph.ABI): call surrogates read
+// and clobber its call sets, and its exit set is live at the
+// routine's exit.
+func ComputeLiveness(g *cfg.Graph) *Liveness {
 	n := len(g.Blocks)
 	sets, ud := make([]machine.RegSet, 2*n), make([]machine.RegSet, 2*n)
 	lv := &Liveness{In: sets[:n:n], Out: sets[n:], g: g}
 	use, def := ud[:n], ud[n:]
+	abi := g.ABI()
 	for _, b := range g.Blocks {
-		use[b.ID], def[b.ID] = blockUseDef(b)
+		use[b.ID], def[b.ID] = blockUseDef(b, abi)
 	}
 	rpo := ReversePostorder(g)
 	for changed := true; changed; {
@@ -91,7 +57,7 @@ func ComputeLiveness(g *cfg.Graph, exitLive machine.RegSet) *Liveness {
 			b := rpo[i]
 			var out machine.RegSet
 			if b == g.Exit {
-				out = exitLive
+				out = abi.ExitLive
 			}
 			for _, e := range b.Succ {
 				out = out.Union(lv.In[e.To.ID])
@@ -139,17 +105,17 @@ func (lv *Liveness) LiveAtEdge(e *cfg.Edge) machine.RegSet {
 	return lv.In[e.To.ID]
 }
 
-// DeadAtEdge returns integer registers (excluding %g0, %sp, %fp,
-// %o7) free for scavenging along e — the paper's snippet register
-// allocation (§3.5) assigns these.
+// DeadAtEdge returns the registers free for scavenging along e: the
+// calling convention's Scavengeable set minus what is live there —
+// the paper's snippet register allocation (§3.5) assigns these.
 func (lv *Liveness) DeadAtEdge(e *cfg.Edge) machine.RegSet {
-	return scavengeable().Minus(lv.LiveAtEdge(e))
+	return lv.g.ABI().Scavengeable().Minus(lv.LiveAtEdge(e))
 }
 
 // DeadBefore returns scavengeable registers dead before instruction
 // idx of b.
 func (lv *Liveness) DeadBefore(b *cfg.Block, idx int) machine.RegSet {
-	return scavengeable().Minus(lv.LiveBefore(b, idx))
+	return lv.g.ABI().Scavengeable().Minus(lv.LiveBefore(b, idx))
 }
 
 // CondCodesLiveAtEdge reports whether the integer condition codes
@@ -157,15 +123,4 @@ func (lv *Liveness) DeadBefore(b *cfg.Block, idx int) machine.RegSet {
 // uses (paper §5).
 func (lv *Liveness) CondCodesLiveAtEdge(e *cfg.Edge) bool {
 	return lv.LiveAtEdge(e).Has(machine.RegPSR)
-}
-
-// scavengeable returns the candidate registers snippets may borrow:
-// the integer file minus the hardwired zero, stack/frame pointers,
-// and the return-address register.
-func scavengeable() machine.RegSet {
-	var s machine.RegSet
-	for r := machine.Reg(1); r < 32; r++ {
-		s = s.Add(r)
-	}
-	return s.Remove(14).Remove(30).Remove(15) // %sp %fp %o7
 }

@@ -20,7 +20,7 @@ func TestPointLiveness(t *testing.T) {
 out:	retl
 	nop
 `)
-	lv := dataflow.ComputeLiveness(g, dataflow.DefaultExitLive())
+	lv := dataflow.ComputeLiveness(g)
 	pl := lv.Points()
 
 	if pl.Len() == 0 {

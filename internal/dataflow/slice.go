@@ -178,7 +178,7 @@ func singlePred(b *cfg.Block) *cfg.Block {
 // trace computes the symbolic value of reg immediately before
 // instruction index idx of block b.
 func (r *Resolver) trace(b *cfg.Block, idx int, reg machine.Reg, depth int) sval {
-	if reg == 0 {
+	if reg == r.G.ABI().Zero {
 		return sval{kind: svConst, c: 0}
 	}
 	if depth > maxTraceDepth {
@@ -192,7 +192,7 @@ func (r *Resolver) trace(b *cfg.Block, idx int, reg machine.Reg, depth int) sval
 	// Not defined here: a call surrogate clobbers caller-saved
 	// registers; otherwise continue into predecessors and require
 	// agreement at joins.
-	if b.Kind == cfg.KindCallSurrogate && CallDef().Has(reg) {
+	if b.Kind == cfg.KindCallSurrogate && r.G.ABI().CallDef.Has(reg) {
 		return sval{}
 	}
 	var result sval
@@ -284,7 +284,7 @@ func combineOr(a, b sval) sval {
 	if a.kind == svConst && b.kind == svConst {
 		return sval{kind: svConst, c: a.c | b.c}
 	}
-	// or rd, %g0, x is the mov idiom.
+	// or rd, zero, x is the mov idiom.
 	if a.kind == svConst && a.c == 0 {
 		return b
 	}
@@ -340,10 +340,11 @@ func BackwardSlice(g *cfg.Graph, b *cfg.Block, idx int, reg machine.Reg) []Slice
 	}
 	work := []item{{b, idx, reg}}
 	regSeen := map[key]map[machine.Reg]bool{}
+	zero := g.ABI().Zero
 	for len(work) > 0 {
 		it := work[len(work)-1]
 		work = work[:len(work)-1]
-		if it.r == 0 {
+		if it.r == zero {
 			continue
 		}
 		k := key{it.b, it.idx}
@@ -369,7 +370,7 @@ func BackwardSlice(g *cfg.Graph, b *cfg.Block, idx int, reg machine.Reg) []Slice
 			visited[dk] = true
 			var mark SliceMark
 			switch {
-			case !mi.Reads().Intersect(floatRegs()).IsEmpty() || it.r.IsFloat():
+			case !mi.Reads().Intersect(machine.FloatRegs()).IsEmpty() || it.r.IsFloat():
 				mark = SliceImpossible
 			case mi.Reads().IsEmpty():
 				mark = SliceEasy
@@ -392,12 +393,4 @@ func BackwardSlice(g *cfg.Graph, b *cfg.Block, idx int, reg machine.Reg) []Slice
 		}
 	}
 	return out
-}
-
-func floatRegs() machine.RegSet {
-	var s machine.RegSet
-	for r := machine.Reg(0); r < 32; r++ {
-		s = s.Add(machine.FloatBase + r)
-	}
-	return s
 }

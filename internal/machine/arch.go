@@ -28,9 +28,51 @@ type TrapModel struct {
 	SysWrite uint32
 }
 
+// ABI is a machine's calling convention as the machine-independent
+// analyses consume it: liveness and the slicer read the call and exit
+// sets, the scavenger and free-register queries borrow only from
+// Scavengeable, the spiller addresses the stack through SP, and the
+// layout's run-time translation stubs use Reserved.
+type ABI struct {
+	// Zero is the hardwired zero register; SP, FP and RA are the
+	// stack pointer, the frame pointer and the register calls link
+	// the return address into.
+	Zero, SP, FP, RA Reg
+	// Reserved is the editor's scratch pair: run-time translation
+	// stubs load the translation table's delta into Reserved[0] and
+	// the translated target into Reserved[1], so neither is ever
+	// offered to a snippet.
+	Reserved [2]Reg
+	// CallUse is what a call is assumed to read (arguments, the
+	// stack and frame pointers, the return address); CallDef is what
+	// it may clobber (caller-saved registers and condition codes).
+	CallUse, CallDef RegSet
+	// ExitLive is assumed live when a routine exits: return values,
+	// the stack and frame pointers, the return address and the
+	// registers that belong to the caller.
+	ExitLive RegSet
+}
+
+// Scavengeable returns the integer registers an editor may borrow:
+// the integer file minus Zero, SP, FP, RA and the Reserved pair.
+func (a *ABI) Scavengeable() RegSet {
+	return IntRegs().Remove(a.Zero).Remove(a.SP).Remove(a.FP).Remove(a.RA).
+		Remove(a.Reserved[0]).Remove(a.Reserved[1])
+}
+
+// ABIOf returns the calling convention registered for dec's machine,
+// or nil when no architecture of that name is registered.
+func ABIOf(dec Decoder) *ABI {
+	if a, ok := ArchByName(dec.Name()); ok {
+		return &a.ABI
+	}
+	return nil
+}
+
 // ArchInfo is the per-architecture configuration the machine-
-// independent layers consume: how to build a decoder, the trap ABI,
-// and whether the differential lockstep oracles run for it.
+// independent layers consume: how to build a decoder, the trap and
+// calling conventions, and whether the differential lockstep oracles
+// run for it.
 // Architecture packages register themselves from init(), so importing
 // an architecture is all it takes to make it available by name.
 type ArchInfo struct {
@@ -44,6 +86,8 @@ type ArchInfo struct {
 	NewDecoder func() Decoder
 	// Trap is the system-call ABI.
 	Trap TrapModel
+	// ABI is the calling convention.
+	ABI ABI
 	// Lockstep reports whether the differential interp-vs-JIT
 	// oracles run for this architecture.
 	Lockstep bool

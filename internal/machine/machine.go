@@ -135,6 +135,13 @@ func (s RegSet) Regs() []Reg {
 	return out
 }
 
+// IntRegs returns the integer register file, [0, 32).
+func IntRegs() RegSet { return RegSet{lo: 1<<32 - 1} }
+
+// FloatRegs returns the floating-point register file, FloatBase and
+// the 31 slots above it.
+func FloatRegs() RegSet { return RegSet{hi: 1<<32 - 1} }
+
 // Words returns the set's raw 128-bit representation (for
 // serialization; see RegSetFromWords).
 func (s RegSet) Words() (lo, hi uint64) { return s.lo, s.hi }

@@ -119,6 +119,20 @@ func init() {
 			SysExit:  1,
 			SysWrite: 4,
 		},
+		// The MIPS o32 calling convention (System V ABI, MIPS
+		// Processor Supplement, chapter 3): $a0..$a3 carry arguments,
+		// $gp addresses small data and $v0/$v1 return the result; a
+		// call clobbers $at, $v0/$v1, $a0..$a3, $t0..$t9, $ra, HI and
+		// LO; $s0..$s7 belong to the caller.  The editor keeps
+		// $k0/$k1, which o32 reserves for the kernel, for its
+		// translation stubs.
+		ABI: machine.ABI{
+			Zero: 0, SP: 29, FP: 30, RA: 31, Reserved: [2]machine.Reg{26, 27},
+			CallUse: machine.NewRegSet(4, 5, 6, 7, 28, 29, 30, 31),
+			CallDef: machine.NewRegSet(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 24, 25, 31,
+				32, 33),
+			ExitLive: machine.NewRegSet(2, 3, 16, 17, 18, 19, 20, 21, 22, 23, 28, 29, 30, 31),
+		},
 		Lockstep: true,
 	})
 }

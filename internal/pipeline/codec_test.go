@@ -32,7 +32,7 @@ func TestDecodeBundleRefusesForeignShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &bundle{graph: g, live: dataflow.ComputeLiveness(g, dataflow.DefaultExitLive()),
+	b := &bundle{graph: g, live: dataflow.ComputeLiveness(g),
 		blocks: int64(len(g.Blocks)), edges: int64(len(g.Edges))}
 	for _, blk := range g.Blocks {
 		b.insts += int64(len(blk.Insts))

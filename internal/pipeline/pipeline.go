@@ -341,7 +341,7 @@ func analyzeRoutine(e *core.Executable, r *core.Routine, opts Options, salt uint
 
 	if !opts.NoLiveness {
 		timed(col.liveNS, func() {
-			a.Liveness = dataflow.ComputeLiveness(g, dataflow.DefaultExitLive())
+			a.Liveness = dataflow.ComputeLiveness(g)
 		})
 		r.InstallGraph(g, a.Liveness)
 	}

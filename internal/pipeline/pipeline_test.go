@@ -126,7 +126,7 @@ func analyzeSequential(t testing.TB, f *binfile.File) []string {
 			g, err := r.ControlFlowGraph()
 			rr := &res{g: g, err: err}
 			if err == nil {
-				rr.lv = dataflow.ComputeLiveness(g, dataflow.DefaultExitLive())
+				rr.lv = dataflow.ComputeLiveness(g)
 				rr.idom = dataflow.Dominators(g)
 				rr.loops = dataflow.NaturalLoops(g, rr.idom)
 			}

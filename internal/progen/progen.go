@@ -127,13 +127,23 @@ func Generate(cfg Config) (*Program, error) {
 	if cfg.BodyOps == 0 {
 		cfg.BodyOps = 12
 	}
-	switch cfg.ISA {
-	case "", "sparc":
-		return generateSPARC(cfg)
-	case "mips", "mips32e":
-		return generateMIPS(cfg)
+	gen, ok := generators[cfg.ISA]
+	if !ok {
+		return nil, fmt.Errorf("progen: no generator personality for ISA %q", cfg.ISA)
 	}
-	return nil, fmt.Errorf("progen: no generator personality for ISA %q", cfg.ISA)
+	return gen(cfg)
+}
+
+// generators maps each machine name Generate covers to its generator.
+var generators = map[string]func(Config) (*Program, error){
+	"": generateSPARC, "sparc": generateSPARC, "mips": generateMIPS, "mips32e": generateMIPS,
+}
+
+// Covers reports whether Generate has a generator for the named
+// machine.
+func Covers(isa string) bool {
+	_, ok := generators[isa]
+	return ok
 }
 
 // MustGenerate panics on error (tests and benchmarks).

@@ -126,6 +126,9 @@ type transCache struct {
 	victims [vtEntries]*tblock
 	blocks  []*tblock
 	gen     uint64
+	// watch indexes the Memory watch over the text segment, which
+	// InvalidateText keeps on the current text bounds.
+	watch int
 
 	// ctr holds the translation-cache and routine-tier activity
 	// counters, incremented in place by both tiers (the routine tier
@@ -142,7 +145,8 @@ func tcIndex(pc uint32) uint32 { return (pc >> 2) & (tcEntries - 1) }
 // multiplicative hash keeps them from colliding here too.
 func vtIndex(pc uint32) uint32 { return ((pc >> 2) * 0x9e3779b1) >> (32 - 9) }
 
-// InvalidateText discards every cached translation block.  It is
+// InvalidateText discards every cached translation block and moves
+// the text write watch onto the current TextStart/TextEnd.  It is
 // called automatically when a watched text write occurs or the CPU is
 // Reset; callers that mutate text bypassing Memory (or change
 // TextStart/TextEnd) should call it directly.
@@ -158,6 +162,8 @@ func (c *CPU) InvalidateText() {
 	}
 	c.tc.gen++
 	c.tc.ctr.Flushes++
+	w := &c.Mem.watches[c.tc.watch]
+	w.lo, w.hi = c.TextStart, c.TextEnd
 	for i := range c.tc.entries {
 		c.tc.entries[i] = nil
 	}

@@ -174,7 +174,7 @@ func (c *CPU) ensureTC() {
 	if c.tc == nil {
 		c.tc = &transCache{}
 		// Self-modifying edits must evict stale translations.
-		c.Mem.WatchWrites(c.TextStart, c.TextEnd, func(addr, n uint32) { c.InvalidateText() })
+		c.tc.watch = c.Mem.WatchWrites(c.TextStart, c.TextEnd, func(addr, n uint32) { c.InvalidateText() })
 	}
 }
 
@@ -290,7 +290,7 @@ func rtCompileText(dec *spawn.TableDecoder, layout *rtl.RegLayout, text []byte, 
 	if err != nil {
 		return &rtCacheEnt{err: err}
 	}
-	lv := dataflow.ComputeLiveness(g, dataflow.DefaultExitLive())
+	lv := dataflow.ComputeLiveness(g)
 	rc := &routineCompiler{inv: make(map[uint32]*machine.Inst), pl: lv.Points(), layout: layout, desc: dec.Desc()}
 	for _, b := range g.Blocks {
 		for _, ci := range b.Insts {

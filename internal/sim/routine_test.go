@@ -281,6 +281,52 @@ func TestRoutineCountersAndReset(t *testing.T) {
 	}
 }
 
+// TestSelfModifyAfterResetOntoOtherText: the text write watch follows
+// the text bounds across a Reset.  The program patches its own add
+// (1 becomes 10) and runs it again, so it exits 11 on every engine;
+// a watch left on the bounds of an earlier program at 0x20000 never
+// sees the patch, and the chained engine re-runs the stale
+// translation to exit 2.
+func TestSelfModifyAfterResetOntoOtherText(t *testing.T) {
+	src := `
+	mov 0, %o2
+	mov 1, %o0
+again:	add %o0, 1, %o0
+	cmp %o2, 0
+	bne done
+	nop
+	sethi %hi(again), %o4
+	or %o4, %lo(again), %o4
+	ld [%o4], %o3
+	add %o3, 9, %o3
+	st %o3, [%o4]
+	mov 1, %o2
+	ba again
+	mov 1, %o0
+done:	mov 1, %g1
+	ta 0
+`
+	fresh, prog := load(t, src, 0x10000)
+	fresh.TextStart, fresh.TextEnd = prog.Base, prog.Base+uint32(len(prog.Bytes))
+	fresh.Engine = EngineChained
+	run(t, fresh)
+	if fresh.ExitCode != 11 {
+		t.Fatalf("fresh CPU: exit %d, want 11", fresh.ExitCode)
+	}
+
+	cpu, a := load(t, "\tmov 5, %o0\n"+exitSeq, 0x20000)
+	cpu.TextStart, cpu.TextEnd = a.Base, a.Base+uint32(len(a.Bytes))
+	cpu.Engine = EngineChained
+	run(t, cpu)
+	cpu.Mem.LoadSegment(prog.Base, prog.Bytes)
+	cpu.TextStart, cpu.TextEnd = fresh.TextStart, fresh.TextEnd
+	cpu.Reset(prog.Base, 0x7ff000)
+	run(t, cpu)
+	if cpu.ExitCode != 11 {
+		t.Errorf("CPU reset onto other text: exit %d, want 11", cpu.ExitCode)
+	}
+}
+
 // TestRoutineResetOntoOtherText: a CPU Reset onto text with other
 // bounds (here larger, and starting below the old text) re-sizes the
 // routine tier's per-word table, still promotes, and matches the

@@ -81,9 +81,10 @@ type memWatch struct {
 func NewMemory() *Memory { return &Memory{} }
 
 // WatchWrites registers fn to be called before every write that
-// overlaps [lo, hi).
-func (m *Memory) WatchWrites(lo, hi uint32, fn func(addr, n uint32)) {
+// overlaps [lo, hi), and returns the watch's index in m.watches.
+func (m *Memory) WatchWrites(lo, hi uint32, fn func(addr, n uint32)) int {
 	m.watches = append(m.watches, memWatch{lo: lo, hi: hi, fn: fn})
+	return len(m.watches) - 1
 }
 
 // notifyWrite reports a write of n >= 1 bytes at addr to every watch
@@ -377,7 +378,7 @@ const numExtendedSlots = 3
 // be resuming on freshly loaded or edited text).
 func (c *CPU) Reset(entry, sp uint32) {
 	c.R = [32]uint32{}
-	c.R[14] = sp
+	c.R[c.arch.ABI.SP] = sp
 	c.Y, c.PSR, c.FSR = 0, 0, 0
 	c.F = [32]uint32{}
 	c.PC, c.NPC = entry, entry+c.isize

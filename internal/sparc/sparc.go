@@ -195,6 +195,19 @@ func init() {
 			SysExit:  1,
 			SysWrite: 4,
 		},
+		// The SPARC V8 calling convention (SPARC Compliance
+		// Definition 2.4, chapter 3): %o0..%o5 carry arguments and
+		// %o0 the result; a call clobbers the globals, the outs,
+		// every float, Y and both condition codes; the ins belong to
+		// the caller.  The editor keeps %g6/%g7, which the ABI
+		// reserves for the system, for its translation stubs.
+		ABI: machine.ABI{
+			Zero: RegG0, SP: RegSP, FP: RegFP, RA: RegO7, Reserved: [2]machine.Reg{6, 7},
+			CallUse: machine.NewRegSet(8, 9, 10, 11, 12, 13, RegSP, RegO7, RegFP),
+			CallDef: machine.NewRegSet(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+				machine.RegY, machine.RegPSR, machine.RegFSR).Union(machine.FloatRegs()),
+			ExitLive: machine.NewRegSet(RegO0, RegSP, RegO7, 24, 25, 26, 27, 28, 29, 30, 31),
+		},
 		Lockstep: true,
 	})
 }
