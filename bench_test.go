@@ -102,10 +102,10 @@ func benchmarkJumps(b *testing.B, pers progen.Personality) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range e.Routines() {
+		e.EachRoutine(func(r *eel.Routine) error {
 			g, err := r.ControlFlowGraph()
 			if err != nil {
-				continue
+				return nil
 			}
 			for _, ij := range g.IndirectJumps {
 				indirect++
@@ -113,7 +113,8 @@ func benchmarkJumps(b *testing.B, pers progen.Personality) {
 					unresolved++
 				}
 			}
-		}
+			return nil
+		})
 	}
 	b.ReportMetric(float64(indirect), "ijumps")
 	b.ReportMetric(float64(unresolved), "unresolved")
@@ -133,17 +134,18 @@ func BenchmarkUneditableFraction(b *testing.B) {
 			b.Fatal(err)
 		}
 		ub, ue, tb, te = 0, 0, 0, 0
-		for _, r := range e.Routines() {
+		e.EachRoutine(func(r *eel.Routine) error {
 			g, err := r.ControlFlowGraph()
 			if err != nil {
-				continue
+				return nil
 			}
 			s := g.Stats()
 			ub += s.UneditableB
 			ue += s.UneditableE
 			tb += s.Blocks
 			te += s.Edges
-		}
+			return nil
+		})
 	}
 	b.ReportMetric(100*float64(ub)/float64(tb), "uneditable-blocks-%")
 	b.ReportMetric(100*float64(ue)/float64(te), "uneditable-edges-%")
@@ -233,11 +235,12 @@ func BenchmarkBlizzardCC(b *testing.B) {
 		b.Fatal(err)
 	}
 	var graphs []*eel.CFG
-	for _, r := range e.Routines() {
+	e.EachRoutine(func(r *eel.Routine) error {
 		if g, err := r.ControlFlowGraph(); err == nil {
 			graphs = append(graphs, g)
 		}
-	}
+		return nil
+	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, g := range graphs {
@@ -441,11 +444,10 @@ func BenchmarkCFGConstruction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range e.Routines() {
-			if _, err := r.ControlFlowGraph(); err != nil {
-				continue
-			}
-		}
+		e.EachRoutine(func(r *eel.Routine) error {
+			r.ControlFlowGraph()
+			return nil
+		})
 	}
 }
 
@@ -456,11 +458,12 @@ func BenchmarkDominators(b *testing.B) {
 		b.Fatal(err)
 	}
 	var graphs []*eel.CFG
-	for _, r := range e.Routines() {
+	e.EachRoutine(func(r *eel.Routine) error {
 		if g, err := r.ControlFlowGraph(); err == nil {
 			graphs = append(graphs, g)
 		}
-	}
+		return nil
+	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, g := range graphs {

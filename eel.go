@@ -25,7 +25,7 @@
 // A minimal branch-counting tool (the paper's Figure 1):
 //
 //	exec, _ := eel.Open("a.out")
-//	for _, r := range exec.Routines() {
+//	exec.EachRoutine(func(r *eel.Routine) error { // hidden routines too
 //		g, _ := r.ControlFlowGraph()
 //		for _, b := range g.Blocks {
 //			if len(b.Succ) > 1 {
@@ -34,8 +34,8 @@
 //				}
 //			}
 //		}
-//		r.ProduceEditedRoutine()
-//	}
+//		return r.ProduceEditedRoutine()
+//	})
 //	exec.WriteEditedExecutable("a.out.count")
 //
 // The machine layer targets SPARC V8; programs execute on the

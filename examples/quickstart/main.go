@@ -70,7 +70,7 @@ func main() {
 
 	// AnalyzeAll builds every routine's CFG on the concurrent
 	// pipeline, including hidden routines discovered along the way —
-	// the paper's Figure 1 worklist loop, handled by the library.
+	// the paper's Figure 1 worklist, handled by the library's walk.
 	res, err := eel.AnalyzeAll(exec, eel.AnalysisOptions{})
 	check(err)
 

@@ -48,8 +48,7 @@ func main() {
 	buf := exec.AllocData(4 * bufWords)
 
 	// Whole-program analysis on the concurrent pipeline; hidden
-	// routines discovered during CFG construction are analyzed too,
-	// replacing the manual TakeHidden worklist.
+	// routines discovered during CFG construction are analyzed too.
 	res, err := eel.AnalyzeAll(exec, eel.AnalysisOptions{})
 	check(err)
 

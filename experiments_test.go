@@ -51,19 +51,12 @@ func analyze(t testing.TB, p *progen.Program) *eel.Executable {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range e.Routines() {
-		if _, err := r.ControlFlowGraph(); err != nil {
-			t.Fatalf("%s: %v", r.Name, err)
-		}
-	}
-	for {
-		h := e.TakeHidden()
-		if h == nil {
-			break
-		}
-		if _, err := h.ControlFlowGraph(); err != nil {
-			t.Fatalf("%s: %v", h.Name, err)
-		}
+	err = e.EachRoutine(func(r *core.Routine) error {
+		_, err := r.ControlFlowGraph()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return e
 }
@@ -501,7 +494,7 @@ func TestLineCountInventory(t *testing.T) {
 
 // moduleLineCeiling bounds the module's non-test Go lines (blank and
 // comment-only lines excluded), nested modules excluded.
-const moduleLineCeiling = 19489
+const moduleLineCeiling = 19437
 
 // TestTable1 is experiment E1: the paper's Table 1 — the ad-hoc tool
 // (qpt) vs the EEL-based tool (qpt2), with and without optimization.

@@ -73,33 +73,18 @@ func Instrument(e *core.Executable, cc Config) (*Result, error) {
 	res.MissCtr = e.AllocData(4)
 	res.Tags = e.AllocData(4 * cc.Sets)
 
-	for _, r := range e.Routines() {
+	err = e.EachRoutine(func(r *core.Routine) error {
 		g, err := r.ControlFlowGraph()
 		if err != nil {
-			return nil, fmt.Errorf("activemem: %s: %w", r.Name, err)
+			return fmt.Errorf("activemem: %s: %w", r.Name, err)
 		}
 		if err := instrumentGraph(r, g, res, shift); err != nil {
-			return nil, err
+			return err
 		}
-		if err := r.ProduceEditedRoutine(); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		h := e.TakeHidden()
-		if h == nil {
-			break
-		}
-		g, err := h.ControlFlowGraph()
-		if err != nil {
-			return nil, err
-		}
-		if err := instrumentGraph(h, g, res, shift); err != nil {
-			return nil, err
-		}
-		if err := h.ProduceEditedRoutine(); err != nil {
-			return nil, err
-		}
+		return r.ProduceEditedRoutine()
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -65,23 +65,18 @@ type Graph struct {
 // included).
 func Build(e *core.Executable) (*Graph, error) {
 	g := &Graph{Exec: e, byRoutine: map[*core.Routine]*Node{}}
-	// Force CFG construction to a fixpoint first (hidden routines).
-	for {
-		grew := false
-		for _, r := range e.Routines() {
-			if g.byRoutine[r] == nil {
-				n := &Node{Routine: r}
-				g.byRoutine[r] = n
-				g.Nodes = append(g.Nodes, n)
-				grew = true
-				if _, err := r.ControlFlowGraph(); err != nil {
-					return nil, fmt.Errorf("callgraph: %s: %w", r.Name, err)
-				}
-			}
+	// Build every CFG first, hidden routines included.
+	err := e.EachRoutine(func(r *core.Routine) error {
+		n := &Node{Routine: r}
+		g.byRoutine[r] = n
+		g.Nodes = append(g.Nodes, n)
+		if _, err := r.ControlFlowGraph(); err != nil {
+			return fmt.Errorf("callgraph: %s: %w", r.Name, err)
 		}
-		if !grew {
-			break
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(g.Nodes, func(i, j int) bool { return g.Nodes[i].Routine.Start < g.Nodes[j].Routine.Start })
 

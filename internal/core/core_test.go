@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	_ "eel/internal/aout" // register the a.out container format
@@ -645,5 +646,58 @@ func TestWriteAndReadEditedFile(t *testing.T) {
 	}
 	if !foundMain {
 		t.Error("edited symbol table lacks relocated main")
+	}
+}
+
+// TestWavesPassEachRoutineOnce checks the library's routine walk: a
+// hidden routine that analysis splits off in wave 1 (§3.1 stage 4)
+// arrives in wave 2, every routine is passed exactly once, and a
+// later walk passes the whole list again in one wave.
+func TestWavesPassEachRoutineOnce(t *testing.T) {
+	src := `
+main:	call f
+	nop
+	mov 1, %g1
+	ta 0
+f:	retl
+	nop
+	mov 7, %o0
+	retl
+	nop
+g:	retl
+	nop
+`
+	e, _ := makeExec(t, src, 0x10000, "main", "f", "g")
+	walk := func() [][]string {
+		var waves [][]string
+		passed := map[*core.Routine]bool{}
+		err := e.Waves(func(rs []*core.Routine) error {
+			var names []string
+			for _, r := range rs {
+				if passed[r] {
+					t.Errorf("%s passed twice", r.Name)
+				}
+				passed[r] = true
+				names = append(names, r.Name)
+				if _, err := r.ControlFlowGraph(); err != nil {
+					return err
+				}
+			}
+			waves = append(waves, names)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(passed) != len(e.Routines()) {
+			t.Errorf("passed %d of %d routines", len(passed), len(e.Routines()))
+		}
+		return waves
+	}
+	if got, want := fmt.Sprint(walk()), "[[main f g] [hidden_00010018]]"; got != want {
+		t.Errorf("first walk's waves = %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprint(walk()), "[[main f hidden_00010018 g]]"; got != want {
+		t.Errorf("second walk's waves = %s, want %s", got, want)
 	}
 }

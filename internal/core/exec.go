@@ -29,7 +29,7 @@ type Executable struct {
 	insts []*machine.Inst
 
 	routines []*Routine // sorted by Start
-	hidden   []*Routine // discovered but not yet claimed by the tool
+	walk     uint32     // stamp of the latest Waves walk (Routine.walk)
 
 	// mu guards the routine list against concurrent hidden-routine
 	// discovery: distinct routines may be analyzed in parallel (see
@@ -109,21 +109,44 @@ func (e *Executable) StartAddress() uint32 { return e.File.Entry }
 // Routines returns the refined routine list, sorted by address.
 func (e *Executable) Routines() []*Routine { return e.routines }
 
-// HiddenRoutines returns routines discovered by analysis that the
-// tool has not yet claimed; TakeHidden pops one (the paper's
-// hidden_routines worklist, Fig 1).
-func (e *Executable) HiddenRoutines() []*Routine { return e.hidden }
-
-// TakeHidden removes and returns one hidden routine (nil when none
-// remain).  The routine is already in the main routine list for
-// layout purposes; taking it lets the tool instrument it.
-func (e *Executable) TakeHidden() *Routine {
-	if len(e.hidden) == 0 {
-		return nil
+// Waves is the paper's Figure 1 walk, hidden_routines worklist
+// included: it calls fn with every routine it has not yet passed to
+// fn, in address order, and repeats until no new routine appears.
+// Analysis inside fn may split hidden routines off (§3.1 stage 4);
+// they arrive in the next wave.  fn may analyze one wave's routines
+// concurrently, but must not start another walk of e, and the slice
+// is only valid during the call.
+func (e *Executable) Waves(fn func([]*Routine) error) error {
+	e.walk++
+	pending := make([]*Routine, 0, len(e.routines))
+	for {
+		pending = pending[:0]
+		for _, r := range e.routines {
+			if r.walk != e.walk {
+				r.walk = e.walk
+				pending = append(pending, r)
+			}
+		}
+		if len(pending) == 0 {
+			return nil
+		}
+		if err := fn(pending); err != nil {
+			return err
+		}
 	}
-	r := e.hidden[0]
-	e.hidden = e.hidden[1:]
-	return r
+}
+
+// EachRoutine calls fn once for every routine, hidden routines
+// discovered along the way included: the sequential form of Waves.
+func (e *Executable) EachRoutine(fn func(*Routine) error) error {
+	return e.Waves(func(rs []*Routine) error {
+		for _, r := range rs {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // RoutineByName finds a routine.
@@ -385,7 +408,6 @@ func (e *Executable) addHiddenTail(r *Routine, tail uint32) *Routine {
 	e.routines = append(e.routines, nil)
 	copy(e.routines[i+1:], e.routines[i:])
 	e.routines[i] = h
-	e.hidden = append(e.hidden, h)
 	return h
 }
 

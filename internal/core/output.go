@@ -30,21 +30,16 @@ func (e *Executable) BuildEdited() (*binfile.File, error) {
 	}
 	// Ensure every routine has a plan (unedited ones get an
 	// identity re-layout).  Building a plan can discover hidden
-	// routines (unreachable tails, §3.1 stage 4) that join the
-	// routine list mid-flight, so iterate to a fixpoint.
-	for {
-		missing := false
-		for _, r := range e.routines {
-			if r.plan == nil {
-				missing = true
-				if err := r.ProduceEditedRoutine(); err != nil {
-					return nil, err
-				}
-			}
+	// routines (unreachable tails, §3.1 stage 4); the walk plans
+	// those too.
+	err := e.EachRoutine(func(r *Routine) error {
+		if r.plan != nil {
+			return nil
 		}
-		if !missing {
-			break
-		}
+		return r.ProduceEditedRoutine()
+	})
+	if err != nil {
+		return nil, err
 	}
 	text := e.File.Text()
 

@@ -21,6 +21,8 @@ type Routine struct {
 	// Hidden marks routines discovered by analysis rather than the
 	// symbol table.
 	Hidden bool
+	// walk is the stamp of the last Waves walk that passed this routine.
+	walk uint32
 
 	graph *cfg.Graph
 	// live is graph's liveness when the analysis pipeline computed it

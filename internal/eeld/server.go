@@ -608,11 +608,7 @@ func (s *Server) runAnalyze(ctx context.Context, r *http.Request) (any, error) {
 // instrumentCommon analyzes and instruments a binary, returning the
 // edited container bytes plus counts.  verify reuses it.
 func (s *Server) instrumentCommon(ctx context.Context, e *core.Executable, mode qpt.Mode) (*binfile.File, *qpt.Result, pipeline.Stats, error) {
-	if mode == qpt.Light {
-		e.LightAnalysis = true
-		e.Scavenge = false
-		e.FoldDelaySlots = false
-	}
+	qpt.Configure(e, mode)
 	res, err := pipeline.AnalyzeAll(e, pipeline.Options{
 		Workers:      s.cfg.PipelineWorkers,
 		Cache:        s.cache,

@@ -7,9 +7,9 @@
 // walk regardless of worker count.
 //
 // Analysis can discover new routines (the §3.1 stage-4 hidden-routine
-// split of unreachable tails); the pipeline runs in waves until no
-// undiscovered routine remains, so callers never need the manual
-// hidden-routine worklist loop of the paper's Figure 1.
+// split of unreachable tails); the pipeline fans out each wave of
+// core.Executable.Waves, the library's one walk, so hidden routines
+// are analyzed in the wave after their discovery.
 //
 // An optional content-addressed Cache memoizes bundles across runs
 // and executables: a routine whose machine words (and anything its
@@ -20,8 +20,10 @@
 package pipeline
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -108,8 +110,6 @@ type Result struct {
 	// address (the executable's routine order).
 	Analyses []*RoutineAnalysis
 	Stats    Stats
-
-	byRoutine map[*core.Routine]*RoutineAnalysis
 }
 
 // ByName returns the bundle for the named routine, or nil.
@@ -142,7 +142,7 @@ func AnalyzeAll(e *core.Executable, opts Options) (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	res := &Result{Exec: e, byRoutine: map[*core.Routine]*RoutineAnalysis{}}
+	res := &Result{Exec: e}
 	col := newCollector()
 	tracer := opts.Tracer
 	if tracer == nil {
@@ -171,16 +171,7 @@ func AnalyzeAll(e *core.Executable, opts Options) (*Result, error) {
 	// between waves makes discovery deterministic.
 	discovered := 0
 	waves := 0
-	for {
-		var pending []*core.Routine
-		for _, r := range e.Routines() {
-			if res.byRoutine[r] == nil {
-				pending = append(pending, r)
-			}
-		}
-		if len(pending) == 0 {
-			break
-		}
+	e.Waves(func(pending []*core.Routine) error { // never fails: errors stay per routine
 		waves++
 		if waves > 1 {
 			discovered += len(pending)
@@ -191,10 +182,7 @@ func AnalyzeAll(e *core.Executable, opts Options) (*Result, error) {
 		out := make([]*RoutineAnalysis, len(pending))
 		jobs := make(chan int)
 		var wg sync.WaitGroup
-		n := workers
-		if n > len(pending) {
-			n = len(pending)
-		}
+		n := min(workers, len(pending))
 		for w := 0; w < n; w++ {
 			wg.Add(1)
 			go func(worker int) {
@@ -219,19 +207,17 @@ func AnalyzeAll(e *core.Executable, opts Options) (*Result, error) {
 		close(jobs)
 		wg.Wait()
 		waveSpan.End()
-
-		for i, r := range pending {
-			res.byRoutine[r] = out[i]
-		}
-	}
+		res.Analyses = append(res.Analyses, out...)
+		return nil
+	})
 
 	// Collect in the executable's (address-sorted) routine order.
+	slices.SortFunc(res.Analyses, func(a, b *RoutineAnalysis) int {
+		return cmp.Compare(a.Routine.Start, b.Routine.Start)
+	})
 	var recs []Record
-	for _, r := range e.Routines() {
-		if a := res.byRoutine[r]; a != nil {
-			res.Analyses = append(res.Analyses, a)
-			recs = append(recs, a.recs...)
-		}
+	for _, a := range res.Analyses {
+		recs = append(recs, a.recs...)
 	}
 
 	// One disk write per run, as one segment.  A failed write only

@@ -98,9 +98,9 @@ func fingerprint(r *core.Routine, g *cfg.Graph, lv *dataflow.Liveness,
 	return b.String()
 }
 
-// analyzeSequential is the ground truth: direct per-routine calls in
-// a plain loop (with the same hidden-routine fixpoint the paper's
-// Figure 1 worklist performs), no pipeline involved.
+// analyzeSequential is the ground truth: direct per-routine calls on
+// the executable's sequential walk (hidden routines included), no
+// pipeline involved.
 func analyzeSequential(t testing.TB, f *binfile.File) []string {
 	t.Helper()
 	e := load(t, f)
@@ -112,27 +112,17 @@ func analyzeSequential(t testing.TB, f *binfile.File) []string {
 		err   error
 	}
 	done := map[*core.Routine]*res{}
-	for {
-		var pending []*core.Routine
-		for _, r := range e.Routines() {
-			if done[r] == nil {
-				pending = append(pending, r)
-			}
+	e.EachRoutine(func(r *core.Routine) error {
+		g, err := r.ControlFlowGraph()
+		rr := &res{g: g, err: err}
+		if err == nil {
+			rr.lv = dataflow.ComputeLiveness(g)
+			rr.idom = dataflow.Dominators(g)
+			rr.loops = dataflow.NaturalLoops(g, rr.idom)
 		}
-		if len(pending) == 0 {
-			break
-		}
-		for _, r := range pending {
-			g, err := r.ControlFlowGraph()
-			rr := &res{g: g, err: err}
-			if err == nil {
-				rr.lv = dataflow.ComputeLiveness(g)
-				rr.idom = dataflow.Dominators(g)
-				rr.loops = dataflow.NaturalLoops(g, rr.idom)
-			}
-			done[r] = rr
-		}
-	}
+		done[r] = rr
+		return nil
+	})
 	var out []string
 	for _, r := range e.Routines() {
 		rr := done[r]

@@ -93,7 +93,7 @@ func counterSnippet(t *testing.T, addr uint32) *core.Snippet {
 func editAllBranches(t *testing.T, e *core.Executable) int {
 	t.Helper()
 	n := 0
-	for _, r := range e.Routines() {
+	e.EachRoutine(func(r *core.Routine) error {
 		g, err := r.ControlFlowGraph()
 		if err != nil {
 			t.Fatalf("cfg %s: %v", r.Name, err)
@@ -116,7 +116,8 @@ func editAllBranches(t *testing.T, e *core.Executable) int {
 		if err := r.ProduceEditedRoutine(); err != nil {
 			t.Fatalf("produce %s: %v", r.Name, err)
 		}
-	}
+		return nil
+	})
 	return n
 }
 

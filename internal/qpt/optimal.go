@@ -62,12 +62,7 @@ type OptimalResult struct {
 // RoutineProfile.DeriveCounts after execution.
 func InstrumentOptimal(e *core.Executable) (*OptimalResult, error) {
 	res := &OptimalResult{}
-	seen := map[*core.Routine]bool{}
-	process := func(r *core.Routine) error {
-		if seen[r] {
-			return nil
-		}
-		seen[r] = true
+	err := e.EachRoutine(func(r *core.Routine) error {
 		g, err := r.ControlFlowGraph()
 		if err != nil {
 			return fmt.Errorf("qpt: %s: %w", r.Name, err)
@@ -80,20 +75,9 @@ func InstrumentOptimal(e *core.Executable) (*OptimalResult, error) {
 		res.Counters += rp.Instrumented
 		res.Edges += rp.TotalEdges
 		return r.ProduceEditedRoutine()
-	}
-	for _, r := range e.Routines() {
-		if err := process(r); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		h := e.TakeHidden()
-		if h == nil {
-			break
-		}
-		if err := process(h); err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

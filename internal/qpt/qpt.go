@@ -1,7 +1,6 @@
 // Package qpt implements the profiling tool the paper rebuilds on
-// EEL (§5): branch/edge counting in the style of Figure 1, including
-// the hidden-routine worklist loop, plus count recovery from an
-// executed image.  The same instrumentation runs in two modes:
+// EEL (§5): branch/edge counting in the style of Figure 1, hidden
+// routines included, plus count recovery from an executed image.  The same instrumentation runs in two modes:
 //
 //   - Full (qpt2): EEL's complete analysis — CFGs with resolved
 //     indirect jumps, liveness-driven register scavenging,
@@ -41,7 +40,8 @@ type Result struct {
 	// RoutinesSeen counts instrumented routines (including hidden
 	// ones discovered during the run).
 	RoutinesSeen int
-	// HiddenSeen counts hidden routines processed via the worklist.
+	// HiddenSeen counts the instrumented routines that analysis
+	// discovered (§3.1 stage 4) rather than the symbol table.
 	HiddenSeen int
 }
 
@@ -80,23 +80,29 @@ func CounterSnippet(addr uint32) (*core.Snippet, error) {
 	return core.NewSnippet([]uint32{hi, ld, add, st}, []machine.Reg{p1, p2}), nil
 }
 
-// Instrument adds an edge counter to every editable out-edge of
-// every block with more than one successor, in every routine —
-// the paper's Figure 1 tool, including its hidden-routine loop.
-func Instrument(e *core.Executable, mode Mode) (*Result, error) {
+// Configure sets e's analysis options for mode: Light turns off
+// liveness, slicing and delay-slot folding.  Instrument calls it, but
+// a caller that analyzes e first must call it before analysis, so the
+// analyzed graphs match the mode.
+func Configure(e *core.Executable, mode Mode) {
 	if mode == Light {
 		e.LightAnalysis = true
 		e.Scavenge = false
 		e.FoldDelaySlots = false
 	}
+}
+
+// Instrument adds an edge counter to every editable out-edge of
+// every block with more than one successor, in every routine —
+// the paper's Figure 1 tool, hidden routines included.
+func Instrument(e *core.Executable, mode Mode) (*Result, error) {
+	Configure(e, mode)
 	res := &Result{}
-	instrumented := map[*core.Routine]bool{}
-	instrument := func(r *core.Routine) error {
-		if instrumented[r] {
-			return nil
-		}
-		instrumented[r] = true
+	err := e.EachRoutine(func(r *core.Routine) error {
 		res.RoutinesSeen++
+		if r.Hidden {
+			res.HiddenSeen++
+		}
 		g, err := r.ControlFlowGraph()
 		if err != nil {
 			return fmt.Errorf("qpt: %s: %w", r.Name, err)
@@ -130,23 +136,9 @@ func Instrument(e *core.Executable, mode Mode) (*Result, error) {
 			}
 		}
 		return r.ProduceEditedRoutine()
-	}
-	for _, r := range e.Routines() {
-		if err := instrument(r); err != nil {
-			return nil, err
-		}
-	}
-	// The Figure 1 worklist: analysis may keep discovering hidden
-	// routines.
-	for {
-		h := e.TakeHidden()
-		if h == nil {
-			break
-		}
-		res.HiddenSeen++
-		if err := instrument(h); err != nil {
-			return nil, err
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

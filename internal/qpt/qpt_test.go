@@ -202,5 +202,5 @@ func TestHiddenRoutineWorklist(t *testing.T) {
 	if res.HiddenSeen == 0 {
 		t.Skip("seed produced no hidden routines")
 	}
-	t.Logf("instrumented %d routines, %d via the hidden worklist", res.RoutinesSeen, res.HiddenSeen)
+	t.Logf("instrumented %d routines, %d of them hidden", res.RoutinesSeen, res.HiddenSeen)
 }

@@ -50,13 +50,9 @@ func Run(tool string, mode qpt.Mode, args []string) error {
 
 	// Analyze all routines up front on the concurrent pipeline; the
 	// instrumentation pass below then finds every CFG already built.
-	// Light mode's analysis options must be set before analysis, not
-	// inside Instrument, so the cached graphs match the mode.
-	if mode == qpt.Light {
-		e.LightAnalysis = true
-		e.Scavenge = false
-		e.FoldDelaySlots = false
-	}
+	// The mode's analysis options must be set before analysis, so the
+	// cached graphs match the mode.
+	qpt.Configure(e, mode)
 	start := time.Now()
 	if _, err := com.Analyze(e, pipeline.Options{
 		NoDominators: true,
