@@ -10,20 +10,23 @@ import (
 // field values.  Field references become constants, register indices
 // and immediates fold at compile time (so "iflag = 1 ? sex(simm13) :
 // R[rs2]" compiles to either a constant or a single register read),
+// every register reference resolves through the description's
+// RegLayout to a slot of the Regs array the program indexes (a read of
+// the hardwired zero folds to 0, a write to it compiles to nothing),
 // temporaries become slots in a reusable array instead of a map, and
 // condition tests and builtins resolve to direct function calls.
-// Executing a Prog therefore does no AST dispatch and, with a
-// caller-supplied Ctx, no allocation on the common path.
+// Executing a Prog therefore does no AST dispatch, no register-name
+// lookup and, with a caller-supplied Ctx, no allocation on the common
+// path.
 //
 // Compilation is deliberately conservative: any construct whose
 // lowering cannot be proven equivalent to the interpreter (dynamic
-// memory widths, unreduced lambdas, malformed statements) fails with
-// a CompileError and the caller falls back to Exec, which remains the
-// semantic reference.
+// memory widths, unreduced lambdas, malformed statements, registers
+// the layout does not hold) fails with a CompileError and the caller
+// falls back to Exec, which remains the semantic reference.
 
-// CompileEnv supplies the static half of a Machine: the decoded
+// CompileEnv supplies what compilation fixes: the decoded
 // instruction's field values and the description's register model.
-// Every Machine is a CompileEnv.
 type CompileEnv interface {
 	// Field returns the decoded value of an instruction field.
 	Field(name string) (int64, bool)
@@ -33,6 +36,9 @@ type CompileEnv interface {
 	RegAlias(name string) (file string, idx int64, ok bool)
 	// IsRegFile reports whether name denotes a register file.
 	IsRegFile(name string) bool
+	// Layout returns the description's register layout; nil when the
+	// description has none the register array can hold.
+	Layout() *RegLayout
 }
 
 // CompileError reports that a semantic AST cannot be lowered; callers
@@ -59,19 +65,21 @@ type stmtFn = OpFunc
 
 // cexpr is a compiled expression: a constant folded at compile time,
 // or a closure evaluated at run time.  A bare register read also
-// carries its (file, index) shape so operators over it fuse into a
-// single closure (see pure1/pure2) instead of a chain of evals — the
-// eval chain is the hot path of every translated instruction.
+// carries its slot so operators over it fuse into a single closure
+// (see pure1/pure2) instead of a chain of evals — the eval chain is
+// the hot path of every translated instruction.  safe marks an
+// expression that can neither fail nor have effects, so a write of it
+// to the hardwired zero can be dropped whole.
 type cexpr struct {
 	isConst bool
 	val     uint64
 	fn      exprFn
 	isReg   bool
-	rfile   string
-	ridx    int64
+	slot    int
+	safe    bool
 }
 
-func constExpr(v uint64) cexpr { return cexpr{isConst: true, val: v} }
+func constExpr(v uint64) cexpr { return cexpr{isConst: true, val: v, safe: true} }
 func dynExpr(fn exprFn) cexpr  { return cexpr{fn: fn} }
 
 func (e cexpr) eval(ctx *Ctx) (uint64, error) {
@@ -82,27 +90,31 @@ func (e cexpr) eval(ctx *Ctx) (uint64, error) {
 }
 
 // Pending-write kinds, mirroring the interpreter's parallel-step
-// commit discipline.
+// commit discipline.  pendErr is a dynamic-index register write the
+// layout does not hold: it fails at commit, where Exec's does.
 const (
 	pendReg = iota
 	pendMem
 	pendPC
+	pendErr
 )
 
 type cpend struct {
-	kind int
-	w    int
-	file string
-	idx  int64
+	kind uint8
+	w    uint8
+	slot int32
 	addr uint64
 	val  uint64
+	err  error
 }
 
-// Ctx is the reusable scratch state for Prog.Run.  The zero value is
-// ready to use; callers that execute many programs (the emulator)
-// keep one Ctx so temporaries and pending writes never reallocate.
+// Ctx is the reusable scratch state for Prog.Run: the Host and
+// register array a program runs against (see Bind), and buffers.
+// Callers that execute many programs (the emulator) keep one Ctx so
+// temporaries and pending writes never reallocate.
 type Ctx struct {
-	m     Machine
+	m     Host
+	r     *Regs
 	temps []uint64
 	pend  []cpend
 	// sargs is scratch for SpecialMachine calls, so register-window
@@ -122,12 +134,17 @@ type Prog struct {
 	flat   []stmtFn
 }
 
-// Run executes the program against m, reusing ctx's buffers.  The
-// execution discipline is identical to Exec: parallel operations
-// within a step read all inputs before any write commits, and pc
-// assignments in steps after the first are delayed transfers.
-func (p *Prog) Run(m Machine, ctx *Ctx) error {
-	ctx.m = m
+// Bind points ctx at the Host and register array the programs it runs
+// execute against.  r must hold the registers in the layout the
+// programs were compiled under.
+func (ctx *Ctx) Bind(m Host, r *Regs) { ctx.m, ctx.r = m, r }
+
+// Run executes the program against ctx's binding, reusing its
+// buffers.  The execution discipline is identical to Exec: parallel
+// operations within a step read all inputs before any write commits,
+// and pc assignments in steps after the first are delayed transfers.
+func (p *Prog) Run(ctx *Ctx) error {
+	m := ctx.m
 	ctx.reset(p.nTemps)
 	for i, step := range p.steps {
 		ctx.pend = ctx.pend[:0]
@@ -141,13 +158,13 @@ func (p *Prog) Run(m Machine, ctx *Ctx) error {
 			pw := &ctx.pend[j]
 			switch pw.kind {
 			case pendReg:
-				if err := m.WriteReg(pw.file, pw.idx, pw.val); err != nil {
-					return err
-				}
+				ctx.r[pw.slot] = uint32(pw.val)
 			case pendMem:
-				if err := m.WriteMem(pw.addr, pw.w, pw.val); err != nil {
+				if err := m.WriteMem(pw.addr, int(pw.w), pw.val); err != nil {
 					return err
 				}
+			case pendErr:
+				return pw.err
 			default:
 				m.SetPC(pw.val, delayed)
 			}
@@ -168,6 +185,7 @@ func (ctx *Ctx) reset(n int) {
 
 type compiler struct {
 	env   CompileEnv
+	l     *RegLayout
 	slots map[string]int
 	flags uint8
 	// Direct mode (CompileDirect): assignments commit immediately and
@@ -184,13 +202,20 @@ type compiler struct {
 // Compile lowers a ground semantic statement list to a Prog
 // specialized on env's field values.
 func Compile(n Node, env CompileEnv) (*Prog, error) {
-	return (&compiler{env: env, slots: map[string]int{}}).program(n, false)
+	return newCompiler(env).program(n, false)
+}
+
+func newCompiler(env CompileEnv) *compiler {
+	return &compiler{env: env, l: env.Layout(), slots: map[string]int{}}
 }
 
 // program lowers n with c's environment and residency settings.
 func (c *compiler) program(n Node, direct bool) (*Prog, error) {
 	if n == nil {
 		return nil, &CompileError{nil, "no semantics"}
+	}
+	if c.l == nil {
+		return nil, &CompileError{nil, "no register layout"}
 	}
 	c.direct = direct
 	if direct {
@@ -413,45 +438,93 @@ func (c *compiler) stmt(n Node, out *[]stmtFn) error {
 	}
 }
 
-// regWrite builds the committing closure for a constant-index
-// register write: buffered in normal mode, immediate in direct mode.
-func (c *compiler) regWrite(file string, idx int64, rhs cexpr) stmtFn {
-	if c.an != nil {
-		c.an.regWrite(file, idx)
+// regSlot resolves the constant register reference file[idx] to its
+// slot.  A register the layout does not hold does not compile (see
+// unknownReg), so Exec reports it.
+func (c *compiler) regSlot(file string, idx int64) (int, bool) {
+	s, ok := c.l.Slot(file, idx)
+	if ok && s >= 32 && s < FloatSlot {
+		c.flags |= FlagExtended
 	}
-	if c.direct {
-		switch {
-		case rhs.isConst:
-			v := rhs.val
-			return func(ctx *Ctx) error { return ctx.m.WriteReg(file, idx, v) }
-		case rhs.isReg:
-			sf, si := rhs.rfile, rhs.ridx
-			return func(ctx *Ctx) error {
-				v, err := ctx.m.ReadReg(sf, si)
-				if err != nil {
-					return err
-				}
-				return ctx.m.WriteReg(file, idx, v)
-			}
-		default:
-			fn := rhs.fn
-			return func(ctx *Ctx) error {
-				v, err := fn(ctx)
-				if err != nil {
-					return err
-				}
-				return ctx.m.WriteReg(file, idx, v)
-			}
+	return s, ok
+}
+
+// unknownReg is the CompileError of a reference at n to a register the
+// layout does not hold.  (It takes the node only on this path: boxing
+// it for every reference would allocate.)
+func unknownReg(n Node, file string, idx int64) error {
+	return &CompileError{n, fmt.Sprintf("unknown register %s[%d]", file, idx)}
+}
+
+// dynSlot resolves a register file indexed by a run-time value at n
+// to a bounds-checked slot lookup: ok is false outside the file, and
+// zero marks the hardwired zero.  Direct mode refuses dynamic indices,
+// which no description uses beyond what fields fold to constants.
+func (c *compiler) dynSlot(file string, n Node) (func(i uint64) (s int, zero, ok bool), error) {
+	lo, cnt, ok := c.l.span(file)
+	if !ok || c.direct {
+		return nil, &CompileError{n, "dynamic index into register file " + file}
+	}
+	if lo == 0 && cnt > 32 {
+		c.flags |= FlagExtended
+	}
+	zero := c.l.Zero
+	if lo != 0 {
+		zero = -1
+	}
+	return func(i uint64) (int, bool, bool) {
+		if i >= uint64(cnt) {
+			return 0, false, false
 		}
-	}
-	return func(ctx *Ctx) error {
-		v, err := rhs.eval(ctx)
-		if err != nil {
+		return lo + int(i), int64(i) == zero, true
+	}, nil
+}
+
+// regWrite appends the committing closure for a write of rhs to slot
+// s: buffered in normal mode, immediate in direct mode.  A write to
+// the hardwired zero is dropped, leaving only an evaluation that can
+// fail or has effects.
+func (c *compiler) regWrite(s int, rhs cexpr, out *[]stmtFn) {
+	var fn stmtFn
+	switch {
+	case c.l.IsZero(s):
+		if rhs.safe {
+			return
+		}
+		fn = func(ctx *Ctx) error {
+			_, err := rhs.fn(ctx)
 			return err
 		}
-		ctx.pend = append(ctx.pend, cpend{kind: pendReg, file: file, idx: idx, val: v})
-		return nil
+	case !c.direct:
+		fn = func(ctx *Ctx) error {
+			v, err := rhs.eval(ctx)
+			if err != nil {
+				return err
+			}
+			ctx.pend = append(ctx.pend, cpend{kind: pendReg, slot: int32(s), val: v})
+			return nil
+		}
+	case rhs.isConst:
+		v := uint32(rhs.val)
+		fn = func(ctx *Ctx) error { ctx.r[s] = v; return nil }
+	case rhs.isReg:
+		src := rhs.slot
+		fn = func(ctx *Ctx) error { ctx.r[s] = ctx.r[src]; return nil }
+	default:
+		efn := rhs.fn
+		fn = func(ctx *Ctx) error {
+			v, err := efn(ctx)
+			if err != nil {
+				return err
+			}
+			ctx.r[s] = uint32(v)
+			return nil
+		}
 	}
+	if c.an != nil && !c.l.IsZero(s) {
+		c.an.regWrite(s)
+	}
+	*out = append(*out, fn)
 }
 
 func (c *compiler) assign(lhs Node, rhs cexpr, out *[]stmtFn) error {
@@ -487,7 +560,11 @@ func (c *compiler) assign(lhs Node, rhs cexpr, out *[]stmtFn) error {
 			return nil
 		}
 		if file, idx, ok := c.env.RegAlias(t.Name); ok {
-			*out = append(*out, c.regWrite(file, idx, rhs))
+			s, ok := c.regSlot(file, idx)
+			if !ok {
+				return unknownReg(t, file, idx)
+			}
+			c.regWrite(s, rhs, out)
 			return nil
 		}
 		if _, isField := c.env.Field(t.Name); isField {
@@ -536,6 +613,7 @@ func (c *compiler) assign(lhs Node, rhs cexpr, out *[]stmtFn) error {
 				})
 				return nil
 			}
+			w8 := uint8(w)
 			*out = append(*out, func(ctx *Ctx) error {
 				v, err := rhs.eval(ctx)
 				if err != nil {
@@ -545,7 +623,7 @@ func (c *compiler) assign(lhs Node, rhs cexpr, out *[]stmtFn) error {
 				if err != nil {
 					return err
 				}
-				ctx.pend = append(ctx.pend, cpend{kind: pendMem, addr: a, w: w, val: v})
+				ctx.pend = append(ctx.pend, cpend{kind: pendMem, addr: a, w: w8, val: v})
 				return nil
 			})
 			return nil
@@ -558,28 +636,19 @@ func (c *compiler) assign(lhs Node, rhs cexpr, out *[]stmtFn) error {
 			return err
 		}
 		if idx.isConst {
-			*out = append(*out, c.regWrite(base.Name, int64(idx.val), rhs))
+			s, ok := c.regSlot(base.Name, int64(idx.val))
+			if !ok {
+				return unknownReg(t, base.Name, int64(idx.val))
+			}
+			c.regWrite(s, rhs, out)
 			return nil
 		}
 		file := base.Name
+		look, err := c.dynSlot(file, t)
+		if err != nil {
+			return err
+		}
 		ifn := idx.fn
-		if c.an != nil {
-			c.an.regWriteDyn(file)
-		}
-		if c.direct {
-			*out = append(*out, func(ctx *Ctx) error {
-				v, err := rhs.eval(ctx)
-				if err != nil {
-					return err
-				}
-				i, err := ifn(ctx)
-				if err != nil {
-					return err
-				}
-				return ctx.m.WriteReg(file, int64(i), v)
-			})
-			return nil
-		}
 		*out = append(*out, func(ctx *Ctx) error {
 			v, err := rhs.eval(ctx)
 			if err != nil {
@@ -589,7 +658,13 @@ func (c *compiler) assign(lhs Node, rhs cexpr, out *[]stmtFn) error {
 			if err != nil {
 				return err
 			}
-			ctx.pend = append(ctx.pend, cpend{kind: pendReg, file: file, idx: int64(i), val: v})
+			s, zero, ok := look(i)
+			switch {
+			case !ok:
+				ctx.pend = append(ctx.pend, cpend{kind: pendErr, err: UnknownReg("write", file, int64(i))})
+			case !zero:
+				ctx.pend = append(ctx.pend, cpend{kind: pendReg, slot: int32(s), val: v})
+			}
 			return nil
 		})
 		return nil
@@ -691,7 +766,9 @@ func (c *compiler) ident(x Ident) (cexpr, error) {
 	// register aliases.  (Temporary and field names never collide:
 	// assignment to a field name is rejected.)
 	if slot, ok := c.slots[x.Name]; ok {
-		return dynExpr(func(ctx *Ctx) (uint64, error) { return ctx.temps[slot], nil }), nil
+		e := dynExpr(func(ctx *Ctx) (uint64, error) { return ctx.temps[slot], nil })
+		e.safe = true
+		return e, nil
 	}
 	if v, ok := c.env.Field(x.Name); ok {
 		return constExpr(uint64(v)), nil
@@ -707,20 +784,28 @@ func (c *compiler) ident(x Ident) (cexpr, error) {
 		return dynExpr(func(ctx *Ctx) (uint64, error) { return ctx.m.PC(), nil }), nil
 	}
 	if file, idx, ok := c.env.RegAlias(x.Name); ok {
-		return c.regRead(file, idx), nil
+		s, ok := c.regSlot(file, idx)
+		if !ok {
+			return cexpr{}, unknownReg(x, file, idx)
+		}
+		return c.regRead(s), nil
 	}
 	return cexpr{}, &CompileError{x, "unknown identifier"}
 }
 
-func (c *compiler) regRead(file string, idx int64) cexpr {
+// regRead is a read of slot s; the hardwired zero folds to 0.
+func (c *compiler) regRead(s int) cexpr {
+	if c.l.IsZero(s) {
+		return constExpr(0)
+	}
 	if c.an != nil {
-		c.an.regRead(file, idx)
+		c.an.regRead(s)
 	}
 	return cexpr{
-		fn:    func(ctx *Ctx) (uint64, error) { return ctx.m.ReadReg(file, idx) },
+		fn:    func(ctx *Ctx) (uint64, error) { return uint64(ctx.r[s]), nil },
 		isReg: true,
-		rfile: file,
-		ridx:  idx,
+		slot:  s,
+		safe:  true,
 	}
 }
 
@@ -757,19 +842,31 @@ func (c *compiler) indexExpr(x Index) (cexpr, error) {
 		return cexpr{}, err
 	}
 	if idx.isConst {
-		return c.regRead(base.Name, int64(idx.val)), nil
+		s, ok := c.regSlot(base.Name, int64(idx.val))
+		if !ok {
+			return cexpr{}, unknownReg(x, base.Name, int64(idx.val))
+		}
+		return c.regRead(s), nil
 	}
 	file := base.Name
-	ifn := idx.fn
-	if c.an != nil {
-		c.an.regReadDyn(file)
+	look, err := c.dynSlot(file, x)
+	if err != nil {
+		return cexpr{}, err
 	}
+	ifn := idx.fn
 	return dynExpr(func(ctx *Ctx) (uint64, error) {
 		i, err := ifn(ctx)
 		if err != nil {
 			return 0, err
 		}
-		return ctx.m.ReadReg(file, int64(i))
+		s, zero, ok := look(i)
+		switch {
+		case !ok:
+			return 0, UnknownReg("read", file, int64(i))
+		case zero:
+			return 0, nil
+		}
+		return uint64(ctx.r[s]), nil
 	}), nil
 }
 
@@ -988,24 +1085,22 @@ func pure1(a cexpr, f func(uint64) uint64) cexpr {
 	if a.isConst {
 		return constExpr(f(a.val))
 	}
+	var e cexpr
 	if a.isReg {
-		file, idx := a.rfile, a.ridx
-		return dynExpr(func(ctx *Ctx) (uint64, error) {
-			v, err := ctx.m.ReadReg(file, idx)
+		s := a.slot
+		e = dynExpr(func(ctx *Ctx) (uint64, error) { return f(uint64(ctx.r[s])), nil })
+	} else {
+		fn := a.fn
+		e = dynExpr(func(ctx *Ctx) (uint64, error) {
+			v, err := fn(ctx)
 			if err != nil {
 				return 0, err
 			}
 			return f(v), nil
 		})
 	}
-	fn := a.fn
-	return dynExpr(func(ctx *Ctx) (uint64, error) {
-		v, err := fn(ctx)
-		if err != nil {
-			return 0, err
-		}
-		return f(v), nil
-	})
+	e.safe = a.safe
+	return e
 }
 
 // pure2 builds a two-argument pure operation, folding constants.  The
@@ -1017,38 +1112,25 @@ func pure2(a, b cexpr, f func(x, y uint64) uint64) cexpr {
 	if a.isConst && b.isConst {
 		return constExpr(f(a.val, b.val))
 	}
+	e := pure2fn(a, b, f)
+	e.safe = a.safe && b.safe
+	return e
+}
+
+func pure2fn(a, b cexpr, f func(x, y uint64) uint64) cexpr {
 	if a.isReg {
-		af, ai := a.rfile, a.ridx
+		as := a.slot
 		switch {
 		case b.isConst:
 			k := b.val
-			return dynExpr(func(ctx *Ctx) (uint64, error) {
-				x, err := ctx.m.ReadReg(af, ai)
-				if err != nil {
-					return 0, err
-				}
-				return f(x, k), nil
-			})
+			return dynExpr(func(ctx *Ctx) (uint64, error) { return f(uint64(ctx.r[as]), k), nil })
 		case b.isReg:
-			bf, bi := b.rfile, b.ridx
-			return dynExpr(func(ctx *Ctx) (uint64, error) {
-				x, err := ctx.m.ReadReg(af, ai)
-				if err != nil {
-					return 0, err
-				}
-				y, err := ctx.m.ReadReg(bf, bi)
-				if err != nil {
-					return 0, err
-				}
-				return f(x, y), nil
-			})
+			bs := b.slot
+			return dynExpr(func(ctx *Ctx) (uint64, error) { return f(uint64(ctx.r[as]), uint64(ctx.r[bs])), nil })
 		default:
 			bfn := b.fn
 			return dynExpr(func(ctx *Ctx) (uint64, error) {
-				x, err := ctx.m.ReadReg(af, ai)
-				if err != nil {
-					return 0, err
-				}
+				x := uint64(ctx.r[as])
 				y, err := bfn(ctx)
 				if err != nil {
 					return 0, err
@@ -1058,14 +1140,8 @@ func pure2(a, b cexpr, f func(x, y uint64) uint64) cexpr {
 		}
 	}
 	if a.isConst && b.isReg {
-		k, bf, bi := a.val, b.rfile, b.ridx
-		return dynExpr(func(ctx *Ctx) (uint64, error) {
-			y, err := ctx.m.ReadReg(bf, bi)
-			if err != nil {
-				return 0, err
-			}
-			return f(k, y), nil
-		})
+		k, bs := a.val, b.slot
+		return dynExpr(func(ctx *Ctx) (uint64, error) { return f(k, uint64(ctx.r[bs])), nil })
 	}
 	if !a.isConst && b.isConst {
 		afn, k := a.fn, b.val

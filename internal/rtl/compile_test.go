@@ -25,9 +25,55 @@ func cloneTM(m *testMachine) *testMachine {
 	return n
 }
 
-// sameTM compares the observable state of two test machines.
+// testLayout places the test machine's files in the register array:
+// R (with the Y and PSR aliases at 32 and 33) and F.
+var testLayout = &RegLayout{Int: "R", IntCount: 35, Float: "F", FloatCount: 32, Zero: -1}
+
+func (m *testMachine) Layout() *RegLayout { return testLayout }
+
+// slots returns m's registers as a register array; the array holds
+// 32-bit registers, so wider values truncate.
+func (m *testMachine) slots() Regs {
+	var r Regs
+	for f, regs := range m.regs {
+		for i, v := range regs {
+			if s, ok := testLayout.Slot(f, i); ok {
+				r[s] = uint32(v)
+			}
+		}
+	}
+	return r
+}
+
+// setSlots replaces m's registers with the contents of r.
+func (m *testMachine) setSlots(r Regs) {
+	m.regs = map[string]map[int64]uint64{"R": {}, "F": {}}
+	for s, v := range r {
+		switch {
+		case v == 0:
+		case s < FloatSlot:
+			m.regs["R"][int64(s)] = uint64(v)
+		default:
+			m.regs["F"][int64(s-FloatSlot)] = uint64(v)
+		}
+	}
+}
+
+// runCompiled runs p over m's registers as a register array and
+// stores the array back into m.
+func runCompiled(p *Prog, m *testMachine) error {
+	r := m.slots()
+	var ctx Ctx
+	ctx.Bind(m, &r)
+	err := p.Run(&ctx)
+	m.setSlots(r)
+	return err
+}
+
+// sameTM compares the observable state of two test machines, with
+// registers compared as the 32-bit register array holds them.
 func sameTM(a, b *testMachine) bool {
-	return reflect.DeepEqual(a.regs, b.regs) &&
+	return a.slots() == b.slots() &&
 		reflect.DeepEqual(a.mem, b.mem) &&
 		a.npc == b.npc && a.hasNPC == b.hasNPC &&
 		a.annul == b.annul &&
@@ -48,8 +94,7 @@ func diffCompile(t *testing.T, src string, m *testMachine) {
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", src, err)
 	}
-	var ctx Ctx
-	runErr := prog.Run(cm, &ctx)
+	runErr := runCompiled(prog, cm)
 
 	if (execErr == nil) != (runErr == nil) {
 		t.Fatalf("%q: exec err %v, compiled err %v", src, execErr, runErr)
@@ -118,6 +163,10 @@ func TestCompileMatchesExec(t *testing.T) {
 		"trap(5)",
 		// nested seq joins the enclosing step
 		"(R[6] := 1 ; R[7] := R[6] + 1) ; R[8] := R[7] + 1",
+		// dynamic register indices: in range, and past the file
+		"R[R[1] - 4] := 99, R[6] := R[R[2] - 17]",
+		"R[R[2] + 100] := 1",
+		"R[6] := R[R[2] + 100]",
 	}
 	for _, src := range cases {
 		diffCompile(t, src, m)
@@ -156,8 +205,7 @@ func TestCompileConstantFolding(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	var ctx Ctx
-	if err := prog.Run(m, &ctx); err != nil {
+	if err := runCompiled(prog, m); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if m.regs["R"][3] != 42 {

@@ -44,6 +44,9 @@ const (
 	FlagTrap                       // may raise a trap
 	FlagSpecial                    // register-window special operation
 	FlagMemWrite                   // may write memory
+	// FlagExtended: may read or write an extended integer slot
+	// (32..34), the slots lazy condition codes stand for.
+	FlagExtended
 )
 
 // Flags reports the program's effect summary.
@@ -56,15 +59,14 @@ func (p *Prog) Flags() uint8 { return p.flags }
 // The result must be executed with RunDirect (Run also works: the
 // buffered commit loop simply finds nothing pending).
 func CompileDirect(n Node, env CompileEnv) (*Prog, error) {
-	return (&compiler{env: env, slots: map[string]int{}}).program(n, true)
+	return newCompiler(env).program(n, true)
 }
 
 // RunDirect executes a direct-mode program: Run minus the
 // pending-write machinery.  The compile-time analysis guarantees the
 // observable behaviour matches Run of the buffered form exactly,
 // including which error surfaces first.
-func (p *Prog) RunDirect(m Machine, ctx *Ctx) error {
-	ctx.m = m
+func (p *Prog) RunDirect(ctx *Ctx) error {
 	if p.nTemps > 0 {
 		ctx.reset(p.nTemps)
 	}
@@ -81,7 +83,7 @@ func (p *Prog) RunDirect(m Machine, ctx *Ctx) error {
 // RunDirect call (which shows up in emulator profiles).  Only
 // temp-free direct programs qualify — their ops share one bound Ctx
 // with no per-program reset; others return nil and must go through
-// RunDirect.
+// RunDirect.  The ops run against the Ctx's binding (Ctx.Bind).
 func (p *Prog) DirectOps() []OpFunc {
 	if !p.direct || p.nTemps > 0 {
 		return nil
@@ -89,22 +91,10 @@ func (p *Prog) DirectOps() []OpFunc {
 	return p.flat
 }
 
-// Bind points ctx at m for subsequent DirectOps execution.  Run and
-// RunDirect bind implicitly; this is only needed when driving ops
-// directly.
-func (ctx *Ctx) Bind(m Machine) { ctx.m = m }
-
-// regLoc identifies one constant-index register in the write set.
-type regLoc struct {
-	file string
-	idx  int64
-}
-
 // directAnalysis carries the per-step proof state for CompileDirect.
 // The zero value starts a step with nothing written.
 type directAnalysis struct {
-	wReg      map[regLoc]bool // constant-index registers written
-	wFile     map[string]bool // dynamic-index write: whole file dirty
+	wReg      slotSet // register slots written
 	wMem      bool
 	wPC       bool
 	committed bool // some state write has been issued this step
@@ -117,14 +107,13 @@ type directAnalysis struct {
 	// which needs two conditions beyond the usual rules: no two ops
 	// write the same location (the last commit would win, and order is
 	// no longer program order), and no op can fail at run time (an
-	// error would surface in attempt order, not program order) — reads
-	// of a constant register are the one failure source exempted,
-	// since compiled semantics only name files the description defines.
+	// error would surface in attempt order, not program order).  Reads
+	// of a constant register cannot fail: they are slot reads.
 	permuted bool
 }
 
 func (a *directAnalysis) resetStep() {
-	a.wReg, a.wFile = nil, nil
+	a.wReg = slotSet{}
 	a.wMem, a.wPC, a.committed, a.poisoned = false, false, false, false
 	a.permuted, a.failed = false, false
 }
@@ -142,30 +131,12 @@ func (a *directAnalysis) gate() bool {
 	return true
 }
 
-func (a *directAnalysis) regRead(file string, idx int64) {
+func (a *directAnalysis) regRead(s int) {
 	if !a.gate() {
 		return
 	}
-	if a.wFile[file] || a.wReg[regLoc{file, idx}] {
+	if a.wReg.has(s) {
 		a.failed = true
-	}
-}
-
-func (a *directAnalysis) regReadDyn(file string) {
-	if !a.gate() {
-		return
-	}
-	// A dynamic index may alias any written register of the file, and
-	// its read can fail at run time (rule 2; fatal under permutation).
-	if a.committed || a.wFile[file] || a.permuted {
-		a.failed = true
-		return
-	}
-	for loc := range a.wReg {
-		if loc.file == file {
-			a.failed = true
-			return
-		}
 	}
 }
 
@@ -202,34 +173,15 @@ func (a *directAnalysis) mayErr() {
 	}
 }
 
-func (a *directAnalysis) regWrite(file string, idx int64) {
+func (a *directAnalysis) regWrite(s int) {
 	if !a.gate() {
 		return
 	}
-	if a.permuted && (a.wFile[file] || a.wReg[regLoc{file, idx}]) {
+	if a.permuted && a.wReg.has(s) {
 		a.failed = true // reordered write-after-write: wrong last writer
 		return
 	}
-	if a.wReg == nil {
-		a.wReg = map[regLoc]bool{}
-	}
-	a.wReg[regLoc{file, idx}] = true
-	a.committed = true
-}
-
-func (a *directAnalysis) regWriteDyn(file string) {
-	if !a.gate() {
-		return
-	}
-	if a.permuted {
-		// May alias any other write of the file, and indexing can fail.
-		a.failed = true
-		return
-	}
-	if a.wFile == nil {
-		a.wFile = map[string]bool{}
-	}
-	a.wFile[file] = true
+	a.wReg.add(s)
 	a.committed = true
 }
 
@@ -266,7 +218,7 @@ func (a *directAnalysis) exclusive() {
 	if !a.gate() {
 		return
 	}
-	if a.committed || a.wMem || a.wPC || len(a.wReg) > 0 || len(a.wFile) > 0 {
+	if a.committed || a.wMem || a.wPC || a.wReg != (slotSet{}) {
 		a.failed = true
 		return
 	}

@@ -24,6 +24,13 @@ type Machine interface {
 	ReadReg(file string, idx int64) (uint64, error)
 	// WriteReg writes a register.
 	WriteReg(file string, idx int64, v uint64) error
+	Host
+}
+
+// Host is what a compiled program calls at run time besides its
+// register array: memory, the pipeline and traps.  Every Machine is a
+// Host.
+type Host interface {
 	// ReadMem reads width bytes at addr (big-endian, zero-extended).
 	ReadMem(addr uint64, width int) (uint64, error)
 	// WriteMem writes the low width bytes of v at addr.

@@ -22,10 +22,10 @@
 //     which records the operands lazily instead of computing X;
 //   - winsave/winrestore, through ShiftWindow.
 //
-// Every other statement runs the instruction's compiled program with
-// the REnv as its Machine: register reads and writes land in REnv
-// slots, memory and traps go through the RBridge, so behaviour and
-// error strings are the interpreter's.
+// Every other statement runs the instruction's compiled program over
+// REnv.V, the same register array and slots every compiled tier uses:
+// memory and traps go through the RBridge, so behaviour and error
+// strings are the interpreter's.
 package rtl
 
 import "fmt"
@@ -79,22 +79,6 @@ func WindowSpecial(r *[32]uint32, ws *[]RWindow, name string, args []uint64) err
 	return nil
 }
 
-// RegLayout maps a description's register files onto the emulator's
-// registers: the integer file's first 32 registers, the extended slots
-// 32..34 (SPARC's Y, PSR and FSR aliases, MIPS's HI and LO), and the
-// float file.
-type RegLayout struct {
-	Int, Float string
-	IntCount   int
-	Zero       int64 // the hardwired-zero index, -1 when none
-}
-
-// UnknownReg is the error of a Machine asked for a register its layout
-// does not hold.
-func UnknownReg(op, file string, idx int64) error {
-	return fmt.Errorf("%s of unknown register %s[%d]", op, file, idx)
-}
-
 // RBridge is the slow-path escape hatch a routine program calls for
 // memory and traps.  The emulator's cpuEnv supplies it, so error
 // strings and write-watch side effects are bit-identical to the
@@ -107,9 +91,6 @@ type RBridge interface {
 	// lives in e while the routine runs).
 	RTrap(e *REnv, code uint64) error
 }
-
-// FloatSlot is where the float file starts in REnv.V.
-const FloatSlot = 35
 
 // Ints is the current window's view of the integer registers.
 func (e *REnv) Ints() *[32]uint32 { return (*[32]uint32)(e.V[:32]) }
@@ -156,9 +137,10 @@ const (
 // fills it from the CPU at entry and spills it back at exit, calls,
 // traps, and deopt points.
 type REnv struct {
-	// V holds the registers: the integer file at 0..34 (32..34 are the
-	// extended slots), the float file from FloatSlot.
-	V [FloatSlot + 32]uint32
+	// V holds the registers in the description's layout: the
+	// integer file at 0..34 (32..34 are the extended slots), the float
+	// file from FloatSlot.
+	V Regs
 
 	PC, NPC uint32
 	Insts   uint64
@@ -182,7 +164,6 @@ type REnv struct {
 	StopPC   uint32
 
 	Bridge RBridge
-	Layout *RegLayout
 
 	// Gen is the translation generation the routine was entered
 	// under; *GenP is the live counter.  A mismatch after a store
@@ -212,65 +193,25 @@ func (e *REnv) FlushCC() {
 
 // ResetCC clears the lazy condition-code state (the register file is
 // authoritative) and binds the environment's compiled-program scratch
-// state; the runner calls it when filling the environment.
+// state to V; the runner calls it when filling the environment.
 func (e *REnv) ResetCC() {
 	e.ccK = ccNone
-	e.ctx.Bind(resMachine{e})
+	e.ctx.Bind(resHost{e}, &e.V)
 }
 
-// resMachine is the Machine view of an REnv.  Field and
-// register-model queries are compile-time questions, answered by the
-// instruction's CompileEnv; pc folds at lowering and LowerXfer lowers
-// control transfers itself, so PC, SetPC and Annul are never reached.
-type resMachine struct{ e *REnv }
+// resHost is the Host view of an REnv.  pc folds at lowering and
+// LowerXfer lowers control transfers itself, so PC, SetPC and Annul
+// are never reached.
+type resHost struct{ e *REnv }
 
-func (resMachine) Field(string) (int64, bool)                 { return 0, false }
-func (resMachine) FieldWidth(string) (int, bool)              { return 0, false }
-func (resMachine) RegAlias(string) (string, int64, bool)      { return "", 0, false }
-func (resMachine) IsRegFile(string) bool                      { return false }
-func (m resMachine) PC() uint64                               { return uint64(m.e.PC) }
-func (resMachine) SetPC(uint64, bool)                         {}
-func (resMachine) Annul()                                     {}
-func (m resMachine) Trap(code uint64) error                   { return m.e.Bridge.RTrap(m.e, code) }
-func (m resMachine) ReadMem(a uint64, w int) (uint64, error)  { return m.e.Bridge.ReadMem(a, w) }
-func (m resMachine) WriteMem(a uint64, w int, v uint64) error { return m.e.Bridge.WriteMem(a, w, v) }
-func (m resMachine) Special(op string, args []uint64) error {
+func (m resHost) PC() uint64                               { return uint64(m.e.PC) }
+func (resHost) SetPC(uint64, bool)                         {}
+func (resHost) Annul()                                     {}
+func (m resHost) Trap(code uint64) error                   { return m.e.Bridge.RTrap(m.e, code) }
+func (m resHost) ReadMem(a uint64, w int) (uint64, error)  { return m.e.Bridge.ReadMem(a, w) }
+func (m resHost) WriteMem(a uint64, w int, v uint64) error { return m.e.Bridge.WriteMem(a, w, v) }
+func (m resHost) Special(op string, args []uint64) error {
 	return WindowSpecial(m.e.Ints(), &m.e.Windows, op, args)
-}
-
-func (m resMachine) ReadReg(file string, idx int64) (uint64, error) {
-	i, ok := m.e.slot(file, idx)
-	if !ok {
-		return 0, UnknownReg("read", file, idx)
-	}
-	return uint64(m.e.V[i]), nil
-}
-
-func (m resMachine) WriteReg(file string, idx int64, v uint64) error {
-	i, ok := m.e.slot(file, idx)
-	if !ok {
-		return UnknownReg("write", file, idx)
-	}
-	if !(file == m.e.Layout.Int && idx == m.e.Layout.Zero) {
-		m.e.V[i] = uint32(v)
-	}
-	return nil
-}
-
-// slot maps file[idx] onto V.  An extended slot may be the one a lazy
-// cc record stands for, so it is materialized first.
-func (e *REnv) slot(file string, idx int64) (int, bool) {
-	l := e.Layout
-	switch {
-	case file == l.Int && idx >= 32 && idx < int64(l.IntCount):
-		e.FlushCC()
-		return int(idx), true
-	case file == l.Int && idx >= 0 && idx < int64(l.IntCount):
-		return int(idx), true
-	case file == l.Float && idx >= 0 && idx < 32:
-		return FloatSlot + int(idx), true
-	}
-	return 0, false
 }
 
 // ROp is one lowered instruction.  It returns true to stop, with
@@ -380,54 +321,44 @@ type alu struct {
 func (x alu) eval(e *REnv) uint32 { return x.f(x.a.val(e), x.b.val(e)) }
 
 // lowerer lowers one instruction; its compiler knows the address.
-type lowerer struct {
-	c *compiler
-	l *RegLayout
-}
+type lowerer struct{ c *compiler }
 
 // reg resolves a register reference (R[i] or an alias) with a
-// field-computable index.
-func (lw *lowerer) reg(n Node) (file string, idx int64, ok bool) {
+// field-computable index to its slot.
+func (lw *lowerer) reg(n Node) (int, bool) {
 	switch x := UnwrapSeq(n).(type) {
 	case Ident:
-		return lw.c.env.RegAlias(x.Name)
+		if file, idx, ok := lw.c.env.RegAlias(x.Name); ok {
+			return lw.c.l.Slot(file, idx)
+		}
 	case Index:
 		base, isID := x.Base.(Ident)
 		if !isID || base.Name == "M" || !lw.c.env.IsRegFile(base.Name) {
-			return "", 0, false
+			return 0, false
 		}
 		i, err := lw.c.expr(x.Elem)
 		if err != nil || !i.isConst {
-			return "", 0, false
+			return 0, false
 		}
-		return base.Name, int64(i.val), true
-	}
-	return "", 0, false
-}
-
-// resident maps a register a closure may address directly to its V
-// index: an integer register of the window, or a float register.  The
-// extended slots stay behind the Machine view, which keeps lazy
-// condition codes exact.
-func (lw *lowerer) resident(file string, idx int64) (uint32, bool) {
-	switch {
-	case file == lw.l.Int && idx >= 0 && idx < 32 && idx < int64(lw.l.IntCount):
-		return uint32(idx), true
-	case file == lw.l.Float && idx >= 0 && idx < 32:
-		return FloatSlot + uint32(idx), true
+		return lw.c.l.Slot(base.Name, int64(i.val))
 	}
 	return 0, false
 }
 
+// resident reports whether a closure may address slot s directly: an
+// integer register of the window, or a float register.  The extended
+// slots stay with the compiled program, which flushes lazy condition
+// codes before touching them.
+func resident(s int) bool { return s < 32 || s >= FloatSlot }
+
 // dest resolves an assignment target to a resident register; zero
 // reports the hardwired zero, whose writes are dropped.
 func (lw *lowerer) dest(n Node) (d uint32, zero, ok bool) {
-	file, idx, ok := lw.reg(n)
-	if !ok {
+	s, ok := lw.reg(n)
+	if !ok || !resident(s) {
 		return 0, false, false
 	}
-	d, ok = lw.resident(file, idx)
-	return d, ok && file == lw.l.Int && idx == lw.l.Zero, ok
+	return uint32(s), lw.c.l.IsZero(s), true
 }
 
 func (lw *lowerer) operand(n Node) (operand, bool) {
@@ -437,8 +368,7 @@ func (lw *lowerer) operand(n Node) (operand, bool) {
 	case v.isConst:
 		return operand{imm: true, wide: v.val>>32 != 0, k: uint32(v.val)}, true
 	case v.isReg:
-		r, ok := lw.resident(v.rfile, v.ridx)
-		return operand{r: r}, ok
+		return operand{r: uint32(v.slot)}, resident(v.slot)
 	}
 	return operand{}, false
 }
@@ -503,9 +433,13 @@ func (lw *lowerer) address(n Node) (base uint32, off operand, w int, ok bool) {
 
 // LowerBody lowers the semantics of the non-transfer instruction at
 // pc.  env supplies the instruction's field values and the
-// description's register model; l maps the register files onto REnv.
-func LowerBody(sem Node, env CompileEnv, l *RegLayout, pc uint32) (b Body, err error) {
-	lw := &lowerer{&compiler{env: env, pcKnown: true, pcVal: uint64(pc)}, l}
+// description's register model, whose layout places the registers in
+// REnv.V.
+func LowerBody(sem Node, env CompileEnv, pc uint32) (b Body, err error) {
+	lw := newLowerer(env, pc)
+	if lw.c.l == nil {
+		return b, &CompileError{sem, "no register layout"}
+	}
 	defer func() { b.AtPC = lw.c.pcRead }()
 	steps := seqSteps(sem)
 	if len(steps) == 1 && len(steps[0]) == 1 {
@@ -520,6 +454,12 @@ func LowerBody(sem Node, env CompileEnv, l *RegLayout, pc uint32) (b Body, err e
 	}
 	b.Op, err = lw.general(sem)
 	return b, err
+}
+
+// newLowerer returns a lowerer for the instruction at pc.  Its
+// compiler has no temporaries until general needs them.
+func newLowerer(env CompileEnv, pc uint32) *lowerer {
+	return &lowerer{&compiler{env: env, l: env.Layout(), pcKnown: true, pcVal: uint64(pc)}}
 }
 
 func seqSteps(n Node) [][]Node {
@@ -722,10 +662,10 @@ func (lw *lowerer) ccPair(step []Node) (Body, bool) {
 	fn, args := spine(ap)
 	id, _ := fn.(Ident)
 	kind, logic := ccKinds[id.Name], id.Name == "cc_logic"
-	file, dst, ok := lw.reg(cc.LHS)
+	dst, ok := lw.reg(cc.LHS)
 	d, zero, ok2 := lw.dest(val.LHS)
 	x, ok3 := lw.alu(val.RHS)
-	if kind == ccNone || !ok || !ok2 || !ok3 || file != lw.l.Int || dst < 32 || dst >= int64(lw.l.IntCount) {
+	if kind == ccNone || !ok || !ok2 || !ok3 || resident(dst) {
 		return Body{}, false
 	}
 	if logic {
@@ -746,7 +686,7 @@ func (lw *lowerer) ccPair(step []Node) (Body, bool) {
 	if !zero {
 		plain = aluOp(d, x)
 	}
-	return Body{Op: ccOp(kind, logic, dst, d, zero, x), CC: kind, CCReg: dst, NoCC: plain}, true
+	return Body{Op: ccOp(kind, logic, int64(dst), d, zero, x), CC: kind, CCReg: int64(dst), NoCC: plain}, true
 }
 
 // ccOp writes a op b to R[d] and records the flags lazily: the
@@ -778,7 +718,9 @@ func ccOp(kind uint8, logic bool, dst int64, d uint32, zero bool, x alu) ROp {
 	}
 }
 
-// general runs the instruction's compiled program against the REnv.
+// general runs the instruction's compiled program over the REnv.  A
+// program that touches an extended slot sees (and overwrites) the
+// materialized condition codes, not a stale slot behind a lazy record.
 func (lw *lowerer) general(sem Node) (ROp, error) {
 	lw.c.slots = map[string]int{}
 	p, err := lw.c.program(sem, false)
@@ -789,8 +731,12 @@ func (lw *lowerer) general(sem Node) (ROp, error) {
 		return nil, &CompileError{sem, "control transfer in a routine body"}
 	}
 	memw := p.flags&FlagMemWrite != 0
+	ext := p.flags&FlagExtended != 0
 	return func(e *REnv) bool {
-		if err := p.Run(resMachine{e}, &e.ctx); err != nil {
+		if ext {
+			e.FlushCC()
+		}
+		if err := p.Run(&e.ctx); err != nil {
 			return stopFault(e, err)
 		}
 		if e.Halted {
@@ -805,8 +751,11 @@ func (lw *lowerer) general(sem Node) (ROp, error) {
 // lazy cc kind the branch's block records last (0: none known), so a
 // condition test over that register fuses into a direct predicate on
 // the recorded operands.
-func LowerXfer(sem Node, env CompileEnv, l *RegLayout, pc uint32, cc uint8, ccReg int64) (Xfer, error) {
-	lw := &lowerer{&compiler{env: env, pcKnown: true, pcVal: uint64(pc)}, l}
+func LowerXfer(sem Node, env CompileEnv, pc uint32, cc uint8, ccReg int64) (Xfer, error) {
+	lw := newLowerer(env, pc)
+	if lw.c.l == nil {
+		return Xfer{}, &CompileError{sem, "no register layout"}
+	}
 	w := &xferWalk{lw: lw, sideStep: -1, temps: map[string]tempDef{}, x: Xfer{Link: -1, DynReg: -1}}
 	for s, step := range seqSteps(sem) {
 		for _, op := range step {
@@ -994,7 +943,7 @@ func (lw *lowerer) pred(n Node, cc uint8, ccReg int64) (func(*REnv) bool, error)
 	case Apply:
 		fn, args := spine(x)
 		if sym, ok := fn.(Sym); ok && len(args) == 1 && cc != ccNone {
-			if file, idx, ok := lw.reg(args[0]); ok && file == lw.l.Int && idx == ccReg {
+			if s, ok := lw.reg(args[0]); ok && int64(s) == ccReg {
 				if p := fusedPred(cc, sym.Name); p != nil {
 					return p, nil
 				}
@@ -1010,8 +959,15 @@ func (lw *lowerer) pred(n Node, cc uint8, ccReg int64) (func(*REnv) bool, error)
 			}
 		}
 	}
+	// A condition that reads an extended slot, which a lazy cc record
+	// may stand for, flushes first.
+	lw.c.flags &^= FlagExtended
 	c, err := lw.c.expr(n)
+	ext := lw.c.flags&FlagExtended != 0
 	return func(e *REnv) bool {
+		if ext {
+			e.FlushCC()
+		}
 		v, _ := c.eval(&e.ctx)
 		return v != 0
 	}, err

@@ -268,9 +268,15 @@ func (m *testMachine) RegAlias(name string) (string, int64, bool) {
 }
 func (m *testMachine) IsRegFile(name string) bool { return name == "R" || name == "F" }
 func (m *testMachine) ReadReg(f string, i int64) (uint64, error) {
+	if _, ok := testLayout.Slot(f, i); !ok {
+		return 0, UnknownReg("read", f, i)
+	}
 	return m.regs[f][i], nil
 }
 func (m *testMachine) WriteReg(f string, i int64, v uint64) error {
+	if _, ok := testLayout.Slot(f, i); !ok {
+		return UnknownReg("write", f, i)
+	}
 	m.regs[f][i] = v
 	return nil
 }

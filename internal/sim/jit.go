@@ -385,7 +385,7 @@ func (c *CPU) execLinear(b *tblock, maxSteps uint64, gen uint64) (last int, stop
 	if c.prof != nil {
 		fast = nil // profiled runs keep the fully-instrumented path
 	}
-	c.rtlCtx.Bind(&c.env)
+	c.rtlCtx.Bind(&c.env, c.regs())
 	for {
 		// Fixed 4-byte stride: bindDesc rejects any other instruction
 		// width at New, so the shifts here cannot drift out of sync
@@ -420,7 +420,7 @@ func (c *CPU) execLinear(b *tblock, maxSteps uint64, gen uint64) (last int, stop
 							return last, true, &Fault{c.PC, err}
 						}
 					}
-				} else if err := fast[i].RunDirect(&c.env, &c.rtlCtx); err != nil {
+				} else if err := fast[i].RunDirect(&c.rtlCtx); err != nil {
 					return last, true, &Fault{c.PC, err}
 				}
 				c.InstCount++
@@ -436,7 +436,7 @@ func (c *CPU) execLinear(b *tblock, maxSteps uint64, gen uint64) (last int, stop
 			// direct commits but the full pipeline bookkeeping.
 			c.hasDelayed, c.hasImmediate = false, false
 			annulBefore := c.annulNext
-			if err := fast[i].RunDirect(&c.env, &c.rtlCtx); err != nil {
+			if err := fast[i].RunDirect(&c.rtlCtx); err != nil {
 				return last, true, &Fault{c.PC, err}
 			}
 			c.InstCount++
@@ -453,7 +453,7 @@ func (c *CPU) execLinear(b *tblock, maxSteps uint64, gen uint64) (last int, stop
 		ci := &insts[i]
 		c.hasDelayed, c.hasImmediate = false, false
 		annulBefore := c.annulNext
-		if err := ci.prog.Run(&c.env, &c.rtlCtx); err != nil {
+		if err := ci.prog.Run(&c.rtlCtx); err != nil {
 			return last, true, &Fault{c.PC, err}
 		}
 		c.InstCount++
@@ -487,7 +487,7 @@ func (c *CPU) execTrace(b *tblock, maxSteps uint64, gen uint64) (last int, stop 
 	if c.PC != b.pc {
 		return last, false, nil
 	}
-	c.rtlCtx.Bind(&c.env)
+	c.rtlCtx.Bind(&c.env, c.regs())
 	for i := 0; ; {
 		if c.InstCount >= maxSteps {
 			return last, true, nil
@@ -500,7 +500,7 @@ func (c *CPU) execTrace(b *tblock, maxSteps uint64, gen uint64) (last int, stop 
 							return last, true, &Fault{c.PC, err}
 						}
 					}
-				} else if err := fast[i].RunDirect(&c.env, &c.rtlCtx); err != nil {
+				} else if err := fast[i].RunDirect(&c.rtlCtx); err != nil {
 					return last, true, &Fault{c.PC, err}
 				}
 				c.InstCount++
@@ -515,7 +515,7 @@ func (c *CPU) execTrace(b *tblock, maxSteps uint64, gen uint64) (last int, stop 
 			} else {
 				c.hasDelayed, c.hasImmediate = false, false
 				annulBefore := c.annulNext
-				if err := fast[i].RunDirect(&c.env, &c.rtlCtx); err != nil {
+				if err := fast[i].RunDirect(&c.rtlCtx); err != nil {
 					return last, true, &Fault{c.PC, err}
 				}
 				c.InstCount++
@@ -529,7 +529,7 @@ func (c *CPU) execTrace(b *tblock, maxSteps uint64, gen uint64) (last int, stop 
 			ci := &insts[i]
 			c.hasDelayed, c.hasImmediate = false, false
 			annulBefore := c.annulNext
-			if err := ci.prog.Run(&c.env, &c.rtlCtx); err != nil {
+			if err := ci.prog.Run(&c.rtlCtx); err != nil {
 				return last, true, &Fault{c.PC, err}
 			}
 			c.InstCount++

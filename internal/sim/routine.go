@@ -83,11 +83,21 @@ type rblock struct {
 // compilation and safe to share across CPUs.
 type routineProg struct {
 	blocks []rblock
-	// index maps every compiled block base to its index; these are
-	// the pcs at which the routine tier may enter.  Blocks whose
-	// instructions did not lower are left out: control into them
-	// exits to the lower tiers.
-	index map[uint32]int32
+	// heads[(pc-base)/4] is the index of the compiled block starting
+	// at pc, or -1; the block heads are the pcs at which the routine
+	// tier may enter.  Blocks whose instructions did not lower are
+	// left out: control into them exits to the lower tiers.
+	base  uint32
+	heads []int32
+}
+
+// head returns the index of the compiled block starting at pc.
+func (p *routineProg) head(pc uint32) (int32, bool) {
+	i := (pc - p.base) / 4
+	if (pc-p.base)%4 != 0 || i >= uint32(len(p.heads)) || p.heads[i] < 0 {
+		return 0, false
+	}
+	return p.heads[i], true
 }
 
 // rtMailbox receives finished compilations from the background
@@ -110,14 +120,13 @@ func (mb *rtMailbox) deliver(job *rtJob) {
 // (the worker must not race engine-side memory writes) plus the
 // generation it was snapshotted under.
 type rtJob struct {
-	dec    *spawn.TableDecoder
-	layout *rtl.RegLayout
-	text   []byte
-	entry  uint32
-	gen    uint64
-	key    rtCacheKey
-	mb     *rtMailbox
-	res    *rtCacheEnt // result
+	dec   *spawn.TableDecoder
+	text  []byte
+	entry uint32
+	gen   uint64
+	key   rtCacheKey
+	mb    *rtMailbox
+	res   *rtCacheEnt // result
 }
 
 // rtCacheKey content-addresses a routine compilation by the machine
@@ -278,20 +287,20 @@ func rtCompileJob(job *rtJob) *rtCacheEnt {
 	if ent, ok := rtProgCache.Load(job.key); ok {
 		return ent.(*rtCacheEnt)
 	}
-	ent := rtCompileText(job.dec, job.layout, job.text, job.entry)
+	ent := rtCompileText(job.dec, job.text, job.entry)
 	rtProgCache.Store(job.key, ent)
 	return ent
 }
 
 // rtCompileText compiles the routine whose text starts at its entry.
-func rtCompileText(dec *spawn.TableDecoder, layout *rtl.RegLayout, text []byte, entry uint32) *rtCacheEnt {
+func rtCompileText(dec *spawn.TableDecoder, text []byte, entry uint32) *rtCacheEnt {
 	end := entry + uint32(len(text))
 	g, err := cfg.Build(dec, machine.DecodeText(dec, text), entry, entry, end, []uint32{entry})
 	if err != nil {
 		return &rtCacheEnt{err: err}
 	}
 	lv := dataflow.ComputeLiveness(g)
-	rc := &routineCompiler{inv: make(map[uint32]*machine.Inst), pl: lv.Points(), layout: layout, desc: dec.Desc()}
+	rc := &routineCompiler{inv: make(map[uint32]*machine.Inst), pl: lv.Points(), desc: dec.Desc()}
 	for _, b := range g.Blocks {
 		for _, ci := range b.Insts {
 			if ci.MI != nil && ci.MI.Valid() {
@@ -352,13 +361,12 @@ func (c *CPU) rtRequest(entry uint32) {
 	text := make([]byte, end-entry)
 	c.Mem.ReadSegment(entry, text)
 	job := &rtJob{
-		dec:    c.dec,
-		layout: &c.layout,
-		text:   text,
-		entry:  entry,
-		gen:    c.tc.gen,
-		key:    key,
-		mb:     c.rt.mb,
+		dec:   c.dec,
+		text:  text,
+		entry: entry,
+		gen:   c.tc.gen,
+		key:   key,
+		mb:    c.rt.mb,
 	}
 	w.pending = true
 	if c.RoutineSync {
@@ -408,20 +416,18 @@ func (c *CPU) rtInstall(job *rtJob) {
 	if job.gen != c.tc.gen {
 		return // text changed since the snapshot; a rebuilt hot block re-requests
 	}
-	for pc, k := range prog.index {
-		if h := c.rt.word(pc); h != nil {
+	for i, k := range prog.heads {
+		if h := c.rt.word(prog.base + 4*uint32(i)); h != nil && k >= 0 {
 			h.prog, h.idx = prog, k
 		}
 	}
 	c.tc.ctr.RoutinesCompiled++
-	obs.Record(obs.EvRoutineInstall, uint64(job.entry), uint64(len(prog.index)))
+	obs.Record(obs.EvRoutineInstall, uint64(job.entry), uint64(len(prog.blocks)))
 }
 
 // rtFill loads the routine environment from architected state.
 func (c *CPU) rtFill(e *rtl.REnv) {
-	copy(e.V[:32], c.R[:])
-	e.V[32], e.V[33], e.V[34] = c.Y, c.PSR, c.FSR
-	copy(e.V[rtl.FloatSlot:], c.F[:])
+	e.V = *c.regs()
 	e.PC, e.NPC = c.PC, c.NPC
 	e.Insts, e.Annuls = c.InstCount, c.AnnulCount
 	e.Windows = c.windows
@@ -429,7 +435,6 @@ func (c *CPU) rtFill(e *rtl.REnv) {
 	e.ResetCC()
 	e.StopKind, e.StopErr, e.StopPC = rtl.StopNone, nil, 0
 	e.Bridge = &c.env
-	e.Layout = &c.layout
 	e.Gen = c.tc.gen
 	e.GenP = &c.tc.gen
 }
@@ -439,9 +444,7 @@ func (c *CPU) rtFill(e *rtl.REnv) {
 // architected PSR.
 func (c *CPU) rtSpill(e *rtl.REnv) {
 	e.FlushCC()
-	copy(c.R[:], e.V[:32])
-	c.Y, c.PSR, c.FSR = e.V[32], e.V[33], e.V[34]
-	copy(c.F[:], e.V[rtl.FloatSlot:])
+	*c.regs() = e.V
 	c.PC, c.NPC = e.PC, e.NPC
 	c.InstCount, c.AnnulCount = e.Insts, e.Annuls
 	c.windows = e.Windows
@@ -470,8 +473,8 @@ func (c *CPU) runRoutine(p *routineProg, k int32, maxSteps uint64) (executed boo
 			return executed, nil
 		}
 		executed = true
-		for i := range blk.ops {
-			if blk.ops[i](e) {
+		for i, op := range blk.ops {
+			if op(e) {
 				pc := blk.base + uint32(4*i)
 				switch e.StopKind {
 				case rtl.StopHalt:

@@ -20,10 +20,9 @@ import (
 
 // routineCompiler carries one routine compilation's state.
 type routineCompiler struct {
-	inv    map[uint32]*machine.Inst
-	pl     *dataflow.PointLiveness
-	layout *rtl.RegLayout
-	desc   *spawn.Desc
+	inv  map[uint32]*machine.Inst
+	pl   *dataflow.PointLiveness
+	desc *spawn.Desc
 }
 
 type instAt struct {
@@ -94,7 +93,10 @@ func (rc *routineCompiler) compile(entry uint32) (ent *rtCacheEnt) {
 		}
 	}
 
-	prog := &routineProg{index: make(map[uint32]int32)}
+	prog := &routineProg{base: entry, heads: make([]int32, (pcs[len(pcs)-1]-entry)/4+1)}
+	for i := range prog.heads {
+		prog.heads[i] = -1
+	}
 	var protos []*protoBlock
 	for idx := 0; idx < len(pcs); {
 		base := pcs[idx]
@@ -104,7 +106,7 @@ func (rc *routineCompiler) compile(entry uint32) (ent *rtCacheEnt) {
 		}
 		pb := rc.formBlock(base, leaders)
 		if pb.err == nil {
-			prog.index[base] = int32(len(protos))
+			prog.heads[(base-entry)/4] = int32(len(protos))
 			protos = append(protos, pb)
 		} else if base == entry {
 			return &rtCacheEnt{err: pb.err, pc: pb.errPC}
@@ -144,7 +146,7 @@ func (rc *routineCompiler) formBlock(base uint32, leaders map[uint32]bool) *prot
 			rc.lowerTerm(pb, pc, in)
 			return pb
 		}
-		b, err := semOf(in).LowerBody(rc.layout, pc)
+		b, err := semOf(in).LowerBody(pc)
 		if err != nil {
 			pb.err, pb.errPC = err, pc
 			return pb
@@ -161,7 +163,7 @@ func (rc *routineCompiler) lowerTerm(pb *protoBlock, pc uint32, in *machine.Inst
 	cc, ccReg := rc.lastCC(pb.body)
 	err := fmt.Errorf("%s: a transfer that can fault", in.Name())
 	if !faults(in) {
-		pb.x, err = rtl.LowerXfer(sem.Def.Sem, sem.CompileEnv(), rc.layout, pc, cc, ccReg)
+		pb.x, err = rtl.LowerXfer(sem.Def.Sem, sem.CompileEnv(), pc, cc, ccReg)
 	}
 	if err != nil {
 		pb.err, pb.errPC = err, pc
@@ -177,7 +179,7 @@ func (rc *routineCompiler) lowerTerm(pb *protoBlock, pc uint32, in *machine.Inst
 		pb.err, pb.errPC = fmt.Errorf("%s: delay slot at %#x is not a plain instruction", in.Name(), pc+4), pc+4
 		return
 	}
-	b, err := semOf(sin).LowerBody(rc.layout, pc+4)
+	b, err := semOf(sin).LowerBody(pc + 4)
 	if err != nil {
 		pb.err, pb.errPC = err, pc+4
 		return
@@ -193,10 +195,7 @@ func (rc *routineCompiler) lastCC(body []instAt) (uint8, int64) {
 		if body[i].CC == 0 {
 			continue
 		}
-		r, ok := rc.desc.MachineReg(rc.layout.Int, body[i].CCReg)
-		if !ok {
-			return 0, 0
-		}
+		r := ccMachineReg(body[i])
 		for _, later := range body[i+1:] {
 			if later.in.Writes().Has(r) {
 				return 0, 0
@@ -213,10 +212,7 @@ func (rc *routineCompiler) lastCC(body []instAt) (uint8, int64) {
 // that could observe the register (a fault, a reader, or the block
 // end, where a spill would materialize it).
 func (rc *routineCompiler) ccDead(body []instAt, i int) bool {
-	r, ok := rc.desc.MachineReg(rc.layout.Int, body[i].CCReg)
-	if !ok {
-		return false
-	}
+	r := ccMachineReg(body[i])
 	if live, ok := rc.pl.LiveAfter(body[i].pc); !ok || live.Has(r) {
 		return false
 	}
@@ -230,6 +226,11 @@ func (rc *routineCompiler) ccDead(body []instAt, i int) bool {
 	}
 	return false
 }
+
+// ccMachineReg is the machine register a cc record stands for: a slot
+// of the integer file, whose index is its machine register number
+// (spawn's MachineReg).
+func ccMachineReg(b instAt) machine.Reg { return machine.Reg(b.CCReg) }
 
 // faults reports whether executing in can fail, from its spawn
 // effects.
@@ -297,7 +298,7 @@ func leg(tg rtarget, slot rtl.ROp, slotPC uint32, annul bool, ln int32, lv uint3
 // (a branch with a slot, a call, a return) are single closures.
 func (rc *routineCompiler) link(prog *routineProg, pb *protoBlock) (rtl.RTerm, uint64) {
 	resolve := func(pc uint32) rtarget {
-		if k, ok := prog.index[pc]; ok {
+		if k, ok := prog.head(pc); ok {
 			return rtarget{k: k, pc: pc}
 		}
 		return rtarget{k: rtl.RTermExit, pc: pc}
@@ -314,7 +315,7 @@ func (rc *routineCompiler) link(prog *routineProg, pb *protoBlock) (rtl.RTerm, u
 		cost = 2
 	}
 	if x.Dyn != nil {
-		dyn, index, dr, k := x.Dyn, prog.index, x.DynReg, x.Target
+		dyn, dr, k := x.Dyn, x.DynReg, x.Target
 		return func(e *rtl.REnv) int32 {
 			var t uint32 // read before the link write
 			if dr >= 0 {
@@ -332,7 +333,7 @@ func (rc *routineCompiler) link(prog *routineProg, pb *protoBlock) (rtl.RTerm, u
 			} else {
 				e.Insts += 2
 			}
-			if k, ok := index[t]; ok {
+			if k, ok := prog.head(t); ok {
 				return k
 			}
 			e.PC, e.NPC = t, t+4

@@ -189,24 +189,22 @@ func (b *testBridge) RTrap(e *rtl.REnv, code uint64) error {
 }
 
 // compileSPARC assembles src and composes its routine program.
-func compileSPARC(t *testing.T, src string) (*routineProg, *asm.Program, *rtl.RegLayout) {
+func compileSPARC(t *testing.T, src string) (*routineProg, *asm.Program) {
 	t.Helper()
 	prog, err := asm.Assemble(src, sweepBase)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	dec := sparc.NewDecoder()
-	layout := &New(dec, NewMemory()).layout
-	ent := rtCompileText(dec, layout, prog.Bytes, prog.Base)
+	ent := rtCompileText(sparc.NewDecoder(), prog.Bytes, prog.Base)
 	if ent.prog == nil {
 		t.Fatalf("compile: %v (at %#x)", ent.err, ent.pc)
 	}
-	return ent.prog, prog, layout
+	return ent.prog, prog
 }
 
 // newREnv returns a routine environment entered at pc over br.
-func newREnv(pc uint32, layout *rtl.RegLayout, br rtl.RBridge) *rtl.REnv {
-	e := &rtl.REnv{PC: pc, NPC: pc + 4, Bridge: br, Layout: layout, GenP: new(uint64)}
+func newREnv(pc uint32, br rtl.RBridge) *rtl.REnv {
+	e := &rtl.REnv{PC: pc, NPC: pc + 4, Bridge: br, GenP: new(uint64)}
 	e.ResetCC()
 	return e
 }
@@ -216,7 +214,7 @@ func newREnv(pc uint32, layout *rtl.RegLayout, br rtl.RBridge) *rtl.REnv {
 // re-entry at exits that land on a compiled head.
 func runRoutineProg(t *testing.T, p *routineProg, e *rtl.REnv) error {
 	t.Helper()
-	k, ok := p.index[e.PC]
+	k, ok := p.head(e.PC)
 	if !ok {
 		t.Fatalf("entry %#x not a compiled head", e.PC)
 	}
@@ -251,7 +249,7 @@ func runRoutineProg(t *testing.T, p *routineProg, e *rtl.REnv) error {
 			continue
 		}
 		if next == rtl.RTermExit {
-			if nk, ok := p.index[e.PC]; ok && e.NPC == e.PC+4 {
+			if nk, ok := p.head(e.PC); ok && e.NPC == e.PC+4 {
 				k = nk
 				continue
 			}
@@ -268,7 +266,7 @@ func runRoutineProg(t *testing.T, p *routineProg, e *rtl.REnv) error {
 // syscall exit: register results, halt state, and exact instruction
 // accounting against hand-counted interpreter behaviour.
 func TestRoutineLoopSum(t *testing.T) {
-	rp, prog, layout := compileSPARC(t, `
+	rp, prog := compileSPARC(t, `
 	mov 0, %o0
 	mov 5, %o1
 loop:	add %o0, %o1, %o0
@@ -278,7 +276,7 @@ loop:	add %o0, %o1, %o0
 	mov 1, %g1
 	ta 0
 `)
-	e := newREnv(prog.Base, layout, &testBridge{mem: map[uint32]byte{}})
+	e := newREnv(prog.Base, &testBridge{mem: map[uint32]byte{}})
 	if err := runRoutineProg(t, rp, e); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -305,7 +303,7 @@ loop:	add %o0, %o1, %o0
 // Memory traffic through the bridge: a store then a load round-trips,
 // and the store performs the post-write generation check.
 func TestRoutineMemAndGen(t *testing.T) {
-	rp, prog, layout := compileSPARC(t, `
+	rp, prog := compileSPARC(t, `
 	sethi %hi(0x20000), %o2
 	mov 77, %o3
 	st %o3, [%o2]
@@ -314,7 +312,7 @@ func TestRoutineMemAndGen(t *testing.T) {
 	ta 0
 `)
 	br := &testBridge{mem: map[uint32]byte{}}
-	e := newREnv(prog.Base, layout, br)
+	e := newREnv(prog.Base, br)
 	if err := runRoutineProg(t, rp, e); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -328,7 +326,7 @@ func TestRoutineMemAndGen(t *testing.T) {
 
 	// A generation bump observed by the next store must deopt with
 	// the store retired.
-	e2 := newREnv(prog.Base, layout, &testBridge{mem: map[uint32]byte{}})
+	e2 := newREnv(prog.Base, &testBridge{mem: map[uint32]byte{}})
 	e2.Gen = 1 // entered under a different generation
 	if err := runRoutineProg(t, rp, e2); err != nil {
 		t.Fatalf("run: %v", err)
@@ -345,7 +343,7 @@ func TestRoutineMemAndGen(t *testing.T) {
 // Register windows: save/restore keep the interpreter's stack
 // discipline (new ins = old outs, fresh locals, underflow zeroes).
 func TestRoutineWindows(t *testing.T) {
-	rp, prog, layout := compileSPARC(t, `
+	rp, prog := compileSPARC(t, `
 	mov 42, %o0
 	save %sp, -96, %sp
 	add %i0, 1, %i0
@@ -353,7 +351,7 @@ func TestRoutineWindows(t *testing.T) {
 	mov 1, %g1
 	ta 0
 `)
-	e := newREnv(prog.Base, layout, &testBridge{mem: map[uint32]byte{}})
+	e := newREnv(prog.Base, &testBridge{mem: map[uint32]byte{}})
 	e.V[14] = 0x7000 // %sp
 	if err := runRoutineProg(t, rp, e); err != nil {
 		t.Fatalf("run: %v", err)
@@ -372,7 +370,7 @@ func TestRoutineWindows(t *testing.T) {
 // The entry must be a compiled head and a diamond compiles every
 // block.
 func TestRoutineDiamondStructure(t *testing.T) {
-	rp, prog, layout := compileSPARC(t, `
+	rp, prog := compileSPARC(t, `
 	cmp %o0, 0
 	be elsepart
 	nop
@@ -384,13 +382,19 @@ join:	mov %l0, %o0
 	mov 1, %g1
 	ta 0
 `)
-	if _, ok := rp.index[prog.Base]; !ok {
+	if _, ok := rp.head(prog.Base); !ok {
 		t.Fatal("entry not in block index")
 	}
-	if len(rp.index) != len(rp.blocks) || len(rp.blocks) != 4 {
-		t.Errorf("%d blocks, %d enterable, want 4 and 4", len(rp.blocks), len(rp.index))
+	heads := 0
+	for _, k := range rp.heads {
+		if k >= 0 {
+			heads++
+		}
 	}
-	e := newREnv(prog.Base, layout, &testBridge{mem: map[uint32]byte{}})
+	if heads != len(rp.blocks) || len(rp.blocks) != 4 {
+		t.Errorf("%d blocks, %d enterable, want 4 and 4", len(rp.blocks), heads)
+	}
+	e := newREnv(prog.Base, &testBridge{mem: map[uint32]byte{}})
 	if err := runRoutineProg(t, rp, e); err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"unsafe"
 
 	"eel/internal/machine"
 	"eel/internal/rtl"
@@ -208,8 +209,11 @@ func (m *Memory) LoadSegment(addr uint32, data []byte) {
 // between engines as a slice header, never element-copied.
 type window = rtl.RWindow
 
-// CPU is one processor of a described machine.
-type CPU struct {
+// archRegs is the CPU's register array, field by field: R, Y, PSR,
+// FSR and F are views of the rtl.Regs slots the description's layout
+// assigns (the integer file at 0..34, the float file from
+// rtl.FloatSlot), and CPU.regs is the same memory as one array.
+type archRegs struct {
 	// R holds the current window's view: 0-7 globals, 8-15 outs,
 	// 16-23 locals, 24-31 ins.
 	R   [32]uint32
@@ -217,6 +221,19 @@ type CPU struct {
 	PSR uint32
 	FSR uint32
 	F   [32]uint32
+}
+
+// The overlay of archRegs on rtl.Regs must be exact: the same size,
+// with the float file at rtl.FloatSlot (a mismatch makes an array
+// length negative or a type differ, and the package does not compile).
+var (
+	_ [1]struct{} = [unsafe.Sizeof(archRegs{}) - unsafe.Sizeof(rtl.Regs{}) + 1]struct{}{}
+	_ [1]struct{} = [unsafe.Offsetof(archRegs{}.F) - rtl.FloatSlot*4 + 1]struct{}{}
+)
+
+// CPU is one processor of a described machine.
+type CPU struct {
+	archRegs
 
 	PC, NPC uint32
 
@@ -259,13 +276,14 @@ type CPU struct {
 	dec *spawn.TableDecoder
 
 	// Description-derived machine shape, bound once at New: the
-	// instruction stride, the register layout (file names, sizes, the
-	// hardwired zero), and the architecture's trap model.  Everything
-	// below is data read from the spawn description or the arch
-	// registry — the substrate has no per-machine code paths.
+	// instruction stride, the register layout spawn derived (file
+	// names, sizes, the hardwired zero), and the architecture's trap
+	// model.  Everything below is data read from the spawn description
+	// or the arch registry — the substrate has no per-machine code
+	// paths.
 	isize  uint32
 	arch   *machine.ArchInfo
-	layout rtl.RegLayout
+	layout *rtl.RegLayout
 
 	windows   []window
 	annulNext bool
@@ -277,7 +295,8 @@ type CPU struct {
 	hasImmediate    bool
 
 	// env is the reusable rtl.Machine view of this CPU; rtlCtx the
-	// reusable scratch state for compiled semantics.
+	// reusable scratch state for compiled semantics, bound to env and
+	// regs.
 	env    cpuEnv
 	rtlCtx rtl.Ctx
 
@@ -318,48 +337,25 @@ func New(dec *spawn.TableDecoder, mem *Memory) *CPU {
 	return c
 }
 
+// regs returns the CPU's registers as the slot array compiled
+// semantics index.
+func (c *CPU) regs() *rtl.Regs { return (*rtl.Regs)(unsafe.Pointer(&c.archRegs)) }
+
 // bindDesc derives the CPU's machine shape from the spawn description
 // and arch registry.  Every constraint violation is a panic: these are
 // description bugs, and the one place to catch them is load, not the
 // middle of a translated block.
 func (c *CPU) bindDesc() {
-	d := c.dec.Desc()
 	ws := c.dec.WordSize()
 	if ws != 4 {
 		panic(fmt.Sprintf("sim: %s has %d-byte instruction words; the execution substrate supports only fixed 4-byte instructions", c.dec.Name(), ws))
 	}
 	c.isize = uint32(ws)
-	c.layout.Zero = -1
-	for i := range d.Files {
-		f := &d.Files[i]
-		if f.Count <= 0 {
-			continue // scalar registers such as pc
-		}
-		switch f.Typ {
-		case "integer":
-			if c.layout.Int != "" {
-				panic(fmt.Sprintf("sim: %s declares two integer register files (%s, %s)", c.dec.Name(), c.layout.Int, f.Name))
-			}
-			if f.Count > 32+numExtendedSlots {
-				panic(fmt.Sprintf("sim: %s integer file %s has %d registers; the substrate holds at most %d", c.dec.Name(), f.Name, f.Count, 32+numExtendedSlots))
-			}
-			c.layout.Int, c.layout.IntCount = f.Name, f.Count
-		case "float":
-			if f.Count > 32 {
-				panic(fmt.Sprintf("sim: %s float file %s has %d registers; the substrate holds at most 32", c.dec.Name(), f.Name, f.Count))
-			}
-			c.layout.Float = f.Name
-		}
+	layout, err := c.dec.Desc().RegLayout()
+	if err != nil {
+		panic("sim: " + err.Error())
 	}
-	if c.layout.Int == "" {
-		panic(fmt.Sprintf("sim: %s declares no integer register file", c.dec.Name()))
-	}
-	if d.HasZero {
-		if d.ZeroFile != c.layout.Int {
-			panic(fmt.Sprintf("sim: %s hardwires zero in non-integer file %s", c.dec.Name(), d.ZeroFile))
-		}
-		c.layout.Zero = d.ZeroIndex
-	}
+	c.layout = layout
 	arch, ok := machine.ArchByName(c.dec.Name())
 	if !ok {
 		panic(fmt.Sprintf("sim: no architecture registered for %q (import its package or call machine.RegisterArch)", c.dec.Name()))
@@ -367,20 +363,12 @@ func (c *CPU) bindDesc() {
 	c.arch = arch
 }
 
-// numExtendedSlots is how many integer-file indices at and above 32
-// the CPU can hold, mapped in order onto the named special registers
-// Y, PSR, FSR.  SPARC uses all three (Y/PSR/FSR aliases); MIPS lands
-// HI/LO on the first two; Alpha uses none.
-const numExtendedSlots = 3
-
 // Reset prepares the CPU to run from entry with the given stack
 // pointer.  Cached translation blocks are discarded (a reused CPU may
 // be resuming on freshly loaded or edited text).
 func (c *CPU) Reset(entry, sp uint32) {
-	c.R = [32]uint32{}
+	c.archRegs = archRegs{}
 	c.R[c.arch.ABI.SP] = sp
-	c.Y, c.PSR, c.FSR = 0, 0, 0
-	c.F = [32]uint32{}
 	c.PC, c.NPC = entry, entry+c.isize
 	c.Halted = false
 	c.ExitCode = 0
@@ -534,32 +522,31 @@ func (c *CPU) ResetCounters() {
 //
 // When process-wide telemetry is enabled, the run is traced as a
 // "sim.Run" span and its counter deltas are added to the registry
-// under "sim.*" names; when disabled, Run pays two atomic loads.
+// under "sim.*" names; when disabled, Run pays two atomic loads and
+// allocates nothing.
 func (c *CPU) Run(maxSteps uint64) error {
 	tracer := telemetry.ActiveTracer()
 	reg := telemetry.Default()
-	var before Counters
-	if tracer != nil || reg != nil {
-		before = c.Counters()
+	if tracer == nil && reg == nil {
+		return c.run(maxSteps)
 	}
+	before := c.Counters()
 	span := tracer.Begin("sim.Run", "sim")
 
 	err := c.run(maxSteps)
 
-	if tracer != nil || reg != nil {
-		after := c.Counters()
-		for _, m := range counterMetrics {
-			d := *m.field(&after) - *m.field(&before)
-			if m.span != "" {
-				span.Arg(m.span, d)
-			}
-			if reg != nil {
-				reg.Counter(m.name).Add(d)
-			}
+	after := c.Counters()
+	for _, m := range counterMetrics {
+		d := *m.field(&after) - *m.field(&before)
+		if m.span != "" {
+			span.Arg(m.span, d)
 		}
 		if reg != nil {
-			reg.Gauge("sim.jit.routine_queue").Set(int64(rtQueueDepthNow()))
+			reg.Counter(m.name).Add(d)
 		}
+	}
+	if reg != nil {
+		reg.Gauge("sim.jit.routine_queue").Set(int64(rtQueueDepthNow()))
 	}
 	span.End()
 	return err
@@ -743,70 +730,39 @@ func (c *CPU) chainTarget(s *exitSlot, pc uint32) *tblock {
 	return nb
 }
 
-// cpuEnv adapts CPU to rtl.Machine.  It is a type alias-style view so
-// the evaluator can call back without allocation.  Field and
-// register-model queries go to the executing instruction's CompileEnv,
-// which Step binds; compiled programs have folded them away.
+// cpuEnv adapts CPU to rtl.Machine, the reference interpreter's
+// view.  Field and register-model queries go to the executing
+// instruction's CompileEnv, which Step binds; compiled programs have
+// folded them away, and reach the registers through the slot array
+// (CPU.regs) instead of by name.
 type cpuEnv struct {
 	c *CPU
 	rtl.CompileEnv
 }
 
-// ReadReg and WriteReg map description register references onto the
-// CPU's architected state through the layout bound at New: integer
-// indices at and above 32 occupy the extended slots (Y, PSR, FSR in
-// order), which is where SPARC's aliases and MIPS's HI/LO live.
+// ReadReg and WriteReg map a description register reference onto its
+// slot in the CPU's register array through the layout bound at New;
+// the hardwired zero reads 0 and drops writes.
 func (e *cpuEnv) ReadReg(file string, idx int64) (uint64, error) {
-	c, l := e.c, &e.c.layout
-	switch file {
-	case l.Int:
-		switch {
-		case idx == l.Zero:
-			return 0, nil
-		case idx >= 0 && idx < 32 && idx < int64(l.IntCount):
-			return uint64(c.R[idx]), nil
-		case idx == 32 && l.IntCount > 32:
-			return uint64(c.Y), nil
-		case idx == 33 && l.IntCount > 33:
-			return uint64(c.PSR), nil
-		case idx == 34 && l.IntCount > 34:
-			return uint64(c.FSR), nil
-		}
-	case l.Float:
-		if idx >= 0 && idx < 32 {
-			return uint64(c.F[idx]), nil
-		}
+	s, ok := e.c.layout.Slot(file, idx)
+	switch {
+	case !ok:
+		return 0, rtl.UnknownReg("read", file, idx)
+	case e.c.layout.IsZero(s):
+		return 0, nil
 	}
-	return 0, rtl.UnknownReg("read", file, idx)
+	return uint64(e.c.regs()[s]), nil
 }
 
 func (e *cpuEnv) WriteReg(file string, idx int64, v uint64) error {
-	c, l := e.c, &e.c.layout
-	switch file {
-	case l.Int:
-		switch {
-		case idx == l.Zero:
-			return nil // hardwired zero
-		case idx >= 0 && idx < 32 && idx < int64(l.IntCount):
-			c.R[idx] = uint32(v)
-			return nil
-		case idx == 32 && l.IntCount > 32:
-			c.Y = uint32(v)
-			return nil
-		case idx == 33 && l.IntCount > 33:
-			c.PSR = uint32(v)
-			return nil
-		case idx == 34 && l.IntCount > 34:
-			c.FSR = uint32(v)
-			return nil
-		}
-	case l.Float:
-		if idx >= 0 && idx < 32 {
-			c.F[idx] = uint32(v)
-			return nil
-		}
+	s, ok := e.c.layout.Slot(file, idx)
+	switch {
+	case !ok:
+		return rtl.UnknownReg("write", file, idx)
+	case !e.c.layout.IsZero(s):
+		e.c.regs()[s] = uint32(v)
 	}
-	return rtl.UnknownReg("write", file, idx)
+	return nil
 }
 
 func (e *cpuEnv) ReadMem(addr uint64, width int) (uint64, error) {

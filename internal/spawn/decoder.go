@@ -366,16 +366,15 @@ func (s *InstSem) Compiled() (*rtl.Prog, error) {
 }
 
 // LowerBody returns the instruction's routine-tier lowering at pc
-// (rtl.LowerBody) under l, which must be the description's register
-// layout.  A word whose semantics do not read pc is lowered once and
-// shared by every routine that contains it.
-func (s *InstSem) LowerBody(l *rtl.RegLayout, pc uint32) (rtl.Body, error) {
+// (rtl.LowerBody).  A word whose semantics do not read pc is lowered
+// once and shared by every routine that contains it.
+func (s *InstSem) LowerBody(pc uint32) (rtl.Body, error) {
 	lb := s.body.get(func() loweredBody {
-		b, err := rtl.LowerBody(s.Def.Sem, semCompileEnv{s}, l, pc)
+		b, err := rtl.LowerBody(s.Def.Sem, semCompileEnv{s}, pc)
 		return loweredBody{b, err}
 	})
 	if lb.body.AtPC {
-		return rtl.LowerBody(s.Def.Sem, semCompileEnv{s}, l, pc)
+		return rtl.LowerBody(s.Def.Sem, semCompileEnv{s}, pc)
 	}
 	return lb.body, lb.err
 }
@@ -429,3 +428,5 @@ func (e semCompileEnv) IsRegFile(name string) bool {
 	rf, ok := e.s.Desc.File(name)
 	return ok && rf.Count > 0
 }
+
+func (e semCompileEnv) Layout() *rtl.RegLayout { return e.s.Desc.layout }

@@ -111,6 +111,12 @@ type Desc struct {
 	instByName  map[string]*InstDef
 	vals        map[string]rtl.Node
 
+	// layout places the register files in the register array compiled
+	// semantics index (rtl.Regs); layoutErr says why a description has
+	// none.
+	layout    *rtl.RegLayout
+	layoutErr error
+
 	// buckets indexes instructions by the word bits every pattern
 	// constrains, for fast decoding.
 	commonMask uint32
@@ -197,7 +203,57 @@ func ParseDesc(src string) (*Desc, error) {
 		return nil, err
 	}
 	d.buildBuckets()
+	d.layout, d.layoutErr = d.deriveLayout()
 	return d, nil
+}
+
+// RegLayout returns the description's register layout: where each
+// register file sits in the register array the emulator's compiled
+// semantics index.  It fails for a description whose register files
+// that array cannot hold; static analysis of such a description still
+// works, but it cannot be emulated.
+func (d *Desc) RegLayout() (*rtl.RegLayout, error) { return d.layout, d.layoutErr }
+
+// deriveLayout maps the register files onto rtl.Regs: one integer file
+// of at most rtl.FloatSlot registers, at most one float file of at
+// most rtl.NumSlots-rtl.FloatSlot, and the hardwired zero, if any, in
+// the integer file.
+func (d *Desc) deriveLayout() (*rtl.RegLayout, error) {
+	l := &rtl.RegLayout{Zero: -1}
+	for i := range d.Files {
+		f := &d.Files[i]
+		if f.Count <= 0 {
+			continue // scalar registers such as pc
+		}
+		switch f.Typ {
+		case "integer":
+			if l.Int != "" {
+				return nil, fmt.Errorf("%s declares two integer register files (%s, %s)", d.MachineName, l.Int, f.Name)
+			}
+			if f.Count > rtl.FloatSlot {
+				return nil, fmt.Errorf("%s integer file %s has %d registers; the substrate holds at most %d", d.MachineName, f.Name, f.Count, rtl.FloatSlot)
+			}
+			l.Int, l.IntCount = f.Name, f.Count
+		case "float":
+			if l.Float != "" {
+				return nil, fmt.Errorf("%s declares two float register files (%s, %s)", d.MachineName, l.Float, f.Name)
+			}
+			if f.Count > rtl.NumSlots-rtl.FloatSlot {
+				return nil, fmt.Errorf("%s float file %s has %d registers; the substrate holds at most %d", d.MachineName, f.Name, f.Count, rtl.NumSlots-rtl.FloatSlot)
+			}
+			l.Float, l.FloatCount = f.Name, f.Count
+		}
+	}
+	if l.Int == "" {
+		return nil, fmt.Errorf("%s declares no integer register file", d.MachineName)
+	}
+	if d.HasZero {
+		if d.ZeroFile != l.Int {
+			return nil, fmt.Errorf("%s hardwires zero in non-integer file %s", d.MachineName, d.ZeroFile)
+		}
+		l.Zero = d.ZeroIndex
+	}
+	return l, nil
 }
 
 // MustParseDesc is ParseDesc for embedded, test-validated descriptions.
