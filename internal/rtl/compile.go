@@ -21,9 +21,10 @@ import (
 //
 // Compilation is deliberately conservative: any construct whose
 // lowering cannot be proven equivalent to the interpreter (dynamic
-// memory widths, unreduced lambdas, malformed statements, registers
-// the layout does not hold) fails with a CompileError and the caller
-// falls back to Exec, which remains the semantic reference.
+// memory widths, register files indexed by a run-time value, unreduced
+// lambdas, malformed statements, registers the layout does not hold)
+// fails with a CompileError and the caller falls back to Exec, which
+// remains the semantic reference.
 
 // CompileEnv supplies what compilation fixes: the decoded
 // instruction's field values and the description's register model.
@@ -58,7 +59,7 @@ func (e *CompileError) Error() string {
 type exprFn func(ctx *Ctx) (uint64, error)
 
 // OpFunc is one compiled operation of a direct-mode program; see
-// Prog.DirectOps.  stmtFn is the internal name.
+// Direct.Ops.  stmtFn is the internal name.
 type OpFunc func(ctx *Ctx) error
 
 type stmtFn = OpFunc
@@ -90,13 +91,11 @@ func (e cexpr) eval(ctx *Ctx) (uint64, error) {
 }
 
 // Pending-write kinds, mirroring the interpreter's parallel-step
-// commit discipline.  pendErr is a dynamic-index register write the
-// layout does not hold: it fails at commit, where Exec's does.
+// commit discipline.
 const (
 	pendReg = iota
 	pendMem
 	pendPC
-	pendErr
 )
 
 type cpend struct {
@@ -105,7 +104,6 @@ type cpend struct {
 	slot int32
 	addr uint64
 	val  uint64
-	err  error
 }
 
 // Ctx is the reusable scratch state for Prog.Run: the Host and
@@ -128,10 +126,6 @@ type Prog struct {
 	steps  [][]stmtFn
 	nTemps int
 	flags  uint8
-	// direct-mode programs (CompileDirect) commit writes immediately
-	// and carry the flattened op list RunDirect executes.
-	direct bool
-	flat   []stmtFn
 }
 
 // Bind points ctx at the Host and register array the programs it runs
@@ -163,8 +157,6 @@ func (p *Prog) Run(ctx *Ctx) error {
 				if err := m.WriteMem(pw.addr, int(pw.w), pw.val); err != nil {
 					return err
 				}
-			case pendErr:
-				return pw.err
 			default:
 				m.SetPC(pw.val, delayed)
 			}
@@ -236,12 +228,6 @@ func (c *compiler) program(n Node, direct bool) (*Prog, error) {
 	}
 	p.nTemps = len(c.slots)
 	p.flags = c.flags
-	if direct {
-		p.direct = true
-		for _, step := range p.steps {
-			p.flat = append(p.flat, step...)
-		}
-	}
 	return p, nil
 }
 
@@ -456,28 +442,12 @@ func unknownReg(n Node, file string, idx int64) error {
 	return &CompileError{n, fmt.Sprintf("unknown register %s[%d]", file, idx)}
 }
 
-// dynSlot resolves a register file indexed by a run-time value at n
-// to a bounds-checked slot lookup: ok is false outside the file, and
-// zero marks the hardwired zero.  Direct mode refuses dynamic indices,
-// which no description uses beyond what fields fold to constants.
-func (c *compiler) dynSlot(file string, n Node) (func(i uint64) (s int, zero, ok bool), error) {
-	lo, cnt, ok := c.l.span(file)
-	if !ok || c.direct {
-		return nil, &CompileError{n, "dynamic index into register file " + file}
-	}
-	if lo == 0 && cnt > 32 {
-		c.flags |= FlagExtended
-	}
-	zero := c.l.Zero
-	if lo != 0 {
-		zero = -1
-	}
-	return func(i uint64) (int, bool, bool) {
-		if i >= uint64(cnt) {
-			return 0, false, false
-		}
-		return lo + int(i), int64(i) == zero, true
-	}, nil
+// dynamicIndex is the CompileError of a register file indexed at n by
+// a run-time value.  No description does that (every index is a field
+// or a constant), so the slot array has no run-time lookup and Exec
+// runs such a word.
+func dynamicIndex(n Node, file string) error {
+	return &CompileError{n, "dynamic index into register file " + file}
 }
 
 // regWrite appends the committing closure for a write of rhs to slot
@@ -643,31 +613,7 @@ func (c *compiler) assign(lhs Node, rhs cexpr, out *[]stmtFn) error {
 			c.regWrite(s, rhs, out)
 			return nil
 		}
-		file := base.Name
-		look, err := c.dynSlot(file, t)
-		if err != nil {
-			return err
-		}
-		ifn := idx.fn
-		*out = append(*out, func(ctx *Ctx) error {
-			v, err := rhs.eval(ctx)
-			if err != nil {
-				return err
-			}
-			i, err := ifn(ctx)
-			if err != nil {
-				return err
-			}
-			s, zero, ok := look(i)
-			switch {
-			case !ok:
-				ctx.pend = append(ctx.pend, cpend{kind: pendErr, err: UnknownReg("write", file, int64(i))})
-			case !zero:
-				ctx.pend = append(ctx.pend, cpend{kind: pendReg, slot: int32(s), val: v})
-			}
-			return nil
-		})
-		return nil
+		return dynamicIndex(t, base.Name)
 	default:
 		return &CompileError{lhs, "bad assignment target"}
 	}
@@ -848,26 +794,7 @@ func (c *compiler) indexExpr(x Index) (cexpr, error) {
 		}
 		return c.regRead(s), nil
 	}
-	file := base.Name
-	look, err := c.dynSlot(file, x)
-	if err != nil {
-		return cexpr{}, err
-	}
-	ifn := idx.fn
-	return dynExpr(func(ctx *Ctx) (uint64, error) {
-		i, err := ifn(ctx)
-		if err != nil {
-			return 0, err
-		}
-		s, zero, ok := look(i)
-		switch {
-		case !ok:
-			return 0, UnknownReg("read", file, int64(i))
-		case zero:
-			return 0, nil
-		}
-		return uint64(ctx.r[s]), nil
-	}), nil
+	return cexpr{}, dynamicIndex(x, base.Name)
 }
 
 func (c *compiler) bin(x Bin) (cexpr, error) {

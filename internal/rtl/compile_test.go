@@ -1,6 +1,7 @@
 package rtl
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -163,13 +164,37 @@ func TestCompileMatchesExec(t *testing.T) {
 		"trap(5)",
 		// nested seq joins the enclosing step
 		"(R[6] := 1 ; R[7] := R[6] + 1) ; R[8] := R[7] + 1",
-		// dynamic register indices: in range, and past the file
-		"R[R[1] - 4] := 99, R[6] := R[R[2] - 17]",
-		"R[R[2] + 100] := 1",
-		"R[6] := R[R[2] + 100]",
 	}
 	for _, src := range cases {
 		diffCompile(t, src, m)
+	}
+
+	// A register file indexed by a run-time value does not compile
+	// (no description does it); Exec, which runs such a word, still
+	// resolves the index in range and reports it past the file.
+	refused := []struct {
+		src, err string
+		r6       uint64
+	}{
+		{"R[R[1] - 4] := 99, R[6] := R[R[2] - 17]", "", 0}, // both write R[6]; the later commit wins
+		{"R[R[2] + 100] := 1", "write of unknown register R[120]", 7},
+		{"R[6] := R[R[2] + 100]", "read of unknown register R[120]", 7},
+	}
+	for _, c := range refused {
+		n := parse(t, c.src)
+		var ce *CompileError
+		if _, err := Compile(n, cloneTM(m)); !errors.As(err, &ce) {
+			t.Errorf("Compile(%q) = %v, want a CompileError", c.src, err)
+		}
+		im := cloneTM(m)
+		im.regs["R"][6] = 7
+		err := Exec(n, im)
+		if (err == nil) != (c.err == "") || err != nil && err.Error() != c.err {
+			t.Errorf("Exec(%q) = %v, want %q", c.src, err, c.err)
+		}
+		if im.regs["R"][6] != c.r6 {
+			t.Errorf("Exec(%q): R[6] = %d, want %d", c.src, im.regs["R"][6], c.r6)
+		}
 	}
 }
 

@@ -7,8 +7,9 @@ package rtl
 // per-instruction cost of translated code.  CompileDirect proves, per
 // step, that committing each write immediately — in op order — is
 // observationally equivalent to the buffered discipline, and then
-// lowers assignments to immediate writes so RunDirect executes the
-// program with no pending-write traffic at all.
+// lowers assignments to immediate writes.  The result is a Direct: one
+// self-contained op list, which the emulator runs inline with no
+// per-program call and no pending-write traffic at all.
 //
 // Equivalence argument.  A buffered step runs E1..En C1..Cn (Ei =
 // evaluation of op i plus its immediate effects — temporaries, annul,
@@ -19,8 +20,8 @@ package rtl
 //  1. no op reads a location (register, memory, pc) written by an
 //     earlier op, so every read sees pre-step state in both orders;
 //  2. once any op has committed a write, no later op may fail during
-//     evaluation (memory read, division, dynamic register index) —
-//     a buffered step surfaces such an error before any commit;
+//     evaluation (memory read, division) — a buffered step surfaces
+//     such an error before any commit;
 //  3. trap and register-window specials, which read and write broad
 //     machine state during evaluation, stand alone in their step.
 //
@@ -49,46 +50,40 @@ const (
 	FlagExtended
 )
 
+// Direct is a direct-mode program: one op list, run in order against
+// a bound Ctx (Ctx.Bind), that commits each write as it is made.  The
+// list is self-contained: a program with temporaries starts with an op
+// that resets them.  The compile-time analysis guarantees the
+// observable behaviour matches Run of the buffered form exactly,
+// including which error surfaces first.
+type Direct struct {
+	ops   []OpFunc
+	flags uint8
+}
+
+// Ops returns the program's op list.
+func (d *Direct) Ops() []OpFunc { return d.ops }
+
 // Flags reports the program's effect summary.
-func (p *Prog) Flags() uint8 { return p.flags }
+func (d *Direct) Flags() uint8 { return d.flags }
 
 // CompileDirect lowers n like Compile but with immediate write
 // commits.  It fails — with a CompileError, like any other
 // uncompilable construct — when the commit reorder cannot be proven
 // unobservable; callers fall back to the buffered Compile form.
-// The result must be executed with RunDirect (Run also works: the
-// buffered commit loop simply finds nothing pending).
-func CompileDirect(n Node, env CompileEnv) (*Prog, error) {
-	return newCompiler(env).program(n, true)
-}
-
-// RunDirect executes a direct-mode program: Run minus the
-// pending-write machinery.  The compile-time analysis guarantees the
-// observable behaviour matches Run of the buffered form exactly,
-// including which error surfaces first.
-func (p *Prog) RunDirect(ctx *Ctx) error {
-	if p.nTemps > 0 {
-		ctx.reset(p.nTemps)
+func CompileDirect(n Node, env CompileEnv) (*Direct, error) {
+	p, err := newCompiler(env).program(n, true)
+	if err != nil {
+		return nil, err
 	}
-	for _, op := range p.flat {
-		if err := op(ctx); err != nil {
-			return err
-		}
+	d := &Direct{flags: p.flags}
+	if k := p.nTemps; k > 0 {
+		d.ops = append(d.ops, func(ctx *Ctx) error { ctx.reset(k); return nil })
 	}
-	return nil
-}
-
-// DirectOps exposes a direct-mode program as its flat operation list
-// so a caller's inner loop can run the ops without the per-program
-// RunDirect call (which shows up in emulator profiles).  Only
-// temp-free direct programs qualify — their ops share one bound Ctx
-// with no per-program reset; others return nil and must go through
-// RunDirect.  The ops run against the Ctx's binding (Ctx.Bind).
-func (p *Prog) DirectOps() []OpFunc {
-	if !p.direct || p.nTemps > 0 {
-		return nil
+	for _, step := range p.steps {
+		d.ops = append(d.ops, step...)
 	}
-	return p.flat
+	return d, nil
 }
 
 // directAnalysis carries the per-step proof state for CompileDirect.

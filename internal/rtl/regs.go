@@ -28,24 +28,21 @@ type RegLayout struct {
 	Zero                 int64 // the hardwired-zero index, -1 when none
 }
 
-// span returns the slot range of register file name.
-func (l *RegLayout) span(name string) (lo, n int, ok bool) {
-	switch name {
-	case l.Int:
-		return 0, l.IntCount, true
-	case l.Float:
-		return FloatSlot, l.FloatCount, true
-	}
-	return 0, 0, false
-}
-
 // Slot returns the slot of file[idx], or false when the layout does
 // not hold that register.  It is the one name-to-slot mapping: the
-// compiler resolves every constant register reference through it, and
-// the interpreter's Machines map their by-name accesses through it.
+// compiler resolves every register reference through it, and the
+// interpreter's Machines map their by-name accesses through it.
 func (l *RegLayout) Slot(file string, idx int64) (int, bool) {
-	lo, n, ok := l.span(file)
-	if !ok || idx < 0 || idx >= int64(n) {
+	var lo, n int
+	switch file {
+	case l.Int:
+		lo, n = 0, l.IntCount
+	case l.Float:
+		lo, n = FloatSlot, l.FloatCount
+	default:
+		return 0, false
+	}
+	if idx < 0 || idx >= int64(n) {
 		return 0, false
 	}
 	return lo + int(idx), true

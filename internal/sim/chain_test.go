@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"eel/internal/asm"
@@ -178,6 +179,74 @@ func TestTraceExtension(t *testing.T) {
 	}
 	if k.ChainHits == 0 || k.ChainHits < k.ChainMisses {
 		t.Errorf("chain links are not carrying the hot path: %+v", k)
+	}
+}
+
+// TestTraceStepLimitParity stops the compiled engines at every step
+// budget across one pass of the first trace a hot loop builds, so the
+// limit falls inside hot code, not only in cold blocks.  Every engine
+// must stop where the interpreter does: the same instruction count,
+// fault pc and architected state.
+func TestTraceStepLimitParity(t *testing.T) {
+	cfg := progen.DefaultConfig(41)
+	cfg.BodyOps = 8
+	cfg.HotLoop = 500
+	p := progen.MustGenerate(cfg)
+	run := func(eng Engine, budget uint64) (*CPU, string) {
+		cpu := LoadFile(p.File, nil)
+		cpu.Engine, cpu.RoutineSync = eng, true
+		err := cpu.Run(budget)
+		return cpu, fmt.Sprintf("err=%v\n%s", err, cpu.ArchState())
+	}
+
+	// The smallest budget after which the chained engine holds a trace.
+	hasTrace := func(budget uint64) bool {
+		cpu, _ := run(EngineChained, budget)
+		return cpu.Counters().Traces > 0
+	}
+	hi := uint64(1024)
+	for !hasTrace(hi) {
+		if hi *= 2; hi > 1<<24 {
+			t.Fatal("the hot loop built no trace")
+		}
+	}
+	lo := hi / 2 // lo builds none, hi does
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; hasTrace(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	cpu, _ := run(EngineChained, hi)
+	var trace *tblock
+	for _, b := range cpu.tc.blocks {
+		if b.trace {
+			trace = b
+		}
+	}
+	inTrace := map[uint32]bool{}
+	for _, ci := range trace.insts[1:] {
+		inTrace[ci.pc] = true
+	}
+
+	ref := LoadFile(p.File, nil)
+	ref.Engine = EngineInterp
+	stopsInside := 0
+	for budget := hi; budget <= hi+uint64(len(trace.insts)); budget++ {
+		err := ref.Run(budget) // the interpreter resumes where it stopped
+		want := fmt.Sprintf("err=%v\n%s", err, ref.ArchState())
+		if inTrace[ref.PC] {
+			stopsInside++
+		}
+		for _, eng := range []Engine{EngineChained, EngineTranslated, EngineRoutine} {
+			if _, got := run(eng, budget); got != want {
+				t.Fatalf("budget %d, %s:\n%s\ninterpreter:\n%s", budget, eng, got, want)
+			}
+		}
+	}
+	if stopsInside == 0 {
+		t.Errorf("no budget stopped inside the %d-instruction trace at %#x", len(trace.insts), trace.pc)
 	}
 }
 

@@ -26,8 +26,9 @@ const (
 	// per-step visibility).
 	EngineRoutine
 	// EngineTranslated keeps the translation cache but returns to the
-	// dispatcher at every superblock exit: the baseline for measuring
-	// dispatch overhead and for bisecting engines.
+	// dispatcher at every superblock exit, and builds no traces and
+	// promotes no hot blocks: the baseline for measuring dispatch
+	// overhead and for bisecting engines.
 	EngineTranslated
 	// EngineInterp single-steps the AST interpreter.
 	EngineInterp
@@ -78,5 +79,5 @@ func (e *Engine) Set(name string) error {
 }
 
 // chains reports whether e keeps control inside translated code
-// across block boundaries.
+// across block boundaries, building traces and promoting hot blocks.
 func (e Engine) chains() bool { return e <= EngineRoutine }

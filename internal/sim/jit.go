@@ -3,27 +3,30 @@
 // instruction's RTL semantics are lowered (once per distinct word, by
 // rtl.Compile via spawn.InstSem.Compiled) to a flat micro-op program,
 // and straight-line runs are collected into superblocks stored in a
-// direct-mapped-by-address cache.  Executing a superblock repeats
-// execute-compiled-program / advance-pipeline with no memory fetch,
-// no decoder lookup, and no AST dispatch; untaken conditional
-// branches and annulled slots continue inside the block, and tight
-// loops whose target lies in the block never leave it.
+// direct-mapped-by-address cache.  One executor (exec) runs every
+// superblock, repeating execute-compiled-program / advance-pipeline
+// with no memory fetch, no decoder lookup, and no AST dispatch;
+// untaken conditional branches and annulled slots continue inside the
+// block, and tight loops whose target lies in the block never leave
+// it.
 //
-// Control stays out of the central dispatcher between blocks too
-// (see runChained in sim.go): every block records, per exit site, the
-// successor block last observed there.  Static exits act as direct
-// chain links; indirect exits (jmpl/ret/dispatch tables) use the same
-// slot as a monomorphic inline cache, with a shared hashed victim
-// table as a second level behind the direct-mapped cache.  Hot block
-// anchors are re-translated into traces — longer superblocks that
-// follow the observed hot path across block boundaries, biased by
-// per-exit transition counts.  Every cached pointer is validated by
-// the generation counter, and invalidation runs a bounded
-// chain-unlinking pass over the blocks built since the last flush, so
-// self-modifying-code handling stays exact and O(affected blocks).
+// On the chaining engines control stays out of the central dispatcher
+// between blocks too (see runChained in sim.go): every instruction
+// records, for exits it ends, the successor block last observed there.
+// Static exits act as direct chain links; indirect exits
+// (jmpl/ret/dispatch tables) use the same slot as a monomorphic inline
+// cache, with a shared hashed victim table as a second level behind
+// the direct-mapped cache.  Hot block anchors are re-translated into
+// traces — longer superblocks that follow the observed hot path across
+// block boundaries, biased by per-exit transition counts — and hot
+// instructions step through direct-commit op lists (see promote).
+// Every cached pointer is validated by the generation counter, and
+// invalidation runs a bounded chain-unlinking pass over the blocks
+// built since the last flush, so self-modifying-code handling stays
+// exact and O(affected blocks).
 //
 // Architected behaviour is bit-identical to the interpreter: each
-// block step mirrors Step minus fetch/decode and shares finishStep,
+// step kind mirrors Step minus fetch/decode and shares finishStep,
 // so delayed branches, annulled slots, register windows, traps,
 // InstCount and AnnulCount agree exactly (the differential tests in
 // jit_test.go and the three-way fuzz lockstep prove it).  The engine
@@ -64,13 +67,52 @@ const (
 )
 
 // compiledInst is one translated instruction: the interned decoded
-// instruction plus its compiled semantics and its text address (trace
-// blocks are not contiguous, so each entry carries its own pc).
+// instruction, its compiled semantics and its text address (trace
+// blocks are not contiguous, so each entry carries its own pc), with
+// its own hot state and exit slot.
 type compiledInst struct {
 	inst *machine.Inst
 	prog *rtl.Prog
 	pc   uint32
+
+	// indirect marks an exit that follows an indirect transfer (this
+	// instruction, or the one whose delay slot it fills): its slot is
+	// an inline cache rather than a direct chain link.  It sits here,
+	// not in exitSlot, so that an instruction packs into 48 bytes.
+	indirect bool
+
+	// Hot state, set when the block turns hot (see promote): step
+	// selects how exec runs the instruction, direct is the
+	// direct-commit program of the two hot steps, and memw marks an
+	// instruction that may write memory — the only kind whose
+	// execution can invalidate the cache, so a lean step without it
+	// skips the generation re-check.
+	step   stepKind
+	memw   bool
+	direct *rtl.Direct
+
+	// exit caches the successor for exits whose last executed
+	// instruction was this one.
+	exit exitSlot
 }
+
+// stepKind is how exec runs one compiled instruction.  Every kind
+// mirrors Step minus fetch and decode, and shares its finishStep.
+type stepKind uint8
+
+const (
+	// stepBuffered runs the buffered program (Prog.Run) with full
+	// pipeline bookkeeping and profiling: every cold instruction, every
+	// instruction rtl.CompileDirect refuses, and all of a profiled run.
+	stepBuffered stepKind = iota
+	// stepFull runs the direct op list with full pipeline bookkeeping:
+	// a hot branch, call or trap.
+	stepFull
+	// stepLean runs the direct op list of an instruction free of
+	// control effects (no pc write, annul or trap), whose pipeline
+	// advance reduces to a sequential shift.
+	stepLean
+)
 
 // exitSlot caches the successor last seen leaving a block at one exit
 // site.  For exits reached through a static branch or fall-through it
@@ -78,41 +120,23 @@ type compiledInst struct {
 // inline cache keyed by pc.  count biases trace extension toward the
 // dominant exit.
 type exitSlot struct {
-	blk      *tblock
-	pc       uint32
-	count    uint32
-	indirect bool
+	blk   *tblock
+	pc    uint32
+	count uint32
 }
 
 // tblock is a superblock: compiled instructions for the text run
-// starting at pc.  A block with no instructions marks an address the
-// engine must interpret (invalid word, uncompilable semantics).
-// exits parallels insts: slot i caches the successor for exits whose
-// last executed instruction was insts[i].  gen records the cache
-// generation the block was built in; a chain pointer may be followed
-// only while the generations still match.
+// starting at pc, or for a trace the hot path recorded from it.  A
+// block with no instructions marks an address the engine must
+// interpret (invalid word, uncompilable semantics).  gen records the
+// cache generation the block was built in; a chain pointer may be
+// followed only while the generations still match.
 type tblock struct {
 	pc     uint32
 	insts  []compiledInst
-	exits  []exitSlot
 	gen    uint64
 	enters uint64
 	trace  bool
-
-	// Hot-tier re-translation (see promote): fast[i], when non-nil,
-	// is insts[i]'s direct-commit program, which executes without the
-	// pending-write machinery; lean[i] additionally marks it free of
-	// control effects (no pc write, annul or trap), admitting the
-	// short pipeline advance.  ops[i], when non-nil, is the same
-	// program as a flat op list run inline by the exec loops (skipping
-	// the per-instruction RunDirect call), and memw[i] marks the
-	// instructions that can write memory — the only ones whose
-	// execution can invalidate the cache, so the others skip the
-	// generation re-check.  Cold blocks leave all four nil.
-	fast []*rtl.Prog
-	lean []bool
-	ops  [][]rtl.OpFunc
-	memw []bool
 }
 
 // transCache is a direct-mapped translation cache plus its
@@ -174,8 +198,8 @@ func (c *CPU) InvalidateText() {
 		if b.trace {
 			c.tc.ctr.TracesRetired++
 		}
-		for i := range b.exits {
-			b.exits[i].blk = nil
+		for i := range b.insts {
+			b.insts[i].exit.blk = nil
 		}
 	}
 	c.tc.blocks = c.tc.blocks[:0]
@@ -210,11 +234,7 @@ func (c *CPU) block(pc uint32) *tblock {
 	}
 	b := c.buildBlock(pc)
 	b.gen = c.tc.gen
-	b.exits = make([]exitSlot, len(b.insts))
-	for j := range b.insts {
-		b.exits[j].indirect = indirectTransfer(b.insts[j].inst) ||
-			(j > 0 && indirectTransfer(b.insts[j-1].inst))
-	}
+	setExits(b.insts)
 	c.install(i, b)
 	c.tc.blocks = append(c.tc.blocks, b)
 	c.tc.ctr.Builds++
@@ -236,9 +256,9 @@ func (c *CPU) install(i uint32, b *tblock) {
 // a replaced translation cannot be re-entered through a link.
 func (c *CPU) unlink(dead *tblock) {
 	for _, b := range c.tc.blocks {
-		for i := range b.exits {
-			if b.exits[i].blk == dead {
-				b.exits[i].blk = nil
+		for i := range b.insts {
+			if b.insts[i].exit.blk == dead {
+				b.insts[i].exit.blk = nil
 			}
 		}
 	}
@@ -303,38 +323,26 @@ func (c *CPU) buildBlock(pc uint32) *tblock {
 }
 
 // promote re-translates a hot block's instructions into the direct
-// tier: each semantic program that rtl.CompileDirect can prove
-// reorder-safe is swapped in, committing writes immediately instead
-// of buffering them per step.  Instructions whose semantics resist
-// the proof (swap, cc ops overwriting their own source, register
-// windows sharing a step) simply keep the buffered program — the two
-// tiers interleave freely within a block because each instruction's
-// observable behaviour is identical either way.  Only the chained
-// engine promotes, so the EngineTranslated baseline keeps measuring the
-// dispatcher-era execution path unchanged.
+// tier: each instruction whose semantics rtl.CompileDirect can prove
+// reorder-safe steps through its direct op list, committing writes
+// immediately instead of buffering them per step.  Instructions whose
+// semantics resist the proof (swap, cc ops overwriting their own
+// source, register windows sharing a step) keep the buffered step —
+// the tiers interleave freely within a block because each
+// instruction's observable behaviour is identical either way.  Only
+// the chaining engines promote, so EngineTranslated keeps measuring
+// the buffered path.
 func (c *CPU) promote(b *tblock) {
-	if b.fast != nil {
-		return
-	}
-	b.fast = make([]*rtl.Prog, len(b.insts))
-	b.lean = make([]bool, len(b.insts))
-	b.ops = make([][]rtl.OpFunc, len(b.insts))
-	b.memw = make([]bool, len(b.insts))
 	for i := range b.insts {
-		sem, ok := b.insts[i].inst.Sem().(*spawn.InstSem)
-		if !ok {
-			b.memw[i] = true
+		ci := &b.insts[i]
+		d := ci.inst.Sem().(*spawn.InstSem).CompiledDirect() // buildBlock admits only spawn semantics
+		if d == nil {
 			continue
 		}
-		p := sem.CompiledDirect()
-		if p == nil {
-			b.memw[i] = true // conservatively re-check gen after it
-			continue
+		ci.direct, ci.memw, ci.step = d, d.Flags()&rtl.FlagMemWrite != 0, stepFull
+		if d.Flags()&(rtl.FlagPC|rtl.FlagAnnul|rtl.FlagTrap) == 0 {
+			ci.step = stepLean
 		}
-		b.fast[i] = p
-		b.lean[i] = p.Flags()&(rtl.FlagPC|rtl.FlagAnnul|rtl.FlagTrap) == 0
-		b.ops[i] = p.DirectOps()
-		b.memw[i] = p.Flags()&rtl.FlagMemWrite != 0
 	}
 }
 
@@ -360,207 +368,117 @@ func indirectTransfer(inst *machine.Inst) bool {
 	return false
 }
 
-// runBlock executes translated instructions for as long as the pc
-// stays inside b, mirroring Step exactly (minus fetch and decode).
-// It returns with no error whenever the generic loop must take over:
-// pc left the block, the step limit was reached, or a text write
-// invalidated the cache mid-block.  This is the whole
-// EngineTranslated engine; the chained engine drives the same core
-// through runChained.
-func (c *CPU) runBlock(b *tblock, maxSteps uint64) error {
-	_, _, err := c.execLinear(b, maxSteps, c.tc.gen)
-	return err
+// setExits gives every instruction of a new block or trace an empty
+// exit slot and marks the sites that follow an indirect transfer.
+func setExits(insts []compiledInst) {
+	for j := range insts {
+		insts[j].exit = exitSlot{}
+		insts[j].indirect = indirectTransfer(insts[j].inst) ||
+			j > 0 && indirectTransfer(insts[j-1].inst)
+	}
 }
 
-// execLinear is the superblock execution core.  It runs until the pc
+// exec is the superblock executor, for linear blocks and traces alike.
+// It enters b at its anchor (c.PC == b.pc) and runs until the pc
 // leaves b or execution must stop, and reports the index of the last
-// executed instruction (-1 if none ran) so the caller can attribute
-// the exit to a chain slot.  stop is true when control must return to
-// the dispatcher regardless of chaining: halt, step limit, or a
-// mid-run cache invalidation.
-func (c *CPU) execLinear(b *tblock, maxSteps uint64, gen uint64) (last int, stop bool, err error) {
+// executed instruction so the caller can attribute the exit to its
+// slot (-1, when none ran, comes only with stop).  stop is true when
+// control must return to the dispatcher regardless of chaining: halt,
+// step limit, or a mid-run cache invalidation.
+//
+// Each instruction runs by its stepKind.  The successor is the next
+// entry when that entry's pc is c.PC (straight-line code, an untaken
+// branch, a trace following its recorded path).  Otherwise a linear
+// block finds c.PC by its offset (an in-block branch) and a trace only
+// at its head (the loop closing); anything else leaves the block.
+func (c *CPU) exec(b *tblock, maxSteps uint64, gen uint64) (last int, stop bool, err error) {
 	last = -1
 	insts := b.insts
-	fast := b.fast
-	if c.prof != nil {
-		fast = nil // profiled runs keep the fully-instrumented path
-	}
-	c.rtlCtx.Bind(&c.env, c.regs())
-	for {
-		// Fixed 4-byte stride: bindDesc rejects any other instruction
-		// width at New, so the shifts here cannot drift out of sync
-		// with the description.
-		off := c.PC - b.pc
-		if off&3 != 0 || off>>2 >= uint32(len(insts)) {
-			return last, false, nil
-		}
-		if c.InstCount >= maxSteps {
-			return last, true, nil // outer loop raises ErrStepLimit at this pc
-		}
-		i := int(off >> 2)
-		if i <= last && c.rtOn && c.rt.mb.has.Load() {
-			// An in-block backward branch closed a loop iteration and a
-			// finished routine compile is waiting: bounce to the
-			// dispatcher so it installs between steps.  Straight-line
-			// execution (i == last+1) never pays the atomic load.
-			return last, true, nil
-		}
-		if fast != nil && fast[i] != nil {
-			if b.lean[i] {
-				// Hot tier, no control effects: direct write commits
-				// and a pipeline advance that reduces to a sequential
-				// shift (NPC already encodes any pending delayed
-				// target, so this is exact even in a delay slot).
-				// Temp-free programs run as inline op lists; only
-				// memory-writing instructions can invalidate the
-				// cache, so the rest skip the generation re-check.
-				if ops := b.ops[i]; ops != nil {
-					for _, op := range ops {
-						if err := op(&c.rtlCtx); err != nil {
-							return last, true, &Fault{c.PC, err}
-						}
-					}
-				} else if err := fast[i].RunDirect(&c.rtlCtx); err != nil {
-					return last, true, &Fault{c.PC, err}
-				}
-				c.InstCount++
-				last = i
-				c.PC = c.NPC
-				c.NPC += c.isize
-				if b.memw[i] && c.tc.gen != gen {
-					return last, true, nil
-				}
-				continue
-			}
-			// Hot tier with control effects (branch, call, trap):
-			// direct commits but the full pipeline bookkeeping.
-			c.hasDelayed, c.hasImmediate = false, false
-			annulBefore := c.annulNext
-			if err := fast[i].RunDirect(&c.rtlCtx); err != nil {
-				return last, true, &Fault{c.PC, err}
-			}
-			c.InstCount++
-			last = i
-			if c.Halted {
-				return last, true, nil
-			}
-			c.finishStep(annulBefore)
-			if c.tc.gen != gen {
-				return last, true, nil
-			}
-			continue
-		}
-		ci := &insts[i]
-		c.hasDelayed, c.hasImmediate = false, false
-		annulBefore := c.annulNext
-		if err := ci.prog.Run(&c.rtlCtx); err != nil {
-			return last, true, &Fault{c.PC, err}
-		}
-		c.InstCount++
-		last = i
-		if c.prof != nil {
-			c.prof.record(c.PC, ci.inst, c.hasImmediate || c.hasDelayed)
-		}
-		if c.Halted {
-			return last, true, nil
-		}
-		c.finishStep(annulBefore)
-		if c.tc.gen != gen {
-			return last, true, nil // text was written; b may be stale
-		}
-	}
-}
-
-// execTrace executes a trace block.  Trace entries are not contiguous
-// in memory, so instead of pc arithmetic each executed instruction is
-// checked against the recorded pc of the next entry: a mismatch is a
-// side exit (the observed hot path was not taken this time), and a pc
-// equal to the trace head closes the loop without leaving translated
-// code.  The contract with execLinear is identical.
-func (c *CPU) execTrace(b *tblock, maxSteps uint64, gen uint64) (last int, stop bool, err error) {
-	last = -1
-	insts := b.insts
-	fast := b.fast
-	if c.prof != nil {
-		fast = nil // profiled runs keep the fully-instrumented path
-	}
-	if c.PC != b.pc {
-		return last, false, nil
-	}
+	prof := c.prof != nil // profiled runs keep the fully-instrumented step
 	c.rtlCtx.Bind(&c.env, c.regs())
 	for i := 0; ; {
 		if c.InstCount >= maxSteps {
-			return last, true, nil
+			return last, true, nil // outer loop raises ErrStepLimit at this pc
 		}
-		if fast != nil && fast[i] != nil {
-			if b.lean[i] {
-				if ops := b.ops[i]; ops != nil {
-					for _, op := range ops {
-						if err := op(&c.rtlCtx); err != nil {
-							return last, true, &Fault{c.PC, err}
-						}
-					}
-				} else if err := fast[i].RunDirect(&c.rtlCtx); err != nil {
-					return last, true, &Fault{c.PC, err}
-				}
-				c.InstCount++
-				last = i
-				c.PC = c.NPC
-				c.NPC += c.isize
-				if !b.memw[i] {
-					// Only a memory write can invalidate the cache;
-					// skip straight to the next-entry guard.
-					goto advance
-				}
-			} else {
-				c.hasDelayed, c.hasImmediate = false, false
-				annulBefore := c.annulNext
-				if err := fast[i].RunDirect(&c.rtlCtx); err != nil {
-					return last, true, &Fault{c.PC, err}
-				}
-				c.InstCount++
-				last = i
-				if c.Halted {
-					return last, true, nil
-				}
-				c.finishStep(annulBefore)
-			}
-		} else {
-			ci := &insts[i]
-			c.hasDelayed, c.hasImmediate = false, false
-			annulBefore := c.annulNext
-			if err := ci.prog.Run(&c.rtlCtx); err != nil {
+		ci := &insts[i]
+		step := ci.step
+		if prof {
+			step = stepBuffered
+		}
+		switch step {
+		case stepLean:
+			if err := c.runOps(ci.direct.Ops()); err != nil {
 				return last, true, &Fault{c.PC, err}
 			}
 			c.InstCount++
 			last = i
-			if c.prof != nil {
+			// NPC already encodes any pending delayed target, so the
+			// shift is exact even in a delay slot.
+			c.PC = c.NPC
+			c.NPC += c.isize
+			if ci.memw && c.tc.gen != gen {
+				return last, true, nil
+			}
+		default:
+			c.hasDelayed, c.hasImmediate = false, false
+			annulBefore := c.annulNext
+			var err error
+			if step == stepFull {
+				err = c.runOps(ci.direct.Ops())
+			} else {
+				err = ci.prog.Run(&c.rtlCtx)
+			}
+			if err != nil {
+				return last, true, &Fault{c.PC, err}
+			}
+			c.InstCount++
+			last = i
+			if prof {
 				c.prof.record(c.PC, ci.inst, c.hasImmediate || c.hasDelayed)
 			}
 			if c.Halted {
 				return last, true, nil
 			}
 			c.finishStep(annulBefore)
+			if c.tc.gen != gen {
+				return last, true, nil // text was written; b may be stale
+			}
 		}
-		if c.tc.gen != gen {
+		if i+1 < len(insts) && insts[i+1].pc == c.PC {
+			i++
+			continue
+		}
+		j := 0
+		if !b.trace {
+			// Fixed 4-byte stride: bindDesc rejects any other
+			// instruction width at New.
+			off := c.PC - b.pc
+			if off&3 != 0 || off>>2 >= uint32(len(insts)) {
+				return last, false, nil
+			}
+			j = int(off >> 2)
+		} else if c.PC != b.pc {
+			return last, false, nil
+		}
+		if j <= i && c.rtOn && c.rt.mb.has.Load() {
+			// A backward transition closed a loop iteration and a
+			// finished routine compile is waiting: bounce to the
+			// dispatcher so it installs between steps.  Straight-line
+			// execution never pays the atomic load.
 			return last, true, nil
 		}
-	advance:
-		i++
-		if i < len(insts) && insts[i].pc == c.PC {
-			continue
-		}
-		if c.PC == b.pc {
-			if c.rtOn && c.rt.mb.has.Load() {
-				// Loop closed with a finished routine compile waiting:
-				// hand back to the dispatcher to install between steps.
-				return last, true, nil
-			}
-			i = 0 // loop closed back to the trace head
-			continue
-		}
-		return last, false, nil
+		i = j
 	}
+}
+
+// runOps runs a direct op list against the bound rtl.Ctx.
+func (c *CPU) runOps(ops []rtl.OpFunc) error {
+	for _, op := range ops {
+		if err := op(&c.rtlCtx); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dominantExit picks the exit site carrying a strict majority of b's
@@ -570,8 +488,8 @@ func (c *CPU) execTrace(b *tblock, maxSteps uint64, gen uint64) (last int, stop 
 func dominantExit(b *tblock) (site int, target uint32, ok bool) {
 	var total uint64
 	best, bestN := -1, uint32(0)
-	for i := range b.exits {
-		n := b.exits[i].count
+	for i := range b.insts {
+		n := b.insts[i].exit.count
 		total += uint64(n)
 		if n > bestN {
 			best, bestN = i, n
@@ -580,7 +498,7 @@ func dominantExit(b *tblock) (site int, target uint32, ok bool) {
 	if best < 0 || bestN < traceSiteMin || uint64(bestN)*2 <= total {
 		return 0, 0, false
 	}
-	s := &b.exits[best]
+	s := &b.insts[best].exit
 	if s.blk == nil {
 		return 0, 0, false
 	}
@@ -593,7 +511,7 @@ func dominantExit(b *tblock) (site int, target uint32, ok bool) {
 // replaces head in the direct-mapped slot (chains into head are
 // severed so the trace captures future entries); it returns nil when
 // no extension is profitable.  Traces rely on no extra invariants:
-// each executed entry is pc-guarded by execTrace and the generation
+// each executed entry is pc-guarded by exec and the generation
 // counter, so a mispredicted path or text write simply side-exits.
 func (c *CPU) buildTrace(head *tblock) *tblock {
 	t := &tblock{pc: head.pc, trace: true, gen: c.tc.gen}
@@ -617,11 +535,7 @@ func (c *CPU) buildTrace(head *tblock) *tblock {
 	if len(t.insts) <= len(head.insts) {
 		return nil
 	}
-	t.exits = make([]exitSlot, len(t.insts))
-	for j := range t.insts {
-		t.exits[j].indirect = indirectTransfer(t.insts[j].inst) ||
-			(j > 0 && indirectTransfer(t.insts[j-1].inst))
-	}
+	setExits(t.insts)
 	c.promote(t) // traces are hot by construction
 	c.unlink(head)
 	c.install(tcIndex(head.pc), t)

@@ -610,29 +610,26 @@ func (c *CPU) run(maxSteps uint64) error {
 		if c.prof != nil {
 			c.prof.blockEnters[b.pc]++
 		}
-		var err error
-		if c.Engine == EngineTranslated {
-			err = c.runBlock(b, maxSteps)
-		} else {
-			err = c.runChained(b, maxSteps)
-		}
-		if err != nil {
+		if err := c.runChained(b, maxSteps); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runChained executes b and keeps control inside translated code
-// across block boundaries: each exit consults the per-site chain
-// slot (a direct link for static exits, a monomorphic inline cache
-// for indirect ones) and transfers straight to the cached successor
-// when its anchor and generation still match.  Misses fall back to
-// the two-level cache probe; anything the cache cannot serve returns
-// to the dispatcher.  Hot anchors are re-translated into traces on
-// entry.  Every loop iteration enters a block exactly at its anchor
-// (the dispatcher, a chain hit, and a resolved miss all guarantee
-// c.PC == b.pc), which is what makes trace entry sound.
+// runChained executes b and, on an engine that chains, keeps control
+// inside translated code across block boundaries: each exit consults
+// the per-site chain slot (a direct link for static exits, a
+// monomorphic inline cache for indirect ones) and transfers straight
+// to the cached successor when its anchor and generation still match.
+// Misses fall back to the two-level cache probe; anything the cache
+// cannot serve returns to the dispatcher.  Hot anchors are
+// re-translated into traces, or promoted in place, on entry.
+// EngineTranslated enters here too but does none of this: it runs one
+// block on its buffered steps and returns.  Every loop iteration
+// enters a block exactly at its anchor (the dispatcher, a chain hit,
+// and a resolved miss all guarantee c.PC == b.pc), which is where
+// exec starts.
 func (c *CPU) runChained(b *tblock, maxSteps uint64) error {
 	gen := c.tc.gen
 	for {
@@ -645,7 +642,7 @@ func (c *CPU) runChained(b *tblock, maxSteps uint64) error {
 				}
 			}
 		}
-		if !b.trace && b.enters == traceHotThreshold {
+		if b.enters == traceHotThreshold && !b.trace && c.Engine.chains() {
 			if t := c.buildTrace(b); t != nil {
 				b = t
 			} else {
@@ -654,19 +651,9 @@ func (c *CPU) runChained(b *tblock, maxSteps uint64) error {
 				c.promote(b)
 			}
 		}
-		var last int
-		var stop bool
-		var err error
-		if b.trace {
-			last, stop, err = c.execTrace(b, maxSteps, gen)
-		} else {
-			last, stop, err = c.execLinear(b, maxSteps, gen)
-		}
+		last, stop, err := c.exec(b, maxSteps, gen)
 		if err != nil || stop {
 			return err
-		}
-		if last < 0 {
-			return nil // nothing executed; let the dispatcher resolve
 		}
 		// Mid-run engine changes (an OnExec hook installed by a
 		// syscall callback, say) deopt at block granularity, exactly
@@ -674,19 +661,19 @@ func (c *CPU) runChained(b *tblock, maxSteps uint64) error {
 		if c.OnExec != nil || !c.Engine.chains() {
 			return nil
 		}
-		s := &b.exits[last]
-		if s.blk != nil && s.pc == c.PC && s.blk.gen == gen {
+		ci := &b.insts[last]
+		if s := &ci.exit; s.blk != nil && s.pc == c.PC && s.blk.gen == gen {
 			if s.count != ^uint32(0) {
 				s.count++
 			}
-			if s.indirect {
+			if ci.indirect {
 				c.tc.ctr.ICHits++
 			} else {
 				c.tc.ctr.ChainHits++
 			}
 			b = s.blk
 		} else {
-			nb := c.chainTarget(s, c.PC)
+			nb := c.chainTarget(ci, c.PC)
 			if nb == nil {
 				return nil
 			}
@@ -709,12 +696,12 @@ func (c *CPU) runChained(b *tblock, maxSteps uint64) error {
 	}
 }
 
-// chainTarget resolves a chain/IC miss: if the next pc is translatable
-// the successor is installed in the exit slot (retargeting the slot —
-// a megamorphic site simply keeps retargeting) and execution chains
-// on; otherwise the dispatcher takes over.
-func (c *CPU) chainTarget(s *exitSlot, pc uint32) *tblock {
-	if s.indirect {
+// chainTarget resolves a chain/IC miss at ci's exit: if the next pc
+// is translatable the successor is installed in the exit slot
+// (retargeting the slot — a megamorphic site simply keeps retargeting)
+// and execution chains on; otherwise the dispatcher takes over.
+func (c *CPU) chainTarget(ci *compiledInst, pc uint32) *tblock {
+	if ci.indirect {
 		c.tc.ctr.ICMisses++
 	} else {
 		c.tc.ctr.ChainMisses++
@@ -726,7 +713,7 @@ func (c *CPU) chainTarget(s *exitSlot, pc uint32) *tblock {
 	if len(nb.insts) == 0 {
 		return nil
 	}
-	s.blk, s.pc, s.count = nb, pc, 1
+	ci.exit = exitSlot{blk: nb, pc: pc, count: 1}
 	return nb
 }
 

@@ -63,21 +63,23 @@ func slotState(dec *spawn.TableDecoder, seed int64) *CPU {
 }
 
 // slotRun executes sem once on a fresh CPU in seed's state: by the
-// interpreter when p is nil, else by p, buffered or direct.
-func slotRun(dec *spawn.TableDecoder, sem *spawn.InstSem, seed int64, p *rtl.Prog, direct bool) slotOutcome {
+// interpreter when p is nil, else by p.
+func slotRun(dec *spawn.TableDecoder, sem *spawn.InstSem, seed int64, p *rtl.Prog) slotOutcome {
+	return slotExec(dec, sem, seed, func(c *CPU) error {
+		if p == nil {
+			return rtl.Exec(sem.Def.Sem, &c.env)
+		}
+		return p.Run(&c.rtlCtx)
+	})
+}
+
+// slotExec executes sem once by run on a fresh CPU in seed's state,
+// with the compiled programs' Ctx bound to it.
+func slotExec(dec *spawn.TableDecoder, sem *spawn.InstSem, seed int64, run func(c *CPU) error) slotOutcome {
 	c := slotState(dec, seed)
 	c.env.CompileEnv = sem.CompileEnv()
-	var err error
-	switch {
-	case p == nil:
-		err = rtl.Exec(sem.Def.Sem, &c.env)
-	case direct:
-		c.rtlCtx.Bind(&c.env, c.regs())
-		err = p.RunDirect(&c.rtlCtx)
-	default:
-		c.rtlCtx.Bind(&c.env, c.regs())
-		err = p.Run(&c.rtlCtx)
-	}
+	c.rtlCtx.Bind(&c.env, c.regs())
+	err := run(c)
 	o := slotOutcome{cpu: c}
 	if err != nil {
 		o.err = err.Error()
@@ -121,8 +123,8 @@ func TestSlotProgramsMatchExec(t *testing.T) {
 					}
 					for s := int64(0); s < 4; s++ {
 						seed := rng.Int63()
-						want := slotRun(m.dec, sem, seed, nil, false)
-						for _, got := range []slotOutcome{slotRun(m.dec, sem, seed, p, false), dpRun(m.dec, sem, seed, dp)} {
+						want := slotRun(m.dec, sem, seed, nil)
+						for _, got := range []slotOutcome{slotRun(m.dec, sem, seed, p), dpRun(m.dec, sem, seed, dp)} {
 							if got.cpu == nil {
 								continue
 							}
@@ -151,12 +153,13 @@ func TestSlotProgramsMatchExec(t *testing.T) {
 	}
 }
 
-// dpRun is slotRun of a direct program, or no outcome without one.
-func dpRun(dec *spawn.TableDecoder, sem *spawn.InstSem, seed int64, dp *rtl.Prog) slotOutcome {
+// dpRun runs a direct program's op list as the executor does, or
+// gives no outcome without one.
+func dpRun(dec *spawn.TableDecoder, sem *spawn.InstSem, seed int64, dp *rtl.Direct) slotOutcome {
 	if dp == nil {
 		return slotOutcome{}
 	}
-	return slotRun(dec, sem, seed, dp, true)
+	return slotExec(dec, sem, seed, func(c *CPU) error { return c.runOps(dp.Ops()) })
 }
 
 // TestFloatCountBoundsRegisters: a float file declares its size, and

@@ -319,7 +319,7 @@ type InstSem struct {
 	Fields machine.FieldVals
 
 	compiled derived[compiledSem]
-	direct   derived[*rtl.Prog]
+	direct   derived[*rtl.Direct]
 	body     derived[loweredBody]
 }
 
@@ -390,8 +390,8 @@ func (s *InstSem) CompileEnv() rtl.CompileEnv { return semCompileEnv{s} }
 // hot tier asks for it only when a block turns hot, and the result —
 // including the negative, so hot re-translation does not re-prove it —
 // is cached per interned word like Compiled.
-func (s *InstSem) CompiledDirect() *rtl.Prog {
-	return s.direct.get(func() *rtl.Prog {
+func (s *InstSem) CompiledDirect() *rtl.Direct {
+	return s.direct.get(func() *rtl.Direct {
 		telemetry.Default().Counter("rtl.compiles_direct").Add(1)
 		p, _ := rtl.CompileDirect(s.Def.Sem, semCompileEnv{s})
 		return p
