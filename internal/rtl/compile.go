@@ -70,7 +70,10 @@ type stmtFn = OpFunc
 // (see pure1/pure2) instead of a chain of evals — the eval chain is
 // the hot path of every translated instruction.  safe marks an
 // expression that can neither fail nor have effects, so a write of it
-// to the hardwired zero can be dropped whole.
+// to the hardwired zero can be dropped whole.  In direct mode, bin and
+// mem keep the shape of a pure operator over two leaves (register
+// reads or constants) and of a memory read, so a register write of
+// either, or a store, lowers to one closure.
 type cexpr struct {
 	isConst bool
 	val     uint64
@@ -78,7 +81,35 @@ type cexpr struct {
 	isReg   bool
 	slot    int
 	safe    bool
+	bin     *binExpr
+	mem     *memExpr
 }
+
+// binExpr is "a op b" over two leaves, not both constant.
+type binExpr struct {
+	op   string
+	f    func(x, y uint64) uint64
+	a, b cexpr
+}
+
+// memExpr is a memory read of width w at a safe address, its value
+// passed through ext when that is set (sexb, sexh).
+type memExpr struct {
+	addr cexpr
+	w    int
+	ext  func(uint64) uint64
+}
+
+// leaf evaluates a constant or register read.
+func (e *cexpr) leaf(ctx *Ctx) uint64 {
+	if e.isConst {
+		return e.val
+	}
+	return uint64(ctx.r[e.slot])
+}
+
+// isLeaf reports whether e is a constant or a register read.
+func (e *cexpr) isLeaf() bool { return e.isConst || e.isReg }
 
 func constExpr(v uint64) cexpr { return cexpr{isConst: true, val: v, safe: true} }
 func dynExpr(fn exprFn) cexpr  { return cexpr{fn: fn} }
@@ -112,12 +143,16 @@ type cpend struct {
 // temporaries and pending writes never reallocate.
 type Ctx struct {
 	m     Host
+	sm    SpecialMachine // m, when it models register windows
 	r     *Regs
 	temps []uint64
 	pend  []cpend
 	// sargs is scratch for SpecialMachine calls, so register-window
 	// operations do not allocate an argument slice per execution.
 	sargs [2]uint64
+	// cc is the routine tier's lazy condition-code record (see
+	// LowerCC and FlushCC).
+	cc ccRecord
 }
 
 // Prog is a compiled semantic program.  It is immutable after Compile
@@ -128,10 +163,19 @@ type Prog struct {
 	flags  uint8
 }
 
+// Flags reports the program's effect summary.
+func (p *Prog) Flags() uint8 { return p.flags }
+
 // Bind points ctx at the Host and register array the programs it runs
 // execute against.  r must hold the registers in the layout the
 // programs were compiled under.
-func (ctx *Ctx) Bind(m Host, r *Regs) { ctx.m, ctx.r = m, r }
+func (ctx *Ctx) Bind(m Host, r *Regs) {
+	if ctx.m != m {
+		ctx.m = m
+		ctx.sm, _ = m.(SpecialMachine)
+	}
+	ctx.r = r
+}
 
 // Run executes the program against ctx's binding, reusing its
 // buffers.  The execution discipline is identical to Exec: parallel
@@ -185,10 +229,9 @@ type compiler struct {
 	direct  bool
 	stepIdx int
 	an      *directAnalysis
-	// Residency lowering (resident.go) compiles one instruction at a
-	// known address: pc folds to a constant, and pcRead notes it did.
-	pcKnown, pcRead bool
-	pcVal           uint64
+	// pcKnown: the instruction's address is pcVal, so pc folds to it.
+	pcKnown bool
+	pcVal   uint64
 }
 
 // Compile lowers a ground semantic statement list to a Prog
@@ -404,8 +447,20 @@ func (c *compiler) stmt(n Node, out *[]stmtFn) error {
 			})
 			return nil
 		}
-		// Effectful builtins (register-window operations) evaluate as
-		// expressions for their side effects.
+		if id, ok := fn.(Ident); ok && (id.Name == "winsave" || id.Name == "winrestore") && len(args) == 2 {
+			a, err := c.expr(args[0])
+			if err != nil {
+				return err
+			}
+			b, err := c.expr(args[1])
+			if err != nil {
+				return err
+			}
+			*out = append(*out, c.window(id.Name, a, b))
+			return nil
+		}
+		// Any other effectful builtin evaluates as an expression for its
+		// side effects.
 		e, err := c.expr(x)
 		if err != nil {
 			return err
@@ -429,10 +484,35 @@ func (c *compiler) stmt(n Node, out *[]stmtFn) error {
 // unknownReg), so Exec reports it.
 func (c *compiler) regSlot(file string, idx int64) (int, bool) {
 	s, ok := c.l.Slot(file, idx)
-	if ok && s >= 32 && s < FloatSlot {
+	if ok && extended(s) {
 		c.flags |= FlagExtended
 	}
 	return s, ok
+}
+
+// extended reports whether slot s is one of the integer file's
+// extended slots (32..34).
+func extended(s int) bool { return s >= 32 && s < FloatSlot }
+
+// regRef resolves a register reference (an alias, or a register file
+// indexed by a compile-time constant) to its slot, the hardwired zero
+// included.
+func (c *compiler) regRef(n Node) (int, bool) {
+	switch x := UnwrapSeq(n).(type) {
+	case Ident:
+		if file, idx, ok := c.env.RegAlias(x.Name); ok {
+			return c.l.Slot(file, idx)
+		}
+	case Index:
+		base, isID := x.Base.(Ident)
+		if !isID || base.Name == "M" || !c.env.IsRegFile(base.Name) {
+			return 0, false
+		}
+		if i, err := c.expr(x.Elem); err == nil && i.isConst {
+			return c.l.Slot(base.Name, int64(i.val))
+		}
+	}
+	return 0, false
 }
 
 // unknownReg is the CompileError of a reference at n to a register the
@@ -480,6 +560,10 @@ func (c *compiler) regWrite(s int, rhs cexpr, out *[]stmtFn) {
 	case rhs.isReg:
 		src := rhs.slot
 		fn = func(ctx *Ctx) error { ctx.r[s] = ctx.r[src]; return nil }
+	case rhs.bin != nil:
+		fn = aluWrite(s, rhs.bin)
+	case rhs.mem != nil:
+		fn = loadWrite(s, rhs.mem)
 	default:
 		efn := rhs.fn
 		fn = func(ctx *Ctx) error {
@@ -570,17 +654,7 @@ func (c *compiler) assign(lhs Node, rhs cexpr, out *[]stmtFn) error {
 				c.an.memWrite()
 			}
 			if c.direct {
-				*out = append(*out, func(ctx *Ctx) error {
-					v, err := rhs.eval(ctx)
-					if err != nil {
-						return err
-					}
-					a, err := addr.eval(ctx)
-					if err != nil {
-						return err
-					}
-					return ctx.m.WriteMem(a, w, v)
-				})
+				*out = append(*out, store(addr, w, rhs))
 				return nil
 			}
 			w8 := uint8(w)
@@ -720,10 +794,10 @@ func (c *compiler) ident(x Ident) (cexpr, error) {
 		return constExpr(uint64(v)), nil
 	}
 	if x.Name == "pc" && c.pcKnown {
-		c.pcRead = true
 		return constExpr(c.pcVal), nil
 	}
 	if x.Name == "pc" {
+		c.flags |= FlagPCRead
 		if c.an != nil {
 			c.an.pcRead()
 		}
@@ -772,13 +846,17 @@ func (c *compiler) indexExpr(x Index) (cexpr, error) {
 		if c.an != nil {
 			c.an.memRead()
 		}
-		return dynExpr(func(ctx *Ctx) (uint64, error) {
+		e := dynExpr(func(ctx *Ctx) (uint64, error) {
 			a, err := addr.eval(ctx)
 			if err != nil {
 				return 0, err
 			}
 			return ctx.m.ReadMem(a, w)
-		}), nil
+		})
+		if c.direct && addr.safe {
+			e.mem = &memExpr{addr: addr, w: w}
+		}
+		return e, nil
 	}
 	if !c.env.IsRegFile(base.Name) {
 		return cexpr{}, &CompileError{x, "unknown register file " + base.Name}
@@ -842,7 +920,7 @@ func (c *compiler) bin(x Bin) (cexpr, error) {
 		return cexpr{}, err
 	}
 	if f, ok := binOps[x.Op]; ok {
-		return pure2(l, r, f), nil
+		return c.op2(x.Op, l, r, f), nil
 	}
 	switch x.Op {
 	case "/", "%":
@@ -932,7 +1010,7 @@ func (c *compiler) builtinExpr(name string, args []Node, at Node) (cexpr, error)
 		if err := argc(2); err != nil {
 			return cexpr{}, err
 		}
-		return pure2(vals[0], vals[1], f), nil
+		return c.op2(name, vals[0], vals[1], f), nil
 	}
 	switch name {
 	case "sex":
@@ -978,31 +1056,45 @@ func (c *compiler) builtinExpr(name string, args []Node, at Node) (cexpr, error)
 		if err := argc(2); err != nil {
 			return cexpr{}, err
 		}
-		c.flags |= FlagSpecial
-		if c.an != nil {
-			c.an.exclusive()
-		}
-		n, a, b := name, vals[0], vals[1]
-		return dynExpr(func(ctx *Ctx) (uint64, error) {
-			av, err := a.eval(ctx)
-			if err != nil {
-				return 0, err
-			}
-			bv, err := b.eval(ctx)
-			if err != nil {
-				return 0, err
-			}
-			sm, ok := ctx.m.(SpecialMachine)
-			if !ok {
-				return 0, ErrDynamic
-			}
-			// The ctx-owned scratch keeps window operations from
-			// allocating an argument slice per execution.
-			ctx.sargs[0], ctx.sargs[1] = av, bv
-			return 0, sm.Special(n, ctx.sargs[:2])
-		}), nil
+		st := c.window(name, vals[0], vals[1])
+		return dynExpr(func(ctx *Ctx) (uint64, error) { return 0, st(ctx) }), nil
 	}
 	return cexpr{}, &CompileError{at, "unknown builtin " + name}
+}
+
+// window lowers the register-window special name(a, b), run through
+// the bound Host's SpecialMachine.  The ctx-owned scratch keeps it
+// from allocating an argument slice per execution.
+func (c *compiler) window(name string, a, b cexpr) stmtFn {
+	c.flags |= FlagSpecial
+	if c.an != nil {
+		c.an.exclusive()
+	}
+	if x, ok := baseOff(a); ok && x.b.isConst && b.isConst {
+		s, k, bv := x.a.slot, x.b.val, b.val
+		return func(ctx *Ctx) error {
+			if ctx.sm == nil {
+				return ErrDynamic
+			}
+			ctx.sargs[0], ctx.sargs[1] = uint64(ctx.r[s])+k, bv
+			return ctx.sm.Special(name, ctx.sargs[:2])
+		}
+	}
+	return func(ctx *Ctx) error {
+		av, err := a.eval(ctx)
+		if err != nil {
+			return err
+		}
+		bv, err := b.eval(ctx)
+		if err != nil {
+			return err
+		}
+		if ctx.sm == nil {
+			return ErrDynamic
+		}
+		ctx.sargs[0], ctx.sargs[1] = av, bv
+		return ctx.sm.Special(name, ctx.sargs[:2])
+	}
 }
 
 // pure1 builds a one-argument pure operation, folding constants and
@@ -1027,6 +1119,9 @@ func pure1(a cexpr, f func(uint64) uint64) cexpr {
 		})
 	}
 	e.safe = a.safe
+	if a.mem != nil && a.mem.ext == nil {
+		e.mem = &memExpr{addr: a.mem.addr, w: a.mem.w, ext: f}
+	}
 	return e
 }
 
@@ -1041,6 +1136,16 @@ func pure2(a, b cexpr, f func(x, y uint64) uint64) cexpr {
 	}
 	e := pure2fn(a, b, f)
 	e.safe = a.safe && b.safe
+	return e
+}
+
+// op2 is pure2 for operator op, keeping its shape over two leaves in
+// direct mode, whose writes fuse it (the buffered form never does).
+func (c *compiler) op2(op string, a, b cexpr, f func(x, y uint64) uint64) cexpr {
+	e := pure2(a, b, f)
+	if c.direct && !e.isConst && a.isLeaf() && b.isLeaf() {
+		e.bin = &binExpr{op: op, f: f, a: a, b: b}
+	}
 	return e
 }
 
@@ -1091,4 +1196,131 @@ func pure2fn(a, b cexpr, f func(x, y uint64) uint64) cexpr {
 		}
 		return f(x, y), nil
 	})
+}
+
+// aluWrite is direct mode's R[s] := a op b as one closure, with the
+// commonest operators inlined for a register left operand.  Each form
+// keeps the low 32 bits of f over the 64-bit operands.
+func aluWrite(s int, x *binExpr) stmtFn {
+	f := x.f
+	if !x.a.isReg {
+		k, b := x.a.val, x.b.slot
+		return func(ctx *Ctx) error { ctx.r[s] = uint32(f(k, uint64(ctx.r[b]))); return nil }
+	}
+	a := x.a.slot
+	if x.b.isConst {
+		k := uint32(x.b.val)
+		switch x.op {
+		case "+":
+			return func(ctx *Ctx) error { ctx.r[s] = ctx.r[a] + k; return nil }
+		case "-":
+			return func(ctx *Ctx) error { ctx.r[s] = ctx.r[a] - k; return nil }
+		case "&":
+			return func(ctx *Ctx) error { ctx.r[s] = ctx.r[a] & k; return nil }
+		case "|":
+			return func(ctx *Ctx) error { ctx.r[s] = ctx.r[a] | k; return nil }
+		case "^":
+			return func(ctx *Ctx) error { ctx.r[s] = ctx.r[a] ^ k; return nil }
+		case "shl":
+			k &= 31
+			return func(ctx *Ctx) error { ctx.r[s] = ctx.r[a] << k; return nil }
+		case "shr":
+			k &= 31
+			return func(ctx *Ctx) error { ctx.r[s] = ctx.r[a] >> k; return nil }
+		case "sar":
+			k &= 31
+			return func(ctx *Ctx) error { ctx.r[s] = uint32(int32(ctx.r[a]) >> k); return nil }
+		}
+		kv := x.b.val
+		return func(ctx *Ctx) error { ctx.r[s] = uint32(f(uint64(ctx.r[a]), kv)); return nil }
+	}
+	b := x.b.slot
+	switch x.op {
+	case "+":
+		return func(ctx *Ctx) error { ctx.r[s] = ctx.r[a] + ctx.r[b]; return nil }
+	case "-":
+		return func(ctx *Ctx) error { ctx.r[s] = ctx.r[a] - ctx.r[b]; return nil }
+	case "&":
+		return func(ctx *Ctx) error { ctx.r[s] = ctx.r[a] & ctx.r[b]; return nil }
+	case "|":
+		return func(ctx *Ctx) error { ctx.r[s] = ctx.r[a] | ctx.r[b]; return nil }
+	case "^":
+		return func(ctx *Ctx) error { ctx.r[s] = ctx.r[a] ^ ctx.r[b]; return nil }
+	}
+	return func(ctx *Ctx) error { ctx.r[s] = uint32(f(uint64(ctx.r[a]), uint64(ctx.r[b]))); return nil }
+}
+
+// baseOff matches the address R[a] + (k | R[b]).
+func baseOff(addr cexpr) (*binExpr, bool) {
+	x := addr.bin
+	return x, x != nil && x.op == "+" && x.a.isReg
+}
+
+// loadWrite is direct mode's R[s] := M[addr]{w} (through ext) as one
+// closure.
+func loadWrite(s int, m *memExpr) stmtFn {
+	w, ext := m.w, m.ext
+	if x, ok := baseOff(m.addr); ok && ext == nil {
+		a := x.a.slot
+		if x.b.isConst {
+			k := x.b.val
+			return func(ctx *Ctx) error {
+				v, err := ctx.m.ReadMem(uint64(ctx.r[a])+k, w)
+				if err != nil {
+					return err
+				}
+				ctx.r[s] = uint32(v)
+				return nil
+			}
+		}
+		b := x.b.slot
+		return func(ctx *Ctx) error {
+			v, err := ctx.m.ReadMem(uint64(ctx.r[a])+uint64(ctx.r[b]), w)
+			if err != nil {
+				return err
+			}
+			ctx.r[s] = uint32(v)
+			return nil
+		}
+	}
+	addr := m.addr
+	return func(ctx *Ctx) error {
+		a, _ := addr.eval(ctx) // a safe address cannot fail
+		v, err := ctx.m.ReadMem(a, w)
+		if err != nil {
+			return err
+		}
+		if ext != nil {
+			v = ext(v)
+		}
+		ctx.r[s] = uint32(v)
+		return nil
+	}
+}
+
+// store is direct mode's M[addr]{w} := rhs, as one closure when the
+// value is a register and the address R[a] + (k | R[b]).
+func store(addr cexpr, w int, rhs cexpr) stmtFn {
+	if x, ok := baseOff(addr); ok && rhs.isReg {
+		a, v := x.a.slot, rhs.slot
+		if x.b.isConst {
+			k := x.b.val
+			return func(ctx *Ctx) error { return ctx.m.WriteMem(uint64(ctx.r[a])+k, w, uint64(ctx.r[v])) }
+		}
+		b := x.b.slot
+		return func(ctx *Ctx) error {
+			return ctx.m.WriteMem(uint64(ctx.r[a])+uint64(ctx.r[b]), w, uint64(ctx.r[v]))
+		}
+	}
+	return func(ctx *Ctx) error {
+		v, err := rhs.eval(ctx)
+		if err != nil {
+			return err
+		}
+		a, err := addr.eval(ctx)
+		if err != nil {
+			return err
+		}
+		return ctx.m.WriteMem(a, w, v)
+	}
 }

@@ -1,15 +1,20 @@
 package rtl
 
-// Direct-mode compilation: a second lowering used by the emulator's
-// hot tier.  A normal Prog buffers register, memory and pc writes and
-// commits them after each parallel step; that pending-write machinery
-// (append, commit loop, interface dispatch) is the single largest
-// per-instruction cost of translated code.  CompileDirect proves, per
-// step, that committing each write immediately — in op order — is
-// observationally equivalent to the buffered discipline, and then
-// lowers assignments to immediate writes.  The result is a Direct: one
+// Direct-mode compilation: the one immediate-commit lowering, which
+// the emulator's chained tier runs for hot instructions and its
+// routine tier for every body word it can.  A normal Prog buffers
+// register, memory and pc writes and commits them after each parallel
+// step; that pending-write machinery (append, commit loop, interface
+// dispatch) is the single largest per-instruction cost of translated
+// code.  CompileDirect proves, per step, that committing each write
+// immediately — in op order — is observationally equivalent to the
+// buffered discipline, and then lowers assignments to immediate
+// writes: a register write of an operator over register and constant
+// operands, or of a load at R[a] + (k | R[b]), and a store of a
+// register there, are one closure each.  The result is a Direct: one
 // self-contained op list, which the emulator runs inline with no
-// per-program call and no pending-write traffic at all.
+// per-program call and no pending-write traffic at all.  Given the
+// instruction's address, CompileDirect folds pc to it.
 //
 // Equivalence argument.  A buffered step runs E1..En C1..Cn (Ei =
 // evaluation of op i plus its immediate effects — temporaries, annul,
@@ -48,6 +53,9 @@ const (
 	// FlagExtended: may read or write an extended integer slot
 	// (32..34), the slots lazy condition codes stand for.
 	FlagExtended
+	// FlagPCRead: reads pc at run time.  A program compiled at a known
+	// address folds its pc reads instead.
+	FlagPCRead
 )
 
 // Direct is a direct-mode program: one op list, run in order against
@@ -67,12 +75,27 @@ func (d *Direct) Ops() []OpFunc { return d.ops }
 // Flags reports the program's effect summary.
 func (d *Direct) Flags() uint8 { return d.flags }
 
+// Run runs the op list against ctx's binding.
+func (d *Direct) Run(ctx *Ctx) error {
+	for _, op := range d.ops {
+		if err := op(ctx); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CompileDirect lowers n like Compile but with immediate write
-// commits.  It fails — with a CompileError, like any other
+// commits.  at, when not nil, is the instruction's address: pc reads
+// fold to it.  It fails — with a CompileError, like any other
 // uncompilable construct — when the commit reorder cannot be proven
 // unobservable; callers fall back to the buffered Compile form.
-func CompileDirect(n Node, env CompileEnv) (*Direct, error) {
-	p, err := newCompiler(env).program(n, true)
+func CompileDirect(n Node, env CompileEnv, at *uint64) (*Direct, error) {
+	c := newCompiler(env)
+	if at != nil {
+		c.pcKnown, c.pcVal = true, *at
+	}
+	p, err := c.program(n, true)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,7 @@ package rtl
 import "math"
 
 // The operators and builtins that cannot fail, written once and shared
-// by the interpreter (eval.go), the compiler (compile.go), and the
-// residency lowering (resident.go).
+// by the interpreter (eval.go) and the compiler (compile.go).
 
 // binOps are the binary operators over 64-bit values; comparisons
 // are signed.

@@ -19,7 +19,8 @@
 // the direct-mapped cache.  Hot block anchors are re-translated into
 // traces — longer superblocks that follow the observed hot path across
 // block boundaries, biased by per-exit transition counts — and hot
-// instructions step through direct-commit op lists (see promote).
+// instructions step through direct-commit op lists (see promote),
+// the one immediate-commit lowering, which the routine tier runs too.
 // Every cached pointer is validated by the generation counter, and
 // invalidation runs a bounded chain-unlinking pass over the blocks
 // built since the last flush, so self-modifying-code handling stays
@@ -407,7 +408,7 @@ func (c *CPU) exec(b *tblock, maxSteps uint64, gen uint64) (last int, stop bool,
 		}
 		switch step {
 		case stepLean:
-			if err := c.runOps(ci.direct.Ops()); err != nil {
+			if err := ci.direct.Run(&c.rtlCtx); err != nil {
 				return last, true, &Fault{c.PC, err}
 			}
 			c.InstCount++
@@ -424,7 +425,7 @@ func (c *CPU) exec(b *tblock, maxSteps uint64, gen uint64) (last int, stop bool,
 			annulBefore := c.annulNext
 			var err error
 			if step == stepFull {
-				err = c.runOps(ci.direct.Ops())
+				err = ci.direct.Run(&c.rtlCtx)
 			} else {
 				err = ci.prog.Run(&c.rtlCtx)
 			}
@@ -469,16 +470,6 @@ func (c *CPU) exec(b *tblock, maxSteps uint64, gen uint64) (last int, stop bool,
 		}
 		i = j
 	}
-}
-
-// runOps runs a direct op list against the bound rtl.Ctx.
-func (c *CPU) runOps(ops []rtl.OpFunc) error {
-	for _, op := range ops {
-		if err := op(&c.rtlCtx); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // dominantExit picks the exit site carrying a strict majority of b's

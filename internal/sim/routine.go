@@ -2,12 +2,16 @@
 // chained block stays hot and its anchor is a known routine entry
 // (a static call target, the initial pc, or a pc the tier itself
 // exited to), the routine's whole extent is compiled into a flat block
-// program in which the register file and condition codes live in an
-// rtl.REnv across block boundaries, spilled back to the CPU only at
-// routine exits, faults, traps, and deopt points.  Each instruction is
-// lowered from its spawn semantics by rtl.LowerBody/LowerXfer; this
-// file composes them: extent, CFG and liveness from the paper's
-// analyses, block formation, liveness-gated cc elision, and linking.
+// program that runs over the CPU's own registers, rtl.Ctx and cpuEnv,
+// with the condition codes kept lazy across block boundaries and
+// materialized only where they may be read: before a word that touches
+// an extended slot, and at routine exits, faults, traps, and deopt
+// points.  Each body word runs its rtl.Direct op list — the one
+// immediate-commit lowering the chained tier runs too — or, when
+// rtl.CompileDirect refuses it, its buffered program; this file and
+// rtcompile.go compose them: extent, CFG and liveness from the paper's
+// analyses, block formation, lazy-cc pairs and their liveness-gated
+// elision, transfers (rtl.LowerXfer), and linking.
 //
 // Compilation runs on a background goroutine so the running engine
 // never stalls: the chained tier keeps executing, finished programs
@@ -70,19 +74,46 @@ type rtWord struct {
 // rblock is one compiled basic block of a routine program.
 type rblock struct {
 	base uint32
-	ops  []rtl.ROp
-	term rtl.RTerm
+	// ops holds each body word's hot op (rword.hot); the words are
+	// routineProg.words[first:].
+	first int32
+	ops   []rtl.OpFunc
+	term  rterm
 	// cost bounds how many instructions the block can retire (body +
 	// terminator + delay slot); the runner refuses entry when the
 	// step budget cannot cover it.
 	cost uint64
 }
 
+// rterm is a block terminator.  It returns the next block index, or
+// rtExit or rtStop, having finalized PC, NPC and the instruction and
+// annul counts itself.
+type rterm func(c *CPU) int32
+
+// Terminator sentinels.
+const (
+	// rtExit: control left the routine; the runner may re-enter
+	// another routine at PC.
+	rtExit int32 = -1
+	// rtStop: a delay slot stopped execution; routineState.stop and err
+	// say how.
+	rtStop int32 = -2
+)
+
+// How a body word stopped the routine (CPU.rtEffects).
+const (
+	rtRun   = iota // it did not
+	rtFault        // it failed and did not retire
+	rtHalt         // a trap halted the machine; the trap retired
+	rtGen          // it wrote text; it retired, and the routine deopts
+)
+
 // routineProg is a whole compiled routine: a flat block list plus an
 // index from block base pc to block number.  It is immutable after
 // compilation and safe to share across CPUs.
 type routineProg struct {
 	blocks []rblock
+	words  []rword
 	// heads[(pc-base)/4] is the index of the compiled block starting
 	// at pc, or -1; the block heads are the pcs at which the routine
 	// tier may enter.  Blocks whose instructions did not lower are
@@ -164,6 +195,11 @@ type routineState struct {
 	words []rtWord
 	base  uint32
 	mb    *rtMailbox
+	// gen is the translation generation the running routine was
+	// entered under; stop and err are a delay slot's stop (rtStop).
+	gen  uint64
+	stop uint8
+	err  error
 }
 
 // word returns pc's record, or nil when pc is unaligned or outside
@@ -425,105 +461,113 @@ func (c *CPU) rtInstall(job *rtJob) {
 	obs.Record(obs.EvRoutineInstall, uint64(job.entry), uint64(len(prog.blocks)))
 }
 
-// rtFill loads the routine environment from architected state.
-func (c *CPU) rtFill(e *rtl.REnv) {
-	e.V = *c.regs()
-	e.PC, e.NPC = c.PC, c.NPC
-	e.Insts, e.Annuls = c.InstCount, c.AnnulCount
-	e.Windows = c.windows
-	e.Halted, e.ExitCode = c.Halted, c.ExitCode
-	e.ResetCC()
-	e.StopKind, e.StopErr, e.StopPC = rtl.StopNone, nil, 0
-	e.Bridge = &c.env
-	e.Gen = c.tc.gen
-	e.GenP = &c.tc.gen
-}
-
-// rtSpill writes the routine environment back, materializing any
-// pending condition codes first — the only place lazy flags become
-// architected PSR.
-func (c *CPU) rtSpill(e *rtl.REnv) {
-	e.FlushCC()
-	*c.regs() = e.V
-	c.PC, c.NPC = e.PC, e.NPC
-	c.InstCount, c.AnnulCount = e.Insts, e.Annuls
-	c.windows = e.Windows
-	c.Halted, c.ExitCode = e.Halted, e.ExitCode
+// rtEffects runs body word w, one with effects, at pc and reports
+// whether and how it stopped the routine: a failure is the op's error
+// (the interpreter's string), a halt is c.Halted after a trap, and a
+// text write is a generation change after a memory write.  The lazy
+// condition codes are flushed before a word that touches their slot,
+// and a buffered word that reads pc sees pc.  A plain word is just its
+// op, which the runner calls inline.
+func (c *CPU) rtEffects(w *rword, pc uint32) (stop uint8, err error) {
+	if w.flags&rtl.FlagExtended != 0 {
+		c.rtlCtx.FlushCC()
+	}
+	if w.flags&rtl.FlagPCRead != 0 {
+		c.PC = pc
+	}
+	if err := w.op(&c.rtlCtx); err != nil {
+		return rtFault, err
+	}
+	if w.flags&rtl.FlagTrap != 0 && c.Halted {
+		return rtHalt, nil
+	}
+	if w.flags&rtl.FlagMemWrite != 0 && c.tc.gen != c.rt.gen {
+		return rtGen, nil
+	}
+	return rtRun, nil
 }
 
 // runRoutine executes installed routine programs starting at block k
-// of p until
-// control leaves compiled routines, execution must stop, or the step
-// budget cannot cover the next block.  It reports whether any
+// of p until control leaves compiled routines, execution must stop, or
+// the step budget cannot cover the next block.  It reports whether any
 // instruction was executed: a budget refusal before the first block
 // returns (false, nil) so the caller falls back to a per-instruction
-// tier that can hit the limit exactly.
+// tier that can hit the limit exactly.  Every way out materializes the
+// lazy condition codes, the only place they become architected.
 func (c *CPU) runRoutine(p *routineProg, k int32, maxSteps uint64) (executed bool, err error) {
-	e := &c.renv
-	c.rtFill(e)
+	c.rtlCtx.Bind(&c.env, c.regs())
+	c.rt.gen = c.tc.gen
+	executed, err = c.runBlocks(p, k, maxSteps)
+	c.rtlCtx.FlushCC()
+	return executed, err
+}
+
+// runBlocks is runRoutine's loop over blocks.
+func (c *CPU) runBlocks(p *routineProg, k int32, maxSteps uint64) (executed bool, err error) {
+	ctx := &c.rtlCtx
 	for {
 		blk := &p.blocks[k]
-		if e.Insts+blk.cost > maxSteps {
+		if c.InstCount+blk.cost > maxSteps {
 			// At a block head the pipeline is sequential, so the
 			// architected pc is exactly the head address.  In-program
-			// terminators return a block index without touching e.PC,
-			// so it must be refreshed before spilling.
-			e.PC, e.NPC = blk.base, blk.base+4
-			c.rtSpill(e)
+			// terminators return a block index without touching PC.
+			c.PC, c.NPC = blk.base, blk.base+4
 			return executed, nil
 		}
 		executed = true
 		for i, op := range blk.ops {
-			if op(e) {
-				pc := blk.base + uint32(4*i)
-				switch e.StopKind {
-				case rtl.StopHalt:
-					e.Insts += uint64(i) + 1
-					e.PC, e.NPC = pc, pc+4
-					c.rtSpill(e)
-					return true, nil
-				case rtl.StopGen:
-					e.Insts += uint64(i) + 1
-					e.PC, e.NPC = pc+4, pc+8
-					c.tc.ctr.RoutineDeopts++
-					obs.Record(obs.EvRoutineDeopt, uint64(pc), e.Gen)
-					c.rtSpill(e)
-					return true, nil
-				default: // StopFault
-					e.Insts += uint64(i)
-					e.PC, e.NPC = pc, pc+4
-					c.rtSpill(e)
-					return true, &Fault{pc, e.StopErr}
+			err := op(ctx)
+			if err == nil {
+				continue
+			}
+			pc, stop := blk.base+uint32(4*i), uint8(rtFault)
+			if _, ok := err.(effects); ok {
+				if stop, err = c.rtEffects(&p.words[int(blk.first)+i], pc); stop == rtRun {
+					continue
 				}
 			}
+			c.InstCount += uint64(i)
+			c.PC, c.NPC = pc, pc+4
+			if stop == rtFault {
+				return true, &Fault{pc, err}
+			}
+			c.InstCount++ // a halting trap or a text store retires
+			if stop == rtGen {
+				c.PC, c.NPC = pc+4, pc+8
+				c.rtDeopt(pc)
+			}
+			return true, nil
 		}
-		e.Insts += uint64(len(blk.ops))
-		next := blk.term(e)
+		c.InstCount += uint64(len(blk.ops))
+		next := blk.term(c)
 		if next >= 0 {
 			k = next
 			continue
 		}
-		if next == rtl.RTermExit {
+		if next == rtExit {
 			// Cross-routine continuation: an exit landing on another
 			// installed head (call, tail call, return) stays in the
-			// tier with zero spill traffic.
-			if w := c.rt.word(e.PC); w != nil && w.prog != nil && e.NPC == e.PC+4 {
+			// tier.
+			if w := c.rt.word(c.PC); w != nil && w.prog != nil && c.NPC == c.PC+4 {
 				p, k = w.prog, w.idx
 				continue
 			}
-			c.rtNoteCandidate(e.PC)
-			c.rtSpill(e)
+			c.rtNoteCandidate(c.PC)
 			return true, nil
 		}
-		// RTermStop: the terminator finalized everything.
-		if e.StopKind == rtl.StopGen {
-			c.tc.ctr.RoutineDeopts++
-			obs.Record(obs.EvRoutineDeopt, uint64(e.PC), e.Gen)
-		}
-		c.rtSpill(e)
-		if e.StopKind == rtl.StopFault {
-			return true, &Fault{e.StopPC, e.StopErr}
+		// rtStop: the terminator finalized everything.
+		switch c.rt.stop {
+		case rtGen:
+			c.rtDeopt(c.PC)
+		case rtFault:
+			return true, &Fault{c.PC, c.rt.err}
 		}
 		return true, nil
 	}
+}
+
+// rtDeopt counts a deopt at pc, a store into text.
+func (c *CPU) rtDeopt(pc uint32) {
+	c.tc.ctr.RoutineDeopts++
+	obs.Record(obs.EvRoutineDeopt, uint64(pc), c.rt.gen)
 }

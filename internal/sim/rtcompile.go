@@ -4,8 +4,10 @@ package sim
 // routineProg.  Which instructions end a block, where their targets
 // and delay slots are, and whether an instruction can fault all come
 // from the description (DelaySlots, AnnulBit, StaticTarget, Category,
-// spawn effects); what each instruction does comes from
-// rtl.LowerBody and rtl.LowerXfer.
+// spawn effects); what each instruction does comes from the one
+// immediate-commit lowering, rtl.CompileDirect (the buffered program
+// for a word it refuses), plus rtl.LowerCC's lazy-cc pairs and
+// rtl.LowerXfer's transfers.
 
 import (
 	"fmt"
@@ -25,10 +27,50 @@ type routineCompiler struct {
 	desc *spawn.Desc
 }
 
+// rword is one lowered body word: its op (nil for a word that does
+// nothing), and the effects the runner handles around it (see
+// CPU.rtEffects).
+type rword struct {
+	op    rtl.OpFunc
+	flags uint8
+}
+
+// hot is the op the runner's loops call for w: its own, nopWord for
+// nothing, or for a word with effects effWord, whose marker error
+// sends the runner to rtEffects.
+func (w *rword) hot() rtl.OpFunc {
+	switch {
+	case w.flags != 0:
+		return effWord
+	case w.op == nil:
+		return nopWord
+	}
+	return w.op
+}
+
+func nopWord(*rtl.Ctx) error { return nil }
+
+// effects is effWord's marker error.
+type effects struct{}
+
+func (effects) Error() string { return "sim: a routine word with effects" }
+
+func effWord(*rtl.Ctx) error { return effects{} }
+
+// rtStopFlags are the effect flags the runner acts on: a flush of the
+// lazy flags before a word that touches an extended slot, the word's
+// pc made architected before a buffered word that reads it, and a
+// check after a trap (halt) or a memory write (text written).  A word
+// with none of them is plain.
+const rtStopFlags = rtl.FlagExtended | rtl.FlagPCRead | rtl.FlagTrap | rtl.FlagMemWrite
+
 type instAt struct {
 	pc uint32
 	in *machine.Inst
-	rtl.Body
+	rword
+	// cc is the word's lazy-cc pair, when it lowered to one (cc.Kind
+	// != 0).
+	cc rtl.CCPair
 }
 
 // protoBlock is a block before linking: lowered body, and the
@@ -41,7 +83,7 @@ type protoBlock struct {
 	isXfer bool
 	pc     uint32
 	x      rtl.Xfer
-	slot   rtl.ROp
+	slot   *rword
 	// err is the first instruction that did not lower, at errPC; the
 	// block is then a stub that exits to the lower tiers.
 	err   error
@@ -117,17 +159,18 @@ func (rc *routineCompiler) compile(entry uint32) (ent *rtCacheEnt) {
 	}
 	prog.blocks = make([]rblock, len(protos))
 	for i, pb := range protos {
-		ops := make([]rtl.ROp, len(pb.body))
-		for j := range pb.body {
-			ops[j] = pb.body[j].Op
-			if pb.body[j].CC != 0 && rc.ccDead(pb.body, j) {
-				ops[j] = pb.body[j].NoCC
-			}
-		}
 		blk := &prog.blocks[i]
-		blk.base, blk.ops = pb.base, ops
+		blk.base, blk.first, blk.ops = pb.base, int32(len(prog.words)), make([]rtl.OpFunc, len(pb.body))
+		for j := range pb.body {
+			w := pb.body[j].rword
+			if pb.body[j].cc.Kind != 0 && rc.ccDead(pb.body, j) {
+				w.op = pb.body[j].cc.NoCC
+			}
+			blk.ops[j] = w.hot()
+			prog.words = append(prog.words, w)
+		}
 		blk.term, blk.cost = rc.link(prog, pb)
-		blk.cost += uint64(len(ops))
+		blk.cost += uint64(len(blk.ops))
 	}
 	return &rtCacheEnt{prog: prog}
 }
@@ -146,13 +189,46 @@ func (rc *routineCompiler) formBlock(base uint32, leaders map[uint32]bool) *prot
 			rc.lowerTerm(pb, pc, in)
 			return pb
 		}
-		b, err := semOf(in).LowerBody(pc)
+		w, err := lowerWord(in, pc)
 		if err != nil {
 			pb.err, pb.errPC = err, pc
 			return pb
 		}
-		pb.body = append(pb.body, instAt{pc, in, b})
+		pb.body = append(pb.body, w)
 	}
+}
+
+// lowerWord lowers the body word in at pc: to its lazy-cc pair, its
+// direct op list (rtl.CompileDirect, compiled at pc only when it reads
+// pc), or, when CompileDirect refuses it, its buffered program.
+func lowerWord(in *machine.Inst, pc uint32) (instAt, error) {
+	w := instAt{pc: pc, in: in}
+	sem := semOf(in)
+	if cc, ok := rtl.LowerCC(sem.Def.Sem, sem.CompileEnv()); ok {
+		w.op, w.cc = cc.Op, cc
+		return w, nil
+	}
+	var flags uint8
+	if d := sem.CompiledDirectAt(pc); d != nil {
+		w.op, flags = d.Run, d.Flags()
+		switch ops := d.Ops(); len(ops) {
+		case 0:
+			return w, nil // nothing to run, so no effects either
+		case 1:
+			w.op = ops[0]
+		}
+	} else {
+		p, err := sem.Compiled()
+		if err != nil {
+			return w, err
+		}
+		w.op, flags = p.Run, p.Flags()
+	}
+	if flags&(rtl.FlagPC|rtl.FlagAnnul) != 0 {
+		return w, fmt.Errorf("%s: a control transfer in a routine body", in.Name())
+	}
+	w.flags = flags & rtStopFlags
+	return w, nil
 }
 
 // lowerTerm lowers the block's terminator at pc and its delay slot.
@@ -179,12 +255,12 @@ func (rc *routineCompiler) lowerTerm(pb *protoBlock, pc uint32, in *machine.Inst
 		pb.err, pb.errPC = fmt.Errorf("%s: delay slot at %#x is not a plain instruction", in.Name(), pc+4), pc+4
 		return
 	}
-	b, err := semOf(sin).LowerBody(pc + 4)
+	w, err := lowerWord(sin, pc+4)
 	if err != nil {
 		pb.err, pb.errPC = err, pc+4
 		return
 	}
-	pb.slot = b.Op
+	pb.slot = &w.rword
 }
 
 // lastCC reports the lazy cc kind and register the block's body
@@ -192,7 +268,7 @@ func (rc *routineCompiler) lowerTerm(pb *protoBlock, pc uint32, in *machine.Inst
 // instruction records one, or a later one overwrites the register.
 func (rc *routineCompiler) lastCC(body []instAt) (uint8, int64) {
 	for i := len(body) - 1; i >= 0; i-- {
-		if body[i].CC == 0 {
+		if body[i].cc.Kind == 0 {
 			continue
 		}
 		r := ccMachineReg(body[i])
@@ -201,7 +277,7 @@ func (rc *routineCompiler) lastCC(body []instAt) (uint8, int64) {
 				return 0, 0
 			}
 		}
-		return body[i].CC, body[i].CCReg
+		return body[i].cc.Kind, body[i].cc.Reg
 	}
 	return 0, 0
 }
@@ -217,7 +293,7 @@ func (rc *routineCompiler) ccDead(body []instAt, i int) bool {
 		return false
 	}
 	for _, b := range body[i+1:] {
-		if b.CC != 0 && b.CCReg == body[i].CCReg {
+		if b.cc.Kind != 0 && b.cc.Reg == body[i].cc.Reg {
 			return true
 		}
 		if b.in.Reads().Has(r) || b.in.Writes().Has(r) || faults(b.in) {
@@ -230,7 +306,7 @@ func (rc *routineCompiler) ccDead(body []instAt, i int) bool {
 // ccMachineReg is the machine register a cc record stands for: a slot
 // of the integer file, whose index is its machine register number
 // (spawn's MachineReg).
-func ccMachineReg(b instAt) machine.Reg { return machine.Reg(b.CCReg) }
+func ccMachineReg(b instAt) machine.Reg { return machine.Reg(b.cc.Reg) }
 
 // faults reports whether executing in can fail, from its spawn
 // effects.
@@ -239,76 +315,109 @@ func faults(in *machine.Inst) bool { return semOf(in).Def.Info.Effects.Faults }
 // rtarget is a link-resolved control-flow target: an in-program block
 // index, or an exit at pc.
 type rtarget struct {
-	k  int32 // block index, or RTermExit
+	k  int32 // block index, or rtExit
 	pc uint32
 }
 
-func (t rtarget) enter(e *rtl.REnv) int32 {
+func (t rtarget) enter(c *CPU) int32 {
 	if t.k >= 0 {
 		return t.k
 	}
-	e.PC, e.NPC = t.pc, t.pc+4
-	return rtl.RTermExit
+	c.PC, c.NPC = t.pc, t.pc+4
+	return rtExit
 }
 
-// slotStop finalizes a stop raised by a delay-slot instruction.
-// During the slot the pipeline state is PC=slotpc, NPC=target (the
-// transfer already wrote the delayed target).
-func slotStop(e *rtl.REnv, slotpc, target uint32) int32 {
-	switch e.StopKind {
-	case rtl.StopFault:
-		e.Insts++ // the transfer retired; the slot did not
-		e.PC, e.NPC = slotpc, target
-		e.StopPC = slotpc
-	case rtl.StopHalt:
-		e.Insts += 2
-		e.PC, e.NPC = slotpc, target
-	case rtl.StopGen:
-		e.Insts += 2
-		e.PC, e.NPC = target, target+4
+// rslot is a terminator's delay slot: its word at pc, and the op the
+// terminator calls for it (see rword.hot), nil when it does nothing.
+type rslot struct {
+	w  rword
+	op rtl.OpFunc
+	pc uint32
+}
+
+// slotOf makes delay-slot word w at pc an rslot; nil stays nil.
+func slotOf(w *rword, pc uint32) *rslot {
+	switch {
+	case w == nil:
+		return nil
+	case w.op == nil:
+		return &rslot{pc: pc}
 	}
-	return rtl.RTermStop
+	return &rslot{*w, w.hot(), pc}
+}
+
+// stopped reports whether slot s, whose op returned err, stopped the
+// routine (see slotStops).
+func (s *rslot) stopped(c *CPU, err error, target uint32) bool {
+	return err != nil && c.slotStops(s, err, target)
+}
+
+// slotStops finishes a delay slot whose op returned err (not nil) and
+// reports whether the slot stopped the routine, having finalized the
+// stop.  During the slot the pipeline state is PC=s.pc, NPC=target
+// (the transfer already wrote the delayed target).
+func (c *CPU) slotStops(s *rslot, err error, target uint32) bool {
+	stop := uint8(rtFault)
+	if _, ok := err.(effects); ok {
+		if stop, err = c.rtEffects(&s.w, s.pc); stop == rtRun {
+			return false
+		}
+	}
+	switch stop {
+	case rtFault:
+		c.InstCount++ // the transfer retired; the slot did not
+		c.PC, c.NPC = s.pc, target
+	case rtHalt:
+		c.InstCount += 2
+		c.PC, c.NPC = s.pc, target
+	case rtGen:
+		c.InstCount += 2
+		c.PC, c.NPC = target, target+4
+	}
+	c.rt.stop, c.rt.err = stop, err
+	return true
 }
 
 // leg finishes a transfer toward a static target: the link write (ln
 // >= 0), the annulled or executed delay slot, and the instruction
 // count.
-func leg(tg rtarget, slot rtl.ROp, slotPC uint32, annul bool, ln int32, lv uint32) rtl.RTerm {
+func leg(tg rtarget, slot *rslot, annul bool, ln int32, lv uint32) rterm {
 	t := tg.pc
-	return func(e *rtl.REnv) int32 {
+	return func(c *CPU) int32 {
 		if ln >= 0 {
-			e.V[ln] = lv // a call's link, before the slot runs
+			c.regs()[ln] = lv // a call's link, before the slot runs
 		}
 		switch {
 		case annul:
-			e.Annuls++
+			c.AnnulCount++
 		case slot == nil:
-		case slot(e):
-			return slotStop(e, slotPC, t)
 		default:
-			e.Insts++
+			if slot.op != nil && slot.stopped(c, slot.op(&c.rtlCtx), t) {
+				return rtStop
+			}
+			c.InstCount++
 		}
-		e.Insts++
-		return tg.enter(e)
+		c.InstCount++
+		return tg.enter(c)
 	}
 }
 
 // link materializes a block's terminator against the finished block
 // index, with the most instructions it can retire.  The common shapes
 // (a branch with a slot, a call, a return) are single closures.
-func (rc *routineCompiler) link(prog *routineProg, pb *protoBlock) (rtl.RTerm, uint64) {
+func (rc *routineCompiler) link(prog *routineProg, pb *protoBlock) (rterm, uint64) {
 	resolve := func(pc uint32) rtarget {
 		if k, ok := prog.head(pc); ok {
 			return rtarget{k: k, pc: pc}
 		}
-		return rtarget{k: rtl.RTermExit, pc: pc}
+		return rtarget{k: rtExit, pc: pc}
 	}
 	if !pb.isXfer {
 		tg := resolve(pb.next)
-		return func(e *rtl.REnv) int32 { return tg.enter(e) }, 0
+		return func(c *CPU) int32 { return tg.enter(c) }, 0
 	}
-	x, slot, pc := &pb.x, pb.slot, pb.pc
-	slotPC, fall := pc+4, pc+4*span(rc.inv[pc])
+	x, pc := &pb.x, pb.pc
+	slot, fall := slotOf(pb.slot, pc+4), pc+4*span(rc.inv[pc])
 	ln, lv := x.Link, x.LinkVal
 	cost := uint64(1)
 	if slot != nil {
@@ -316,28 +425,28 @@ func (rc *routineCompiler) link(prog *routineProg, pb *protoBlock) (rtl.RTerm, u
 	}
 	if x.Dyn != nil {
 		dyn, dr, k := x.Dyn, x.DynReg, x.Target
-		return func(e *rtl.REnv) int32 {
+		return func(c *CPU) int32 {
 			var t uint32 // read before the link write
 			if dr >= 0 {
-				t = e.V[dr] + k
+				t = c.regs()[dr] + k
 			} else {
-				t = dyn(e)
+				t = dyn(&c.rtlCtx)
 			}
 			if ln >= 0 {
-				e.V[ln] = lv
+				c.regs()[ln] = lv
 			}
-			if slot == nil {
-				e.Insts++
-			} else if slot(e) {
-				return slotStop(e, slotPC, t)
-			} else {
-				e.Insts += 2
+			c.InstCount++
+			if slot != nil {
+				if slot.op != nil && slot.stopped(c, slot.op(&c.rtlCtx), t) {
+					return rtStop
+				}
+				c.InstCount++
 			}
 			if k, ok := prog.head(t); ok {
 				return k
 			}
-			e.PC, e.NPC = t, t+4
-			return rtl.RTermExit
+			c.PC, c.NPC = t, t+4
+			return rtExit
 		}, cost
 	}
 	tT, tF := resolve(x.Target), resolve(fall)
@@ -345,34 +454,34 @@ func (rc *routineCompiler) link(prog *routineProg, pb *protoBlock) (rtl.RTerm, u
 	pred := x.Cond
 	switch {
 	case pred == nil:
-		return leg(tT, slot, slotPC, x.AnnulTaken, ln, lv), cost
+		return leg(tT, slot, x.AnnulTaken, ln, lv), cost
 	case slot == nil:
-		taken, untaken := leg(tT, nil, 0, false, -1, 0), leg(tF, nil, 0, false, -1, 0)
-		return func(e *rtl.REnv) int32 {
-			if pred(e) {
-				return taken(e)
+		taken, untaken := leg(tT, nil, false, -1, 0), leg(tF, nil, false, -1, 0)
+		return func(c *CPU) int32 {
+			if pred(&c.rtlCtx) {
+				return taken(c)
 			}
-			return untaken(e)
+			return untaken(c)
 		}, cost
 	}
 	annul := x.AnnulUntaken
-	return func(e *rtl.REnv) int32 {
-		if pred(e) {
-			if slot(e) {
-				return slotStop(e, slotPC, t)
+	return func(c *CPU) int32 {
+		if pred(&c.rtlCtx) {
+			if slot.op != nil && slot.stopped(c, slot.op(&c.rtlCtx), t) {
+				return rtStop
 			}
-			e.Insts += 2
-			return tT.enter(e)
+			c.InstCount += 2
+			return tT.enter(c)
 		}
 		if annul {
-			e.Insts++
-			e.Annuls++
-			return tF.enter(e)
+			c.InstCount++
+			c.AnnulCount++
+			return tF.enter(c)
 		}
-		if slot(e) {
-			return slotStop(e, slotPC, f)
+		if slot.op != nil && slot.stopped(c, slot.op(&c.rtlCtx), f) {
+			return rtStop
 		}
-		e.Insts += 2
-		return tF.enter(e)
+		c.InstCount += 2
+		return tF.enter(c)
 	}, cost
 }

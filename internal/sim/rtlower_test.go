@@ -7,7 +7,7 @@ package sim
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -16,9 +16,9 @@ import (
 	"eel/internal/asm"
 	"eel/internal/mips"
 	"eel/internal/progen"
-	"eel/internal/rtl"
 	"eel/internal/sparc"
 	"eel/internal/spawn"
+	"eel/internal/telemetry"
 )
 
 const sweepBase, sweepData = 0x10000, 0x20000
@@ -146,48 +146,6 @@ func TestRoutineDefinitionSweep(t *testing.T) {
 	}
 }
 
-// testBridge is a minimal RBridge: big-endian byte-map memory and the
-// emulator's trap-0 syscall convention.
-type testBridge struct {
-	mem map[uint32]byte
-}
-
-func (b *testBridge) ReadMem(addr uint64, width int) (uint64, error) {
-	a := uint32(addr)
-	if a%uint32(width) != 0 {
-		return 0, fmt.Errorf("misaligned read%d at %#x", width, a)
-	}
-	var v uint64
-	for i := 0; i < width; i++ {
-		v = v<<8 | uint64(b.mem[a+uint32(i)])
-	}
-	return v, nil
-}
-
-func (b *testBridge) WriteMem(addr uint64, width int, v uint64) error {
-	a := uint32(addr)
-	if a%uint32(width) != 0 {
-		return fmt.Errorf("misaligned write%d at %#x", width, a)
-	}
-	for i := width - 1; i >= 0; i-- {
-		b.mem[a+uint32(i)] = byte(v)
-		v >>= 8
-	}
-	return nil
-}
-
-func (b *testBridge) RTrap(e *rtl.REnv, code uint64) error {
-	if code != 0 {
-		return fmt.Errorf("unhandled trap %d", code)
-	}
-	if e.V[1] == SysExit {
-		e.Halted = true
-		e.ExitCode = e.V[8]
-		return nil
-	}
-	return fmt.Errorf("bad syscall %d", e.V[1])
-}
-
 // compileSPARC assembles src and composes its routine program.
 func compileSPARC(t *testing.T, src string) (*routineProg, *asm.Program) {
 	t.Helper()
@@ -202,71 +160,26 @@ func compileSPARC(t *testing.T, src string) (*routineProg, *asm.Program) {
 	return ent.prog, prog
 }
 
-// newREnv returns a routine environment entered at pc over br.
-func newREnv(pc uint32, br rtl.RBridge) *rtl.REnv {
-	e := &rtl.REnv{PC: pc, NPC: pc + 4, Bridge: br, GenP: new(uint64)}
-	e.ResetCC()
-	return e
-}
-
-// runRoutineProg drives a routineProg as the emulator's runner does:
-// body stops finalized from the op index, terminators self-finalizing,
-// re-entry at exits that land on a compiled head.
-func runRoutineProg(t *testing.T, p *routineProg, e *rtl.REnv) error {
+// runRoutineSPARC assembles src at sweepBase and runs it on the
+// routine tier, compiling synchronously at the first entry; the tier
+// must have compiled the routine.  It returns the run's error.
+func runRoutineSPARC(t *testing.T, src string) (*CPU, *asm.Program, error) {
 	t.Helper()
-	k, ok := p.head(e.PC)
-	if !ok {
-		t.Fatalf("entry %#x not a compiled head", e.PC)
+	cpu, prog := load(t, src, sweepBase)
+	cpu.TextStart, cpu.TextEnd = prog.Base, prog.Base+uint32(len(prog.Bytes))
+	cpu.Engine, cpu.RoutineSync, cpu.RoutineHotThreshold = EngineRoutine, true, 1
+	err := cpu.Run(1_000_000)
+	if cpu.Counters().RoutinesCompiled == 0 {
+		t.Fatal("the routine tier compiled no routine")
 	}
-	for steps := 0; ; steps++ {
-		if steps > 1_000_000 {
-			t.Fatal("routine runner livelock")
-		}
-		blk := &p.blocks[k]
-		for i, op := range blk.ops {
-			if op(e) {
-				pc := blk.base + uint32(4*i)
-				switch e.StopKind {
-				case rtl.StopFault:
-					e.Insts += uint64(i)
-					e.PC, e.NPC, e.StopPC = pc, pc+4, pc
-					return e.StopErr
-				case rtl.StopHalt:
-					e.Insts += uint64(i) + 1
-					e.PC, e.NPC = pc, pc+4
-					return nil
-				default: // StopGen
-					e.Insts += uint64(i) + 1
-					e.PC, e.NPC = pc+4, pc+8
-					return nil
-				}
-			}
-		}
-		e.Insts += uint64(len(blk.ops))
-		next := blk.term(e)
-		if next >= 0 {
-			k = next
-			continue
-		}
-		if next == rtl.RTermExit {
-			if nk, ok := p.head(e.PC); ok && e.NPC == e.PC+4 {
-				k = nk
-				continue
-			}
-			return nil
-		}
-		if e.StopKind == rtl.StopFault {
-			return e.StopErr
-		}
-		return nil
-	}
+	return cpu, prog, err
 }
 
 // A counted loop with a fused subcc/bne pair, ending in a clean
 // syscall exit: register results, halt state, and exact instruction
 // accounting against hand-counted interpreter behaviour.
 func TestRoutineLoopSum(t *testing.T) {
-	rp, prog := compileSPARC(t, `
+	cpu, prog, err := runRoutineSPARC(t, `
 	mov 0, %o0
 	mov 5, %o1
 loop:	add %o0, %o1, %o0
@@ -276,34 +189,35 @@ loop:	add %o0, %o1, %o0
 	mov 1, %g1
 	ta 0
 `)
-	e := newREnv(prog.Base, &testBridge{mem: map[uint32]byte{}})
-	if err := runRoutineProg(t, rp, e); err != nil {
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !e.Halted || e.ExitCode != 15 {
-		t.Errorf("halted=%v exit=%d, want halted with 15", e.Halted, e.ExitCode)
+	if !cpu.Halted || cpu.ExitCode != 15 {
+		t.Errorf("halted=%v exit=%d, want halted with 15", cpu.Halted, cpu.ExitCode)
 	}
-	if e.V[8] != 15 || e.V[9] != 0 {
-		t.Errorf("o0=%d o1=%d, want 15, 0", e.V[8], e.V[9])
+	if cpu.R[8] != 15 || cpu.R[9] != 0 {
+		t.Errorf("o0=%d o1=%d, want 15, 0", cpu.R[8], cpu.R[9])
 	}
 	// 2 setup + 5 iterations of (add, subcc, bne, nop) + mov + ta.
-	if want := uint64(2 + 5*4 + 2); e.Insts != want {
-		t.Errorf("Insts=%d, want %d", e.Insts, want)
+	if want := uint64(2 + 5*4 + 2); cpu.InstCount != want {
+		t.Errorf("InstCount=%d, want %d", cpu.InstCount, want)
 	}
-	if e.Annuls != 0 {
-		t.Errorf("Annuls=%d, want 0", e.Annuls)
+	if cpu.AnnulCount != 0 {
+		t.Errorf("AnnulCount=%d, want 0", cpu.AnnulCount)
 	}
 	// Halt leaves PC at the trap (the interpreter skips finishStep).
 	taPC := prog.Base + 7*4
-	if e.PC != taPC || e.NPC != taPC+4 {
-		t.Errorf("PC/NPC=%#x/%#x, want %#x/%#x", e.PC, e.NPC, taPC, taPC+4)
+	if cpu.PC != taPC || cpu.NPC != taPC+4 {
+		t.Errorf("PC/NPC=%#x/%#x, want %#x/%#x", cpu.PC, cpu.NPC, taPC, taPC+4)
 	}
 }
 
-// Memory traffic through the bridge: a store then a load round-trips,
-// and the store performs the post-write generation check.
+// Memory traffic through the cpuEnv: a store then a load round-trips.
+// A store into text bumps the generation: the routine deopts with the
+// store retired and nothing after it run, here an illegal word that
+// then faults on the lower tiers.
 func TestRoutineMemAndGen(t *testing.T) {
-	rp, prog := compileSPARC(t, `
+	cpu, _, err := runRoutineSPARC(t, `
 	sethi %hi(0x20000), %o2
 	mov 77, %o3
 	st %o3, [%o2]
@@ -311,39 +225,42 @@ func TestRoutineMemAndGen(t *testing.T) {
 	mov 1, %g1
 	ta 0
 `)
-	br := &testBridge{mem: map[uint32]byte{}}
-	e := newREnv(prog.Base, br)
-	if err := runRoutineProg(t, rp, e); err != nil {
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if e.V[12] != 77 {
-		t.Errorf("o4=%d, want 77 (store/load round-trip)", e.V[12])
+	if cpu.R[12] != 77 {
+		t.Errorf("o4=%d, want 77 (store/load round-trip)", cpu.R[12])
 	}
-	got := binary.BigEndian.Uint32([]byte{br.mem[0x20000], br.mem[0x20001], br.mem[0x20002], br.mem[0x20003]})
-	if got != 77 {
+	if got := cpu.Mem.Read32(0x20000); got != 77 {
 		t.Errorf("mem word = %d, want 77", got)
 	}
 
-	// A generation bump observed by the next store must deopt with
-	// the store retired.
-	e2 := newREnv(prog.Base, &testBridge{mem: map[uint32]byte{}})
-	e2.Gen = 1 // entered under a different generation
-	if err := runRoutineProg(t, rp, e2); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if e2.StopKind != rtl.StopGen {
-		t.Fatalf("StopKind=%d, want StopGen", e2.StopKind)
-	}
+	cpu, prog, err := runRoutineSPARC(t, `
+	sethi %hi(0x10000), %o2
+	mov 77, %o3
+	st %o3, [%o2]
+	.word 0
+`)
 	stPC := prog.Base + 2*4
-	if e2.PC != stPC+4 || e2.Insts != 3 {
-		t.Errorf("after gen deopt PC=%#x Insts=%d, want %#x, 3", e2.PC, e2.Insts, stPC+4)
+	var f *Fault
+	if !errors.As(err, &f) || f.PC != stPC+4 || !errors.Is(err, ErrIllegalInst) {
+		t.Fatalf("run: %v, want an illegal instruction at %#x", err, stPC+4)
+	}
+	if k := cpu.Counters(); k.RoutineDeopts != 1 {
+		t.Errorf("RoutineDeopts=%d, want 1 (the text store)", k.RoutineDeopts)
+	}
+	if cpu.PC != stPC+4 || cpu.InstCount != 3 {
+		t.Errorf("after gen deopt PC=%#x InstCount=%d, want %#x, 3", cpu.PC, cpu.InstCount, stPC+4)
+	}
+	if got := cpu.Mem.Read32(prog.Base); got != 77 {
+		t.Errorf("text word = %d, want 77 (the store retired)", got)
 	}
 }
 
 // Register windows: save/restore keep the interpreter's stack
 // discipline (new ins = old outs, fresh locals, underflow zeroes).
 func TestRoutineWindows(t *testing.T) {
-	rp, prog := compileSPARC(t, `
+	cpu, _, err := runRoutineSPARC(t, `
 	mov 42, %o0
 	save %sp, -96, %sp
 	add %i0, 1, %i0
@@ -351,26 +268,24 @@ func TestRoutineWindows(t *testing.T) {
 	mov 1, %g1
 	ta 0
 `)
-	e := newREnv(prog.Base, &testBridge{mem: map[uint32]byte{}})
-	e.V[14] = 0x7000 // %sp
-	if err := runRoutineProg(t, rp, e); err != nil {
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if e.V[8] != 43 {
-		t.Errorf("o0=%d, want 43 (42 through the window and back +1)", e.V[8])
+	if cpu.R[8] != 43 {
+		t.Errorf("o0=%d, want 43 (42 through the window and back +1)", cpu.R[8])
 	}
-	if len(e.Windows) != 0 {
-		t.Errorf("window stack depth %d after balanced save/restore", len(e.Windows))
+	if len(cpu.windows) != 0 {
+		t.Errorf("window stack depth %d after balanced save/restore", len(cpu.windows))
 	}
-	if !e.Halted || e.ExitCode != 43 {
-		t.Errorf("halted=%v exit=%d, want halted with 43", e.Halted, e.ExitCode)
+	if !cpu.Halted || cpu.ExitCode != 43 {
+		t.Errorf("halted=%v exit=%d, want halted with 43", cpu.Halted, cpu.ExitCode)
 	}
 }
 
 // The entry must be a compiled head and a diamond compiles every
 // block.
 func TestRoutineDiamondStructure(t *testing.T) {
-	rp, prog := compileSPARC(t, `
+	src := `
 	cmp %o0, 0
 	be elsepart
 	nop
@@ -381,7 +296,8 @@ elsepart: mov 2, %l0
 join:	mov %l0, %o0
 	mov 1, %g1
 	ta 0
-`)
+`
+	rp, prog := compileSPARC(t, src)
 	if _, ok := rp.head(prog.Base); !ok {
 		t.Fatal("entry not in block index")
 	}
@@ -394,12 +310,68 @@ join:	mov %l0, %o0
 	if heads != len(rp.blocks) || len(rp.blocks) != 4 {
 		t.Errorf("%d blocks, %d enterable, want 4 and 4", len(rp.blocks), heads)
 	}
-	e := newREnv(prog.Base, &testBridge{mem: map[uint32]byte{}})
-	if err := runRoutineProg(t, rp, e); err != nil {
+	cpu, _, err := runRoutineSPARC(t, src)
+	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if e.V[8] != 2 {
-		t.Errorf("o0=%d, want 2 (else arm: %%o0 was 0)", e.V[8])
+	if cpu.R[8] != 2 {
+		t.Errorf("o0=%d, want 2 (else arm: %%o0 was 0)", cpu.R[8])
+	}
+}
+
+// TestRoutinePCReaderLoweredOnce: a body word that reads pc is lowered
+// once per routine compile, at its own address.  The first compile
+// also derives each word's shared direct program (the chained tier's,
+// which reads pc from the CPU); a compile of the same words elsewhere
+// lowers only the pc readers again.  A pc reader CompileDirect
+// refuses (a load after a store in one step) runs its buffered
+// program, which reads pc from the CPU, and sees its own address too.
+func TestRoutinePCReaderLoweredOnce(t *testing.T) {
+	desc, err := spawn.ParseDesc(`
+machine sparc
+instruction{32} fields op 30:31, rd 25:29
+register integer{32} R[32]
+register integer{32} pc
+pat rdpc is op=0
+pat exit is op=1
+pat rdpcm is op=2
+sem rdpc is R[rd] := pc
+sem exit is trap(0)
+sem rdpcm is M[R[2]] := R[3], R[rd] := M[R[2]] + pc
+`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	dec := spawn.NewDecoder(spawn.NewMemo(desc, nil), nil)
+	words := []uint32{8 << 25, 9 << 25, 2<<30 | 10<<25, 1 << 30} // rdpc R[8]; rdpc R[9]; rdpcm R[10]; exit
+	if telemetry.Default() == nil {
+		defer telemetry.Disable()
+	}
+	compiles := telemetry.Enable().Counter("rtl.compiles_direct")
+	for i, base := range []uint32{sweepBase, sweepBase + 0x100} {
+		before := compiles.Value()
+		cpu := loadWords(t, dec, base, words)
+		cpu.R[1], cpu.R[3] = SysExit, 7
+		cpu.Engine, cpu.RoutineSync, cpu.RoutineHotThreshold = EngineRoutine, true, 1
+		if err := cpu.Run(10); err != nil || !cpu.Halted {
+			t.Fatalf("at %#x: %v, halted=%v", base, err, cpu.Halted)
+		}
+		if n := cpu.Counters().RoutinesCompiled; n != 1 {
+			t.Fatalf("at %#x: %d routines compiled, want 1", base, n)
+		}
+		if cpu.R[8] != base || cpu.R[9] != base+4 || cpu.R[10] != base+8 {
+			t.Errorf("at %#x: R[8]=%#x R[9]=%#x R[10]=%#x, want each word's pc", base, cpu.R[8], cpu.R[9], cpu.R[10])
+		}
+		if m := cpu.Mem.Read32(0); m != 7 {
+			t.Errorf("at %#x: M[0]=%d, want 7", base, m)
+		}
+		want := uint64(2) // the two direct pc readers, at their addresses
+		if i == 0 {
+			want += 4 // and each word's shared program (rdpcm's refused)
+		}
+		if got := compiles.Value() - before; got != want {
+			t.Errorf("at %#x: %d direct compiles, want %d", base, got, want)
+		}
 	}
 }
 

@@ -204,9 +204,8 @@ func (m *Memory) LoadSegment(addr uint32, data []byte) {
 	}
 }
 
-// window is one SPARC register window's saved locals and ins.  It
-// aliases the routine tier's representation so the window stack moves
-// between engines as a slice header, never element-copied.
+// window is one SPARC register window's saved locals and ins, the
+// representation rtl.ShiftWindow pushes and pops.
 type window = rtl.RWindow
 
 // archRegs is the CPU's register array, field by field: R, Y, PSR,
@@ -304,14 +303,12 @@ type CPU struct {
 	tc *transCache
 
 	// rt is the routine-tier state (see routine.go); rtOn caches the
-	// per-run gate, and renv is the reusable routine environment.
-	// textHash content-addresses [TextStart,TextEnd) for the shared
+	// per-run gate.  textHash content-addresses [TextStart,TextEnd) for the shared
 	// routine-program cache; it is computed lazily at the first
 	// routine request (after the write watch exists, so it can never
 	// go stale unnoticed) and dropped on text invalidation.
 	rt         *routineState
 	rtOn       bool
-	renv       rtl.REnv
 	textHash   uint64
 	textHashOK bool
 
@@ -795,24 +792,13 @@ func (e *cpuEnv) Annul() { e.c.annulNext = true }
 // %o0..%o2; MIPS: "syscall" with $v0/$a0..; Alpha: "call_pal callsys"
 // with $v0/$a0..).
 func (e *cpuEnv) Trap(code uint64) error {
-	return e.trap(&e.c.R, &e.c.Halted, &e.c.ExitCode, code)
-}
-
-// RTrap is the routine tier's trap bridge: Trap against the routine
-// environment, where the register file lives while a routine program
-// runs.
-func (e *cpuEnv) RTrap(re *rtl.REnv, code uint64) error {
-	return e.trap(re.Ints(), &re.Halted, &re.ExitCode, code)
-}
-
-func (e *cpuEnv) trap(r *[32]uint32, halted *bool, exit *uint32, code uint64) error {
-	t := &e.c.arch.Trap
+	t, r := &e.c.arch.Trap, &e.c.R
 	if code != t.Code {
 		return fmt.Errorf("sim: unhandled trap %d", code)
 	}
 	switch r[t.NumReg] {
 	case t.SysExit:
-		*halted, *exit = true, r[t.Args[0]]
+		e.c.Halted, e.c.ExitCode = true, r[t.Args[0]]
 		return nil
 	case t.SysWrite:
 		buf, n := r[t.Args[1]], r[t.Args[2]]

@@ -89,7 +89,8 @@ func slotExec(dec *spawn.TableDecoder, sem *spawn.InstSem, seed int64, run func(
 
 // TestSlotProgramsMatchExec runs every definition of each machine, for
 // sampled field values, from random register states through Compile
-// and (when it accepts the word) CompileDirect, and requires the
+// and (when it accepts the word) CompileDirect, with pc read at run
+// time and folded to the address the word runs at, and requires the
 // registers, memory, pc effects and error of the interpreter.  Alpha
 // has no program generator, so this is its only instruction-level
 // lockstep.
@@ -100,7 +101,7 @@ func TestSlotProgramsMatchExec(t *testing.T) {
 	}{{"sparc", sparc.NewDecoder()}, {"mips", mips.NewDecoder()}, {"alpha", alpha.NewDecoder()}} {
 		t.Run(m.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(1))
-			var compiled, direct int
+			var compiled, direct, folded int
 			for _, def := range m.dec.Desc().Insts {
 				for k := 0; k < 12; k++ {
 					word := def.Match | rng.Uint32()&^def.Mask
@@ -121,10 +122,15 @@ func TestSlotProgramsMatchExec(t *testing.T) {
 					if dp != nil {
 						direct++
 					}
+					at := uint64(sweepBase) // slotState's pc
+					dpAt, _ := rtl.CompileDirect(sem.Def.Sem, sem.CompileEnv(), &at)
+					if dp != nil && dp.Flags()&rtl.FlagPCRead != 0 {
+						folded++
+					}
 					for s := int64(0); s < 4; s++ {
 						seed := rng.Int63()
 						want := slotRun(m.dec, sem, seed, nil)
-						for _, got := range []slotOutcome{slotRun(m.dec, sem, seed, p), dpRun(m.dec, sem, seed, dp)} {
+						for _, got := range []slotOutcome{slotRun(m.dec, sem, seed, p), dpRun(m.dec, sem, seed, dp), dpRun(m.dec, sem, seed, dpAt)} {
 							if got.cpu == nil {
 								continue
 							}
@@ -145,10 +151,10 @@ func TestSlotProgramsMatchExec(t *testing.T) {
 					}
 				}
 			}
-			if compiled == 0 || direct == 0 {
-				t.Fatalf("compiled %d words, %d direct", compiled, direct)
+			if compiled == 0 || direct == 0 || folded == 0 {
+				t.Fatalf("compiled %d words, %d direct, %d reading pc", compiled, direct, folded)
 			}
-			t.Logf("%d words compiled, %d direct", compiled, direct)
+			t.Logf("%d words compiled, %d direct, %d reading pc", compiled, direct, folded)
 		})
 	}
 }
@@ -159,7 +165,7 @@ func dpRun(dec *spawn.TableDecoder, sem *spawn.InstSem, seed int64, dp *rtl.Dire
 	if dp == nil {
 		return slotOutcome{}
 	}
-	return slotExec(dec, sem, seed, func(c *CPU) error { return c.runOps(dp.Ops()) })
+	return slotExec(dec, sem, seed, func(c *CPU) error { return dp.Run(&c.rtlCtx) })
 }
 
 // TestFloatCountBoundsRegisters: a float file declares its size, and

@@ -320,7 +320,6 @@ type InstSem struct {
 
 	compiled derived[compiledSem]
 	direct   derived[*rtl.Direct]
-	body     derived[loweredBody]
 }
 
 // derived caches one derivation on an interned word.  Concurrent
@@ -338,11 +337,6 @@ func (d *derived[T]) get(derive func() T) T {
 
 type compiledSem struct {
 	prog *rtl.Prog
-	err  error
-}
-
-type loweredBody struct {
-	body rtl.Body
 	err  error
 }
 
@@ -365,20 +359,6 @@ func (s *InstSem) Compiled() (*rtl.Prog, error) {
 	return cs.prog, cs.err
 }
 
-// LowerBody returns the instruction's routine-tier lowering at pc
-// (rtl.LowerBody).  A word whose semantics do not read pc is lowered
-// once and shared by every routine that contains it.
-func (s *InstSem) LowerBody(pc uint32) (rtl.Body, error) {
-	lb := s.body.get(func() loweredBody {
-		b, err := rtl.LowerBody(s.Def.Sem, semCompileEnv{s}, pc)
-		return loweredBody{b, err}
-	})
-	if lb.body.AtPC {
-		return rtl.LowerBody(s.Def.Sem, semCompileEnv{s}, pc)
-	}
-	return lb.body, lb.err
-}
-
 // CompileEnv returns the rtl.CompileEnv the instruction's semantics
 // lower against: this word's field values and the description's
 // register model.
@@ -387,15 +367,32 @@ func (s *InstSem) CompileEnv() rtl.CompileEnv { return semCompileEnv{s} }
 // CompiledDirect returns the instruction's semantics lowered in
 // direct-commit mode (rtl.CompileDirect), or nil when the commit
 // reorder cannot be proven unobservable for this word.  The emulator's
-// hot tier asks for it only when a block turns hot, and the result —
-// including the negative, so hot re-translation does not re-prove it —
-// is cached per interned word like Compiled.
+// chained tier asks for it when a block turns hot, and its routine
+// tier for every body word; the result — including the negative, so
+// hot re-translation does not re-prove it — is cached per interned
+// word like Compiled.  It reads pc from the Host (rtl.FlagPCRead);
+// CompiledDirectAt folds pc instead.
 func (s *InstSem) CompiledDirect() *rtl.Direct {
 	return s.direct.get(func() *rtl.Direct {
 		telemetry.Default().Counter("rtl.compiles_direct").Add(1)
-		p, _ := rtl.CompileDirect(s.Def.Sem, semCompileEnv{s})
+		p, _ := rtl.CompileDirect(s.Def.Sem, semCompileEnv{s}, nil)
 		return p
 	})
+}
+
+// CompiledDirectAt returns the word's direct program for its address
+// pc: CompiledDirect's, unless that reads pc, and then the semantics
+// lowered again with pc folded to pc (not cached: the address is the
+// caller's).
+func (s *InstSem) CompiledDirectAt(pc uint32) *rtl.Direct {
+	d := s.CompiledDirect()
+	if d == nil || d.Flags()&rtl.FlagPCRead == 0 {
+		return d
+	}
+	telemetry.Default().Counter("rtl.compiles_direct").Add(1)
+	at := uint64(pc)
+	d, _ = rtl.CompileDirect(s.Def.Sem, semCompileEnv{s}, &at)
+	return d
 }
 
 // semCompileEnv adapts an InstSem to rtl.CompileEnv: field values
