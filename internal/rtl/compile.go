@@ -143,7 +143,6 @@ type cpend struct {
 // temporaries and pending writes never reallocate.
 type Ctx struct {
 	m     Host
-	sm    SpecialMachine // m, when it models register windows
 	r     *Regs
 	temps []uint64
 	pend  []cpend
@@ -169,13 +168,7 @@ func (p *Prog) Flags() uint8 { return p.flags }
 // Bind points ctx at the Host and register array the programs it runs
 // execute against.  r must hold the registers in the layout the
 // programs were compiled under.
-func (ctx *Ctx) Bind(m Host, r *Regs) {
-	if ctx.m != m {
-		ctx.m = m
-		ctx.sm, _ = m.(SpecialMachine)
-	}
-	ctx.r = r
-}
+func (ctx *Ctx) Bind(m Host, r *Regs) { ctx.m, ctx.r = m, r }
 
 // Run executes the program against ctx's binding, reusing its
 // buffers.  The execution discipline is identical to Exec: parallel
@@ -1073,11 +1066,12 @@ func (c *compiler) window(name string, a, b cexpr) stmtFn {
 	if x, ok := baseOff(a); ok && x.b.isConst && b.isConst {
 		s, k, bv := x.a.slot, x.b.val, b.val
 		return func(ctx *Ctx) error {
-			if ctx.sm == nil {
+			sm, ok := ctx.m.(SpecialMachine)
+			if !ok {
 				return ErrDynamic
 			}
 			ctx.sargs[0], ctx.sargs[1] = uint64(ctx.r[s])+k, bv
-			return ctx.sm.Special(name, ctx.sargs[:2])
+			return sm.Special(name, ctx.sargs[:2])
 		}
 	}
 	return func(ctx *Ctx) error {
@@ -1089,11 +1083,12 @@ func (c *compiler) window(name string, a, b cexpr) stmtFn {
 		if err != nil {
 			return err
 		}
-		if ctx.sm == nil {
+		sm, ok := ctx.m.(SpecialMachine)
+		if !ok {
 			return ErrDynamic
 		}
 		ctx.sargs[0], ctx.sargs[1] = av, bv
-		return ctx.sm.Special(name, ctx.sargs[:2])
+		return sm.Special(name, ctx.sargs[:2])
 	}
 }
 

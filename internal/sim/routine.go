@@ -73,11 +73,8 @@ type rtWord struct {
 
 // rblock is one compiled basic block of a routine program.
 type rblock struct {
-	base uint32
-	// ops holds each body word's hot op (rword.hot); the words are
-	// routineProg.words[first:].
-	first int32
-	ops   []rtl.OpFunc
+	base  uint32
+	words []rword
 	term  rterm
 	// cost bounds how many instructions the block can retire (body +
 	// terminator + delay slot); the runner refuses entry when the
@@ -113,7 +110,6 @@ const (
 // compilation and safe to share across CPUs.
 type routineProg struct {
 	blocks []rblock
-	words  []rword
 	// heads[(pc-base)/4] is the index of the compiled block starting
 	// at pc, or -1; the block heads are the pcs at which the routine
 	// tier may enter.  Blocks whose instructions did not lower are
@@ -515,14 +511,20 @@ func (c *CPU) runBlocks(p *routineProg, k int32, maxSteps uint64) (executed bool
 			return executed, nil
 		}
 		executed = true
-		for i, op := range blk.ops {
-			err := op(ctx)
-			if err == nil {
-				continue
+		for i := range blk.words {
+			w := &blk.words[i]
+			var err error
+			if w.flags == 0 {
+				if w.op == nil {
+					continue
+				}
+				if err = w.op(ctx); err == nil {
+					continue
+				}
 			}
 			pc, stop := blk.base+uint32(4*i), uint8(rtFault)
-			if _, ok := err.(effects); ok {
-				if stop, err = c.rtEffects(&p.words[int(blk.first)+i], pc); stop == rtRun {
+			if w.flags != 0 {
+				if stop, err = c.rtEffects(w, pc); stop == rtRun {
 					continue
 				}
 			}
@@ -538,7 +540,7 @@ func (c *CPU) runBlocks(p *routineProg, k int32, maxSteps uint64) (executed bool
 			}
 			return true, nil
 		}
-		c.InstCount += uint64(len(blk.ops))
+		c.InstCount += uint64(len(blk.words))
 		next := blk.term(c)
 		if next >= 0 {
 			k = next

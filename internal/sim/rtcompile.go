@@ -29,33 +29,11 @@ type routineCompiler struct {
 
 // rword is one lowered body word: its op (nil for a word that does
 // nothing), and the effects the runner handles around it (see
-// CPU.rtEffects).
+// CPU.rtEffects); a word with none is just its op.
 type rword struct {
 	op    rtl.OpFunc
 	flags uint8
 }
-
-// hot is the op the runner's loops call for w: its own, nopWord for
-// nothing, or for a word with effects effWord, whose marker error
-// sends the runner to rtEffects.
-func (w *rword) hot() rtl.OpFunc {
-	switch {
-	case w.flags != 0:
-		return effWord
-	case w.op == nil:
-		return nopWord
-	}
-	return w.op
-}
-
-func nopWord(*rtl.Ctx) error { return nil }
-
-// effects is effWord's marker error.
-type effects struct{}
-
-func (effects) Error() string { return "sim: a routine word with effects" }
-
-func effWord(*rtl.Ctx) error { return effects{} }
 
 // rtStopFlags are the effect flags the runner acts on: a flush of the
 // lazy flags before a word that touches an extended slot, the word's
@@ -160,17 +138,15 @@ func (rc *routineCompiler) compile(entry uint32) (ent *rtCacheEnt) {
 	prog.blocks = make([]rblock, len(protos))
 	for i, pb := range protos {
 		blk := &prog.blocks[i]
-		blk.base, blk.first, blk.ops = pb.base, int32(len(prog.words)), make([]rtl.OpFunc, len(pb.body))
+		blk.base, blk.words = pb.base, make([]rword, len(pb.body))
 		for j := range pb.body {
-			w := pb.body[j].rword
+			blk.words[j] = pb.body[j].rword
 			if pb.body[j].cc.Kind != 0 && rc.ccDead(pb.body, j) {
-				w.op = pb.body[j].cc.NoCC
+				blk.words[j].op = pb.body[j].cc.NoCC
 			}
-			blk.ops[j] = w.hot()
-			prog.words = append(prog.words, w)
 		}
 		blk.term, blk.cost = rc.link(prog, pb)
-		blk.cost += uint64(len(blk.ops))
+		blk.cost += uint64(len(blk.words))
 	}
 	return &rtCacheEnt{prog: prog}
 }
@@ -213,6 +189,7 @@ func lowerWord(in *machine.Inst, pc uint32) (instAt, error) {
 		w.op, flags = d.Run, d.Flags()
 		switch ops := d.Ops(); len(ops) {
 		case 0:
+			w.op = nil
 			return w, nil // nothing to run, so no effects either
 		case 1:
 			w.op = ops[0]
@@ -327,39 +304,47 @@ func (t rtarget) enter(c *CPU) int32 {
 	return rtExit
 }
 
-// rslot is a terminator's delay slot: its word at pc, and the op the
-// terminator calls for it (see rword.hot), nil when it does nothing.
+// rslot is a terminator's delay slot: its word at pc.
 type rslot struct {
-	w  rword
-	op rtl.OpFunc
+	rword
 	pc uint32
 }
 
 // slotOf makes delay-slot word w at pc an rslot; nil stays nil.
 func slotOf(w *rword, pc uint32) *rslot {
-	switch {
-	case w == nil:
+	if w == nil {
 		return nil
-	case w.op == nil:
-		return &rslot{pc: pc}
 	}
-	return &rslot{*w, w.hot(), pc}
+	return &rslot{*w, pc}
 }
 
-// stopped reports whether slot s, whose op returned err, stopped the
-// routine (see slotStops).
-func (s *rslot) stopped(c *CPU, err error, target uint32) bool {
-	return err != nil && c.slotStops(s, err, target)
+// stops runs delay slot s and reports whether it stopped the routine
+// (see CPU.slotStop); a slot that does not stop leaves the instruction
+// count to its terminator.  A slot with nothing to run costs no call.
+func (s *rslot) stops(c *CPU, target uint32) bool {
+	return (s.flags != 0 || s.op != nil) && c.slotRuns(s, target)
 }
 
-// slotStops finishes a delay slot whose op returned err (not nil) and
-// reports whether the slot stopped the routine, having finalized the
-// stop.  During the slot the pipeline state is PC=s.pc, NPC=target
+// slotRuns is stops for a slot with something to run.
+func (c *CPU) slotRuns(s *rslot, target uint32) bool {
+	var err error
+	if s.flags == 0 {
+		if err = s.op(&c.rtlCtx); err == nil {
+			return false
+		}
+	}
+	return c.slotStop(s, err, target)
+}
+
+// slotStop finishes delay slot s, a word with effects or one whose op
+// returned err, and reports whether it stopped the routine, having
+// finalized the stop: PC, NPC and the count of the transfer and the
+// slot.  During the slot the pipeline state is PC=s.pc, NPC=target
 // (the transfer already wrote the delayed target).
-func (c *CPU) slotStops(s *rslot, err error, target uint32) bool {
+func (c *CPU) slotStop(s *rslot, err error, target uint32) bool {
 	stop := uint8(rtFault)
-	if _, ok := err.(effects); ok {
-		if stop, err = c.rtEffects(&s.w, s.pc); stop == rtRun {
+	if s.flags != 0 {
+		if stop, err = c.rtEffects(&s.rword, s.pc); stop == rtRun {
 			return false
 		}
 	}
@@ -390,14 +375,14 @@ func leg(tg rtarget, slot *rslot, annul bool, ln int32, lv uint32) rterm {
 		switch {
 		case annul:
 			c.AnnulCount++
-		case slot == nil:
-		default:
-			if slot.op != nil && slot.stopped(c, slot.op(&c.rtlCtx), t) {
-				return rtStop
-			}
 			c.InstCount++
+		case slot == nil:
+			c.InstCount++
+		case slot.stops(c, t):
+			return rtStop
+		default:
+			c.InstCount += 2
 		}
-		c.InstCount++
 		return tg.enter(c)
 	}
 }
@@ -435,12 +420,13 @@ func (rc *routineCompiler) link(prog *routineProg, pb *protoBlock) (rterm, uint6
 			if ln >= 0 {
 				c.regs()[ln] = lv
 			}
-			c.InstCount++
-			if slot != nil {
-				if slot.op != nil && slot.stopped(c, slot.op(&c.rtlCtx), t) {
-					return rtStop
-				}
+			switch {
+			case slot == nil:
 				c.InstCount++
+			case slot.stops(c, t):
+				return rtStop
+			default:
+				c.InstCount += 2
 			}
 			if k, ok := prog.head(t); ok {
 				return k
@@ -467,7 +453,7 @@ func (rc *routineCompiler) link(prog *routineProg, pb *protoBlock) (rterm, uint6
 	annul := x.AnnulUntaken
 	return func(c *CPU) int32 {
 		if pred(&c.rtlCtx) {
-			if slot.op != nil && slot.stopped(c, slot.op(&c.rtlCtx), t) {
+			if slot.stops(c, t) {
 				return rtStop
 			}
 			c.InstCount += 2
@@ -478,7 +464,7 @@ func (rc *routineCompiler) link(prog *routineProg, pb *protoBlock) (rterm, uint6
 			c.AnnulCount++
 			return tF.enter(c)
 		}
-		if slot.op != nil && slot.stopped(c, slot.op(&c.rtlCtx), f) {
+		if slot.stops(c, f) {
 			return rtStop
 		}
 		c.InstCount += 2

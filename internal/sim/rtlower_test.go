@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"eel/internal/asm"
+	"eel/internal/machine"
 	"eel/internal/mips"
 	"eel/internal/progen"
 	"eel/internal/sparc"
@@ -254,6 +255,87 @@ func TestRoutineMemAndGen(t *testing.T) {
 	}
 	if got := cpu.Mem.Read32(prog.Base); got != 77 {
 		t.Errorf("text word = %d, want 77 (the store retired)", got)
+	}
+}
+
+// A delay slot that stops the routine after a register jump (SPARC
+// retl, MIPS jr) — a faulting load, a text store, a halting trap —
+// leaves the interpreter's instruction count, pc, fault and halt
+// state, and a text store deopts once.
+func TestRoutineDelaySlotStopsMatchInterpreter(t *testing.T) {
+	const base = sweepBase
+	sp := func(name string, rd, rs1 machine.Reg, imm int32) uint32 {
+		return mustWord(sparc.EncodeOp3Imm(name, rd, rs1, imm))
+	}
+	mi := func(name string, rt, rs uint32, imm int32) uint32 { return mustWord(mips.EncodeI(name, rt, rs, imm)) }
+	type slot struct {
+		name   string
+		word   uint32
+		deopts uint64
+	}
+	isas := []struct {
+		dec *spawn.TableDecoder
+		// pre leaves the text base in a register, a value to store,
+		// the exit call number, and the return address base+24; jump
+		// (base+16) is the register jump, exit the trap at base+24.
+		pre        []uint32
+		jump, exit uint32
+		slots      []slot
+	}{
+		{
+			dec: sparc.NewDecoder(),
+			pre: []uint32{
+				mustWord(sparc.EncodeSethi(sparc.RegO2, base)),
+				sp("or", sparc.RegO3, sparc.RegG0, 77),
+				sp("or", sparc.RegG1, sparc.RegG0, SysExit),
+				sp("or", sparc.RegO7, sparc.RegO2, 16), // retl returns to %o7+8
+			},
+			jump: sp("jmpl", sparc.RegG0, sparc.RegO7, 8),
+			exit: mustWord(sparc.EncodeTa(0)),
+			slots: []slot{
+				{"fault", sp("ld", sparc.RegO1, sparc.RegO2, 1), 0},
+				{"text store", sp("st", sparc.RegO3, sparc.RegO2, 0), 1},
+				{"halt", mustWord(sparc.EncodeTa(0)), 0},
+			},
+		},
+		{
+			dec: mips.NewDecoder(),
+			pre: []uint32{
+				mustWord(mips.EncodeIU("lui", 8, 0, base>>16)),
+				mi("addiu", 9, 0, 77),
+				mi("addiu", 2, 0, SysExit),
+				mi("addiu", 31, 8, 24),
+			},
+			jump: mustWord(mips.EncodeR("jr", 0, 31, 0)),
+			exit: mustWord(mips.EncodeSyscall()),
+			slots: []slot{
+				{"fault", mi("lw", 10, 8, 1), 0},
+				{"text store", mi("sw", 9, 8, 0), 1},
+				{"halt", mustWord(mips.EncodeSyscall()), 0},
+			},
+		},
+	}
+	for _, isa := range isas {
+		for _, s := range isa.slots {
+			words := append(append([]uint32{}, isa.pre...), isa.jump, s.word, isa.exit)
+			var res [2]string
+			for i, eng := range []Engine{EngineInterp, EngineRoutine} {
+				cpu := loadWords(t, isa.dec, base, words)
+				cpu.Engine, cpu.RoutineSync, cpu.RoutineHotThreshold = eng, true, 1
+				err := cpu.Run(100)
+				res[i] = fmt.Sprintf("%v\n%s", err, cpu.ArchState())
+				if eng != EngineRoutine {
+					continue
+				}
+				if k := cpu.Counters(); k.RoutinesCompiled == 0 || k.RoutineDeopts != s.deopts {
+					t.Errorf("%s %s: RoutinesCompiled=%d RoutineDeopts=%d, want >0 and %d",
+						isa.dec.Name(), s.name, k.RoutinesCompiled, k.RoutineDeopts, s.deopts)
+				}
+			}
+			if res[0] != res[1] {
+				t.Errorf("%s %s: routine tier diverges from the interpreter:\n%s\nvs\n%s", isa.dec.Name(), s.name, res[1], res[0])
+			}
+		}
 	}
 }
 
