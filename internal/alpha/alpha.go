@@ -139,7 +139,7 @@ func NewDecoder() *spawn.TableDecoder {
 // Glue resolves Alpha's conventions: jsr links through ra (usually
 // R26); ret through the same register is a return; br with ra=R31 is
 // a plain branch, with a real ra it is "branch and link" (a call).
-func Glue(def *spawn.InstDef, fields machine.FieldVals, spec *machine.InstSpec) {
+func Glue(def *spawn.InstDef, fields machine.FieldVals, spec machine.InstSpec) machine.InstSpec {
 	switch def.Name {
 	case "retj":
 		spec.Cat = machine.CatReturn
@@ -150,6 +150,7 @@ func Glue(def *spawn.InstDef, fields machine.FieldVals, spec *machine.InstSpec) 
 			spec.Cat = machine.CatCallDirect
 		}
 	}
+	return spec
 }
 
 // RegName renders registers in Alpha syntax.

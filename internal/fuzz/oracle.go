@@ -129,7 +129,7 @@ func CheckRoundTripWords(p *Program) []Violation {
 		}
 		if !p.IsData(addr) {
 			sem := inst.Sem().(*spawn.InstSem)
-			if _, err := sem.Compiled(); err != nil {
+			if _, err := dec.Compiled(sem); err != nil {
 				vs = append(vs, violate("roundtrip",
 					"%s at %#x: semantics do not compile: %v", inst.Name(), addr, err))
 			}

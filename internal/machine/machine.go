@@ -256,9 +256,10 @@ func (c Category) IsMemory() bool {
 // instruction to represent all instances of a particular machine
 // instruction", reducing allocations ≈4×), decoders intern Inst
 // values by machine word: every occurrence of the same 32-bit word
-// shares one *Inst.  Inst is therefore immutable after decoding and
-// carries no per-address state; position-dependent questions (such
-// as a branch target) take the pc as an argument.
+// shares one *Inst, and spawn's decoders share it process-wide.  Inst
+// is therefore immutable after decoding and carries no per-address
+// state; position-dependent questions (such as a branch target) take
+// the pc as an argument.
 type Inst struct{ spec InstSpec }
 
 // Field is one decoded instruction field.
@@ -315,8 +316,12 @@ type InstSpec struct {
 func NewInst(spec InstSpec) *Inst { return &Inst{spec} }
 
 // MakeInst is NewInst by value, for a decoder that keeps its
-// instructions in arrays of its own.
+// instructions inside structures of its own.
 func MakeInst(spec InstSpec) Inst { return Inst{spec} }
+
+// Spec returns the spec the instruction was built from.  Its slices
+// and semantics handle are shared: callers must not modify them.
+func (i *Inst) Spec() InstSpec { return i.spec }
 
 // Word returns the raw machine word.
 func (i *Inst) Word() uint32 { return i.spec.Word }

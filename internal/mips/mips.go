@@ -147,7 +147,7 @@ func NewDecoder() *spawn.TableDecoder {
 
 // Glue resolves the machine's conventions: jr through the
 // return-address register is a return.
-func Glue(def *spawn.InstDef, fields machine.FieldVals, spec *machine.InstSpec) {
+func Glue(def *spawn.InstDef, fields machine.FieldVals, spec machine.InstSpec) machine.InstSpec {
 	switch def.Name {
 	case "jr":
 		if rs, _ := fields.Get("rs"); rs == 31 {
@@ -156,6 +156,7 @@ func Glue(def *spawn.InstDef, fields machine.FieldVals, spec *machine.InstSpec) 
 	case "jalr":
 		spec.Cat = machine.CatCallIndirect
 	}
+	return spec
 }
 
 // RegName renders registers in MIPS syntax.

@@ -1,14 +1,14 @@
 // The translation-cache execution engine: a threaded-code fast path
 // for Run.  On first execution of a text address the decoded
-// instruction's RTL semantics are lowered (once per distinct word, by
-// rtl.Compile via spawn.InstSem.Compiled) to a flat micro-op program,
-// and straight-line runs are collected into superblocks stored in a
-// direct-mapped-by-address cache.  One executor (exec) runs every
-// superblock, repeating execute-compiled-program / advance-pipeline
-// with no memory fetch, no decoder lookup, and no AST dispatch;
-// untaken conditional branches and annulled slots continue inside the
-// block, and tight loops whose target lies in the block never leave
-// it.
+// instruction's RTL semantics are lowered (once per distinct word and
+// decoder, by rtl.Compile via spawn.TableDecoder.Compiled) to a flat
+// micro-op program, and straight-line runs are collected into
+// superblocks stored in a direct-mapped-by-address cache.  One
+// executor (exec) runs every superblock, repeating
+// execute-compiled-program / advance-pipeline with no memory fetch, no
+// decoder lookup, and no AST dispatch; untaken conditional branches
+// and annulled slots continue inside the block, and tight loops whose
+// target lies in the block never leave it.
 //
 // On the chaining engines control stays out of the central dispatcher
 // between blocks too (see runChained in sim.go): every instruction
@@ -302,7 +302,7 @@ func (c *CPU) buildBlock(pc uint32) *tblock {
 		if !ok {
 			break
 		}
-		prog, err := sem.Compiled()
+		prog, err := c.dec.Compiled(sem)
 		if err != nil {
 			break
 		}
@@ -336,7 +336,7 @@ func (c *CPU) buildBlock(pc uint32) *tblock {
 func (c *CPU) promote(b *tblock) {
 	for i := range b.insts {
 		ci := &b.insts[i]
-		d := ci.inst.Sem().(*spawn.InstSem).CompiledDirect() // buildBlock admits only spawn semantics
+		d := c.dec.CompiledDirect(ci.inst.Sem().(*spawn.InstSem)) // buildBlock admits only spawn semantics
 		if d == nil {
 			continue
 		}

@@ -173,16 +173,47 @@ type rtCacheKey struct {
 // rtCacheEnt is a compilation result.  A negative one (prog nil) keeps
 // why: err, and the pc of the first instruction whose semantics did
 // not lower (0 when no instruction is to blame: no routine extent, or
-// no CFG from the entry).
+// no CFG from the entry).  key is the key it was cached under.
 type rtCacheEnt struct {
+	key  rtCacheKey
 	prog *routineProg
 	err  error
 	pc   uint32
 }
 
+// rtCacheBits sizes the routine program cache: 1<<rtCacheBits slots.
+const rtCacheBits = 16
+
+// rtProgTable is a fixed-size, direct-mapped, lock-free cache of
+// compilation results, built like spawn.Memo: a slot holds one
+// immutable entry, checked against its whole key on load, and a
+// collision only costs a recompile.  A self-modifying program makes
+// new keys at every text write, so a table that grew with its keys
+// would let one long-running eeld request grow the daemon without
+// limit; this one holds at most one entry per slot.
+type rtProgTable [1 << rtCacheBits]atomic.Pointer[rtCacheEnt]
+
 // rtProgCache shares compiled routine programs (including negative
 // results) process-wide; programs are immutable after compilation.
-var rtProgCache sync.Map // rtCacheKey -> *rtCacheEnt
+var rtProgCache rtProgTable
+
+// slot picks key's slot from the text hash and the entry pc, never a
+// pointer, so which keys collide does not depend on the run.
+func (k rtCacheKey) slot() uint32 {
+	return uint32((k.hash ^ uint64(k.entry)) * 0x9e3779b97f4a7c15 >> (64 - rtCacheBits))
+}
+
+// load returns the entry cached under key.
+func (t *rtProgTable) load(key rtCacheKey) (*rtCacheEnt, bool) {
+	e := t[key.slot()].Load()
+	return e, e != nil && e.key == key
+}
+
+// store caches ent, which no other goroutine holds yet, under key.
+func (t *rtProgTable) store(key rtCacheKey, ent *rtCacheEnt) {
+	ent.key = key
+	t[key.slot()].Store(ent)
+}
 
 // routineState is the per-CPU routine-tier state.
 type routineState struct {
@@ -316,11 +347,11 @@ func (c *CPU) rtExtent(entry uint32) (end uint32, ok bool) {
 // rtCompileJob resolves a job through the shared program cache,
 // compiling on a miss.  Negative results are cached too.
 func rtCompileJob(job *rtJob) *rtCacheEnt {
-	if ent, ok := rtProgCache.Load(job.key); ok {
-		return ent.(*rtCacheEnt)
+	if ent, ok := rtProgCache.load(job.key); ok {
+		return ent
 	}
 	ent := rtCompileText(job.dec, job.text, job.entry)
-	rtProgCache.Store(job.key, ent)
+	rtProgCache.store(job.key, ent)
 	return ent
 }
 
@@ -332,7 +363,7 @@ func rtCompileText(dec *spawn.TableDecoder, text []byte, entry uint32) *rtCacheE
 		return &rtCacheEnt{err: err}
 	}
 	lv := dataflow.ComputeLiveness(g)
-	rc := &routineCompiler{inv: make(map[uint32]*machine.Inst), pl: lv.Points(), desc: dec.Desc()}
+	rc := &routineCompiler{inv: make(map[uint32]*machine.Inst), pl: lv.Points(), dec: dec}
 	for _, b := range g.Blocks {
 		for _, ci := range b.Insts {
 			if ci.MI != nil && ci.MI.Valid() {
@@ -377,16 +408,16 @@ func (c *CPU) rtRequest(entry uint32) {
 	c.tc.ctr.TierPromotions++
 	obs.Record(obs.EvTierPromote, uint64(entry), uint64(w.enters))
 	key := rtCacheKey{desc: c.dec.Desc(), textStart: c.TextStart, textEnd: c.TextEnd, hash: c.rtTextHash(), entry: entry}
-	if ent, ok := rtProgCache.Load(key); ok {
+	if ent, ok := rtProgCache.load(key); ok {
 		// Same image, same entry: install the shared program (or the
 		// cached negative result) without scanning or compiling.
-		c.rtInstall(&rtJob{entry: entry, gen: c.tc.gen, res: ent.(*rtCacheEnt)})
+		c.rtInstall(&rtJob{entry: entry, gen: c.tc.gen, res: ent})
 		return
 	}
 	end, ok := c.rtExtent(entry)
 	if !ok || end <= entry {
 		ent := &rtCacheEnt{err: fmt.Errorf("no routine extent at %#x", entry)}
-		rtProgCache.Store(key, ent)
+		rtProgCache.store(key, ent)
 		c.rtInstall(&rtJob{entry: entry, gen: c.tc.gen, res: ent})
 		return
 	}

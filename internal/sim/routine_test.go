@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"eel/internal/binfile"
+	"eel/internal/mips"
 	"eel/internal/progen"
+	"eel/internal/sparc"
 )
 
 // runRoutineMode executes f to completion under the routine tier
@@ -371,5 +373,45 @@ inc:	retl
 	}
 	if cpu.rt.base != b.Base || len(cpu.rt.words) != len(b.Bytes)/4 {
 		t.Errorf("per-word table covers %d words at %#x, want %d at %#x", len(cpu.rt.words), cpu.rt.base, len(b.Bytes)/4, b.Base)
+	}
+}
+
+// TestRoutineCacheBounded stores more distinct keys than the routine
+// program cache has slots, as a self-modifying program's text writes
+// would: the table holds at most one entry per slot, the latest store
+// of each slot loads back, negative results included, and a key that
+// differs only in its machine misses.
+func TestRoutineCacheBounded(t *testing.T) {
+	tab := new(rtProgTable)
+	desc := sparc.NewDecoder().Desc()
+	key := func(i int) rtCacheKey {
+		return rtCacheKey{desc: desc, textStart: 0x10000, textEnd: 0x20000, hash: uint64(i) * 0x100000001b3, entry: 0x10000}
+	}
+	n := len(tab) + len(tab)/4
+	for i := 0; i < n; i++ {
+		ent := &rtCacheEnt{prog: &routineProg{}}
+		if i%2 == 1 {
+			ent = &rtCacheEnt{err: errors.New("negative"), pc: 0x10004}
+		}
+		tab.store(key(i), ent)
+	}
+	population := 0
+	for i := range tab {
+		if tab[i].Load() != nil {
+			population++
+		}
+	}
+	if population > len(tab) || population < len(tab)/2 {
+		t.Errorf("%d keys fill %d of %d slots", n, population, len(tab))
+	}
+	for _, i := range []int{n - 2, n - 1} {
+		if ent, ok := tab.load(key(i)); !ok || (i%2 == 1) != (ent.err != nil) {
+			t.Errorf("key %d: the latest store does not load back", i)
+		}
+	}
+	other := key(n - 1)
+	other.desc = mips.NewDecoder().Desc()
+	if _, ok := tab.load(other); ok {
+		t.Error("another machine's key hit")
 	}
 }

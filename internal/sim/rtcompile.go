@@ -22,9 +22,11 @@ import (
 
 // routineCompiler carries one routine compilation's state.
 type routineCompiler struct {
-	inv  map[uint32]*machine.Inst
-	pl   *dataflow.PointLiveness
-	desc *spawn.Desc
+	inv map[uint32]*machine.Inst
+	pl  *dataflow.PointLiveness
+	// dec is the decoder the routine's text was decoded by, whose
+	// compile caches its words lower through.
+	dec *spawn.TableDecoder
 }
 
 // rword is one lowered body word: its op (nil for a word that does
@@ -165,7 +167,7 @@ func (rc *routineCompiler) formBlock(base uint32, leaders map[uint32]bool) *prot
 			rc.lowerTerm(pb, pc, in)
 			return pb
 		}
-		w, err := lowerWord(in, pc)
+		w, err := rc.lowerWord(in, pc)
 		if err != nil {
 			pb.err, pb.errPC = err, pc
 			return pb
@@ -177,7 +179,7 @@ func (rc *routineCompiler) formBlock(base uint32, leaders map[uint32]bool) *prot
 // lowerWord lowers the body word in at pc: to its lazy-cc pair, its
 // direct op list (rtl.CompileDirect, compiled at pc only when it reads
 // pc), or, when CompileDirect refuses it, its buffered program.
-func lowerWord(in *machine.Inst, pc uint32) (instAt, error) {
+func (rc *routineCompiler) lowerWord(in *machine.Inst, pc uint32) (instAt, error) {
 	w := instAt{pc: pc, in: in}
 	sem := semOf(in)
 	if cc, ok := rtl.LowerCC(sem.Def.Sem, sem.CompileEnv()); ok {
@@ -185,7 +187,7 @@ func lowerWord(in *machine.Inst, pc uint32) (instAt, error) {
 		return w, nil
 	}
 	var flags uint8
-	if d := sem.CompiledDirectAt(pc); d != nil {
+	if d := rc.dec.CompiledDirectAt(sem, pc); d != nil {
 		w.op, flags = d.Run, d.Flags()
 		switch ops := d.Ops(); len(ops) {
 		case 0:
@@ -195,7 +197,7 @@ func lowerWord(in *machine.Inst, pc uint32) (instAt, error) {
 			w.op = ops[0]
 		}
 	} else {
-		p, err := sem.Compiled()
+		p, err := rc.dec.Compiled(sem)
 		if err != nil {
 			return w, err
 		}
@@ -232,7 +234,7 @@ func (rc *routineCompiler) lowerTerm(pb *protoBlock, pc uint32, in *machine.Inst
 		pb.err, pb.errPC = fmt.Errorf("%s: delay slot at %#x is not a plain instruction", in.Name(), pc+4), pc+4
 		return
 	}
-	w, err := lowerWord(sin, pc+4)
+	w, err := rc.lowerWord(sin, pc+4)
 	if err != nil {
 		pb.err, pb.errPC = err, pc+4
 		return

@@ -215,8 +215,9 @@ func init() {
 // Desc returns the compiled SPARC description.
 func Desc() *spawn.Desc { return desc }
 
-// NewDecoder returns a fresh SPARC decoder (with its own intern
-// cache and sharing statistics) over the package's shared memo.
+// NewDecoder returns a fresh SPARC decoder (with its own compile
+// caches and decode count) over the package's shared memo, whose
+// instructions it returns.
 func NewDecoder() *spawn.TableDecoder {
 	return spawn.NewDecoder(memo, RegName)
 }
@@ -224,7 +225,7 @@ func NewDecoder() *spawn.TableDecoder {
 // Glue refines spawn's derived classification with SPARC calling and
 // trap conventions — the hand-written residue the paper's Figure 6
 // shows: jmpl's three overloaded uses and the system-call idiom.
-func Glue(def *spawn.InstDef, fields machine.FieldVals, spec *machine.InstSpec) {
+func Glue(def *spawn.InstDef, fields machine.FieldVals, spec machine.InstSpec) machine.InstSpec {
 	switch def.Name {
 	case "jmpl":
 		rd, _ := fields.Get("rd")
@@ -255,6 +256,7 @@ func Glue(def *spawn.InstDef, fields machine.FieldVals, spec *machine.InstSpec) 
 		spec.Reads = spec.Reads.Add(RegG1).Add(RegO0).Add(RegO1).Add(RegO2).Add(RegO3)
 		spec.Writes = spec.Writes.Add(RegO0)
 	}
+	return spec
 }
 
 // RegName renders a register in SPARC assembly syntax.

@@ -14,13 +14,15 @@ import (
 // coarse category and effects from the description, and the glue
 // resolves convention-level overloads — on SPARC, the three uses of
 // jmpl (indirect call, return, indirect jump) and the system-call
-// idiom.  It sees the word's decoded field values and may rewrite any
-// part of the spec except Word, Fields and Sem.
+// idiom.  It sees the word's decoded field values and returns the
+// spec, in which it may have rewritten any part except Word, Fields
+// and Sem.  The spec goes by value, so deriving a word does not move
+// it to the heap.
 //
 // A Glue must be a pure function of (def, fields): a Memo derives each
 // word once and serves the result to every decoder built on it, so a
 // glue that read other state would see its first answer reused.
-type Glue func(def *InstDef, fields machine.FieldVals, spec *machine.InstSpec)
+type Glue func(def *InstDef, fields machine.FieldVals, spec machine.InstSpec) machine.InstSpec
 
 // memoBits sizes a Memo: MemoSlots = 1<<memoBits.
 const memoBits = 16
@@ -28,18 +30,21 @@ const memoBits = 16
 // MemoSlots is the number of slots in a Memo.  It holds the ~12 k
 // distinct words of sixteen 120-routine binaries at a 94% hit share,
 // and it bounds a memo at the slot array (512 KiB) plus MemoSlots
-// entries of 170–260 B each, ≈ 17 MiB, however many distinct words a
-// long-running process decodes.
+// entries of ≈ 270 B each (the 240-byte entry with its instruction and
+// semantics handle, and its share of field values and target
+// functions, measured over eight 120-routine SPARC binaries),
+// ≈ 17.5 MiB, however many distinct words a long-running process
+// decodes.
 const MemoSlots = 1 << memoBits
 
-// Memo is a fixed-size, direct-mapped memo of derived specs for one
-// (description, glue) pair: word → everything the decoder derives
-// except the semantics handle.  Every TableDecoder built on one Memo
-// reads through it, so a word seen by any executable, emulator or
-// request in the process is derived once; a slot collision only costs
-// a re-derivation.  It is safe for concurrent use and lock-free: a
-// slot holds an immutable entry, and two goroutines deriving the same
-// word both store an equivalent one.
+// Memo is a fixed-size, direct-mapped memo of decoded instructions for
+// one (description, glue) pair: word → the word's one machine.Inst and
+// its InstSem.  Every TableDecoder built on one Memo returns its
+// instructions, so a word seen by any executable, emulator or request
+// in the process is derived once and represented by one object; a slot
+// collision only costs a re-derivation, and a new object for the word
+// it evicted.  It is safe for concurrent use and lock-free: a slot
+// holds an immutable entry, swapped in by compare-and-swap.
 type Memo struct {
 	desc  *Desc
 	glue  Glue
@@ -49,20 +54,21 @@ type Memo struct {
 	derived atomic.Uint64
 }
 
-// memoEntry is one word's spec without its semantics handle, and the
-// definition the word decoded to (nil for an invalid word).
+// memoEntry is one word's instruction and its semantics handle, which
+// the instruction's Sem points at (an invalid word has none, and a
+// zero sem).
 type memoEntry struct {
-	def  *InstDef
-	spec machine.InstSpec
+	inst machine.Inst
+	sem  InstSem
 }
 
 // NewMemo returns an empty memo deriving desc's words through glue,
 // which may be nil.
 func NewMemo(desc *Desc, glue Glue) *Memo { return &Memo{desc: desc, glue: glue} }
 
-// Spec returns word's derived spec.  Its Sem is nil and its slices are
-// shared: callers must not modify them.
-func (m *Memo) Spec(word uint32) machine.InstSpec { return m.lookup(word).spec }
+// Spec returns word's derived spec.  Its slices and semantics handle
+// are shared: callers must not modify them.
+func (m *Memo) Spec(word uint32) machine.InstSpec { return m.lookup(word).inst.Spec() }
 
 // SubstRegs rewrites each register operand of word that names a
 // register in assign to the register it maps to, in one simultaneous
@@ -72,7 +78,7 @@ func (m *Memo) Spec(word uint32) machine.InstSpec { return m.lookup(word).spec }
 // operands the word's semantics read are touched, never the hardwired
 // zero, and a field is rewritten only to a register of its own file.
 func (m *Memo) SubstRegs(word uint32, assign map[machine.Reg]machine.Reg) uint32 {
-	def := m.lookup(word).def
+	def := m.lookup(word).sem.Def
 	if def == nil {
 		return word
 	}
@@ -96,7 +102,7 @@ func (m *Memo) SubstRegs(word uint32, assign map[machine.Reg]machine.Reg) uint32
 // which decides between a snippet's fast (cc-clobbering) and slow
 // (cc-preserving) bodies: the Blizzard optimization of §5.
 func (m *Memo) WritesPSR(word uint32) bool {
-	return m.lookup(word).spec.Writes.Has(machine.RegPSR)
+	return m.lookup(word).inst.Writes().Has(machine.RegPSR)
 }
 
 // memoSlot maps a word to its slot by Fibonacci hashing.  Words that
@@ -105,25 +111,35 @@ func (m *Memo) WritesPSR(word uint32) bool {
 // 95% against 92% for murmur3's finalizer on eight eeld binaries.
 func memoSlot(word uint32) uint32 { return (word * 0x9e3779b1) >> (32 - memoBits) }
 
+// lookup returns word's entry, deriving it on a miss.  Goroutines
+// that derive one word at once agree on the entry the first of them
+// stored, so a word has one instruction while its slot holds it.
 func (m *Memo) lookup(word uint32) *memoEntry {
 	slot := &m.slots[memoSlot(word)]
-	if e := slot.Load(); e != nil && e.spec.Word == word {
-		return e
+	old := slot.Load()
+	if old != nil && old.inst.Word() == word {
+		return old
 	}
 	e := m.derive(word)
-	slot.Store(e)
 	m.derived.Add(1)
+	for !slot.CompareAndSwap(old, e) {
+		if old = slot.Load(); old != nil && old.inst.Word() == word {
+			return old
+		}
+	}
 	return e
 }
 
-// derive computes the full machine-independent spec for word.
+// derive builds word's entry: its instruction, with the full
+// machine-independent spec, and for a valid word its semantics handle.
 func (m *Memo) derive(word uint32) *memoEntry {
-	e := &memoEntry{spec: machine.InstSpec{Word: word, Cat: machine.CatInvalid}}
+	e := &memoEntry{}
+	spec := machine.InstSpec{Word: word, Cat: machine.CatInvalid}
 	def := m.desc.DecodeRaw(word)
 	if def == nil {
+		e.inst = machine.MakeInst(spec)
 		return e
 	}
-	spec := &e.spec
 	fields := m.desc.FieldVals(word)
 	eff := m.desc.EffectsFor(def, fields)
 
@@ -158,77 +174,52 @@ func (m *Memo) derive(word uint32) *memoEntry {
 	}
 	spec.Fields = fields
 	if m.glue != nil {
-		m.glue(def, fields, spec)
+		spec = m.glue(def, fields, spec)
 	}
-	e.def = def
+	e.sem = InstSem{Def: def, Desc: m.desc, Fields: fields, word: word}
+	spec.Sem = &e.sem
+	e.inst = machine.MakeInst(spec)
 	return e
 }
 
 // TableDecoder is a machine.Decoder generated from a description.
-// It interns instructions by machine word, reproducing the paper's
-// §3.4 optimization ("EEL allocates only one instruction to
-// represent all instances of a particular machine instruction",
-// reducing allocations roughly fourfold); SharingStats exposes the
-// measured ratio for experiment E6.  What an instruction is comes
-// from the decoder's Memo, shared with other decoders of the same
-// machine; the *machine.Inst and its InstSem, which carries the
-// emulator's per-word compile caches, belong to this decoder alone.
+// It reproduces the paper's §3.4 optimization ("EEL allocates only
+// one instruction to represent all instances of a particular machine
+// instruction", reducing allocations roughly fourfold) process-wide:
+// Decode returns the instruction its Memo holds for the word, shared
+// with every other decoder of the same machine.  The emulator's
+// compiled forms of a word (Compiled, CompiledDirect) are not shared:
+// each decoder caches its own, so they live as long as the decoder's
+// executable or CPU does.
 //
-// Decode is safe for concurrent use: a mutex guards the intern map and
-// the slabs the instructions are carved from, and every word has one
-// canonical *Inst per decoder.  Only the emulator decodes once an
-// executable's text has been read, so the lock is rarely contended.
-// SetIntern reconfigures the decoder and must not run concurrently
-// with Decode.
+// Decode is safe for concurrent use, takes no lock, and allocates
+// nothing for a word the memo holds.  A mutex guards the compile
+// caches and is held while a word compiles, so each word compiles
+// exactly once per decoder.  SetIntern reconfigures the decoder and
+// must not run concurrently with Decode.
 type TableDecoder struct {
 	memo    *Memo
 	regName func(machine.Reg) string
 
 	mu    sync.Mutex
-	cache map[uint32]*machine.Inst
-	insts slab[machine.Inst]
-	sems  slab[InstSem]
+	codes map[uint32]code
 
 	decodes atomic.Uint64
-	unique  atomic.Uint64
 
-	// noIntern disables interning for the E6 ablation.
+	// noIntern disables sharing for the E6 ablation.
 	noIntern bool
 }
 
-// slabSize is how many instructions, and as many InstSems, one slab
-// holds: 32 KiB in all.  A 120-routine binary's ≈1,600 distinct words
-// fill thirteen.
-const slabSize = 128
-
-// slab carves values from fixed-size backing arrays.  A full array is
-// replaced by a fresh one, never moved, so pointers already handed out
-// stay valid (the rule cfg.Graph.Reserve follows).
-type slab[T any] []T
-
-func (s *slab[T]) next() *T {
-	if len(*s) == 0 {
-		*s = make([]T, slabSize)
-	}
-	p := &(*s)[0]
-	*s = (*s)[1:]
-	return p
-}
-
-// NewDecoder builds a decoder that derives its words through memo.
-// regName may be nil.
+// NewDecoder builds a decoder that decodes through memo.  regName may
+// be nil.
 func NewDecoder(memo *Memo, regName func(machine.Reg) string) *TableDecoder {
-	return &TableDecoder{memo: memo, regName: regName, cache: map[uint32]*machine.Inst{}}
+	return &TableDecoder{memo: memo, regName: regName, codes: map[uint32]code{}}
 }
 
-// SetIntern toggles instruction-object sharing (ablation E6).
-func (t *TableDecoder) SetIntern(on bool) {
-	t.noIntern = !on
-	if !on {
-		t.cache = map[uint32]*machine.Inst{}
-		t.unique.Store(0)
-	}
-}
+// SetIntern toggles instruction-object sharing (ablation E6): with it
+// off, every Decode returns a new copy of the word's instruction and
+// semantics handle, one heap object per decode.
+func (t *TableDecoder) SetIntern(on bool) { t.noIntern = !on }
 
 // Name returns the description's machine name.
 func (t *TableDecoder) Name() string { return t.memo.desc.MachineName }
@@ -258,134 +249,97 @@ func (t *TableDecoder) WritesPSR(word uint32) bool { return t.memo.WritesPSR(wor
 // Decode returns the (shared) instruction for word.
 func (t *TableDecoder) Decode(word uint32) *machine.Inst {
 	t.decodes.Add(1)
-	if t.noIntern {
-		return t.newInst(word, new(machine.Inst), new(InstSem))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	inst, ok := t.cache[word]
-	if !ok {
-		inst = t.newInst(word, t.insts.next(), t.sems.next())
-		t.cache[word] = inst
-		t.unique.Add(1)
-	}
-	return inst
-}
-
-// newInst fills inst with word's instruction from its memoized spec,
-// with sem as its semantics handle.
-func (t *TableDecoder) newInst(word uint32, inst *machine.Inst, sem *InstSem) *machine.Inst {
 	e := t.memo.lookup(word)
-	spec := e.spec
-	if e.def != nil {
-		sem.Def, sem.Desc, sem.Fields = e.def, t.memo.desc, spec.Fields
-		spec.Sem = sem
+	if !t.noIntern {
+		return &e.inst
 	}
-	*inst = machine.MakeInst(spec)
-	return inst
+	c := &memoEntry{sem: e.sem}
+	spec := e.inst.Spec()
+	if spec.Sem != nil {
+		spec.Sem = &c.sem
+	}
+	c.inst = machine.MakeInst(spec)
+	return &c.inst
 }
 
-// SharingStats returns total decode requests and distinct
-// instruction objects interned (experiment E6), and how many words the
-// decoder's memo has derived for all the decoders that share it.
-func (t *TableDecoder) SharingStats() (decodes, unique, derived uint64) {
-	return t.decodes.Load(), t.unique.Load(), t.memo.derived.Load()
+// SharingStats returns the decoder's decode requests and how many
+// words its memo has derived for all the decoders that share it
+// (experiment E6 counts the distinct instructions Decode returned).
+func (t *TableDecoder) SharingStats() (decodes, derived uint64) {
+	return t.decodes.Load(), t.memo.derived.Load()
 }
 
 // AttachTelemetry surfaces the decoder's sharing counters in reg as
-// live gauges ("spawn.decodes", "spawn.interned", and the memo's
-// "spawn.derived") without adding any cost to the Decode hot path:
-// the existing atomics are sampled only when the registry takes a
-// snapshot.  Each word a decoder interns is one memo lookup, so
-// derived against the words interned by the decoders sharing the memo
-// shows how often a decoder found its word already derived.
+// live gauges ("spawn.decodes" and the memo's "spawn.derived") without
+// adding any cost to the Decode hot path: the existing atomics are
+// sampled only when the registry takes a snapshot.  Every decode is
+// one memo lookup, so derived against the decodes of the decoders
+// sharing the memo shows how often a word was already derived.
 func (t *TableDecoder) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
 	reg.GaugeFunc("spawn.decodes", func() int64 { return int64(t.decodes.Load()) })
-	reg.GaugeFunc("spawn.interned", func() int64 { return int64(t.unique.Load()) })
 	reg.GaugeFunc("spawn.derived", func() int64 { return int64(t.memo.derived.Load()) })
 }
 
-// InstSem is the semantics handle attached to decoded instructions;
-// the emulator executes Def.Sem against the description's register
-// model, or the compiled form from Compiled when it wants speed.
-type InstSem struct {
-	Def  *InstDef
-	Desc *Desc
-	// Fields holds the decoded field values the semantics are
-	// specialized on.
-	Fields machine.FieldVals
-
-	compiled derived[compiledSem]
-	direct   derived[*rtl.Direct]
+// code is one word's compiled forms in one decoder, negative results
+// included; done and directDone say which have been derived.
+type code struct {
+	prog             *rtl.Prog
+	err              error
+	direct           *rtl.Direct
+	done, directDone bool
 }
 
-// derived caches one derivation on an interned word.  Concurrent
-// callers may race to derive but always observe equivalent results.
-type derived[T any] struct{ p atomic.Pointer[T] }
-
-func (d *derived[T]) get(derive func() T) T {
-	if v := d.p.Load(); v != nil {
-		return *v
-	}
-	v := derive()
-	d.p.Store(&v)
-	return v
-}
-
-type compiledSem struct {
-	prog *rtl.Prog
-	err  error
-}
-
-// Compiled returns the instruction's semantics lowered once to an
-// rtl.Prog specialized on this word's field values.  Because the
-// decoder interns instructions by word, each distinct machine word is
-// compiled at most once per decoder; the result is cached on the
-// shared instruction object, so the emulator's translation cache gets
-// compiled semantics for free on re-decode.
-func (s *InstSem) Compiled() (*rtl.Prog, error) {
-	cs := s.compiled.get(func() compiledSem {
+// Compiled returns s's semantics lowered once to an rtl.Prog
+// specialized on its word's field values.  Each distinct machine word
+// is compiled at most once per decoder, so the emulator's translation
+// cache gets compiled semantics for free on re-decode.
+func (t *TableDecoder) Compiled(s *InstSem) (*rtl.Prog, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := t.codes[s.word]
+	if !c.done {
 		// Taken once per distinct word: worth a trace span and a
 		// registry tick so JIT warm-up is visible in -trace output.
 		sp := telemetry.ActiveTracer().Begin("rtl.compile "+s.Def.Name, "rtl")
-		defer sp.End()
 		telemetry.Default().Counter("rtl.compiles").Add(1)
-		p, err := rtl.Compile(s.Def.Sem, semCompileEnv{s})
-		return compiledSem{p, err}
-	})
-	return cs.prog, cs.err
+		c.prog, c.err = rtl.Compile(s.Def.Sem, semCompileEnv{s})
+		sp.End()
+		c.done = true
+		t.codes[s.word] = c
+	}
+	return c.prog, c.err
 }
 
-// CompileEnv returns the rtl.CompileEnv the instruction's semantics
-// lower against: this word's field values and the description's
-// register model.
-func (s *InstSem) CompileEnv() rtl.CompileEnv { return semCompileEnv{s} }
-
-// CompiledDirect returns the instruction's semantics lowered in
-// direct-commit mode (rtl.CompileDirect), or nil when the commit
-// reorder cannot be proven unobservable for this word.  The emulator's
-// chained tier asks for it when a block turns hot, and its routine
-// tier for every body word; the result — including the negative, so
-// hot re-translation does not re-prove it — is cached per interned
-// word like Compiled.  It reads pc from the Host (rtl.FlagPCRead);
-// CompiledDirectAt folds pc instead.
-func (s *InstSem) CompiledDirect() *rtl.Direct {
-	return s.direct.get(func() *rtl.Direct {
+// CompiledDirect returns s's semantics lowered in direct-commit mode
+// (rtl.CompileDirect), or nil when the commit reorder cannot be proven
+// unobservable for this word.  The emulator's chained tier asks for it
+// when a block turns hot, and its routine tier for every body word;
+// the result — including the negative, so hot re-translation does not
+// re-prove it — is cached per word and decoder like Compiled.  It
+// reads pc from the Host (rtl.FlagPCRead); CompiledDirectAt folds pc
+// instead.
+func (t *TableDecoder) CompiledDirect(s *InstSem) *rtl.Direct {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := t.codes[s.word]
+	if !c.directDone {
 		telemetry.Default().Counter("rtl.compiles_direct").Add(1)
-		p, _ := rtl.CompileDirect(s.Def.Sem, semCompileEnv{s}, nil)
-		return p
-	})
+		c.direct, _ = rtl.CompileDirect(s.Def.Sem, semCompileEnv{s}, nil)
+		c.directDone = true
+		t.codes[s.word] = c
+	}
+	return c.direct
 }
 
-// CompiledDirectAt returns the word's direct program for its address
-// pc: CompiledDirect's, unless that reads pc, and then the semantics
+// CompiledDirectAt returns s's direct program for its address pc:
+// CompiledDirect's, unless that reads pc, and then the semantics
 // lowered again with pc folded to pc (not cached: the address is the
 // caller's).
-func (s *InstSem) CompiledDirectAt(pc uint32) *rtl.Direct {
-	d := s.CompiledDirect()
+func (t *TableDecoder) CompiledDirectAt(s *InstSem, pc uint32) *rtl.Direct {
+	d := t.CompiledDirect(s)
 	if d == nil || d.Flags()&rtl.FlagPCRead == 0 {
 		return d
 	}
@@ -394,6 +348,27 @@ func (s *InstSem) CompiledDirectAt(pc uint32) *rtl.Direct {
 	d, _ = rtl.CompileDirect(s.Def.Sem, semCompileEnv{s}, &at)
 	return d
 }
+
+// InstSem is the semantics handle attached to decoded instructions;
+// the emulator executes Def.Sem against the description's register
+// model, or the compiled form a decoder's Compiled returns when it
+// wants speed.  A memo entry owns one per valid word, shared like the
+// instruction.
+type InstSem struct {
+	Def  *InstDef
+	Desc *Desc
+	// Fields holds the decoded field values the semantics are
+	// specialized on.
+	Fields machine.FieldVals
+
+	// word keys the decoders' compile caches.
+	word uint32
+}
+
+// CompileEnv returns the rtl.CompileEnv the instruction's semantics
+// lower against: this word's field values and the description's
+// register model.
+func (s *InstSem) CompileEnv() rtl.CompileEnv { return semCompileEnv{s} }
 
 // semCompileEnv adapts an InstSem to rtl.CompileEnv: field values
 // come from the decoded word, the register model from the

@@ -8,6 +8,7 @@ import (
 
 	"eel/internal/machine"
 	"eel/internal/rtl"
+	"eel/internal/telemetry"
 )
 
 // toyDesc is a minimal machine exercising the description features:
@@ -288,29 +289,30 @@ func TestDecoderParallelInterning(t *testing.T) {
 			}
 		}
 	}
-	decodes, unique, _ := dec.SharingStats()
+	decodes, _ := dec.SharingStats()
 	if want := uint64(goroutines * rounds * len(words)); decodes != want {
 		t.Errorf("decodes = %d, want %d", decodes, want)
 	}
-	if unique != uint64(len(words)) {
-		t.Errorf("unique = %d, want %d", unique, len(words))
-	}
 }
 
-// TestDecoderSlabInterning decodes more distinct words than three
-// slabs hold, from several goroutines in different orders (run under
-// -race): every word must have one canonical object, and an object
-// handed out before later slabs filled must still describe its word.
-func TestDecoderSlabInterning(t *testing.T) {
+// TestMemoOwnsInstructions runs two decoders over one memo from many
+// goroutines (run under -race).  A word decodes to its memo entry's
+// instruction in both decoders for as long as its slot holds it, and a
+// new one after a collision evicted it; a warm Decode allocates
+// nothing; and the compile caches stay per decoder, so the second
+// decoder compiles a word the first has compiled.
+func TestMemoOwnsInstructions(t *testing.T) {
 	d := toy(t)
-	dec := NewDecoder(NewMemo(d, nil), nil)
-	words := make([]uint32, 3*slabSize+slabSize/2)
-	for i := range words {
-		words[i] = word(d, map[string]uint32{"op": 3, "rd": uint32(i % 16), "imm16": uint32(i)})
-	}
-	early := make([]*machine.Inst, slabSize)
-	for i := range early {
-		early[i] = dec.Decode(words[i])
+	memo := NewMemo(d, nil)
+	decs := [2]*TableDecoder{NewDecoder(memo, nil), NewDecoder(memo, nil)}
+	slots := map[uint32]bool{}
+	var words []uint32
+	for i := uint32(0); len(words) < 300; i++ {
+		w := word(d, map[string]uint32{"op": i % 4, "rd": i % 16, "rs1": i / 16 % 16, "imm16": i})
+		if !slots[memoSlot(w)] {
+			slots[memoSlot(w)] = true
+			words = append(words, w)
+		}
 	}
 	const goroutines = 8
 	got := make([][]*machine.Inst, goroutines)
@@ -319,13 +321,18 @@ func TestDecoderSlabInterning(t *testing.T) {
 		wg.Add(1)
 		go func(gi int) {
 			defer wg.Done()
+			dec := decs[gi%2]
 			mine := make([]*machine.Inst, len(words))
-			for k := range words {
-				i := (k + gi*len(words)/goroutines) % len(words) // a different order each
-				if gi%2 == 1 {
-					i = len(words) - 1 - i
+			for r := 0; r < 4; r++ {
+				for k := range words {
+					i := (k + gi*len(words)/goroutines) % len(words) // a different order each
+					in := dec.Decode(words[i])
+					if mine[i] != nil && mine[i] != in {
+						t.Errorf("goroutine %d: word %#x decoded to two objects", gi, words[i])
+						return
+					}
+					mine[i] = in
 				}
-				mine[i] = dec.Decode(words[i])
 			}
 			got[gi] = mine
 		}(gi)
@@ -333,21 +340,49 @@ func TestDecoderSlabInterning(t *testing.T) {
 	wg.Wait()
 	for gi, mine := range got {
 		for i, in := range mine {
-			if in == nil || in != got[0][i] {
-				t.Fatalf("goroutine %d: word %#x has no canonical object", gi, words[i])
-			}
-			if in.Word() != words[i] || in.Name() != "ld" {
-				t.Fatalf("word %#x decoded to %#x %q", words[i], in.Word(), in.Name())
+			if in == nil || in != &memo.lookup(words[i]).inst || in.Word() != words[i] {
+				t.Fatalf("goroutine %d: word %#x is not its memo entry's instruction", gi, words[i])
 			}
 		}
 	}
-	for i, in := range early {
-		if in.Word() != words[i] || in.Name() != "ld" || in != dec.Decode(words[i]) || in != got[0][i] {
-			t.Errorf("word %#x: an object from the first slab changed or was replaced", words[i])
+
+	// a and b share a slot: each decode of one evicts the other.
+	a := words[0]
+	var b uint32
+	for imm := uint32(1); ; imm++ {
+		if b = word(d, map[string]uint32{"op": 3, "rd": 4, "rs1": 5, "imm16": imm}); memoSlot(b) == memoSlot(a) {
+			break
 		}
 	}
-	if _, unique, _ := dec.SharingStats(); unique != uint64(len(words)) {
-		t.Errorf("unique = %d, want %d", unique, len(words))
+	first := decs[0].Decode(a)
+	if decs[1].Decode(a) != first {
+		t.Error("two decoders returned two objects for one word")
+	}
+	if in := decs[1].Decode(b); in.Word() != b || decs[0].Decode(b) != in {
+		t.Errorf("colliding word %#x decoded to %#x, or to two objects", b, in.Word())
+	}
+	again := decs[0].Decode(a)
+	if again == first || again.Word() != a || decs[1].Decode(a) != again {
+		t.Error("a re-derived word must be one new object")
+	}
+
+	if n := testing.AllocsPerRun(100, func() { decs[0].Decode(a) }); n != 0 {
+		t.Errorf("a warm Decode allocates %.0f times", n)
+	}
+
+	if telemetry.Default() == nil {
+		defer telemetry.Disable()
+	}
+	compiles := telemetry.Enable().Counter("rtl.compiles")
+	sem := again.Sem().(*InstSem)
+	for i, want := range []uint64{1, 0, 1, 0} {
+		before := compiles.Value()
+		if _, err := decs[i/2].Compiled(sem); err != nil {
+			t.Fatal(err)
+		}
+		if n := compiles.Value() - before; n != want {
+			t.Errorf("Compiled call %d (decoder %d): %d compiles, want %d", i, i/2, n, want)
+		}
 	}
 }
 
@@ -358,11 +393,12 @@ func TestGlueHookRuns(t *testing.T) {
 	d := toy(t)
 	calls := map[machine.Category]int{}
 	glueFor := func(cat machine.Category) Glue {
-		return func(def *InstDef, fields machine.FieldVals, spec *machine.InstSpec) {
+		return func(def *InstDef, fields machine.FieldVals, spec machine.InstSpec) machine.InstSpec {
 			calls[cat]++
 			if rs1, _ := fields.Get("rs1"); def.Name == "jmp" && rs1 == 3 {
 				spec.Cat = cat
 			}
+			return spec
 		}
 	}
 	ret := NewDecoder(NewMemo(d, glueFor(machine.CatReturn)), nil)
@@ -417,8 +453,8 @@ func TestMemoSlotCollision(t *testing.T) {
 
 // TestMemoSharedByDecoders runs many decoders, each on its own
 // goroutines, over one memo (run under -race): every decoder must
-// intern its own instruction per word, and all of them must agree
-// with a fresh derivation.
+// return the memo's one instruction per word, and all of them must
+// agree with a fresh derivation.
 func TestMemoSharedByDecoders(t *testing.T) {
 	d := toy(t)
 	var words []uint32
@@ -460,8 +496,8 @@ func TestMemoSharedByDecoders(t *testing.T) {
 					t.Errorf("decoder %d: word %#x interned twice", di, w)
 				}
 			}
-			if di > 0 && in == got[0][0][wi] {
-				t.Errorf("decoders 0 and %d share the instruction for %#x", di, w)
+			if di > 0 && in != got[0][0][wi] {
+				t.Errorf("decoders 0 and %d hold two instructions for %#x", di, w)
 			}
 			if want := fresh.Decode(w); in.String() != want.String() || in.Category() != want.Category() ||
 				in.Reads() != want.Reads() || in.Writes() != want.Writes() {
