@@ -76,12 +76,12 @@ func TestEditedBytesPinned(t *testing.T) {
 }
 
 // editAllocCeiling bounds the heap allocations of one full edit of the
-// TestEditAllocs binary: the measured 7,659-7,660 plus about 0.2%,
+// TestEditAllocs binary: the measured 7,582-7,583 plus about 0.2%,
 // because a collection that starts during the edit empties the
 // standard library's pools (fmt's printer cache among them) and
 // refilling them costs a few allocations more.  Lower it when a change saves
 // allocations.
-const editAllocCeiling = 7675
+const editAllocCeiling = 7597
 
 // TestEditAllocs gates the edit path's allocation count, which is
 // deterministic up to that slack, so a regression shows as a number.
@@ -121,7 +121,7 @@ func TestEditAllocs(t *testing.T) {
 }
 
 // loadAllocs is the exact allocation count of TestLoadAllocs's load.
-const loadAllocs = 322
+const loadAllocs = 252
 
 // TestLoadAllocs pins what opening an executable allocates: nothing
 // per word for decoding its text, whose instructions the process-wide

@@ -129,9 +129,10 @@ func sandboxStore(abi *machine.ABI, inst *machine.Inst) (*eel.Snippet, error) {
 		return nil, err
 	}
 	p1, p2 := phs[0], phs[1]
-	rs1F, _ := inst.Field("rs1")
-	rdF, _ := inst.Field("rd")
-	iflag, _ := inst.Field("iflag")
+	a, ok := inst.Addr()
+	if !ok || !a.HasData {
+		return nil, fmt.Errorf("sandbox: %s stores no register to an address operand", inst)
+	}
 	align := uint32(inst.MemWidth() - 1)
 	if inst.MemWidth() == 8 {
 		align = 7
@@ -147,16 +148,8 @@ func sandboxStore(abi *machine.ABI, inst *machine.Inst) (*eel.Snippet, error) {
 		return nil
 	}
 	// Effective address.
-	if iflag == 1 {
-		simmF, _ := inst.Field("simm13")
-		if err := emit(sparc.EncodeOp3Imm("add", p1, machine.Reg(rs1F), int32(simmF<<19)>>19)); err != nil {
-			return nil, err
-		}
-	} else {
-		rs2F, _ := inst.Field("rs2")
-		if err := emit(sparc.EncodeOp3("add", p1, machine.Reg(rs1F), machine.Reg(rs2F))); err != nil {
-			return nil, err
-		}
+	if err := emit(sparc.EncodeAddr("add", p1, a)); err != nil {
+		return nil, err
 	}
 	// Mask into the segment.
 	for _, step := range [][2]uint32{{offMask, 0}, {segBase, 1}} {
@@ -175,7 +168,7 @@ func sandboxStore(abi *machine.ABI, inst *machine.Inst) (*eel.Snippet, error) {
 		}
 	}
 	// The same-width store to the confined address.
-	if err := emit(sparc.EncodeOp3Imm(inst.Name(), machine.Reg(rdF), p1, 0)); err != nil {
+	if err := emit(sparc.EncodeAddr(inst.Name(), a.Data, machine.Addr{Base: p1})); err != nil {
 		return nil, err
 	}
 	return eel.NewSnippet(words, []machine.Reg{p1, p2}), nil

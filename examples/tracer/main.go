@@ -69,8 +69,8 @@ func main() {
 				check(r.AddCodeBefore(b, i, snip))
 				sites++
 				// Figure 4: slice the address register.
-				rs1F, _ := in.MI.Field("rs1")
-				for _, entry := range dataflow.BackwardSlice(g, b, i, machine.Reg(rs1F)) {
+				a, _ := in.MI.Addr()
+				for _, entry := range dataflow.BackwardSlice(g, b, i, a.Base) {
 					switch entry.Mark {
 					case dataflow.SliceEasy:
 						easy++
@@ -139,18 +139,12 @@ func traceSnippet(abi *machine.ABI, inst *machine.Inst, bufPtr uint32) (*eel.Sni
 		words = append(words, w)
 		return nil
 	}
-	rs1F, _ := inst.Field("rs1")
-	iflag, _ := inst.Field("iflag")
-	if iflag == 1 {
-		simmF, _ := inst.Field("simm13")
-		if err := emit(sparc.EncodeOp3Imm("add", p1, machine.Reg(rs1F), int32(simmF<<19)>>19)); err != nil {
-			return nil, err
-		}
-	} else {
-		rs2F, _ := inst.Field("rs2")
-		if err := emit(sparc.EncodeOp3("add", p1, machine.Reg(rs1F), machine.Reg(rs2F))); err != nil {
-			return nil, err
-		}
+	a, ok := inst.Addr()
+	if !ok {
+		return nil, fmt.Errorf("tracer: %s has no address operand", inst)
+	}
+	if err := emit(sparc.EncodeAddr("add", p1, a)); err != nil {
+		return nil, err
 	}
 	steps := []func() error{
 		func() error { return emit(sparc.EncodeSethi(p2, bufPtr)) },

@@ -130,21 +130,13 @@ func testSnippet(abi *machine.ABI, inst *machine.Inst, res *Result, shift uint32
 		words = append(words, w)
 		return nil
 	}
-	rs1F, _ := inst.Field("rs1")
-	iflag, _ := inst.Field("iflag")
-	rs1 := machine.Reg(rs1F)
+	a, ok := inst.Addr()
+	if !ok {
+		return nil, fmt.Errorf("activemem: %s has no address operand", inst)
+	}
 	// 1: effective address into p1.
-	if iflag == 1 {
-		simmF, _ := inst.Field("simm13")
-		simm := int32(simmF<<19) >> 19
-		if err := emit(sparc.EncodeOp3Imm("add", p1, rs1, simm)); err != nil {
-			return nil, err
-		}
-	} else {
-		rs2F, _ := inst.Field("rs2")
-		if err := emit(sparc.EncodeOp3("add", p1, rs1, machine.Reg(rs2F))); err != nil {
-			return nil, err
-		}
+	if err := emit(sparc.EncodeAddr("add", p1, a)); err != nil {
+		return nil, err
 	}
 	steps := []func() error{
 		// 2: block number.

@@ -128,15 +128,6 @@ func (b *Block) Last() *Inst {
 	return &b.Insts[len(b.Insts)-1]
 }
 
-// SuccBlocks returns the successor blocks.
-func (b *Block) SuccBlocks() []*Block {
-	out := make([]*Block, len(b.Succ))
-	for i, e := range b.Succ {
-		out[i] = e.To
-	}
-	return out
-}
-
 // Edge is one control-flow edge.
 type Edge struct {
 	ID         int

@@ -525,9 +525,11 @@ func (m *measurer) terminator(b *cfg.Block, last int, next *cfg.Block) error {
 		if !hasTaken {
 			return fmt.Errorf("core: direct jump at %#x has no path", a)
 		}
-		// Literal jmpl transfers are always re-synthesized (their
-		// word has no displacement field to adjust).
-		clean := m.r.Exec.FoldDelaySlots && !m.edited(taken) && inst.Name() != "jmpl"
+		// A jump through an address operand (a literal jmpl) is
+		// always re-synthesized: its word has no displacement field
+		// to adjust.
+		_, literal := inst.Addr()
+		clean := m.r.Exec.FoldDelaySlots && !m.edited(taken) && !literal
 		if clean && taken.ds != nil {
 			m.record(a, true)
 			m.branchTo(word, m.pathTarget(taken))
@@ -688,27 +690,16 @@ func (m *measurer) lowerCall(b *cfg.Block, in cfg.Inst, next *cfg.Block) error {
 func (m *measurer) translateSeq(inst *machine.Inst, isCall bool) error {
 	m.plan.needTT = true
 	delta, tgt := m.g.ABI().Reserved[0], m.g.ABI().Reserved[1]
-	rs1F, _ := inst.Field("rs1")
-	iflag, _ := inst.Field("iflag")
-	rdF, _ := inst.Field("rd")
-	rs1 := machine.Reg(rs1F)
-	if rs1 == delta || rs1 == tgt {
-		return fmt.Errorf("core: indirect transfer uses reserved scratch register %s", m.g.Decoder().RegName(rs1))
+	a, ok := inst.Addr()
+	if !ok {
+		return fmt.Errorf("core: indirect transfer %s has no address operand", inst)
 	}
-
-	var computeTarget uint32
-	var err error
-	if iflag == 1 {
-		simmF, _ := inst.Field("simm13")
-		simm := int32(signExtend13(simmF))
-		computeTarget, err = sparc.EncodeOp3Imm("add", tgt, rs1, simm)
-	} else {
-		rs2F, _ := inst.Field("rs2")
-		if rs2 := machine.Reg(rs2F); rs2 == delta || rs2 == tgt {
-			return fmt.Errorf("core: indirect transfer uses reserved scratch register %s", m.g.Decoder().RegName(rs2))
+	for i, r := range []machine.Reg{a.Base, a.Index} {
+		if (i == 0 || a.HasIndex) && (r == delta || r == tgt) {
+			return fmt.Errorf("core: indirect transfer uses reserved scratch register %s", m.g.Decoder().RegName(r))
 		}
-		computeTarget, err = sparc.EncodeOp3("add", tgt, rs1, machine.Reg(rs2F))
 	}
+	computeTarget, err := sparc.EncodeAddr("add", tgt, a)
 	if err != nil {
 		return err
 	}
@@ -724,15 +715,13 @@ func (m *measurer) translateSeq(inst *machine.Inst, isCall bool) error {
 	}
 	m.word(ld)
 
-	jmpl, err := sparc.EncodeOp3Imm("jmpl", machine.Reg(rdF), tgt, 0)
+	jmpl, err := sparc.EncodeOp3Imm("jmpl", a.Link, tgt, 0)
 	if err != nil {
 		return err
 	}
 	m.word(jmpl)
 	return nil
 }
-
-func signExtend13(v uint32) uint32 { return uint32(int32(v<<19) >> 19) }
 
 // lowerIndirectJump handles register-indirect jumps: resolved ones
 // keep the original jump with the dispatch table rewritten (per-edge

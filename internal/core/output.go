@@ -190,14 +190,6 @@ func (e *Executable) WriteEditedExecutable(path string) error {
 	return binfile.WriteFile(path, f)
 }
 
-// EditedSize returns the edited text size in bytes (0 before layout).
-func (e *Executable) EditedSize() int {
-	if e.edited == nil {
-		return 0
-	}
-	return len(e.edited.Text().Data)
-}
-
 // redirect returns the stub address a dispatch-table entry holding
 // orig in the table at tableAddr is rewritten to, when its edge
 // carries edits; the last redirect recorded wins.

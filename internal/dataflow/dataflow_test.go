@@ -1,12 +1,15 @@
 package dataflow_test
 
 import (
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"eel/internal/asm"
 	"eel/internal/cfg"
 	"eel/internal/dataflow"
 	"eel/internal/machine"
+	"eel/internal/mips"
 	"eel/internal/sparc"
 )
 
@@ -380,5 +383,92 @@ func TestSliceStopsAtFloat(t *testing.T) {
 		if e.Mark != dataflow.SliceImpossible {
 			t.Errorf("float def should be impossible, got %v", e.Mark)
 		}
+	}
+}
+
+// mipsGraph builds one routine from MIPS words at 0x10000: the routine
+// spans the first n words, and the rest (a dispatch table) is data the
+// resolver reads.
+func mipsGraph(t *testing.T, n int, words ...uint32) (*cfg.Graph, *dataflow.Resolver) {
+	t.Helper()
+	const base = 0x10000
+	text := make([]byte, 4*len(words))
+	for i, w := range words {
+		binary.BigEndian.PutUint32(text[4*i:], w)
+	}
+	dec := mips.NewDecoder()
+	end := uint32(base + 4*n)
+	g, err := cfg.Build(dec, machine.DecodeText(dec, text), base, base, end, []uint32{base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, &dataflow.Resolver{
+		G: g,
+		ReadWord: func(addr uint32) (uint32, bool) {
+			if addr < base || addr-base+4 > uint32(len(text)) {
+				return 0, false
+			}
+			return binary.BigEndian.Uint32(text[addr-base:]), true
+		},
+		InText: func(addr uint32) bool { return addr >= base && addr < base+uint32(len(text)) },
+	}
+}
+
+func mipsWord(t *testing.T) func(uint32, error) uint32 {
+	return func(w uint32, err error) uint32 {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+}
+
+// TestMIPSLoadedJumpUnresolved pins the slicer on a machine without
+// SPARC's field names: "lui; lw; jr" loads its target from writable
+// data, so the jump stays unresolved.  Read through SPARC's rs1, iflag
+// and rs2, every field was missing and read as 0, the zero register,
+// and the jump "resolved" to the literal address 0.
+func TestMIPSLoadedJumpUnresolved(t *testing.T) {
+	w := mipsWord(t)
+	_, r := mipsGraph(t, 4,
+		w(mips.EncodeIU("lui", 8, 0, 0x1234)),
+		w(mips.EncodeI("lw", 9, 8, 0x40)),
+		w(mips.EncodeR("jr", 0, 9, 0)),
+		mips.Nop())
+	res := r.AnalyzeIndirectJumps()
+	if got, ok := res[0x10008]; !ok || got.OK || len(res) != 1 {
+		t.Fatalf("resolutions %+v, want the jump at 0x10008 unresolved", res)
+	}
+}
+
+// TestMIPSDispatchTableResolution resolves the MIPS switch idiom: the
+// table base from lui/addiu, the index scaled by sll, their sum
+// loaded by lw and jumped through by jr.  The table's three entries
+// are the targets; the implausible word after them ends the scan.
+func TestMIPSDispatchTableResolution(t *testing.T) {
+	w := mipsWord(t)
+	const table = 0x10000 + 4*13
+	words := []uint32{
+		w(mips.EncodeIU("lui", 8, 0, table>>16)),
+		w(mips.EncodeI("addiu", 8, 8, table&0xffff)),
+		w(mips.EncodeShift("sll", 9, 4, 2)),
+		w(mips.EncodeR("addu", 8, 8, 9)),
+		w(mips.EncodeI("lw", 10, 8, 0)),
+		w(mips.EncodeR("jr", 0, 10, 0)),
+		mips.Nop(),
+	}
+	var cases []uint32
+	for i := 0; i < 3; i++ {
+		cases = append(cases, 0x10000+4*uint32(len(words)))
+		words = append(words, w(mips.EncodeR("jr", 0, 31, 0)), mips.Nop())
+	}
+	words = append(words, cases...)
+	words = append(words, 0x10002) // misaligned: not a target
+	_, r := mipsGraph(t, 13, words...)
+	res := r.AnalyzeIndirectJumps()
+	got, ok := res[0x10014]
+	if !ok || !got.OK || got.Table.Addr != table || got.Table.Len != 3 || !slices.Equal(got.Targets, cases) {
+		t.Fatalf("resolution %+v, want table %#x with targets %#x", got, table, cases)
 	}
 }

@@ -117,10 +117,3 @@ func (lv *Liveness) DeadAtEdge(e *cfg.Edge) machine.RegSet {
 func (lv *Liveness) DeadBefore(b *cfg.Block, idx int) machine.RegSet {
 	return lv.g.ABI().Scavengeable().Minus(lv.LiveBefore(b, idx))
 }
-
-// CondCodesLiveAtEdge reports whether the integer condition codes
-// are live along e — the inquiry Blizzard's fast-path access test
-// uses (paper §5).
-func (lv *Liveness) CondCodesLiveAtEdge(e *cfg.Edge) bool {
-	return lv.LiveAtEdge(e).Has(machine.RegPSR)
-}

@@ -76,21 +76,11 @@ func (r *Resolver) AnalyzeIndirectJumps() map[uint32]Resolution {
 func (r *Resolver) resolve(ij *cfg.IndirectJump) Resolution {
 	b := ij.Block
 	idx := len(b.Insts) - 1
-	inst := b.Insts[idx].MI
-
-	rs1F, _ := inst.Field("rs1")
-	iflag, _ := inst.Field("iflag")
-	base := r.trace(b, idx, machine.Reg(rs1F), 0)
-
-	var addend sval
-	if iflag == 1 {
-		simm, _ := inst.Field("simm13")
-		addend = sval{kind: svConst, c: signExtend13(simm)}
-	} else {
-		rs2F, _ := inst.Field("rs2")
-		addend = r.trace(b, idx, machine.Reg(rs2F), 0)
+	a, ok := b.Insts[idx].MI.Addr()
+	if !ok {
+		return Resolution{}
 	}
-	v := combineAdd(base, addend)
+	v := combineAdd(r.trace(b, idx, a.Base, 0), r.operand(b, idx, a.HasIndex, a.Index, a.Disp, 0))
 
 	switch v.kind {
 	case svConst:
@@ -139,20 +129,17 @@ func (r *Resolver) scanTable(base uint32, ij *cfg.IndirectJump) ([]uint32, int) 
 }
 
 // findBound searches the jump's block and a short predecessor chain
-// for the bounds-check idiom "subcc idx, N" guarding the switch.
+// for the bounds check guarding the switch: a word that sets the
+// condition codes from idx - N ("subcc idx, N").
 func (r *Resolver) findBound(b *cfg.Block) int {
 	for depth := 0; b != nil && depth < 4; depth++ {
 		for i := len(b.Insts) - 1; i >= 0; i-- {
 			mi := b.Insts[i].MI
-			if mi.Name() != "subcc" {
+			d, ok := mi.Def()
+			if !ok || d.Op != machine.DefSub || d.HasB || !mi.Writes().Has(machine.RegPSR) {
 				continue
 			}
-			if iflag, _ := mi.Field("iflag"); iflag != 1 {
-				continue
-			}
-			simm, _ := mi.Field("simm13")
-			n := int(int32(signExtend13(simm)))
-			if n >= 0 && n < 1<<20 {
+			if n := int(int32(d.K)); n >= 0 && n < 1<<20 {
 				return n + 1
 			}
 		}
@@ -216,36 +203,34 @@ func (r *Resolver) trace(b *cfg.Block, idx int, reg machine.Reg, depth int) sval
 	return result
 }
 
-// evalDef interprets the defining instruction at b.Insts[i]
-// symbolically.
+// evalDef interprets the definition of reg at b.Insts[i] through its
+// Def: constants, adds and ors of known values fold, a shift is a
+// scaled index (whatever its source: the bound comes from the
+// dominating comparison), and a word load reads a table entry or a
+// constant.  A word that also sets the condition codes folds nothing.
 func (r *Resolver) evalDef(b *cfg.Block, i int, reg machine.Reg, depth int) sval {
 	mi := b.Insts[i].MI
-	op2 := func() sval {
-		if iflag, _ := mi.Field("iflag"); iflag == 1 {
-			simm, _ := mi.Field("simm13")
-			return sval{kind: svConst, c: signExtend13(simm)}
-		}
-		rs2, _ := mi.Field("rs2")
-		return r.trace(b, i, machine.Reg(rs2), depth+1)
+	d, ok := mi.Def()
+	if !ok || d.Dst != reg || mi.Writes().Has(machine.RegPSR) {
+		return sval{}
 	}
-	rs1v := func() sval {
-		rs1, _ := mi.Field("rs1")
-		return r.trace(b, i, machine.Reg(rs1), depth+1)
+	arg := func() (sval, sval) {
+		return r.trace(b, i, d.A, depth+1), r.operand(b, i, d.HasB, d.B, d.K, depth+1)
 	}
-	switch mi.Name() {
-	case "sethi":
-		imm, _ := mi.Field("imm22")
-		return sval{kind: svConst, c: imm << 10}
-	case "or":
-		return combineOr(rs1v(), op2())
-	case "add":
-		return combineAdd(rs1v(), op2())
-	case "sll":
-		// A shifted value is a scaled index whatever its source —
-		// the bound comes from the dominating comparison.
+	switch d.Op {
+	case machine.DefConst:
+		return sval{kind: svConst, c: uint32(d.K)}
+	case machine.DefOr:
+		return combineOr(arg())
+	case machine.DefAdd:
+		return combineAdd(arg())
+	case machine.DefShl:
 		return sval{kind: svScaled}
-	case "ld":
-		a := combineAdd(rs1v(), op2())
+	case machine.DefLoad:
+		if d.Width != 4 {
+			return sval{}
+		}
+		a := combineAdd(arg())
 		switch a.kind {
 		case svTable:
 			return a // load of table entry IS the jump target source
@@ -259,9 +244,17 @@ func (r *Resolver) evalDef(b *cfg.Block, i int, reg machine.Reg, depth int) sval
 				}
 			}
 		}
-		return sval{}
 	}
 	return sval{}
+}
+
+// operand is the value of a form's second operand before b.Insts[i]:
+// register x when reg, else the constant k.
+func (r *Resolver) operand(b *cfg.Block, i int, reg bool, x machine.Reg, k int64, depth int) sval {
+	if reg {
+		return r.trace(b, i, x, depth)
+	}
+	return sval{kind: svConst, c: uint32(k)}
 }
 
 func combineAdd(a, b sval) sval {
@@ -292,10 +285,6 @@ func combineOr(a, b sval) sval {
 		return a
 	}
 	return sval{}
-}
-
-func signExtend13(v uint32) uint32 {
-	return uint32(int32(v<<19) >> 19)
 }
 
 // SliceMark classifies an instruction in a backward slice, following

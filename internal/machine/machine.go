@@ -287,6 +287,45 @@ func (f FieldVals) Get(name string) (uint32, bool) {
 	return 0, false
 }
 
+// Addr is an address operand a decoder derived from a word's
+// semantics: Base plus Index when HasIndex, else Base plus Disp.  It
+// is the first address a load or store touches, or an indirect
+// transfer's target.
+type Addr struct {
+	Disp        int64
+	Base, Index Reg
+	// Link is the register an indirect transfer writes its return
+	// address to (the hardwired zero included); Data is the register
+	// whose value the word's first memory write stores.
+	Link, Data                 Reg
+	HasIndex, HasLink, HasData bool
+}
+
+// DefOp is the operation of a Def.
+type DefOp uint8
+
+// Def operations.  B stands for register B when HasB, else K.
+const (
+	DefNone  DefOp = iota
+	DefConst       // K
+	DefAdd         // A + B
+	DefSub         // A - B
+	DefOr          // A | B
+	DefShl         // A << (B mod 32), rtl's shl
+	DefLoad        // M[A + B]{Width}, zero-extended
+)
+
+// Def is what a word's one integer-register assignment computes,
+// derived by a decoder from the word's semantics.  Dst may be the
+// hardwired zero.
+type Def struct {
+	K         int64
+	Dst, A, B Reg
+	Op        DefOp
+	HasB      bool
+	Width     uint8
+}
+
 // InstSpec carries everything a decoder derived for an instruction
 // word; NewInst freezes it into an immutable Inst.
 type InstSpec struct {
@@ -307,6 +346,11 @@ type InstSpec struct {
 	// Fields holds the decoded instruction-field values (rd, rs1,
 	// simm13, ...) for machine-specific glue and snippet editing.
 	Fields FieldVals
+	// Addr, when HasAddr, and Def, when its Op is not DefNone, are
+	// the word's operand forms.
+	Addr    Addr
+	HasAddr bool
+	Def     Def
 	// Sem is an opaque handle on the instruction's register-transfer
 	// semantics, consumed by the emulator.  Analyses never touch it.
 	Sem any
@@ -373,6 +417,16 @@ func (i *Inst) StaticTarget(pc uint32) (target uint32, ok bool) {
 
 // Field returns the named decoded instruction field.
 func (i *Inst) Field(name string) (uint32, bool) { return i.spec.Fields.Get(name) }
+
+// Addr returns the word's address operand; ok is false when the word
+// has none, or when its address is not a register plus a register or
+// a constant (Alpha's jmp masks its target).
+func (i *Inst) Addr() (a Addr, ok bool) { return i.spec.Addr, i.spec.HasAddr }
+
+// Def returns what the word's integer-register assignment computes;
+// ok is false when the word has no such single assignment, or when
+// its value has no Def form.
+func (i *Inst) Def() (d Def, ok bool) { return i.spec.Def, i.spec.Def.Op != DefNone }
 
 // Fields returns all decoded fields, in name order.
 func (i *Inst) Fields() []Field {

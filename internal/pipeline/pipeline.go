@@ -112,16 +112,6 @@ type Result struct {
 	Stats    Stats
 }
 
-// ByName returns the bundle for the named routine, or nil.
-func (res *Result) ByName(name string) *RoutineAnalysis {
-	for _, a := range res.Analyses {
-		if a.Routine.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // AnalyzeAll analyzes every routine of e concurrently and returns the
 // bundles in routine order.  The result is deterministic: any worker
 // count produces the same analyses in the same order as a sequential

@@ -421,7 +421,7 @@ func (c *compiler) stmt(n Node, out *[]stmtFn) error {
 		}
 		return &CompileError{x, "identifier is not a statement"}
 	case Apply:
-		fn, args := spine(x)
+		fn, args := Spine(x)
 		if id, ok := fn.(Ident); ok && id.Name == "trap" && len(args) == 1 {
 			arg, err := c.expr(args[0])
 			if err != nil {
@@ -952,7 +952,7 @@ func (c *compiler) bin(x Bin) (cexpr, error) {
 }
 
 func (c *compiler) applyExpr(x Apply) (cexpr, error) {
-	fn, args := spine(x)
+	fn, args := Spine(x)
 	switch f := fn.(type) {
 	case Sym:
 		if len(args) != 1 {

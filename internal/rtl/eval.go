@@ -3,6 +3,7 @@ package rtl
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Machine is the environment an RTL semantic expression executes
@@ -180,7 +181,7 @@ func (ev *evaluator) stmt(n Node) ([]pendingWrite, error) {
 		}
 		return nil, &EvalError{x, "identifier is not a statement"}
 	case Apply:
-		fn, args := spine(x)
+		fn, args := Spine(x)
 		if id, ok := fn.(Ident); ok && id.Name == "trap" && len(args) == 1 {
 			v, err := ev.expr(args[0])
 			if err != nil {
@@ -387,9 +388,10 @@ func (ev *evaluator) bin(x Bin) (uint64, error) {
 	return 0, &EvalError{x, "unknown operator " + x.Op}
 }
 
-// apply evaluates builtin applications and condition tests.
+// apply evaluates builtin applications and condition tests.  It
+// allocates nothing unless it fails.
 func (ev *evaluator) apply(x Apply) (uint64, error) {
-	fn, args := spine(x)
+	fn, args := Spine(x)
 	switch f := fn.(type) {
 	case Sym:
 		if len(args) != 1 {
@@ -407,28 +409,25 @@ func (ev *evaluator) apply(x Apply) (uint64, error) {
 	}
 }
 
-// spine flattens nested Apply nodes into the head function and its
+// Spine flattens nested Apply nodes into the head function and its
 // argument list.
-func spine(n Node) (Node, []Node) {
-	var args []Node
-	for {
-		a, ok := n.(Apply)
-		if !ok {
-			return n, args
-		}
-		args = append([]Node{a.Arg}, args...)
-		n = a.Fn
+func Spine(n Node) (Node, []Node) {
+	args := make([]Node, 0, 4)
+	for a, ok := n.(Apply); ok; a, ok = n.(Apply) {
+		args, n = append(args, a.Arg), a.Fn
 	}
+	slices.Reverse(args)
+	return n, args
 }
 
-func (ev *evaluator) builtin(name string, args []Node, at Node) (uint64, error) {
-	vals := make([]uint64, len(args))
-	for i, a := range args {
+func (ev *evaluator) builtin(name string, args []Node, at Apply) (uint64, error) {
+	vals := make([]uint64, 0, 4)
+	for _, a := range args {
 		v, err := ev.expr(a)
 		if err != nil {
 			return 0, err
 		}
-		vals[i] = v
+		vals = append(vals, v)
 	}
 	if f, ok := builtins1[name]; ok {
 		return need(1, vals, at, func() uint64 { return f(vals[0]) })
@@ -465,7 +464,7 @@ func (ev *evaluator) builtin(name string, args []Node, at Node) (uint64, error) 
 		}
 		return v, nil
 	case "winsave", "winrestore":
-		return 0, ev.special(name, vals)
+		return 0, ev.special(name, slices.Clone(vals))
 	}
 	return 0, &EvalError{at, "unknown builtin " + name}
 }
@@ -486,7 +485,7 @@ type SpecialMachine interface {
 	Special(name string, args []uint64) error
 }
 
-func need(n int, vals []uint64, at Node, f func() uint64) (uint64, error) {
+func need(n int, vals []uint64, at Apply, f func() uint64) (uint64, error) {
 	if len(vals) != n {
 		return 0, &EvalError{at, fmt.Sprintf("builtin wants %d arguments, got %d", n, len(vals))}
 	}

@@ -37,16 +37,6 @@ func Parse(src string) (Node, error) {
 	return UnwrapSeq(n), nil
 }
 
-// MustParse is Parse for known-good inputs (tests, embedded
-// descriptions validated at init); it panics on error.
-func MustParse(src string) Node {
-	n, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 func (p *parser) peek() token { return p.toks[p.pos] }
 
 // next consumes a token; the EOF sentinel is sticky so error paths

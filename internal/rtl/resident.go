@@ -138,7 +138,7 @@ func LowerCC(sem Node, env CompileEnv) (p CCPair, ok bool) {
 	if !ok {
 		return p, false
 	}
-	fn, args := spine(ap)
+	fn, args := Spine(ap)
 	id, _ := fn.(Ident)
 	kind, logic := ccKinds[id.Name], id.Name == "cc_logic"
 	c := newCompiler(env)
@@ -440,7 +440,7 @@ func (w *xferWalk) stmt(n Node, step, in int) error {
 // the lazy flags first when it reads an extended slot.
 func (c *compiler) pred(n Node, cc uint8, ccReg int64) (func(*Ctx) bool, error) {
 	if x, ok := UnwrapSeq(n).(Apply); ok && cc != ccNone {
-		fn, args := spine(x)
+		fn, args := Spine(x)
 		if sym, ok := fn.(Sym); ok && len(args) == 1 {
 			if s, ok := c.regRef(args[0]); ok && int64(s) == ccReg {
 				if p := fusedPred(cc, sym.Name); p != nil {

@@ -168,7 +168,7 @@ func TestParseMemRef(t *testing.T) {
 
 func TestParseMultiArgCall(t *testing.T) {
 	n := parse(t, "cc_add(a, b)")
-	fn, args := spine(n)
+	fn, args := Spine(n)
 	if id, ok := fn.(Ident); !ok || id.Name != "cc_add" {
 		t.Fatalf("fn = %v", fn)
 	}

@@ -48,10 +48,6 @@ func (c *CPU) EnableProfile() *Profile {
 	return p
 }
 
-// DisableProfile detaches the profile; execution reverts to the
-// unobserved fast path.
-func (c *CPU) DisableProfile() { c.prof = nil }
-
 // record notes one executed instruction; transfer reports whether it
 // scheduled a control transfer (immediate or delayed).
 func (p *Profile) record(pc uint32, inst *machine.Inst, transfer bool) {
@@ -87,10 +83,6 @@ func (p *Profile) Range(fn func(pc uint32, count uint64)) {
 		}
 	}
 }
-
-// BlockEnters returns the superblock-entry counts (anchor pc →
-// enters); empty when the run never used the translation cache.
-func (p *Profile) BlockEnters() map[uint32]uint64 { return p.blockEnters }
 
 // Publish exports the profile's distributions into reg: log-scale
 // hotness histograms over per-pc and per-superblock counts

@@ -23,6 +23,15 @@ func EncodeOp3Imm(name string, rd, rs1 machine.Reg, imm int32) (uint32, error) {
 	return desc.Encode(name, spawn.Set("rd", rd), spawn.Set("rs1", rs1), spawn.Set("iflag", 1), spawn.Set("simm13", imm))
 }
 
+// EncodeAddr encodes name with rd and the address operand a: rs1 is
+// a's base, and rs2 its index or simm13 its displacement.
+func EncodeAddr(name string, rd machine.Reg, a machine.Addr) (uint32, error) {
+	if a.HasIndex {
+		return EncodeOp3(name, rd, a.Base, a.Index)
+	}
+	return EncodeOp3Imm(name, rd, a.Base, int32(a.Disp))
+}
+
 // EncodeSethi encodes "sethi %hi(value), rd": the imm22 field holds
 // value's upper 22 bits.
 func EncodeSethi(rd machine.Reg, value uint32) (uint32, error) {

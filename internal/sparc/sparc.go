@@ -228,21 +228,18 @@ func NewDecoder() *spawn.TableDecoder {
 func Glue(def *spawn.InstDef, fields machine.FieldVals, spec machine.InstSpec) machine.InstSpec {
 	switch def.Name {
 	case "jmpl":
-		rd, _ := fields.Get("rd")
-		rs1, _ := fields.Get("rs1")
-		iflag, _ := fields.Get("iflag")
-		simm, _ := fields.Get("simm13")
+		a := spec.Addr
 		switch {
-		case rd == 15:
+		case a.Link == RegO7:
 			spec.Cat = machine.CatCallIndirect
-		case rd == 0 && iflag == 1 && simm == 8 && (rs1 == 15 || rs1 == 31):
+		case a.Link == RegG0 && !a.HasIndex && a.Disp == 8 && (a.Base == RegO7 || a.Base == RegI7):
 			spec.Cat = machine.CatReturn
-		case rd == 0 && rs1 == 0 && iflag == 1:
+		case a.Link == RegG0 && a.Base == RegG0 && !a.HasIndex:
 			// Jump to a literal address ("IS LITERAL && READ 1 == 0"
 			// in Fig 6): spawn already proved the target static via
 			// the hardwired zero.
 			spec.Cat = machine.CatJumpDirect
-		case rd == 0:
+		case a.Link == RegG0:
 			spec.Cat = machine.CatJumpIndirect
 		default:
 			// Link into an unusual register: an indirect jump that

@@ -49,6 +49,12 @@ type Effects struct {
 	// Faults marks an instruction whose execution can fail: a memory
 	// access, a trap, or a division.
 	Faults bool
+
+	// Addr (when HasAddr) and Def are the word's operand forms
+	// (machine.Inst's Addr and Def).
+	Addr    machine.Addr
+	HasAddr bool
+	Def     machine.Def
 }
 
 // MemWidth returns the instruction's access width in bytes (paper
@@ -261,40 +267,13 @@ func (d *Desc) allIntRegs() machine.RegSet {
 // machine state return rtl.ErrDynamic.  It is how spawn asks "is
 // this value computable without running the program?".
 type fieldMachine struct {
-	d      *Desc
-	fields machine.FieldVals
+	InstSem
 	pc     uint64
 	zeroOK bool
 }
 
-func (m *fieldMachine) Field(name string) (int64, bool) {
-	v, ok := m.fields.Get(name)
-	return int64(v), ok
-}
-
-func (m *fieldMachine) FieldWidth(name string) (int, bool) {
-	f, ok := m.d.fieldByName[name]
-	if !ok {
-		return 0, false
-	}
-	return f.Width(), true
-}
-
-func (m *fieldMachine) RegAlias(name string) (string, int64, bool) {
-	a, ok := m.d.aliasByName[name]
-	if !ok {
-		return "", 0, false
-	}
-	return a.File, a.Index, true
-}
-
-func (m *fieldMachine) IsRegFile(name string) bool {
-	rf, ok := m.d.fileByName[name]
-	return ok && rf.Count > 0
-}
-
 func (m *fieldMachine) ReadReg(file string, idx int64) (uint64, error) {
-	if m.zeroOK && m.d.isZeroReg(file, idx) {
+	if m.zeroOK && m.Desc.isZeroReg(file, idx) {
 		return 0, nil
 	}
 	return 0, rtl.ErrDynamic
@@ -306,9 +285,7 @@ func (m *fieldMachine) ReadMem(uint64, int) (uint64, error) { return 0, rtl.ErrD
 
 func (m *fieldMachine) WriteMem(uint64, int, uint64) error { return nil }
 
-func (m *fieldMachine) PC() uint64 {
-	return m.pc
-}
+func (m *fieldMachine) PC() uint64 { return m.pc }
 
 func (m *fieldMachine) SetPC(uint64, bool) {}
 func (m *fieldMachine) Annul()             {}
@@ -320,7 +297,7 @@ func (m *fieldMachine) Trap(uint64) error  { return nil }
 // hardwired zero register to a literal address).  ok is false when
 // the target depends on run-time register contents.
 func (d *Desc) StaticTarget(def *InstDef, fields machine.FieldVals, pc uint32) (uint32, bool) {
-	fm := &fieldMachine{d: d, fields: fields, pc: uint64(pc), zeroOK: true}
+	fm := &fieldMachine{InstSem: InstSem{Desc: d, Fields: fields}, pc: uint64(pc), zeroOK: true}
 	ev := rtl.NewExprEvaluator(fm)
 	target, found := d.walkTarget(def.Sem, ev)
 	if !found {
@@ -384,35 +361,48 @@ func (d *Desc) walkTarget(n rtl.Node, ev *rtl.ExprEvaluator) (uint64, bool) {
 
 // effWalker accumulates Effects over a semantic AST.
 type effWalker struct {
-	d     *Desc
-	ev    *rtl.ExprEvaluator
-	fm    *fieldMachine
-	eff   *Effects
-	temps map[string]bool
+	d   *Desc
+	ev  *rtl.ExprEvaluator
+	fm  *fieldMachine
+	eff *Effects
+	// temps maps each temporary to the form of its value.
+	temps map[string]machine.Def
 	step  int
 	cond  bool // under a run-time-conditional guard
 	root  bool // outermost Seq defines sequential steps
+
+	// The operand forms: accessed and stored mark the first memory
+	// access and the first memory write; regWrites counts register
+	// writes other than the condition codes, and def holds the first
+	// integer one's form.
+	accessed, stored bool
+	regWrites        int
+	def              machine.Def
 }
 
 // EffectsFor derives the exact effects of definition def specialized
 // by the given field values.
 func (d *Desc) EffectsFor(def *InstDef, fields machine.FieldVals) Effects {
-	fm := &fieldMachine{d: d, fields: fields, zeroOK: false}
+	fm := &fieldMachine{InstSem: InstSem{Def: def, Desc: d, Fields: fields}}
 	w := &effWalker{
 		d:     d,
 		ev:    rtl.NewExprEvaluator(fm),
 		fm:    fm,
 		eff:   &Effects{},
-		temps: map[string]bool{},
+		temps: map[string]machine.Def{},
 		root:  true,
 	}
 	w.stmt(def.Sem)
-	if w.eff.Barrier {
-		all := d.allIntRegs()
-		w.eff.Reads = w.eff.Reads.Union(all)
-		w.eff.Writes = w.eff.Writes.Union(all)
+	e := w.eff
+	if w.regWrites == 1 && !e.WritesMem && !e.WritesPC && !e.Trap && !e.Annul && !e.Barrier {
+		e.Def = w.def
 	}
-	return *w.eff
+	if e.Barrier {
+		all := d.allIntRegs()
+		e.Reads = e.Reads.Union(all)
+		e.Writes = e.Writes.Union(all)
+	}
+	return *e
 }
 
 func (w *effWalker) stmt(n rtl.Node) {
@@ -448,7 +438,7 @@ func (w *effWalker) stmt(n rtl.Node) {
 			}
 			return
 		}
-		w.exprReads(x.C)
+		w.expr(x.C)
 		saved := w.cond
 		w.cond = true
 		w.stmt(x.T)
@@ -461,7 +451,7 @@ func (w *effWalker) stmt(n rtl.Node) {
 			w.eff.Annul = true
 		}
 	case rtl.Apply:
-		fn, args := applySpine(x)
+		fn, args := rtl.Spine(x)
 		if id, ok := fn.(rtl.Ident); ok {
 			switch {
 			case id.Name == "trap":
@@ -471,13 +461,13 @@ func (w *effWalker) stmt(n rtl.Node) {
 			}
 		}
 		for _, a := range args {
-			w.exprReads(a)
+			w.expr(a)
 		}
 	}
 }
 
 func (w *effWalker) assign(x rtl.Assign) {
-	w.exprReads(x.RHS)
+	v := w.expr(x.RHS)
 	switch lhs := rtl.UnwrapSeq(x.LHS).(type) {
 	case rtl.Ident:
 		if lhs.Name == "pc" {
@@ -488,19 +478,25 @@ func (w *effWalker) assign(x rtl.Assign) {
 			if w.step > 0 {
 				w.eff.LatePC = true
 			}
+			if !w.accessed && !w.cond {
+				w.addr(v)
+			}
 			return
 		}
 		if a, ok := w.d.aliasByName[lhs.Name]; ok {
-			w.writeReg(a.File, a.Index, x.RHS)
+			w.writeReg(a.File, a.Index, v)
 			return
 		}
-		if _, isField := w.fm.fields.Get(lhs.Name); isField {
+		if _, isField := w.fm.Fields.Get(lhs.Name); isField {
 			return // malformed; field writes are rejected at execution
 		}
-		// Temporary: evaluate for later guard resolution.
-		w.temps[lhs.Name] = true
-		if v, err := w.ev.Eval(x.RHS); err == nil {
-			w.ev.SetTemp(lhs.Name, v)
+		// Temporary: a constant is bound for later guard resolution.
+		if w.cond {
+			v = machine.Def{}
+		}
+		w.temps[lhs.Name] = v
+		if v.Op == machine.DefConst {
+			w.ev.SetTemp(lhs.Name, uint64(v.K))
 		}
 	case rtl.Index:
 		base, ok := lhs.Base.(rtl.Ident)
@@ -510,11 +506,15 @@ func (w *effWalker) assign(x rtl.Assign) {
 		if base.Name == "M" {
 			w.eff.WritesMem, w.eff.Faults = true, true
 			w.eff.WriteBytes += w.widthOf(lhs)
-			w.exprReads(lhs.Elem)
+			if !w.stored && !w.cond && isReg(v) {
+				w.eff.Addr.Data, w.eff.Addr.HasData = v.A, true
+			}
+			w.stored = true
+			w.access(w.expr(lhs.Elem))
 			return
 		}
 		if idx, err := w.ev.Eval(lhs.Elem); err == nil {
-			w.writeReg(base.Name, int64(idx), x.RHS)
+			w.writeReg(base.Name, int64(idx), v)
 		} else {
 			// Register index not field-computable: conservatively
 			// touch the whole file.
@@ -523,37 +523,30 @@ func (w *effWalker) assign(x rtl.Assign) {
 	}
 }
 
-func (w *effWalker) writeReg(file string, idx int64, rhs rtl.Node) {
-	if w.d.isZeroReg(file, idx) {
-		return
-	}
+// writeReg records a write of v to register idx of file.  A write
+// of pc + K (SPARC call's pc, MIPS jal's pc + 8) is a link.
+func (w *effWalker) writeReg(file string, idx int64, v machine.Def) {
 	r, ok := w.d.MachineReg(file, idx)
 	if !ok {
 		return
 	}
+	link := v.Op == machine.DefAdd && v.A == machine.RegPC && !v.HasB
+	if link {
+		w.eff.Addr.Link, w.eff.Addr.HasLink = r, true
+	}
+	if r != machine.RegPSR {
+		if w.regWrites++; w.regWrites == 1 && r.IsInt() && !w.cond {
+			w.def = v
+			w.def.Dst = r
+		}
+	}
+	if w.d.isZeroReg(file, idx) {
+		return
+	}
 	w.eff.Writes = w.eff.Writes.Add(r)
-	if isPCValue(rtl.UnwrapSeq(rhs)) {
-		w.eff.Link = r
-		w.eff.HasLink = true
+	if link {
+		w.eff.Link, w.eff.HasLink = r, true
 	}
-}
-
-// isPCValue recognizes a return-address expression: pc itself (SPARC
-// call/jmpl) or pc plus a constant (MIPS jal's pc+8).
-func isPCValue(n rtl.Node) bool {
-	if id, ok := n.(rtl.Ident); ok {
-		return id.Name == "pc"
-	}
-	if b, ok := n.(rtl.Bin); ok && b.Op == "+" {
-		l, r := rtl.UnwrapSeq(b.L), rtl.UnwrapSeq(b.R)
-		if _, isNum := r.(rtl.Num); isNum {
-			return isPCValue(l)
-		}
-		if _, isNum := l.(rtl.Num); isNum {
-			return isPCValue(r)
-		}
-	}
-	return false
 }
 
 func (w *effWalker) widthOf(ix rtl.Index) int {
@@ -566,105 +559,174 @@ func (w *effWalker) widthOf(ix rtl.Index) int {
 	return 4
 }
 
-func (w *effWalker) exprReads(n rtl.Node) {
-	switch x := rtl.UnwrapSeq(n).(type) {
-	case nil, rtl.Num, rtl.Sym:
+// expr records what evaluating n reads and returns the operand form
+// of its value, with Dst unset: a constant when n reads only fields;
+// a register R, pc included, as R + 0; A op B for +, -, | and shl,
+// with A a register and B a register or a constant; a load from
+// A + B.  Anything else has no form (DefNone).
+func (w *effWalker) expr(n rtl.Node) machine.Def {
+	var none machine.Def
+	n = rtl.UnwrapSeq(n)
+	switch x := n.(type) {
+	case rtl.Num:
+		return machine.Def{Op: machine.DefConst, K: x.Val}
 	case rtl.Ident:
-		if x.Name == "pc" || w.temps[x.Name] {
-			return
+		if t, ok := w.temps[x.Name]; ok {
+			return t
 		}
-		if _, isField := w.fm.fields.Get(x.Name); isField {
-			return
+		if x.Name == "pc" {
+			return machine.Def{Op: machine.DefAdd, A: machine.RegPC}
+		}
+		if v, ok := w.fm.Fields.Get(x.Name); ok {
+			return machine.Def{Op: machine.DefConst, K: int64(v)}
 		}
 		if a, ok := w.d.aliasByName[x.Name]; ok {
-			w.readReg(a.File, a.Index)
+			return w.readReg(a.File, a.Index)
 		}
 	case rtl.Index:
 		base, ok := x.Base.(rtl.Ident)
 		if !ok {
-			return
+			return none
 		}
 		if base.Name == "M" {
 			w.eff.ReadsMem, w.eff.Faults = true, true
-			w.eff.ReadBytes += w.widthOf(x)
-			w.exprReads(x.Elem)
-			return
+			width := w.widthOf(x)
+			w.eff.ReadBytes += width
+			a := w.expr(x.Elem)
+			w.access(a)
+			if !isAddr(a) {
+				return none
+			}
+			a.Op, a.Width = machine.DefLoad, uint8(width)
+			return a
 		}
 		if idx, err := w.ev.Eval(x.Elem); err == nil {
-			w.readReg(base.Name, int64(idx))
-		} else {
-			w.eff.Barrier = true
+			return w.readReg(base.Name, int64(idx))
 		}
+		w.eff.Barrier = true
 	case rtl.Bin:
 		if x.Op == "/" || x.Op == "%" {
 			w.eff.Faults = true
 		}
-		w.exprReads(x.L)
-		w.exprReads(x.R)
+		return w.combine(n, binDefOps[x.Op], w.expr(x.L), w.expr(x.R))
 	case rtl.Un:
-		w.exprReads(x.X)
+		if w.expr(x.X).Op == machine.DefConst {
+			return w.fold(n)
+		}
 	case rtl.Cond:
 		if c, err := w.ev.Eval(x.C); err == nil {
 			if c != 0 {
-				w.exprReads(x.T)
+				return w.expr(x.T)
 			} else if x.F != nil {
-				w.exprReads(x.F)
+				return w.expr(x.F)
 			}
-			return
+			return none
 		}
-		w.exprReads(x.C)
-		w.exprReads(x.T)
+		w.expr(x.C)
+		saved := w.cond
+		w.cond = true
+		w.expr(x.T)
 		if x.F != nil {
-			w.exprReads(x.F)
+			w.expr(x.F)
 		}
+		w.cond = saved
 	case rtl.Apply:
-		fn, args := applySpine(x)
-		if id, ok := fn.(rtl.Ident); ok {
-			switch {
-			case isWindowOp(id.Name):
-				w.eff.Barrier = true
-			case id.Name == "udiv" || id.Name == "sdiv" || id.Name == "urem" || id.Name == "srem":
-				w.eff.Faults = true
-			}
+		fn, args := rtl.Spine(x)
+		id, _ := fn.(rtl.Ident)
+		switch {
+		case isWindowOp(id.Name):
+			w.eff.Barrier = true
+		case id.Name == "udiv" || id.Name == "sdiv" || id.Name == "urem" || id.Name == "srem":
+			w.eff.Faults = true
+		case id.Name == "shl" && len(args) == 2:
+			return w.combine(n, machine.DefShl, w.expr(args[0]), w.expr(args[1]))
 		}
+		konst := true
 		for _, a := range args {
-			w.exprReads(a)
+			konst = w.expr(a).Op == machine.DefConst && konst
+		}
+		if konst {
+			return w.fold(n)
 		}
 	case rtl.Seq:
 		for _, step := range x.Steps {
 			for _, op := range step {
-				w.exprReads(op)
+				w.expr(op)
 			}
 		}
 	}
+	return none
 }
 
-func (w *effWalker) readReg(file string, idx int64) {
-	if w.d.isZeroReg(file, idx) {
-		return
+// access records the address of the word's first memory access.
+func (w *effWalker) access(a machine.Def) {
+	if !w.accessed && !w.cond {
+		w.addr(a)
 	}
-	if r, ok := w.d.MachineReg(file, idx); ok {
+	w.accessed = true
+}
+
+// addr makes t the word's address operand, when it is one.
+func (w *effWalker) addr(t machine.Def) {
+	if isAddr(t) {
+		a := &w.eff.Addr
+		a.Base, a.Index, a.HasIndex, a.Disp, w.eff.HasAddr = t.A, t.B, t.HasB, t.K, true
+	}
+}
+
+// binDefOps names the binary operators a Def can carry.
+var binDefOps = map[string]machine.DefOp{"+": machine.DefAdd, "-": machine.DefSub, "|": machine.DefOr}
+
+// combine forms n = l op r: a constant when both sides are, else
+// A op B with l the register A and r the register or constant B.
+func (w *effWalker) combine(n rtl.Node, op machine.DefOp, l, r machine.Def) machine.Def {
+	if l.Op == machine.DefConst && r.Op == machine.DefConst {
+		return w.fold(n)
+	}
+	switch {
+	case op == machine.DefNone || !isReg(l):
+		return machine.Def{}
+	case r.Op == machine.DefConst:
+		return machine.Def{Op: op, A: l.A, K: r.K}
+	case isReg(r):
+		return machine.Def{Op: op, A: l.A, B: r.A, HasB: true}
+	}
+	return machine.Def{}
+}
+
+// fold evaluates n, whose operands are constants, to a constant.
+func (w *effWalker) fold(n rtl.Node) machine.Def {
+	v, err := w.ev.Eval(n)
+	if err != nil {
+		return machine.Def{}
+	}
+	return machine.Def{Op: machine.DefConst, K: int64(v)}
+}
+
+// isReg reports whether t is a bare register.
+func isReg(t machine.Def) bool { return t.Op == machine.DefAdd && !t.HasB && t.K == 0 }
+
+// isAddr reports whether t is a register plus a register or a
+// constant, pc + K excluded.
+func isAddr(t machine.Def) bool { return t.Op == machine.DefAdd && t.A != machine.RegPC }
+
+// readReg records a read of register idx of file and returns the
+// register's form, R + 0.
+func (w *effWalker) readReg(file string, idx int64) machine.Def {
+	r, ok := w.d.MachineReg(file, idx)
+	if !ok {
+		return machine.Def{}
+	}
+	if !w.d.isZeroReg(file, idx) {
 		w.eff.Reads = w.eff.Reads.Add(r)
 	}
+	return machine.Def{Op: machine.DefAdd, A: r}
 }
 
 // isWindowOp names the register-window operations.  Their effects are
 // a barrier over the integer file, and a field passed to one bare
 // (save's rd) is an index into that file (fieldUses).
 func isWindowOp(name string) bool { return name == "winsave" || name == "winrestore" }
-
-// applySpine flattens nested applications into head + arguments.
-func applySpine(n rtl.Node) (rtl.Node, []rtl.Node) {
-	var args []rtl.Node
-	for {
-		a, ok := n.(rtl.Apply)
-		if !ok {
-			return n, args
-		}
-		args = append([]rtl.Node{a.Arg}, args...)
-		n = a.Fn
-	}
-}
 
 // ErrNoSem reports execution of an undecodable word.
 var ErrNoSem = errors.New("spawn: word has no instruction semantics")

@@ -30,11 +30,11 @@ const memoBits = 16
 // MemoSlots is the number of slots in a Memo.  It holds the ~12 k
 // distinct words of sixteen 120-routine binaries at a 94% hit share,
 // and it bounds a memo at the slot array (512 KiB) plus MemoSlots
-// entries of ≈ 270 B each (the 240-byte entry with its instruction and
-// semantics handle, and its share of field values and target
-// functions, measured over eight 120-routine SPARC binaries),
-// ≈ 17.5 MiB, however many distinct words a long-running process
-// decodes.
+// entries of ≈ 326 B each (the 296-byte entry with its instruction,
+// operand forms and semantics handle, plus the ≈ 30 B share of field
+// values and target functions measured over eight 120-routine SPARC
+// binaries), ≈ 21 MiB, however many distinct words a long-running
+// process decodes.
 const MemoSlots = 1 << memoBits
 
 // Memo is a fixed-size, direct-mapped memo of decoded instructions for
@@ -173,6 +173,7 @@ func (m *Memo) derive(word uint32) *memoEntry {
 		spec.Target = func(pc uint32) (uint32, bool) { return d.StaticTarget(def, fields, pc) }
 	}
 	spec.Fields = fields
+	spec.Addr, spec.HasAddr, spec.Def = eff.Addr, eff.HasAddr, eff.Def
 	if m.glue != nil {
 		spec = m.glue(def, fields, spec)
 	}
@@ -305,7 +306,7 @@ func (t *TableDecoder) Compiled(s *InstSem) (*rtl.Prog, error) {
 		// registry tick so JIT warm-up is visible in -trace output.
 		sp := telemetry.ActiveTracer().Begin("rtl.compile "+s.Def.Name, "rtl")
 		telemetry.Default().Counter("rtl.compiles").Add(1)
-		c.prog, c.err = rtl.Compile(s.Def.Sem, semCompileEnv{s})
+		c.prog, c.err = rtl.Compile(s.Def.Sem, s)
 		sp.End()
 		c.done = true
 		t.codes[s.word] = c
@@ -327,7 +328,7 @@ func (t *TableDecoder) CompiledDirect(s *InstSem) *rtl.Direct {
 	c := t.codes[s.word]
 	if !c.directDone {
 		telemetry.Default().Counter("rtl.compiles_direct").Add(1)
-		c.direct, _ = rtl.CompileDirect(s.Def.Sem, semCompileEnv{s}, nil)
+		c.direct, _ = rtl.CompileDirect(s.Def.Sem, s, nil)
 		c.directDone = true
 		t.codes[s.word] = c
 	}
@@ -345,7 +346,7 @@ func (t *TableDecoder) CompiledDirectAt(s *InstSem, pc uint32) *rtl.Direct {
 	}
 	telemetry.Default().Counter("rtl.compiles_direct").Add(1)
 	at := uint64(pc)
-	d, _ = rtl.CompileDirect(s.Def.Sem, semCompileEnv{s}, &at)
+	d, _ = rtl.CompileDirect(s.Def.Sem, s, &at)
 	return d
 }
 
@@ -368,37 +369,38 @@ type InstSem struct {
 // CompileEnv returns the rtl.CompileEnv the instruction's semantics
 // lower against: this word's field values and the description's
 // register model.
-func (s *InstSem) CompileEnv() rtl.CompileEnv { return semCompileEnv{s} }
+func (s *InstSem) CompileEnv() rtl.CompileEnv { return s }
 
-// semCompileEnv adapts an InstSem to rtl.CompileEnv: field values
-// come from the decoded word, the register model from the
-// description.
-type semCompileEnv struct{ s *InstSem }
-
-func (e semCompileEnv) Field(name string) (int64, bool) {
-	v, ok := e.s.Fields.Get(name)
+// Field returns the word's value of the named field.
+func (s *InstSem) Field(name string) (int64, bool) {
+	v, ok := s.Fields.Get(name)
 	return int64(v), ok
 }
 
-func (e semCompileEnv) FieldWidth(name string) (int, bool) {
-	f, ok := e.s.Desc.Field(name)
+// FieldWidth returns the named field's width in bits.
+func (s *InstSem) FieldWidth(name string) (int, bool) {
+	f, ok := s.Desc.Field(name)
 	if !ok {
 		return 0, false
 	}
 	return f.Width(), true
 }
 
-func (e semCompileEnv) RegAlias(name string) (string, int64, bool) {
-	a, ok := e.s.Desc.AliasFor(name)
+// RegAlias resolves a named register to its file and index.
+func (s *InstSem) RegAlias(name string) (string, int64, bool) {
+	a, ok := s.Desc.AliasFor(name)
 	if !ok {
 		return "", 0, false
 	}
 	return a.File, a.Index, true
 }
 
-func (e semCompileEnv) IsRegFile(name string) bool {
-	rf, ok := e.s.Desc.File(name)
+// IsRegFile reports whether name is one of the description's
+// register files.
+func (s *InstSem) IsRegFile(name string) bool {
+	rf, ok := s.Desc.File(name)
 	return ok && rf.Count > 0
 }
 
-func (e semCompileEnv) Layout() *rtl.RegLayout { return e.s.Desc.layout }
+// Layout returns the description's register layout.
+func (s *InstSem) Layout() *rtl.RegLayout { return s.Desc.layout }

@@ -234,7 +234,7 @@ func (d *Desc) fieldUses(def *InstDef) (map[string]*fieldUse, error) {
 				rtl.Walk(x.Elem, func(m rtl.Node) { note(m, Register, base.Name) })
 			}
 		case rtl.Apply:
-			fn, args := applySpine(x)
+			fn, args := rtl.Spine(x)
 			head, _ := fn.(rtl.Ident)
 			for _, a := range args {
 				switch {
@@ -360,7 +360,7 @@ func (d *Desc) displacement(def *InstDef) *Displacement {
 	}
 	const pc = 0x1000
 	target := func(fields machine.FieldVals) (uint64, bool) {
-		return d.walkTarget(def.Sem, rtl.NewExprEvaluator(&fieldMachine{d: d, fields: fields, pc: pc}))
+		return d.walkTarget(def.Sem, rtl.NewExprEvaluator(&fieldMachine{InstSem: InstSem{Desc: d, Fields: fields}, pc: pc}))
 	}
 	zero := d.fixedVals(def, true)
 	t0, ok := target(zero)

@@ -18,8 +18,6 @@ func GenerateGo(desc *Desc) string {
 	b.WriteString("var Table = []InstEntry{\n")
 	for _, def := range desc.Insts {
 		eff := def.Info.Effects
-		regs := func(s interface{ Regs() []uint16 }) string { return "" }
-		_ = regs
 		fmt.Fprintf(&b, "\t{\n\t\tName: %q, Mask: 0x%08x, Match: 0x%08x,\n", def.Name, def.Mask, def.Match)
 		fmt.Fprintf(&b, "\t\tCategory: %q, DelaySlots: %d,\n", def.Info.Cat, def.Info.DelaySlots)
 		fmt.Fprintf(&b, "\t\tReads: %s, Writes: %s,\n", regList(eff.Reads.Regs()), regList(eff.Writes.Regs()))

@@ -56,8 +56,8 @@ func definitionSweep(d *spawn.Desc) []uint32 {
 // distinct word of the SPARC and MIPS corpora, and a sweep of every
 // definition on all three ISAs, decoded by a second decoder (so its
 // spec comes from the package memo the first decoder filled) must
-// match a fresh derivation in every spec field, in its target at
-// several pcs, and in its field values.
+// match a fresh derivation in every spec field, operand forms
+// included, in its target at several pcs, and in its field values.
 func TestMemoServedMatchesFresh(t *testing.T) {
 	for _, isa := range []struct {
 		name   string
@@ -82,7 +82,8 @@ func TestMemoServedMatchesFresh(t *testing.T) {
 				got.Reads() != want.Reads || got.Writes() != want.Writes ||
 				got.ReadsMem() != want.ReadsMem || got.WritesMem() != want.WritesMem ||
 				got.MemWidth() != want.MemWidth || got.DelaySlots() != want.DelaySlots ||
-				got.AnnulBit() != want.AnnulBit || got.Conditional() != want.Conditional {
+				got.AnnulBit() != want.AnnulBit || got.Conditional() != want.Conditional ||
+				!formsEqual(got, want) {
 				t.Errorf("%s %08x: memo-served %+v, fresh %+v", isa.name, w, got, want)
 				continue
 			}
@@ -118,4 +119,11 @@ func TestMemoServedMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// formsEqual reports whether inst carries spec's operand forms.
+func formsEqual(inst *machine.Inst, spec machine.InstSpec) bool {
+	a, hasAddr := inst.Addr()
+	d, _ := inst.Def()
+	return a == spec.Addr && hasAddr == spec.HasAddr && d == spec.Def
 }
