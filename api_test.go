@@ -55,7 +55,7 @@ func TestPublicAnalyses(t *testing.T) {
 		t.Fatal(err)
 	}
 	idom := eel.Dominators(g)
-	if idom[g.Entry] != g.Entry {
+	if idom.IDom(g.Entry) != g.Entry {
 		t.Error("dominators broken through facade")
 	}
 	loops := eel.NaturalLoops(g)

@@ -95,6 +95,8 @@ type (
 
 	// Liveness holds live-register analysis results.
 	Liveness = dataflow.Liveness
+	// DomTree is a CFG's dominator tree, indexed by block ID.
+	DomTree = dataflow.DomTree
 	// Loop is a natural loop.
 	Loop = dataflow.Loop
 
@@ -215,8 +217,8 @@ func ComputeLiveness(g *CFG) *Liveness {
 	return dataflow.ComputeLiveness(g)
 }
 
-// Dominators computes immediate dominators.
-func Dominators(g *CFG) map[*Block]*Block { return dataflow.Dominators(g) }
+// Dominators computes g's dominator tree.
+func Dominators(g *CFG) *DomTree { return dataflow.Dominators(g) }
 
 // NaturalLoops finds natural loops.
 func NaturalLoops(g *CFG) []*Loop {

@@ -59,10 +59,10 @@ func shapeDigest(h hash.Hash, res *eel.AnalysisResult) {
 // graphShapeDigests analyzes a fixed progen set — GCC and SunPro, with
 // symbols and stripped — twice per program: once fresh, persisting
 // every bundle to a disk store, and once on a fresh load through a new
-// cache over the reopened store, so every graph and liveness solution
-// is decoded from the analysis cache.  Both runs must hash alike; one
-// "name sha256" line per program comes back.
-func graphShapeDigests(t *testing.T) []string {
+// cache over the reopened store, so every graph and analysis is
+// decoded from the analysis cache.  Both runs must hash alike under
+// digest; one "name sha256" line per program comes back.
+func graphShapeDigests(t *testing.T, digest func(hash.Hash, *eel.AnalysisResult)) []string {
 	t.Helper()
 	var out []string
 	for pers, persName := range []string{progen.GCC: "gcc", progen.SunPro: "sunpro"} {
@@ -95,7 +95,7 @@ func graphShapeDigests(t *testing.T) []string {
 						t.Fatalf("seed %d: %d of %d routines decoded from disk", seed, res.Stats.CacheDiskHits, res.Stats.Routines)
 					}
 					h := sha256.New()
-					shapeDigest(h, res)
+					digest(h, res)
 					sums[run] = fmt.Sprintf("%x", h.Sum(nil))
 				}
 				name := fmt.Sprintf("%s-strip=%v-seed=%d", persName, strip, seed)
@@ -116,14 +116,21 @@ func graphShapeDigests(t *testing.T) []string {
 // pointer, and a change to how graphs are stored must leave every
 // observable fact as it was.
 func TestGraphShapePinned(t *testing.T) {
-	raw, err := os.ReadFile("testdata/graph_shape_sha256.txt")
+	checkDigests(t, "testdata/graph_shape_sha256.txt", shapeDigest)
+}
+
+// checkDigests compares graphShapeDigests under digest with the lines
+// of the named file.
+func checkDigests(t *testing.T, file string, digest func(hash.Hash, *eel.AnalysisResult)) {
+	t.Helper()
+	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	got := graphShapeDigests(t)
+	got := graphShapeDigests(t, digest)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("graph shapes changed:\n got %s\nwant %s",
+		t.Errorf("%s: digests changed:\n got %s\nwant %s", file,
 			strings.Join(got, "\n     "), strings.Join(want, "\n     "))
 	}
 }

@@ -43,20 +43,23 @@ join:	mov %l0, %o0
 
 func TestDominators(t *testing.T) {
 	g, prog := build(t, diamond)
-	idom := dataflow.Dominators(g)
+	dom := dataflow.Dominators(g)
 	head := g.ByAddr[0x10000]
 	join := g.ByAddr[prog.Labels["join"]]
 	elseB := g.ByAddr[prog.Labels["elsepart"]]
-	if !dataflow.Dominates(idom, head, join) {
+	if !dom.Dominates(head, join) {
 		t.Error("head must dominate join")
 	}
-	if !dataflow.Dominates(idom, head, elseB) {
+	if !dom.Dominates(head, elseB) {
 		t.Error("head must dominate else")
 	}
-	if dataflow.Dominates(idom, elseB, join) {
+	if dom.Dominates(elseB, join) {
 		t.Error("else must not dominate join")
 	}
-	if idom[g.Entry] != g.Entry {
+	if dom.IDom(join) != head {
+		t.Errorf("idom(join) = B%d, want the head", dom.IDom(join).ID)
+	}
+	if dom.IDom(g.Entry) != g.Entry {
 		t.Error("entry idom broken")
 	}
 }
@@ -83,15 +86,48 @@ func TestNaturalLoops(t *testing.T) {
 	if l.Head != g.ByAddr[prog.Labels["loop"]] {
 		t.Errorf("loop head at %#x", l.Head.Start())
 	}
-	if !l.Body[l.Head] {
+	if !l.Body.Has(l.Head) {
 		t.Error("head not in body")
 	}
-	depth := dataflow.LoopDepth(loops)
-	if depth[l.Head] != 1 {
-		t.Errorf("depth = %d", depth[l.Head])
+	depth := dataflow.LoopDepth(g, loops)
+	if depth[l.Head.ID] != 1 {
+		t.Errorf("depth = %d", depth[l.Head.ID])
 	}
-	if depth[g.Entry] != 0 {
+	if depth[g.Entry.ID] != 0 {
 		t.Error("entry should be outside the loop")
+	}
+}
+
+// TestLoopBodyExcludesUnreachable builds the graph of
+//
+//	H:	…; ba B; nop
+//	X:	…	(dead: nothing branches here)
+//	B:	…; ba H; nop
+//
+// by hand.  X falls into the latch B, so it reaches the back edge
+// without passing the head, but the head does not dominate it: it is
+// not part of the loop.
+func TestLoopBodyExcludesUnreachable(t *testing.T) {
+	g := &cfg.Graph{}
+	g.Reserve(5, 4)
+	g.Entry, g.Exit = g.NewBlock(cfg.KindEntry), g.NewBlock(cfg.KindExit)
+	head, dead, latch := g.NewBlock(cfg.KindNormal), g.NewBlock(cfg.KindNormal), g.NewBlock(cfg.KindNormal)
+	g.NewEdge(g.Entry, head, cfg.EdgeEntry, false)
+	g.NewEdge(head, latch, cfg.EdgeTaken, false)
+	g.NewEdge(dead, latch, cfg.EdgeFall, false)
+	g.NewEdge(latch, head, cfg.EdgeTaken, false)
+	g.Link()
+
+	dom := dataflow.Dominators(g)
+	loops := dataflow.NaturalLoops(g, dom)
+	if len(loops) != 1 || loops[0].Head != head {
+		t.Fatalf("loops = %v, want one headed by B%d", loops, head.ID)
+	}
+	if got, want := loops[0].Body.IDs(), []int{head.ID, latch.ID}; !slices.Equal(got, want) {
+		t.Errorf("body = %v, want %v", got, want)
+	}
+	if depth := dataflow.LoopDepth(g, loops); depth[dead.ID] != 0 {
+		t.Errorf("dead block's loop depth = %d, want 0", depth[dead.ID])
 	}
 }
 

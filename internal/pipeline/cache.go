@@ -50,11 +50,10 @@ type readDep struct {
 type bundle struct {
 	graph *cfg.Graph
 	live  *dataflow.Liveness
-	idom  map[*cfg.Block]*cfg.Block
+	idom  *dataflow.DomTree
+	// loops is nil when the loop stage was skipped and empty when it
+	// found none.
 	loops []*dataflow.Loop
-	// hasLoops distinguishes "loop stage ran, found none" from "loop
-	// stage skipped" (both leave loops nil).
-	hasLoops bool
 	// tail records a hidden-routine discovery (§3.1 stage 4) made
 	// while this analysis was first computed, so a hit on a fresh
 	// executable replays the split; 0 when none.

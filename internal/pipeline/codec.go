@@ -29,7 +29,7 @@ import (
 // codecVersion guards the serialized layout itself (field order,
 // varint framing); analysisVersion (cache.go) guards the meaning of
 // the analyses.
-const codecVersion = 1
+const codecVersion = 2
 
 // bundle flag bits.
 const (
@@ -138,7 +138,7 @@ func encodeBundle(b *bundle) []byte {
 	if b.idom != nil {
 		flags |= flagIdom
 	}
-	if b.hasLoops {
+	if b.loops != nil {
 		flags |= flagLoops
 	}
 	if g.Complete {
@@ -257,27 +257,21 @@ func encodeBundle(b *bundle) []byte {
 		}
 	}
 
-	// Dominators: per-block immediate dominator index (+1; 0 = none).
+	// Dominators: the IDoms array, each entry +1 (0 = unreachable).
 	if b.idom != nil {
-		for _, blk := range g.Blocks {
-			d := 0
-			if id := b.idom[blk]; id != nil {
-				d = id.ID + 1
-			}
-			e.u(uint64(d))
+		for _, d := range b.idom.IDoms() {
+			e.u(uint64(d + 1))
 		}
 	}
 
-	// Loops.
-	if b.hasLoops {
+	// Loops: head ID, the body's words (one per 64 blocks), and the
+	// back edges' IDs.
+	if b.loops != nil {
 		e.u(uint64(len(b.loops)))
 		for _, l := range b.loops {
 			e.u(uint64(l.Head.ID))
-			e.u(uint64(len(l.Body)))
-			for _, blk := range g.Blocks { // deterministic body order
-				if l.Body[blk] {
-					e.u(uint64(blk.ID))
-				}
+			for _, w := range l.Body {
+				e.u(w)
 			}
 			e.u(uint64(len(l.BackEdges)))
 			for _, ed := range l.BackEdges {
@@ -302,7 +296,7 @@ func decodeBundle(e *core.Executable, data []byte) (*bundle, error) {
 	}
 	flags := d.u()
 
-	b := &bundle{hasLoops: flags&flagLoops != 0}
+	b := &bundle{}
 	b.tail = d.u32()
 	b.insts = int64(d.n())
 	b.blocks = int64(d.n())
@@ -467,34 +461,33 @@ func decodeBundle(e *core.Executable, data []byte) (*bundle, error) {
 	}
 
 	if flags&flagIdom != 0 {
-		idom := make(map[*cfg.Block]*cfg.Block, len(g.Blocks))
-		for _, blk := range g.Blocks {
-			if id := int(d.u()); id > 0 {
-				dom, err := blockAt(id - 1)
-				if err != nil {
-					return nil, err
-				}
-				idom[blk] = dom
+		idom := make([]int32, len(g.Blocks))
+		for i := range idom {
+			v := d.u()
+			if v > uint64(len(idom)) {
+				return nil, fmt.Errorf("pipeline: block index %d out of range", v-1)
 			}
+			idom[i] = int32(v) - 1
 		}
-		b.idom = idom
+		b.idom = dataflow.RestoreDomTree(g, idom)
 	}
 
-	if b.hasLoops {
+	if flags&flagLoops != 0 {
 		nloops := d.n()
+		b.loops = make([]*dataflow.Loop, 0, min(nloops, len(d.buf)))
+		nwords := (len(g.Blocks) + 63) / 64
 		for i := 0; i < nloops && d.err == nil; i++ {
 			head, err := blockAt(int(d.u()))
 			if err != nil {
 				return nil, err
 			}
-			l := &dataflow.Loop{Head: head, Body: map[*cfg.Block]bool{}}
-			nbody := d.n()
-			for j := 0; j < nbody && d.err == nil; j++ {
-				blk, err := blockAt(int(d.u()))
-				if err != nil {
-					return nil, err
-				}
-				l.Body[blk] = true
+			l := &dataflow.Loop{Head: head, Body: make(dataflow.BlockSet, nwords)}
+			for j := range l.Body {
+				l.Body[j] = d.u()
+			}
+			// Bits past the last block must be clear.
+			if n := len(g.Blocks); n%64 != 0 && l.Body[nwords-1]>>(n%64) != 0 {
+				return nil, fmt.Errorf("pipeline: loop body beyond %d blocks", len(g.Blocks))
 			}
 			nback := d.n()
 			for j := 0; j < nback && d.err == nil; j++ {

@@ -77,7 +77,7 @@ type RoutineAnalysis struct {
 	// Liveness, IDom, and Loops are nil when the corresponding
 	// Options flag disabled them (or Err is set).
 	Liveness *dataflow.Liveness
-	IDom     map[*cfg.Block]*cfg.Block
+	IDom     *dataflow.DomTree
 	Loops    []*dataflow.Loop
 	// Err records a CFG-construction failure; the pipeline keeps
 	// going so one bad routine doesn't hide the rest.
@@ -322,7 +322,7 @@ func analyzeRoutine(e *core.Executable, r *core.Routine, opts Options, salt uint
 		r.InstallGraph(g, a.Liveness)
 	}
 	if !opts.NoDominators || !opts.NoLoops {
-		var idom map[*cfg.Block]*cfg.Block
+		var idom *dataflow.DomTree
 		timed(col.domNS, func() { idom = dataflow.Dominators(g) })
 		if !opts.NoDominators {
 			a.IDom = idom
@@ -334,14 +334,13 @@ func analyzeRoutine(e *core.Executable, r *core.Routine, opts Options, salt uint
 
 	if opts.Cache != nil && keyOK {
 		b := &bundle{
-			graph:    g,
-			live:     a.Liveness,
-			idom:     a.IDom,
-			loops:    a.Loops,
-			hasLoops: !opts.NoLoops,
-			insts:    insts,
-			blocks:   int64(len(g.Blocks)),
-			edges:    int64(len(g.Edges)),
+			graph:  g,
+			live:   a.Liveness,
+			idom:   a.IDom,
+			loops:  a.Loops,
+			insts:  insts,
+			blocks: int64(len(g.Blocks)),
+			edges:  int64(len(g.Edges)),
 		}
 		// Snapshot the out-of-routine words the analysis consulted;
 		// depsValid re-reads them on every future hit.
@@ -386,7 +385,7 @@ func bundleCovers(b *bundle, opts Options) bool {
 	if !opts.NoDominators && b.idom == nil {
 		return false
 	}
-	if !opts.NoLoops && !b.hasLoops {
+	if !opts.NoLoops && b.loops == nil {
 		return false
 	}
 	return true

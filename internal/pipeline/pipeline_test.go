@@ -2,7 +2,6 @@ package pipeline_test
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -58,7 +57,7 @@ func load(t testing.TB, f *binfile.File) *core.Executable {
 // one routine into a canonical string, so results can be compared
 // bit-for-bit across worker counts and against sequential calls.
 func fingerprint(r *core.Routine, g *cfg.Graph, lv *dataflow.Liveness,
-	idom map[*cfg.Block]*cfg.Block, loops []*dataflow.Loop, err error) string {
+	idom *dataflow.DomTree, loops []*dataflow.Loop, err error) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "routine %s %#x..%#x entries=%v hidden=%v\n", r.Name, r.Start, r.End, r.Entries, r.Hidden)
 	if err != nil {
@@ -75,7 +74,7 @@ func fingerprint(r *core.Routine, g *cfg.Graph, lv *dataflow.Liveness,
 			fmt.Fprintf(&b, " in=%s out=%s", lv.In[blk.ID], lv.Out[blk.ID])
 		}
 		if idom != nil {
-			if d := idom[blk]; d != nil {
+			if d := idom.IDom(blk); d != nil {
 				fmt.Fprintf(&b, " idom=B%d", d.ID)
 			} else {
 				fmt.Fprintf(&b, " idom=nil")
@@ -88,12 +87,7 @@ func fingerprint(r *core.Routine, g *cfg.Graph, lv *dataflow.Liveness,
 			ij.Addr, ij.Resolved, ij.TableAddr, ij.TableLen, ij.Literal, ij.LiteralTarget, ij.RuntimeOnly)
 	}
 	for _, l := range loops {
-		var body []int
-		for blk := range l.Body {
-			body = append(body, blk.ID)
-		}
-		sort.Ints(body)
-		fmt.Fprintf(&b, "  loop head=B%d body=%v backedges=%d\n", l.Head.ID, body, len(l.BackEdges))
+		fmt.Fprintf(&b, "  loop head=B%d body=%v backedges=%d\n", l.Head.ID, l.Body.IDs(), len(l.BackEdges))
 	}
 	return b.String()
 }
@@ -107,7 +101,7 @@ func analyzeSequential(t testing.TB, f *binfile.File) []string {
 	type res struct {
 		g     *cfg.Graph
 		lv    *dataflow.Liveness
-		idom  map[*cfg.Block]*cfg.Block
+		idom  *dataflow.DomTree
 		loops []*dataflow.Loop
 		err   error
 	}

@@ -107,18 +107,12 @@ func buildProfile(e *core.Executable, r *core.Routine, g *cfg.Graph) (*RoutinePr
 	}
 	// Build the circulation graph.
 	loops := dataflow.NaturalLoops(g, dataflow.Dominators(g))
-	depth := dataflow.LoopDepth(loops)
+	depth := dataflow.LoopDepth(g, loops)
 	for _, edge := range g.Edges {
 		fe := &flowEdge{e: edge, from: edge.From, to: edge.To}
 		fe.countable = !edge.Uneditable &&
 			edge.Kind != cfg.EdgeEntry && edge.Kind != cfg.EdgeExit
-		d := depth[edge.From]
-		if depth[edge.To] > d {
-			d = depth[edge.To]
-		}
-		if d > 6 {
-			d = 6
-		}
+		d := min(max(depth[edge.From.ID], depth[edge.To.ID]), 6)
 		fe.weight = pow10(d)
 		if !fe.countable {
 			fe.weight = 1e12 // force into the tree
@@ -203,66 +197,64 @@ func (rp *RoutineProfile) DeriveCounts(mem *sim.Memory) (map[*cfg.Edge]uint64, e
 		}
 		return out, nil
 	}
-	known := map[*flowEdge]uint64{}
-	for _, fe := range rp.edges {
+	// rp.edges holds the CFG's edges in ID order and then the virtual
+	// edge, so counts are kept by edge ID: known[i] once ok[i].
+	known, ok := make([]uint64, len(rp.edges)), make([]bool, len(rp.edges))
+	for i, fe := range rp.edges {
 		if !fe.inTree {
-			known[fe] = uint64(mem.Read32(fe.counter))
+			known[i], ok[i] = uint64(mem.Read32(fe.counter)), true
 		}
 	}
 	// Leaf elimination: a block with exactly one unknown incident
 	// edge determines it by conservation (in-sum == out-sum, signed).
-	incident := map[*cfg.Block][]*flowEdge{}
-	for _, fe := range rp.edges {
-		incident[fe.from] = append(incident[fe.from], fe)
-		incident[fe.to] = append(incident[fe.to], fe)
+	incident := make([][]int, len(rp.Graph.Blocks)) // edge indexes by block ID
+	for i, fe := range rp.edges {
+		incident[fe.from.ID] = append(incident[fe.from.ID], i)
+		incident[fe.to.ID] = append(incident[fe.to.ID], i)
 	}
 	for changed := true; changed; {
 		changed = false
 		for blk, edges := range incident {
-			var unknown *flowEdge
+			unknown := -1
 			bal := int64(0)
 			solvable := true
-			for _, fe := range edges {
-				v, ok := known[fe]
-				if !ok {
-					if unknown != nil {
+			for _, i := range edges {
+				if !ok[i] {
+					if unknown >= 0 {
 						solvable = false
 						break
 					}
-					unknown = fe
+					unknown = i
 					continue
 				}
-				if fe.to == blk {
-					bal += int64(v)
+				if rp.edges[i].to.ID == blk {
+					bal += int64(known[i])
 				}
-				if fe.from == blk {
-					bal -= int64(v)
+				if rp.edges[i].from.ID == blk {
+					bal -= int64(known[i])
 				}
 			}
-			if !solvable || unknown == nil {
+			if !solvable || unknown < 0 {
 				continue
 			}
 			// The unknown edge balances the block's flow.
-			var v int64
-			if unknown.to == blk {
+			v := bal
+			if rp.edges[unknown].to.ID == blk {
 				v = -bal
-			} else {
-				v = bal
 			}
 			if v < 0 {
 				return nil, fmt.Errorf("qpt: negative derived count %d in %s (conservation violated)", v, rp.Routine.Name)
 			}
-			known[unknown] = uint64(v)
+			known[unknown], ok[unknown] = uint64(v), true
 			changed = true
 		}
 	}
-	for _, fe := range rp.edges {
-		v, ok := known[fe]
-		if !ok {
+	for i, fe := range rp.edges {
+		if !ok[i] {
 			return nil, fmt.Errorf("qpt: underdetermined flow in %s", rp.Routine.Name)
 		}
 		if fe.e != nil {
-			out[fe.e] = v
+			out[fe.e] = known[i]
 		}
 	}
 	return out, nil
