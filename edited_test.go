@@ -121,7 +121,7 @@ func TestEditAllocs(t *testing.T) {
 }
 
 // loadAllocs is the exact allocation count of TestLoadAllocs's load.
-const loadAllocs = 252
+const loadAllocs = 251
 
 // TestLoadAllocs pins what opening an executable allocates: nothing
 // per word for decoding its text, whose instructions the process-wide

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
-	"sync"
 
 	"eel/internal/binfile"
 	"eel/internal/core"
@@ -12,7 +11,6 @@ import (
 	_ "eel/internal/mips" // register the MIPS architecture
 	"eel/internal/qpt"
 	"eel/internal/sim"
-	"eel/internal/sparc"
 	"eel/internal/spawn"
 )
 
@@ -28,29 +26,18 @@ func violate(oracle, format string, args ...any) Violation {
 	return Violation{Oracle: oracle, Detail: fmt.Sprintf(format, args...)}
 }
 
-// dec is the shared SPARC decoder (interning makes it cheap and safe
-// to share).
-var dec = sparc.NewDecoder()
-
-// decoders caches one shared decoder per ISA for the per-program
-// oracles.
-var decoders sync.Map // isa name -> *spawn.TableDecoder
-
-// decoderFor returns the shared decoder for an ISA name.
+// decoderFor returns a decoder for an ISA name.  A machine's decoders
+// share its process-wide memo, whose entries also hold each word's
+// compiled semantics, so a decoder per program costs one small object.
 func decoderFor(isa string) *spawn.TableDecoder {
 	if isSPARC(isa) {
-		return dec
-	}
-	if d, ok := decoders.Load(isa); ok {
-		return d.(*spawn.TableDecoder)
+		isa = "sparc"
 	}
 	info, ok := machine.ArchByName(isa)
 	if !ok {
 		panic(fmt.Sprintf("fuzz: no architecture registered for %q", isa))
 	}
-	d := info.NewDecoder().(*spawn.TableDecoder)
-	decoders.Store(isa, d)
-	return d
+	return info.NewDecoder().(*spawn.TableDecoder)
 }
 
 // decoder returns the decoder matching the program's ISA.
@@ -129,7 +116,7 @@ func CheckRoundTripWords(p *Program) []Violation {
 		}
 		if !p.IsData(addr) {
 			sem := inst.Sem().(*spawn.InstSem)
-			if _, err := dec.Compiled(sem); err != nil {
+			if _, err := sem.Compiled(); err != nil {
 				vs = append(vs, violate("roundtrip",
 					"%s at %#x: semantics do not compile: %v", inst.Name(), addr, err))
 			}
@@ -259,6 +246,7 @@ func CheckEdited(p *Program, maxSteps uint64) []Violation {
 		// SPARC executables only; the oracle does not apply elsewhere.
 		return nil
 	}
+	dec := p.decoder()
 	orig := runOnce(p.File, maxSteps, sim.EngineChained, dec)
 	if orig.err != nil {
 		return []Violation{violate("edited", "original program fails to run: %v", orig.err)}

@@ -282,6 +282,29 @@ func encodeBundle(b *bundle) []byte {
 	return e.buf
 }
 
+// isDomTree reports whether idom, an IDoms array, is a tree rooted at
+// entry: the entry names itself, and every other reachable block's
+// chain of dominators reaches the entry, which in a tree of n blocks
+// takes fewer than n steps.  A cycle would keep DomTree.Dominates
+// walking forever.
+func isDomTree(idom []int32, entry int32) bool {
+	if idom[entry] != entry {
+		return false
+	}
+	for _, d := range idom {
+		if d < 0 {
+			continue // unreachable
+		}
+		for steps := 0; d >= 0 && d != entry && steps < len(idom); steps++ {
+			d = idom[d]
+		}
+		if d != entry {
+			return false
+		}
+	}
+	return true
+}
+
 // decodeBundle rebuilds a bundle from data against e's image and
 // decoder.  Any structural implausibility (truncation, out-of-range
 // index, unmapped instruction address) returns an error; callers
@@ -468,6 +491,9 @@ func decodeBundle(e *core.Executable, data []byte) (*bundle, error) {
 				return nil, fmt.Errorf("pipeline: block index %d out of range", v-1)
 			}
 			idom[i] = int32(v) - 1
+		}
+		if g.Entry == nil || !isDomTree(idom, int32(g.Entry.ID)) {
+			return nil, fmt.Errorf("pipeline: dominators are not a tree rooted at the entry")
 		}
 		b.idom = dataflow.RestoreDomTree(g, idom)
 	}

@@ -11,7 +11,8 @@ import (
 // FuzzDecodeBundle feeds the bundle decoder arbitrary bytes against a
 // fixed executable, seeded with encoded bundles that carry liveness,
 // dominators and loops.  Decoding must never panic, and every bundle
-// it accepts must index only its own blocks and edges.
+// it accepts must index only its own blocks and edges, with its
+// dominators a tree rooted at the entry.
 func FuzzDecodeBundle(f *testing.F) {
 	c := progen.DefaultConfig(3)
 	c.Routines = 8
@@ -60,6 +61,22 @@ func FuzzDecodeBundle(f *testing.F) {
 			for id, d := range ids {
 				if d < -1 || int(d) >= n {
 					t.Fatalf("B%d's idom %d out of range", id, d)
+				}
+			}
+			if ids[g.Entry.ID] != int32(g.Entry.ID) {
+				t.Fatalf("entry B%d's idom is B%d", g.Entry.ID, ids[g.Entry.ID])
+			}
+			for id, d := range ids {
+				// A chain up a tree of n blocks reaches its root in
+				// fewer than n steps.
+				for steps := 0; d >= 0 && d != int32(g.Entry.ID); steps++ {
+					if d == ids[d] || steps == n {
+						t.Fatalf("B%d's dominator chain does not reach the entry", id)
+					}
+					d = ids[d]
+				}
+				if ids[id] >= 0 && d < 0 {
+					t.Fatalf("B%d's dominator chain meets an unreachable block", id)
 				}
 			}
 		}

@@ -41,7 +41,6 @@ import (
 	"eel/internal/machine"
 	"eel/internal/obs"
 	"eel/internal/rtl"
-	"eel/internal/spawn"
 	"eel/internal/telemetry"
 )
 
@@ -298,11 +297,7 @@ func (c *CPU) buildBlock(pc uint32) *tblock {
 			// block at the first transfer.
 			break
 		}
-		sem, ok := inst.Sem().(*spawn.InstSem)
-		if !ok {
-			break
-		}
-		prog, err := c.dec.Compiled(sem)
+		prog, err := semOf(inst).Compiled()
 		if err != nil {
 			break
 		}
@@ -336,7 +331,7 @@ func (c *CPU) buildBlock(pc uint32) *tblock {
 func (c *CPU) promote(b *tblock) {
 	for i := range b.insts {
 		ci := &b.insts[i]
-		d := c.dec.CompiledDirect(ci.inst.Sem().(*spawn.InstSem)) // buildBlock admits only spawn semantics
+		d := semOf(ci.inst).CompiledDirect()
 		if d == nil {
 			continue
 		}

@@ -181,38 +181,31 @@ type rtCacheEnt struct {
 	pc   uint32
 }
 
-// rtCacheBits sizes the routine program cache: 1<<rtCacheBits slots.
-const rtCacheBits = 16
-
-// rtProgTable is a fixed-size, direct-mapped, lock-free cache of
-// compilation results, built like spawn.Memo: a slot holds one
-// immutable entry, checked against its whole key on load, and a
-// collision only costs a recompile.  A self-modifying program makes
-// new keys at every text write, so a table that grew with its keys
-// would let one long-running eeld request grow the daemon without
-// limit; this one holds at most one entry per slot.
-type rtProgTable [1 << rtCacheBits]atomic.Pointer[rtCacheEnt]
-
 // rtProgCache shares compiled routine programs (including negative
 // results) process-wide; programs are immutable after compilation.
-var rtProgCache rtProgTable
+// It is a spawn.Table, the memo's table: a collision only costs a
+// recompile, and a self-modifying program, which makes new keys at
+// every text write, cannot grow a long-running eeld beyond its slots.
+var rtProgCache spawn.Table[rtCacheEnt]
 
 // slot picks key's slot from the text hash and the entry pc, never a
 // pointer, so which keys collide does not depend on the run.
 func (k rtCacheKey) slot() uint32 {
-	return uint32((k.hash ^ uint64(k.entry)) * 0x9e3779b97f4a7c15 >> (64 - rtCacheBits))
+	return uint32((k.hash ^ uint64(k.entry)) * 0x9e3779b97f4a7c15 >> (64 - spawn.TableBits))
 }
 
-// load returns the entry cached under key.
-func (t *rtProgTable) load(key rtCacheKey) (*rtCacheEnt, bool) {
-	e := t[key.slot()].Load()
-	return e, e != nil && e.key == key
+// load returns the entry tab holds under key.
+func (k rtCacheKey) load(tab *spawn.Table[rtCacheEnt]) (*rtCacheEnt, bool) {
+	e := tab[k.slot()].Load()
+	return e, e != nil && e.key == k
 }
 
-// store caches ent, which no other goroutine holds yet, under key.
-func (t *rtProgTable) store(key rtCacheKey, ent *rtCacheEnt) {
-	ent.key = key
-	t[key.slot()].Store(ent)
+// store caches ent, which no other goroutine holds yet, under key in
+// tab, and returns the entry tab then holds for key: ent, or the one
+// a goroutine that compiled the same key stored first.
+func (k rtCacheKey) store(tab *spawn.Table[rtCacheEnt], ent *rtCacheEnt) *rtCacheEnt {
+	ent.key = k
+	return tab.Put(k.slot(), ent, func(e *rtCacheEnt) bool { return e.key == k })
 }
 
 // routineState is the per-CPU routine-tier state.
@@ -347,12 +340,10 @@ func (c *CPU) rtExtent(entry uint32) (end uint32, ok bool) {
 // rtCompileJob resolves a job through the shared program cache,
 // compiling on a miss.  Negative results are cached too.
 func rtCompileJob(job *rtJob) *rtCacheEnt {
-	if ent, ok := rtProgCache.load(job.key); ok {
+	if ent, ok := job.key.load(&rtProgCache); ok {
 		return ent
 	}
-	ent := rtCompileText(job.dec, job.text, job.entry)
-	rtProgCache.store(job.key, ent)
-	return ent
+	return job.key.store(&rtProgCache, rtCompileText(job.dec, job.text, job.entry))
 }
 
 // rtCompileText compiles the routine whose text starts at its entry.
@@ -363,7 +354,7 @@ func rtCompileText(dec *spawn.TableDecoder, text []byte, entry uint32) *rtCacheE
 		return &rtCacheEnt{err: err}
 	}
 	lv := dataflow.ComputeLiveness(g)
-	rc := &routineCompiler{inv: make(map[uint32]*machine.Inst), pl: lv.Points(), dec: dec}
+	rc := &routineCompiler{inv: make(map[uint32]*machine.Inst), pl: lv.Points()}
 	for _, b := range g.Blocks {
 		for _, ci := range b.Insts {
 			if ci.MI != nil && ci.MI.Valid() {
@@ -408,7 +399,7 @@ func (c *CPU) rtRequest(entry uint32) {
 	c.tc.ctr.TierPromotions++
 	obs.Record(obs.EvTierPromote, uint64(entry), uint64(w.enters))
 	key := rtCacheKey{desc: c.dec.Desc(), textStart: c.TextStart, textEnd: c.TextEnd, hash: c.rtTextHash(), entry: entry}
-	if ent, ok := rtProgCache.load(key); ok {
+	if ent, ok := key.load(&rtProgCache); ok {
 		// Same image, same entry: install the shared program (or the
 		// cached negative result) without scanning or compiling.
 		c.rtInstall(&rtJob{entry: entry, gen: c.tc.gen, res: ent})
@@ -416,8 +407,7 @@ func (c *CPU) rtRequest(entry uint32) {
 	}
 	end, ok := c.rtExtent(entry)
 	if !ok || end <= entry {
-		ent := &rtCacheEnt{err: fmt.Errorf("no routine extent at %#x", entry)}
-		rtProgCache.store(key, ent)
+		ent := key.store(&rtProgCache, &rtCacheEnt{err: fmt.Errorf("no routine extent at %#x", entry)})
 		c.rtInstall(&rtJob{entry: entry, gen: c.tc.gen, res: ent})
 		return
 	}

@@ -2,13 +2,18 @@ package sim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"eel/internal/binfile"
 	"eel/internal/mips"
 	"eel/internal/progen"
 	"eel/internal/sparc"
+	"eel/internal/spawn"
+	"eel/internal/telemetry"
 )
 
 // runRoutineMode executes f to completion under the routine tier
@@ -377,12 +382,13 @@ inc:	retl
 }
 
 // TestRoutineCacheBounded stores more distinct keys than the routine
-// program cache has slots, as a self-modifying program's text writes
-// would: the table holds at most one entry per slot, the latest store
-// of each slot loads back, negative results included, and a key that
-// differs only in its machine misses.
+// program cache's table (spawn.Table, the memo's) has slots, as a
+// self-modifying program's text writes would: the table holds at most
+// one entry per slot, the latest store of each slot loads back,
+// negative results included, and a key that differs only in its
+// machine misses.
 func TestRoutineCacheBounded(t *testing.T) {
-	tab := new(rtProgTable)
+	tab := new(spawn.Table[rtCacheEnt])
 	desc := sparc.NewDecoder().Desc()
 	key := func(i int) rtCacheKey {
 		return rtCacheKey{desc: desc, textStart: 0x10000, textEnd: 0x20000, hash: uint64(i) * 0x100000001b3, entry: 0x10000}
@@ -393,7 +399,7 @@ func TestRoutineCacheBounded(t *testing.T) {
 		if i%2 == 1 {
 			ent = &rtCacheEnt{err: errors.New("negative"), pc: 0x10004}
 		}
-		tab.store(key(i), ent)
+		key(i).store(tab, ent)
 	}
 	population := 0
 	for i := range tab {
@@ -405,13 +411,105 @@ func TestRoutineCacheBounded(t *testing.T) {
 		t.Errorf("%d keys fill %d of %d slots", n, population, len(tab))
 	}
 	for _, i := range []int{n - 2, n - 1} {
-		if ent, ok := tab.load(key(i)); !ok || (i%2 == 1) != (ent.err != nil) {
+		if ent, ok := key(i).load(tab); !ok || (i%2 == 1) != (ent.err != nil) {
 			t.Errorf("key %d: the latest store does not load back", i)
 		}
 	}
 	other := key(n - 1)
 	other.desc = mips.NewDecoder().Desc()
-	if _, ok := tab.load(other); ok {
+	if _, ok := other.load(tab); ok {
 		t.Error("another machine's key hit")
+	}
+}
+
+// rtWorkerIdle returns once the background compiler has finished every
+// job queued before the call: it queues one with no text, which
+// compiles nothing, and waits for its delivery.
+func rtWorkerIdle() {
+	rtWorkerOnce.Do(rtWorkerStart)
+	mb := &rtMailbox{}
+	rtWorkQueue <- &rtJob{dec: sparc.NewDecoder(), mb: mb}
+	for !mb.has.Load() {
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCompileOncePerProcess runs two CPUs over one program at once, on
+// the chained engine and then on the routine tier with the background
+// compiler racing them.  A word's compiled forms live on its memo
+// entry, so "rtl.compiles" and "rtl.compiles_direct" count each
+// distinct word once, however many CPUs and workers ask for it.  The
+// CPUs decode through a memo of their own, over a description of
+// their own that keys the routine programs apart from every other
+// run's, so every first compile of these words is this test's.
+func TestCompileOncePerProcess(t *testing.T) {
+	cfg := progen.DefaultConfig(5)
+	cfg.Routines = 12
+	p := progen.MustGenerate(cfg)
+	desc := spawn.MustParseDesc(sparc.DescriptionSource)
+	newDec := func() *spawn.TableDecoder { return spawn.NewDecoder(spawn.NewMemo(desc, sparc.Glue), nil) }
+	text := p.File.Text()
+	var words []uint32
+	seen := map[uint32]bool{}
+	for i := 0; i+4 <= len(text.Data); i += 4 {
+		if w := binary.BigEndian.Uint32(text.Data[i:]); !seen[w] {
+			seen[w] = true
+			words = append(words, w)
+		}
+	}
+	// Two passes re-derive a word only when another evicted it.
+	probe := newDec()
+	for range 2 {
+		for _, w := range words {
+			probe.Decode(w)
+		}
+	}
+	if _, derived := probe.SharingStats(); derived != uint64(len(words)) {
+		t.Fatalf("%d derivations for %d distinct words: two of them share a memo slot", derived, len(words))
+	}
+
+	dec := newDec()
+	if telemetry.Default() == nil {
+		defer telemetry.Disable()
+	}
+	reg := telemetry.Enable()
+	rtWorkerIdle() // an earlier test's job may still be compiling
+	before := reg.Snapshot().Counters
+	for _, eng := range []Engine{EngineChained, EngineRoutine} {
+		var wg sync.WaitGroup
+		for range 2 {
+			cpu := LoadFileWith(dec, p.File, nil)
+			cpu.Engine, cpu.RoutineHotThreshold = eng, 1
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := cpu.Run(50_000_000); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	rtWorkerIdle()
+	ran := reg.Snapshot().Counters
+	if ran["rtl.compiles"] == before["rtl.compiles"] || ran["rtl.compiles_direct"] == before["rtl.compiles_direct"] {
+		t.Fatal("the runs compiled nothing")
+	}
+
+	// Compiling every distinct word now, and none twice, makes the
+	// totals the number of distinct words that have semantics.
+	valid := uint64(0)
+	for _, w := range words {
+		if sem, ok := dec.Decode(w).Sem().(*spawn.InstSem); ok {
+			valid++
+			sem.Compiled()
+			sem.CompiledDirect()
+		}
+	}
+	after := reg.Snapshot().Counters
+	for _, name := range []string{"rtl.compiles", "rtl.compiles_direct"} {
+		if n := after[name] - before[name]; n != valid {
+			t.Errorf("%s counted %d for %d distinct words (%d of them during the runs)", name, n, valid, ran[name]-before[name])
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"eel/internal/dataflow"
 	"eel/internal/machine"
 	"eel/internal/rtl"
-	"eel/internal/spawn"
 	"eel/internal/telemetry"
 )
 
@@ -24,9 +23,6 @@ import (
 type routineCompiler struct {
 	inv map[uint32]*machine.Inst
 	pl  *dataflow.PointLiveness
-	// dec is the decoder the routine's text was decoded by, whose
-	// compile caches its words lower through.
-	dec *spawn.TableDecoder
 }
 
 // rword is one lowered body word: its op (nil for a word that does
@@ -82,9 +78,6 @@ func span(in *machine.Inst) uint32 {
 	}
 	return 1 + uint32(in.DelaySlots())
 }
-
-// semOf returns in's semantics; the CPU decodes only through spawn.
-func semOf(in *machine.Inst) *spawn.InstSem { return in.Sem().(*spawn.InstSem) }
 
 // compile lowers the routine rooted at entry.  A negative result
 // carries the entry block's first lowering error.
@@ -187,7 +180,7 @@ func (rc *routineCompiler) lowerWord(in *machine.Inst, pc uint32) (instAt, error
 		return w, nil
 	}
 	var flags uint8
-	if d := rc.dec.CompiledDirectAt(sem, pc); d != nil {
+	if d := sem.CompiledDirectAt(pc); d != nil {
 		w.op, flags = d.Run, d.Flags()
 		switch ops := d.Ops(); len(ops) {
 		case 0:
@@ -197,7 +190,7 @@ func (rc *routineCompiler) lowerWord(in *machine.Inst, pc uint32) (instAt, error
 			w.op = ops[0]
 		}
 	} else {
-		p, err := rc.dec.Compiled(sem)
+		p, err := sem.Compiled()
 		if err != nil {
 			return w, err
 		}

@@ -376,6 +376,10 @@ func (c *CPU) Reset(entry, sp uint32) {
 	c.InvalidateText()
 }
 
+// semOf returns a valid instruction's semantics: the CPU decodes only
+// through spawn, which gives every valid word an InstSem.
+func semOf(in *machine.Inst) *spawn.InstSem { return in.Sem().(*spawn.InstSem) }
+
 // Step executes one instruction.  It returns nil when the program
 // halts cleanly.
 func (c *CPU) Step() error {
@@ -393,10 +397,7 @@ func (c *CPU) Step() error {
 	if !inst.Valid() {
 		return &Fault{c.PC, fmt.Errorf("%w: %#08x", ErrIllegalInst, word)}
 	}
-	sem, ok := inst.Sem().(*spawn.InstSem)
-	if !ok {
-		return &Fault{c.PC, fmt.Errorf("instruction %s lacks semantics", inst.Name())}
-	}
+	sem := semOf(inst)
 	c.env.CompileEnv = sem.CompileEnv()
 	c.hasDelayed, c.hasImmediate = false, false
 	annulBefore := c.annulNext

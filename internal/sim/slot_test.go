@@ -113,12 +113,12 @@ func TestSlotProgramsMatchExec(t *testing.T) {
 					if !inst.Valid() || !ok || sem.Def != def {
 						continue
 					}
-					p, err := m.dec.Compiled(sem)
+					p, err := sem.Compiled()
 					if err != nil {
 						continue
 					}
 					compiled++
-					dp := m.dec.CompiledDirect(sem)
+					dp := sem.CompiledDirect()
 					if dp != nil {
 						direct++
 					}
@@ -196,10 +196,10 @@ sem okf is F[15] := R[rs]
 	}{{0<<30 | 1<<25, "read of unknown register F[20]"}, {1<<30 | 1, "write of unknown register F[20]"}} {
 		sem := dec.Decode(c.word).Sem().(*spawn.InstSem)
 		var ce *rtl.CompileError
-		if _, err := dec.Compiled(sem); !errors.As(err, &ce) {
+		if _, err := sem.Compiled(); !errors.As(err, &ce) {
 			t.Errorf("%s: Compile = %v, want a CompileError", sem.Def.Name, err)
 		}
-		if dec.CompiledDirect(sem) != nil {
+		if sem.CompiledDirect() != nil {
 			t.Errorf("%s: CompileDirect accepted F[20]", sem.Def.Name)
 		}
 		for _, eng := range []Engine{EngineInterp, EngineTranslated, EngineChained, EngineRoutine} {
@@ -211,7 +211,7 @@ sem okf is F[15] := R[rs]
 		}
 	}
 	sem := dec.Decode(2<<30 | 3).Sem().(*spawn.InstSem)
-	if _, err := dec.Compiled(sem); err != nil {
+	if _, err := sem.Compiled(); err != nil {
 		t.Errorf("F[15] does not compile: %v", err)
 	}
 }

@@ -13,6 +13,9 @@ import (
 // interning it.
 func memoInst(w uint32) *machine.Inst { return machine.NewInst(memo.Spec(w)) }
 
+// memoDec is a decoder over the package memo.
+var memoDec = NewDecoder()
+
 func dis(t *testing.T, w uint32, pc uint32) string {
 	t.Helper()
 	return Disasm(memoInst(w), pc)
@@ -67,31 +70,31 @@ func TestDisasmNeverPanicsAndNeverEmpty(t *testing.T) {
 func TestSubstRegIdentityAndTargets(t *testing.T) {
 	// from == to is the identity.
 	w, _ := EncodeOp3("add", 3, 1, 2)
-	if memo.SubstRegs(w, map[machine.Reg]machine.Reg{1: 1}) != w {
+	if memoDec.SubstRegs(w, map[machine.Reg]machine.Reg{1: 1}) != w {
 		t.Error("self-substitution changed the word")
 	}
 	// Branch displacement bits must never be touched even when they
 	// numerically contain the register value.
 	b, _ := EncodeBranch("bne", false, int32(5)) // disp22=5 ≈ rs2=5 bits
-	if memo.SubstRegs(b, map[machine.Reg]machine.Reg{5: 9}) != b {
+	if memoDec.SubstRegs(b, map[machine.Reg]machine.Reg{5: 9}) != b {
 		t.Error("branch word rewritten")
 	}
 	c, _ := EncodeCall(12345)
-	if memo.SubstRegs(c, map[machine.Reg]machine.Reg{3: 4}) != c {
+	if memoDec.SubstRegs(c, map[machine.Reg]machine.Reg{3: 4}) != c {
 		t.Error("call word rewritten")
 	}
 }
 
 func TestSubstRegRewritesOperands(t *testing.T) {
 	w, _ := EncodeOp3("add", 3, 1, 2)
-	got := memo.SubstRegs(w, map[machine.Reg]machine.Reg{1: 20})
+	got := memoDec.SubstRegs(w, map[machine.Reg]machine.Reg{1: 20})
 	inst := memoInst(got)
 	if !inst.Reads().Has(20) || inst.Reads().Has(1) {
 		t.Errorf("reads = %s", inst.Reads())
 	}
 	// Immediate form: rs2 bits hold the immediate, not a register.
 	wi, _ := EncodeOp3Imm("add", 3, 1, 2) // simm13 = 2
-	gi := memo.SubstRegs(wi, map[machine.Reg]machine.Reg{2: 20})
+	gi := memoDec.SubstRegs(wi, map[machine.Reg]machine.Reg{2: 20})
 	simm, _ := memoInst(gi).Field("simm13")
 	if simm != 2 {
 		t.Errorf("immediate rewritten: %d", simm)
@@ -100,11 +103,11 @@ func TestSubstRegRewritesOperands(t *testing.T) {
 
 func TestSubstRegFloatUntouched(t *testing.T) {
 	w, _ := EncodeOp3("fadds", machine.FloatBase+1, machine.FloatBase+1, machine.FloatBase+1)
-	if memo.SubstRegs(w, map[machine.Reg]machine.Reg{1: 9}) != w {
+	if memoDec.SubstRegs(w, map[machine.Reg]machine.Reg{1: 9}) != w {
 		t.Error("fp word rewritten")
 	}
 	ldf, _ := EncodeOp3Imm("ldf", machine.FloatBase+3, 3, 0)
-	got := memo.SubstRegs(ldf, map[machine.Reg]machine.Reg{3: 9})
+	got := memoDec.SubstRegs(ldf, map[machine.Reg]machine.Reg{3: 9})
 	// rs1 (integer base) rewritten, rd (fp) kept.
 	inst := memoInst(got)
 	if !inst.Reads().Has(9) {
@@ -119,7 +122,7 @@ func TestSubstRegsSimultaneous(t *testing.T) {
 	// Swapping two registers through a cyclic assignment must not
 	// cascade.
 	w, _ := EncodeOp3("add", 16, 16, 17) // add %l0, %l1, %l0
-	got := memo.SubstRegs(w, map[machine.Reg]machine.Reg{16: 17, 17: 16})
+	got := memoDec.SubstRegs(w, map[machine.Reg]machine.Reg{16: 17, 17: 16})
 	inst := memoInst(got)
 	if !inst.Reads().Equal(machine.NewRegSet(16, 17)) {
 		t.Errorf("reads = %s", inst.Reads())
@@ -137,7 +140,7 @@ func TestSubstRegTrapCondUntouched(t *testing.T) {
 	// undecodable word.)
 	const ta = uint32(0x91d025c1)
 	for _, r := range []machine.Reg{1, 8} {
-		if got := memo.SubstRegs(ta, map[machine.Reg]machine.Reg{r: 20}); got != ta {
+		if got := memoDec.SubstRegs(ta, map[machine.Reg]machine.Reg{r: 20}); got != ta {
 			t.Errorf("SubstRegs(ta, {%d: 20}) = %#x, want unchanged %#x", r, got, ta)
 		}
 	}
@@ -153,7 +156,7 @@ func TestSubstRegSemanticsPreserved(t *testing.T) {
 		from := machine.Reg(from8 % 32)
 		to := machine.Reg(to8 % 32)
 		before := memoInst(w)
-		after := memoInst(memo.SubstRegs(w, map[machine.Reg]machine.Reg{from: to}))
+		after := memoInst(memoDec.SubstRegs(w, map[machine.Reg]machine.Reg{from: to}))
 		if before.Name() != after.Name() {
 			return false
 		}
@@ -185,8 +188,8 @@ func TestPackageHelpersRetainNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			memo.SubstRegs(w, map[machine.Reg]machine.Reg{1: 20})
-			memo.WritesPSR(w)
+			memoDec.SubstRegs(w, map[machine.Reg]machine.Reg{1: 20})
+			memoDec.WritesPSR(w)
 		}
 	}
 	heap := func() uint64 {
@@ -206,7 +209,7 @@ func TestPackageHelpersRetainNothing(t *testing.T) {
 func TestWritesPSR(t *testing.T) {
 	cc, _ := EncodeOp3("subcc", 0, 1, 2)
 	plain, _ := EncodeOp3("sub", 3, 1, 2)
-	if !memo.WritesPSR(cc) || memo.WritesPSR(plain) {
+	if !memoDec.WritesPSR(cc) || memoDec.WritesPSR(plain) {
 		t.Error("WritesPSR misclassifies")
 	}
 }

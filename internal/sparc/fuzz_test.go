@@ -72,7 +72,7 @@ func FuzzDecode(f *testing.F) {
 				}
 			}
 			// Semantics must compile (or fail cleanly) — never panic.
-			if _, err := dec.Compiled(sem); err != nil {
+			if _, err := sem.Compiled(); err != nil {
 				// Acceptable: some decodable words have semantics the
 				// compiler rejects; the emulator treats them as
 				// illegal.  The property under test is "no panic".

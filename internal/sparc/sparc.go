@@ -215,9 +215,9 @@ func init() {
 // Desc returns the compiled SPARC description.
 func Desc() *spawn.Desc { return desc }
 
-// NewDecoder returns a fresh SPARC decoder (with its own compile
-// caches and decode count) over the package's shared memo, whose
-// instructions it returns.
+// NewDecoder returns a fresh SPARC decoder (with its own decode count)
+// over the package's shared memo, whose instructions, and their
+// compiled forms, it returns.
 func NewDecoder() *spawn.TableDecoder {
 	return spawn.NewDecoder(memo, RegName)
 }

@@ -1,7 +1,6 @@
 package spawn
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"eel/internal/machine"
@@ -24,18 +23,45 @@ import (
 // glue that read other state would see its first answer reused.
 type Glue func(def *InstDef, fields machine.FieldVals, spec machine.InstSpec) machine.InstSpec
 
-// memoBits sizes a Memo: MemoSlots = 1<<memoBits.
-const memoBits = 16
+// TableBits sizes a Table: TableSlots = 1<<TableBits.
+const TableBits = 16
+
+// TableSlots is the number of slots in a Table.
+const TableSlots = 1 << TableBits
+
+// Table is a fixed-size, direct-mapped, lock-free cache of immutable
+// entries: a slot holds at most one entry, swapped in by Put.  The
+// caller picks a key's slot and checks the entry it loads from there
+// against its key, so a hit is one atomic load and a compare.  A
+// collision evicts the slot's entry, which only costs re-deriving it,
+// and the table holds at most TableSlots entries however many keys a
+// long-running process makes.  Memo and the emulator's routine-program
+// cache are its instances.
+type Table[E any] [TableSlots]atomic.Pointer[E]
+
+// Put stores e in slot i and returns it, unless the slot holds an
+// entry same accepts: then that entry, so goroutines that fill one key
+// at once agree on the first entry stored.
+func (t *Table[E]) Put(i uint32, e *E, same func(*E) bool) *E {
+	for slot := &t[i%TableSlots]; ; {
+		if old := slot.Load(); old != nil && same(old) {
+			return old
+		} else if slot.CompareAndSwap(old, e) {
+			return e
+		}
+	}
+}
 
 // MemoSlots is the number of slots in a Memo.  It holds the ~12 k
 // distinct words of sixteen 120-routine binaries at a 94% hit share,
 // and it bounds a memo at the slot array (512 KiB) plus MemoSlots
-// entries of ≈ 326 B each (the 296-byte entry with its instruction,
-// operand forms and semantics handle, plus the ≈ 30 B share of field
-// values and target functions measured over eight 120-routine SPARC
-// binaries), ≈ 21 MiB, however many distinct words a long-running
-// process decodes.
-const MemoSlots = 1 << memoBits
+// entries, however many distinct words a long-running process
+// decodes.  An entry is ≈ 349 B derived (the 304-byte entry with its
+// instruction, operand forms and semantics handle, plus its share of
+// field values and target functions, measured over eight 120-routine
+// SPARC binaries) and ≈ 382 B more once its word is compiled both
+// ways, so a memo stays under ≈ 46 MiB with its compiled forms.
+const MemoSlots = TableSlots
 
 // Memo is a fixed-size, direct-mapped memo of decoded instructions for
 // one (description, glue) pair: word → the word's one machine.Inst and
@@ -43,12 +69,12 @@ const MemoSlots = 1 << memoBits
 // instructions, so a word seen by any executable, emulator or request
 // in the process is derived once and represented by one object; a slot
 // collision only costs a re-derivation, and a new object for the word
-// it evicted.  It is safe for concurrent use and lock-free: a slot
-// holds an immutable entry, swapped in by compare-and-swap.
+// it evicted.  It is safe for concurrent use and lock-free: its slots
+// are a Table.
 type Memo struct {
 	desc  *Desc
 	glue  Glue
-	slots [MemoSlots]atomic.Pointer[memoEntry]
+	slots Table[memoEntry]
 	// derived counts misses: first sights and re-derivations after a
 	// collision alike.
 	derived atomic.Uint64
@@ -70,64 +96,22 @@ func NewMemo(desc *Desc, glue Glue) *Memo { return &Memo{desc: desc, glue: glue}
 // are shared: callers must not modify them.
 func (m *Memo) Spec(word uint32) machine.InstSpec { return m.lookup(word).inst.Spec() }
 
-// SubstRegs rewrites each register operand of word that names a
-// register in assign to the register it maps to, in one simultaneous
-// pass: every field is looked up once, so an assignment may map one
-// placeholder onto another's name (paper §3.5: snippet bodies name
-// placeholders that EEL replaces with scavenged dead registers).  Only
-// operands the word's semantics read are touched, never the hardwired
-// zero, and a field is rewritten only to a register of its own file.
-func (m *Memo) SubstRegs(word uint32, assign map[machine.Reg]machine.Reg) uint32 {
-	def := m.lookup(word).sem.Def
-	if def == nil {
-		return word
-	}
-	out := word
-	for i := range def.Info.Operands {
-		o := &def.Info.Operands[i]
-		if o.Class != Register || !o.Read || !o.Guard.Holds(word) {
-			continue
-		}
-		idx := o.Field.Extract(word)
-		if to, ok := assign[o.base+machine.Reg(idx)]; ok && !m.desc.isZeroReg(o.File, int64(idx)) {
-			if v, ok := o.fit(int64(to)); ok {
-				out = o.Field.Insert(out, v)
-			}
-		}
-	}
-	return out
-}
-
-// WritesPSR reports whether word clobbers the integer condition codes,
-// which decides between a snippet's fast (cc-clobbering) and slow
-// (cc-preserving) bodies: the Blizzard optimization of §5.
-func (m *Memo) WritesPSR(word uint32) bool {
-	return m.lookup(word).inst.Writes().Has(machine.RegPSR)
-}
-
 // memoSlot maps a word to its slot by Fibonacci hashing.  Words that
 // differ in their low (immediate) bits land further apart than a
 // random hash would put them, which lifts the hit share on real text:
 // 95% against 92% for murmur3's finalizer on eight eeld binaries.
-func memoSlot(word uint32) uint32 { return (word * 0x9e3779b1) >> (32 - memoBits) }
+func memoSlot(word uint32) uint32 { return (word * 0x9e3779b1) >> (32 - TableBits) }
 
 // lookup returns word's entry, deriving it on a miss.  Goroutines
 // that derive one word at once agree on the entry the first of them
 // stored, so a word has one instruction while its slot holds it.
 func (m *Memo) lookup(word uint32) *memoEntry {
-	slot := &m.slots[memoSlot(word)]
-	old := slot.Load()
-	if old != nil && old.inst.Word() == word {
-		return old
+	i := memoSlot(word)
+	if e := m.slots[i].Load(); e != nil && e.inst.Word() == word {
+		return e
 	}
-	e := m.derive(word)
 	m.derived.Add(1)
-	for !slot.CompareAndSwap(old, e) {
-		if old = slot.Load(); old != nil && old.inst.Word() == word {
-			return old
-		}
-	}
-	return e
+	return m.slots.Put(i, m.derive(word), func(e *memoEntry) bool { return e.inst.Word() == word })
 }
 
 // derive builds word's entry: its instruction, with the full
@@ -151,7 +135,6 @@ func (m *Memo) derive(word uint32) *memoEntry {
 	spec.ReadsMem = eff.ReadsMem
 	spec.WritesMem = eff.WritesMem
 	spec.MemWidth = eff.MemWidth()
-	spec.DelaySlots = 0
 	if eff.WritesPC && eff.LatePC {
 		spec.DelaySlots = 1
 	}
@@ -177,7 +160,7 @@ func (m *Memo) derive(word uint32) *memoEntry {
 	if m.glue != nil {
 		spec = m.glue(def, fields, spec)
 	}
-	e.sem = InstSem{Def: def, Desc: m.desc, Fields: fields, word: word}
+	e.sem = InstSem{Def: def, Desc: m.desc, Fields: fields}
 	spec.Sem = &e.sem
 	e.inst = machine.MakeInst(spec)
 	return e
@@ -189,21 +172,15 @@ func (m *Memo) derive(word uint32) *memoEntry {
 // instruction", reducing allocations roughly fourfold) process-wide:
 // Decode returns the instruction its Memo holds for the word, shared
 // with every other decoder of the same machine.  The emulator's
-// compiled forms of a word (Compiled, CompiledDirect) are not shared:
-// each decoder caches its own, so they live as long as the decoder's
-// executable or CPU does.
+// compiled forms of a word hang off the same entry's InstSem, so they
+// are shared too, and evicted with the entry.
 //
 // Decode is safe for concurrent use, takes no lock, and allocates
-// nothing for a word the memo holds.  A mutex guards the compile
-// caches and is held while a word compiles, so each word compiles
-// exactly once per decoder.  SetIntern reconfigures the decoder and
-// must not run concurrently with Decode.
+// nothing for a word the memo holds.  SetIntern reconfigures the
+// decoder and must not run concurrently with Decode.
 type TableDecoder struct {
 	memo    *Memo
 	regName func(machine.Reg) string
-
-	mu    sync.Mutex
-	codes map[uint32]code
 
 	decodes atomic.Uint64
 
@@ -214,12 +191,13 @@ type TableDecoder struct {
 // NewDecoder builds a decoder that decodes through memo.  regName may
 // be nil.
 func NewDecoder(memo *Memo, regName func(machine.Reg) string) *TableDecoder {
-	return &TableDecoder{memo: memo, regName: regName, codes: map[uint32]code{}}
+	return &TableDecoder{memo: memo, regName: regName}
 }
 
 // SetIntern toggles instruction-object sharing (ablation E6): with it
 // off, every Decode returns a new copy of the word's instruction and
-// semantics handle, one heap object per decode.
+// semantics handle, one heap object per decode, which compiles for
+// itself.
 func (t *TableDecoder) SetIntern(on bool) { t.noIntern = !on }
 
 // Name returns the description's machine name.
@@ -239,13 +217,40 @@ func (t *TableDecoder) RegName(r machine.Reg) string {
 	return machine.RegSet{}.Add(r).String()
 }
 
-// SubstRegs is Memo.SubstRegs on the decoder's memo.
+// SubstRegs rewrites each register operand of word that names a
+// register in assign to the register it maps to, in one simultaneous
+// pass: every field is looked up once, so an assignment may map one
+// placeholder onto another's name (paper §3.5: snippet bodies name
+// placeholders that EEL replaces with scavenged dead registers).  Only
+// operands the word's semantics read are touched, never the hardwired
+// zero, and a field is rewritten only to a register of its own file.
 func (t *TableDecoder) SubstRegs(word uint32, assign map[machine.Reg]machine.Reg) uint32 {
-	return t.memo.SubstRegs(word, assign)
+	def := t.memo.lookup(word).sem.Def
+	if def == nil {
+		return word
+	}
+	out := word
+	for i := range def.Info.Operands {
+		o := &def.Info.Operands[i]
+		if o.Class != Register || !o.Read || !o.Guard.Holds(word) {
+			continue
+		}
+		idx := o.Field.Extract(word)
+		if to, ok := assign[o.base+machine.Reg(idx)]; ok && !t.memo.desc.isZeroReg(o.File, int64(idx)) {
+			if v, ok := o.fit(int64(to)); ok {
+				out = o.Field.Insert(out, v)
+			}
+		}
+	}
+	return out
 }
 
-// WritesPSR is Memo.WritesPSR on the decoder's memo.
-func (t *TableDecoder) WritesPSR(word uint32) bool { return t.memo.WritesPSR(word) }
+// WritesPSR reports whether word clobbers the integer condition codes,
+// which decides between a snippet's fast (cc-clobbering) and slow
+// (cc-preserving) bodies: the Blizzard optimization of §5.
+func (t *TableDecoder) WritesPSR(word uint32) bool {
+	return t.memo.lookup(word).inst.Writes().Has(machine.RegPSR)
+}
 
 // Decode returns the (shared) instruction for word.
 func (t *TableDecoder) Decode(word uint32) *machine.Inst {
@@ -254,7 +259,7 @@ func (t *TableDecoder) Decode(word uint32) *machine.Inst {
 	if !t.noIntern {
 		return &e.inst
 	}
-	c := &memoEntry{sem: e.sem}
+	c := &memoEntry{sem: InstSem{Def: e.sem.Def, Desc: e.sem.Desc, Fields: e.sem.Fields}}
 	spec := e.inst.Spec()
 	if spec.Sem != nil {
 		spec.Sem = &c.sem
@@ -284,32 +289,46 @@ func (t *TableDecoder) AttachTelemetry(reg *telemetry.Registry) {
 	reg.GaugeFunc("spawn.derived", func() int64 { return int64(t.memo.derived.Load()) })
 }
 
-// code is one word's compiled forms in one decoder, negative results
-// included; done and directDone say which have been derived.
-type code struct {
-	prog             *rtl.Prog
-	err              error
-	direct           *rtl.Direct
-	done, directDone bool
+// InstSem is the semantics handle attached to decoded instructions;
+// the emulator executes Def.Sem against the description's register
+// model, or the compiled forms it holds when it wants speed.  A memo
+// entry owns one per valid word, shared like the instruction, so a
+// word compiles once per process while its slot holds it.
+type InstSem struct {
+	Def  *InstDef
+	Desc *Desc
+	// Fields holds the decoded field values the semantics are
+	// specialized on.
+	Fields machine.FieldVals
+
+	// prog and direct are the compiled forms, each stored once by
+	// compare-and-swap and read lock-free; direct holds noDirect for
+	// a word CompileDirect refuses.
+	prog   atomic.Pointer[compiled]
+	direct atomic.Pointer[rtl.Direct]
 }
 
+// compiled is a word's buffered program, or why it did not lower.
+type compiled struct {
+	prog *rtl.Prog
+	err  error
+}
+
+// noDirect marks a word's direct program as refused, so a hot
+// re-translation does not re-prove it.
+var noDirect = new(rtl.Direct)
+
 // Compiled returns s's semantics lowered once to an rtl.Prog
-// specialized on its word's field values.  Each distinct machine word
-// is compiled at most once per decoder, so the emulator's translation
-// cache gets compiled semantics for free on re-decode.
-func (t *TableDecoder) Compiled(s *InstSem) (*rtl.Prog, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := t.codes[s.word]
-	if !c.done {
+// specialized on its word's field values.
+func (s *InstSem) Compiled() (*rtl.Prog, error) {
+	c := s.prog.Load()
+	if c == nil {
 		// Taken once per distinct word: worth a trace span and a
 		// registry tick so JIT warm-up is visible in -trace output.
 		sp := telemetry.ActiveTracer().Begin("rtl.compile "+s.Def.Name, "rtl")
-		telemetry.Default().Counter("rtl.compiles").Add(1)
-		c.prog, c.err = rtl.Compile(s.Def.Sem, s)
+		p, err := rtl.Compile(s.Def.Sem, s)
 		sp.End()
-		c.done = true
-		t.codes[s.word] = c
+		c = keep(&s.prog, &compiled{p, err}, "rtl.compiles")
 	}
 	return c.prog, c.err
 }
@@ -318,29 +337,41 @@ func (t *TableDecoder) Compiled(s *InstSem) (*rtl.Prog, error) {
 // (rtl.CompileDirect), or nil when the commit reorder cannot be proven
 // unobservable for this word.  The emulator's chained tier asks for it
 // when a block turns hot, and its routine tier for every body word;
-// the result — including the negative, so hot re-translation does not
-// re-prove it — is cached per word and decoder like Compiled.  It
+// the result, the negative one included, is kept like Compiled's.  It
 // reads pc from the Host (rtl.FlagPCRead); CompiledDirectAt folds pc
 // instead.
-func (t *TableDecoder) CompiledDirect(s *InstSem) *rtl.Direct {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	c := t.codes[s.word]
-	if !c.directDone {
-		telemetry.Default().Counter("rtl.compiles_direct").Add(1)
-		c.direct, _ = rtl.CompileDirect(s.Def.Sem, s, nil)
-		c.directDone = true
-		t.codes[s.word] = c
+func (s *InstSem) CompiledDirect() *rtl.Direct {
+	d := s.direct.Load()
+	if d == nil {
+		if d, _ = rtl.CompileDirect(s.Def.Sem, s, nil); d == nil {
+			d = noDirect
+		}
+		d = keep(&s.direct, d, "rtl.compiles_direct")
 	}
-	return c.direct
+	if d == noDirect {
+		return nil
+	}
+	return d
+}
+
+// keep stores v in cell unless the cell holds a value already, and
+// returns the value the cell then holds, so goroutines that compile
+// one word at once keep the first program stored.  counter counts the
+// values stored: one per word.
+func keep[T any](cell *atomic.Pointer[T], v *T, counter string) *T {
+	if cell.CompareAndSwap(nil, v) {
+		telemetry.Default().Counter(counter).Add(1)
+		return v
+	}
+	return cell.Load()
 }
 
 // CompiledDirectAt returns s's direct program for its address pc:
 // CompiledDirect's, unless that reads pc, and then the semantics
-// lowered again with pc folded to pc (not cached: the address is the
+// lowered again with pc folded to pc (not kept: the address is the
 // caller's).
-func (t *TableDecoder) CompiledDirectAt(s *InstSem, pc uint32) *rtl.Direct {
-	d := t.CompiledDirect(s)
+func (s *InstSem) CompiledDirectAt(pc uint32) *rtl.Direct {
+	d := s.CompiledDirect()
 	if d == nil || d.Flags()&rtl.FlagPCRead == 0 {
 		return d
 	}
@@ -348,22 +379,6 @@ func (t *TableDecoder) CompiledDirectAt(s *InstSem, pc uint32) *rtl.Direct {
 	at := uint64(pc)
 	d, _ = rtl.CompileDirect(s.Def.Sem, s, &at)
 	return d
-}
-
-// InstSem is the semantics handle attached to decoded instructions;
-// the emulator executes Def.Sem against the description's register
-// model, or the compiled form a decoder's Compiled returns when it
-// wants speed.  A memo entry owns one per valid word, shared like the
-// instruction.
-type InstSem struct {
-	Def  *InstDef
-	Desc *Desc
-	// Fields holds the decoded field values the semantics are
-	// specialized on.
-	Fields machine.FieldVals
-
-	// word keys the decoders' compile caches.
-	word uint32
 }
 
 // CompileEnv returns the rtl.CompileEnv the instruction's semantics
