@@ -114,7 +114,10 @@ func graphShapeDigests(t *testing.T, digest func(hash.Hash, *eel.AnalysisResult)
 // testdata/graph_shape_sha256.txt were recorded when blocks and edges
 // were still allocated one at a time and liveness was keyed by block
 // pointer, and a change to how graphs are stored must leave every
-// observable fact as it was.
+// observable fact as it was.  The two sunpro seed-23 lines were
+// refreshed when blocks began to end at an annul (bn,a, fbn,a): only
+// hidden_00010b84, data decoded as code inside one of progen's
+// DataRanges, changed.
 func TestGraphShapePinned(t *testing.T) {
 	checkDigests(t, "testdata/graph_shape_sha256.txt", shapeDigest)
 }

@@ -124,6 +124,7 @@ func init() {
 			CallDef: machine.NewRegSet(0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
 				26, 27, 28),
 			ExitLive: machine.NewRegSet(0, 9, 10, 11, 12, 13, 14, 15, 26, 29, 30),
+			Nop:      0x47ff041f, // bis $31, $31, $31
 		},
 	})
 }

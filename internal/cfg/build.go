@@ -126,6 +126,10 @@ func (b *builder) mark(a uint32, f uint8) { b.flags[(a-b.start)/4] |= f }
 
 func (b *builder) instAt(a uint32) *machine.Inst { return b.text[(a-b.base)/4] }
 
+// annuls reports whether in annuls its successor without transferring
+// control (SPARC's bn,a): it ends a block but is no transfer.
+func annuls(in *machine.Inst) bool { return in.EndsBlock() && !in.Category().IsControl() }
+
 // reach walks all paths from the entry points, marking reachable
 // instructions, leaders, delay-slot consumption, and data.
 func (b *builder) reach() error {
@@ -158,17 +162,22 @@ func (b *builder) reach() error {
 				b.g.HasData = true
 				break
 			}
-			if !inst.Category().IsControl() {
+			if !inst.EndsBlock() {
 				a += 4
 				continue
 			}
-			// Control transfer: account for its delay slot.
+			// A control transfer or an annul: account for the word
+			// after it, a delay slot or the word the annul skips.
 			b.transfers++
-			delay := inst.DelaySlots()
 			dsAddr := a + 4
-			hasDS := delay == 1 && !inst.IsAnnulledUncond()
-			if delay == 1 {
-				if dsAddr >= b.end {
+			hasDS := inst.DelaySlots() == 1 && !inst.IsAnnulledUncond()
+			if inst.Span() == 2 {
+				// One whose next word lies past the routine is data,
+				// and so is a transfer whose slot annuls (it would
+				// annul the target's first word; no compiler emits
+				// it).  That slot stays unreached, left to whatever
+				// else reaches the word.
+				if dsAddr >= b.end || hasDS && annuls(b.instAt(dsAddr)) {
 					b.mark(a, dataAt)
 					b.g.HasData = true
 					break
@@ -194,7 +203,10 @@ func (b *builder) reach() error {
 					}
 				}
 			}
-			fall := a + 4 + 4*uint32(delay)
+			fall := a + 4*uint32(inst.Span())
+			if annuls(inst) {
+				enter(fall) // the word it skips is on no path
+			}
 			// Returns have no successors inside the routine.
 			switch inst.Category() {
 			case machine.CatBranch, machine.CatJumpDirect:
@@ -244,8 +256,8 @@ func (b *builder) formBlocks() {
 		mi := b.instAt(a)
 		b.insts = append(b.insts, Inst{Addr: a, MI: mi})
 		cur.Insts = b.insts[first:len(b.insts):len(b.insts)]
-		if mi.Category().IsControl() {
-			cur = nil // force a new block after the transfer
+		if mi.EndsBlock() {
+			cur = nil // force a new block after the transfer or annul
 		}
 	}
 }
@@ -283,8 +295,9 @@ func (b *builder) connect() {
 		a := last.Addr
 		inst := last.MI
 		if !inst.Category().IsControl() {
-			// Fell off the block: leader split, data, or routine end.
-			next := a + 4
+			// Fell off the block: leader split, data, routine end,
+			// or past the word an annulling instruction skips.
+			next := a + 4*uint32(inst.Span())
 			if b.is(next, dataAt) {
 				blk.HasData = true
 				g.NewEdge(blk, g.Exit, EdgeExit, true)
@@ -303,7 +316,7 @@ func (b *builder) connect() {
 		delay := inst.DelaySlots()
 		dsAddr := a + 4
 		hasDS := delay == 1 && !inst.IsAnnulledUncond() && !b.is(dsAddr, dataAt)
-		fall := a + 4 + 4*uint32(delay)
+		fall := a + 4*uint32(inst.Span())
 		target, hasTarget := inst.StaticTarget(a)
 
 		// linkVia routes from→…→to through a fresh delay-slot copy
@@ -429,20 +442,21 @@ func (b *builder) findUnreachableTail() {
 		if b.is(a, reached) {
 			continue
 		}
-		// The delay slot of a reached annulled unconditional branch
-		// (ba,a) is never executed and never marked reached, but it
-		// is still part of this routine's code, not a hidden routine.
+		// The word a reached instruction never executes — the delay
+		// slot of an annulled unconditional branch (ba,a), or the
+		// successor an annulling non-transfer (bn,a) skips — is never
+		// marked reached, but it is still part of this routine's
+		// code, not a hidden routine.
 		if a >= b.start+4 && b.is(a-4, reached) {
-			if prev := b.instAt(a - 4); prev.Valid() &&
-				prev.DelaySlots() == 1 && prev.IsAnnulledUncond() {
+			if prev := b.instAt(a - 4); prev.Valid() && (prev.DelaySlots() == 1 && prev.IsAnnulledUncond() || annuls(prev)) {
 				continue
 			}
 		}
 		inst := b.instAt(a)
-		// Skip padding: invalid words and the canonical nop
-		// (sethi 0, %g0).  Any other valid instruction — including a
-		// real sethi — marks hidden code.
-		if inst.Valid() && inst.Word() != 0x01000000 {
+		// Skip padding: invalid words and the machine's nop (ABI.Nop).
+		// Any other valid instruction — including a real sethi on
+		// SPARC, whose nop is sethi 0, %g0 — marks hidden code.
+		if inst.Valid() && (b.g.abi == nil || inst.Word() != b.g.abi.Nop) {
 			b.g.UnreachableTail = a
 			return
 		}

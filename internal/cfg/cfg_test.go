@@ -1,6 +1,7 @@
 package cfg_test
 
 import (
+	"encoding/binary"
 	"runtime/debug"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"eel/internal/cfg"
 	"eel/internal/core"
 	"eel/internal/machine"
+	"eel/internal/mips"
 	"eel/internal/progen"
 	"eel/internal/sparc"
 )
@@ -463,5 +465,73 @@ func TestCFGBuildAllocs(t *testing.T) {
 	t.Logf("%.0f allocations to build %d routines' graphs", n, len(e.Routines()))
 	if n != cfgBuildAllocs {
 		t.Errorf("building the graphs allocates %.0f times, want exactly %d", n, cfgBuildAllocs)
+	}
+}
+
+// SPARC's bn,a annuls its successor without transferring: its block
+// ends there, the word it skips is in no block and is no unreachable
+// tail, and control goes on past that word.
+func TestAnnulSkipsSuccessor(t *testing.T) {
+	g, _ := build(t, `
+	mov 5, %o0
+	bn,a L1
+	add %o0, 100, %o0  ! never executes
+L1:	mov 1, %g1
+	ta 0
+`)
+	b := blockAt(t, g, 0x10000)
+	if len(b.Insts) != 2 || len(b.Succ) != 1 || b.Succ[0].To != blockAt(t, g, 0x1000c) || b.Succ[0].Kind != cfg.EdgeFall {
+		t.Fatalf("entry block holds %d instructions and %d successors, want mov and bn,a falling to %#x", len(b.Insts), len(b.Succ), 0x1000c)
+	}
+	for _, blk := range g.Blocks {
+		for _, in := range blk.Insts {
+			if in.Addr == 0x10008 {
+				t.Errorf("block %d holds the skipped word", blk.ID)
+			}
+		}
+	}
+	if g.UnreachableTail != 0 {
+		t.Errorf("skipped word taken for a hidden routine at %#x", g.UnreachableTail)
+	}
+}
+
+// Padding after a routine's return is the machine's nop (ABI.Nop),
+// not SPARC's: MIPS pads with word 0.  Any other valid word there
+// marks a hidden routine, on either machine.
+func TestPaddingIsMachineNop(t *testing.T) {
+	must := func(w uint32, err error) uint32 {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	sparcRet := must(sparc.EncodeOp3Imm("jmpl", sparc.RegG0, sparc.RegO7, 8))
+	sparcMov := must(sparc.EncodeOp3Imm("or", sparc.RegO0, sparc.RegG0, 7))
+	mipsRet := must(mips.EncodeR("jr", 0, 31, 0))
+	mipsMov := must(mips.EncodeI("addiu", 2, 0, 7))
+	const base = 0x10000
+	for _, c := range []struct {
+		what  string
+		dec   machine.Decoder
+		words []uint32
+		tail  uint32
+	}{
+		{"sparc nops", sparc.NewDecoder(), []uint32{sparcRet, sparc.Nop(), sparc.Nop(), sparc.Nop()}, 0},
+		{"sparc code", sparc.NewDecoder(), []uint32{sparcRet, sparc.Nop(), sparc.Nop(), sparcMov}, base + 12},
+		{"mips nops", mips.NewDecoder(), []uint32{mipsRet, 0, 0, 0}, 0},
+		{"mips code", mips.NewDecoder(), []uint32{mipsRet, 0, 0, mipsMov}, base + 12},
+	} {
+		text := make([]byte, 4*len(c.words))
+		for i, w := range c.words {
+			binary.BigEndian.PutUint32(text[4*i:], w)
+		}
+		end := base + uint32(len(text))
+		g, err := cfg.Build(c.dec, machine.DecodeText(c.dec, text), base, base, end, []uint32{base})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.UnreachableTail != c.tail {
+			t.Errorf("%s: unreachable tail %#x, want %#x", c.what, g.UnreachableTail, c.tail)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"eel/internal/asm"
 	"eel/internal/binfile"
 	"eel/internal/core"
+	"eel/internal/dataflow"
 	"eel/internal/machine"
 	"eel/internal/sim"
 	"eel/internal/sparc"
@@ -699,5 +700,74 @@ g:	retl
 	}
 	if got, want := fmt.Sprint(walk()), "[[main f hidden_00010018 g]]"; got != want {
 		t.Errorf("second walk's waves = %s, want %s", got, want)
+	}
+}
+
+// bnAnnulProgram's bn,a never transfers and annuls the add after it,
+// so the program exits 5.
+const bnAnnulProgram = `
+main:	mov 5, %o0
+	bn,a next
+	add %o0, 100, %o0
+next:	mov 1, %g1
+	ta 0
+`
+
+// TestAnnulledSuccessorIsNoPath pins SPARC's bn,a, which annuls its
+// successor without transferring: with a counter before every
+// editable instruction the skipped add stays annulled and the program
+// still exits 5, and no code goes after the bn,a nor may it be deleted.
+func TestAnnulledSuccessorIsNoPath(t *testing.T) {
+	e, prog := makeExec(t, bnAnnulProgram, 0x10000, "main")
+	r := e.RoutineByName("main")
+	g, err := r.ControlFlowGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := e.AllocData(4)
+	for _, b := range g.Blocks {
+		for i := 0; i < len(b.Insts) && !b.Uneditable; i++ {
+			if err := r.AddCodeBefore(b, i, counterSnippet(t, addr)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	f, err := e.BuildEdited()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, _ := runImage(t, &binfile.File{Format: "aout", Entry: prog.Base,
+		Sections: []binfile.Section{{Name: "text", Addr: prog.Base, Data: prog.Bytes}}}, 1000)
+	cpu, _ := runImage(t, f, 1000)
+	if orig.ExitCode != 5 || cpu.ExitCode != orig.ExitCode {
+		t.Errorf("edited exits %d, original %d, want 5", cpu.ExitCode, orig.ExitCode)
+	}
+	b := g.ByAddr[prog.Base] // mov, bn,a
+	if err := r.AddCodeAfter(b, 1, counterSnippet(t, addr)); err == nil {
+		t.Error("AddCodeAfter on bn,a accepted")
+	}
+	if err := r.DeleteInst(b, 1); err == nil {
+		t.Error("DeleteInst on bn,a accepted")
+	}
+}
+
+// TestAnnulledSuccessorLiveness: a skipped word that writes a register
+// without reading it does not kill that register before the bn,a.
+func TestAnnulledSuccessorLiveness(t *testing.T) {
+	e, prog := makeExec(t, `
+main:	mov 5, %o0
+	bn,a next
+	mov 7, %o0
+next:	add %o0, 1, %o0
+	mov 1, %g1
+	ta 0
+`, 0x10000, "main")
+	g, err := e.RoutineByName("main").ControlFlowGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv := dataflow.ComputeLiveness(g)
+	if !lv.LiveBefore(g.ByAddr[prog.Base], 1).Has(sparc.RegO0) { // mov, bn,a
+		t.Error("o0 dead before the bn,a: the skipped mov was taken to run")
 	}
 }

@@ -180,6 +180,10 @@ type measurer struct {
 	cur   int    // current word offset
 
 	assign map[machine.Reg]machine.Reg // registers of the snippet being placed, reused per site
+	// reads is what a transfer laid out after the code being placed
+	// still reads: a resolved indirect jump's operands while its slot
+	// and slot edits are hoisted above it.
+	reads machine.RegSet
 }
 
 // Liveness accessors: under LightAnalysis (the ad-hoc baseline of
@@ -189,14 +193,14 @@ func (m *measurer) liveAtEdge(e *cfg.Edge) machine.RegSet {
 	if m.lv == nil {
 		return allRegsLive()
 	}
-	return m.lv.LiveAtEdge(e)
+	return m.lv.LiveAtEdge(e).Union(m.reads)
 }
 
 func (m *measurer) liveBefore(b *cfg.Block, idx int) machine.RegSet {
 	if m.lv == nil {
 		return allRegsLive()
 	}
-	return m.lv.LiveBefore(b, idx)
+	return m.lv.LiveBefore(b, idx).Union(m.reads)
 }
 
 // allRegsLive returns the integer universe minus the condition
@@ -457,7 +461,16 @@ func (m *measurer) block(b *cfg.Block, next *cfg.Block) error {
 		}
 	}
 	if !isCTI {
-		// Fall-through block: one successor edge.
+		// Fall-through block: one successor edge.  A block that ends
+		// at an annul keeps the word it skips right behind it, verbatim;
+		// the edge leaves past that word.
+		in := b.Insts[last]
+		if in.MI.EndsBlock() {
+			// The CFG makes an annul whose successor lies outside
+			// the routine data, so the skipped word is text.
+			skipped, _ := m.r.Exec.InstAt(in.Addr + 4)
+			m.word(skipped.Word())
+		}
 		if len(b.Succ) == 0 {
 			return nil
 		}
@@ -468,7 +481,7 @@ func (m *measurer) block(b *cfg.Block, next *cfg.Block) error {
 		if e.To == m.g.Exit {
 			// Fell off the routine into the next one (or data).
 			if !b.HasData { // else nothing to transfer to; data follows
-				m.jumpToOrigOrTrap(b.Insts[last].Addr + 4)
+				m.jumpToOrigOrTrap(in.Addr + 4*uint32(in.MI.Span()))
 			}
 			return nil
 		}
@@ -495,7 +508,7 @@ func (m *measurer) terminator(b *cfg.Block, last int, next *cfg.Block) error {
 	var taken, fall path
 	hasTaken, hasFall := false, false
 	origTarget, _ := inst.StaticTarget(a)
-	fallAddr := a + 4 + 4*uint32(inst.DelaySlots())
+	fallAddr := a + 4*uint32(inst.Span())
 	for _, e := range b.Succ {
 		switch e.Kind {
 		case cfg.EdgeTaken:
@@ -785,12 +798,16 @@ func (m *measurer) lowerIndirectJump(b *cfg.Block, in cfg.Inst) error {
 		if !ds.Insts[0].MI.Writes().Intersect(inst.Reads()).IsEmpty() {
 			return fmt.Errorf("core: cannot hoist delay slot feeding the jump at %#x", in.Addr)
 		}
+		// Liveness places these snippets after the jump; they run
+		// before it, so they must not borrow what it reads.
+		m.reads = inst.Reads()
 		if err := m.edgeSnippets(e1); err != nil {
 			return err
 		}
 		if err := m.instWithEdits(ds, 0, false); err != nil {
 			return err
 		}
+		m.reads = machine.RegSet{}
 	}
 	if ij.Literal {
 		// Literal-target jump: emit as a direct transfer.

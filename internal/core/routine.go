@@ -199,14 +199,16 @@ func (r *Routine) AddCodeBefore(b *cfg.Block, idx int, s *Snippet) error {
 }
 
 // AddCodeAfter inserts a snippet after instruction idx of block b.
-// The instruction must not be a control transfer (add code along the
-// outgoing edges instead, which says which path to instrument).
+// The instruction must not end its block (machine.Inst.EndsBlock): add
+// code along the outgoing edges of a control transfer instead, which
+// says which path to instrument; code right after an instruction that
+// annuls its successor would be annulled in the successor's place.
 func (r *Routine) AddCodeAfter(b *cfg.Block, idx int, s *Snippet) error {
 	if err := r.checkInstEdit(b, idx); err != nil {
 		return err
 	}
-	if b.Insts[idx].MI.Category().IsControl() {
-		return fmt.Errorf("core: cannot add code after a control transfer; edit its edges")
+	if b.Insts[idx].MI.EndsBlock() {
+		return fmt.Errorf("core: cannot add code after a control transfer or annul; edit its edges")
 	}
 	r.editsInit()
 	k := instKey{b, idx}
@@ -215,14 +217,15 @@ func (r *Routine) AddCodeAfter(b *cfg.Block, idx int, s *Snippet) error {
 }
 
 // DeleteInst removes instruction idx of block b from the edited
-// routine.  Control transfers cannot be deleted (redirect edges
-// instead).
+// routine.  An instruction that ends its block cannot be deleted:
+// redirect a transfer's edges instead, and an annul stays with the
+// word it skips.
 func (r *Routine) DeleteInst(b *cfg.Block, idx int) error {
 	if err := r.checkInstEdit(b, idx); err != nil {
 		return err
 	}
-	if b.Insts[idx].MI.Category().IsControl() {
-		return fmt.Errorf("core: cannot delete a control transfer")
+	if b.Insts[idx].MI.EndsBlock() {
+		return fmt.Errorf("core: cannot delete a control transfer or annul")
 	}
 	r.editsInit()
 	r.deleted[instKey{b, idx}] = true

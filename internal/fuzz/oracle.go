@@ -212,10 +212,9 @@ func lockstepDiff(interp, run runResult, eng sim.Engine) []Violation {
 	return vs
 }
 
-// edit rewrites prog.File through internal/core, with instrument
-// optionally applying full qpt instrumentation first.  Panics in the
-// editing pipeline are returned as errors.
-func edit(f *binfile.File, instrument bool) (edited *binfile.File, err error) {
+// edit rewrites f through internal/core, applying edits, when not
+// nil, first.  Panics in the editing pipeline are returned as errors.
+func edit(f *binfile.File, edits func(*core.Executable) error) (edited *binfile.File, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
@@ -228,18 +227,43 @@ func edit(f *binfile.File, instrument bool) (edited *binfile.File, err error) {
 	if err := e.ReadContents(); err != nil {
 		return nil, err
 	}
-	if instrument {
-		if _, err := qpt.Instrument(e, qpt.Full); err != nil {
+	if edits != nil {
+		if err := edits(e); err != nil {
 			return nil, err
 		}
 	}
 	return e.BuildEdited()
 }
 
+// countEveryInst adds a qpt.CounterSnippet before every editable
+// instruction of every routine, so code lands between every two words
+// the CFG puts on one path.
+func countEveryInst(e *core.Executable) error {
+	snip, err := qpt.CounterSnippet(e.AllocData(4))
+	if err != nil {
+		return err
+	}
+	return e.EachRoutine(func(r *core.Routine) error {
+		g, err := r.ControlFlowGraph()
+		if err != nil {
+			return err
+		}
+		for _, b := range g.Blocks {
+			for i := 0; i < len(b.Insts) && !b.Uneditable; i++ {
+				if err := r.AddCodeBefore(b, i, snip); err != nil {
+					return err
+				}
+			}
+		}
+		return r.ProduceEditedRoutine()
+	})
+}
+
 // CheckEdited verifies that editing preserves behavior: the original,
-// an identity relayout (BuildEdited with no edits), and a fully
-// qpt-instrumented build must all exit with the same code and write
-// the same output.
+// an identity relayout (BuildEdited with no edits), a fully
+// qpt-instrumented build, and a build with a counter before every
+// editable instruction must all exit with the same code and write the
+// same output.
 func CheckEdited(p *Program, maxSteps uint64) []Violation {
 	if !isSPARC(p.Cfg.ISA) {
 		// The editing pipeline (internal/core, internal/qpt) analyzes
@@ -256,10 +280,14 @@ func CheckEdited(p *Program, maxSteps uint64) []Violation {
 	}
 	var vs []Violation
 	for _, mode := range []struct {
-		name       string
-		instrument bool
-	}{{"identity", false}, {"instrumented", true}} {
-		ed, err := edit(p.File, mode.instrument)
+		name  string
+		edits func(*core.Executable) error
+	}{
+		{"identity", nil},
+		{"instrumented", func(e *core.Executable) error { _, err := qpt.Instrument(e, qpt.Full); return err }},
+		{"counted", countEveryInst},
+	} {
+		ed, err := edit(p.File, mode.edits)
 		if err != nil {
 			vs = append(vs, violate("edited", "%s edit failed: %v", mode.name, err))
 			continue

@@ -131,10 +131,12 @@ func TestABIPinnedToManuals(t *testing.T) {
 }
 
 // TestABIMatchesDescription: the zero register is the description's
-// "zero is" register, and the return-address register is the link of
+// "zero is" register, the return-address register is the link of
 // each machine's call definitions, for both the canonical call words
 // of each manual and every definition whose link its own fixed fields
-// determine.
+// determine, and the nop decodes to a compute instruction with no
+// effect: it touches no memory, writes no register but the zero, and
+// neither transfers nor annuls.
 func TestABIMatchesDescription(t *testing.T) {
 	for _, c := range []struct {
 		arch  string
@@ -155,6 +157,10 @@ func TestABIMatchesDescription(t *testing.T) {
 			t.Errorf("%s: zero is r%d in the description, r%d in the ABI", c.arch, z, a.Zero)
 		}
 		dec := arch.NewDecoder()
+		if n := dec.Decode(a.Nop); n.Category() != machine.CatCompute || n.ReadsMem() || n.WritesMem() ||
+			!n.Writes().Remove(a.Zero).IsEmpty() || n.EndsBlock() {
+			t.Errorf("%s: nop %#08x is %v writing %s, want an effect-free compute word", c.arch, a.Nop, n, n.Writes())
+		}
 		for _, w := range c.calls {
 			def := d.DecodeRaw(w)
 			if def == nil {

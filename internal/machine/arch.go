@@ -31,8 +31,9 @@ type TrapModel struct {
 // ABI is a machine's calling convention as the machine-independent
 // analyses consume it: liveness and the slicer read the call and exit
 // sets, the scavenger and free-register queries borrow only from
-// Scavengeable, the spiller addresses the stack through SP, and the
-// layout's run-time translation stubs use Reserved.
+// Scavengeable, the spiller addresses the stack through SP, the
+// layout's run-time translation stubs use Reserved, and CFG
+// construction takes Nop words after a routine for padding.
 type ABI struct {
 	// Zero is the hardwired zero register; SP, FP and RA are the
 	// stack pointer, the frame pointer and the register calls link
@@ -51,6 +52,9 @@ type ABI struct {
 	// the stack and frame pointers, the return address and the
 	// registers that belong to the caller.
 	ExitLive RegSet
+	// Nop is the machine's canonical no-op word, the padding
+	// compilers and linkers put between routines.
+	Nop uint32
 }
 
 // Scavengeable returns the integer registers an editor may borrow:
@@ -70,9 +74,8 @@ func ABIOf(dec Decoder) *ABI {
 }
 
 // ArchInfo is the per-architecture configuration the machine-
-// independent layers consume: how to build a decoder, the trap and
-// calling conventions, and whether the differential lockstep oracles
-// run for it.
+// independent layers consume: how to build a decoder, and the trap
+// and calling conventions.
 // Architecture packages register themselves from init(), so importing
 // an architecture is all it takes to make it available by name.
 type ArchInfo struct {
@@ -88,9 +91,6 @@ type ArchInfo struct {
 	Trap TrapModel
 	// ABI is the calling convention.
 	ABI ABI
-	// Lockstep reports whether the differential interp-vs-JIT
-	// oracles run for this architecture.
-	Lockstep bool
 }
 
 var (

@@ -450,6 +450,23 @@ func (i *Inst) IsAnnulledUncond() bool {
 	return i.spec.AnnulBit && !i.spec.Conditional && i.spec.Cat.IsControl()
 }
 
+// EndsBlock reports whether the instruction ends a basic block: a
+// control transfer, or an instruction that annuls its successor
+// without transferring (SPARC's bn,a).  CFG construction, the
+// editor's rules and layout, and the emulator's routine tier all
+// split code here.
+func (i *Inst) EndsBlock() bool { return i.spec.Cat.IsControl() || i.spec.AnnulBit }
+
+// Span returns how many words the instruction governs: itself and its
+// delay slots, or itself and the successor it annuls.  Control that
+// does not transfer continues Span words on.
+func (i *Inst) Span() int {
+	if !i.spec.Cat.IsControl() && i.spec.AnnulBit {
+		return 2
+	}
+	return 1 + i.spec.DelaySlots
+}
+
 // String renders a compact description for debugging.
 func (i *Inst) String() string {
 	if !i.Valid() {

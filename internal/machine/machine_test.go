@@ -170,6 +170,24 @@ func TestInstAccessors(t *testing.T) {
 	if !uncond.IsAnnulledUncond() {
 		t.Error("ba,a-like should be annulled-unconditional")
 	}
+	// What ends a block, and how many words it governs: a delayed
+	// branch and its slot, an annul (bn,a) and the word it skips, a
+	// transfer without a slot, and a plain word.
+	for _, c := range []struct {
+		what string
+		in   *Inst
+		ends bool
+		span int
+	}{
+		{"delayed branch", inst, true, 2},
+		{"annul", NewInst(InstSpec{Cat: CatCompute, AnnulBit: true}), true, 2},
+		{"undelayed jump", NewInst(InstSpec{Cat: CatJumpDirect}), true, 1},
+		{"compute", NewInst(InstSpec{Cat: CatCompute}), false, 1},
+	} {
+		if c.in.EndsBlock() != c.ends || c.in.Span() != c.span {
+			t.Errorf("%s: EndsBlock %v Span %d, want %v %d", c.what, c.in.EndsBlock(), c.in.Span(), c.ends, c.span)
+		}
+	}
 	invalid := NewInst(InstSpec{Word: 0})
 	if invalid.Valid() {
 		t.Error("zero spec should be invalid")

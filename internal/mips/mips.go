@@ -132,8 +132,8 @@ func init() {
 			CallDef: machine.NewRegSet(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 24, 25, 31,
 				32, 33),
 			ExitLive: machine.NewRegSet(2, 3, 16, 17, 18, 19, 20, 21, 22, 23, 28, 29, 30, 31),
+			Nop:      0, // sll $0, $0, 0
 		},
-		Lockstep: true,
 	})
 }
 

@@ -17,7 +17,9 @@ import (
 // returned.  Version 2 switched the image salt from whole-text
 // hashing to layout hashing plus per-bundle external-read validation
 // (see imageSalt), so keys from version 1 mean something different.
-const analysisVersion = 2
+// Version 3 ends a block at an instruction that annuls its successor
+// (SPARC's bn,a), which then sits on no path.
+const analysisVersion = 3
 
 // Key content-addresses one routine analysis: a 64-bit FNV-1a digest
 // over the routine's machine words, its entry-point offsets, the

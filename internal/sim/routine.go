@@ -10,8 +10,9 @@
 // immediate-commit lowering the chained tier runs too — or, when
 // rtl.CompileDirect refuses it, its buffered program; this file and
 // rtcompile.go compose them: extent, CFG and liveness from the paper's
-// analyses, block formation, lazy-cc pairs and their liveness-gated
-// elision, transfers (rtl.LowerXfer), and linking.
+// analyses, the CFG's own blocks (split only at in-extent call
+// targets, where the tier also enters), lazy-cc pairs and their
+// liveness-gated elision, transfers (rtl.LowerXfer), and linking.
 //
 // Compilation runs on a background goroutine so the running engine
 // never stalls: the chained tier keeps executing, finished programs
@@ -353,16 +354,7 @@ func rtCompileText(dec *spawn.TableDecoder, text []byte, entry uint32) *rtCacheE
 	if err != nil {
 		return &rtCacheEnt{err: err}
 	}
-	lv := dataflow.ComputeLiveness(g)
-	rc := &routineCompiler{inv: make(map[uint32]*machine.Inst), pl: lv.Points()}
-	for _, b := range g.Blocks {
-		for _, ci := range b.Insts {
-			if ci.MI != nil && ci.MI.Valid() {
-				rc.inv[ci.Addr] = ci.MI
-			}
-		}
-	}
-	return rc.compile(entry)
+	return (&routineCompiler{g: g, lv: dataflow.ComputeLiveness(g)}).compile(entry)
 }
 
 // The background compiler: one process-wide worker goroutine and a

@@ -1,28 +1,31 @@
 package sim
 
 // Routine composition: from a routine's CFG and liveness to a
-// routineProg.  Which instructions end a block, where their targets
-// and delay slots are, and whether an instruction can fault all come
-// from the description (DelaySlots, AnnulBit, StaticTarget, Category,
-// spawn effects); what each instruction does comes from the one
-// immediate-commit lowering, rtl.CompileDirect (the buffered program
-// for a word it refuses), plus rtl.LowerCC's lazy-cc pairs and
-// rtl.LowerXfer's transfers.
+// routineProg.  The blocks are the CFG's normal blocks, the partition
+// the editor uses, split only where a direct call lands; they end
+// where the description says (machine.Inst.EndsBlock), and a delay
+// slot is the word of the CFG's slot block.  Whether an instruction
+// can fault comes from its spawn effects; what each instruction does
+// comes from the one immediate-commit lowering, rtl.CompileDirect
+// (the buffered program for a word it refuses), plus rtl.LowerCC's
+// lazy-cc pairs and rtl.LowerXfer's transfers.
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"eel/internal/cfg"
 	"eel/internal/dataflow"
 	"eel/internal/machine"
 	"eel/internal/rtl"
 	"eel/internal/telemetry"
 )
 
-// routineCompiler carries one routine compilation's state.
+// routineCompiler carries one routine compilation's state: the
+// routine's CFG, whose normal blocks it compiles, and their liveness.
 type routineCompiler struct {
-	inv map[uint32]*machine.Inst
-	pl  *dataflow.PointLiveness
+	g  *cfg.Graph
+	lv *dataflow.Liveness
 }
 
 // rword is one lowered body word: its op (nil for a word that does
@@ -41,7 +44,6 @@ type rword struct {
 const rtStopFlags = rtl.FlagExtended | rtl.FlagPCRead | rtl.FlagTrap | rtl.FlagMemWrite
 
 type instAt struct {
-	pc uint32
 	in *machine.Inst
 	rword
 	// cc is the word's lazy-cc pair, when it lowered to one (cc.Kind
@@ -49,12 +51,17 @@ type instAt struct {
 	cc rtl.CCPair
 }
 
-// protoBlock is a block before linking: lowered body, and the
-// terminator (xfer) or fall-through successor (next).
+// protoBlock is a block before linking: instructions [lo, lo+len(body))
+// of the CFG block blk lowered, and the terminator (xfer) or
+// fall-through successor (next).
 type protoBlock struct {
 	base uint32
+	blk  *cfg.Block
+	lo   int
 	body []instAt
-	next uint32 // fall-through successor when !isXfer
+	// next is where control goes on when the block does not transfer:
+	// the word after the body, or past the terminator's span.
+	next uint32
 	// terminator at pc: its lowering and lowered delay slot
 	isXfer bool
 	pc     uint32
@@ -66,21 +73,10 @@ type protoBlock struct {
 	errPC uint32
 }
 
-// isTerm reports whether in ends a block: a control transfer, or an
-// instruction that annuls its successor.
-func isTerm(in *machine.Inst) bool { return in.Category().IsControl() || in.AnnulBit() }
-
-// span is how many words a terminator covers: itself, its delay slot,
-// or the successor it annuls.
-func span(in *machine.Inst) uint32 {
-	if !in.Category().IsControl() {
-		return 2
-	}
-	return 1 + uint32(in.DelaySlots())
-}
-
-// compile lowers the routine rooted at entry.  A negative result
-// carries the entry block's first lowering error.
+// compile lowers the routine rooted at entry: the CFG's normal blocks,
+// in address order, each split where a direct call inside the extent
+// lands, since the tier enters a routine at its call targets too.  A
+// negative result carries the entry block's first lowering error.
 func (rc *routineCompiler) compile(entry uint32) (ent *rtCacheEnt) {
 	sp := telemetry.ActiveTracer().Begin("sim.compileRoutine", "sim")
 	defer func() {
@@ -89,45 +85,36 @@ func (rc *routineCompiler) compile(entry uint32) (ent *rtCacheEnt) {
 		}
 		sp.End()
 	}()
-	if rc.inv[entry] == nil {
+	g := rc.g
+	if g.ByAddr[entry] == nil {
 		return &rtCacheEnt{err: fmt.Errorf("routine entry %#x not in graph", entry)}
 	}
-	pcs := make([]uint32, 0, len(rc.inv))
-	for pc := range rc.inv {
-		pcs = append(pcs, pc)
+	// called reports whether a direct call in the routine targets a.
+	called := func(a uint32) bool {
+		return slices.ContainsFunc(g.OutRefs, func(o cfg.OutRef) bool { return o.IsCall && o.Target == a })
 	}
-	sort.Slice(pcs, func(i, j int) bool { return pcs[i] < pcs[j] })
-	leaders := map[uint32]bool{entry: true}
-	for pc, in := range rc.inv {
-		leaders[pc] = leaders[pc] || rc.inv[pc-4] == nil
-		if isTerm(in) {
-			leaders[pc+4*span(in)] = true
-			if t, ok := in.StaticTarget(pc); ok {
-				leaders[t] = true
-			}
-		}
-	}
-
-	prog := &routineProg{base: entry, heads: make([]int32, (pcs[len(pcs)-1]-entry)/4+1)}
+	prog := &routineProg{base: entry, heads: make([]int32, (g.End-entry)/4)}
 	for i := range prog.heads {
 		prog.heads[i] = -1
 	}
 	var protos []*protoBlock
-	for idx := 0; idx < len(pcs); {
-		base := pcs[idx]
-		if !leaders[base] {
-			idx++
+	for _, b := range g.Blocks {
+		if b.Kind != cfg.KindNormal {
 			continue
 		}
-		pb := rc.formBlock(base, leaders)
-		if pb.err == nil {
-			prog.heads[(base-entry)/4] = int32(len(protos))
-			protos = append(protos, pb)
-		} else if base == entry {
-			return &rtCacheEnt{err: pb.err, pc: pb.errPC}
-		}
-		for idx < len(pcs) && (pcs[idx] < base+4 || !leaders[pcs[idx]]) {
-			idx++
+		for lo := 0; lo < len(b.Insts); {
+			hi := lo + 1
+			for hi < len(b.Insts) && !called(b.Insts[hi].Addr) {
+				hi++
+			}
+			pb := rc.formBlock(b, lo, hi)
+			if pb.err == nil {
+				prog.heads[(pb.base-entry)/4] = int32(len(protos))
+				protos = append(protos, pb)
+			} else if pb.base == entry {
+				return &rtCacheEnt{err: pb.err, pc: pb.errPC}
+			}
+			lo = hi
 		}
 	}
 	prog.blocks = make([]rblock, len(protos))
@@ -136,7 +123,7 @@ func (rc *routineCompiler) compile(entry uint32) (ent *rtCacheEnt) {
 		blk.base, blk.words = pb.base, make([]rword, len(pb.body))
 		for j := range pb.body {
 			blk.words[j] = pb.body[j].rword
-			if pb.body[j].cc.Kind != 0 && rc.ccDead(pb.body, j) {
+			if pb.body[j].cc.Kind != 0 && rc.ccDead(pb, j) {
 				blk.words[j].op = pb.body[j].cc.NoCC
 			}
 		}
@@ -146,34 +133,31 @@ func (rc *routineCompiler) compile(entry uint32) (ent *rtCacheEnt) {
 	return &rtCacheEnt{prog: prog}
 }
 
-// formBlock scans forward from base, lowering body instructions until
-// a terminator or a leader boundary.
-func (rc *routineCompiler) formBlock(base uint32, leaders map[uint32]bool) *protoBlock {
-	pb := &protoBlock{base: base}
-	for pc := base; ; pc += 4 {
-		in := rc.inv[pc]
-		if in == nil || (pc != base && leaders[pc]) {
-			pb.next = pc
+// formBlock lowers instructions [lo, hi) of CFG block b: body words,
+// then, when hi is the block's end and its last instruction ends it
+// (machine.Inst.EndsBlock), the terminator.
+func (rc *routineCompiler) formBlock(b *cfg.Block, lo, hi int) *protoBlock {
+	pb := &protoBlock{base: b.Insts[lo].Addr, blk: b, lo: lo, next: b.Insts[hi-1].Addr + 4}
+	for _, ci := range b.Insts[lo:hi] {
+		if ci.MI.EndsBlock() {
+			rc.lowerTerm(pb, ci.Addr, ci.MI)
 			return pb
 		}
-		if isTerm(in) {
-			rc.lowerTerm(pb, pc, in)
-			return pb
-		}
-		w, err := rc.lowerWord(in, pc)
+		w, err := rc.lowerWord(ci.MI, ci.Addr)
 		if err != nil {
-			pb.err, pb.errPC = err, pc
+			pb.err, pb.errPC = err, ci.Addr
 			return pb
 		}
 		pb.body = append(pb.body, w)
 	}
+	return pb
 }
 
 // lowerWord lowers the body word in at pc: to its lazy-cc pair, its
 // direct op list (rtl.CompileDirect, compiled at pc only when it reads
 // pc), or, when CompileDirect refuses it, its buffered program.
 func (rc *routineCompiler) lowerWord(in *machine.Inst, pc uint32) (instAt, error) {
-	w := instAt{pc: pc, in: in}
+	w := instAt{in: in}
 	sem := semOf(in)
 	if cc, ok := rtl.LowerCC(sem.Def.Sem, sem.CompileEnv()); ok {
 		w.op, w.cc = cc.Op, cc
@@ -203,10 +187,11 @@ func (rc *routineCompiler) lowerWord(in *machine.Inst, pc uint32) (instAt, error
 	return w, nil
 }
 
-// lowerTerm lowers the block's terminator at pc and its delay slot.
-// The branch condition fuses with the block's last cc record.
+// lowerTerm lowers the block's terminator at pc and its delay slot,
+// the word of the CFG's slot block after it.  The branch condition
+// fuses with the block's last cc record.
 func (rc *routineCompiler) lowerTerm(pb *protoBlock, pc uint32, in *machine.Inst) {
-	pb.isXfer, pb.pc = true, pc
+	pb.isXfer, pb.pc, pb.next = true, pc, pc+4*uint32(in.Span())
 	sem := semOf(in)
 	cc, ccReg := rc.lastCC(pb.body)
 	err := fmt.Errorf("%s: a transfer that can fault", in.Name())
@@ -221,9 +206,16 @@ func (rc *routineCompiler) lowerTerm(pb *protoBlock, pc uint32, in *machine.Inst
 		return // no slot executes
 	}
 	// The slot runs after the branch decision, outside the body: no
-	// cc elision or fusion context applies to it.
-	sin := rc.inv[pc+4]
-	if sin == nil || isTerm(sin) {
+	// cc elision or fusion context applies to it.  The CFG holds no
+	// slot block for a slot that is data.
+	var sin *machine.Inst
+	for _, e := range pb.blk.Succ {
+		if e.To.Kind == cfg.KindDelaySlot {
+			sin = e.To.Insts[0].MI
+			break
+		}
+	}
+	if sin == nil {
 		pb.err, pb.errPC = fmt.Errorf("%s: delay slot at %#x is not a plain instruction", in.Name(), pc+4), pc+4
 		return
 	}
@@ -254,18 +246,19 @@ func (rc *routineCompiler) lastCC(body []instAt) (uint8, int64) {
 	return 0, 0
 }
 
-// ccDead reports whether the cc record of body[i] can be skipped: its
-// register is dead after it (liveness), and, because liveness does
+// ccDead reports whether the cc record of pb.body[i] can be skipped:
+// its register is dead after it (Liveness.LiveAfter at its place in
+// the CFG block), and, because liveness does
 // not model faults, the next record arrives before any instruction
 // that could observe the register (a fault, a reader, or the block
 // end, where a spill would materialize it).
-func (rc *routineCompiler) ccDead(body []instAt, i int) bool {
-	r := ccMachineReg(body[i])
-	if live, ok := rc.pl.LiveAfter(body[i].pc); !ok || live.Has(r) {
+func (rc *routineCompiler) ccDead(pb *protoBlock, i int) bool {
+	r := ccMachineReg(pb.body[i])
+	if rc.lv.LiveAfter(pb.blk, pb.lo+i).Has(r) {
 		return false
 	}
-	for _, b := range body[i+1:] {
-		if b.cc.Kind != 0 && b.cc.Reg == body[i].cc.Reg {
+	for _, b := range pb.body[i+1:] {
+		if b.cc.Kind != 0 && b.cc.Reg == pb.body[i].cc.Reg {
 			return true
 		}
 		if b.in.Reads().Has(r) || b.in.Writes().Has(r) || faults(b.in) {
@@ -397,7 +390,7 @@ func (rc *routineCompiler) link(prog *routineProg, pb *protoBlock) (rterm, uint6
 		return func(c *CPU) int32 { return tg.enter(c) }, 0
 	}
 	x, pc := &pb.x, pb.pc
-	slot, fall := slotOf(pb.slot, pc+4), pc+4*span(rc.inv[pc])
+	slot, fall := slotOf(pb.slot, pc+4), pb.next
 	ln, lv := x.Link, x.LinkVal
 	cost := uint64(1)
 	if slot != nil {

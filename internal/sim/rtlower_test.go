@@ -100,7 +100,7 @@ func TestRoutineDefinitionSweep(t *testing.T) {
 				// transfer and its slot followed by the return.
 				words := []uint32{word, m.ret, m.nop}
 				steps := uint64(3)
-				if isTerm(in) {
+				if in.EndsBlock() {
 					words = []uint32{word, m.nop, m.ret, m.nop}
 					steps = 4
 				}

@@ -207,8 +207,8 @@ func init() {
 			CallDef: machine.NewRegSet(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
 				machine.RegY, machine.RegPSR, machine.RegFSR).Union(machine.FloatRegs()),
 			ExitLive: machine.NewRegSet(RegO0, RegSP, RegO7, 24, 25, 26, 27, 28, 29, 30, 31),
+			Nop:      0x01000000, // sethi 0, %g0
 		},
-		Lockstep: true,
 	})
 }
 
