@@ -494,8 +494,8 @@ func BenchmarkEmulator(b *testing.B) {
 // benchLoopProgram is the loop-heavy flavour: a hot counted loop in
 // main repeatedly calls the routine DAG, so execution is dominated by
 // the same paths crossing many block boundaries — the workload where
-// inter-block dispatch overhead (and therefore chaining and trace
-// extension) matters most.
+// inter-block dispatch overhead (and therefore chaining) matters
+// most.
 var benchLoopProgram = func() *progen.Program {
 	cfg := progen.DefaultConfig(2012)
 	cfg.BodyOps = 12
@@ -529,8 +529,8 @@ var simFlavours = []struct {
 
 // benchmarkSim runs each workload flavour end to end in one of the
 // four execution engines and reports simulated instructions per
-// second; chained runs also report chain/IC hit rates and traces,
-// routine runs the tier counters.  The routine tier compiles
+// second; chained runs also report chain/IC hit rates and victim
+// hits, routine runs the tier counters.  The routine tier compiles
 // synchronously at the lowest heat threshold so every iteration
 // measures steady-state routine execution (the content-addressed
 // program cache makes compilation a lookup after the first
@@ -566,7 +566,6 @@ func benchmarkSim(b *testing.B, engine sim.Engine) {
 			case sim.EngineChained:
 				b.ReportMetric(hitPct(k.ChainHits, k.ChainMisses), "chain-hit-%")
 				b.ReportMetric(hitPct(k.ICHits, k.ICMisses), "ic-hit-%")
-				b.ReportMetric(float64(k.Traces), "traces")
 				b.ReportMetric(float64(k.VictimHits), "victim-hits")
 			}
 		})
@@ -590,7 +589,8 @@ func BenchmarkSimInterp(b *testing.B) { benchmarkSim(b, sim.EngineInterp) }
 func BenchmarkSimTranslated(b *testing.B) { benchmarkSim(b, sim.EngineTranslated) }
 
 // BenchmarkSimChained is the block engine — translation cache plus
-// block chaining, indirect-jump inline caches, and trace extension.
+// block chaining, indirect-jump inline caches, and hot blocks
+// promoted in place onto direct-commit op lists.
 // Its sim-insts/s over BenchmarkSimTranslated's isolates the dispatch
 // overhead that chaining removes.
 func BenchmarkSimChained(b *testing.B) { benchmarkSim(b, sim.EngineChained) }

@@ -84,18 +84,6 @@ func (b *bundle) depsValid(e *core.Executable) bool {
 	return true
 }
 
-// Backend is a second-level cache consulted when the in-memory tier
-// misses: Load returns the serialized bundle stored under k, Persist
-// writes one run's records — its fresh analyses and the disk hits it
-// used — as one batch.  Implementations must be safe for concurrent
-// use; DiskStore is the production implementation (one segment file
-// per batch, bounded, survives restarts).  A Backend sees only opaque
-// bytes — the pipeline owns the bundle codec (codec.go).
-type Backend interface {
-	Load(k Key) ([]byte, bool)
-	Persist(recs []Record) (PersistInfo, error)
-}
-
 // Cache is a bounded, content-addressed memoization of routine
 // analyses with LRU eviction, optionally backed by a persistent
 // second level.  It is safe for concurrent use by the pipeline's
@@ -107,7 +95,7 @@ type Cache struct {
 	entries  map[Key]*list.Element
 	order    *list.List // front = most recently used
 
-	backend Backend
+	backend *DiskStore
 
 	hits, misses, evictions atomic.Uint64
 }
@@ -134,10 +122,10 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// SetBackend attaches a second-level store consulted on in-memory
-// misses and populated on computes.  Call it before sharing the
-// cache; the backend itself must be concurrency-safe.
-func (c *Cache) SetBackend(b Backend) { c.backend = b }
+// SetBackend attaches a disk store as the second level, consulted on
+// in-memory misses and populated on computes.  Call it before sharing
+// the cache.
+func (c *Cache) SetBackend(b *DiskStore) { c.backend = b }
 
 // lookup returns the cached bundle for k without touching hit/miss
 // accounting (the caller counts after validating the bundle against

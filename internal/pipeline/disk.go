@@ -19,7 +19,12 @@ import (
 // DiskStore is the persistent second level of the analysis cache: a
 // log-structured directory of append-only segment files that
 // survives process restarts and is shared by every client of a
-// long-running server (cmd/eeld).  It implements Backend.
+// long-running server (cmd/eeld).  A Cache consults it when its
+// in-memory tier misses (Cache.SetBackend): Load returns the
+// serialized bundle stored under a key, and Persist writes one run's
+// records — its fresh analyses and the disk hits it used — as one
+// batch.  It is safe for concurrent use, and sees only opaque bytes:
+// the pipeline owns the bundle codec (codec.go).
 //
 // Each Persist call writes one segment, named by a rising sequence
 // number, holding one record per key.  An in-memory index maps each
@@ -225,9 +230,9 @@ func unframe(k Key, data []byte) []byte {
 	return data[headerSize:]
 }
 
-// Load implements Backend: it returns the payload stored under k, or
-// ok=false.  A damaged record is counted and reported as a miss; the
-// caller's recompute supersedes it.
+// Load returns the payload stored under k, or ok=false.  A damaged
+// record is counted and reported as a miss; the caller's recompute
+// supersedes it.
 func (s *DiskStore) Load(k Key) ([]byte, bool) {
 	s.loads.Add(1)
 	s.mu.Lock()
@@ -259,9 +264,9 @@ func (s *DiskStore) Store(k Key, payload []byte) {
 	s.Persist([]Record{{Key: k, Data: payload}})
 }
 
-// Persist implements Backend: it writes recs as one new segment,
-// indexes them (a later record for a key supersedes an earlier one),
-// and deletes the oldest segments until the store's bounds hold.
+// Persist writes recs as one new segment, indexes them (a later record
+// for a key supersedes an earlier one), and deletes the oldest
+// segments until the store's bounds hold.
 func (s *DiskStore) Persist(recs []Record) (PersistInfo, error) {
 	if len(recs) == 0 {
 		return PersistInfo{}, nil

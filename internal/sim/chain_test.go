@@ -87,7 +87,7 @@ loop:
 
 // TestChainedSelfModifyInvalidation is the self-modifying-code repro
 // for chained-block invalidation: a hot loop — chained and possibly
-// trace-extended by the time the write happens — patches its own body
+// promoted by the time the write happens — patches its own body
 // (add %o0,1 becomes add %o0,2) and runs another phase.  The store
 // must flush the cache, sever every chain into the retired blocks, and
 // the re-translation must execute the patched instruction; all three
@@ -147,11 +147,10 @@ slot:
 	}
 }
 
-// TestTraceExtension checks profile-guided trace building on a
-// loop-heavy progen workload: the chained engine must build at least
-// one trace, serve most transitions from chain links, and still match
-// the interpreter's architected state exactly.
-func TestTraceExtension(t *testing.T) {
+// TestChainedHotLoop runs a loop-heavy progen workload on the chained
+// engine: chain links must serve most block transitions, and the
+// architected state and memory must match the interpreter's exactly.
+func TestChainedHotLoop(t *testing.T) {
 	cfg := progen.DefaultConfig(41)
 	cfg.BodyOps = 8
 	cfg.HotLoop = 500
@@ -173,21 +172,34 @@ func TestTraceExtension(t *testing.T) {
 	if addr, ok := ref.Mem.Diff(cpu.Mem); !ok {
 		t.Fatalf("memory diverged at %#x", addr)
 	}
-	k := cpu.Counters()
-	if k.Traces == 0 {
-		t.Errorf("hot loop built no traces: %+v", k)
-	}
-	if k.ChainHits == 0 || k.ChainHits < k.ChainMisses {
+	if k := cpu.Counters(); k.ChainHits == 0 || k.ChainHits < k.ChainMisses {
 		t.Errorf("chain links are not carrying the hot path: %+v", k)
 	}
 }
 
-// TestTraceStepLimitParity stops the compiled engines at every step
-// budget across one pass of the first trace a hot loop builds, so the
-// limit falls inside hot code, not only in cold blocks.  Every engine
-// must stop where the interpreter does: the same instruction count,
-// fault pc and architected state.
-func TestTraceStepLimitParity(t *testing.T) {
+// promoted returns the first block of cpu's translation cache that
+// steps through direct op lists, or nil.
+func promoted(cpu *CPU) *tblock {
+	if cpu.tc == nil {
+		return nil
+	}
+	for _, b := range cpu.tc.blocks {
+		for i := range b.insts {
+			if b.insts[i].direct != nil {
+				return b
+			}
+		}
+	}
+	return nil
+}
+
+// TestPromotedStepLimitParity stops the compiled engines at every step
+// budget across one pass of the first block the chained engine
+// promotes onto the direct tier, so the limit falls inside hot code,
+// not only in cold blocks.  Every engine must stop where the
+// interpreter does: the same instruction count, fault pc and
+// architected state.
+func TestPromotedStepLimitParity(t *testing.T) {
 	cfg := progen.DefaultConfig(41)
 	cfg.BodyOps = 8
 	cfg.HotLoop = 500
@@ -199,44 +211,40 @@ func TestTraceStepLimitParity(t *testing.T) {
 		return cpu, fmt.Sprintf("err=%v\n%s", err, cpu.ArchState())
 	}
 
-	// The smallest budget after which the chained engine holds a trace.
-	hasTrace := func(budget uint64) bool {
+	// The smallest budget after which the chained engine holds a
+	// promoted block.
+	hasPromoted := func(budget uint64) bool {
 		cpu, _ := run(EngineChained, budget)
-		return cpu.Counters().Traces > 0
+		return promoted(cpu) != nil
 	}
 	hi := uint64(1024)
-	for !hasTrace(hi) {
+	for !hasPromoted(hi) {
 		if hi *= 2; hi > 1<<24 {
-			t.Fatal("the hot loop built no trace")
+			t.Fatal("the hot loop promoted no block")
 		}
 	}
-	lo := hi / 2 // lo builds none, hi does
+	lo := hi / 2 // lo promotes none, hi does
 	for hi-lo > 1 {
-		if mid := (lo + hi) / 2; hasTrace(mid) {
+		if mid := (lo + hi) / 2; hasPromoted(mid) {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
 	cpu, _ := run(EngineChained, hi)
-	var trace *tblock
-	for _, b := range cpu.tc.blocks {
-		if b.trace {
-			trace = b
-		}
-	}
-	inTrace := map[uint32]bool{}
-	for _, ci := range trace.insts[1:] {
-		inTrace[ci.pc] = true
+	hot := promoted(cpu)
+	inHot := map[uint32]bool{}
+	for i := 1; i < len(hot.insts); i++ {
+		inHot[hot.pc+4*uint32(i)] = true
 	}
 
 	ref := LoadFile(p.File, nil)
 	ref.Engine = EngineInterp
 	stopsInside := 0
-	for budget := hi; budget <= hi+uint64(len(trace.insts)); budget++ {
+	for budget := hi; budget <= hi+uint64(len(hot.insts)); budget++ {
 		err := ref.Run(budget) // the interpreter resumes where it stopped
 		want := fmt.Sprintf("err=%v\n%s", err, ref.ArchState())
-		if inTrace[ref.PC] {
+		if inHot[ref.PC] {
 			stopsInside++
 		}
 		for _, eng := range []Engine{EngineChained, EngineTranslated, EngineRoutine} {
@@ -246,7 +254,7 @@ func TestTraceStepLimitParity(t *testing.T) {
 		}
 	}
 	if stopsInside == 0 {
-		t.Errorf("no budget stopped inside the %d-instruction trace at %#x", len(trace.insts), trace.pc)
+		t.Errorf("no budget stopped inside the %d-instruction promoted block at %#x", len(hot.insts), hot.pc)
 	}
 }
 
@@ -262,7 +270,7 @@ func TestChainCountersByEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := translated.Counters()
-	if k.ChainHits+k.ChainMisses+k.ICHits+k.ICMisses+k.Traces != 0 {
+	if k.ChainHits+k.ChainMisses+k.ICHits+k.ICMisses != 0 {
 		t.Errorf("translated engine recorded chaining activity: %+v", k)
 	}
 

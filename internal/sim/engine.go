@@ -14,8 +14,9 @@ import (
 type Engine uint8
 
 const (
-	// EngineChained runs the translation cache with block chaining,
-	// indirect-jump inline caches, and hot-trace extension.
+	// EngineChained runs the translation cache with block chaining
+	// and indirect-jump inline caches, and promotes hot blocks in
+	// place onto direct-commit op lists.
 	EngineChained Engine = iota
 	// EngineRoutine adds the routine tier on top of the chained
 	// engine: hot routine entries are compiled whole (CFG + liveness,
@@ -26,9 +27,9 @@ const (
 	// per-step visibility).
 	EngineRoutine
 	// EngineTranslated keeps the translation cache but returns to the
-	// dispatcher at every superblock exit, and builds no traces and
-	// promotes no hot blocks: the baseline for measuring dispatch
-	// overhead and for bisecting engines.
+	// dispatcher at every superblock exit and promotes no hot blocks:
+	// the baseline for measuring dispatch overhead and for bisecting
+	// engines.
 	EngineTranslated
 	// EngineInterp single-steps the AST interpreter.
 	EngineInterp
@@ -79,5 +80,5 @@ func (e *Engine) Set(name string) error {
 }
 
 // chains reports whether e keeps control inside translated code
-// across block boundaries, building traces and promoting hot blocks.
+// across block boundaries and promotes hot blocks.
 func (e Engine) chains() bool { return e <= EngineRoutine }

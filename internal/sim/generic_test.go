@@ -48,7 +48,7 @@ func assertNoCoupleInBlock(t *testing.T, b *tblock) {
 		if uncondTransfer(prev) && prev.DelaySlots() > 0 &&
 			(cur.Category().IsControl() || cur.DelaySlots() > 0) {
 			t.Errorf("block %#x admits DCTI couple: %s at %#x in delay slot of %s at %#x",
-				b.pc, cur.Name(), b.insts[i].pc, prev.Name(), b.insts[i-1].pc)
+				b.pc, cur.Name(), b.pc+4*uint32(i), prev.Name(), b.pc+4*uint32(i-1))
 		}
 	}
 }

@@ -1,10 +1,10 @@
 // The translation-cache execution engine: a threaded-code fast path
 // for Run.  On first execution of a text address the decoded
-// instruction's RTL semantics are lowered (once per distinct word and
-// decoder, by rtl.Compile via spawn.TableDecoder.Compiled) to a flat
-// micro-op program, and straight-line runs are collected into
-// superblocks stored in a direct-mapped-by-address cache.  One
-// executor (exec) runs every superblock, repeating
+// instruction's RTL semantics are lowered to a flat micro-op program
+// (once per distinct word and process: the program lives on the
+// word's memo entry, spawn.InstSem.Compiled), and straight-line runs
+// are collected into superblocks stored in a direct-mapped-by-address
+// cache.  One executor (exec) runs every superblock, repeating
 // execute-compiled-program / advance-pipeline with no memory fetch, no
 // decoder lookup, and no AST dispatch; untaken conditional branches
 // and annulled slots continue inside the block, and tight loops whose
@@ -16,11 +16,9 @@
 // Static exits act as direct chain links; indirect exits
 // (jmpl/ret/dispatch tables) use the same slot as a monomorphic inline
 // cache, with a shared hashed victim table as a second level behind
-// the direct-mapped cache.  Hot block anchors are re-translated into
-// traces — longer superblocks that follow the observed hot path across
-// block boundaries, biased by per-exit transition counts — and hot
-// instructions step through direct-commit op lists (see promote),
-// the one immediate-commit lowering, which the routine tier runs too.
+// the direct-mapped cache.  A hot block is promoted in place: its
+// instructions step through direct-commit op lists (see promote), the
+// one immediate-commit lowering, which the routine tier runs too.
 // Every cached pointer is validated by the generation counter, and
 // invalidation runs a bounded chain-unlinking pass over the blocks
 // built since the last flush, so self-modifying-code handling stays
@@ -30,8 +28,8 @@
 // step kind mirrors Step minus fetch/decode and shares finishStep,
 // so delayed branches, annulled slots, register windows, traps,
 // InstCount and AnnulCount agree exactly (the differential tests in
-// jit_test.go and the three-way fuzz lockstep prove it).  The engine
-// deoptimizes to Step whenever OnExec is set, the pc leaves
+// jit_test.go and the fuzz lockstep over every engine prove it).  The
+// engine deoptimizes to Step whenever OnExec is set, the pc leaves
 // translated text, or an instruction cannot be compiled — and cached
 // blocks are invalidated when text memory is written (self-modifying
 // edits) or the CPU is Reset onto a new executable.
@@ -54,31 +52,22 @@ const (
 	// direct-mapped cache: conflict-evicted blocks land here and are
 	// promoted back on a hit instead of being rebuilt.
 	vtEntries = 1 << 9
-	// traceHotThreshold is the number of anchor entries after which a
-	// linear block is re-translated into a trace.
-	traceHotThreshold = 64
-	// traceSiteMin is the minimum transition count an exit site needs
-	// before it may steer trace extension, and a site must also carry
-	// a strict majority of its block's observed exits.
-	traceSiteMin = 16
-	// traceMaxInsts / traceMaxSegs bound trace size.
-	traceMaxInsts = 256
-	traceMaxSegs  = 8
+	// hotThreshold is the number of anchor entries after which a
+	// block is promoted onto the direct tier.
+	hotThreshold = 64
 )
 
 // compiledInst is one translated instruction: the interned decoded
-// instruction, its compiled semantics and its text address (trace
-// blocks are not contiguous, so each entry carries its own pc), with
-// its own hot state and exit slot.
+// instruction and its compiled semantics, with its own hot state and
+// exit slot.  A block's instructions are contiguous in text, so the
+// i-th sits at the block's pc plus 4i.
 type compiledInst struct {
 	inst *machine.Inst
 	prog *rtl.Prog
-	pc   uint32
 
 	// indirect marks an exit that follows an indirect transfer (this
 	// instruction, or the one whose delay slot it fills): its slot is
-	// an inline cache rather than a direct chain link.  It sits here,
-	// not in exitSlot, so that an instruction packs into 48 bytes.
+	// an inline cache rather than a direct chain link.
 	indirect bool
 
 	// Hot state, set when the block turns hot (see promote): step
@@ -117,34 +106,29 @@ const (
 // exitSlot caches the successor last seen leaving a block at one exit
 // site.  For exits reached through a static branch or fall-through it
 // is a direct chain link; for indirect transfers it is a monomorphic
-// inline cache keyed by pc.  count biases trace extension toward the
-// dominant exit.
+// inline cache keyed by pc.
 type exitSlot struct {
-	blk   *tblock
-	pc    uint32
-	count uint32
+	blk *tblock
+	pc  uint32
 }
 
 // tblock is a superblock: compiled instructions for the text run
-// starting at pc, or for a trace the hot path recorded from it.  A
-// block with no instructions marks an address the engine must
-// interpret (invalid word, uncompilable semantics).  gen records the
-// cache generation the block was built in; a chain pointer may be
-// followed only while the generations still match.
+// starting at pc.  A block with no instructions marks an address the
+// engine must interpret (invalid word, uncompilable semantics).  gen
+// records the cache generation the block was built in; a chain
+// pointer may be followed only while the generations still match.
 type tblock struct {
 	pc     uint32
 	insts  []compiledInst
 	gen    uint64
 	enters uint64
-	trace  bool
 }
 
 // transCache is a direct-mapped translation cache plus its
 // generation counter, bumped on every invalidation so in-flight
 // superblocks notice text writes mid-run.  blocks registers every
-// block built since the last flush so invalidation and trace
-// installation can sever chain pointers without scanning the whole
-// cache.
+// block built since the last flush so invalidation can sever chain
+// pointers without scanning the whole cache.
 type transCache struct {
 	entries [tcEntries]*tblock
 	victims [vtEntries]*tblock
@@ -195,9 +179,6 @@ func (c *CPU) InvalidateText() {
 		c.tc.victims[i] = nil
 	}
 	for _, b := range c.tc.blocks {
-		if b.trace {
-			c.tc.ctr.TracesRetired++
-		}
 		for i := range b.insts {
 			b.insts[i].exit.blk = nil
 		}
@@ -234,7 +215,6 @@ func (c *CPU) block(pc uint32) *tblock {
 	}
 	b := c.buildBlock(pc)
 	b.gen = c.tc.gen
-	setExits(b.insts)
 	c.install(i, b)
 	c.tc.blocks = append(c.tc.blocks, b)
 	c.tc.ctr.Builds++
@@ -249,22 +229,6 @@ func (c *CPU) install(i uint32, b *tblock) {
 		c.tc.victims[vtIndex(old.pc)] = old
 	}
 	c.tc.entries[i] = b
-}
-
-// unlink severs every chain pointer to dead (bounded by the blocks
-// built since the last flush) and drops it from the victim table, so
-// a replaced translation cannot be re-entered through a link.
-func (c *CPU) unlink(dead *tblock) {
-	for _, b := range c.tc.blocks {
-		for i := range b.insts {
-			if b.insts[i].exit.blk == dead {
-				b.insts[i].exit.blk = nil
-			}
-		}
-	}
-	if vi := vtIndex(dead.pc); c.tc.victims[vi] == dead {
-		c.tc.victims[vi] = nil
-	}
 }
 
 // buildBlock translates the straight-line run starting at pc.  It
@@ -301,7 +265,9 @@ func (c *CPU) buildBlock(pc uint32) *tblock {
 		if err != nil {
 			break
 		}
-		b.insts = append(b.insts, compiledInst{inst: inst, prog: prog, pc: addr})
+		n := len(b.insts)
+		indirect := indirectTransfer(inst) || n > 0 && indirectTransfer(b.insts[n-1].inst)
+		b.insts = append(b.insts, compiledInst{inst: inst, prog: prog, indirect: indirect})
 		if c.rtOn && inst.Category() == machine.CatCallDirect {
 			// Static call targets are the routine tier's promotion
 			// candidates.
@@ -364,29 +330,18 @@ func indirectTransfer(inst *machine.Inst) bool {
 	return false
 }
 
-// setExits gives every instruction of a new block or trace an empty
-// exit slot and marks the sites that follow an indirect transfer.
-func setExits(insts []compiledInst) {
-	for j := range insts {
-		insts[j].exit = exitSlot{}
-		insts[j].indirect = indirectTransfer(insts[j].inst) ||
-			j > 0 && indirectTransfer(insts[j-1].inst)
-	}
-}
-
-// exec is the superblock executor, for linear blocks and traces alike.
-// It enters b at its anchor (c.PC == b.pc) and runs until the pc
-// leaves b or execution must stop, and reports the index of the last
-// executed instruction so the caller can attribute the exit to its
-// slot (-1, when none ran, comes only with stop).  stop is true when
-// control must return to the dispatcher regardless of chaining: halt,
-// step limit, or a mid-run cache invalidation.
+// exec is the superblock executor.  It enters b at its anchor (c.PC ==
+// b.pc) and runs until the pc leaves b or execution must stop, and
+// reports the index of the last executed instruction so the caller can
+// attribute the exit to its slot (-1, when none ran, comes only with
+// stop).  stop is true when control must return to the dispatcher
+// regardless of chaining: halt, step limit, or a mid-run cache
+// invalidation.
 //
-// Each instruction runs by its stepKind.  The successor is the next
-// entry when that entry's pc is c.PC (straight-line code, an untaken
-// branch, a trace following its recorded path).  Otherwise a linear
-// block finds c.PC by its offset (an in-block branch) and a trace only
-// at its head (the loop closing); anything else leaves the block.
+// Each instruction runs by its stepKind.  The successor is the entry
+// at c.PC's offset from the block's anchor (straight-line code, an
+// untaken branch, an in-block branch); a pc outside the block leaves
+// it.
 func (c *CPU) exec(b *tblock, maxSteps uint64, gen uint64) (last int, stop bool, err error) {
 	last = -1
 	insts := b.insts
@@ -440,22 +395,13 @@ func (c *CPU) exec(b *tblock, maxSteps uint64, gen uint64) (last int, stop bool,
 				return last, true, nil // text was written; b may be stale
 			}
 		}
-		if i+1 < len(insts) && insts[i+1].pc == c.PC {
-			i++
-			continue
-		}
-		j := 0
-		if !b.trace {
-			// Fixed 4-byte stride: bindDesc rejects any other
-			// instruction width at New.
-			off := c.PC - b.pc
-			if off&3 != 0 || off>>2 >= uint32(len(insts)) {
-				return last, false, nil
-			}
-			j = int(off >> 2)
-		} else if c.PC != b.pc {
+		// Fixed 4-byte stride: bindDesc rejects any other instruction
+		// width at New.
+		off := c.PC - b.pc
+		if off&3 != 0 || off>>2 >= uint32(len(insts)) {
 			return last, false, nil
 		}
+		j := int(off >> 2)
 		if j <= i && c.rtOn && c.rt.mb.has.Load() {
 			// A backward transition closed a loop iteration and a
 			// finished routine compile is waiting: bounce to the
@@ -465,67 +411,4 @@ func (c *CPU) exec(b *tblock, maxSteps uint64, gen uint64) (last int, stop bool,
 		}
 		i = j
 	}
-}
-
-// dominantExit picks the exit site carrying a strict majority of b's
-// observed exits (and at least traceSiteMin transitions), returning
-// the successor pc recorded there.  Blocks without a clearly biased
-// exit do not steer trace extension.
-func dominantExit(b *tblock) (site int, target uint32, ok bool) {
-	var total uint64
-	best, bestN := -1, uint32(0)
-	for i := range b.insts {
-		n := b.insts[i].exit.count
-		total += uint64(n)
-		if n > bestN {
-			best, bestN = i, n
-		}
-	}
-	if best < 0 || bestN < traceSiteMin || uint64(bestN)*2 <= total {
-		return 0, 0, false
-	}
-	s := &b.insts[best].exit
-	if s.blk == nil {
-		return 0, 0, false
-	}
-	return best, s.pc, true
-}
-
-// buildTrace re-translates the hot block head into a trace: a longer
-// superblock following the observed dominant path across block
-// boundaries, cut at each segment's majority exit.  The trace
-// replaces head in the direct-mapped slot (chains into head are
-// severed so the trace captures future entries); it returns nil when
-// no extension is profitable.  Traces rely on no extra invariants:
-// each executed entry is pc-guarded by exec and the generation
-// counter, so a mispredicted path or text write simply side-exits.
-func (c *CPU) buildTrace(head *tblock) *tblock {
-	t := &tblock{pc: head.pc, trace: true, gen: c.tc.gen}
-	cur := head
-	for seg := 0; seg < traceMaxSegs; seg++ {
-		site, target, ok := dominantExit(cur)
-		if !ok {
-			t.insts = append(t.insts, cur.insts...)
-			break
-		}
-		t.insts = append(t.insts, cur.insts[:site+1]...)
-		if len(t.insts) >= traceMaxInsts || target == head.pc {
-			break
-		}
-		nb := c.block(target)
-		if len(nb.insts) == 0 || nb.trace {
-			break
-		}
-		cur = nb
-	}
-	if len(t.insts) <= len(head.insts) {
-		return nil
-	}
-	setExits(t.insts)
-	c.promote(t) // traces are hot by construction
-	c.unlink(head)
-	c.install(tcIndex(head.pc), t)
-	c.tc.blocks = append(c.tc.blocks, t)
-	c.tc.ctr.Traces++
-	return t
 }

@@ -459,8 +459,9 @@ type Counters struct {
 	ICMisses    uint64 // indirect exits that had to re-probe the cache
 	VictimHits  uint64 // conflict-evicted blocks promoted back instead of rebuilt
 
-	Traces        uint64 // traces built from hot block heads
-	TracesRetired uint64 // traces discarded by text invalidation
+	// Traces always reads 0: the chained engine builds no traces.  It
+	// is kept only while the benchmark harness (bench/) reads it.
+	Traces uint64
 
 	RoutinesCompiled uint64 // routine programs installed by the routine tier
 	TierPromotions   uint64 // routine compile requests issued by heat
@@ -485,7 +486,6 @@ var counterMetrics = [...]struct {
 	{"sim.jit.ic_misses", "", func(k *Counters) *uint64 { return &k.ICMisses }},
 	{"sim.jit.victim_hits", "", func(k *Counters) *uint64 { return &k.VictimHits }},
 	{"sim.jit.traces", "jit_traces", func(k *Counters) *uint64 { return &k.Traces }},
-	{"sim.jit.traces_retired", "", func(k *Counters) *uint64 { return &k.TracesRetired }},
 	{"sim.jit.routines_compiled", "", func(k *Counters) *uint64 { return &k.RoutinesCompiled }},
 	{"sim.jit.tier_promotions", "", func(k *Counters) *uint64 { return &k.TierPromotions }},
 	{"sim.jit.routine_deopts", "", func(k *Counters) *uint64 { return &k.RoutineDeopts }},
@@ -621,8 +621,8 @@ func (c *CPU) run(maxSteps uint64) error {
 // monomorphic inline cache for indirect ones) and transfers straight
 // to the cached successor when its anchor and generation still match.
 // Misses fall back to the two-level cache probe; anything the cache
-// cannot serve returns to the dispatcher.  Hot anchors are
-// re-translated into traces, or promoted in place, on entry.
+// cannot serve returns to the dispatcher.  A block is promoted in
+// place onto the direct tier when its entries reach hotThreshold.
 // EngineTranslated enters here too but does none of this: it runs one
 // block on its buffered steps and returns.  Every loop iteration
 // enters a block exactly at its anchor (the dispatcher, a chain hit,
@@ -640,14 +640,8 @@ func (c *CPU) runChained(b *tblock, maxSteps uint64) error {
 				}
 			}
 		}
-		if b.enters == traceHotThreshold && !b.trace && c.Engine.chains() {
-			if t := c.buildTrace(b); t != nil {
-				b = t
-			} else {
-				// No profitable extension, but the block is hot: still
-				// re-translate it in place onto the direct tier.
-				c.promote(b)
-			}
+		if b.enters == hotThreshold && c.Engine.chains() {
+			c.promote(b)
 		}
 		last, stop, err := c.exec(b, maxSteps, gen)
 		if err != nil || stop {
@@ -661,9 +655,6 @@ func (c *CPU) runChained(b *tblock, maxSteps uint64) error {
 		}
 		ci := &b.insts[last]
 		if s := &ci.exit; s.blk != nil && s.pc == c.PC && s.blk.gen == gen {
-			if s.count != ^uint32(0) {
-				s.count++
-			}
 			if ci.indirect {
 				c.tc.ctr.ICHits++
 			} else {
@@ -711,7 +702,7 @@ func (c *CPU) chainTarget(ci *compiledInst, pc uint32) *tblock {
 	if len(nb.insts) == 0 {
 		return nil
 	}
-	ci.exit = exitSlot{blk: nb, pc: pc, count: 1}
+	ci.exit = exitSlot{blk: nb, pc: pc}
 	return nb
 }
 

@@ -294,7 +294,7 @@ loop:	add %o0, %o1, %o0
 			}
 		}
 		for i := 0; i < 3; i++ {
-			again() // translate, promote, build traces
+			again() // translate, chain, promote
 		}
 		if n := testing.AllocsPerRun(20, again); n != 0 {
 			t.Errorf("%s: %.1f allocations per steady-state Run, want 0", eng, n)

@@ -75,8 +75,9 @@ type Memo struct {
 	desc  *Desc
 	glue  Glue
 	slots Table[memoEntry]
-	// derived counts misses: first sights and re-derivations after a
-	// collision alike.
+	// derived counts the entries stored: first sights and
+	// re-derivations after a collision alike.  A goroutine whose
+	// derivation loses the race to store its word counts nothing.
 	derived atomic.Uint64
 }
 
@@ -104,14 +105,19 @@ func memoSlot(word uint32) uint32 { return (word * 0x9e3779b1) >> (32 - TableBit
 
 // lookup returns word's entry, deriving it on a miss.  Goroutines
 // that derive one word at once agree on the entry the first of them
-// stored, so a word has one instruction while its slot holds it.
+// stored, so a word has one instruction while its slot holds it, and
+// only that goroutine counts the derivation.
 func (m *Memo) lookup(word uint32) *memoEntry {
 	i := memoSlot(word)
 	if e := m.slots[i].Load(); e != nil && e.inst.Word() == word {
 		return e
 	}
-	m.derived.Add(1)
-	return m.slots.Put(i, m.derive(word), func(e *memoEntry) bool { return e.inst.Word() == word })
+	e := m.derive(word)
+	kept := m.slots.Put(i, e, func(e *memoEntry) bool { return e.inst.Word() == word })
+	if kept == e {
+		m.derived.Add(1)
+	}
+	return kept
 }
 
 // derive builds word's entry: its instruction, with the full

@@ -452,14 +452,21 @@ func TestMemoSlotCollision(t *testing.T) {
 
 // TestMemoSharedByDecoders runs many decoders, each on its own
 // goroutines, over one memo (run under -race): every decoder must
-// return the memo's one instruction per word, and all of them must
-// agree with a fresh derivation.
+// return the memo's one instruction per word, all of them must agree
+// with a fresh derivation, and the memo must count one derivation per
+// word however many goroutines raced to derive it.
 func TestMemoSharedByDecoders(t *testing.T) {
 	d := toy(t)
 	var words []uint32
+	slots := map[uint32]uint32{}
 	for op := uint32(0); op <= 8; op++ {
 		for r := uint32(0); r < 4; r++ {
-			words = append(words, word(d, map[string]uint32{"op": op, "rd": r, "rs1": r + 1, "rs2": r + 2, "imm16": r * 8}))
+			w := word(d, map[string]uint32{"op": op, "rd": r, "rs1": r + 1, "rs2": r + 2, "imm16": r * 8})
+			if o, ok := slots[memoSlot(w)]; ok {
+				t.Fatalf("words %#x and %#x share a memo slot", o, w)
+			}
+			slots[memoSlot(w)] = w
+			words = append(words, w)
 		}
 	}
 	memo := NewMemo(d, nil)
@@ -504,8 +511,8 @@ func TestMemoSharedByDecoders(t *testing.T) {
 			}
 		}
 	}
-	if n := memo.derived.Load(); n < uint64(len(words)) || n > uint64(decoders*goroutines*len(words)) {
-		t.Errorf("%d derivations of %d words", n, len(words))
+	if n := memo.derived.Load(); n != uint64(len(words)) {
+		t.Errorf("%d derivations of %d words, want one each", n, len(words))
 	}
 }
 

@@ -44,11 +44,11 @@ func ConfigureEngine(cpu *sim.CPU, name string) error {
 // "jit", so engine-sensitive output stays strippable when comparing
 // reports across engines.
 func WriteEngineStats(w io.Writer, label string, k sim.Counters) {
-	fmt.Fprintf(w, "jit %s: blocks %d, flushes %d, deopts %d, chain-hit %.1f%% (%d/%d), ic-hit %.1f%% (%d/%d), victim-hits %d, traces %d (%d retired)\n",
+	fmt.Fprintf(w, "jit %s: blocks %d, flushes %d, deopts %d, chain-hit %.1f%% (%d/%d), ic-hit %.1f%% (%d/%d), victim-hits %d\n",
 		label, k.Builds, k.Flushes, k.Deopts,
 		hitPct(k.ChainHits, k.ChainMisses), k.ChainHits, k.ChainHits+k.ChainMisses,
 		hitPct(k.ICHits, k.ICMisses), k.ICHits, k.ICHits+k.ICMisses,
-		k.VictimHits, k.Traces, k.TracesRetired)
+		k.VictimHits)
 	if k.TierPromotions > 0 {
 		fmt.Fprintf(w, "jit %s: routines %d compiled (%d promotions), routine-deopts %d\n",
 			label, k.RoutinesCompiled, k.TierPromotions, k.RoutineDeopts)

@@ -100,7 +100,8 @@ func parse(r io.Reader) (map[string]map[string]float64, error) {
 
 // speedups derives the engine ratios per flavour: how much the
 // translation cache buys over the interpreter, how much chaining
-// plus traces buy over the unchained translation cache, and how much
+// plus hot-block promotion buy over the unchained translation cache,
+// and how much
 // whole-routine compilation buys over the chained engine.  Overhead
 // ratios are slowdowns — base over instrumented, same engine both
 // sides — so >= ~1.0 by construction.
